@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Guard the committed perf trajectory: BENCH_*.json must not regress.
 
-Each PR commits ``BENCH_<name>.json`` records (regenerated by the smoke
-benchmarks in tier-1 and the ``--runbench`` heavy variants).  CI runs this
+Each PR commits ``BENCH_<name>.json`` records (regenerated by a
+``--runbench`` session, smoke and heavy variants alike; a tier-1 smoke
+session records under pytest's tmp dir instead).  CI runs this
 script after the test suite; it fails when a committed record is missing
 or a recorded speedup has slipped below its floor, so a PR can't silently
 trade away throughput the previous PRs bought.

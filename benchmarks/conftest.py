@@ -2,15 +2,15 @@
 
 Each benchmark regenerates one of the paper's tables or figures, printing
 the rows and writing them under ``results/``.  Perf-trajectory numbers
-(packets/sec and friends) go through the :func:`bench_json` knob, which
-persists them as ``BENCH_<name>.json`` at the repo root so successive PRs
-can diff throughput.
+(packets/sec and friends) go through :func:`bench_json`, which persists
+them as ``BENCH_<name>.json``.  Only an opt-in ``--runbench`` session
+writes the committed records (repo root, ``results/``); a smoke session
+writes both under pytest's tmp dir, so tier-1 leaves the tree clean.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +21,8 @@ from repro.fixpoint import quantize_model
 from repro.ml import anomaly_detection_dnn
 from repro.testbed import EndToEndExperiment
 
-#: Where BENCH_*.json perf records land (repo root, next to ROADMAP.md);
-#: override with TAURUS_BENCH_DIR.
-BENCH_DIR = Path(os.environ.get("TAURUS_BENCH_DIR", Path(__file__).resolve().parent.parent))
+#: Where the committed BENCH_*.json records live (next to ROADMAP.md).
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def pytest_configure(config):
@@ -33,12 +32,29 @@ def pytest_configure(config):
 
 
 @pytest.fixture(scope="session")
-def bench_json():
+def record_dir(pytestconfig, tmp_path_factory) -> Path:
+    """The repo root under ``--runbench``, else a session tmp dir."""
+    if pytestconfig.getoption("--runbench"):
+        return REPO_ROOT
+    return tmp_path_factory.mktemp("bench_records")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _smoke_results_dir(record_dir):
+    """Smoke sessions write their ``results/`` tables beside their records
+    (``repro.core.write_result`` reads ``TAURUS_RESULTS_DIR``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if record_dir != REPO_ROOT:
+            patch.setenv("TAURUS_RESULTS_DIR", str(record_dir / "results"))
+        yield
+
+
+@pytest.fixture(scope="session")
+def bench_json(record_dir):
     """Record perf numbers for the trajectory: ``record(name, payload)``.
 
     Each named payload is merged (later records win key-by-key) and written
-    to ``BENCH_<name>.json`` when the session ends, so a smoke run and an
-    opt-in ``--runbench`` run update the same file.
+    to ``BENCH_<name>.json`` in :func:`record_dir` when the session ends.
     """
     records: dict[str, dict] = {}
 
@@ -47,7 +63,7 @@ def bench_json():
 
     yield record
     for name, payload in records.items():
-        path = BENCH_DIR / f"BENCH_{name}.json"
+        path = record_dir / f"BENCH_{name}.json"
         merged: dict = {}
         if path.exists():
             try:

@@ -47,18 +47,14 @@ def main() -> None:
         print(f"  {diag.format()}")
 
     # 3c. Abstract interpretation: proven per-node value intervals (the
-    #     saturation/overflow gate CI runs) and the purity/effects pass
-    #     whose FusionPlan the compiled-backend work will consume.
-    from repro.analysis import analyze_effects, analyze_ranges
+    #     saturation/overflow gate CI runs).
+    from repro.analysis import analyze_ranges
 
     graph = detector.block.graph
     report = analyze_ranges(graph)
     out_iv = report.intervals[graph.outputs()[0].node_id]
     print(f"range analysis: {report.passes} pass(es), "
           f"proven output interval {out_iv}")
-    plan = analyze_effects(graph)
-    print(f"fusion plan: {len(plan.chains)} fusable chain(s) "
-          f"{plan.chain_names() or ''}")
 
     # 4. Push real packets through the switch pipeline — the whole trace
     #    transits the batched PISA path (vectorized parse, flow registers,

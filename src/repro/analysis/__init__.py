@@ -25,10 +25,9 @@ time*; this package is that layer for the reproduction:
   saturation, wide-accumulator overflow, and LUT domain-coverage
   warnings, plus bit-width-narrowing opportunities, with per-node
   waivers for saturation that is the quantization scheme by design.
-* :func:`analyze_effects` — a purity/effects pass (stateless /
-  state-read / state-write / temporal) that certifies maximal chains of
-  pure element-wise nodes as a :class:`FusionPlan` — the input the
-  ROADMAP item 2 fusing transformer consumes verbatim.
+* :func:`analyze_effects` — a purity/effects pass classifying every node
+  as stateless / state-read / state-write / temporal
+  (:class:`GraphEffects`).
 * :func:`analyze_concurrency` — a CFG-based interprocedural lockset
   analysis over the runtime sources: thread entry-point discovery,
   per-statement must-locksets through helper calls and aliasing, a
@@ -47,7 +46,7 @@ app graphs and the runtime sources and is wired into CI as a lint gate
 
 from .concurrency import analyze_concurrency, analyze_concurrency_sources
 from .diagnostics import CHECKS, CheckSpec, Diagnostic, Severity, worst_severity
-from .effects import FusionPlan, NodeEffects, analyze_effects
+from .effects import GraphEffects, NodeEffects, analyze_effects
 from .fork_lint import lint_paths, lint_source
 from .ir_verify import verify_fabric, verify_graph
 from .ranges import TOP, Interval, RangeReport, analyze_ranges
@@ -56,7 +55,7 @@ __all__ = [
     "CHECKS",
     "CheckSpec",
     "Diagnostic",
-    "FusionPlan",
+    "GraphEffects",
     "Interval",
     "NodeEffects",
     "RangeReport",

@@ -3,8 +3,8 @@
 Verifies every shipped dataflow graph (structure, shapes, execution
 probe, budgets against the default :class:`~repro.core.TaurusConfig`),
 runs the abstract-interpretation range/saturation analysis and the
-purity/effects pass over each (fusion plans + per-node waivers are
-reported), the shipped multi-app fabric bundle, and the runtime-source
+purity/effects pass over each (per-node waivers are reported), the
+shipped multi-app fabric bundle, and the runtime-source
 lints: fork-safety *and* the interprocedural lockset/protocol
 concurrency analysis (``repro.analysis.concurrency``).  Exit status is
 0 when no finding of warning severity or above remains, 1 otherwise —
@@ -21,9 +21,9 @@ Usage::
     python -m repro.analysis path/to/file.py  # lint sources instead
 
 The JSON document carries every finding (check id, severity, category,
-message, graph/file provenance), the per-graph fusion plans and proven
-output intervals, and a summary block with the exit code — CI uploads it
-as an artifact so regressions diff as JSON, not log text.  The SARIF
+message, graph/file provenance), the per-graph proven output intervals,
+and a summary block with the exit code — CI uploads it as an artifact so
+regressions diff as JSON, not log text.  The SARIF
 document carries the same findings in SARIF 2.1.0 shape (one run, one
 rule per catalog check, physical file/line locations) so
 ``github/codeql-action/upload-sarif`` annotates PRs inline.
@@ -118,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
             print(message, flush=True)
 
     diags = []
-    fusion_plans: dict[str, list[list[str]]] = {}
     ranges: dict[str, dict[str, list[float]]] = {}
     if args.paths:
         diags += lint_paths(args.paths)
@@ -139,20 +138,14 @@ def main(argv: list[str] | None = None) -> int:
             )
             report = analyze_ranges(graph, suppress=suppress)
             found += report.diagnostics
-            plan = analyze_effects(graph)
-            fusion_plans[graph.name] = [
-                list(chain) for chain in plan.chain_names()
-            ]
+            effects = analyze_effects(graph).effects
             ranges[graph.name] = {
-                plan.effects[nid].name: [_finite(iv.lo), _finite(iv.hi)]
+                effects[nid].name: [_finite(iv.lo), _finite(iv.hi)]
                 for nid, iv in report.intervals.items()
-                if plan.effects[nid].name
+                if effects[nid].name
             }
             diags += found
-            tally = _tally(found)
-            if fusion_plans[graph.name]:
-                tally += f", {len(fusion_plans[graph.name])} fusable chain(s)"
-            progress(f"  {graph.name}: {tally}")
+            progress(f"  {graph.name}: {_tally(found)}")
         progress("verifying fabric bundle ...")
         diags += verify_fabric(shipped_fabric(), config=config, suppress=suppress)
         runtime = _runtime_dir()
@@ -172,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     gating = [d for d in diags if d.severity >= Severity.WARNING]
     exit_code = 1 if gating else 0
     if args.format == "json":
-        print(json.dumps(_json_report(diags, fusion_plans, ranges, exit_code)))
+        print(json.dumps(_json_report(diags, ranges, exit_code)))
         return exit_code
     if args.format == "sarif":
         print(json.dumps(_sarif_report(diags)))
@@ -191,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
-def _json_report(diags, fusion_plans, ranges, exit_code) -> dict:
+def _json_report(diags, ranges, exit_code) -> dict:
     """The machine-readable report (uploaded as a CI artifact)."""
     return {
         "findings": [
@@ -216,7 +209,6 @@ def _json_report(diags, fusion_plans, ranges, exit_code) -> dict:
             "info": sum(d.severity == Severity.INFO for d in diags),
             "exit_code": exit_code,
         },
-        "fusion_plans": fusion_plans,
         "ranges": ranges,
     }
 

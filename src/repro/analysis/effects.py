@@ -1,10 +1,4 @@
-"""Purity/effects classification and fusion planning for dataflow graphs.
-
-ROADMAP item 2 (the ngraph-style fusing transformer) needs a certified
-answer to "which node chains are pure and fusable" before any compiled
-backend can rewrite a graph.  This pass computes that answer statically
-and ships it as a :class:`FusionPlan` artifact the transformer consumes
-verbatim.
+"""Purity/effects classification of dataflow-graph nodes.
 
 Classification reuses :mod:`repro.analysis.ir_verify`'s bytecode scan of
 node callables (``dis``-level, no execution) plus a mirrored scan for
@@ -23,15 +17,6 @@ node callables (``dis``-level, no execution) plus a mirrored scan for
     iteration).
 ``stateless``
     Pure: output depends only on the node's data inputs.
-
-A node is *fusable* when it is stateless AND element-wise (``map`` or
-``lut`` — one value in, one value out per lane, no width change by
-construction).  A :class:`FusionPlan` chain is a maximal single-pred /
-single-succ run of fusable nodes: composing the member callables is
-semantics-preserving because no other node observes the intermediate
-edges and no member touches state.  The certification test in
-``tests/test_analysis.py`` checks exactly that, by composition against
-``execute_batch(observer=)``.
 """
 
 from __future__ import annotations
@@ -47,12 +32,7 @@ from .ir_verify import (
     _node_state_keys,
 )
 
-__all__ = ["NodeEffects", "FusionPlan", "analyze_effects"]
-
-#: Node kinds that are element-wise by construction (width in == width
-#: out, value ``i`` of the output depends only on value ``i`` of the
-#: input) and therefore fusion candidates when pure.
-ELEMENTWISE_KINDS = frozenset({"map", "lut"})
+__all__ = ["NodeEffects", "GraphEffects", "analyze_effects"]
 
 EFFECTS = ("stateless", "state-read", "state-write", "temporal")
 
@@ -68,25 +48,13 @@ class NodeEffects:
     state_reads: tuple[str, ...] = ()
     state_writes: tuple[str, ...] = ()
 
-    @property
-    def fusable(self) -> bool:
-        return self.effect == "stateless" and self.kind in ELEMENTWISE_KINDS
-
 
 @dataclass
-class FusionPlan:
-    """Certified fusion input for the ROADMAP item 2 transformer.
-
-    ``chains`` lists maximal runs (length >= 2, in dataflow order) of
-    pure element-wise nodes where each member's only data predecessor is
-    the previous member and each non-tail member's only consumer is the
-    next.  Fusing a chain into one composed ``map`` is
-    semantics-preserving by construction.
-    """
+class GraphEffects:
+    """Every node's :class:`NodeEffects`, keyed by node id."""
 
     graph: str
     effects: dict[int, NodeEffects] = field(default_factory=dict)
-    chains: list[tuple[int, ...]] = field(default_factory=list)
 
     def effect_of(self, name: str) -> NodeEffects:
         """Effects record of the (unique) node with this name."""
@@ -94,12 +62,6 @@ class FusionPlan:
         if len(matches) != 1:
             raise KeyError(f"{len(matches)} nodes named {name!r}")
         return matches[0]
-
-    def chain_names(self) -> list[tuple[str, ...]]:
-        return [
-            tuple(self.effects[nid].name for nid in chain)
-            for chain in self.chains
-        ]
 
 
 def _read_subscript_keys(fn: Callable) -> set[str]:
@@ -167,56 +129,11 @@ def _classify(node: Node) -> NodeEffects:
     )
 
 
-def analyze_effects(graph: DataflowGraph) -> FusionPlan:
-    """Classify every node and extract maximal fusable chains."""
-    order = graph.topo_order()
-    plan = FusionPlan(graph=graph.name)
-    for node in order:
-        plan.effects[node.node_id] = _classify(node)
-
-    # Data edges only: const predecessors are resident banks, not
-    # streamed values, and the interpreter filters them out of compute
-    # arguments — they do not break element-wise chains.
-    data_preds: dict[int, list[int]] = {}
-    consumers: dict[int, list[int]] = {}
-    for node in order:
-        preds = [p for p in node.preds if graph.nodes[p].kind != "const"]
-        data_preds[node.node_id] = preds
-        for pred in preds:
-            consumers.setdefault(pred, []).append(node.node_id)
-
-    def links_to(a: int, b: int) -> bool:
-        """Whether fusable node ``b`` can absorb fusable node ``a``."""
-        return (
-            data_preds[b] == [a]
-            and consumers.get(a, []) == [b]
-        )
-
-    in_chain: set[int] = set()
-    for node in order:
-        nid = node.node_id
-        if nid in in_chain or not plan.effects[nid].fusable:
-            continue
-        preds = data_preds[nid]
-        if (
-            len(preds) == 1
-            and plan.effects.get(preds[0]) is not None
-            and plan.effects[preds[0]].fusable
-            and links_to(preds[0], nid)
-        ):
-            continue  # extends an earlier chain head; handled there
-        chain = [nid]
-        while True:
-            nexts = consumers.get(chain[-1], [])
-            if (
-                len(nexts) == 1
-                and plan.effects[nexts[0]].fusable
-                and links_to(chain[-1], nexts[0])
-            ):
-                chain.append(nexts[0])
-            else:
-                break
-        if len(chain) >= 2:
-            plan.chains.append(tuple(chain))
-            in_chain.update(chain)
-    return plan
+def analyze_effects(graph: DataflowGraph) -> GraphEffects:
+    """Classify every node of ``graph``."""
+    return GraphEffects(
+        graph=graph.name,
+        effects={
+            node.node_id: _classify(node) for node in graph.topo_order()
+        },
+    )

@@ -20,7 +20,8 @@ probe (optional, ``probe=True``)
     A tiny concrete execution: a 3-row batch (zeros plus two seeded
     random rows on the fixed-point grid) through ``execute_batch`` with
     an observer, checking the 2-D ``(B, width)`` value contract, inferred
-    vs. actual widths, batch/scalar bit-identity, and fixed-point grid
+    vs. actual widths, batch/scalar bit-identity (the observer-less run,
+    where a compiled kernel answers, included), and fixed-point grid
     drift on the outputs.  Seeded and O(nodes · iterations), so it is a
     static check in spirit: no trace data, no model dependence.
 budgets (optional, ``config=`` given)
@@ -537,12 +538,24 @@ def _probe(
 
     try:
         batch_out = graph.execute_batch(features, state={}, observer=observer)
+        # Without an observer a compiled kernel (if any) answers instead.
+        kernel_out = graph.execute_batch(features, state={})
     except Exception as exc:  # noqa: BLE001 - any failure is the finding
         diags.append(Diagnostic(
             "ir-probe-failure", Severity.ERROR,
             f"execute_batch raised {type(exc).__name__}: {exc}", src,
         ))
         return diags
+
+    if kernel_out.shape != batch_out.shape or not np.array_equal(
+        kernel_out, batch_out, equal_nan=True
+    ):
+        diags.append(Diagnostic(
+            "ir-batch-divergence", Severity.ERROR,
+            f"execute_batch gives {kernel_out!r} without an observer but "
+            f"{batch_out!r} node by node; a compiled kernel must be "
+            "bit-identical to its nodes", src,
+        ))
 
     # Batch/scalar bit-identity (the execute_batch contract).
     for b in range(_PROBE_ROWS):

@@ -92,6 +92,42 @@ class QuantizedLinear:
             self.w_frac = np.full(
                 self.weights.raw.shape[0], self.weights.fmt.frac_bits, dtype=np.int64
             )
+        # Operands of :meth:`mac_raw`, prepared once: a layer is immutable
+        # after construction (weight updates re-quantize into new layers).
+        self._shifts = self.w_frac + self.in_fmt.frac_bits - self.act_fmt.frac_bits
+        # Largest magnitude any step of the MAC can reach.  Integer-valued
+        # float64 sums below 2^52 are exact whatever order BLAS adds them
+        # in (and so is adding the rounding half), so the float matmul is
+        # then the same function as the wide-integer one; otherwise stay on
+        # the (slow, wrapping) integers.
+        wide = np.iinfo(self.weights.fmt.wide_dtype)
+        peak = self.w_raw.shape[1] * -self.in_fmt.raw_min * int(
+            np.abs(self.w_raw).max(initial=0)
+        )
+        peak += 1 << max(int(self._shifts.max(initial=0)) - 1, 0)
+        peak <<= max(-int(self._shifts.min(initial=0)), 0)
+        peak += int(np.abs(self.bias.raw.astype(np.int64)).max(initial=0))
+        acc_t = np.float64 if peak < min(wide.max, 1 << 52) else wide.dtype
+        self._w_t = np.ascontiguousarray(self.w_raw.T, dtype=acc_t)
+        self._bias = self.bias.raw.astype(acc_t)
+
+    def mac_raw(self, x_raw: np.ndarray) -> np.ndarray:
+        """Raw in, raw out: integer MAC, per-row shift, bias, saturate.
+
+        ``x_raw`` holds ``in_fmt`` raw values, ``(B, in)``, in any numeric
+        dtype; the result holds saturated ``act_fmt`` raw values,
+        ``(B, out)``, integer-valued in the accumulator dtype.  Both
+        :meth:`linear` and the compiled batch kernel of
+        :func:`repro.mapreduce.frontend.dnn_graph` run this, so there is
+        one MAC and one rounding shift.
+        """
+        acc = np.asarray(x_raw, dtype=self._w_t.dtype) @ self._w_t
+        acc = _rounding_shift(acc, self._shifts)
+        acc += self._bias
+        # Not act_fmt.saturate(): its cast to the storage dtype is the slow
+        # part, and both callers want the wide values (to scale, to index).
+        np.maximum(acc, self.act_fmt.raw_min, out=acc)
+        return np.minimum(acc, self.act_fmt.raw_max, out=acc)
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         """The layer's pre-activation output (integer MAC + requantize).
@@ -102,14 +138,7 @@ class QuantizedLinear:
         so the dataflow-graph execution can share it bit for bit.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        xq = FixTensor.from_float(x, self.in_fmt)
-        wide_t = self.weights.fmt.wide_dtype
-        wide = xq.raw.astype(wide_t) @ self.w_raw.astype(wide_t).T
-        # Requantize each accumulator row to the output binary point.
-        shifts = self.w_frac + self.in_fmt.frac_bits - self.act_fmt.frac_bits
-        wide = _rounding_shift_per_column(wide, shifts)
-        wide = wide + self.bias.raw.astype(wide_t)
-        return self.act_fmt.dequantize(self.act_fmt.saturate(wide))
+        return self.act_fmt.dequantize(self.mac_raw(self.in_fmt.quantize(x)))
 
     def activate(self, pre_activation: np.ndarray) -> np.ndarray:
         """Apply the layer's activation in fixed point (a ``map`` node)."""
@@ -120,25 +149,23 @@ class QuantizedLinear:
         return self.activate(self.linear(x))
 
 
-def _rounding_shift_per_column(wide: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Arithmetic shift (round half away from zero) with per-column amounts.
+def _rounding_shift(acc: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``acc / 2**shifts`` per column, rounded half away from zero.
 
     Positive shift moves right (divide), negative left (multiply) — both
-    are single-cycle barrel-shift operations per lane.
+    are single-cycle barrel-shift operations per lane.  ``acc`` is either
+    integer-valued float64 below 2^52 in every intermediate (scaling by a
+    power of two and adding one half are then exact) or a wide integer.
     """
-    out = np.empty_like(wide)
-    for j, shift in enumerate(np.asarray(shifts, dtype=np.int64)):
-        col = wide[..., j]
-        if shift > 0:
-            offset = 1 << (shift - 1)
-            out[..., j] = np.where(
-                col >= 0, (col + offset) >> shift, -((-col + offset) >> shift)
-            )
-        elif shift < 0:
-            out[..., j] = col << (-shift)
-        else:
-            out[..., j] = col
-    return out
+    if acc.dtype.kind == "f":
+        mag = np.abs(acc)
+        mag *= np.ldexp(1.0, -shifts)
+        mag += 0.5
+        return np.copysign(np.floor(mag, out=mag), acc, out=mag)
+    down = np.maximum(shifts, 0).astype(acc.dtype)
+    up = np.maximum(-shifts, 0).astype(acc.dtype)
+    mag = ((np.abs(acc) + ((1 << down) >> 1)) >> down) << up
+    return np.where(acc < 0, -mag, mag)
 
 
 def _apply_activation_fixed(

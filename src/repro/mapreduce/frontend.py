@@ -14,7 +14,11 @@ element-wise / reduces along ``axis=-1``).  That construction is what makes
 both paths run the very same numpy expressions, only the leading batch
 axis differs.  Batched reductions deliberately avoid BLAS matmuls
 (``sum(a * w, axis=-1)`` instead of ``a @ w``) so results do not drift
-with batch size.
+with batch size.  The one exception is a sum of integer-valued float64
+terms that stays below 2^53: every partial sum is then exact, so the
+result does not depend on the order BLAS adds in.
+:meth:`QuantizedLinear.mac_raw <repro.fixpoint.quantize.QuantizedLinear.mac_raw>`
+proves that bound per layer before it uses a float matmul on raw values.
 """
 
 from __future__ import annotations
@@ -88,6 +92,64 @@ def _hw_activation_fn(model_act: str, fmt: FixedPointFormat):
     return apply, spec
 
 
+#: Activations that map each value independently of its neighbours, so a
+#: ``dequantize -> activation -> next layer's quantize`` hop is a function
+#: of one raw value and can be tabulated (softmax, row-wise, cannot).
+_ELEMENTWISE_ACTIVATIONS = frozenset(
+    {"linear", "relu", "leaky_relu", "sigmoid", "tanh"}
+)
+
+#: Widest format whose whole raw domain is tabulated (65 536 entries).
+_MAX_TABLE_BITS = 16
+
+
+def _dnn_kernel(layers, activations):
+    """Compile a quantized layer stack into one batch function, or ``None``.
+
+    The kernel quantizes the features once at the PHV boundary and then
+    stays on raw fixed-point values: per layer the shared
+    :meth:`~repro.fixpoint.quantize.QuantizedLinear.mac_raw`, then one
+    lookup in a table over the layer's whole ``act_fmt`` raw domain.  The
+    table is filled here by running the reference hop — ``dequantize``,
+    the layer's ``activations`` entry (the very callable its ``map`` node
+    runs; ``None`` for a linear layer), the next layer's
+    ``in_fmt.quantize`` — on every representable value; the last table
+    holds the float scores.  Returns ``None`` (the interpreter runs) when
+    a hop is not element-wise or a domain is too large to tabulate.
+    """
+    if any(
+        layer.activation not in _ELEMENTWISE_ACTIVATIONS
+        or layer.act_fmt.total_bits > _MAX_TABLE_BITS
+        for layer in layers
+    ):
+        return None
+    requantize = [layer.in_fmt.quantize for layer in layers[1:]] + [None]
+    steps = []
+    for layer, activation, quantize in zip(layers, activations, requantize):
+        fmt = layer.act_fmt
+        values = fmt.dequantize(np.arange(fmt.raw_min, fmt.raw_max + 1))[:, None]
+        if activation is not None:
+            # The far ends of a coarse format may overflow exp(); a value
+            # the model never produces must not warn at lowering time.
+            with np.errstate(over="ignore"):
+                values = activation(values)
+        if quantize is not None:
+            values = quantize(values)
+        table = np.asarray(values, dtype=np.float64).ravel()
+        steps.append((layer.mac_raw, fmt.raw_min, table))
+    quantize_input = layers[0].in_fmt.quantize
+
+    def kernel(features: np.ndarray) -> np.ndarray:
+        raw = quantize_input(features)
+        for mac_raw, raw_min, table in steps:
+            index = mac_raw(raw)
+            index -= raw_min
+            raw = table[index.astype(np.intp)]
+        return raw
+
+    return kernel
+
+
 # ----------------------------------------------------------------------
 # DNN (the anomaly-detection running example and the IoT classifiers)
 # ----------------------------------------------------------------------
@@ -104,8 +166,13 @@ def dnn_graph(
 
     Softmax heads are lowered to an argmax reduce: the switch only needs the
     class decision, and argmax over logits equals argmax over softmax.
+
+    The returned graph carries a compiled ``kernel`` (see
+    :func:`_dnn_kernel`) that ``execute_batch`` runs when no observer is
+    attached; the nodes remain the reference semantics.
     """
     graph = DataflowGraph(name=name)
+    activations = []  # per layer: the map node's callable, None if linear
     in_fmt0 = qmodel.layers[0].in_fmt
     cursor = graph.add(
         "input",
@@ -158,6 +225,7 @@ def dnn_graph(
                 "gather", preds=[cursor], name=f"gather{i}", width=out_units
             )
         if layer.activation == "linear":
+            activations.append(None)
             continue
         if exact_activations or layer.activation == "relu":
             # Element-wise on any shape: one callable serves both paths.
@@ -173,6 +241,7 @@ def dnn_graph(
             act_fn, spec = _hw_activation_fn(layer.activation, layer.act_fmt)
             batch_act_fn = act_fn
             act_transfer = spec.name
+        activations.append(batch_act_fn)
         cursor = graph.add(
             "map",
             preds=[cursor],
@@ -185,8 +254,11 @@ def dnn_graph(
             transfer=act_transfer,
             payload={"fmt": layer.act_fmt},
         )
-    graph.add("output", preds=[cursor], name="score", width=cursor.width)
-    return _verified(graph)
+    # Not cursor.width: a bare one-unit dot's width is its fan-in.
+    graph.add("output", preds=[cursor], name="score", width=out_units)
+    _verified(graph)
+    graph.kernel = _dnn_kernel(qmodel.layers, activations)
+    return graph
 
 
 def _single(batch_fn):

@@ -34,6 +34,12 @@ The graph is executable two ways:
   is how multi-hundred-thousand-packet traces stream through the functional
   CGRA path at scale; results are bit-identical to the scalar interpreter.
 
+The node-at-a-time interpreter is the *reference*.  A lowering may also
+attach a compiled :attr:`DataflowGraph.kernel` — one function computing
+the whole graph on a batch, bit-identical to the interpreter —
+which ``execute_batch`` runs whenever no ``observer`` is attached.  Passing
+an ``observer`` (or calling ``execute``) always runs the reference.
+
 Epilogue contract
 -----------------
 For recurrent graphs (``temporal_iterations > 1``) nodes marked
@@ -184,6 +190,13 @@ class DataflowGraph:
     temporal_iterations: int = 1
     initiation_interval: int = 1
     _next_id: int = 0
+    #: Compiled batch function ``(B, D) float64 -> (B, out) float64``,
+    #: bit-identical to interpreting the nodes, or ``None`` (interpret).
+    #: Attached by a lowering once the graph is complete; :meth:`add`
+    #: drops it, because it no longer describes the graph.
+    kernel: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -211,6 +224,7 @@ class DataflowGraph:
                     )
         self.nodes[node.node_id] = node
         self._next_id += 1
+        self.kernel = None
         return node
 
     # ------------------------------------------------------------------
@@ -300,14 +314,21 @@ class DataflowGraph:
         ``observer(node, value, iteration)`` is called with every node's
         stored value as it is computed — the hook ``repro.analysis``'s
         execution probe uses to check the 2-D value contract and inferred
-        widths.  Observers must treat ``value`` as read-only.
+        widths.  Observers must treat ``value`` as read-only.  Without an
+        observer, a graph carrying a compiled :attr:`kernel` runs that
+        instead of the interpreter (same values, no per-node dispatch).
         """
-        features = np.array(features, dtype=np.float64)  # private copy
+        features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(
                 f"execute_batch expects (B, D) features, got shape "
                 f"{features.shape}"
             )
+        if observer is None and self.kernel is not None:
+            if state is not None:  # what the interpreter would leave behind
+                state["iteration"] = self.temporal_iterations - 1
+            return self.kernel(features)
+        features = features.copy()  # private: nodes see a read-only view
         features.flags.writeable = False
         return self._interpret(
             features, state, batch=features.shape[0], observer=observer

@@ -807,7 +807,7 @@ class MultiAppFabric:
         original trace.
         """
         if ordered.n == 0:
-            self._app_turns[app_index] = 0
+            # No packet of this app ran: its arbiter turn stands.
             return empty_trace_result()
         merged = scatter_merge(ordered, parts, lane_results)
         # The globally-last packet fixes this app's merged arbiter turn.

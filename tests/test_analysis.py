@@ -1338,7 +1338,7 @@ class TestShippedGraphsRangeClean:
 
 
 # ----------------------------------------------------------------------
-# Effects classification and the certified fusion plan.
+# Effects classification.
 # ----------------------------------------------------------------------
 def _reader(key):
     """A state-reading fn whose key is a bytecode literal."""
@@ -1354,13 +1354,10 @@ def _reader(key):
 
 
 class TestEffects:
-    def test_pure_map_is_stateless_and_fusable(self):
-        plan = analyze_effects(_chain_graph())
-        assert plan.effect_of("m").effect == "stateless"
-        assert plan.effect_of("m").fusable
-        # Pure but not element-wise: input/output never fuse.
-        assert plan.effect_of("x").effect == "stateless"
-        assert not plan.effect_of("x").fusable
+    def test_pure_nodes_are_stateless(self):
+        effects = analyze_effects(_chain_graph())
+        assert effects.effect_of("m").effect == "stateless"
+        assert effects.effect_of("x").effect == "stateless"
 
     def test_state_write_classified(self):
         g = _chain_graph()
@@ -1368,7 +1365,6 @@ class TestEffects:
         e = analyze_effects(g).effect_of("m")
         assert e.effect == "state-write"
         assert e.state_writes == ("flow",)
-        assert not e.fusable
 
     def test_state_read_classified(self):
         g = _chain_graph()
@@ -1385,76 +1381,15 @@ class TestEffects:
     def test_epilogue_is_temporal(self):
         g = _chain_graph()
         g.nodes[1].epilogue = True
-        e = analyze_effects(g).effect_of("m")
-        assert e.effect == "temporal"
-        assert not e.fusable
+        assert analyze_effects(g).effect_of("m").effect == "temporal"
 
     def test_lstm_classification(self):
         from repro.mapreduce import lstm_graph
         from repro.ml import indigo_lstm
 
-        plan = analyze_effects(lstm_graph(indigo_lstm(seed=0)))
-        assert plan.effect_of("read_h").effect == "state-read"
-        assert plan.effect_of("cell_update").effect == "state-write"
-        assert set(plan.effect_of("cell_update").state_writes) == {"c", "h"}
-        assert plan.effect_of("select_step").effect == "temporal"
-        assert plan.effect_of("gate_matvec").effect == "stateless"
-        # Nothing in the recurrent cell is fusable.
-        assert plan.chains == []
-
-    def test_svm_chain(self, trained_svm):
-        from repro.mapreduce import svm_graph
-
-        plan = analyze_effects(svm_graph(trained_svm))
-        assert ("scale_gamma", "exp_lut") in plan.chain_names()
-
-    def test_act_lut_chain(self):
-        from repro.mapreduce import activation_graph
-
-        plan = analyze_effects(activation_graph("act_lut"))
-        assert ("lut_addr", "table", "rescale") in plan.chain_names()
-
-    def test_branching_consumer_breaks_chain(self):
-        g = _chain_graph()
-        m = g.nodes[1]
-        m2 = g.add("map", preds=[m], name="m2", width=m.width, chain_ops=1,
-                   fn=_rt, batch_fn=_rt)
-        # A second consumer of m: fusing m into m2 would hide m's edge.
-        tap = g.add("map", preds=[m], name="tap", width=m.width,
-                    chain_ops=1, fn=_rt, batch_fn=_rt)
-        out = g.outputs()[0]
-        out.preds = [m2.node_id, tap.node_id]
-        out.width = m2.width + tap.width
-        assert analyze_effects(g).chains == []
-
-    @pytest.mark.parametrize("builder", ["act_lut", "conv1d"])
-    def test_chain_composition_is_bit_identical(self, builder):
-        """The FusionPlan certificate: composing a chain's member
-        callables reproduces the tail's observed values exactly."""
-        from repro.mapreduce import activation_graph, conv1d_graph
-
-        g = (activation_graph("act_lut") if builder == "act_lut"
-             else conv1d_graph(unroll=8))
-        plan = analyze_effects(g)
-        assert plan.chains, "expected at least one fusable chain"
-
-        width = next(
-            n.width for n in g.nodes.values() if n.kind == "input"
-        )
-        rng = np.random.default_rng(7)
-        features = FIX8.roundtrip(rng.uniform(-2.0, 2.0, size=(6, width)))
-        observed = {}
-
-        def observer(node, value, iteration):
-            observed[node.node_id] = np.asarray(value).copy()
-
-        g.execute_batch(features, observer=observer)
-        for chain in plan.chains:
-            head = g.nodes[chain[0]]
-            pred = next(
-                p for p in head.preds if g.nodes[p].kind != "const"
-            )
-            value = observed[pred]
-            for nid in chain:
-                value = g.nodes[nid].batch_fn(value)
-            np.testing.assert_array_equal(value, observed[chain[-1]])
+        effects = analyze_effects(lstm_graph(indigo_lstm(seed=0)))
+        assert effects.effect_of("read_h").effect == "state-read"
+        assert effects.effect_of("cell_update").effect == "state-write"
+        assert set(effects.effect_of("cell_update").state_writes) == {"c", "h"}
+        assert effects.effect_of("select_step").effect == "temporal"
+        assert effects.effect_of("gate_matvec").effect == "stateless"

@@ -12,6 +12,7 @@ from repro.fixpoint import (
     format_for_range,
     quantize_model,
 )
+from repro.fixpoint.quantize import _rounding_shift
 from repro.ml import accuracy, f1_score
 from repro.ml.dnn import DNN
 
@@ -65,6 +66,53 @@ class TestQuantizedLinear:
         layer.activation = "swish"
         with pytest.raises(ValueError):
             layer(np.array([1.0, 1.0]))
+
+
+def _rounding_shift_per_column(wide: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The pre-vectorisation implementation, kept as the oracle: one
+    column at a time, integer shifts, round half away from zero."""
+    out = np.empty_like(wide)
+    for j, shift in enumerate(np.asarray(shifts, dtype=np.int64)):
+        col = wide[..., j]
+        if shift > 0:
+            offset = 1 << (shift - 1)
+            out[..., j] = np.where(
+                col >= 0, (col + offset) >> shift, -((-col + offset) >> shift)
+            )
+        elif shift < 0:
+            out[..., j] = col << (-shift)
+        else:
+            out[..., j] = col
+    return out
+
+
+class TestRoundingShift:
+    SHIFTS = np.arange(-3, 13)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["float", "int"])
+    def test_matches_per_column_oracle_on_every_fix8_accumulator(self, dtype):
+        """Every value a fix8 MAC of fan-in <= 64 can accumulate, against
+        positive, zero and negative shifts side by side in one call —
+        on the float accumulator the kernel uses and the integer one."""
+        peak = 64 * 128 * 128
+        values = np.arange(-peak, peak + 1, dtype=np.int32)
+        for block in np.array_split(values, 8):
+            acc = np.repeat(block[:, None], len(self.SHIFTS), axis=1)
+            expected = _rounding_shift_per_column(acc, self.SHIFTS)
+            got = _rounding_shift(acc.astype(dtype), self.SHIFTS)
+            assert got.dtype == dtype
+            assert np.array_equal(got, expected)
+
+    def test_layer_takes_the_integer_path_when_float_is_not_exact(self):
+        """A fix32 MAC exceeds 2^52: the layer must accumulate in int64."""
+        fmt = format_for_range(np.array([4.0]), 32)
+        layer = QuantizedLinear(
+            weights=FixTensor.from_float([[1.0, -1.0]], fmt),
+            bias=FixTensor.from_float([0.5], fmt),
+            activation="linear", in_fmt=fmt, act_fmt=fmt,
+        )
+        assert layer.mac_raw(fmt.quantize([[1.0, 0.5]])).dtype == np.int64
+        assert layer(np.array([1.0, 0.5]))[0, 0] == 1.0
 
 
 class TestQuantizeModel:

@@ -9,6 +9,7 @@ callables as read-only views.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import (
     dnn_feature_matrix,
@@ -16,7 +17,15 @@ from repro.datasets import (
     iot_cluster_dataset,
     svm_feature_matrix,
 )
-from repro.fixpoint import FIX8, FIX16, quantize_model
+from repro.fixpoint import (
+    FIX8,
+    FIX16,
+    FixedPointFormat,
+    FixTensor,
+    QuantizedLinear,
+    QuantizedModel,
+    quantize_model,
+)
 from repro.mapreduce import (
     activation_graph,
     conv1d_graph,
@@ -125,6 +134,175 @@ class TestBatchScalarEquivalence:
         g.add("output", preds=[node], name="y", width=1)
         with pytest.raises(ValueError, match="batch_fn"):
             g.execute_batch(np.ones((2, 1)))
+
+
+# ----------------------------------------------------------------------
+# The compiled DNN kernel == the node-at-a-time interpreter, bit for bit
+# ----------------------------------------------------------------------
+def _noop(node, value, iteration):
+    """An observer: its presence forces the reference interpreter."""
+
+
+def _layer(w_raw, w_frac, bias_raw, activation, in_fmt, act_fmt):
+    """A hand-built per-channel layer (what ``quantize_model`` emits)."""
+    w_raw = np.asarray(w_raw, dtype=np.int64)
+    w_fmt = FixedPointFormat(in_fmt.total_bits, 0, in_fmt.name)
+    return QuantizedLinear(
+        weights=FixTensor.from_raw(w_raw, w_fmt),
+        bias=FixTensor.from_raw(np.asarray(bias_raw), act_fmt),
+        activation=activation,
+        in_fmt=in_fmt,
+        act_fmt=act_fmt,
+        w_raw=w_raw,
+        w_frac=np.asarray(w_frac, dtype=np.int64),
+    )
+
+
+def assert_kernel_matches_reference(graph, feats, scalar_rows=None):
+    """Fused ``execute_batch`` == observed interpreter == scalar rows."""
+    assert graph.kernel is not None
+    before = feats.copy()
+    fused = graph.execute_batch(feats)
+    assert fused.dtype == np.float64 and fused.ndim == 2
+    assert np.array_equal(feats, before, equal_nan=True)  # not mutated
+    reference = graph.execute_batch(feats, observer=_noop)
+    assert fused.shape == reference.shape
+    assert np.array_equal(fused, reference)
+    rows = range(len(feats)) if scalar_rows is None else scalar_rows
+    for b in rows:
+        assert np.array_equal(graph.execute(feats[b]), fused[b])
+
+
+ELEMENTWISE = ("linear", "relu", "leaky_relu", "sigmoid", "tanh")
+
+
+class TestKernelTables:
+    @pytest.mark.parametrize("exact", [False, True], ids=["hw", "exact"])
+    @pytest.mark.parametrize("activation", ELEMENTWISE)
+    @pytest.mark.parametrize("bits,frac,next_frac", [(8, 4, 6), (8, 7, 0), (16, 8, 11)])
+    def test_every_raw_value_of_every_hop(self, bits, frac, next_frac, activation, exact):
+        """Exhaustive, not sampled: identity MACs sweep the producer
+        format's whole raw domain through each kind of table — a hop into
+        a next layer with a different binary point, and the last table's
+        float scores."""
+        fmt = FixedPointFormat(bits, frac, f"fix{bits}")
+        nxt = FixedPointFormat(bits, next_frac, f"fix{bits}")
+        # weight 1.0 at w_frac 0, in_fmt == act_fmt: shift 0, raw out == raw in.
+        sweep = _layer([[1]], [0], [0], activation, fmt, fmt)
+        passthrough = _layer([[1]], [0], [0], "linear", nxt, nxt)
+        domain = fmt.dequantize(np.arange(fmt.raw_min, fmt.raw_max + 1))[:, None]
+        assert np.array_equal(sweep.linear(domain), domain)  # the sweep is total
+        for layers in ([sweep], [sweep, passthrough]):
+            graph = dnn_graph(QuantizedModel(layers), exact_activations=exact)
+            assert_kernel_matches_reference(
+                graph, domain, scalar_rows=range(0, len(domain), 257)
+            )
+
+
+@st.composite
+def quantized_models(draw):
+    """1-4 layers, fan-in 1-64, 8- or 16-bit, raw weights / biases and
+    per-row binary points anywhere in the format, so the requantize shift
+    ``w_frac + in.frac - act.frac`` lands on every sign."""
+    bits = draw(st.sampled_from([8, 16]))
+    widths = draw(st.lists(st.integers(1, 64), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = -(1 << (bits - 1)), 1 << (bits - 1)
+    layers = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        in_frac, act_frac = draw(st.integers(0, bits - 1)), draw(st.integers(0, bits - 1))
+        layers.append(_layer(
+            rng.integers(lo, hi, size=(fan_out, fan_in)),
+            rng.integers(0, bits, size=fan_out),
+            rng.integers(lo, hi, size=fan_out),
+            draw(st.sampled_from(ELEMENTWISE)),
+            FixedPointFormat(bits, in_frac, f"fix{bits}"),
+            FixedPointFormat(bits, act_frac, f"fix{bits}"),
+        ))
+    return QuantizedModel(layers)
+
+
+def feature_rows(width, fmt):
+    """Rows mixing ordinary values, non-finite / huge ones, and the
+    half-ulp points where ``in_fmt.quantize`` rounds to even."""
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0])
+    half_ulp = st.integers(fmt.raw_min - 2, fmt.raw_max + 2).map(
+        lambda k: (k + 0.5) / fmt.scale
+    )
+    value = st.one_of(
+        st.floats(-2 * fmt.max_value - 1, 2 * fmt.max_value + 1), special, half_ulp
+    )
+    row = st.lists(value, min_size=width, max_size=width)
+    return st.lists(row, min_size=0, max_size=6).map(
+        lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    )
+
+
+class TestKernelProperty:
+    # The exact sigmoid overflows exp() at the far end of a coarse fix16
+    # format, in the interpreter and the table fill alike.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_models_and_inputs(self, data):
+        model = data.draw(quantized_models())
+        exact = data.draw(st.booleans())
+        graph = dnn_graph(model, exact_activations=exact)
+        first = model.layers[0]
+        feats = data.draw(feature_rows(first.w_raw.shape[1], first.in_fmt))
+        assert_kernel_matches_reference(graph, feats)
+        if exact and len(feats):  # and with the model it was lowered from
+            assert np.array_equal(graph.execute_batch(feats), model(feats))
+
+
+class TestKernelFallbacks:
+    def _feats(self, n=5):
+        return FIX8.roundtrip(np.random.default_rng(2).uniform(-2, 2, size=(n, 6)))
+
+    def test_fix32_model_runs_the_interpreter(self, trained_dnn, train_test_split):
+        train, __ = train_test_split
+        q = quantize_model(trained_dnn, dnn_feature_matrix(train)[:64], 32)
+        graph = dnn_graph(q, exact_activations=True)
+        assert graph.kernel is None
+        assert_batch_matches_scalar(graph, self._feats())
+
+    def test_row_wise_activation_runs_the_interpreter(self):
+        fmt = FixedPointFormat(8, 4, "fix8")
+        head = _layer([[16, 0], [0, 16], [8, 8]], [4, 4, 4], [0, 0, 0],
+                      "softmax", fmt, fmt)
+        graph = dnn_graph(QuantizedModel([head]), exact_activations=True)
+        assert graph.kernel is None
+        feats = self._feats()[:, :2]
+        assert_batch_matches_scalar(graph, feats)
+        assert np.array_equal(graph.execute_batch(feats), head(feats))
+
+    def test_add_after_lowering_drops_the_kernel(self, quantized_dnn):
+        graph = dnn_graph(quantized_dnn)
+        feats = self._feats()
+        scores = graph.execute_batch(feats)
+        out = graph.outputs()[0]
+        negate = graph.add(
+            "map", preds=[graph.nodes[out.preds[0]]], name="negate",
+            width=out.width, chain_ops=1, fn=np.negative, batch_fn=np.negative,
+        )
+        out.preds = [negate.node_id]
+        assert graph.kernel is None
+        assert np.array_equal(graph.execute_batch(feats), -scores)
+        assert_batch_matches_scalar(graph, feats)
+
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_degenerate_batches(self, quantized_dnn, batch):
+        graph = dnn_graph(quantized_dnn)
+        feats = self._feats(batch)
+        assert graph.execute_batch(feats).shape == (batch, 1)
+        assert_kernel_matches_reference(graph, feats)
+
+    def test_state_dict_sees_the_interpreters_iteration(self, quantized_dnn):
+        graph = dnn_graph(quantized_dnn)
+        fused, reference = {}, {}
+        graph.execute_batch(self._feats(), state=fused)
+        graph.execute_batch(self._feats(), state=reference, observer=_noop)
+        assert fused == reference == {"iteration": 0}
 
 
 # ----------------------------------------------------------------------

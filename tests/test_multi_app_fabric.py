@@ -415,6 +415,27 @@ class TestFabricSurface:
         assert len(outcome.results["congestion"]) == 0
         assert len(outcome.results["anomaly"]) == len(anomaly_trace)
 
+    def test_empty_trace_leaves_app_state_untouched(
+        self, quantized_dnn, lstm, anomaly_trace, congestion_trace
+    ):
+        """A later run that hands an app no packets (what every per-app
+        service request does to the other app) must not move that app's
+        merged state — the arbiter turn used to reset to 0."""
+        from repro.datasets.packets import TraceColumns
+
+        apps = _apps(quantized_dnn, lstm)
+        fabric = MultiAppFabric(apps, shards=2, chunk_size=64)
+        fabric.run({"anomaly": anomaly_trace, "congestion": congestion_trace})
+        fabric.run(
+            {
+                "anomaly": anomaly_trace,
+                "congestion": TraceColumns.from_packets([]),
+            }
+        )
+        __, alone = _oracle(apps[1], congestion_trace)
+        assert alone.arbiter._turn != 0  # or the reset would go unseen
+        _assert_state_matches(fabric, "congestion", alone)
+
     def test_validation(self, quantized_dnn, lstm, anomaly_trace):
         apps = _apps(quantized_dnn, lstm)
         with pytest.raises(ValueError):
