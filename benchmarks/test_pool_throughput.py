@@ -1,17 +1,16 @@
-"""Persistent-pool amortization: warm ShardPool runs vs fork-per-run.
+"""Persistent-pool amortization: warm ShardPool runs vs run-scoped workers.
 
-Not a paper table: this records what the ROADMAP's "cross-process shard
-pools" direction buys.  The PR-3 sharded runtime forks N workers, runs,
-ships state back, and tears everything down on **every** ``run_switch``
-call — fine for one 142k-packet replay, but the setup swamps
-small/interactive traces served repeatedly (the serving-substrate shape
-Pegasus/Homunculus assume).  ``TaurusDataPlane(pool=True)`` keeps one
-:class:`~repro.runtime.ShardPool` of pre-forked workers warm across
-calls and dispatches pipelined chunks, paying per-run only for the
-chunks themselves plus a baseline state restore.
+Not a paper table: this records what keeping fork workers warm buys.
+``executor="fork"`` alone gives every run its own
+:class:`~repro.runtime.ShardPool`: fork N workers, stream the chunks,
+reap everything — on **every** ``run_switch`` call.  Fine for one
+142k-packet replay, but the setup swamps small/interactive traces served
+repeatedly (the serving-substrate shape Pegasus/Homunculus assume).
+``TaurusDataPlane(pool=True)`` keeps one pool warm across calls, paying
+per-run only for the chunks themselves plus a zero-payload rewind.
 
 Recorded per shard count: wall-clock for ``repeats`` consecutive
-``run_switch`` calls through fork-per-run vs the warm pool, their ratio
+``run_switch`` calls on run-scoped workers vs the warm pool, their ratio
 (``repeat_speedup``), and the pool's sustained packets/sec.  Results are
 asserted bit/stat-identical to the single-pipeline oracle at shards ∈
 {1, 2, 4} (and per call between the two paths).  The smoke variant runs
@@ -34,13 +33,13 @@ from repro.testbed.dataplane import TaurusDataPlane
 
 HAS_FORK = hasattr(os, "fork")
 #: The executor whose per-run setup the pool amortizes.  Without fork
-#: (non-POSIX) both paths degrade to threads and the comparison is
-#: recorded but not asserted.
-EXECUTOR = "fork" if HAS_FORK else "thread"
+#: (non-POSIX) there is only the in-process loop, and the comparison is
+#: skipped.
+EXECUTOR = "fork" if HAS_FORK else "serial"
 
 
 def _measure(quantized, trace, shard_counts, repeats, chunk_size=512) -> dict:
-    """Repeated small-trace replays: fork-per-run vs one warm pool."""
+    """Repeated small-trace replays: run-scoped workers vs one warm pool."""
     trace.columns()  # prime the cached columnar view outside the timers
     oracle = TaurusDataPlane(quantized)
     reference = oracle.run_switch(trace, chunk_size=chunk_size)
@@ -49,14 +48,14 @@ def _measure(quantized, trace, shard_counts, repeats, chunk_size=512) -> dict:
         per_run = TaurusDataPlane(quantized, shards=shards, executor=EXECUTOR)
         per_run._exact_shard_blocks()  # compile outside the timers
         result = per_run.run_switch(trace, chunk_size=chunk_size)  # warmup
-        assert result == reference, "fork-per-run diverged from the oracle"
+        assert result == reference, "run-scoped workers diverged from the oracle"
         t0 = time.perf_counter()
         for __ in range(repeats):
             result = per_run.run_switch(trace, chunk_size=chunk_size)
         fork_s = time.perf_counter() - t0
 
         with TaurusDataPlane(
-            quantized, shards=shards, executor=EXECUTOR, pool=True
+            quantized, shards=shards, executor=EXECUTOR, pool=HAS_FORK
         ) as pooled:
             warm = pooled.run_switch(trace, chunk_size=chunk_size)  # warmup
             assert warm == reference, "warm pool diverged from the oracle"
@@ -90,7 +89,7 @@ def _measure(quantized, trace, shard_counts, repeats, chunk_size=512) -> dict:
 
 def _report(name: str, payload: dict) -> None:
     table = render_table(
-        f"Warm shard pool vs fork-per-run ({name}): "
+        f"Warm shard pool vs run-scoped workers ({name}): "
         f"{payload['n_packets']} packets x {payload['repeats']} runs, "
         f"{payload['host_cpus']} host CPU(s), executor={payload['executor']}",
         ["shards", "fork-per-run s/run", "warm pool s/run", "speedup"],
@@ -110,8 +109,8 @@ def _report(name: str, payload: dict) -> None:
 
 @pytest.mark.smoke
 def test_pool_runtime_smoke(experiment, bench_json):
-    """Tier-1-safe: a warm 2-shard pool beats fork-per-run on a small
-    trace, bit/stat-identically."""
+    """Tier-1-safe: a warm 2-shard pool beats run-scoped workers on a
+    small trace, bit/stat-identically."""
     live = experiment.workload.live
     trace = expand_to_packets(
         live,
@@ -132,8 +131,8 @@ def test_pool_runtime_smoke(experiment, bench_json):
 def test_pool_runtime_full(experiment, bench_json):
     """Opt-in: shards ∈ {1, 2, 4}, more repeats, a larger small-trace mix.
 
-    Asserts the acceptance bar — repeated warm-pool runs beat
-    fork-per-run wall-clock — with identity held at every shard count.
+    Asserts the acceptance bar — repeated warm-pool runs beat forking
+    per run on wall-clock — with identity held at every shard count.
     """
     live = experiment.workload.live
     trace = expand_to_packets(

@@ -47,14 +47,14 @@ POINTS = (
 
 
 def _backend(quantized) -> ShardedRuntime:
-    """A warm thread-pooled sharded runtime (one block per shard)."""
+    """A sharded runtime over warm fork workers (one block per shard)."""
     plane = TaurusDataPlane(quantized)
     blocks = [MapReduceBlock(dnn_graph(quantized)) for __ in range(SHARDS)]
     return ShardedRuntime(
         lambda shard: plane.build_pipeline(block=blocks[shard]),
         shards=SHARDS,
-        executor="thread",
-        pool="thread",
+        executor="fork",
+        pool=True,
     )
 
 

@@ -76,7 +76,7 @@ def main() -> None:
     from repro.testbed import TaurusDataPlane
 
     single = TaurusDataPlane(detector.quantized)
-    sharded = TaurusDataPlane(detector.quantized, shards=4, overlap=True)
+    sharded = TaurusDataPlane(detector.quantized, shards=4)
     print(f"\nsharded replay across {sharded.shards} pipeline workers ...")
     result_1 = single.run_switch(trace)
     result_4 = sharded.run_switch(trace)
@@ -126,17 +126,18 @@ def main() -> None:
         f"issues {len(two.results['congestion'])} cwnd actions — same fabric"
     )
 
-    # 7. Persistent shard pool: serving many (small) traces back to back,
-    #    the fork-per-run setup dominates.  pool=True keeps pre-forked
-    #    workers warm across runs and streams pipelined chunks to them;
-    #    per-run rewind keeps every result identical to a cold run.
+    # 7. Persistent shard pool: executor="fork" alone forks the workers
+    #    for each run and reaps them after it; serving many (small)
+    #    traces back to back, that setup dominates.  pool=True keeps the
+    #    same workers warm across runs; per-run rewind keeps every result
+    #    identical to a freshly forked run.
     import time
 
     small_traces = [
         expand_to_packets(held_out, max_packets=500, seed=s) for s in (31, 32, 33)
     ]
     per_run = TaurusDataPlane(detector.quantized, shards=2, executor="fork")
-    print("\nreplaying 3 small traces, fork-per-run vs a warm pool ...")
+    print("\nreplaying 3 small traces, workers forked per run vs kept warm ...")
     t0 = time.perf_counter()
     cold = [per_run.run_switch(t) for t in small_traces]
     cold_s = time.perf_counter() - t0
@@ -147,9 +148,9 @@ def main() -> None:
         t0 = time.perf_counter()
         warm = [pooled.run_switch(t) for t in small_traces]
         warm_s = time.perf_counter() - t0
-    assert cold == warm, "warm-pool runs must match fork-per-run exactly"
+    assert cold == warm, "warm-pool runs must match forked-per-run exactly"
     print(
-        f"fork-per-run {cold_s * 1e3:.0f} ms -> warm pool {warm_s * 1e3:.0f} ms "
+        f"forked per run {cold_s * 1e3:.0f} ms -> warm pool {warm_s * 1e3:.0f} ms "
         f"({cold_s / warm_s:.1f}x) for identical results"
     )
 
@@ -196,7 +197,7 @@ def main() -> None:
     blocks = [MapReduceBlock(dnn_graph(detector.quantized)) for _ in range(2)]
     backend = ShardedRuntime(
         lambda s: plane.build_pipeline(block=blocks[s]),
-        shards=2, executor="thread", pool="thread",
+        shards=2, executor="fork", pool=True,
     )
     schedule = bursty_schedule(
         {name: len(t) for name, t in tenants.items()},

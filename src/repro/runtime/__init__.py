@@ -1,15 +1,16 @@
-"""Sharded, overlapped, multi-app streaming runtime for trace-scale runs.
+"""Sharded, multi-app streaming runtime for trace-scale runs.
 
 The scale-out layer above the batched pipeline: flow-consistent sharding
-across parallel pipeline workers (:class:`ShardedRuntime`), pluggable
-executors (:func:`run_tasks`), double-buffered chunk staging
-(:func:`prefetch`), time-multiplexing of several compiled apps over
-shared grid lanes (:class:`MultiAppFabric`), and persistent pre-forked
-worker pools with pipelined chunk dispatch (:class:`ShardPool`) that
-amortize per-run setup across consecutive runs.  Pool runs are
-crash-transparent: heartbeats and a watchdog detect dead or hung
-workers, replacements replay unacknowledged chunks, and deterministic
-fault injection (:class:`FaultPlan`) exercises those paths in tests.
+across parallel pipeline workers (:class:`ShardedRuntime`) and
+time-multiplexing of several compiled apps over shared grid lanes
+(:class:`MultiAppFabric`), both scored by one driver on one of two
+backends — an in-process loop, or pre-forked workers with pipelined
+chunk dispatch (:class:`ShardPool`, staged by :func:`prefetch`) that
+live for one run or, kept warm, amortize their setup across runs.  Fork
+runs are crash-transparent: heartbeats and a watchdog detect dead or
+hung workers, replacements replay unacknowledged chunks, and
+deterministic fault injection (:class:`FaultPlan`) exercises those paths
+in tests.
 :class:`InferenceService` turns the pool-backed runtimes into an
 always-on serving loop with explicit admission control, per-client
 bounded queues, token-bucket rate limiting, overload policies, and
@@ -22,7 +23,6 @@ from .executors import (
     WorkerCrash,
     available_parallelism,
     resolve_executor,
-    run_tasks,
 )
 from .faults import FAULT_KINDS, FaultEvent, FaultPlan
 from .health import PoisonChunk, PoolError, PoolHealth, WorkerHealth
@@ -34,13 +34,7 @@ from .fabric import (
     schedule_chunks,
 )
 from .overlap import prefetch
-from .pool import (
-    POOL_MODES,
-    LaneWorker,
-    PipelineShardWorker,
-    ShardPool,
-    resolve_pool_mode,
-)
+from .pool import LaneWorker, PipelineShardWorker, ShardPool
 from .service import (
     ACCEPTED,
     DEFERRED,
@@ -68,7 +62,6 @@ __all__ = [
     "WorkerCrash",
     "available_parallelism",
     "resolve_executor",
-    "run_tasks",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
@@ -82,11 +75,9 @@ __all__ = [
     "MultiAppResult",
     "schedule_chunks",
     "prefetch",
-    "POOL_MODES",
     "LaneWorker",
     "PipelineShardWorker",
     "ShardPool",
-    "resolve_pool_mode",
     "ACCEPTED",
     "DEFERRED",
     "SHED",

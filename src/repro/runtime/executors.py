@@ -1,19 +1,19 @@
-"""Worker-pool strategies for the sharded runtime.
+"""The two ways to run shards, and the fork backend's worker process.
 
-Three interchangeable ways to evaluate a list of independent zero-argument
-tasks (one per shard):
+A trace reaches a pipeline through exactly one of two backends:
 
-* ``serial``  — run in the calling thread (the 1-shard / 1-CPU fast path);
-* ``thread``  — a thread pool; NumPy releases the GIL on large kernels, so
-  vectorized shards overlap on multi-core hosts without any pickling;
-* ``fork``    — one forked child per task (POSIX only).  Children inherit
-  the parent's pipelines copy-on-write, so *inputs* are never pickled;
-  only each task's return value travels back through a pipe.  This is the
-  fully parallel path: no GIL, no shared mutable state.
+* **in-process** (``serial``) — a plain loop over shards / lanes in the
+  calling thread.  The oracle path, the ``shards=1`` path, and the fork
+  pool's degraded fallback are all this loop.
+* **fork pool** (``fork``) — one pre-forked :class:`ForkWorker` per
+  shard behind :class:`~repro.runtime.pool.ShardPool`.  Children inherit
+  the parent's pipelines copy-on-write; chunks go down a framed pipe and
+  results plus incremental state deltas come back.  Workers live for one
+  run (``pool`` falsy) or until the owner closes (``pool`` truthy).
 
-``auto`` resolves to the best available strategy for the host: ``serial``
-when there is nothing to parallelize (one task, or one usable CPU),
-otherwise ``fork`` where :func:`os.fork` exists and ``thread`` elsewhere.
+``auto`` picks per host: in-process when there is nothing to parallelize
+(one task, one usable CPU, or no :func:`os.fork`), the fork pool
+otherwise.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import struct
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .faults import FAULT_REQUEST
 
@@ -40,12 +39,16 @@ __all__ = [
     "available_parallelism",
     "read_frame",
     "resolve_executor",
-    "run_tasks",
+    "selects_fork",
     "write_frame",
 ]
 
 #: Accepted values for the ``executor`` knob.
-EXECUTORS = ("auto", "serial", "thread", "fork")
+EXECUTORS = ("auto", "serial", "fork")
+
+#: Spellings of the one worker kind: ``ShardPool(mode=)`` takes either,
+#: and a truthy ``pool`` knob is ``True`` or either.
+FORK_MODES = ("auto", "fork")
 
 
 def available_parallelism() -> int:
@@ -57,140 +60,47 @@ def available_parallelism() -> int:
 
 
 def resolve_executor(mode: str, n_tasks: int) -> str:
-    """Map an executor request to the concrete strategy for this host."""
+    """Map an executor request to the concrete backend for this host."""
     if mode not in EXECUTORS:
         raise ValueError(f"unknown executor {mode!r}; pick one of {EXECUTORS}")
-    if n_tasks <= 1:
-        return "serial"
-    if mode == "fork" and not hasattr(os, "fork"):
-        return "thread"
     if mode != "auto":
         return mode
-    if available_parallelism() <= 1:
+    if n_tasks <= 1 or available_parallelism() <= 1 or not hasattr(os, "fork"):
         return "serial"
-    return "fork" if hasattr(os, "fork") else "thread"
+    return "fork"
 
 
-def run_tasks(tasks: Sequence[Callable[[], object]], mode: str = "auto") -> list:
-    """Evaluate every task, returning results in task order.
+def selects_fork(executor: str, pool, pool_options, n_tasks: int) -> bool:
+    """Validate an ``executor`` x ``pool`` selector; True for the fork pool.
 
-    Task return values must be picklable under ``fork`` (they cross a
-    pipe); the other strategies place no constraint.  A failing task
-    raises in the caller under every strategy.
+    ``executor`` says where chunks are scored; ``pool`` only says how
+    long fork workers live (falsy: one run; truthy: until closed), so a
+    truthy ``pool`` selects the fork backend on every host and contradicts
+    ``executor="serial"``.  ``pool_options`` configure fork workers and
+    are refused unless the caller asked for them by name.
     """
-    strategy = resolve_executor(mode, len(tasks))
-    if strategy == "serial":
-        return [task() for task in tasks]
-    if strategy == "thread":
-        # Cap at the CPUs this process may actually use: a 64-shard run on
-        # a 4-core host queues on 4 threads instead of oversubscribing.
-        workers = min(len(tasks), available_parallelism())
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            return [future.result() for future in futures]
-    return _fork_map(tasks)
-
-
-def _fork_map(tasks: Sequence[Callable[[], object]]) -> list:
-    """One forked child per task; results return pickled through pipes.
-
-    The parent reads each pipe to EOF in task order.  Children whose pipe
-    buffers fill simply block in ``write`` until the parent gets to them,
-    so the computation still overlaps fully and no deadlock is possible.
-    """
-    children: list[tuple[int, int]] = []
-    for task in tasks:
-        read_fd, write_fd = os.pipe()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        try:
-            pid = os.fork()
-        except BaseException:
-            # A mid-loop fork failure (e.g. EAGAIN) must not leak this
-            # task's pipe or strand the children already spawned: close
-            # both ends, unblock the survivors (closing our read end
-            # EPIPEs any writer), and reap them before re-raising.
-            os.close(read_fd)
-            os.close(write_fd)
-            for spawned_pid, spawned_read_fd in children:
-                os.close(spawned_read_fd)
-                os.waitpid(spawned_pid, 0)
-            raise
-        if pid == 0:  # child
-            os.close(read_fd)
-            status = 0
-            try:
-                payload = pickle.dumps(
-                    (True, task()), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except BaseException as exc:  # report, never unwind into pytest
-                payload = pickle.dumps(
-                    (False, f"{type(exc).__name__}: {exc}"),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                status = 1
-            try:
-                with os.fdopen(write_fd, "wb") as sink:
-                    sink.write(payload)
-            finally:
-                os._exit(status)  # skip atexit/pytest teardown in the child
-        os.close(write_fd)
-        children.append((pid, read_fd))
-
-    results: list = []
-    failures: list[str] = []
-    for pid, read_fd in children:
-        # Always drain and reap every child, even after an earlier one
-        # failed — otherwise survivors block forever on their pipes.
-        try:
-            with os.fdopen(read_fd, "rb") as source:
-                data = source.read()
-        except OSError as exc:
-            data = None
-            failures.append(f"worker pid {pid}: pipe read failed ({exc})")
-        __, wait_status = os.waitpid(pid, 0)
-        exit_code = os.waitstatus_to_exitcode(wait_status)
-        if data is None:
-            continue
-        if not data:
-            failures.append(
-                f"worker pid {pid} exited without a result "
-                f"(exit status {exit_code})"
-            )
-            continue
-        try:
-            ok, payload = pickle.loads(data)
-        except Exception as exc:  # truncated/corrupt payload (e.g. OOM kill)
-            failures.append(
-                f"worker pid {pid}: unreadable result ({exc}; "
-                f"exit status {exit_code})"
-            )
-            continue
-        if not ok:
-            failures.append(payload)
-        elif exit_code != 0:
-            # A well-formed payload is not enough: a child that died
-            # nonzero (e.g. killed during its os._exit bookkeeping) may
-            # have shipped state from a half-torn-down pipeline, so its
-            # result cannot be trusted.
-            failures.append(
-                f"worker pid {pid} returned a result but exited with "
-                f"status {exit_code}"
-            )
-        else:
-            results.append(payload)
-    if failures:
-        raise RuntimeError("sharded worker failed: " + "; ".join(failures))
-    return results
+    backend = resolve_executor(executor, n_tasks)
+    if pool and pool is not True and pool not in FORK_MODES:
+        raise ValueError(
+            f"unknown pool mode {pool!r}; pick True or one of {FORK_MODES}"
+        )
+    if pool and executor == "serial":
+        raise ValueError(
+            "executor='serial' scores in process and has no workers to keep "
+            "warm; drop pool= or pick executor='fork'"
+        )
+    if pool_options and not pool and executor != "fork":
+        raise ValueError("pool_options requires pool=True or executor='fork'")
+    return bool(pool) or backend == "fork"
 
 
 # ----------------------------------------------------------------------
-# Persistent worker protocol (the ShardPool substrate)
+# Worker protocol (the ShardPool substrate)
 # ----------------------------------------------------------------------
 #: Length-prefix framing for pickled messages over a pipe: 8-byte little-
 #: endian payload size, then the payload.  Framing (rather than
-#: read-to-EOF, as ``_fork_map`` uses) is what lets one long-lived worker
-#: serve many requests over one pipe pair.
+#: read-to-EOF) is what lets one worker serve many requests over one pipe
+#: pair.
 _FRAME_HEADER = struct.Struct("<Q")
 
 #: Request kind that reports a parent-side dispatch failure; the worker
@@ -432,7 +342,13 @@ class ForkWorker:
         response_read, response_write = os.pipe()
         sys.stdout.flush()
         sys.stderr.flush()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            # A failed fork (e.g. EAGAIN) must not leak the pipe pairs.
+            for fd in (request_read, request_write, response_read, response_write):
+                os.close(fd)
+            raise
         if pid == 0:  # child
             status = 0
             try:

@@ -52,12 +52,13 @@ from ..pisa.pipeline import (
     TracePipelineResult,
 )
 from ..pisa.registers import FlowFeatureAccumulator
-from .executors import resolve_executor, run_tasks
-from .pool import LaneWorker, ShardPool, pool_mode_for_executor
+from .executors import selects_fork
 from .sharded import (
+    LaneRunner,
     as_trace_columns,
-    concat_results,
     empty_trace_result,
+    in_arrival_order,
+    last_part,
     merge_pipeline_state,
     scatter_merge,
 )
@@ -346,13 +347,11 @@ class MultiAppFabric:
         Default scheduling policy for :meth:`run` (see
         :func:`schedule_chunks`).
     pool:
-        Persistent-worker path, as in
-        :class:`~repro.runtime.ShardedRuntime`: ``True`` (or a mode
-        string) keeps one long-lived worker per lane across runs,
-        dispatching the scheduled per-app chunks through the pipelined
-        pipe protocol instead of one task per lane per run.  Close the
-        fabric (context manager or :meth:`close`) when a pool is
-        attached.
+        How long fork workers live, as in
+        :class:`~repro.runtime.ShardedRuntime`: truthy keeps one worker
+        per lane across runs (forked by the first run, which builds the
+        lanes) instead of forking and reaping per run.  Close the fabric
+        (context manager or :meth:`close`) when a pool is attached.
     pool_options:
         Extra keyword arguments for the lane
         :class:`~repro.runtime.pool.ShardPool` (fault-tolerance knobs:
@@ -378,18 +377,17 @@ class MultiAppFabric:
             raise ValueError(
                 f"unknown policy {policy!r}; pick one of {SCHEDULING_POLICIES}"
             )
+        selects_fork(executor, pool, pool_options, shards)  # validate now
         self.shards = shards
         self.executor = executor
         self.chunk_size = chunk_size
         self.policy = policy
         self.apps: list[FabricApp] = []
         self._lanes: list[_Lane] | None = None
+        self._runner: LaneRunner | None = None
         self._app_turns: dict[int, int] = {}
         self._pool_request = pool
         self._pool_options = pool_options
-        if pool_options and not pool:
-            raise ValueError("pool_options requires pool=True")
-        self.pool: ShardPool | None = None
         #: Modeled drain of the last run (slowest lane; reconfiguration
         #: and interleave costs included).
         self.last_drain_ns = 0.0
@@ -397,19 +395,25 @@ class MultiAppFabric:
             self.register(app)
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Worker lifecycle
     # ------------------------------------------------------------------
+    @property
+    def pool(self):
+        """The persistent lane-worker pool (``None`` unless ``pool`` was
+        set, and until the first run builds the lanes)."""
+        return None if self._runner is None else self._runner.pool
+
     @property
     def pool_health(self):
         """The lane pool's :class:`~repro.runtime.health.PoolHealth`
-        counters (``None`` without a pool, or before the first run builds
-        the lanes)."""
+        counters (``None`` without a persistent pool, or before the
+        first run builds the lanes)."""
         return None if self.pool is None else self.pool.health
 
     def close(self) -> None:
-        """Shut the attached lane-worker pool down (no-op without one)."""
-        if self.pool is not None:
-            self.pool.close()
+        """Shut the persistent lane-worker pool down (no-op without one)."""
+        if self._runner is not None:
+            self._runner.close()
 
     def __enter__(self) -> "MultiAppFabric":
         return self
@@ -421,11 +425,9 @@ class MultiAppFabric:
         """Rewind every lane pipeline (and pool worker) to the pristine
         post-build mark, so a reused fabric behaves like a fresh one
         (see :meth:`ShardPool.rewind`)."""
-        if self._lanes is None:
+        if self._runner is None:
             return
-        if self.pool is None:
-            raise RuntimeError("reset_state requires a pool-backed fabric")
-        self.pool.rewind()
+        self._runner.rewind()
         self._app_turns.clear()
 
     # ------------------------------------------------------------------
@@ -481,21 +483,12 @@ class MultiAppFabric:
                     )
                 )
             self._lanes = lanes
-            if self._pool_request:
-                mode = (
-                    self._pool_request
-                    if isinstance(self._pool_request, str)
-                    else pool_mode_for_executor(self.executor)
-                )
-                contexts = [LaneWorker(lane.pipelines) for lane in lanes]
-                # Mark the pristine post-build state before spawning so
-                # workers (and crash replacements) inherit the rewind
-                # point and reset_state() ships zero payload.
-                for context in contexts:
-                    context.handle("mark", None)
-                self.pool = ShardPool(
-                    contexts, mode=mode, **(self._pool_options or {})
-                )
+            self._runner = LaneRunner(
+                [lane.pipelines for lane in lanes],
+                self.executor,
+                self._pool_request,
+                self._pool_options,
+            )
         return self._lanes
 
     # ------------------------------------------------------------------
@@ -533,12 +526,7 @@ class MultiAppFabric:
         orders: list[np.ndarray] = []
         partitions: list[list[tuple[np.ndarray, TraceColumns]]] = []
         for a, trace in enumerate(app_traces):
-            columns = as_trace_columns(trace)
-            order = np.argsort(columns.times, kind="stable")
-            if np.array_equal(order, np.arange(columns.n)):
-                ordered = columns
-            else:
-                ordered = columns.take(order)
+            order, ordered = in_arrival_order(as_trace_columns(trace))
             sorted_cols.append(ordered)
             orders.append(order)
             partitions.append(self._partition(a, trace, ordered))
@@ -566,42 +554,40 @@ class MultiAppFabric:
                 [(ids[i], next(queues[ids[i]])) for i in issue_order]
             )
 
-        if self.pool is not None:
-            payloads = self._run_lanes_pooled(lanes, schedules)
-        else:
-            transport = (
-                resolve_executor(self.executor, len(lanes)) == "fork"
+        # Both backends leave this process's lane blocks current (in
+        # place, or by per-chunk delta), so the issue-clock and swap
+        # accounting reads the same counters either way.
+        before = [
+            (
+                lane.block._next_issue_cycle,
+                lane.block.reconfigurations,
+                lane.block.reconfig_cycles,
             )
-            tasks = [
-                self._lane_task(lane, schedule, transport)
-                for lane, schedule in zip(lanes, schedules)
-            ]
-            payloads = run_tasks(tasks, self.executor)
-            if transport:
-                for lane, payload in zip(lanes, payloads):
-                    for a, snapshot in payload["snapshots"].items():
-                        lane.pipelines[a].restore_state(snapshot)
+            for lane in lanes
+        ]
+        scored = self._runner.run(schedules, chunk)
 
         # Modeled drain: lanes run concurrently; each lane completes its
         # last issued packet one tail latency after its final issue slot.
         drains = [0.0]
-        for payload in payloads:
-            busy = payload["busy_cycles"]
+        reconfigurations = reconfig_cycles = 0
+        for lane, (cycle, swaps, swap_cycles) in zip(lanes, before):
+            block = lane.block
+            busy = block._next_issue_cycle - cycle
             if busy > 0:
+                design = block.design
                 drains.append(
-                    (payload["tail_latency_cycles"] + busy - payload["tail_ii"])
+                    (design.latency_cycles + busy - design.initiation_interval)
                     / CLOCK_GHZ
                 )
+            reconfigurations += block.reconfigurations - swaps
+            reconfig_cycles += block.reconfig_cycles - swap_cycles
         self.last_drain_ns = max(drains)
-        reconfigurations = sum(p["reconfigurations"] for p in payloads)
-        reconfig_cycles = sum(p["reconfig_cycles"] for p in payloads)
 
         results: dict[str, TracePipelineResult] = {}
         per_app_packets: dict[str, int] = {}
         for a, app in enumerate(self.apps):
-            lane_results = [
-                payloads[s]["results"][a] for s in self.app_lanes(a)
-            ]
+            lane_results = [scored[s][a] for s in self.app_lanes(a)]
             results[app.name] = self._merge_app(
                 a, sorted_cols[a], orders[a], partitions[a], lane_results
             )
@@ -661,136 +647,6 @@ class MultiAppFabric:
         assignments = ordered.shard_assignments(n_lanes, slots)
         return ordered.partition(assignments, n_lanes)
 
-    def _run_lanes_pooled(self, lanes, schedules) -> list[dict]:
-        """Every lane's schedule through the warm pool, chunk-pipelined.
-
-        Each scheduled ``(app, chunk)`` slot becomes one pipe request, so
-        the pool ships slot ``k+1`` while the lane scores ``k``; per-chunk
-        deltas keep this process's lane pipelines (and their shared
-        blocks) current, which is where the drain/reconfiguration
-        accounting below reads from.  Payloads match :meth:`_lane_task`'s
-        schema (minus ``snapshots`` — delta transport already happened).
-        """
-        want_delta = self.pool.transport
-        before = [
-            (
-                lane.block._next_issue_cycle,
-                lane.block.reconfigurations,
-                lane.block.reconfig_cycles,
-            )
-            for lane in lanes
-        ]
-        streams = []
-        for lane, schedule in zip(lanes, schedules):
-            requests = (
-                ("app_chunk", (a, chunk, want_delta)) for a, chunk in schedule
-            )
-            streams.append((requests, len(schedule)))
-
-        def apply_delta(s: int, __ordinal: int, response) -> None:
-            # Ack callback: land each slot's delta the moment it is
-            # acked, keeping this process's lane pipelines at exactly
-            # the workers' last acked slot — the state a crash
-            # replacement re-forks from.
-            a, __, delta = response
-            if delta is not None:
-                lanes[s].pipelines[a].apply_state_delta(delta)
-
-        def degrade(s: int, kind: str, payload):
-            # In-parent fallback when a lane's workers cannot be kept
-            # alive; the parent lane pipeline continues from the last
-            # acked slot.  delta=None — the state is already here.
-            if kind != "app_chunk":
-                raise RuntimeError(f"cannot degrade request kind {kind!r}")
-            a, chunk, __ = payload
-            result = lanes[s].pipelines[a].process_trace_batch(
-                chunk, chunk_size=max(chunk.n, 1)
-            )
-            return (a, result, None)
-
-        try:
-            responses = self.pool.map_streams(
-                streams, on_result=apply_delta, degrade=degrade
-            )
-        except RuntimeError:
-            # Keep this process's lanes consistent with the workers after
-            # a failed run (some chunks may have executed worker-side
-            # whose deltas were never applied here).
-            self._resync_from_pool(lanes)
-            raise
-        payloads: list[dict] = []
-        for s, lane in enumerate(lanes):
-            pieces: dict[int, list[TracePipelineResult]] = {
-                a: [] for a in lane.pipelines
-            }
-            for a, result, __ in responses[s]:
-                pieces[a].append(result)
-            start_cycle, start_reconfigs, start_reconfig_cycles = before[s]
-            payloads.append(
-                {
-                    "results": {
-                        a: concat_results(parts) for a, parts in pieces.items()
-                    },
-                    "busy_cycles": lane.block._next_issue_cycle - start_cycle,
-                    "tail_latency_cycles": lane.block.design.latency_cycles,
-                    "tail_ii": lane.block.design.initiation_interval,
-                    "reconfigurations": lane.block.reconfigurations
-                    - start_reconfigs,
-                    "reconfig_cycles": lane.block.reconfig_cycles
-                    - start_reconfig_cycles,
-                }
-            )
-        return payloads
-
-    def _resync_from_pool(self, lanes) -> None:
-        """Restore this process's lane pipelines from worker snapshots
-        (best effort — after a failed run the workers are the truth)."""
-        snapshots = self.pool.pull_snapshots()
-        if snapshots is None:
-            return
-        for lane, per_app in zip(lanes, snapshots):
-            for app_index, snapshot in per_app.items():
-                lane.pipelines[app_index].restore_state(snapshot)
-
-    def _lane_task(self, lane: _Lane, schedule, transport: bool):
-        chunk_size = self.chunk_size
-
-        def task() -> dict:
-            block = lane.block
-            start_cycle = block._next_issue_cycle
-            start_reconfigs = block.reconfigurations
-            start_reconfig_cycles = block.reconfig_cycles
-            pieces: dict[int, list[TracePipelineResult]] = {
-                a: [] for a in lane.pipelines
-            }
-            for a, chunk in schedule:
-                pieces[a].append(
-                    lane.pipelines[a].process_trace_batch(
-                        chunk, chunk_size=max(chunk.n, chunk_size)
-                    )
-                )
-            return {
-                "results": {
-                    a: concat_results(parts) for a, parts in pieces.items()
-                },
-                "busy_cycles": block._next_issue_cycle - start_cycle,
-                "tail_latency_cycles": block.design.latency_cycles,
-                "tail_ii": block.design.initiation_interval,
-                "reconfigurations": block.reconfigurations - start_reconfigs,
-                "reconfig_cycles": block.reconfig_cycles
-                - start_reconfig_cycles,
-                "snapshots": (
-                    {
-                        a: pipe.state_snapshot()
-                        for a, pipe in lane.pipelines.items()
-                    }
-                    if transport
-                    else None
-                ),
-            }
-
-        return task
-
     def _merge_app(
         self,
         app_index: int,
@@ -811,13 +667,10 @@ class MultiAppFabric:
             return empty_trace_result()
         merged = scatter_merge(ordered, parts, lane_results)
         # The globally-last packet fixes this app's merged arbiter turn.
-        last = ordered.n - 1
-        lanes = self.app_lanes(app_index)
-        for lane_pos, (indices, __) in enumerate(parts):
-            if len(indices) and indices[-1] == last:
-                pipe = self._lanes[lanes[lane_pos]].pipelines[app_index]
-                self._app_turns[app_index] = pipe.arbiter._turn
-                break
+        lane_pos = last_part(parts, lane_results, merged.order[-1])
+        if lane_pos is not None:
+            lane = self._lanes[self.app_lanes(app_index)[lane_pos]]
+            self._app_turns[app_index] = lane.pipelines[app_index].arbiter._turn
         return TracePipelineResult(
             order=order,
             times=merged.times,

@@ -1,22 +1,21 @@
-"""Persistent shard worker pools with pipelined chunk dispatch.
+"""The fork backend: shard worker pools with pipelined chunk dispatch.
 
-The sharded runtime's ``fork`` executor pays a full fork-and-teardown per
-``run()`` call — fine at trace scale, but it swamps small/interactive
-traces and rules out a long-lived serving substrate.  :class:`ShardPool`
-is that substrate: ``N`` **pre-forked** (or thread-backed) workers, each
-holding a long-lived pipeline (or fabric lane) inherited copy-on-write at
-spawn time, served over a framed request/response pipe protocol
-(:class:`~repro.runtime.executors.ForkWorker`).
+:class:`ShardPool` is ``N`` **pre-forked** workers, each holding a
+pipeline (or fabric lane) inherited copy-on-write at spawn time, served
+over a framed request/response pipe protocol
+(:class:`~repro.runtime.executors.ForkWorker`).  Its owner decides how
+long the workers live: one run (``executor="fork"``) or until closed
+(``pool=True``), which amortizes the fork across consecutive runs.
 
-Instead of one monolithic task per run, a run is dispatched as
-**pipelined chunks**: each worker has a dedicated writer thread pumping
-requests from a :func:`~repro.runtime.overlap.prefetch`-staged stream, so
-chunk ``k+1`` is being sliced *and shipped down the pipe* while the
-worker scores chunk ``k`` — the double-buffering seam extended across the
-process boundary.  Responses stream back per chunk and carry incremental
-state deltas (:meth:`~repro.pisa.TaurusPipeline.state_delta`), so the
-parent's pipelines track the workers chunk by chunk and per-message cost
-stays bounded by the chunk itself, not the register file.
+A run is dispatched as **pipelined chunks**: each worker has a dedicated
+writer thread pumping requests from a
+:func:`~repro.runtime.overlap.prefetch`-staged stream, so chunk ``k+1``
+is being sliced *and shipped down the pipe* while the worker scores
+chunk ``k`` — the double-buffering seam extended across the process
+boundary.  Responses stream back per chunk and carry incremental state
+deltas (:meth:`~repro.pisa.TaurusPipeline.state_delta`), so the parent's
+pipelines track the workers chunk by chunk and per-message cost stays
+bounded by the chunk itself, not the register file.
 
 Lifecycle: the pool is a context manager; ``close()`` is deterministic
 (EOF-then-reap with a bounded SIGKILL fallback, so an abandoned mid-trace
@@ -54,6 +53,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ..pisa.pipeline import TaurusPipeline
 from .executors import (
     ERROR_REQUEST,
+    FORK_MODES,
     ForkWorker,
     WorkerCrash,
     WorkerDispatchError,
@@ -62,19 +62,9 @@ from .faults import FAULT_REQUEST, FaultPlan
 from .health import PoisonChunk, PoolError, PoolHealth
 from .overlap import prefetch
 
-__all__ = [
-    "POOL_MODES",
-    "ShardPool",
-    "PipelineShardWorker",
-    "LaneWorker",
-    "pool_mode_for_executor",
-    "resolve_pool_mode",
-]
+__all__ = ["ShardPool", "PipelineShardWorker", "LaneWorker"]
 
-#: Accepted values for the ``mode`` knob.
-POOL_MODES = ("auto", "fork", "thread")
-
-#: Sentinel asking a slot's writer/worker thread to exit.
+#: Sentinel asking a slot's writer thread to exit.
 _SHUTDOWN = object()
 
 #: Hard cap on per-slot request/response queues.  Real depth is tiny (one
@@ -102,45 +92,22 @@ def _bounded_put(q: "queue.Queue", item, give_up) -> bool:
                 return False
 
 
-def resolve_pool_mode(mode: str) -> str:
-    """Map a pool-mode request to the concrete strategy for this host."""
-    if mode not in POOL_MODES:
-        raise ValueError(f"unknown pool mode {mode!r}; pick one of {POOL_MODES}")
-    if mode == "thread" or not hasattr(os, "fork"):
-        return "thread"
-    return "fork"
-
-
-def pool_mode_for_executor(executor: str) -> str:
-    """The pool mode a runtime ``executor`` knob implies.
-
-    ``fork`` stays cross-process, ``thread``/``serial`` stay in-process,
-    and anything else (``auto``) resolves per host — the one rule shared
-    by every surface that grows a ``pool=True`` path.
-    """
-    if executor == "fork":
-        return "fork"
-    if executor in ("thread", "serial"):
-        return "thread"
-    return "auto"
-
-
 # ----------------------------------------------------------------------
 # Worker contexts (what lives inside each worker, across runs)
 # ----------------------------------------------------------------------
 class PipelineShardWorker:
-    """One shard's long-lived pipeline plus its delta-tracking base.
+    """One pipeline inside a worker, plus its delta-tracking base.
 
-    The ``handle()`` side of the pool protocol for the sharded runtime:
+    The ``handle()`` side of the pool protocol:
 
     * ``("chunk", (columns, want_delta))`` — one pre-sorted chunk through
       :meth:`~repro.pisa.TaurusPipeline.process_trace_batch`; returns
       ``(result, delta-or-None)``.
     * ``("score", features)`` — a read-only pass through the block's
       graph interpreter (no issue-clock accounting), the pool twin of
-      ``TaurusDataPlane._score_chunks``.
-    * ``("restore", snapshot)`` / ``("snapshot", None)`` — full state
-      transport for arbitrary reset and verification;
+      ``TaurusDataPlane._stream_scores``'s in-process loop.
+    * ``("snapshot", None)`` — full state, for post-failure resync and
+      verification;
     * ``("mark", None)`` / ``("rewind", None)`` — zero-payload per-run
       reset: ``mark`` pins the current state *inside* the worker and
       ``rewind`` restores it, so a pool owner wanting fresh-run
@@ -169,10 +136,6 @@ class PipelineShardWorker:
             return result, delta
         if kind == "score":  # noqa: rt-frame-unconsumed - produced by callers above the runtime package (apps submit scoring requests)
             return self.pipeline.block.graph.execute_batch(payload)[:, 0]
-        if kind == "restore":
-            self.pipeline.restore_state(payload)
-            self._base = None
-            return True
         if kind == "mark":
             self._mark = self.pipeline.state_snapshot()
             return True
@@ -190,63 +153,33 @@ class PipelineShardWorker:
 
 
 class LaneWorker:
-    """One fabric lane (shared block + per-app pipelines) behind the pool.
+    """One lane behind the pool: a :class:`PipelineShardWorker` per app.
 
-    ``("app_chunk", (app_index, columns, want_delta))`` steers the lane's
-    shared block to the app's program (via the pipeline's pinned
-    ``program``) and scores one chunk; per-app delta bases keep state
-    shipping incremental, exactly as :class:`PipelineShardWorker` does
-    for homogeneous shards.
+    A lane's pipelines share one block (a fabric lane) or there is just
+    one (a shard).  Requests addressed to an app — ``(kind, (app,
+    body))`` — are answered by that app's worker as ``(app, reply)``,
+    which steers the shared block to the app's pinned program on the way;
+    lane-wide requests (``payload is None``: mark / rewind / snapshot /
+    ping) fan out and return ``{app: reply}``.
     """
 
     def __init__(self, pipelines: dict[int, TaurusPipeline]):
-        self.pipelines = pipelines
-        self._bases: dict[int, dict] = {}
-        self._marks: dict[int, dict] | None = None
+        self.workers = {
+            app: PipelineShardWorker(pipe) for app, pipe in pipelines.items()
+        }
 
     def handle(self, kind: str, payload):
-        if kind == "app_chunk":
-            app_index, columns, want_delta = payload
-            pipe = self.pipelines[app_index]
-            if want_delta and app_index not in self._bases:
-                self._bases[app_index] = pipe.state_snapshot()
-            result = pipe.process_trace_batch(
-                columns, chunk_size=max(columns.n, 1)
-            )
-            delta = (
-                pipe.state_delta(self._bases[app_index])
-                if want_delta
-                else None
-            )
-            return app_index, result, delta
-        if kind == "restore":
-            for app_index, snapshot in payload.items():
-                self.pipelines[app_index].restore_state(snapshot)
-            self._bases.clear()
-            return True
-        if kind == "mark":
-            self._marks = {
-                a: pipe.state_snapshot() for a, pipe in self.pipelines.items()
-            }
-            return True
-        if kind == "rewind":
-            if self._marks is None:
-                raise RuntimeError("rewind without a mark")
-            for app_index, snapshot in self._marks.items():
-                self.pipelines[app_index].restore_state(snapshot)
-            self._bases.clear()
-            return True
-        if kind == "snapshot":
+        if payload is None:
             return {
-                a: pipe.state_snapshot() for a, pipe in self.pipelines.items()
+                app: worker.handle(kind, None)
+                for app, worker in self.workers.items()
             }
-        if kind == "ping":
-            return "pong"
-        raise ValueError(f"unknown request kind {kind!r}")
+        app, body = payload
+        return app, self.workers[app].handle(kind, body)
 
 
 # ----------------------------------------------------------------------
-# Worker slots (one per shard; fork- or thread-backed)
+# Worker slots (one per shard)
 # ----------------------------------------------------------------------
 class _ForkSlot:
     """A :class:`ForkWorker` plus its dedicated writer thread.
@@ -353,104 +286,11 @@ class _ForkSlot:
         self.worker.close(max(0.0, deadline - time.monotonic()))
 
 
-class _ThreadSlot:
-    """A persistent worker thread operating on the parent's own context.
-
-    The in-process twin of :class:`_ForkSlot`: same submit/recv surface,
-    no pickling, no state transport — the context's mutations land
-    directly in the parent's pipelines.
-    """
-
-    pid = None
-
-    def __init__(self, context, index: int):
-        self.context = context
-        self._requests: queue.Queue = queue.Queue(maxsize=_SLOT_QUEUE_DEPTH)
-        self._responses: queue.Queue = queue.Queue(maxsize=_SLOT_QUEUE_DEPTH)
-        self._closing = False
-        self._worker = threading.Thread(
-            target=self._run, name=f"pool-thread-{index}", daemon=True
-        )
-        self._worker.start()
-
-    @property
-    def alive(self) -> bool:
-        return self._worker.is_alive()
-
-    def _run(self) -> None:
-        while True:
-            try:
-                item = self._requests.get(timeout=0.5)
-            except queue.Empty:
-                if self._closing:
-                    return  # sentinel lost to a full queue; exit anyway
-                continue
-            if item is _SHUTDOWN:
-                return
-            try:
-                for kind, payload in item:
-                    if self._closing:
-                        # A collector may be waiting on the undelivered
-                        # remainder of this stream; wake it with an abort
-                        # (the fork path's EOF → WorkerCrash equivalent).
-                        self._post(("abort", "pool closed"))
-                        break
-                    try:
-                        self._post(
-                            (True, self.context.handle(kind, payload))
-                        )
-                    except BaseException as exc:
-                        self._post(
-                            (False, f"{type(exc).__name__}: {exc}")
-                        )
-            except BaseException as exc:
-                # The stream's iterator raised: surface it as an abort so
-                # the collector unblocks, and keep the slot serving.
-                self._post(
-                    ("abort", f"{type(exc).__name__}: {exc}")
-                )
-
-    def _post(self, item) -> None:
-        # Response consumers ride the bounded ack window, so the queue
-        # only fills when the collector abandoned the run — in which case
-        # close() is the only way out, and dropping is correct.
-        _bounded_put(self._responses, item, give_up=lambda: self._closing)
-
-    def submit(self, stream: Iterable[tuple[str, object]]) -> None:
-        _bounded_put(self._requests, stream, give_up=lambda: self._closing)
-
-    def recv(self, hang_timeout: float | None = None):
-        # Threads cannot be SIGKILLed, so ``hang_timeout`` is accepted
-        # for interface parity but a stuck handler can only be unblocked
-        # by close() (which aborts the stream in-band).  The get itself
-        # polls in bounded slices rather than parking forever.
-        while True:
-            try:
-                status, payload = self._responses.get(timeout=0.5)
-                break
-            except queue.Empty:
-                continue
-        if status == "abort":
-            raise WorkerDispatchError(f"dispatch failed: {payload}")
-        if not status:
-            raise RuntimeError(f"pool worker failed: {payload}")
-        return payload
-
-    def close(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        self._closing = True  # noqa: rt-racy-field - monotonic shutdown flag; the run thread observes it at the next queue poll
-        _bounded_put(
-            self._requests, _SHUTDOWN,
-            give_up=lambda: time.monotonic() >= deadline,
-        )
-        self._worker.join(max(0.0, deadline - time.monotonic()))
-
-
 # ----------------------------------------------------------------------
 # Crash-transparent dispatch (one supervisor per shard)
 # ----------------------------------------------------------------------
 class _ShardRun:
-    """Supervisor state for one worker's stream during a recovering run.
+    """Supervisor state for one worker's stream during a run.
 
     ``pending`` is the single source of truth for sent-but-unacked
     chunks — bounded by the pool window, so a crash can only ever force
@@ -550,10 +390,10 @@ class ShardPool:
     contexts:
         One worker context per shard (:class:`PipelineShardWorker`,
         :class:`LaneWorker`, or anything exposing
-        ``handle(kind, payload)``).  Fork workers inherit their context
-        copy-on-write at spawn; thread workers share it with the parent.
+        ``handle(kind, payload)``).  Workers inherit their context
+        copy-on-write at spawn.
     mode:
-        ``auto`` (fork where available) | ``fork`` | ``thread``.
+        ``auto`` | ``fork`` — two spellings of the one worker kind.
     window:
         Staging depth of the per-worker dispatch stream (2 = classic
         double buffering: chunk ``k+1`` ships while ``k`` scores).  Also
@@ -562,7 +402,7 @@ class ShardPool:
     close_timeout:
         Per-worker bound on graceful shutdown before SIGKILL.
     heartbeat_interval:
-        Cadence of worker-side heartbeat frames (fork mode).  ``None``
+        Cadence of worker-side heartbeat frames.  ``None``
         disables heartbeats — then only the coarser no-frames watchdog
         rule can catch a hang.
     hang_timeout:
@@ -582,8 +422,8 @@ class ShardPool:
         (doubles per consecutive crash, capped at 1 s).
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted at
-        every chunk dispatch (fork mode only) — deterministic failure
-        injection for tests.
+        every chunk dispatch — deterministic failure injection for
+        tests.
     """
 
     def __init__(
@@ -604,11 +444,9 @@ class ShardPool:
             raise ValueError("a pool needs at least one worker context")
         if window <= 0:
             raise ValueError("window must be positive")
-        self.mode = resolve_pool_mode(mode)
-        if faults is not None and self.mode != "fork":
+        if mode not in FORK_MODES:
             raise ValueError(
-                "fault injection requires fork mode: thread workers share "
-                "the parent process and cannot be killed or torn"
+                f"unknown pool mode {mode!r}; pick one of {FORK_MODES}"
             )
         self.window = window
         self.close_timeout = close_timeout
@@ -628,8 +466,12 @@ class ShardPool:
         # otherwise a sibling's dup of a request-write end would keep
         # that worker from ever seeing EOF at close().
         self._slots: list = []
-        for i in range(len(self.contexts)):
-            self._slots.append(self._spawn(i))
+        try:
+            for i in range(len(self.contexts)):
+                self._slots.append(self._spawn(i))
+        except BaseException:
+            self.close()  # a failed fork must not strand earlier siblings
+            raise
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -639,38 +481,29 @@ class ShardPool:
         return len(self.contexts)
 
     @property
-    def transport(self) -> bool:
-        """True when worker state must ship back explicitly (fork mode)."""
-        return self.mode == "fork"
-
-    @property
     def worker_pids(self) -> list[int | None]:
         return [slot.pid for slot in self._slots]
 
     def alive(self) -> list[bool]:
         return [slot.alive for slot in self._slots]
 
-    def _spawn(self, index: int):
-        if self.mode == "thread":
-            return _ThreadSlot(self.contexts[index], index)
+    def _spawn(self, index: int) -> _ForkSlot:
         sibling_fds: list[int] = []
         for slot in self._slots:
-            if isinstance(slot, _ForkSlot) and slot.alive:
+            if slot.alive:
                 sibling_fds.extend(slot.worker.parent_fds)
         return _ForkSlot(
             self.contexts[index],
             extra_close_fds=sibling_fds,
-            heartbeat_interval=(
-                self.heartbeat_interval if self.mode == "fork" else None
-            ),
+            heartbeat_interval=self.heartbeat_interval,
             index=index,
         )
 
     def restart(self, index: int) -> None:
-        """Replace worker ``index`` with a fresh spawn from the parent's
-        current context (fork mode re-inherits the parent's pipeline
-        state, so a replaced worker resumes consistent with the parent).
-        A closed pool only reaps — no fresh worker to leak."""
+        """Replace worker ``index`` with a fresh fork from the parent's
+        current context (it re-inherits the parent's pipeline state, so
+        a replaced worker resumes consistent with the parent).  A closed
+        pool only reaps — no fresh worker to leak."""
         self._slots[index].close(self.close_timeout)
         if not self._closed:  # noqa: rt-racy-field - monotonic bool; a supervisor reading stale False takes one extra recovery lap, harmlessly
             self._slots[index] = self._spawn(index)  # noqa: rt-racy-field - per-index slot replacement; list cell assignment is atomic under the GIL and each index is owned by its supervisor during recovery
@@ -693,12 +526,11 @@ class ShardPool:
             # may hold pipe-buffer locks — joining or closing their
             # streams would deadlock.  OS-level teardown only.
             for slot in self._slots:
-                if slot.pid is not None:
-                    try:
-                        os.kill(slot.pid, signal.SIGKILL)
-                        os.waitpid(slot.pid, os.WNOHANG)
-                    except (OSError, ChildProcessError):
-                        pass
+                try:
+                    os.kill(slot.pid, signal.SIGKILL)
+                    os.waitpid(slot.pid, os.WNOHANG)
+                except (OSError, ChildProcessError):
+                    pass
             return
         with self._lock:
             streams, self._active_streams = self._active_streams, []
@@ -747,9 +579,9 @@ class ShardPool:
         """One request per worker; returns the per-worker responses.
 
         ``payloads`` is either one payload per worker or a single shared
-        payload (including None).  Failures follow the non-recovering
-        contract: every healthy worker still drains, crashed workers are
-        replaced for the next run, and one typed
+        payload (including None).  Unlike :meth:`map_streams`, a failure
+        is not recovered from: every healthy worker still drains, crashed
+        workers are replaced for the next run, and one typed
         :class:`~repro.runtime.health.PoolError` reports the lot.
         """
         self._check_open()
@@ -775,9 +607,7 @@ class ShardPool:
         worker_health.last_error = str(exc)  # noqa: rt-racy-field - diagnostic string, one supervisor writer per index; readers tolerate any published value
 
     def _drain_all(
-        self,
-        live: Sequence[tuple[int, int]],
-        on_result: Callable[[int, int, object], None] | None = None,
+        self, live: Sequence[tuple[int, int]]
     ) -> tuple[dict[int, list], dict[int, BaseException]]:
         """Collect ``count`` responses per live worker, concurrently.
 
@@ -791,7 +621,7 @@ class ShardPool:
 
         def drain(index: int, count: int) -> None:
             slot = self._slots[index]
-            for ordinal in range(count):
+            for __ in range(count):
                 try:
                     response = slot.recv(self.hang_timeout)
                 except WorkerCrash as exc:
@@ -809,11 +639,6 @@ class ShardPool:
                     errors.setdefault(index, exc)
                     continue
                 results[index].append(response)
-                if on_result is not None:
-                    try:
-                        on_result(index, ordinal, response)
-                    except BaseException as exc:
-                        errors.setdefault(index, exc)
 
         collectors = [
             threading.Thread(
@@ -825,8 +650,8 @@ class ShardPool:
             thread.start()
         for thread in collectors:
             # Bounded join slices: each collector is guaranteed to finish
-            # (recv has a deadline in fork mode, close() aborts thread
-            # slots in-band), but no single join call parks unbounded.
+            # (recv has a deadline), but no single join call parks
+            # unbounded.
             while thread.is_alive():
                 thread.join(1.0)
         return results, errors
@@ -837,14 +662,12 @@ class ShardPool:
     def rewind(self) -> None:
         """Rewind parent contexts and workers to their pristine marks.
 
-        Fork workers rewind their own inherited snapshots; this process's
+        Workers rewind their own inherited snapshots; this process's
         contexts rewind locally via the same handler, so nothing but the
-        request itself crosses the pipes.  In thread mode the broadcast
-        alone covers both (contexts are shared).
+        request itself crosses the pipes.
         """
-        if self.transport:
-            for context in self.contexts:
-                context.handle("rewind", None)
+        for context in self.contexts:
+            context.handle("rewind", None)
         self.broadcast("rewind")
 
     def pull_snapshots(self) -> list | None:
@@ -852,12 +675,9 @@ class ShardPool:
 
         After a failed run the workers are the truth (they may have
         executed chunks whose deltas were never applied parent-side).
-        Returns None in thread mode (no transport, nothing can drift) or
-        when the workers are unreachable — the caller's original error
-        should still propagate either way.
+        Returns None when the workers are unreachable — the caller's
+        original error should still propagate either way.
         """
-        if not self.transport:
-            return None
         try:
             return self.broadcast("snapshot")
         except Exception:
@@ -896,16 +716,15 @@ class ShardPool:
         *,
         on_result: Callable[[int, int, object], None] | None = None,
         degrade: Callable[[int, str, object], object] | None = None,
-        recover: bool | None = None,
     ) -> list[list]:
         """Pipelined dispatch of one request stream per worker.
 
         ``streams[i]`` is ``(iterator of (kind, payload), expected
-        response count)`` — or None/``(_, 0)`` for an idle worker.  In
-        fork mode each stream is staged through :func:`prefetch` (depth =
-        ``window``) and pumped by the worker's writer thread, so staging,
-        shipping, and scoring overlap per worker and workers run
-        concurrently.  Responses return per worker **in request order**.
+        response count)`` — or None/``(_, 0)`` for an idle worker.  Each
+        stream is staged through :func:`prefetch` (depth = ``window``)
+        and pumped by the worker's writer thread, so staging, shipping,
+        and scoring overlap per worker and workers run concurrently.
+        Responses return per worker **in request order**.
 
         ``on_result(index, ordinal, response)`` fires for every response
         as it is acked (one caller thread per worker).  Stateful callers
@@ -913,71 +732,21 @@ class ShardPool:
         crash replacement re-fork from the parent at exactly the
         last-acked chunk.
 
-        With ``recover`` (default in fork mode) a crashed or hung worker
-        is **invisible to the caller**: the pool re-forks a replacement
-        from the parent's context, replays the sent-but-unacked chunks,
-        and merges bit-identical results — only
-        :attr:`~ShardPool.health` shows the event.  A chunk that kills
-        its worker more than ``max_chunk_retries`` times raises
+        A crashed or hung worker is **invisible to the caller**: the
+        pool re-forks a replacement from the parent's context, replays
+        the sent-but-unacked chunks, and merges bit-identical results —
+        only :attr:`~ShardPool.health` shows the event.  A chunk that
+        kills its worker more than ``max_chunk_retries`` times raises
         :class:`~repro.runtime.health.PoisonChunk`; past
         ``max_worker_crashes`` (or a failed re-fork) the shard degrades
         to in-parent scoring via ``degrade(index, kind, payload)`` (or
         the parent context itself when no callable is given).
-
-        Without recovery (thread mode, or ``recover=False``) a crashed
-        worker fails the run: every healthy worker still drains, the
-        dead one is replaced for the next run, and one typed
-        :class:`~repro.runtime.health.PoolError` reports the lot.
         """
         self._check_open()
         if len(streams) != self.shards:
             raise ValueError(
                 f"got {len(streams)} streams for {self.shards} workers"
             )
-        if recover is None:
-            recover = self.mode == "fork"
-        if recover and self.mode == "fork":
-            return self._map_streams_recovering(streams, on_result, degrade)
-
-        live: list[tuple[int, int]] = []  # (worker index, expected count)
-        staged: list = []
-        for index, entry in enumerate(streams):
-            if entry is None:
-                continue
-            stream, count = entry
-            if count <= 0:
-                continue
-            if self.mode == "fork":
-                stream = prefetch(stream, depth=self.window)
-                with self._lock:
-                    if self._closed:
-                        # close() won the race; don't leave a producer
-                        # thread staging into an untracked stream.
-                        stream.close()
-                        raise RuntimeError("pool is closed")
-                    self._active_streams.append(stream)
-                staged.append(stream)
-            self._slots[index].submit(stream)
-            live.append((index, count))
-
-        results, errors = self._drain_all(live, on_result)
-        for stream in staged:
-            stream.close()
-            with self._lock:
-                if stream in self._active_streams:
-                    self._active_streams.remove(stream)
-        self._heal_and_raise(errors)
-        return [
-            results.get(index, []) for index in range(self.shards)
-        ]
-
-    def _map_streams_recovering(
-        self,
-        streams: Sequence[tuple[Iterator[tuple[str, object]], int] | None],
-        on_result: Callable[[int, int, object], None] | None,
-        degrade: Callable[[int, str, object], object] | None,
-    ) -> list[list]:
-        """The fork-mode dispatch path with per-shard crash recovery."""
         runs: list[_ShardRun] = []
         staged: list = []
         for index, entry in enumerate(streams):

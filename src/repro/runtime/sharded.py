@@ -19,10 +19,11 @@ pure sums.  The merge scatters per-shard outputs back to global
 arrival-time order and is asserted bit/stat-identical to the single-shard
 oracle by ``tests/test_shard_runtime.py``.
 
-Execution strategies (``executor=``) come from
-:mod:`repro.runtime.executors`: ``serial``, ``thread``, ``fork`` (true
-multi-core; per-shard pipeline state is snapshotted in the child and
-restored into the parent's pipeline objects), or ``auto``.
+Where chunks are scored (``executor=``) comes from
+:mod:`repro.runtime.executors`: in process (``serial``), on forked
+workers (``fork`` — true multi-core; per-chunk state deltas keep this
+process's pipelines current), or ``auto``.  Both backends sit behind one
+driver, :class:`LaneRunner`, which the multi-app fabric shares.
 
 Besides wall-clock throughput, the runtime models the *hardware* drain
 rate of ``N`` parallel MapReduce blocks: each shard's block drains its
@@ -34,7 +35,9 @@ so a trace completes in the slowest shard's drain time
 
 from __future__ import annotations
 
-from typing import Callable
+import contextlib
+from dataclasses import replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,14 +48,17 @@ from ..pisa.pipeline import (
     TaurusPipeline,
     TracePipelineResult,
 )
-from .executors import resolve_executor, run_tasks
-from .pool import PipelineShardWorker, ShardPool, pool_mode_for_executor
+from .executors import selects_fork
+from .health import PoolHealth
+from .pool import LaneWorker, ShardPool
 
 __all__ = [
+    "LaneRunner",
     "ShardedRuntime",
     "as_trace_columns",
     "concat_results",
     "empty_trace_result",
+    "in_arrival_order",
     "scatter_merge",
     "merge_pipeline_state",
 ]
@@ -71,6 +77,16 @@ def as_trace_columns(trace) -> TraceColumns:
     if hasattr(trace, "columns"):
         return trace.columns()
     return TraceColumns.from_packets(list(trace))
+
+
+def in_arrival_order(columns: TraceColumns) -> tuple[np.ndarray, TraceColumns]:
+    """``(order, columns[order])`` for the stable arrival-time sort —
+    the sort ``process_trace_batch`` applies.  Already-sorted columns
+    come back as the same object."""
+    order = np.argsort(columns.times, kind="stable")
+    if np.array_equal(order, np.arange(columns.n)):
+        return order, columns
+    return order, columns.take(order)
 
 
 def empty_trace_result() -> TracePipelineResult:
@@ -144,6 +160,8 @@ def concat_results(chunks: list[TracePipelineResult]) -> TracePipelineResult:
     """
     if not chunks:
         return empty_trace_result()
+    if len(chunks) == 1:
+        return chunks[0]
     n = sum(len(c) for c in chunks)
     return TracePipelineResult(
         order=np.arange(n, dtype=np.int64),
@@ -227,6 +245,179 @@ def merge_pipeline_state(pipelines, arbiter_turn: int) -> dict:
     }
 
 
+def last_part(parts, results, last_index: int) -> int | None:
+    """The part that processed the packet at global position ``last_index``.
+
+    A part's arrival-last packet sits at ``indices[result.order[-1]]``,
+    so one comparison per part finds the owner of the globally-last
+    packet — the pipeline whose arbiter turn the merged state reports.
+    """
+    for p, ((indices, __), result) in enumerate(zip(parts, results)):
+        if len(result) and indices[result.order[-1]] == last_index:
+            return p
+    return None
+
+
+class LaneRunner:
+    """Scores per-lane chunk schedules, in process or on forked workers.
+
+    The one driver behind :class:`ShardedRuntime` (one app per lane) and
+    :class:`~repro.runtime.fabric.MultiAppFabric` (a lane's apps share a
+    block).  A lane is ``{app_index: pipeline}``, and this process's
+    pipelines are the state of record on both backends: the in-process
+    loop mutates them directly, the fork backend lands each chunk's
+    state delta on them as the chunk is acked — which is also what lets
+    the pool re-fork a crashed worker at exactly the last acked chunk
+    (see :meth:`ShardPool.map_streams`).
+
+    ``executor`` / ``pool`` / ``pool_options`` are the owner's knobs
+    (:func:`~repro.runtime.executors.selects_fork` validates them): a
+    truthy ``pool`` forks the workers now and keeps them until
+    :meth:`close`; otherwise a fork run spawns and reaps its own.
+    """
+
+    def __init__(
+        self,
+        lanes: Sequence[dict[int, TaurusPipeline]],
+        executor: str = "auto",
+        pool: bool | str = False,
+        pool_options: dict | None = None,
+    ):
+        self.lanes = list(lanes)
+        self.forked = selects_fork(executor, pool, pool_options, len(self.lanes))
+        self.pool_options = pool_options or {}
+        self.pool: ShardPool | None = self._spawn(mark=True) if pool else None
+
+    def _spawn(self, mark: bool) -> ShardPool:
+        contexts = [LaneWorker(lane) for lane in self.lanes]
+        if mark:
+            # Pin the pristine post-build state *before* forking, so every
+            # worker (and every crash replacement) inherits the rewind
+            # point and per-run rewinds ship zero payload.
+            for context in contexts:
+                context.handle("mark", None)
+        return ShardPool(contexts, **self.pool_options)
+
+    @contextlib.contextmanager
+    def workers(self) -> Iterator[ShardPool]:
+        """The fork pool for one run: the persistent one, or a fresh one
+        that is closed (children reaped, threads joined) on the way out."""
+        if self.pool is not None:
+            yield self.pool
+            return
+        pool = self._spawn(mark=False)
+        try:
+            yield pool
+        finally:
+            pool.close()
+
+    def rewind(self) -> None:
+        """Every lane (here and in the workers) back to the pristine mark."""
+        if self.pool is None:
+            raise RuntimeError("rewinding requires persistent workers (pool=True)")
+        self.pool.rewind()
+
+    def close(self) -> None:
+        """Shut the persistent pool down (no-op without one)."""
+        if self.pool is not None:
+            self.pool.close()
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
+    def run(
+        self, schedules: Sequence[Sequence[tuple[int, TraceColumns]]], chunk: int
+    ) -> list[dict[int, TracePipelineResult]]:
+        """Score every lane's schedule; one merged result per lane and app.
+
+        ``schedules[s]`` lists lane ``s``'s ``(app, columns)`` slots in
+        issue order.  In process, each slot is one
+        ``process_trace_batch(columns, chunk_size=chunk)`` call.  On the
+        fork backend the caller passes slots in arrival order and each is
+        sliced into ``chunk``-sized requests, so the pool stages and
+        ships request ``k+1`` while the worker scores ``k``.  An app's
+        slot results concatenate in issue order.
+        """
+        if not self.forked:
+            scored = [
+                [(app, self._score(s, app, columns, chunk)) for app, columns in slots]
+                for s, slots in enumerate(schedules)
+            ]
+        else:
+            streams = [
+                (
+                    self._requests(slots, chunk),
+                    sum(-(-columns.n // chunk) for __, columns in slots),
+                )
+                for slots in schedules
+            ]
+            with self.workers() as pool:
+                try:
+                    responses = pool.map_streams(
+                        streams, on_result=self._apply_delta, degrade=self._degrade
+                    )
+                except RuntimeError:
+                    # A failed run may have executed chunks worker-side
+                    # whose deltas never landed here; pull full snapshots
+                    # so this process's pipelines stay consistent with the
+                    # workers instead of silently drifting on the next run.
+                    self._resync(pool)
+                    raise
+            scored = [
+                [(app, result) for app, (result, __) in answers]
+                for answers in responses
+            ]
+        merged = []
+        for lane, pairs in zip(self.lanes, scored):
+            pieces: dict[int, list[TracePipelineResult]] = {app: [] for app in lane}
+            for app, result in pairs:
+                pieces[app].append(result)
+            merged.append(
+                {app: concat_results(parts) for app, parts in pieces.items()}
+            )
+        return merged
+
+    def _score(self, lane: int, app: int, columns: TraceColumns, chunk: int):
+        """The in-process backend: this process's pipeline scores the slot."""
+        return self.lanes[lane][app].process_trace_batch(columns, chunk_size=chunk)
+
+    @staticmethod
+    def _requests(slots, chunk: int):
+        """Lazy chunk slicing — consumed by the pool's prefetch stage."""
+        for app, columns in slots:
+            for start in range(0, columns.n, chunk):
+                sliced = columns.slice(slice(start, min(start + chunk, columns.n)))
+                yield ("chunk", (app, (sliced, True)))
+
+    def _apply_delta(self, lane: int, __ordinal: int, response) -> None:
+        # Ack callback: land each chunk's incremental delta the moment it
+        # is acked (one supervisor thread per lane; each touches only its
+        # own lane's pipelines, so no lock is needed).
+        app, (__, delta) = response
+        if delta is not None:
+            self.lanes[lane][app].apply_state_delta(delta)
+
+    def _degrade(self, lane: int, kind: str, payload):
+        # In-parent fallback when a lane's workers cannot be kept alive:
+        # this process's pipeline already sits at the last acked chunk, so
+        # the in-process backend continues on it.  delta=None — the state
+        # change happened here.
+        if kind != "chunk":
+            raise RuntimeError(f"cannot degrade request kind {kind!r}")
+        app, (columns, __) = payload
+        return app, (self._score(lane, app, columns, max(columns.n, 1)), None)
+
+    def _resync(self, pool: ShardPool) -> None:
+        """Restore this process's pipelines from the workers' snapshots
+        (best effort — after a failed run the workers are the truth)."""
+        snapshots = pool.pull_snapshots()
+        if snapshots is None:
+            return
+        for lane, per_app in zip(self.lanes, snapshots):
+            for app, snapshot in per_app.items():
+                lane[app].restore_state(snapshot)
+
+
 class ShardedRuntime:
     """``N`` parallel pipeline workers behind one ``process_trace`` call.
 
@@ -240,28 +431,27 @@ class ShardedRuntime:
         (the partition key).
     shards:
         Number of workers.  ``1`` degenerates to the plain batched
-        pipeline with zero partition/merge overhead.
+        pipeline with no partition and no merge.
     executor:
-        ``auto`` | ``serial`` | ``thread`` | ``fork`` (see
-        :mod:`repro.runtime.executors`).
+        Where chunks are scored: ``serial`` (in process) | ``fork``
+        (forked workers) | ``auto`` (see :mod:`repro.runtime.executors`).
     chunk_size:
         Default packets-per-chunk for each shard's vectorized loop.
     pool:
-        Persistent-worker path.  ``False`` (default) keeps the
-        task-per-run executors; ``True`` builds a
-        :class:`~repro.runtime.pool.ShardPool` whose mode follows
-        ``executor`` (``fork`` stays cross-process, ``thread``/``serial``
-        stay in-process); a mode string (``"auto"``/``"fork"``/
-        ``"thread"``) picks explicitly.  Pool runs dispatch pipelined
-        chunks to long-lived workers instead of forking per call — same
-        merged results, no per-run setup.  Close the runtime (context
-        manager or :meth:`close`) when a pool is attached.
+        How long fork workers live.  Falsy (default): each run forks its
+        own and reaps them before returning.  Truthy (``True``, or the
+        spellings ``"auto"`` / ``"fork"``): one
+        :class:`~repro.runtime.pool.ShardPool` is forked now and serves
+        every run — same merged results, no per-run setup; close the
+        runtime (context manager or :meth:`close`) when done.
+        Contradicts ``executor="serial"``.
     pool_options:
         Extra keyword arguments for the
         :class:`~repro.runtime.pool.ShardPool` (``window``,
         ``hang_timeout``, ``heartbeat_interval``, ``max_worker_crashes``,
         ``faults``, ...) — the fault-tolerance knobs, and the seam the
-        failure-injection tests use.
+        failure-injection tests use.  Needs ``pool`` or
+        ``executor="fork"``.
     """
 
     def __init__(
@@ -294,38 +484,34 @@ class ShardedRuntime:
         #: shards of latency + (B_s - 1) * II on that shard's block).
         self.last_drain_ns = 0.0
         self._last_turn = 0
-        self.pool: ShardPool | None = None
-        if pool:
-            mode = (
-                pool
-                if isinstance(pool, str)
-                else pool_mode_for_executor(self.executor)
-            )
-            contexts = [PipelineShardWorker(pipe) for pipe in self.pipelines]
-            # Mark the pristine post-build state *before* spawning, so
-            # every worker (and every crash replacement) inherits the
-            # rewind point and per-run resets ship zero payload.
-            for context in contexts:
-                context.handle("mark", None)
-            self.pool = ShardPool(contexts, mode=mode, **(pool_options or {}))
-        elif pool_options:
-            raise ValueError("pool_options requires pool=True")
+        self._runner = LaneRunner(
+            [{0: pipe} for pipe in self.pipelines], executor, pool, pool_options
+        )
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Worker lifecycle
     # ------------------------------------------------------------------
     @property
-    def pool_health(self):
+    def pool(self) -> ShardPool | None:
+        """The persistent worker pool (``None`` unless ``pool`` was set)."""
+        return self._runner.pool
+
+    @property
+    def pool_health(self) -> PoolHealth | None:
         """The pool's :class:`~repro.runtime.health.PoolHealth` counters
         (crashes, hangs, restarts, replayed/degraded chunks) — the only
         place a transparently recovered worker failure is visible.
-        ``None`` without a pool."""
+        ``None`` without a persistent pool."""
         return None if self.pool is None else self.pool.health
 
+    def workers(self):
+        """Context manager yielding the fork pool for one run of requests
+        the runtime does not model itself (e.g. read-only ``score``)."""
+        return self._runner.workers()
+
     def close(self) -> None:
-        """Shut the attached worker pool down (no-op without one)."""
-        if self.pool is not None:
-            self.pool.close()
+        """Shut the persistent worker pool down (no-op without one)."""
+        self._runner.close()
 
     def __enter__(self) -> "ShardedRuntime":
         return self
@@ -333,28 +519,10 @@ class ShardedRuntime:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def reset_state(self, snapshots: list[dict]) -> None:
-        """Restore every shard pipeline (and its pool worker) to
-        ``snapshots`` — one :meth:`TaurusPipeline.state_snapshot` per
-        shard.  This is how a pool owner gets fresh-run semantics from
-        warm workers: snapshot once, restore before each run."""
-        if len(snapshots) != self.shards:
-            raise ValueError(
-                f"got {len(snapshots)} snapshots for {self.shards} shards"
-            )
-        for pipe, snapshot in zip(self.pipelines, snapshots):
-            pipe.restore_state(snapshot)
-        if self.pool is not None and self.pool.transport:
-            self.pool.broadcast("restore", snapshots)
-        self._last_turn = self.pipelines[0].arbiter._turn
-
     def rewind_state(self) -> None:
         """Rewind every shard (parent and pool workers) to the pristine
-        post-build mark — the zero-payload twin of :meth:`reset_state`
-        (see :meth:`ShardPool.rewind`)."""
-        if self.pool is None:
-            raise RuntimeError("rewind_state requires a pool")
-        self.pool.rewind()
+        post-build mark, shipping no state (see :meth:`ShardPool.rewind`)."""
+        self._runner.rewind()
         self._last_turn = self.pipelines[0].arbiter._turn
 
     # ------------------------------------------------------------------
@@ -379,147 +547,34 @@ class ShardedRuntime:
         if columns.n == 0:
             self.last_drain_ns = 0.0
             return empty_trace_result()
-        if self.pool is not None:
-            return self._process_trace_pooled(trace, columns, chunk)
         if self.shards == 1:
-            # Zero-overhead degenerate case: no partition, no merge.
-            pipe = self.pipelines[0]
-            before = self._busy_cycles()
-            result = pipe.process_trace_batch(columns, chunk_size=chunk)
-            self.last_drain_ns = self._drain_ns(before)
-            self._last_turn = pipe.arbiter._turn
-            return result
-
-        parts = self._partition(trace, columns)
-        before = self._busy_cycles()
-        # Only fork workers need to ship pipeline state back — serial and
-        # thread strategies mutate this process's pipelines in place.
-        transport = resolve_executor(self.executor, len(parts)) == "fork"
-
-        def make_task(shard: int, sub: TraceColumns):
-            pipe = self.pipelines[shard]
-
-            def task():
-                result = pipe.process_trace_batch(sub, chunk_size=chunk)
-                return result, pipe.state_snapshot() if transport else None
-
-            return task
-
-        tasks = [make_task(shard, sub) for shard, (__, sub) in enumerate(parts)]
-        outcomes = run_tasks(tasks, self.executor)
-        if transport:
-            for pipe, (__, snapshot) in zip(self.pipelines, outcomes):
-                pipe.restore_state(snapshot)
-        self.last_drain_ns = self._drain_ns(before)
-        return self._merge(columns, parts, [result for result, __ in outcomes])
-
-    # ------------------------------------------------------------------
-    # Pooled execution (persistent workers, pipelined chunks)
-    # ------------------------------------------------------------------
-    def _process_trace_pooled(
-        self, trace, columns: TraceColumns, chunk: int
-    ) -> TracePipelineResult:
-        """The trace through the warm worker pool, chunk-pipelined.
-
-        Each shard's part is pre-sorted by arrival time (exactly the sort
-        ``process_trace_batch`` would apply) and sliced into chunks; the
-        pool stages and ships chunk ``k+1`` while the worker scores ``k``.
-        Per-chunk responses carry incremental state deltas in fork mode,
-        applied here **as each chunk is acked** — so this process's
-        pipelines track the workers chunk by chunk, which is both what
-        keeps merged state bit/stat-identical to the task-per-run path
-        and what lets the pool recover a crashed worker transparently
-        (a replacement re-forks from these pipelines, held at exactly
-        the last acked chunk; see :meth:`ShardPool.map_streams`).  If a
-        shard's workers cannot be kept alive at all, ``degrade`` scores
-        its remaining chunks on the parent pipeline directly — same
-        results, no parallelism, counted on :attr:`pool_health`.
-        """
-        if self.shards == 1:
-            # No partition/merge, but still chunk-pipelined to the worker.
             parts = [(np.arange(columns.n, dtype=np.int64), columns)]
         else:
             parts = self._partition(trace, columns)
+        if self._runner.forked:
+            # Workers score chunk-sized slices, so apply the arrival sort
+            # ``process_trace_batch`` would have applied before slicing.
+            unsorted, parts = parts, []
+            for indices, sub in unsorted:
+                order, sub = in_arrival_order(sub)
+                parts.append((indices[order], sub))
         before = self._busy_cycles()
-        want_delta = self.pool.transport
-
-        sorted_parts: list[tuple[np.ndarray, TraceColumns]] = []
-        streams = []
-        for indices, sub in parts:
-            order = np.argsort(sub.times, kind="stable")
-            if not np.array_equal(order, np.arange(sub.n)):
-                indices, sub = indices[order], sub.take(order)
-            sorted_parts.append((indices, sub))
-            n_chunks = -(-sub.n // chunk) if sub.n else 0
-            streams.append((self._chunk_requests(sub, chunk, want_delta), n_chunks))
-
-        def apply_delta(shard: int, __ordinal: int, response) -> None:
-            # Ack callback: land each chunk's incremental delta the
-            # moment it is acked (one supervisor thread per shard; each
-            # touches only its own pipeline, so no lock is needed).
-            __, delta = response
-            if delta is not None:
-                self.pipelines[shard].apply_state_delta(delta)
-
-        def degrade(shard: int, kind: str, payload):
-            # In-parent fallback: the parent pipeline already sits at the
-            # last acked chunk, so scoring continues on it directly.
-            # delta=None — the state change happened in this process.
-            if kind != "chunk":
-                raise RuntimeError(f"cannot degrade request kind {kind!r}")
-            chunk_columns, __ = payload
-            result = self.pipelines[shard].process_trace_batch(
-                chunk_columns, chunk_size=max(chunk_columns.n, 1)
-            )
-            return (result, None)
-
-        try:
-            responses = self.pool.map_streams(
-                streams, on_result=apply_delta, degrade=degrade
-            )
-        except RuntimeError:
-            # A failed run may have applied some worker chunks but not
-            # their deltas here; pull full snapshots so this process's
-            # pipelines stay consistent with the (surviving/replaced)
-            # workers instead of silently drifting on the next run.
-            self._resync_from_pool()
-            raise
-        results: list[TracePipelineResult] = [
-            concat_results([result for result, __ in shard_responses])
-            for shard_responses in responses
-        ]
+        lanes = self._runner.run([[(0, sub)] for __, sub in parts], chunk)
+        results = [lane[0] for lane in lanes]
         self.last_drain_ns = self._drain_ns(before)
         if self.shards == 1:
+            # No partition, no merge: the pipeline's own result.  Workers
+            # saw the trace pre-sorted, so re-expose the caller-order
+            # mapping one ``process_trace_batch`` call would report.
             self._last_turn = self.pipelines[0].arbiter._turn
-            result = results[0]
-            # Re-expose the caller-order mapping, exactly as one
-            # ``process_trace_batch`` call over the unsorted trace does.
-            return TracePipelineResult(
-                order=sorted_parts[0][0],
-                times=result.times,
-                decisions=result.decisions,
-                ml_scores=result.ml_scores,
-                latencies_ns=result.latencies_ns,
-                bypassed=result.bypassed,
-                aggregates=result.aggregates,
-            )
-        return self._merge(columns, sorted_parts, results)
-
-    @staticmethod
-    def _chunk_requests(sub: TraceColumns, chunk: int, want_delta: bool):
-        """Lazy chunk slicing — consumed by the pool's prefetch stage."""
-        for start in range(0, sub.n, chunk):
-            sliced = sub.slice(slice(start, min(start + chunk, sub.n)))
-            yield ("chunk", (sliced, want_delta))
-
-    def _resync_from_pool(self) -> None:
-        """Restore this process's pipelines from the workers' snapshots
-        (best effort — after a failed run the workers are the truth)."""
-        snapshots = self.pool.pull_snapshots()
-        if snapshots is None:
-            return
-        for pipe, snapshot in zip(self.pipelines, snapshots):
-            pipe.restore_state(snapshot)
+            if self._runner.forked:
+                return replace(results[0], order=parts[0][0])
+            return results[0]
+        merged = scatter_merge(columns, parts, results)
+        # The globally-last packet fixes the merged arbiter turn.
+        last = last_part(parts, results, merged.order[-1])
+        self._last_turn = self.pipelines[last or 0].arbiter._turn
+        return merged
 
     # ------------------------------------------------------------------
     # Partitioning
@@ -530,29 +585,6 @@ class ShardedRuntime:
             return trace.shard_columns(self.shards, self.slots)
         assignments = columns.shard_assignments(self.shards, self.slots)
         return columns.partition(assignments, self.shards)
-
-    # ------------------------------------------------------------------
-    # Merging
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        columns: TraceColumns,
-        parts,
-        results: list[TracePipelineResult],
-    ) -> TracePipelineResult:
-        """Merge shard outputs via :func:`scatter_merge`; fix the arbiter."""
-        merged = scatter_merge(columns, parts, results)
-        # The globally-last packet fixes the merged arbiter turn.
-        last_shard = self._shard_of(parts, merged.order[-1])
-        self._last_turn = self.pipelines[last_shard].arbiter._turn
-        return merged
-
-    @staticmethod
-    def _shard_of(parts, global_index: int) -> int:
-        for shard, (indices, __) in enumerate(parts):
-            if len(indices) and np.any(indices == global_index):
-                return shard
-        return 0
 
     # ------------------------------------------------------------------
     # Modeled hardware drain

@@ -23,14 +23,11 @@ Two trace-scale entry points:
 Both scale out: ``TaurusDataPlane(..., shards=N)`` partitions the trace
 across ``N`` parallel pipeline/block workers (flow-consistent for the
 switch path, so results stay bit-identical — see
-:class:`~repro.runtime.ShardedRuntime`), and ``overlap=True``
-double-buffers the scoring chunk loop so chunk ``k+1`` is staged while
-chunk ``k`` scores.
+:class:`~repro.runtime.ShardedRuntime`), in process or on forked workers.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +38,8 @@ from ..fixpoint import QuantizedModel
 from ..hw.grid import MapReduceBlock
 from ..mapreduce import dnn_graph
 from ..pisa import DECISION_FLAG, TaurusPipeline, threshold_postprocess
-from ..runtime import (
-    FabricApp,
-    MultiAppFabric,
-    MultiAppResult,
-    ShardedRuntime,
-    prefetch,
-    run_tasks,
-)
+from ..runtime import FabricApp, MultiAppFabric, MultiAppResult, ShardedRuntime
+from ..runtime.executors import selects_fork
 
 __all__ = ["DataPlaneResult", "TaurusDataPlane", "DEFAULT_CHUNK_SIZE"]
 
@@ -103,30 +94,26 @@ class TaurusDataPlane:
         Decision threshold for the anomaly postprocess hook.
     shards:
         Parallel workers for trace-scale runs.  ``run_switch`` partitions
-        by flow (register-slot-consistent, bit-identical results);
-        ``run``/``verify_equivalence`` split the stateless scoring pass
-        into contiguous row blocks.  ``1`` keeps the PR-2 single-pipeline
-        path untouched.
-    overlap:
-        Double-buffer the scoring chunk loop (stage chunk ``k+1`` on a
-        producer thread while chunk ``k`` scores).  Semantically a no-op.
+        by flow (register-slot-consistent, bit-identical results); on
+        forked workers ``run``/``verify_equivalence`` split the
+        stateless scoring pass into contiguous row blocks.  ``1`` keeps
+        the single-pipeline path untouched.
     executor:
-        Worker strategy for ``shards > 1``:
-        ``auto`` | ``serial`` | ``thread`` | ``fork``.
+        Where chunks are scored: ``auto`` | ``serial`` (in process) |
+        ``fork`` (forked workers).
     pool:
-        Keep a **persistent worker pool** warm across calls
+        Keep the fork workers **warm across calls**
         (:class:`~repro.runtime.ShardPool`).  ``run``, ``run_switch``,
         ``run_multi``, and ``verify_equivalence`` then reuse long-lived
-        pre-forked workers with pipelined chunk dispatch instead of
-        forking-and-tearing-down per call; per-run state restore keeps
-        every result bit/stat-identical to the fork-per-run path.  Use
-        the data plane as a context manager (or call :meth:`close`) to
-        shut pools down deterministically.
+        workers instead of forking and reaping per call; a per-run
+        rewind keeps every result bit/stat-identical to run-scoped
+        workers.  Use the data plane as a context manager (or call
+        :meth:`close`) to shut pools down deterministically.
     pool_options:
         Extra keyword arguments forwarded to every
         :class:`~repro.runtime.ShardPool` this data plane builds
         (``hang_timeout``, ``max_chunk_retries``, ``faults``, ...).
-        Requires ``pool=True``.
+        Requires ``pool=True`` or ``executor="fork"``.
     """
 
     def __init__(
@@ -134,19 +121,16 @@ class TaurusDataPlane:
         quantized: QuantizedModel,
         threshold: float = 0.5,
         shards: int = 1,
-        overlap: bool = True,
         executor: str = "auto",
         pool: bool = False,
         pool_options: dict | None = None,
     ):
         if shards <= 0:
             raise ValueError("shards must be positive")
-        if pool_options and not pool:
-            raise ValueError("pool_options requires pool=True")
+        self._forked = selects_fork(executor, pool, pool_options, shards)
         self.quantized = quantized
         self.threshold = threshold
         self.shards = shards
-        self.overlap = overlap
         self.executor = executor
         self.pool = bool(pool)
         self.pool_options = pool_options
@@ -239,89 +223,55 @@ class TaurusDataPlane:
     def _stream_scores(
         self, feats: np.ndarray, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> np.ndarray:
-        """Score features through the batched graph path, sharded/overlapped.
+        """Score features through the batched graph path, in chunks.
 
-        Scoring is stateless per row, so ``shards > 1`` splits the matrix
-        into contiguous row blocks — one per shard block — and evaluates
-        them on the executor; results concatenate back in order,
-        bit-identical to the serial pass.  With ``pool=True`` the row
-        blocks stream chunk-by-chunk to the warm workers instead (scoring
-        is read-only, so no state restore is needed).
+        Scoring is stateless per row and read-only, so the fork backend
+        splits the matrix into contiguous row blocks — one per worker —
+        and streams each block chunk-by-chunk; results concatenate back
+        in order, bit-identical to the in-process pass.
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.pool and len(feats) > chunk_size:
-            return self._stream_scores_pooled(feats, chunk_size)
-        if self.shards > 1 and len(feats) > chunk_size:
-            blocks = self._exact_shard_blocks()
-            bounds = np.linspace(0, len(feats), num=len(blocks) + 1, dtype=np.int64)
-            tasks = [
-                (
-                    lambda graph=block.graph, lo=int(lo), hi=int(hi): (
-                        self._score_chunks(graph, feats[lo:hi], chunk_size)
-                    )
-                )
-                for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:])
-            ]
-            return np.concatenate(run_tasks(tasks, self.executor))
-        return self._score_chunks(self.exact_block.graph, feats, chunk_size)
+        if self._forked and len(feats) > chunk_size:
+            return self._stream_scores_forked(feats, chunk_size)
+        # Values only: go straight to the graph interpreter rather than
+        # MapReduceBlock.run_batch, whose timing accounting would advance
+        # the block's issue clock for what is a read-only scoring pass.
+        graph = self.exact_block.graph
+        scores = np.empty(len(feats), dtype=np.float64)
+        for start in range(0, len(feats), chunk_size):
+            chunk = feats[start : start + chunk_size]
+            scores[start : start + len(chunk)] = graph.execute_batch(chunk)[:, 0]
+        return scores
 
-    def _stream_scores_pooled(
+    def _stream_scores_forked(
         self, feats: np.ndarray, chunk_size: int
     ) -> np.ndarray:
-        """The scoring pass through the warm pool, chunk-pipelined.
+        """The scoring pass on forked workers, chunk-pipelined.
 
-        Same contiguous row-block split per worker as the task path (so
-        scores concatenate back bit-identically), but each block ships as
-        a stream of ``score`` requests: chunk ``k+1`` crosses the pipe
-        while the worker's graph interpreter runs chunk ``k``.
+        Each worker's row block ships as a stream of ``score`` requests:
+        chunk ``k+1`` crosses the pipe while the worker's graph
+        interpreter runs chunk ``k``.
         """
-        runtime = self._pooled_runtime()
+        runtime = self._pooled_runtime() if self.pool else self.build_runtime()
         bounds = np.linspace(
             0, len(feats), num=runtime.shards + 1, dtype=np.int64
         )
 
         def score_requests(lo: int, hi: int):
             for start in range(lo, hi, chunk_size):
-                yield ("score", feats[start : min(start + chunk_size, hi)])
+                yield ("score", (0, feats[start : min(start + chunk_size, hi)]))
 
         streams = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             lo, hi = int(lo), int(hi)
             n_chunks = -(-(hi - lo) // chunk_size) if hi > lo else 0
             streams.append((score_requests(lo, hi), n_chunks))
-        responses = runtime.pool.map_streams(streams)
+        with runtime.workers() as workers:
+            responses = workers.map_streams(streams)
         return np.concatenate(
-            [np.concatenate(parts) for parts in responses if parts]
+            [scores for parts in responses for __, scores in parts]
         )
-
-    def _score_chunks(
-        self, graph, feats: np.ndarray, chunk_size: int
-    ) -> np.ndarray:
-        """One worker's chunk loop (optionally double-buffered)."""
-        # Values only: go straight to the graph interpreter rather than
-        # MapReduceBlock.run_batch, whose timing accounting would advance
-        # the block's issue clock for what is a read-only scoring pass.
-        scores = np.empty(len(feats), dtype=np.float64)
-        chunks = (
-            (start, feats[start : start + chunk_size])
-            for start in range(0, len(feats), chunk_size)
-        )
-        if self.overlap and len(feats) > chunk_size:
-            # The producer side is the seam for staging work (slicing now;
-            # trace generation / replay I/O in the async-replay follow-on).
-            # prefetch() is a context manager: if scoring raises, the
-            # producer thread is stopped deterministically rather than
-            # waiting for GC to collect an abandoned iterator.
-            staged = prefetch(chunks, depth=2)
-        else:
-            staged = contextlib.nullcontext(chunks)
-        with staged as stream:
-            for start, chunk in stream:
-                scores[start : start + len(chunk)] = graph.execute_batch(
-                    chunk
-                )[:, 0]
-        return scores
 
     def run(
         self, trace: PacketTrace, chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -365,6 +315,7 @@ class TaurusDataPlane:
             lambda shard: self.build_pipeline(feature_names, block=blocks[shard]),
             shards=self.shards,
             executor=self.executor,
+            pool_options=None if self.pool else self.pool_options,
         )
 
     def run_switch(
@@ -381,9 +332,9 @@ class TaurusDataPlane:
         the shard workers and merged bit-identically (the modeled
         parallel drain of the run lands in
         :attr:`last_modeled_drain_ns`).  With ``pool=True`` the warm
-        worker pool serves the run instead: workers are restored to the
-        pristine baseline first, so repeated calls still see identical
-        register state — without paying a fork-and-teardown per call.
+        workers serve the run instead: they are rewound to the pristine
+        baseline first, so repeated calls still see identical register
+        state — without paying a fork-and-reap per call.
         """
         if self.pool:
             runtime = self._pooled_runtime()
@@ -471,6 +422,7 @@ class TaurusDataPlane:
                 executor=self.executor,
                 chunk_size=chunk_size,
                 policy=policy,
+                pool_options=self.pool_options,
             )
             outcome = fabric.run(traces)
         self.last_modeled_drain_ns = outcome.drain_ns

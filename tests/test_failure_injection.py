@@ -33,15 +33,13 @@ from repro.runtime import (
     PoisonChunk,
     PoolError,
     ShardPool,
-    ShardedRuntime,
 )
 
 from test_shard_runtime import (
     _assert_equivalent,
     _oracle,
-    _pipeline,
     _random_columns,
-    _reset,
+    _runtime,
 )
 
 HAS_FORK = hasattr(os, "fork")
@@ -177,14 +175,9 @@ def blocks(quantized_dnn):
     ]
 
 
-def _pooled_runtime(blocks, shards, pool_options=None):
-    for block in blocks[1 : shards + 1]:
-        _reset(block)
-    return ShardedRuntime(
-        lambda i: _pipeline(blocks[i + 1], slots=16, tables=True),
-        shards=shards,
-        executor="serial",
-        pool="fork",
+def _pooled_runtime(blocks, shards, pool_options=None, backend="pool"):
+    return _runtime(
+        blocks, shards, slots=16, tables=True, backend=backend,
         pool_options=pool_options,
     )
 
@@ -273,6 +266,23 @@ class TestCrashTransparentRuns:
             assert health.worker(0).hangs == 1
             assert health.crashes == 0  # a hang is not an exit
             assert runtime.pool.alive() == [True] * shards
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_run_scoped_kill_identity(self, blocks, shards):
+        """Workers that live for one run recover the same way: a seeded
+        kill inside an ``executor="fork"`` run (no pool kept) is
+        bit/stat-identical to the in-process oracle."""
+        plan = FaultPlan().add(shards - 1, 1, "kill")
+        oracle = _oracle(blocks, slots=16, tables=True)
+        runtime = _pooled_runtime(
+            blocks, shards, backend="fork",
+            pool_options=dict(FAST_WATCHDOG, faults=plan),
+        )
+        _assert_equivalent(oracle, runtime, _random_columns(seed=111, n=150))
+        assert plan.fired == [(shards - 1, 1, "kill")]
+        assert runtime.pool is None and runtime.pool_health is None
+        # The next run forks fresh workers from the recovered state.
+        _assert_equivalent(oracle, runtime, _random_columns(seed=112, n=90))
 
     def test_delay_fault_is_benign(self, blocks):
         """``delay`` shifts timing without breaking anything — the
@@ -434,7 +444,9 @@ class TestPoisonChunkAndDegradedMode:
 
 class TestFaultConfigValidation:
     def test_thread_mode_rejects_faults(self):
-        with pytest.raises(ValueError, match="fault injection requires fork"):
+        """There is no thread mode left to inject faults into: the pool
+        refuses the mode itself."""
+        with pytest.raises(ValueError, match="unknown pool mode 'thread'"):
             ShardPool([_Echo()], mode="thread", faults=FaultPlan())
 
     def test_pool_options_require_pool(self, quantized_dnn):

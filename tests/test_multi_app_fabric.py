@@ -33,6 +33,8 @@ from repro.runtime import (
     schedule_chunks,
 )
 
+from test_shard_runtime import BACKENDS, backend_cases
+
 HAS_FORK = hasattr(os, "fork")
 CFG = CongestionTraceConfig()
 
@@ -171,38 +173,39 @@ class TestMultiAppIdentity:
             _assert_state_matches(fabric, "anomaly", pipe_a)
             _assert_state_matches(fabric, "congestion", pipe_c)
 
-    @pytest.mark.parametrize(
-        "executor",
-        ["serial", "thread"] + (["fork"] if HAS_FORK else []),
-    )
+    @pytest.mark.parametrize("backend, shards", backend_cases())
     def test_executors_agree(
-        self, quantized_dnn, lstm, anomaly_trace, congestion_trace, executor
+        self, quantized_dnn, lstm, anomaly_trace, congestion_trace,
+        backend, shards,
     ):
-        """Every executor produces the oracle's exact results and state
+        """Every backend produces the oracle's exact results and state
         (fork additionally proves multi-pipeline-per-lane write-back)."""
         apps = _apps(quantized_dnn, lstm)
         oracle_a, pipe_a = _oracle(apps[0], anomaly_trace)
         oracle_c, pipe_c = _oracle(apps[1], congestion_trace)
-        fabric = MultiAppFabric(
-            apps, shards=2, chunk_size=64, executor=executor
-        )
-        outcome = fabric.run(
-            {"anomaly": anomaly_trace, "congestion": congestion_trace}
-        )
-        _assert_result_equal(outcome.results["anomaly"], oracle_a, "anomaly")
-        _assert_result_equal(
-            outcome.results["congestion"], oracle_c, "congestion"
-        )
-        _assert_state_matches(fabric, "anomaly", pipe_a)
-        _assert_state_matches(fabric, "congestion", pipe_c)
+        with MultiAppFabric(
+            apps, shards=shards, chunk_size=64, **BACKENDS[backend]
+        ) as fabric:
+            outcome = fabric.run(
+                {"anomaly": anomaly_trace, "congestion": congestion_trace}
+            )
+            _assert_result_equal(
+                outcome.results["anomaly"], oracle_a, "anomaly"
+            )
+            _assert_result_equal(
+                outcome.results["congestion"], oracle_c, "congestion"
+            )
+            _assert_state_matches(fabric, "anomaly", pipe_a)
+            _assert_state_matches(fabric, "congestion", pipe_c)
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork executor needs POSIX")
     def test_fork_restores_resident_program(
         self, quantized_dnn, lstm, anomaly_trace, congestion_trace
     ):
         """Regression: fork write-back must also sync which program each
-        lane's block left resident — otherwise a *second* run on the same
-        fabric models a different reconfiguration bill per executor."""
+        lane's block left resident (it rides every chunk's state delta)
+        — otherwise a *second* run on the same fabric models a different
+        reconfiguration bill per executor."""
         outcomes = {}
         for executor in ("serial", "fork"):
             # Three apps on two lanes: lane 0 time-multiplexes two apps,

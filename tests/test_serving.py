@@ -42,6 +42,8 @@ from repro.runtime import (
 from repro.testbed import bursty_schedule, chunk_columns, replay_virtual
 
 from test_shard_runtime import (
+    BACKENDS,
+    backend_cases,
     _oracle,
     _pipeline,
     _random_columns,
@@ -60,19 +62,21 @@ CHUNK = 16
 
 @pytest.fixture(scope="module")
 def blocks(quantized_dnn):
-    """Oracle block + two shard blocks, identically configured."""
-    return [MapReduceBlock(dnn_graph(quantized_dnn)) for __ in range(3)]
+    """Oracle block + up to four shard blocks, identically configured."""
+    return [MapReduceBlock(dnn_graph(quantized_dnn)) for __ in range(5)]
 
 
 def _runtime(blocks, shards=2, pool=None, pool_options=None) -> ShardedRuntime:
+    """In process by default; ``pool`` picks a backend of
+    ``test_shard_runtime.BACKENDS`` (``"fork"`` forks per request,
+    ``"pool"`` keeps the workers warm)."""
     for block in blocks[1 : shards + 1]:
         _reset(block)
     return ShardedRuntime(
         lambda i: _pipeline(blocks[i + 1], SLOTS, tables=False),
         shards=shards,
-        executor="serial",
-        pool=pool,
         pool_options=pool_options,
+        **BACKENDS[pool or "serial"],
     )
 
 
@@ -355,8 +359,11 @@ def _serve_and_replay(blocks, pool, pool_options=None, shards=2):
 
 
 class TestServedResultsIdentity:
-    def test_thread_pool_matches_oracle(self, blocks):
-        pairs, __ = _serve_and_replay(blocks, pool="thread")
+    @pytest.mark.parametrize("backend, shards", backend_cases())
+    def test_served_results_match_oracle(self, blocks, backend, shards):
+        """Every accepted chunk's result == the oracle replaying the
+        recorded scoring order, whichever backend scores the requests."""
+        pairs, __ = _serve_and_replay(blocks, pool=backend, shards=shards)
         assert all(_results_equal(e, g) for e, g in pairs)
 
     @fork_only
@@ -372,7 +379,7 @@ class TestServedResultsIdentity:
             .add(worker=1, ordinal=0, kind="kill")
         )
         pairs, stats = _serve_and_replay(
-            blocks, pool="fork",
+            blocks, pool="pool",
             pool_options={"faults": plan, **FAST_WATCHDOG},
         )
         assert stats.pool is not None and stats.pool.crashes >= 2
@@ -388,7 +395,7 @@ class TestServedResultsIdentity:
         plan = FaultPlan().add(worker=0, ordinal=0, kind="hang", seconds=30.0)
         chunks = _chunks(seed=5, n=120, size=24)
         svc = _service(
-            _runtime(blocks, pool="fork",
+            _runtime(blocks, pool="pool",
                      pool_options={"faults": plan, **FAST_WATCHDOG}),
             clock=VirtualClock(), depth=len(chunks),
         )
@@ -440,7 +447,7 @@ class TestMultiTenantFabric:
         iot_chunks = chunk_columns(iot_packet_trace(120, seed=4), 20)
         clock = VirtualClock()
         svc = InferenceService(
-            make_fabric("thread"),
+            make_fabric(HAS_FORK),
             [
                 ClientSpec(name="secops", app="anomaly", queue_depth=16),
                 ClientSpec(name="iot-floor", app="iot", queue_depth=16),
@@ -509,7 +516,8 @@ class TestLifecycle:
     def test_interval_stats_window(self, blocks):
         clock = VirtualClock()
         with _service(
-            _runtime(blocks, pool="thread"), clock=clock, depth=8
+            _runtime(blocks, pool="pool" if HAS_FORK else None),
+            clock=clock, depth=8,
         ) as svc:
             chunks = _chunks(n=60, size=20)
             svc.interval_stats()  # open a fresh window
@@ -518,7 +526,8 @@ class TestLifecycle:
             svc.pump()
             window = svc.interval_stats()
             assert window.completed == len(chunks)
-            assert window.pool is not None  # rides PoolHealth.snapshot
+            if HAS_FORK:
+                assert window.pool is not None  # rides PoolHealth.snapshot
             idle = svc.interval_stats()
             assert idle.completed == 0 and idle.submitted == 0
             assert np.isnan(idle.p50_decision_s)
@@ -527,7 +536,7 @@ class TestLifecycle:
 
     def test_close_is_idempotent_and_closes_backend(self, blocks):
         clock = VirtualClock()
-        runtime = _runtime(blocks, pool="thread")
+        runtime = _runtime(blocks, pool="pool" if HAS_FORK else None)
         svc = _service(runtime, clock=clock)
         svc.submit("tenant", _chunks()[0])
         svc.close()

@@ -1,25 +1,28 @@
-"""Lifecycle + identity tests for the persistent shard worker pool.
+"""Lifecycle + identity tests for the shard worker pool.
 
-:class:`~repro.runtime.ShardPool` keeps pre-forked (or thread-backed)
-workers warm across runs and dispatches pipelined chunks instead of one
-task per run.  These tests pin the contract down:
+:class:`~repro.runtime.ShardPool` is the fork backend: pre-forked workers
+that live for one run or are kept warm across runs, fed pipelined
+chunks.  These tests pin the contract down:
 
-* repeated runs on one pool are **bit/stat-identical** to the
-  fork-per-run oracle (and to the single-pipeline oracle), including
-  per-chunk incremental state-delta transport;
+* runs on every backend (in-process, fork workers for one run, fork
+  workers kept warm) are **bit/stat-identical** to the single-pipeline
+  oracle, including per-chunk incremental state-delta transport;
+* a fork run that does not keep its workers leaves nothing behind — no
+  child process, no pool thread — whether it returns or raises;
 * a killed worker is detected, reported with its exit status, and
   replaced by a fresh fork;
 * pool close is deterministic — bounded, idempotent, and safe under an
   abandoned mid-trace run;
 * the ``pool=True`` surfaces on :class:`TaurusDataPlane`
   (``run`` / ``run_switch`` / ``run_multi`` / ``verify_equivalence``)
-  match their fork-per-run twins call for call.
+  match their run-scoped twins call for call.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -27,19 +30,37 @@ import pytest
 
 from repro.hw import MapReduceBlock
 from repro.mapreduce import dnn_graph
-from repro.runtime import ShardPool, ShardedRuntime, WorkerCrash
+from repro.runtime import ShardPool, WorkerCrash
 
 from test_shard_runtime import (
     MAX_SHARDS,
     _assert_equivalent,
     _oracle,
-    _pipeline,
     _random_columns,
-    _reset,
+    _runtime,
+    fork_only,
 )
 
 HAS_FORK = hasattr(os, "fork")
-POOL_MODES = ["thread"] + (["fork"] if HAS_FORK else [])
+
+#: This file's ids for the backends of ``test_shard_runtime.BACKENDS``:
+#: ``fork`` has always meant the kept-warm pool here.
+MODES = {"in-process": "serial", "fork-run": "fork", "fork": "pool"}
+
+
+def mode_params(shard_counts=None):
+    """One param per mode — or per ``(mode, shards)``, where the
+    two-shard ids stay bare (``[fork]``), as before the shard axis."""
+    return [
+        pytest.param(
+            mode,
+            *(() if shards is None else (shards,)),
+            id=mode if shards in (None, 2) else f"{mode}-{shards}",
+            marks=() if mode == "in-process" else fork_only,
+        )
+        for mode in MODES
+        for shards in (shard_counts or [None])
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +72,7 @@ def blocks(quantized_dnn):
 
 
 def _pooled_runtime(blocks, shards, slots, tables, mode, pool_options=None):
-    for block in blocks[1 : shards + 1]:
-        _reset(block)
-    return ShardedRuntime(
-        lambda i: _pipeline(blocks[i + 1], slots, tables),
-        shards=shards,
-        executor="serial",
-        pool=mode,
-        pool_options=pool_options,
-    )
+    return _runtime(blocks, shards, slots, tables, MODES[mode], pool_options)
 
 
 class _Sleeper:
@@ -73,41 +86,41 @@ class _Sleeper:
 
 
 class TestPoolIdentity:
-    @pytest.mark.parametrize("mode", POOL_MODES)
+    @pytest.mark.parametrize("mode", mode_params())
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_pool_matches_oracle(self, blocks, shards, mode):
-        """One pooled run == the single-pipeline oracle, every observable."""
+        """One run == the single-pipeline oracle, every observable."""
         columns = _random_columns(seed=31, n=150)
         oracle = _oracle(blocks, slots=16, tables=True)
         runtime = _pooled_runtime(blocks, shards, slots=16, tables=True, mode=mode)
         with runtime:
             _assert_equivalent(oracle, runtime, columns)
 
-    @pytest.mark.parametrize("mode", POOL_MODES)
-    def test_repeated_runs_match_fork_per_run(self, blocks, mode):
-        """Warm workers across back-to-back runs == fresh forks per run.
+    @pytest.mark.parametrize("mode, shards", mode_params((1, 2, 4)))
+    def test_repeated_runs_match_fork_per_run(self, blocks, mode, shards):
+        """Back-to-back runs accumulate state exactly like one pipeline.
 
-        The fork-per-run oracle (the PR-3 executor path) accumulates
-        pipeline state across runs; warm pool workers must accumulate
-        the same state chunk-delta by chunk-delta.
+        Fresh forks per run start from the parent's accumulated state;
+        warm workers accumulate their own and ship it chunk-delta by
+        chunk-delta; the in-process loop mutates it in place.  All three
+        must track the oracle across runs.
         """
         oracle = _oracle(blocks, slots=16, tables=True)
-        runtime = _pooled_runtime(blocks, 2, slots=16, tables=True, mode=mode)
+        runtime = _pooled_runtime(blocks, shards, slots=16, tables=True, mode=mode)
         with runtime:
             for seed in (32, 33, 34):
                 _assert_equivalent(
                     oracle, runtime, _random_columns(seed, 90), chunk_size=16
                 )
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
-    def test_reset_state_gives_fresh_run_semantics(self, blocks):
-        """snapshot/restore per run == rebuilding pipelines per run."""
+    @fork_only
+    def test_rewind_gives_fresh_run_semantics(self, blocks):
+        """Rewinding to the mark per run == rebuilding pipelines per run."""
         runtime = _pooled_runtime(blocks, 2, slots=16, tables=True, mode="fork")
         with runtime:
-            baseline = [pipe.state_snapshot() for pipe in runtime.pipelines]
             columns = _random_columns(seed=35, n=80)
             first = runtime.process_trace(columns, chunk_size=16)
-            runtime.reset_state(baseline)
+            runtime.rewind_state()
             second = runtime.process_trace(columns, chunk_size=16)
             assert np.array_equal(first.decisions, second.decisions)
             assert np.array_equal(
@@ -116,6 +129,93 @@ class TestPoolIdentity:
             state = runtime.merged_state()
             # Two identical fresh runs, not one accumulated double run.
             assert state["parser_packets"] == columns.n
+
+
+@fork_only
+class TestRunScopedWorkers:
+    """``executor="fork"`` without ``pool``: the workers' lifetime is one
+    run, and the run cleans up after itself on every exit path."""
+
+    @pytest.fixture()
+    def new_threads(self):
+        """Names of the threads started since the test began that are
+        still alive (earlier tests may have abandoned some of their own)."""
+        before = set(threading.enumerate())
+        return lambda: [t.name for t in set(threading.enumerate()) - before]
+
+    @staticmethod
+    def _spy_on_spawns(monkeypatch):
+        """Record every worker pid forked while the patch is active."""
+        import repro.runtime.pool as pool_module
+
+        pids: list[int] = []
+        real = pool_module.ForkWorker
+
+        class Spy(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pids.append(self.pid)
+
+        monkeypatch.setattr(pool_module, "ForkWorker", Spy)
+        return pids
+
+    @staticmethod
+    def _assert_gone(pids):
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # reaped, not leaked
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_returning_run_leaves_nothing_behind(
+        self, blocks, shards, monkeypatch, new_threads
+    ):
+        pids = self._spy_on_spawns(monkeypatch)
+        oracle = _oracle(blocks, slots=16, tables=True)
+        runtime = _pooled_runtime(blocks, shards, 16, True, mode="fork-run")
+        _assert_equivalent(oracle, runtime, _random_columns(41, 90))
+        assert len(pids) == shards
+        self._assert_gone(pids)
+        assert new_threads() == []
+        assert runtime.pool is None and runtime.pool_health is None
+
+    def test_raising_run_leaves_nothing_behind(
+        self, blocks, monkeypatch, new_threads
+    ):
+        pids = self._spy_on_spawns(monkeypatch)
+        runtime = _pooled_runtime(blocks, 2, 16, True, mode="fork-run")
+
+        def boom(*args, **kwargs):
+            raise ValueError("chunk exploded")
+
+        runtime.pipelines[1].process_trace_batch = boom  # inherited by the fork
+        with pytest.raises(RuntimeError, match="chunk exploded"):
+            runtime.process_trace(_random_columns(42, 90), chunk_size=16)
+        assert len(pids) == 2
+        self._assert_gone(pids)
+        assert new_threads() == []
+
+    def test_fabric_run_leaves_nothing_behind(
+        self, quantized_dnn, monkeypatch, new_threads
+    ):
+        from repro.datasets import expand_to_packets, generate_connections
+        from repro.runtime import FabricApp, MultiAppFabric
+
+        pids = self._spy_on_spawns(monkeypatch)
+        trace = expand_to_packets(
+            generate_connections(60, seed=43), max_packets=200, seed=43
+        )
+        apps = [
+            FabricApp.from_quantized_dnn(quantized_dnn, name=name)
+            for name in ("a", "b")
+        ]
+        fabric = MultiAppFabric(apps, shards=2, chunk_size=32, executor="fork")
+        fabric.run([trace, trace])
+        assert len(pids) == 2
+        self._assert_gone(pids)
+        assert new_threads() == []
+        with pytest.raises(ValueError, match="missing traces"):
+            fabric.run({"a": trace})  # raises before any fork
+        assert len(pids) == 2
 
 
 class TestPoolLifecycle:
@@ -197,7 +297,8 @@ class TestPoolLifecycle:
             "not per teardown phase"
         )
 
-    @pytest.mark.parametrize("mode", POOL_MODES)
+    @fork_only
+    @pytest.mark.parametrize("mode", ["fork"])  # the one worker kind left
     def test_dispatch_stream_failure_surfaces_not_hangs(self, mode):
         """A request stream whose iterator raises mid-run must fail the
         run promptly (echoed through the worker as an abort) instead of
@@ -230,24 +331,25 @@ class TestPoolLifecycle:
             columns = _random_columns(seed=61, n=80)
             # Poison one chunk payload so dispatch fails mid-run on one
             # shard while other chunks have already executed.
-            real_requests = ShardedRuntime._chunk_requests
+            runner = runtime._runner
+            real_requests = runner._requests
 
-            def poisoned(sub, chunk, want_delta):
-                for i, request in enumerate(real_requests(sub, chunk, want_delta)):
+            def poisoned(schedule, chunk):
+                for i, request in enumerate(real_requests(schedule, chunk)):
                     if i == 1:
                         raise RuntimeError("poisoned chunk")
                     yield request
 
-            runtime._chunk_requests = poisoned
+            runner._requests = poisoned
             with pytest.raises(RuntimeError):
                 runtime.process_trace(columns, chunk_size=16)
-            runtime._chunk_requests = real_requests
+            del runner._requests
             # The invariant the resync maintains: this process's
             # pipelines equal the workers', observable for observable,
             # even though the failed run's deltas were discarded.
             snapshots = runtime.pool.broadcast("snapshot")
-            for pipe, theirs in zip(runtime.pipelines, snapshots):
-                mine = pipe.state_snapshot()
+            for pipe, per_app in zip(runtime.pipelines, snapshots):
+                mine, theirs = pipe.state_snapshot(), per_app[0]
                 assert mine["stats"] == theirs["stats"]
                 for name, values in theirs["registers"].items():
                     assert np.array_equal(mine["registers"][name], values)
@@ -274,40 +376,8 @@ class TestPoolLifecycle:
         # Clean EOF exits, not signal deaths.
         assert [slot.worker._exit_status for slot in pool._slots] == [0, 0, 0]
 
-    def test_thread_mode_close_unblocks_inflight_run(self):
-        """Regression: thread-mode close() mid-run broke the stream
-        without signalling, stranding the run's collector in an untimed
-        response-queue get forever."""
-        import threading
-
-        release = threading.Event()
-
-        class Slow:
-            def handle(self, kind, payload):
-                release.wait(5.0)
-                return payload
-
-        pool = ShardPool([Slow()], mode="thread", close_timeout=0.5)
-        outcome = {}
-
-        def run():
-            try:
-                outcome["result"] = pool.map_streams(
-                    [(iter([("echo", i) for i in range(4)]), 4)]
-                )
-            except RuntimeError as exc:
-                outcome["error"] = str(exc)
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        time.sleep(0.2)  # the run is now in flight on the worker
-        pool.close()
-        release.set()  # let the in-flight chunk finish
-        runner.join(timeout=3.0)
-        assert not runner.is_alive(), "run stranded after close()"
-        assert "error" in outcome  # aborted, not silently short-delivered
-
-    @pytest.mark.parametrize("mode", POOL_MODES)
+    @fork_only
+    @pytest.mark.parametrize("mode", ["fork"])  # the one worker kind left
     def test_worker_exception_is_in_band(self, mode):
         """A handler exception fails the run but leaves the worker alive
         and the conversation in sync."""
@@ -325,12 +395,12 @@ class TestPoolLifecycle:
             assert pool.broadcast("echo", [41]) == [41]
 
     def test_pool_validation(self):
-        with pytest.raises(ValueError):
-            ShardPool([], mode="thread")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one"):
+            ShardPool([])
+        with pytest.raises(ValueError, match="unknown pool mode"):
             ShardPool([_Sleeper()], mode="hyperdrive")
-        with pytest.raises(ValueError):
-            ShardPool([_Sleeper()], mode="thread", window=0)
+        with pytest.raises(ValueError, match="window"):
+            ShardPool([_Sleeper()], window=0)
 
 
 class TestPooledDataPlane:
@@ -346,10 +416,9 @@ class TestPooledDataPlane:
     ):
         from repro.testbed.dataplane import TaurusDataPlane
 
-        executor = "fork" if HAS_FORK else "thread"
-        plain = TaurusDataPlane(quantized_dnn, shards=2, executor=executor)
+        plain = TaurusDataPlane(quantized_dnn, shards=2, executor="fork")
         with TaurusDataPlane(
-            quantized_dnn, shards=2, executor=executor, pool=True
+            quantized_dnn, shards=2, executor="fork", pool=True
         ) as pooled:
             for __ in range(3):
                 expected = plain.run_switch(small_trace, chunk_size=64)

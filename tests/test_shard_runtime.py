@@ -7,7 +7,8 @@ PR-2 oracle) and the runtime at shards ∈ {1, 2, 4} and assert every
 observable matches bit/stat-for-bit — merged decisions, scores, latencies,
 bypass flags, aggregates, stats, MAT counters, register contents, parser
 and block counters, queue watermarks, and the arbiter turn — across
-TCP/UDP mixes, register-collision traces, and all executor strategies.
+TCP/UDP mixes, register-collision traces, and every backend (the
+in-process loop, fork workers for one run, fork workers kept warm).
 """
 
 from __future__ import annotations
@@ -35,10 +36,39 @@ from repro.pisa import (
     TaurusPipeline,
     threshold_postprocess,
 )
-from repro.runtime import ShardedRuntime, prefetch, run_tasks
+from repro.runtime import MultiAppFabric, ShardPool, ShardedRuntime, prefetch
 
 MAX_SHARDS = 4
 HAS_FORK = hasattr(os, "fork")
+fork_only = pytest.mark.skipif(not HAS_FORK, reason="fork workers need POSIX")
+
+#: The surviving ways to run shards, as ``ShardedRuntime`` /
+#: ``MultiAppFabric`` keyword arguments: the in-process loop, fork
+#: workers that live for one run, and fork workers kept warm.
+BACKENDS = {
+    "serial": {"executor": "serial"},
+    "fork": {"executor": "fork"},
+    "pool": {"executor": "fork", "pool": True},
+}
+
+
+def backend_cases(shard_counts=(1, 2, 4)):
+    """``(backend, shards)`` params over every backend and shard count.
+
+    The two-shard cases keep the bare backend name as their id
+    (``[fork]``), so ids recorded before the shard axis existed still
+    name the same case.
+    """
+    return [
+        pytest.param(
+            name,
+            shards,
+            id=name if shards == 2 else f"{name}-{shards}",
+            marks=() if name == "serial" else fork_only,
+        )
+        for name in BACKENDS
+        for shards in shard_counts
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +155,17 @@ def _oracle(blocks, slots: int, tables: bool) -> TaurusPipeline:
 
 
 def _runtime(
-    blocks, shards: int, slots: int, tables: bool, executor: str = "serial"
+    blocks, shards: int, slots: int, tables: bool, backend: str = "serial",
+    pool_options: dict | None = None,
 ) -> ShardedRuntime:
+    """A runtime on ``backend``; close it (``with``) when it is ``pool``."""
     for block in blocks[1 : shards + 1]:
         _reset(block)
     return ShardedRuntime(
         lambda i: _pipeline(blocks[i + 1], slots, tables),
         shards=shards,
-        executor=executor,
+        pool_options=pool_options,
+        **BACKENDS[backend],
     )
 
 
@@ -215,22 +248,19 @@ class TestShardMergeDeterminism:
         expected, __ = _assert_equivalent(oracle, runtime, columns)
         assert len({int(d) for d in expected.decisions}) >= 2
 
-    @pytest.mark.parametrize(
-        "executor",
-        ["serial", "thread"]
-        + (["fork"] if HAS_FORK else []),
-    )
-    def test_executors_agree(self, blocks, executor):
-        """Every executor strategy produces the oracle's exact state.
+    @pytest.mark.parametrize("backend, shards", backend_cases())
+    def test_executors_agree(self, blocks, backend, shards):
+        """Every backend produces the oracle's exact state.
 
-        The fork strategy additionally proves worker-state write-back:
+        The fork backends additionally prove worker-state write-back:
         registers, counters, and the block clock mutate in a child
-        process and must land back in the parent's pipelines.
+        process and must land back in the parent's pipelines, chunk
+        delta by chunk delta.
         """
         columns = _random_columns(seed=2, n=120)
         oracle = _oracle(blocks, slots=8, tables=True)
-        runtime = _runtime(blocks, 2, slots=8, tables=True, executor=executor)
-        _assert_equivalent(oracle, runtime, columns)
+        with _runtime(blocks, shards, slots=8, tables=True, backend=backend) as runtime:
+            _assert_equivalent(oracle, runtime, columns)
 
     def test_sequential_runs_accumulate_state(self, blocks):
         """Back-to-back traces keep register state, like one pipeline."""
@@ -311,22 +341,14 @@ class TestShardedDataPlane:
         __, test = train_test_split
         trace = expand_to_packets(test, max_packets=500, seed=21)
         base = TaurusDataPlane(quantized_dnn)
-        sharded = TaurusDataPlane(quantized_dnn, shards=3, executor="thread")
+        executor = "fork" if HAS_FORK else "serial"
+        sharded = TaurusDataPlane(quantized_dnn, shards=3, executor=executor)
         assert base.run_switch(trace) == sharded.run_switch(trace)
         assert 0 < sharded.last_modeled_drain_ns < base.last_modeled_drain_ns
-        # The scoring shortcut agrees too, sharded + double-buffered
-        # (small chunks force the multi-worker split).
+        # The scoring shortcut agrees too, sharded (small chunks force
+        # the multi-worker row-block split on the fork backend).
         assert base.run(trace, chunk_size=64) == sharded.run(trace, chunk_size=64)
         assert sharded.verify_equivalence(trace, chunk_size=64)
-
-    def test_overlap_is_a_no_op_semantically(self, quantized_dnn, train_test_split):
-        from repro.testbed.dataplane import TaurusDataPlane
-
-        __, test = train_test_split
-        trace = expand_to_packets(test, max_packets=300, seed=22)
-        plain = TaurusDataPlane(quantized_dnn, overlap=False)
-        buffered = TaurusDataPlane(quantized_dnn, overlap=True)
-        assert plain.run(trace, chunk_size=32) == buffered.run(trace, chunk_size=32)
 
     def test_shards_validated(self, quantized_dnn):
         from repro.testbed.dataplane import TaurusDataPlane
@@ -541,36 +563,16 @@ class TestRuntimePrimitives:
         assert not consumer.is_alive(), "consumer stranded after close()"
         assert outcome["value"] == "stopped"
 
-    def test_thread_executor_caps_workers_at_host_cpus(self, monkeypatch):
-        """Regression: ``run_tasks`` spawned ``len(tasks)`` threads no
-        matter the host, oversubscribing small machines on wide runs."""
-        from repro.runtime import executors
-
-        captured = {}
-        real_pool = executors.ThreadPoolExecutor
-
-        class SpyPool(real_pool):
-            def __init__(self, max_workers=None, **kwargs):
-                captured["max_workers"] = max_workers
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(executors, "ThreadPoolExecutor", SpyPool)
-        monkeypatch.setattr(executors, "available_parallelism", lambda: 3)
-        out = run_tasks([lambda i=i: i for i in range(16)], "thread")
-        assert out == list(range(16))
-        assert captured["max_workers"] == 3
-        # Fewer tasks than CPUs still sizes to the tasks.
-        captured.clear()
-        run_tasks([lambda: 1, lambda: 2], "thread")
-        assert captured["max_workers"] == 2
-
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"),
         reason="counts fds via /proc (Linux) and needs fork",
     )
-    def test_fork_failure_closes_pipes_and_reaps_children(self, monkeypatch):
-        """Regression: a mid-loop ``os.fork`` failure (e.g. EAGAIN) leaked
-        the just-created pipe pair and left earlier children unreaped."""
+    def test_fork_failure_closes_pipes_and_reaps_children(
+        self, blocks, monkeypatch
+    ):
+        """A mid-spawn ``os.fork`` failure (e.g. EAGAIN) while a fork run
+        builds its workers must not leak the just-created pipe pairs or
+        leave the earlier children unreaped."""
         import errno
 
         real_fork = os.fork
@@ -586,11 +588,14 @@ class TestRuntimePrimitives:
                 spawned.append(pid)
             return pid
 
-        open_fds = lambda: len(os.listdir("/proc/self/fd"))
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        runtime = _runtime(blocks, 2, slots=16, tables=False, backend="fork")
         before = open_fds()
         monkeypatch.setattr(os, "fork", flaky_fork)
         with pytest.raises(OSError, match="unavailable"):
-            run_tasks([lambda: 1, lambda: 2], "fork")
+            runtime.process_trace(_random_columns(seed=8, n=40))
         monkeypatch.setattr(os, "fork", real_fork)
         assert open_fds() == before, "fork failure leaked pipe fds"
         # The first (successfully spawned) child was reaped, not stranded.
@@ -599,34 +604,73 @@ class TestRuntimePrimitives:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
 
-    @pytest.mark.parametrize(
-        "mode", ["serial", "thread"] + (["fork"] if HAS_FORK else [])
-    )
-    def test_run_tasks_modes_agree(self, mode):
-        tasks = [lambda i=i: np.arange(i, i + 3) for i in range(5)]
-        out = run_tasks(tasks, mode)
-        assert [int(a[0]) for a in out] == list(range(5))
+    @fork_only
+    def test_fork_worker_failure_raises(self, blocks):
+        """A worker whose handler raises fails the fork run in the
+        parent, with the worker's message."""
+        runtime = _runtime(blocks, 2, slots=16, tables=False, backend="fork")
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork executor needs POSIX")
-    def test_fork_worker_failure_raises(self):
-        def boom():
+        def boom(*args, **kwargs):
             raise ValueError("shard exploded")
 
+        # Forked workers inherit the sabotaged pipeline copy-on-write.
+        runtime.pipelines[0].process_trace_batch = boom
         with pytest.raises(RuntimeError, match="shard exploded"):
-            run_tasks([boom, lambda: 1], "fork")
+            runtime.process_trace(_random_columns(seed=8, n=40))
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork executor needs POSIX")
-    def test_fork_nonzero_exit_status_surfaces(self, monkeypatch):
-        """Regression: a child that ships a well-formed payload but dies
-        nonzero (e.g. killed during ``os._exit`` bookkeeping) was silently
-        trusted.  The patched ``os._exit`` is inherited by the forked
-        children, so every worker writes a good result and then exits 5 —
-        the parent must refuse all of them."""
-        real_exit = os._exit
-        monkeypatch.setattr(os, "_exit", lambda status: real_exit(5))
-        with pytest.raises(RuntimeError, match="exited with status 5"):
-            run_tasks([lambda: 1, lambda: 2], "fork")
+    def test_unknown_executor_rejected(self, blocks):
+        with pytest.raises(ValueError, match="unknown executor"):
+            ShardedRuntime(
+                lambda i: _pipeline(blocks[i + 1], 16, False),
+                executor="hyperdrive",
+            )
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            run_tasks([lambda: 1, lambda: 2], "hyperdrive")
+
+class TestBackendSelection:
+    """``executor`` says where chunks are scored, ``pool`` how long fork
+    workers live: five valid configurations of two backends."""
+
+    @staticmethod
+    def _factory(blocks):
+        return lambda i: _pipeline(blocks[i + 1], 16, False)
+
+    def test_thread_is_rejected_everywhere(self, blocks, quantized_dnn):
+        """The thread executor and the thread pool mode are gone: every
+        surface that takes the knobs refuses the word."""
+        from repro.runtime import FabricApp
+        from repro.testbed.dataplane import TaurusDataPlane
+
+        app = FabricApp.from_quantized_dnn(quantized_dnn)
+        for knobs in ({"executor": "thread"}, {"pool": "thread"}):
+            with pytest.raises(ValueError, match="thread"):
+                ShardedRuntime(self._factory(blocks), **knobs)
+            with pytest.raises(ValueError, match="thread"):
+                MultiAppFabric([app], **knobs)
+            with pytest.raises(ValueError, match="thread"):
+                TaurusDataPlane(quantized_dnn, **knobs)
+        with pytest.raises(ValueError, match="thread"):
+            ShardPool([object()], mode="thread")
+
+    def test_serial_executor_contradicts_a_pool(self, blocks):
+        with pytest.raises(ValueError, match="serial"):
+            ShardedRuntime(self._factory(blocks), executor="serial", pool=True)
+
+    def test_pool_options_need_a_fork_backend_by_name(self, blocks):
+        with pytest.raises(ValueError, match="pool_options requires pool"):
+            ShardedRuntime(
+                self._factory(blocks), pool_options={"hang_timeout": 1.0}
+            )
+        ShardedRuntime(
+            self._factory(blocks), executor="fork",
+            pool_options={"hang_timeout": 1.0},
+        )
+
+    @fork_only
+    @pytest.mark.parametrize("pool", [True, "auto", "fork"])
+    def test_truthy_pool_spellings_keep_workers(self, blocks, pool):
+        with ShardedRuntime(self._factory(blocks), shards=1, pool=pool) as runtime:
+            assert runtime.pool.alive() == [True]  # one shard still forks
+        assert runtime.pool.alive() == [False]
+
+    def test_falsy_pool_keeps_no_workers(self, blocks):
+        assert ShardedRuntime(self._factory(blocks), executor="fork").pool is None
