@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formats import FixedPointFormat
-from .tensor import FixTensor
+from .tensor import FixTensor, _rounding_shift
 
 __all__ = [
     "choose_frac_bits",
@@ -147,25 +147,6 @@ class QuantizedLinear:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Run the layer on a float input batch; returns float outputs."""
         return self.activate(self.linear(x))
-
-
-def _rounding_shift(acc: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """``acc / 2**shifts`` per column, rounded half away from zero.
-
-    Positive shift moves right (divide), negative left (multiply) — both
-    are single-cycle barrel-shift operations per lane.  ``acc`` is either
-    integer-valued float64 below 2^52 in every intermediate (scaling by a
-    power of two and adding one half are then exact) or a wide integer.
-    """
-    if acc.dtype.kind == "f":
-        mag = np.abs(acc)
-        mag *= np.ldexp(1.0, -shifts)
-        mag += 0.5
-        return np.copysign(np.floor(mag, out=mag), acc, out=mag)
-    down = np.maximum(shifts, 0).astype(acc.dtype)
-    up = np.maximum(-shifts, 0).astype(acc.dtype)
-    mag = ((np.abs(acc) + ((1 << down) >> 1)) >> down) << up
-    return np.where(acc < 0, -mag, mag)
 
 
 def _apply_activation_fixed(

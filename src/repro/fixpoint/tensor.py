@@ -187,15 +187,21 @@ class FixTensor:
         return f"FixTensor({self.to_float()!r}, fmt={self.fmt.name})"
 
 
-def _rounding_shift(wide: np.ndarray, bits: int) -> np.ndarray:
-    """Arithmetic right shift with round-to-nearest (half away from zero)."""
-    if bits == 0:
-        return wide
-    offset = 1 << (bits - 1)
-    # Rounding half away from zero keeps quantization symmetric around 0.
-    shifted = np.where(
-        wide >= 0,
-        (wide + offset) >> bits,
-        -((-wide + offset) >> bits),
-    )
-    return shifted
+def _rounding_shift(acc: np.ndarray, shifts: np.ndarray | int) -> np.ndarray:
+    """``acc / 2**shifts`` (one shift, or one per column), rounded half
+    away from zero — which keeps quantization symmetric around 0.
+
+    Positive shift moves right (divide), negative left (multiply) — both
+    are single-cycle barrel-shift operations per lane.  ``acc`` is either
+    integer-valued float64 below 2^52 in every intermediate (scaling by a
+    power of two and adding one half are then exact) or a wide integer.
+    """
+    if acc.dtype.kind == "f":
+        mag = np.abs(acc)
+        mag *= np.ldexp(1.0, -shifts)
+        mag += 0.5
+        return np.copysign(np.floor(mag, out=mag), acc, out=mag)
+    down = np.maximum(shifts, 0).astype(acc.dtype)
+    up = np.maximum(-shifts, 0).astype(acc.dtype)
+    mag = ((np.abs(acc) + ((1 << down) >> 1)) >> down) << up
+    return np.where(acc < 0, -mag, mag)

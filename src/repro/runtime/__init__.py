@@ -5,12 +5,12 @@ across parallel pipeline workers (:class:`ShardedRuntime`) and
 time-multiplexing of several compiled apps over shared grid lanes
 (:class:`MultiAppFabric`), both scored by one driver on one of two
 backends — an in-process loop, or pre-forked workers with pipelined
-chunk dispatch (:class:`ShardPool`, staged by :func:`prefetch`) that
-live for one run or, kept warm, amortize their setup across runs.  Fork
-runs are crash-transparent: heartbeats and a watchdog detect dead or
-hung workers, replacements replay unacknowledged chunks, and
-deterministic fault injection (:class:`FaultPlan`) exercises those paths
-in tests.
+chunk dispatch (:class:`ShardPool`: per worker, one writer thread sends
+and one supervisor receives) that live for one run or, kept warm,
+amortize their setup across runs.  Fork runs are crash-transparent:
+heartbeats and a watchdog detect dead or hung workers, replacements
+replay unacknowledged chunks, and deterministic fault injection
+(:class:`FaultPlan`) exercises those paths in tests.
 :class:`InferenceService` turns the pool-backed runtimes into an
 always-on serving loop with explicit admission control, per-client
 bounded queues, token-bucket rate limiting, overload policies, and
@@ -33,7 +33,6 @@ from .fabric import (
     MultiAppResult,
     schedule_chunks,
 )
-from .overlap import prefetch
 from .pool import LaneWorker, PipelineShardWorker, ShardPool
 from .service import (
     ACCEPTED,
@@ -74,7 +73,6 @@ __all__ = [
     "MultiAppFabric",
     "MultiAppResult",
     "schedule_chunks",
-    "prefetch",
     "LaneWorker",
     "PipelineShardWorker",
     "ShardPool",

@@ -104,7 +104,7 @@ def selects_fork(executor: str, pool, pool_options, n_tasks: int) -> bool:
 _FRAME_HEADER = struct.Struct("<Q")
 
 #: Request kind that reports a parent-side dispatch failure; the worker
-#: echoes it back as an abort response, so a collector blocked on the
+#: echoes it back as an abort response, so a supervisor blocked on the
 #: response pipe wakes with the error instead of hanging forever.
 ERROR_REQUEST = "__error__"
 
@@ -285,7 +285,7 @@ def _serve(
             kind, payload = pickle.loads(frame)
             if kind == ERROR_REQUEST:
                 # Parent-side dispatch failure: echo it back so the
-                # parent's collector unblocks with the error.
+                # parent's supervisor unblocks with the error.
                 _send(("abort", payload))
                 continue
             if kind == FAULT_REQUEST:
@@ -523,7 +523,7 @@ class ForkWorker:
                 try:
                     __, status = os.waitpid(self.pid, 0)
                 except ChildProcessError:
-                    # A concurrent reap (collector vs close()) won the
+                    # A concurrent reap (supervisor vs close()) won the
                     # race; keep its status if it landed first.
                     if self._exit_status is None:
                         self._exit_status = 0

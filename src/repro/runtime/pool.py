@@ -7,13 +7,13 @@ over a framed request/response pipe protocol
 long the workers live: one run (``executor="fork"``) or until closed
 (``pool=True``), which amortizes the fork across consecutive runs.
 
-A run is dispatched as **pipelined chunks**: each worker has a dedicated
-writer thread pumping requests from a
-:func:`~repro.runtime.overlap.prefetch`-staged stream, so chunk ``k+1``
-is being sliced *and shipped down the pipe* while the worker scores
-chunk ``k`` — the double-buffering seam extended across the process
-boundary.  Responses stream back per chunk and carry incremental state
-deltas (:meth:`~repro.pisa.TaurusPipeline.state_delta`), so the parent's
+Every request takes one path: the caller's stream is pulled by the
+worker's dedicated writer thread, which sends each request down the pipe
+while at most ``window`` of them are unacked, and one supervisor per
+worker receives the responses.  So chunk ``k+1`` is being sliced *and
+shipped* while the worker scores chunk ``k``.  Responses stream back per
+chunk and carry incremental state deltas
+(:meth:`~repro.pisa.TaurusPipeline.state_delta`), so the parent's
 pipelines track the workers chunk by chunk and per-message cost stays
 bounded by the chunk itself, not the register file.
 
@@ -24,7 +24,7 @@ run cannot hang shutdown).
 Failure model: a dead worker surfaces as EOF on the framed protocol; a
 *hung* worker is caught by the parent-side watchdog (heartbeat frames
 from a worker-side thread, plus per-``recv`` deadlines) and SIGKILLed so
-it surfaces the same way.  During ``map_streams`` both are **recovered
+it surfaces the same way.  On every request both are **recovered
 from transparently**: chunks ride a bounded ack window, so on a crash
 the pool re-forks a replacement from the parent's pipelines — which the
 eagerly-applied state deltas hold at exactly the last *acked* chunk —
@@ -60,7 +60,6 @@ from .executors import (
 )
 from .faults import FAULT_REQUEST, FaultPlan
 from .health import PoisonChunk, PoolError, PoolHealth
-from .overlap import prefetch
 
 __all__ = ["ShardPool", "PipelineShardWorker", "LaneWorker"]
 
@@ -187,7 +186,7 @@ class _ForkSlot:
     The writer pumps request streams into the pipe so the dispatching
     thread never blocks on a full pipe — without it, a parent stuck in
     ``write`` (big chunk) and a child stuck in ``write`` (big response)
-    would deadlock.  Responses are read by the pool's collectors.
+    would deadlock.  Responses are read by the shard's supervisor.
     """
 
     def __init__(
@@ -238,10 +237,10 @@ class _ForkSlot:
                         break
                     self.worker.send(kind, payload)
             except WorkerCrash:
-                pass  # the collector sees the EOF and reports it
+                pass  # the supervisor sees the EOF and reports it
             except BaseException as exc:
                 # The stream's iterator raised, or a payload would not
-                # pickle.  A collector is (or will be) blocked on the
+                # pickle.  A supervisor is (or will be) blocked on the
                 # response pipe, so the failure must travel *through the
                 # worker*: echo it back as an abort response.  Nothing
                 # was sent after the error, so the conversation stays in
@@ -252,13 +251,6 @@ class _ForkSlot:
                     )
                 except WorkerCrash:
                     pass
-            finally:
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    try:
-                        close()
-                    except Exception:
-                        pass
 
     def submit(self, stream: Iterable[tuple[str, object]]) -> None:
         """Queue a request stream for the writer (returns immediately)."""
@@ -298,11 +290,21 @@ class _ShardRun:
     so replayed chunks land back in their original slot.
     """
 
-    def __init__(self, pool: "ShardPool", index: int, source, count: int):
+    def __init__(
+        self,
+        pool: "ShardPool",
+        index: int,
+        source: Iterator[tuple[str, object]],
+        count: int,
+        faults: FaultPlan | None,
+    ):
         self.pool = pool
         self.index = index
-        self.source = source  # shared prefetch iterator, owned by the run
+        # The caller's iterator, unbuffered: exactly one thread pulls at
+        # a time (the live attempt's writer, or degrade after joining it).
+        self.source = source
         self.count = count
+        self.faults = faults
         self.results: list = [None] * count
         self.pending: deque = deque()  # (ordinal, kind, payload)
         self.cv = threading.Condition()
@@ -312,9 +314,8 @@ class _ShardRun:
 
     def wrap(self, ordinal: int, kind: str, payload):
         """Attach an injected fault to this dispatch, if one is scheduled."""
-        faults = self.pool.faults
-        if faults is not None:
-            event = faults.take(self.index, ordinal)
+        if self.faults is not None:
+            event = self.faults.take(self.index, ordinal)
             if event is not None:
                 return (FAULT_REQUEST, (event.wire(), (kind, payload)))
         return (kind, payload)
@@ -332,7 +333,7 @@ class _WindowStream:
 
     Submitted to a :class:`_ForkSlot`'s writer thread.  Re-sends the
     chunks the previous attempt had sent but not acked (already in
-    ``run.pending``), then pulls fresh chunks from the shared source,
+    ``run.pending``), then pulls fresh chunks from the caller's stream,
     gated so at most ``window`` chunks are ever in flight.  The
     supervisor marks the attempt ``dead`` on a crash; a dead attempt
     stops yielding promptly, parking any already-pulled chunk in
@@ -360,7 +361,11 @@ class _WindowStream:
         with run.cv:
             while len(run.pending) >= run.pool.window and not self.dead:
                 run.cv.wait(0.05)
-        if self.dead:
+            # Never pull past the expected count: the last pull then
+            # happens-before the last ack, so once the supervisor is
+            # done this thread is done with the caller's stream.
+            done = run.next_ordinal >= run.count
+        if self.dead or done:
             raise StopIteration
         kind, payload = next(run.source)  # StopIteration ends the attempt
         with run.cv:
@@ -374,9 +379,6 @@ class _WindowStream:
             # (the next attempt replays it) and stop without sending.
             raise StopIteration
         return run.wrap(ordinal, kind, payload)
-
-    def close(self) -> None:
-        """No-op: the run owns the source; attempts must not close it."""
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +397,9 @@ class ShardPool:
     mode:
         ``auto`` | ``fork`` — two spellings of the one worker kind.
     window:
-        Staging depth of the per-worker dispatch stream (2 = classic
-        double buffering: chunk ``k+1`` ships while ``k`` scores).  Also
-        bounds how many sent-but-unacked chunks a crash can force the
-        pool to replay.
+        Most sent-but-unacked requests per worker (2 = classic double
+        buffering: chunk ``k+1`` ships while ``k`` scores) — which is
+        also the most a crash can force the pool to replay.
     close_timeout:
         Per-worker bound on graceful shutdown before SIGKILL.
     heartbeat_interval:
@@ -422,8 +423,9 @@ class ShardPool:
         (doubles per consecutive crash, capped at 1 s).
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted at
-        every chunk dispatch — deterministic failure injection for
-        tests.
+        every :meth:`map_streams` dispatch (never by :meth:`broadcast`,
+        so plans stay keyed on chunk ordinals) — deterministic failure
+        injection for tests.
     """
 
     def __init__(
@@ -460,7 +462,6 @@ class ShardPool:
         self.contexts = list(contexts)
         self._closed = False
         self._lock = threading.Lock()
-        self._active_streams: list = []
         # Spawn sequentially into the live slot list so every child can
         # close its inherited copies of the earlier siblings' pipe fds —
         # otherwise a sibling's dup of a request-write end would keep
@@ -512,9 +513,10 @@ class ShardPool:
     def close(self) -> None:
         """Deterministic shutdown, safe under an abandoned mid-trace run.
 
-        Stops staging (closes live prefetch streams so writers unpark),
-        EOFs every request pipe, and reaps each child with a bounded
-        SIGKILL fallback — no GC reliance, no unbounded joins.
+        EOFs every request pipe and reaps each child with a bounded
+        SIGKILL fallback — no GC reliance, no unbounded joins.  A
+        caller's stream is never touched from here: the run that owns it
+        fails with the dead worker and closes it on its own thread.
         Idempotent.
         """
         with self._lock:
@@ -523,8 +525,8 @@ class ShardPool:
             self._closed = True
         if sys.is_finalizing():
             # Interpreter shutdown froze the daemon writer threads, which
-            # may hold pipe-buffer locks — joining or closing their
-            # streams would deadlock.  OS-level teardown only.
+            # may hold pipe-buffer locks — joining them would deadlock.
+            # OS-level teardown only.
             for slot in self._slots:
                 try:
                     os.kill(slot.pid, signal.SIGKILL)
@@ -532,13 +534,6 @@ class ShardPool:
                 except (OSError, ChildProcessError):
                     pass
             return
-        with self._lock:
-            streams, self._active_streams = self._active_streams, []
-        for stream in streams:
-            try:
-                stream.close()
-            except Exception:
-                pass
         for slot in self._slots:
             slot.close(self.close_timeout)
 
@@ -579,23 +574,19 @@ class ShardPool:
         """One request per worker; returns the per-worker responses.
 
         ``payloads`` is either one payload per worker or a single shared
-        payload (including None).  Unlike :meth:`map_streams`, a failure
-        is not recovered from: every healthy worker still drains, crashed
-        workers are replaced for the next run, and one typed
-        :class:`~repro.runtime.health.PoolError` reports the lot.
+        payload (including None).  Each request rides the
+        :meth:`map_streams` path as a one-request stream, so a worker
+        that dies holding it is replaced from the parent's context and
+        the request replayed; only the :class:`FaultPlan` is skipped.
         """
-        self._check_open()
         if isinstance(payloads, (list, tuple)) and len(payloads) == self.shards:
             per_worker = list(payloads)
         else:
             per_worker = [payloads] * self.shards
-        for index, payload in enumerate(per_worker):
-            self.submit(index, kind, payload)
-        results, errors = self._drain_all(
-            [(index, 1) for index in range(self.shards)]
+        answers = self._dispatch(
+            [(iter([(kind, payload)]), 1) for payload in per_worker], None
         )
-        self._heal_and_raise(errors)
-        return [results[index][0] for index in range(self.shards)]
+        return [answer for (answer,) in answers]
 
     def _note_crash(self, index: int, exc: WorkerCrash) -> None:
         """Record a worker death on the health surface."""
@@ -605,56 +596,6 @@ class ShardPool:
         else:
             worker_health.crashes += 1  # noqa: rt-racy-field - advisory counter, one supervisor writer per index; healthy() reads are monotonic
         worker_health.last_error = str(exc)  # noqa: rt-racy-field - diagnostic string, one supervisor writer per index; readers tolerate any published value
-
-    def _drain_all(
-        self, live: Sequence[tuple[int, int]]
-    ) -> tuple[dict[int, list], dict[int, BaseException]]:
-        """Collect ``count`` responses per live worker, concurrently.
-
-        Every worker is drained to its expected count even when another
-        fails, so the conversation never desyncs: an in-band handler
-        failure records the error but keeps draining; only a dead worker
-        (whose pipe has nothing left to drain) aborts its collector.
-        """
-        results: dict[int, list] = {index: [] for index, __ in live}
-        errors: dict[int, BaseException] = {}
-
-        def drain(index: int, count: int) -> None:
-            slot = self._slots[index]
-            for __ in range(count):
-                try:
-                    response = slot.recv(self.hang_timeout)
-                except WorkerCrash as exc:
-                    # Nothing more will arrive from this worker: the
-                    # child died (or the watchdog killed it).
-                    self._note_crash(index, exc)
-                    errors[index] = exc  # noqa: rt-racy-field - per-index disjoint keys; the parent reads only after joining every collector
-                    return
-                except WorkerDispatchError as exc:
-                    # The dispatch stream stopped short; the worker is
-                    # healthy but this run cannot complete.
-                    errors[index] = exc
-                    return
-                except BaseException as exc:
-                    errors.setdefault(index, exc)
-                    continue
-                results[index].append(response)
-
-        collectors = [
-            threading.Thread(
-                target=drain, args=(index, count), name=f"pool-collect-{index}"
-            )
-            for index, count in live
-        ]
-        for thread in collectors:
-            thread.start()
-        for thread in collectors:
-            # Bounded join slices: each collector is guaranteed to finish
-            # (recv has a deadline), but no single join call parks
-            # unbounded.
-            while thread.is_alive():
-                thread.join(1.0)
-        return results, errors
 
     # ------------------------------------------------------------------
     # State consistency (shared by every pool=True surface)
@@ -721,10 +662,12 @@ class ShardPool:
 
         ``streams[i]`` is ``(iterator of (kind, payload), expected
         response count)`` — or None/``(_, 0)`` for an idle worker.  Each
-        stream is staged through :func:`prefetch` (depth = ``window``)
-        and pumped by the worker's writer thread, so staging, shipping,
-        and scoring overlap per worker and workers run concurrently.
-        Responses return per worker **in request order**.
+        stream is pulled by its worker's writer thread, at most
+        ``window`` requests ahead of the acks, so slicing, shipping and
+        scoring overlap per worker and workers run concurrently.  A
+        generator stream is closed here, on the caller's thread, once
+        the run is over.  Responses return per worker **in request
+        order**.
 
         ``on_result(index, ordinal, response)`` fires for every response
         as it is acked (one caller thread per worker).  Stateful callers
@@ -742,30 +685,20 @@ class ShardPool:
         to in-parent scoring via ``degrade(index, kind, payload)`` (or
         the parent context itself when no callable is given).
         """
+        return self._dispatch(streams, self.faults, on_result, degrade)
+
+    def _dispatch(self, streams, faults, on_result=None, degrade=None):
+        """The one request path: a supervisor per non-idle worker."""
         self._check_open()
         if len(streams) != self.shards:
             raise ValueError(
                 f"got {len(streams)} streams for {self.shards} workers"
             )
-        runs: list[_ShardRun] = []
-        staged: list = []
-        for index, entry in enumerate(streams):
-            if entry is None:
-                continue
-            stream, count = entry
-            if count <= 0:
-                continue
-            source = prefetch(stream, depth=self.window)
-            with self._lock:
-                if self._closed:
-                    source.close()
-                    for other in staged:
-                        other.close()
-                    raise RuntimeError("pool is closed")
-                self._active_streams.append(source)
-            staged.append(source)
-            runs.append(_ShardRun(self, index, source, count))
-
+        runs = [
+            _ShardRun(self, index, iter(entry[0]), entry[1], faults)
+            for index, entry in enumerate(streams)
+            if entry is not None and entry[1] > 0
+        ]
         supervisors = [
             threading.Thread(
                 target=self._supervise,
@@ -781,11 +714,15 @@ class ShardPool:
             # watchdog deadline, degraded mode runs in-process).
             while thread.is_alive():
                 thread.join(1.0)
-        for source in staged:
-            source.close()
-            with self._lock:
-                if source in self._active_streams:
-                    self._active_streams.remove(source)
+        for run in runs:
+            close = getattr(run.source, "close", None)
+            if close is not None:
+                try:
+                    close()
+                except ValueError:
+                    # Still executing on a writer that outlived a bounded
+                    # close(); the generator finishes on that thread.
+                    pass
         errors = {
             run.index: run.error for run in runs if run.error is not None
         }
@@ -919,7 +856,7 @@ class ShardPool:
         with run.cv:
             run.cv.notify_all()
         # Retire the dead slot first: close() joins its writer thread,
-        # so nothing else is pulling from the shared source below.
+        # so nothing else is pulling from the caller's stream below.
         self._slots[index].close(self.close_timeout)
         worker_health = self.health.worker(index)
 

@@ -491,6 +491,7 @@ class InferenceService:
             self._seq += 1
             result = self._score(pending.client, columns)
         except PoolError as exc:
+            decided_at = self.clock()
             with self._lock:
                 self._counts["failed"] += 1
                 self._deliver(
@@ -501,7 +502,8 @@ class InferenceService:
                         status="failed",
                         seq=seq,
                         enqueued_at=pending.enqueued_at,
-                        decided_at=self.clock(),
+                        decided_at=decided_at,
+                        time_to_decision_s=decided_at - pending.enqueued_at,
                         stride=pending.stride,
                         error=str(exc),
                     ),
@@ -555,20 +557,30 @@ class InferenceService:
     def take_results(
         self, client: str | None = None, max_items: int | None = None
     ) -> list[ServiceResult]:
-        """Drain delivered results (one client, or all, in delivery order)."""
+        """Drain delivered results (one client, or all), oldest decision
+        first: ``max_items`` takes the globally oldest, whoever owns them."""
+
+        def age(result: ServiceResult) -> tuple[float, int]:
+            return (result.decided_at, result.request_id)
+
         with self._lock:
-            names = [client] if client is not None else list(self._order)
-            out: list[ServiceResult] = []
-            for name in names:
-                state = self._clients.get(name)
-                if state is None:
-                    raise KeyError(f"unknown client {name!r}")
-                while state.results and (
-                    max_items is None or len(out) < max_items
-                ):
-                    out.append(state.results.popleft())
             if client is None:
-                out.sort(key=lambda r: (r.decided_at, r.request_id))
+                names = self._order
+            elif client in self._clients:
+                names = [client]
+            else:
+                raise KeyError(f"unknown client {client!r}")
+            buffers = [self._clients[name].results for name in names]
+            out: list[ServiceResult] = []
+            while max_items is None or len(out) < max_items:
+                waiting = [results for results in buffers if results]
+                if not waiting:
+                    break
+                out.append(min(waiting, key=lambda r: age(r[0])).popleft())
+            if client is None:
+                # A threaded dispatcher can deliver one client's results
+                # slightly out of clock order; callers are promised sorted.
+                out.sort(key=age)
             return out
 
     # ------------------------------------------------------------------

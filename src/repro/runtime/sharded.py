@@ -334,7 +334,7 @@ class LaneRunner:
         issue order.  In process, each slot is one
         ``process_trace_batch(columns, chunk_size=chunk)`` call.  On the
         fork backend the caller passes slots in arrival order and each is
-        sliced into ``chunk``-sized requests, so the pool stages and
+        sliced into ``chunk``-sized requests, so the pool slices and
         ships request ``k+1`` while the worker scores ``k``.  An app's
         slot results concatenate in issue order.
         """
@@ -383,7 +383,8 @@ class LaneRunner:
 
     @staticmethod
     def _requests(slots, chunk: int):
-        """Lazy chunk slicing — consumed by the pool's prefetch stage."""
+        """Lazy chunk slicing — pulled by the pool's writer threads, at
+        most ``window`` requests ahead of the acks."""
         for app, columns in slots:
             for start in range(0, columns.n, chunk):
                 sliced = columns.slice(slice(start, min(start + chunk, columns.n)))

@@ -284,6 +284,22 @@ class TestCrashTransparentRuns:
         # The next run forks fresh workers from the recovered state.
         _assert_equivalent(oracle, runtime, _random_columns(seed=112, n=90))
 
+    def test_control_requests_do_not_consume_the_plan(self, blocks):
+        """Plans are keyed on ``map_streams`` dispatch ordinals: ``rewind``
+        and ``broadcast`` take the same path but never a fault event."""
+        plan = FaultPlan().add(0, 0, "kill")
+        oracle = _oracle(blocks, slots=16, tables=True)
+        runtime = _pooled_runtime(
+            blocks, 2, pool_options=dict(FAST_WATCHDOG, faults=plan)
+        )
+        with runtime:
+            runtime.rewind_state()
+            assert runtime.pool.broadcast("ping") == [{0: "pong"}] * 2
+            assert plan.fired == [] and len(plan) == 1
+            _assert_equivalent(oracle, runtime, _random_columns(seed=113, n=90))
+            assert plan.fired == [(0, 0, "kill")]
+            assert runtime.pool_health.crashes == 1
+
     def test_delay_fault_is_benign(self, blocks):
         """``delay`` shifts timing without breaking anything — the
         negative control for the watchdog (no kill below the deadline)."""

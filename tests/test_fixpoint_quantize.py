@@ -93,7 +93,9 @@ class TestRoundingShift:
     def test_matches_per_column_oracle_on_every_fix8_accumulator(self, dtype):
         """Every value a fix8 MAC of fan-in <= 64 can accumulate, against
         positive, zero and negative shifts side by side in one call —
-        on the float accumulator the kernel uses and the integer one."""
+        on the float accumulator the kernel uses and the integer one —
+        and against each shift alone, the uniform form ``FixTensor``
+        arithmetic passes (``frac_bits``)."""
         peak = 64 * 128 * 128
         values = np.arange(-peak, peak + 1, dtype=np.int32)
         for block in np.array_split(values, 8):
@@ -102,6 +104,10 @@ class TestRoundingShift:
             got = _rounding_shift(acc.astype(dtype), self.SHIFTS)
             assert got.dtype == dtype
             assert np.array_equal(got, expected)
+            for j, shift in enumerate(self.SHIFTS):
+                uniform = _rounding_shift(block.astype(dtype), int(shift))
+                assert uniform.dtype == dtype
+                assert np.array_equal(uniform, expected[:, j])
 
     def test_layer_takes_the_integer_path_when_float_is_not_exact(self):
         """A fix32 MAC exceeds 2^52: the layer must accumulate in int64."""

@@ -1,4 +1,4 @@
-"""Tests for the integrated pipeline (bypass, decisions) and INT."""
+"""Tests for the integrated pipeline (bypass, decisions)."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from repro.pisa import (
     TaurusPipeline,
     port_bypass,
 )
-from repro.telemetry import IntFrame, IntStack, int_features
 
 
 @pytest.fixture(scope="module")
@@ -109,44 +108,3 @@ class TestPipeline:
         pipe = TaurusPipeline(block=None, feature_names=DNN_FEATURES)
         result = pipe.process(_packet(np.zeros(6)))
         assert result.bypassed
-
-
-class TestINT:
-    def _frame(self, i=0, depth=10):
-        return IntFrame(
-            switch_id=i, queue_depth=depth, hop_latency_ns=500.0,
-            link_utilization=0.5, timestamp_ns=float(i),
-        )
-
-    def test_stack_push_bounded(self):
-        stack = IntStack(max_hops=2)
-        assert stack.push(self._frame(0))
-        assert stack.push(self._frame(1))
-        assert not stack.push(self._frame(2))
-        assert len(stack) == 2
-
-    def test_aggregates(self):
-        stack = IntStack()
-        stack.push(self._frame(0, depth=10))
-        stack.push(self._frame(1, depth=50))
-        assert stack.path_latency_ns == 1000.0
-        assert stack.max_queue_depth == 50
-
-    def test_features_vector(self):
-        stack = IntStack()
-        stack.push(self._frame())
-        feats = int_features(stack)
-        assert feats.shape == (4,)
-        assert feats[0] == 1.0  # hop count
-
-    def test_frame_validation(self):
-        with pytest.raises(ValueError):
-            IntFrame(0, queue_depth=-1, hop_latency_ns=1.0,
-                     link_utilization=0.5, timestamp_ns=0.0)
-        with pytest.raises(ValueError):
-            IntFrame(0, queue_depth=1, hop_latency_ns=1.0,
-                     link_utilization=1.5, timestamp_ns=0.0)
-
-    def test_empty_stack_features(self):
-        feats = int_features(IntStack())
-        assert feats[0] == 0.0

@@ -34,6 +34,7 @@ from repro.runtime import (
     ClientSpec,
     FaultPlan,
     InferenceService,
+    PoolError,
     PoolHealth,
     ShardedRuntime,
     VirtualClock,
@@ -558,3 +559,55 @@ class TestLifecycle:
             results = svc.take_results("tenant")
             assert len(results) == 2  # oldest two were dropped, counted
             assert svc.stats().results_dropped == 2
+
+    def test_max_items_takes_the_globally_oldest_first(self, blocks):
+        """Regression: with no client named, ``max_items`` filled up from
+        the first-registered client and sorted afterwards, handing out a
+        newer result while an older one stayed queued."""
+        clock = VirtualClock()
+        with InferenceService(
+            _runtime(blocks),
+            [ClientSpec(name="A", queue_depth=4), ClientSpec(name="B", queue_depth=4)],
+            chunk_size=CHUNK,
+            clock=clock,
+        ) as svc:
+            chunks = _chunks()
+            svc.submit("B", chunks[0])
+            svc.pump()  # B decided at t=0
+            clock.advance(1.0)
+            svc.submit("A", chunks[1])
+            svc.pump()  # A decided at t=1
+            (first,) = svc.take_results(max_items=1)
+            assert (first.client, first.decided_at) == ("B", 0.0)
+            (rest,) = svc.take_results()
+            assert (rest.client, rest.decided_at) == ("A", 1.0)
+
+    def test_failed_request_reports_its_time_to_decision(self):
+        """A run the pool gives up on is delivered as ``failed`` with the
+        same accounting as every other fate, and the service carries on."""
+
+        class FailsOnce:
+            calls = 0
+
+            def process_trace(self, columns, chunk_size=None):
+                self.calls += 1
+                if self.calls == 1:
+                    raise PoolError("every worker is gone")
+                return columns.n
+
+        clock = VirtualClock()
+        with _service(FailsOnce(), clock=clock) as svc:
+            chunks = _chunks()
+            svc.submit("tenant", chunks[0])
+            svc.submit("tenant", chunks[1])
+            clock.advance(0.25)
+            assert svc.pump() == 2
+            failed, completed = svc.take_results("tenant")
+            assert (failed.status, failed.seq) == ("failed", 0)
+            assert failed.error == "every worker is gone"
+            assert failed.time_to_decision_s == failed.decided_at - failed.enqueued_at
+            assert failed.time_to_decision_s == 0.25
+            assert (completed.status, completed.seq) == ("completed", 1)
+            assert completed.result == chunks[1].n
+            stats = svc.stats()
+            assert (stats.failed, stats.completed) == (1, 1)

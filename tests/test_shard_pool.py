@@ -134,14 +134,30 @@ class TestPoolIdentity:
 @fork_only
 class TestRunScopedWorkers:
     """``executor="fork"`` without ``pool``: the workers' lifetime is one
-    run, and the run cleans up after itself on every exit path."""
+    run, and the run cleans up after itself on every exit path.  A warm
+    pool keeps its workers and writers, and a run adds one supervisor
+    thread per shard for as long as it lasts."""
 
     @pytest.fixture()
-    def new_threads(self):
-        """Names of the threads started since the test began that are
-        still alive (earlier tests may have abandoned some of their own)."""
+    def new_threads(self, monkeypatch):
+        """Thread census since the test began: calling it names the new
+        threads still alive (earlier tests may have abandoned some of
+        their own); ``.started`` names every thread started."""
         before = set(threading.enumerate())
-        return lambda: [t.name for t in set(threading.enumerate()) - before]
+        started: list[str] = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+        def alive():
+            return sorted(t.name for t in set(threading.enumerate()) - before)
+
+        alive.started = started
+        return alive
 
     @staticmethod
     def _spy_on_spawns(monkeypatch):
@@ -194,21 +210,29 @@ class TestRunScopedWorkers:
         self._assert_gone(pids)
         assert new_threads() == []
 
-    def test_fabric_run_leaves_nothing_behind(
-        self, quantized_dnn, monkeypatch, new_threads
-    ):
+    @staticmethod
+    def _two_app_fabric(quantized_dnn, seed, **backend):
+        """A two-shard fork fabric of two anomaly-DNN apps, and a trace."""
         from repro.datasets import expand_to_packets, generate_connections
         from repro.runtime import FabricApp, MultiAppFabric
 
-        pids = self._spy_on_spawns(monkeypatch)
         trace = expand_to_packets(
-            generate_connections(60, seed=43), max_packets=200, seed=43
+            generate_connections(60, seed=seed), max_packets=200, seed=seed
         )
         apps = [
             FabricApp.from_quantized_dnn(quantized_dnn, name=name)
             for name in ("a", "b")
         ]
-        fabric = MultiAppFabric(apps, shards=2, chunk_size=32, executor="fork")
+        fabric = MultiAppFabric(
+            apps, shards=2, chunk_size=32, executor="fork", **backend
+        )
+        return fabric, trace
+
+    def test_fabric_run_leaves_nothing_behind(
+        self, quantized_dnn, monkeypatch, new_threads
+    ):
+        pids = self._spy_on_spawns(monkeypatch)
+        fabric, trace = self._two_app_fabric(quantized_dnn, 43)
         fabric.run([trace, trace])
         assert len(pids) == 2
         self._assert_gone(pids)
@@ -216,6 +240,50 @@ class TestRunScopedWorkers:
         with pytest.raises(ValueError, match="missing traces"):
             fabric.run({"a": trace})  # raises before any fork
         assert len(pids) == 2
+
+    @staticmethod
+    def _assert_warm_run_census(run, runner, new_threads):
+        """``run()`` on a warm two-shard pool starts one supervisor per
+        shard and nothing else, and leaves no thread behind — returning
+        or raising."""
+        run()  # workers forked, writers resident
+        resident = new_threads()
+        del new_threads.started[:]
+        run()
+        assert sorted(new_threads.started) == [
+            "pool-supervise-0", "pool-supervise-1"
+        ]
+        assert new_threads() == resident
+
+        def poisoned(slots, chunk):
+            raise RuntimeError("staging blew up")
+            yield
+
+        runner()._requests = poisoned
+        with pytest.raises(RuntimeError, match="staging blew up"):
+            run()
+        assert "chunk-prefetch" not in new_threads.started
+        assert new_threads() == resident
+
+    def test_warm_run_adds_one_thread_per_shard(self, blocks, new_threads):
+        columns = _random_columns(44, 90)
+        with _pooled_runtime(blocks, 2, 16, True, mode="fork") as runtime:
+            self._assert_warm_run_census(
+                lambda: runtime.process_trace(columns, chunk_size=16),
+                lambda: runtime._runner,
+                new_threads,
+            )
+
+    def test_warm_fabric_run_adds_one_thread_per_shard(
+        self, quantized_dnn, new_threads
+    ):
+        fabric, trace = self._two_app_fabric(quantized_dnn, 45, pool=True)
+        with fabric:
+            self._assert_warm_run_census(
+                lambda: fabric.run([trace, trace]),
+                lambda: fabric._runner,
+                new_threads,
+            )
 
 
 class TestPoolLifecycle:
@@ -243,6 +311,23 @@ class TestPoolLifecycle:
             _assert_equivalent(
                 oracle, runtime, _random_columns(37, 60), chunk_size=16
             )
+
+    @fork_only
+    def test_worker_killed_before_rewind_is_replaced(self, blocks):
+        """Control requests ride the recovering path too: a worker found
+        dead by ``rewind`` is re-forked from the (already rewound) parent
+        context and the request replayed, instead of failing the call."""
+        oracle = _oracle(blocks, 16, True)
+        columns = _random_columns(38, 90)
+        with _pooled_runtime(blocks, 2, 16, True, mode="fork") as runtime:
+            runtime.process_trace(_random_columns(39, 60), chunk_size=16)
+            victim = runtime.pool.worker_pids[0]
+            os.kill(victim, signal.SIGKILL)
+            runtime.rewind_state()
+            assert runtime.pool.worker_pids[0] != victim
+            assert runtime.pool.alive() == [True, True]
+            assert runtime.pool_health.crashes == 1
+            _assert_equivalent(oracle, runtime, columns, chunk_size=16)
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
     def test_worker_crash_carries_exit_status(self):
@@ -296,6 +381,49 @@ class TestPoolLifecycle:
             f"close took {elapsed:.2f}s; budget must be end-to-end, "
             "not per teardown phase"
         )
+
+    @fork_only
+    def test_close_while_caller_stream_is_mid_next(self):
+        """``close()`` from another thread while a run's generator is
+        executing (on the writer thread) stays inside its budget and
+        never touches the generator; the run fails with its worker."""
+        entered, release = threading.Event(), threading.Event()
+        thrown: list[BaseException] = []
+
+        def stream():
+            try:
+                yield ("sleep", 0.0)
+                entered.set()
+                release.wait(10.0)
+                yield ("sleep", 0.0)
+            except BaseException as exc:
+                thrown.append(exc)
+                raise
+
+        pool = ShardPool([_Sleeper()], mode="fork", close_timeout=0.5)
+        outcome: dict = {}
+
+        def run():
+            try:
+                outcome["value"] = pool.map_streams([(stream(), 2)])
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        try:
+            assert entered.wait(5.0)
+            t0 = time.perf_counter()
+            pool.close()
+            assert time.perf_counter() - t0 < 1.5
+            assert thrown == []
+            caller.join(5.0)
+            assert not caller.is_alive()
+            assert thrown == []
+            assert isinstance(outcome.get("error"), RuntimeError)
+        finally:
+            release.set()
+            caller.join(5.0)
 
     @fork_only
     @pytest.mark.parametrize("mode", ["fork"])  # the one worker kind left

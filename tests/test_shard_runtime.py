@@ -36,7 +36,7 @@ from repro.pisa import (
     TaurusPipeline,
     threshold_postprocess,
 )
-from repro.runtime import MultiAppFabric, ShardPool, ShardedRuntime, prefetch
+from repro.runtime import MultiAppFabric, ShardPool, ShardedRuntime
 
 MAX_SHARDS = 4
 HAS_FORK = hasattr(os, "fork")
@@ -454,115 +454,6 @@ class TestArbiterMergeWithBypass:
 
 
 class TestRuntimePrimitives:
-    def test_prefetch_preserves_order(self):
-        items = [(i, np.full(4, i)) for i in range(17)]
-        out = list(prefetch(iter(items), depth=2))
-        assert [i for i, __ in out] == list(range(17))
-
-    def test_prefetch_propagates_errors(self):
-        def gen():
-            yield 1
-            raise RuntimeError("producer blew up")
-
-        it = prefetch(gen(), depth=2)
-        assert next(it) == 1
-        with pytest.raises(RuntimeError, match="producer blew up"):
-            next(it)
-
-    def test_prefetch_early_exit(self):
-        for item in prefetch(iter(range(1000)), depth=2):
-            if item == 3:
-                break  # must not deadlock on the producer thread
-
-    def test_prefetch_close_after_producer_exhausts(self):
-        """Closing with the buffer full (producer blocked on its final
-        ``done`` put) must not deadlock the join."""
-        it = prefetch(iter([1, 2, 3]), depth=2)
-        assert next(it) == 1
-        it.close()
-        assert not it._worker.is_alive()
-
-    def test_prefetch_early_break_stops_producer_promptly(self):
-        """Abandoning the iterator must not leave the producer parked in
-        ``buffer.put`` until its poll times out: close() drains the
-        buffer, so the worker exits and joins immediately."""
-        import time
-
-        with prefetch(iter(range(1_000_000)), depth=2) as staged:
-            for item in staged:
-                if item == 3:
-                    break
-        t0 = time.perf_counter()
-        staged.close()  # idempotent; the with-block already closed
-        assert time.perf_counter() - t0 < 0.05
-        assert not staged._worker.is_alive()
-
-    def test_prefetch_consumer_exception_cleans_up(self):
-        """A consumer-side exception mid-iteration must stop the producer
-        deterministically (no reliance on GC collecting a generator)."""
-        staged = prefetch(iter(range(1_000_000)), depth=2)
-        with pytest.raises(RuntimeError, match="consumer blew up"):
-            with staged:
-                for __ in staged:
-                    raise RuntimeError("consumer blew up")
-        assert not staged._worker.is_alive()
-        with pytest.raises(StopIteration):
-            next(staged)  # closed iterators are exhausted
-
-    def test_prefetch_closes_generator_source(self):
-        """A generator source's finally-block runs on shutdown."""
-        cleaned = []
-
-        def source():
-            try:
-                for i in range(1_000_000):
-                    yield i
-            finally:
-                cleaned.append(True)
-
-        with prefetch(source(), depth=2) as staged:
-            assert next(staged) == 0
-        assert cleaned == [True]
-
-    def test_prefetch_validates_depth(self):
-        with pytest.raises(ValueError):
-            next(prefetch(iter([1]), depth=0))
-
-    def test_prefetch_close_race_unblocks_consumer(self):
-        """Regression: ``__next__`` used an untimed ``buffer.get()``, so a
-        racing ``close()`` from another thread (which drains the buffer)
-        stranded a consumer already parked in ``get`` forever.  The
-        consumer must observe the stop flag and finish as exhausted."""
-        import threading
-        import time
-
-        release = threading.Event()
-
-        def source():
-            yield 1
-            release.wait(5.0)  # stall so the buffer stays empty
-            yield 2
-
-        staged = prefetch(source(), depth=2, join_timeout=0.2)
-        assert next(staged) == 1
-        outcome = {}
-
-        def consume():
-            try:
-                next(staged)
-                outcome["value"] = "item"
-            except StopIteration:
-                outcome["value"] = "stopped"
-
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        time.sleep(0.15)  # the consumer is now blocked in __next__
-        staged.close()
-        consumer.join(timeout=2.0)
-        release.set()
-        assert not consumer.is_alive(), "consumer stranded after close()"
-        assert outcome["value"] == "stopped"
-
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"),
         reason="counts fds via /proc (Linux) and needs fork",
