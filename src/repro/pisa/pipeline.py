@@ -241,6 +241,9 @@ class TaurusPipeline:
         self.ml_queue = PacketQueue("mapreduce", capacity=8192)
         self.bypass_queue = PacketQueue("bypass", capacity=8192)
         self.arbiter = RoundRobinArbiter([self.ml_queue, self.bypass_queue])
+        #: The snapshot :meth:`state_delta` last brought up to date — the
+        #: one the accumulator's dirty mask is relative to.
+        self._delta_base: dict | None = None
 
     # ------------------------------------------------------------------
     # Control-plane hooks
@@ -597,6 +600,7 @@ class TaurusPipeline:
 
     def restore_state(self, snapshot: dict) -> None:
         """Install a :meth:`state_snapshot` taken from this pipeline's twin."""
+        self._delta_base = None  # every register may have moved
         self.stats.update(snapshot["stats"])
         for name, values in snapshot["registers"].items():
             getattr(self.accumulator, name).values[:] = values
@@ -634,12 +638,23 @@ class TaurusPipeline:
         current state, so the worker calls this once per chunk and every
         message stays bounded by the chunk's own footprint.
         :meth:`apply_state_delta` is the inverse.
+
+        Against the ``base`` the previous call updated, only the register
+        slots written since then are compared
+        (:meth:`FlowFeatureAccumulator.take_dirty`), so the diff costs
+        what the chunk touched; any other ``base`` gets the full scan.
         """
+        touched = self.accumulator.take_dirty()
+        tracked = base is self._delta_base
+        self._delta_base = base
         registers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in self._REGISTER_NAMES:
             current = getattr(self.accumulator, name).values
             prior = base["registers"][name]
-            changed = np.flatnonzero(current != prior)
+            if tracked:
+                changed = touched[current[touched] != prior[touched]]
+            else:
+                changed = np.flatnonzero(current != prior)
             if len(changed):
                 values = current[changed].copy()
                 registers[name] = (changed, values)
@@ -696,6 +711,7 @@ class TaurusPipeline:
             self.stats[key] = self.stats.get(key, 0) + moved
         for name, (indices, values) in delta["registers"].items():
             getattr(self.accumulator, name).values[indices] = values
+            self.accumulator.dirty[indices] = True
         self.parser.packets_parsed += delta["parser_packets"]
         tables = (*self.preprocess_tables, *self.postprocess_tables)
         if len(tables) != len(delta["tables"]):

@@ -53,6 +53,9 @@ class RegisterArray:
     size: int
     width_bits: int = 32
     values: np.ndarray = field(init=False, repr=False)
+    #: Set by an owning :class:`FlowFeatureAccumulator`: its ``size``-long
+    #: boolean mask, in which every written slot is marked.
+    _dirty: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -73,10 +76,15 @@ class RegisterArray:
         """Saturating add; returns the new value."""
         idx = self.index_of(key)
         self.values[idx] = min(self.values[idx] + amount, self.max_value)
+        if self._dirty is not None:
+            self._dirty[idx] = True
         return int(self.values[idx])
 
     def write(self, key: tuple, value: int) -> None:
-        self.values[self.index_of(key)] = min(int(value), self.max_value)
+        idx = self.index_of(key)
+        self.values[idx] = min(int(value), self.max_value)
+        if self._dirty is not None:
+            self._dirty[idx] = True
 
     def index_columns(self, columns) -> np.ndarray:
         """Vectorized :meth:`index_of`: one slot index per key row."""
@@ -84,6 +92,8 @@ class RegisterArray:
 
     def clear(self) -> None:
         self.values[:] = 0
+        if self._dirty is not None:
+            self._dirty[:] = True
 
 
 @dataclass
@@ -92,6 +102,10 @@ class FlowFeatureAccumulator:
 
     Tracks the aggregates the anomaly pipeline needs: packet count, byte
     count, urgent-flag count, and first-seen time (for duration).
+
+    ``dirty`` marks every slot written since :meth:`take_dirty` last
+    cleared it — one ``slots``-long mask for the four arrays, so its size
+    never depends on how many packets went by unasked.
     """
 
     slots: int = 65536
@@ -99,12 +113,24 @@ class FlowFeatureAccumulator:
     byte_count: RegisterArray = field(init=False)
     urgent_count: RegisterArray = field(init=False)
     first_seen_ms: RegisterArray = field(init=False)
+    dirty: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.packet_count = RegisterArray(self.slots)
         self.byte_count = RegisterArray(self.slots, width_bits=48)
         self.urgent_count = RegisterArray(self.slots)
         self.first_seen_ms = RegisterArray(self.slots, width_bits=48)
+        self.dirty = np.zeros(self.slots, dtype=bool)
+        for array in (self.packet_count, self.byte_count,
+                      self.urgent_count, self.first_seen_ms):
+            array._dirty = self.dirty
+
+    def take_dirty(self) -> np.ndarray:
+        """Ascending indices of the slots written since the last call
+        (a superset of the slots whose values moved); clears the mask."""
+        touched = self.dirty.nonzero()[0]
+        self.dirty[touched] = False
+        return touched
 
     def update(self, five_tuple: tuple, size_bytes: int, urgent: bool, now_s: float) -> dict:
         """Apply one packet; returns the flow's current aggregates."""
@@ -206,6 +232,7 @@ class FlowFeatureAccumulator:
         self.byte_count.values[slots] = bytes_run[seg_last]
         self.urgent_count.values[slots] = urgent_run[seg_last]
         self.first_seen_ms.values[slots] = fs_per_slot
+        self.dirty[slots] = True
 
         def unsort(values: np.ndarray) -> np.ndarray:
             out = np.empty(n, dtype=np.int64)

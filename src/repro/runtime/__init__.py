@@ -11,10 +11,14 @@ amortize their setup across runs.  Fork runs are crash-transparent:
 heartbeats and a watchdog detect dead or hung workers, replacements
 replay unacknowledged chunks, and deterministic fault injection
 (:class:`FaultPlan`) exercises those paths in tests.
-:class:`InferenceService` turns the pool-backed runtimes into an
+Several traces can share one run (``process_traces`` on either
+runtime): each lane queues trace ``k+1``'s part behind ``k``'s, so no
+lane idles between traces and results stay bit-identical to one run per
+trace.  :class:`InferenceService` turns the pool-backed runtimes into an
 always-on serving loop with explicit admission control, per-client
 bounded queues, token-bucket rate limiting, overload policies, and
-per-request time-to-decision accounting.
+per-request time-to-decision accounting; it scores whatever is queued
+as one such run and still delivers each request as it completes.
 """
 
 from .executors import (

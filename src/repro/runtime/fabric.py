@@ -37,7 +37,7 @@ drain — never an app's decisions, scores, latencies, or register state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,8 +56,10 @@ from .executors import selects_fork
 from .sharded import (
     LaneRunner,
     as_trace_columns,
+    drain_ns,
     empty_trace_result,
     in_arrival_order,
+    issue_cycles,
     last_part,
     merge_pipeline_state,
     scatter_merge,
@@ -385,7 +387,9 @@ class MultiAppFabric:
         self.apps: list[FabricApp] = []
         self._lanes: list[_Lane] | None = None
         self._runner: LaneRunner | None = None
-        self._app_turns: dict[int, int] = {}
+        #: Per app, the lane whose pipeline processed its globally-last
+        #: packet so far (the app's merged arbiter turn is that one's).
+        self._turn_lane: dict[int, int] = {}
         self._pool_request = pool
         self._pool_options = pool_options
         #: Modeled drain of the last run (slowest lane; reconfiguration
@@ -428,7 +432,7 @@ class MultiAppFabric:
         if self._runner is None:
             return
         self._runner.rewind()
-        self._app_turns.clear()
+        self._turn_lane.clear()
 
     # ------------------------------------------------------------------
     # Registration and lane topology
@@ -518,27 +522,18 @@ class MultiAppFabric:
         if chunk <= 0:
             raise ValueError("chunk_size must be positive")
         lanes = self._ensure_lanes()
-        app_traces = self._resolve_traces(traces)
-
-        # Per app: time-sorted columns, the caller-order mapping, and a
-        # flow-consistent partition across the app's affine lanes.
-        sorted_cols: list[TraceColumns] = []
-        orders: list[np.ndarray] = []
-        partitions: list[list[tuple[np.ndarray, TraceColumns]]] = []
-        for a, trace in enumerate(app_traces):
-            order, ordered = in_arrival_order(as_trace_columns(trace))
-            sorted_cols.append(ordered)
-            orders.append(order)
-            partitions.append(self._partition(a, trace, ordered))
+        prepared = [
+            self._prepare(a, trace)
+            for a, trace in enumerate(self._resolve_traces(traces))
+        ]
 
         # Per lane: FIFO chunk queues per resident app, interleaved by the
         # scheduling policy.
-        schedules: list[list[tuple[int, TraceColumns]]] = []
+        schedules: list[list[tuple[int, TraceColumns, int]]] = []
         for s, lane in enumerate(lanes):
             per_app: dict[int, list[TraceColumns]] = {}
             for a in lane.pipelines:
-                lane_pos = self.app_lanes(a).index(s)
-                __, sub = partitions[a][lane_pos]
+                __, sub = prepared[a][3][self.app_lanes(a).index(s)]
                 per_app[a] = [
                     sub.slice(slice(start, min(start + chunk, sub.n)))
                     for start in range(0, sub.n, chunk)
@@ -551,57 +546,79 @@ class MultiAppFabric:
             )
             queues = {a: iter(per_app[a]) for a in ids}
             schedules.append(
-                [(ids[i], next(queues[ids[i]])) for i in issue_order]
+                [(ids[i], next(queues[ids[i]]), ids[i]) for i in issue_order]
             )
 
         # Both backends leave this process's lane blocks current (in
         # place, or by per-chunk delta), so the issue-clock and swap
         # accounting reads the same counters either way.
-        before = [
-            (
-                lane.block._next_issue_cycle,
-                lane.block.reconfigurations,
-                lane.block.reconfig_cycles,
-            )
-            for lane in lanes
-        ]
-        scored = self._runner.run(schedules, chunk)
-
-        # Modeled drain: lanes run concurrently; each lane completes its
-        # last issued packet one tail latency after its final issue slot.
-        drains = [0.0]
-        reconfigurations = reconfig_cycles = 0
-        for lane, (cycle, swaps, swap_cycles) in zip(lanes, before):
-            block = lane.block
-            busy = block._next_issue_cycle - cycle
-            if busy > 0:
-                design = block.design
-                drains.append(
-                    (design.latency_cycles + busy - design.initiation_interval)
-                    / CLOCK_GHZ
-                )
-            reconfigurations += block.reconfigurations - swaps
-            reconfig_cycles += block.reconfig_cycles - swap_cycles
-        self.last_drain_ns = max(drains)
-
-        results: dict[str, TracePipelineResult] = {}
-        per_app_packets: dict[str, int] = {}
-        for a, app in enumerate(self.apps):
-            lane_results = [scored[s][a] for s in self.app_lanes(a)]
-            results[app.name] = self._merge_app(
-                a, sorted_cols[a], orders[a], partitions[a], lane_results
-            )
-            per_app_packets[app.name] = sorted_cols[a].n
+        blocks = [lane.block for lane in lanes]
+        swaps = sum(block.reconfigurations for block in blocks)
+        swap_cycles = sum(block.reconfig_cycles for block in blocks)
+        merged = self._execute(prepared, schedules, chunk)
+        per_app_packets = {
+            app.name: prepared[a][1].n for a, app in enumerate(self.apps)
+        }
         return MultiAppResult(
-            results=results,
+            results={app.name: merged[a] for a, app in enumerate(self.apps)},
             drain_ns=self.last_drain_ns,
-            reconfigurations=reconfigurations,
-            reconfig_ns=reconfig_cycles / CLOCK_GHZ,
+            reconfigurations=sum(b.reconfigurations for b in blocks) - swaps,
+            reconfig_ns=(sum(b.reconfig_cycles for b in blocks) - swap_cycles)
+            / CLOCK_GHZ,
             n_packets=sum(per_app_packets.values()),
             policy=policy,
             shards=self.shards,
             per_app_packets=per_app_packets,
         )
+
+    def process_traces(
+        self,
+        requests: Sequence[tuple[str, object]],
+        chunk_size: int | None = None,
+        on_result: Callable[[int, TracePipelineResult], None] | None = None,
+    ) -> list[TracePipelineResult]:
+        """``(app name, trace)`` requests, one after the other, as **one** run.
+
+        Request ``k``'s parts queue behind the earlier requests' parts on
+        its app's lanes, so each lane sees exactly what one :meth:`run`
+        per request (the other apps idle) would show it — results and
+        per-app state are bit-identical — while lanes work through their
+        queues side by side.  ``on_result(k, result)`` and
+        :attr:`last_drain_ns` are as in
+        :meth:`ShardedRuntime.process_traces
+        <repro.runtime.sharded.ShardedRuntime.process_traces>`.
+        """
+        chunk = self.chunk_size if chunk_size is None else chunk_size
+        if chunk <= 0:
+            raise ValueError("chunk_size must be positive")
+        lanes = self._ensure_lanes()
+        index = {app.name: a for a, app in enumerate(self.apps)}
+        prepared = []
+        schedules: list[list[tuple[int, TraceColumns, int]]] = [[] for __ in lanes]
+        for k, (name, trace) in enumerate(requests):
+            a = index[name]
+            prepared.append(self._prepare(a, trace))
+            for s, (__, sub) in zip(self.app_lanes(a), prepared[k][3]):
+                if sub.n:
+                    schedules[s].append((a, sub, k))
+        return self._execute(prepared, schedules, chunk, on_result)
+
+    def _execute(self, prepared, schedules, chunk: int, on_result=None):
+        """One run of ``schedules``, whose slots are owned by the entries
+        of ``prepared`` (see :meth:`_prepare`): each entry's merged
+        result, handed to ``on_result`` as soon as it is complete."""
+        merged: list = [None] * len(prepared)
+
+        def merge(k: int, lane_results: dict[int, TracePipelineResult]) -> None:
+            merged[k] = self._merge_app(*prepared[k], lane_results)
+            if on_result is not None:
+                on_result(k, merged[k])
+
+        blocks = [lane.block for lane in self._lanes]
+        before = issue_cycles(blocks)
+        self._runner.run(schedules, chunk, len(prepared), merge)
+        self.last_drain_ns = drain_ns(blocks, before)
+        return merged
 
     # ------------------------------------------------------------------
     # Internals
@@ -618,6 +635,12 @@ class MultiAppFabric:
                 f"got {len(traces)} traces for {len(self.apps)} apps"
             )
         return traces
+
+    def _prepare(self, app_index: int, trace):
+        """One app's trace as ``(app, time-sorted columns, caller-order
+        mapping, flow-consistent parts over the app's affine lanes)``."""
+        order, ordered = in_arrival_order(as_trace_columns(trace))
+        return app_index, ordered, order, self._partition(app_index, trace, ordered)
 
     def _app_slots(self, app_index: int) -> int:
         app = self.apps[app_index]
@@ -653,9 +676,10 @@ class MultiAppFabric:
         ordered: TraceColumns,
         order: np.ndarray,
         parts,
-        lane_results: list[TracePipelineResult],
+        scored: dict[int, TracePipelineResult],
     ) -> TracePipelineResult:
-        """One app's lane outputs as a single arrival-ordered result.
+        """One app's lane outputs (``scored[lane]``; a lane that got none
+        of its packets is absent) as a single arrival-ordered result.
 
         ``scatter_merge`` gathers over the *time-sorted* columns (so its
         internal order is the identity); the returned result re-exposes
@@ -665,21 +689,14 @@ class MultiAppFabric:
         if ordered.n == 0:
             # No packet of this app ran: its arbiter turn stands.
             return empty_trace_result()
+        lane_ids = self.app_lanes(app_index)
+        lane_results = [scored.get(s) or empty_trace_result() for s in lane_ids]
         merged = scatter_merge(ordered, parts, lane_results)
         # The globally-last packet fixes this app's merged arbiter turn.
         lane_pos = last_part(parts, lane_results, merged.order[-1])
         if lane_pos is not None:
-            lane = self._lanes[self.app_lanes(app_index)[lane_pos]]
-            self._app_turns[app_index] = lane.pipelines[app_index].arbiter._turn
-        return TracePipelineResult(
-            order=order,
-            times=merged.times,
-            decisions=merged.decisions,
-            ml_scores=merged.ml_scores,
-            latencies_ns=merged.latencies_ns,
-            bypassed=merged.bypassed,
-            aggregates=merged.aggregates,
-        )
+            self._turn_lane[app_index] = lane_ids[lane_pos]
+        return replace(merged, order=order)
 
     # ------------------------------------------------------------------
     # Merged observable state (verification: no cross-app leakage)
@@ -700,11 +717,10 @@ class MultiAppFabric:
         if index is None:
             raise KeyError(name)
         lanes = self._ensure_lanes()
-        pipelines = [
-            lanes[s].pipelines[index] for s in self.app_lanes(index)
-        ]
+        lane_ids = self.app_lanes(index)
+        turn = lanes[self._turn_lane.get(index, lane_ids[0])].pipelines[index]
         state = merge_pipeline_state(
-            pipelines, self._app_turns.get(index, 0)
+            [lanes[s].pipelines[index] for s in lane_ids], turn.arbiter._turn
         )
         state.pop("block_packets")
         state.pop("block_issue_cycles")

@@ -669,11 +669,11 @@ class ShardPool:
         the run is over.  Responses return per worker **in request
         order**.
 
-        ``on_result(index, ordinal, response)`` fires for every response
-        as it is acked (one caller thread per worker).  Stateful callers
-        use it to apply state deltas *eagerly*, which is what lets a
-        crash replacement re-fork from the parent at exactly the
-        last-acked chunk.
+        ``on_result(index, ordinal, response)`` takes every response as
+        it is acked instead (one caller thread per worker; the returned
+        lists then hold ``None``).  Stateful callers use it to apply
+        state deltas *eagerly*, which is what lets a crash replacement
+        re-fork from the parent at exactly the last-acked chunk.
 
         A crashed or hung worker is **invisible to the caller**: the
         pool re-forks a replacement from the parent's context, replays
@@ -819,9 +819,10 @@ class ShardPool:
                         run.error = exc
                     continue
                 ordinal, __, __ = run.ack()
-                run.results[ordinal] = response
                 run.collected += 1
-                if on_result is not None:
+                if on_result is None:
+                    run.results[ordinal] = response
+                else:
                     try:
                         on_result(index, ordinal, response)
                     except BaseException as exc:
@@ -869,10 +870,11 @@ class ShardPool:
                 # kinds (e.g. "score"); stateful callers pass `degrade`
                 # so deltas aren't double-applied.
                 response = self.contexts[index].handle(kind, payload)
-            run.results[ordinal] = response
             run.collected += 1
             worker_health.degraded_chunks += 1  # noqa: rt-racy-field - advisory counter; degraded mode runs single-threaded for its shard
-            if on_result is not None:
+            if on_result is None:
+                run.results[ordinal] = response
+            else:
                 on_result(index, ordinal, response)
 
         try:

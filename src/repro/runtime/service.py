@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .health import PoolError, PoolHealth
+from .health import PoolHealth
 from .sharded import as_trace_columns
 
 __all__ = [
@@ -243,10 +243,12 @@ class ServiceStats:
 class _Pending:
     request_id: int
     client: str
+    app: str | None            # the client's fabric binding, read at submit
     columns: object            # TraceColumns
     stride: int
     enqueued_at: float
     deadline_at: float | None
+    seq: int = -1              # scoring order, numbered at the pop
 
 
 class _Bucket:
@@ -286,7 +288,7 @@ class InferenceService:
     client scores through the same switch program and shared flow state,
     in admission order) or a :class:`MultiAppFabric` (each client's
     :attr:`ClientSpec.app` names its program; states stay per-app).  The
-    service does not rewind the backend between requests — state
+    service only calls their ``process_traces`` and never rewinds — state
     accumulates across chunks exactly like a switch that never stops.
 
     Two drive modes share all the logic:
@@ -299,7 +301,7 @@ class InferenceService:
 
     Admission takes only the service lock (never blocked by scoring), so
     the ingress gate keeps answering while the pool recovers a crashed
-    worker mid-chunk.
+    worker mid-chunk; what it admits meanwhile is the next batch.
     """
 
     def __init__(
@@ -393,20 +395,7 @@ class InferenceService:
                     self._counts["shed"] += 1
                     return Admission(SHED, rid, client, reason="queue-full")
                 if self.overload == "drop-oldest":
-                    oldest = state.queue.popleft()
-                    self._counts["evicted"] += 1
-                    self._deliver(
-                        state,
-                        ServiceResult(
-                            request_id=oldest.request_id,
-                            client=client,
-                            status="evicted",
-                            enqueued_at=oldest.enqueued_at,
-                            decided_at=now,
-                            time_to_decision_s=now - oldest.enqueued_at,
-                            stride=oldest.stride,
-                        ),
-                    )
+                    self._deliver(state.queue.popleft(), "evicted", now)
                 else:  # degrade-to-sampling
                     if occ >= 2 * depth:
                         self._counts["shed"] += 1
@@ -418,6 +407,7 @@ class InferenceService:
                 _Pending(
                     request_id=rid,
                     client=client,
+                    app=state.spec.app,
                     columns=columns,
                     stride=stride,
                     enqueued_at=now,
@@ -436,20 +426,48 @@ class InferenceService:
         """Score up to ``max_requests`` queued requests; returns how many
         were decided (scored, expired, or failed).
 
-        Clients are served round-robin in registration order, so dispatch
-        order — and therefore every completed result — is a deterministic
-        function of the admission sequence.
+        Everything queued right now is popped as one batch and scored as
+        **one** backend run (``process_traces``), so lanes overlap
+        consecutive requests and the pool's per-run costs are paid once
+        per batch; each request is still delivered the moment it and its
+        predecessors are decided, not at batch end.  Clients are served
+        round-robin in registration order, so dispatch order — and
+        therefore every completed result — is a deterministic function of
+        the admission sequence.
         """
         decided = 0
         with self._dispatch_lock:
             while max_requests is None or decided < max_requests:
-                with self._lock:
-                    picked = self._pop_next()
-                if picked is None:
+                popped, batch = self._pop_batch(
+                    None if max_requests is None else max_requests - decided
+                )
+                if not popped:
                     break
-                self._decide(picked)
-                decided += 1
+                if batch:
+                    self._decide(batch)
+                decided += popped
         return decided
+
+    def _pop_batch(self, limit: int | None) -> tuple[int, list[_Pending]]:
+        """Pop what is queued (at most ``limit``), round-robin: ``(popped,
+        the ones to score)``.  Deadlines are judged here — a request past
+        its deadline is delivered ``expired`` and takes no ``seq``."""
+        batch: list[_Pending] = []
+        popped = 0
+        with self._lock:
+            now = self.clock()
+            while limit is None or popped < limit:
+                pending = self._pop_next()
+                if pending is None:
+                    break
+                popped += 1
+                if pending.deadline_at is not None and now > pending.deadline_at:
+                    self._deliver(pending, "expired", now)
+                    continue
+                pending.seq = self._seq
+                self._seq += 1
+                batch.append(pending)
+        return popped, batch
 
     def _pop_next(self) -> _Pending | None:
         for step in range(len(self._order)):
@@ -459,97 +477,65 @@ class InferenceService:
                 return state.queue.popleft()
         return None
 
-    def _decide(self, pending: _Pending) -> None:
-        # _clients gains entries from concurrent submits under _lock;
-        # the dispatch lock alone does not exclude those inserts.
-        with self._lock:
-            state = self._clients[pending.client]
-        now = self.clock()
-        if pending.deadline_at is not None and now > pending.deadline_at:
+    def _decide(self, batch: list[_Pending]) -> None:
+        """One backend run for the whole batch (state carries over —
+        always-on).  Whatever the backend raises, every request of the
+        batch gets exactly one fate."""
+        waiting = dict(enumerate(batch))  # batch index -> not yet delivered
+
+        def completed(index: int, result) -> None:
+            # On a pool this comes from its supervisor threads.
             with self._lock:
-                self._counts["expired"] += 1
-                self._deliver(
-                    state,
-                    ServiceResult(
-                        request_id=pending.request_id,
-                        client=pending.client,
-                        status="expired",
-                        enqueued_at=pending.enqueued_at,
-                        decided_at=now,
-                        time_to_decision_s=now - pending.enqueued_at,
-                        stride=pending.stride,
-                    ),
-                )
-            return
-        columns = pending.columns
-        if pending.stride > 1:
-            columns = columns.take(
-                np.arange(0, columns.n, pending.stride, dtype=np.int64)
-            )
+                self._deliver(waiting.pop(index), "completed", self.clock(), result)
+
         try:
-            seq = self._seq
-            self._seq += 1
-            result = self._score(pending.client, columns)
-        except PoolError as exc:
-            decided_at = self.clock()
+            requests = []
+            for pending in batch:
+                if pending.stride > 1:
+                    pending.columns = pending.columns.take(
+                        np.arange(0, pending.columns.n, pending.stride, dtype=np.int64)
+                    )
+                columns = pending.columns
+                requests.append((pending.app, columns) if self._is_fabric else columns)
+            self.backend.process_traces(requests, self.chunk_size, completed)
+        except Exception as exc:  # the dispatcher must outlive any backend failure
+            error = f"{type(exc).__name__}: {exc}"
             with self._lock:
-                self._counts["failed"] += 1
-                self._deliver(
-                    state,
-                    ServiceResult(
-                        request_id=pending.request_id,
-                        client=pending.client,
-                        status="failed",
-                        seq=seq,
-                        enqueued_at=pending.enqueued_at,
-                        decided_at=decided_at,
-                        time_to_decision_s=decided_at - pending.enqueued_at,
-                        stride=pending.stride,
-                        error=str(exc),
-                    ),
-                )
-            return
-        decided_at = self.clock()
-        ttd = decided_at - pending.enqueued_at
-        with self._lock:
-            self._counts["completed"] += 1
-            self._counts["packets_out"] += columns.n
-            if pending.deadline_at is not None and decided_at > pending.deadline_at:
+                now = self.clock()
+                for pending in waiting.values():
+                    self._deliver(pending, "failed", now, error=error)
+
+    def _deliver(self, pending: _Pending, fate: str, now: float,
+                 result=None, error: str = "") -> None:
+        """Record one request's fate — counter, latency sample, result
+        buffer.  The caller holds ``_lock``."""
+        self._counts[fate] += 1
+        ttd = now - pending.enqueued_at
+        if fate == "completed":
+            self._counts["packets_out"] += pending.columns.n
+            if pending.deadline_at is not None and now > pending.deadline_at:
                 self._counts["late"] += 1
             self._latencies.append(ttd)
             self._window_latencies.append(ttd)
-            self._deliver(
-                state,
-                ServiceResult(
-                    request_id=pending.request_id,
-                    client=pending.client,
-                    status="completed",
-                    result=result,
-                    seq=seq,
-                    enqueued_at=pending.enqueued_at,
-                    decided_at=decided_at,
-                    time_to_decision_s=ttd,
-                    stride=pending.stride,
-                    n_packets=columns.n,
-                ),
-            )
-
-    def _score(self, client: str, columns):
-        """One chunk through the backend (state carries over — always-on)."""
-        kwargs = {} if self.chunk_size is None else {"chunk_size": self.chunk_size}
-        if not self._is_fabric:
-            return self.backend.process_trace(columns, **kwargs)
-        app = self._clients[client].spec.app
-        empty = columns.slice(slice(0, 0))
-        traces = {a.name: (columns if a.name == app else empty)
-                  for a in self.backend.apps}
-        return self.backend.run(traces, **kwargs).results[app]
-
-    def _deliver(self, state: _ClientState, result: ServiceResult) -> None:
+        results = self._clients[pending.client].results
         # deque(maxlen=) drops the head silently; count it first.
-        if len(state.results) == state.results.maxlen:
+        if len(results) == results.maxlen:
             self._counts["results_dropped"] += 1
-        state.results.append(result)
+        results.append(
+            ServiceResult(
+                request_id=pending.request_id,
+                client=pending.client,
+                status=fate,
+                result=result,
+                seq=pending.seq,
+                enqueued_at=pending.enqueued_at,
+                decided_at=now,
+                time_to_decision_s=ttd,
+                stride=pending.stride,
+                n_packets=pending.columns.n if fate == "completed" else 0,
+                error=error,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Gate 2: stream-results

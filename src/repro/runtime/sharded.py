@@ -36,6 +36,8 @@ so a trace completes in the slowest shard's drain time
 from __future__ import annotations
 
 import contextlib
+import threading
+from collections import deque
 from dataclasses import replace
 from typing import Callable, Iterator, Sequence
 
@@ -245,6 +247,28 @@ def merge_pipeline_state(pipelines, arbiter_turn: int) -> dict:
     }
 
 
+def issue_cycles(blocks) -> list[int]:
+    """Each block's issue clock (0 for a pipeline without a block)."""
+    return [0 if block is None else block._next_issue_cycle for block in blocks]
+
+
+def drain_ns(blocks, before: list[int]) -> float:
+    """Modeled drain of what ``blocks`` issued since ``before``.
+
+    Mirrors :attr:`BatchInferenceResult.duration_ns`: a block that
+    issued ``B`` packets drains in ``latency + (B - 1) * II`` cycles —
+    its last packet completes one tail latency after its final issue
+    slot; blocks run concurrently, so the run drains with the slowest.
+    """
+    drains = [0.0]
+    for block, start, now in zip(blocks, before, issue_cycles(blocks)):
+        if now > start:
+            design = block.design
+            cycles = design.latency_cycles + (now - start) - design.initiation_interval
+            drains.append(cycles / CLOCK_GHZ)
+    return max(drains)
+
+
 def last_part(parts, results, last_index: int) -> int | None:
     """The part that processed the packet at global position ``last_index``.
 
@@ -256,6 +280,53 @@ def last_part(parts, results, last_index: int) -> int | None:
         if len(result) and indices[result.order[-1]] == last_index:
             return p
     return None
+
+
+class _Tally:
+    """Whose result each scored piece of one run belongs to.
+
+    Every lane reports its pieces in issue order (:meth:`scored`); an
+    owner is complete when each of its slots has all its pieces, and
+    owners are handed to ``on_done`` strictly in order, under the lock.
+    """
+
+    def __init__(self, schedules, pieces, owners: int, on_done):
+        #: Per lane, the unfinished slots as ``[owner, pieces to come]``.
+        self._open = [
+            deque([owner, n] for (__, __, owner), n in zip(slots, counts))
+            for slots, counts in zip(schedules, pieces)
+        ]
+        self._pieces: list[dict[int, list]] = [{} for __ in range(owners)]
+        self._slots = [0] * owners
+        for lane, slots in enumerate(schedules):
+            for __, __, owner in slots:
+                self._pieces[owner].setdefault(lane, [])
+                self._slots[owner] += 1
+        self._next = 0
+        self._on_done = on_done
+        self._lock = threading.Lock()
+        with self._lock:  # slots and owners with nothing to wait for
+            for lane in range(len(schedules)):
+                self._settle(lane)
+
+    def scored(self, lane: int, result: TracePipelineResult) -> None:
+        """The next piece of ``lane``'s first unfinished slot is in."""
+        with self._lock:
+            slot = self._open[lane][0]
+            self._pieces[slot[0]][lane].append(result)
+            slot[1] -= 1
+            self._settle(lane)
+
+    def _settle(self, lane: int) -> None:
+        slots = self._open[lane]
+        while slots and slots[0][1] == 0:
+            self._slots[slots.popleft()[0]] -= 1
+        while self._next < len(self._slots) and self._slots[self._next] == 0:
+            # No owner is handed over after one whose ``on_done`` raised.
+            owner, self._next = self._next, len(self._slots)
+            lanes, self._pieces[owner] = self._pieces[owner].items(), None
+            self._on_done(owner, {s: concat_results(parts) for s, parts in lanes})
+            self._next = owner + 1
 
 
 class LaneRunner:
@@ -326,56 +397,68 @@ class LaneRunner:
     # Execution
     # ------------------------------------------------------------------
     def run(
-        self, schedules: Sequence[Sequence[tuple[int, TraceColumns]]], chunk: int
-    ) -> list[dict[int, TracePipelineResult]]:
-        """Score every lane's schedule; one merged result per lane and app.
+        self,
+        schedules: Sequence[Sequence[tuple[int, TraceColumns, int]]],
+        chunk: int,
+        owners: int,
+        on_done: Callable[[int, dict[int, TracePipelineResult]], None],
+    ) -> None:
+        """Score every lane's schedule as one run; per-owner lane results.
 
-        ``schedules[s]`` lists lane ``s``'s ``(app, columns)`` slots in
-        issue order.  In process, each slot is one
-        ``process_trace_batch(columns, chunk_size=chunk)`` call.  On the
-        fork backend the caller passes slots in arrival order and each is
-        sliced into ``chunk``-sized requests, so the pool slices and
-        ships request ``k+1`` while the worker scores ``k``.  An app's
-        slot results concatenate in issue order.
+        ``schedules[s]`` lists lane ``s``'s ``(app, columns, owner)``
+        slots in issue order; ``owner < owners`` names whose result the
+        slot is a part of (a request of a batch, an app of a fabric run).
+        In process, each slot is one
+        ``process_trace_batch(columns, chunk_size=chunk)`` call, lanes
+        taking turns.  On the fork backend the caller passes slots in
+        arrival order and each is sliced into ``chunk``-sized requests,
+        so the pool slices and ships request ``k+1`` while the worker
+        scores ``k`` and every lane works through its own schedule
+        without waiting for the others.
+
+        ``on_done(owner, {lane: result})`` — an owner's slots on one lane
+        concatenated in issue order — fires as soon as that owner and
+        every lower-numbered one are complete: at ack time on the fork
+        backend, from the lanes' supervisor threads, one call at a time.
         """
-        if not self.forked:
-            scored = [
-                [(app, self._score(s, app, columns, chunk)) for app, columns in slots]
-                for s, slots in enumerate(schedules)
-            ]
-        else:
-            streams = [
-                (
-                    self._requests(slots, chunk),
-                    sum(-(-columns.n // chunk) for __, columns in slots),
-                )
-                for slots in schedules
-            ]
-            with self.workers() as pool:
-                try:
-                    responses = pool.map_streams(
-                        streams, on_result=self._apply_delta, degrade=self._degrade
-                    )
-                except RuntimeError:
-                    # A failed run may have executed chunks worker-side
-                    # whose deltas never landed here; pull full snapshots
-                    # so this process's pipelines stay consistent with the
-                    # workers instead of silently drifting on the next run.
-                    self._resync(pool)
-                    raise
-            scored = [
-                [(app, result) for app, (result, __) in answers]
-                for answers in responses
-            ]
-        merged = []
-        for lane, pairs in zip(self.lanes, scored):
-            pieces: dict[int, list[TracePipelineResult]] = {app: [] for app in lane}
-            for app, result in pairs:
-                pieces[app].append(result)
-            merged.append(
-                {app: concat_results(parts) for app, parts in pieces.items()}
-            )
-        return merged
+        # Pieces per slot: one in-process call, or ``ceil(n / chunk)``
+        # acks on the fork backend (none for an empty slot).
+        pieces = [
+            [-(-columns.n // chunk) if self.forked else 1 for __, columns, __ in slots]
+            for slots in schedules
+        ]
+        tally = _Tally(schedules, pieces, owners, on_done)
+        if not self.forked or not any(schedules):  # an empty run forks nothing
+            for k in range(max(map(len, schedules), default=0)):
+                for s, slots in enumerate(schedules):
+                    if k < len(slots):
+                        app, columns, __ = slots[k]
+                        tally.scored(s, self._score(s, app, columns, chunk))
+            return
+        streams = [
+            (self._requests(slots, chunk), sum(counts))
+            for slots, counts in zip(schedules, pieces)
+        ]
+
+        def acked(lane: int, __ordinal: int, response) -> None:
+            # Land each chunk's incremental delta the moment it is acked
+            # (one supervisor thread per lane; each touches only its own
+            # lane's pipelines, so this part needs no lock).
+            app, (result, delta) = response
+            if delta is not None:
+                self.lanes[lane][app].apply_state_delta(delta)
+            tally.scored(lane, result)
+
+        with self.workers() as pool:
+            try:
+                pool.map_streams(streams, on_result=acked, degrade=self._degrade)
+            except RuntimeError:
+                # A failed run may have executed chunks worker-side
+                # whose deltas never landed here; pull full snapshots
+                # so this process's pipelines stay consistent with the
+                # workers instead of silently drifting on the next run.
+                self._resync(pool)
+                raise
 
     def _score(self, lane: int, app: int, columns: TraceColumns, chunk: int):
         """The in-process backend: this process's pipeline scores the slot."""
@@ -385,18 +468,10 @@ class LaneRunner:
     def _requests(slots, chunk: int):
         """Lazy chunk slicing — pulled by the pool's writer threads, at
         most ``window`` requests ahead of the acks."""
-        for app, columns in slots:
+        for app, columns, __ in slots:
             for start in range(0, columns.n, chunk):
                 sliced = columns.slice(slice(start, min(start + chunk, columns.n)))
                 yield ("chunk", (app, (sliced, True)))
-
-    def _apply_delta(self, lane: int, __ordinal: int, response) -> None:
-        # Ack callback: land each chunk's incremental delta the moment it
-        # is acked (one supervisor thread per lane; each touches only its
-        # own lane's pipelines, so no lock is needed).
-        app, (__, delta) = response
-        if delta is not None:
-            self.lanes[lane][app].apply_state_delta(delta)
 
     def _degrade(self, lane: int, kind: str, payload):
         # In-parent fallback when a lane's workers cannot be kept alive:
@@ -484,7 +559,9 @@ class ShardedRuntime:
         #: Modeled parallel-fabric drain time of the last run (max over
         #: shards of latency + (B_s - 1) * II on that shard's block).
         self.last_drain_ns = 0.0
-        self._last_turn = 0
+        #: The shard that processed the globally-last packet so far: the
+        #: merged arbiter turn is its pipeline's.
+        self._turn_shard = 0
         self._runner = LaneRunner(
             [{0: pipe} for pipe in self.pipelines], executor, pool, pool_options
         )
@@ -524,7 +601,7 @@ class ShardedRuntime:
         """Rewind every shard (parent and pool workers) to the pristine
         post-build mark, shipping no state (see :meth:`ShardPool.rewind`)."""
         self._runner.rewind()
-        self._last_turn = self.pipelines[0].arbiter._turn
+        self._turn_shard = 0
 
     # ------------------------------------------------------------------
     # Trace execution
@@ -532,7 +609,8 @@ class ShardedRuntime:
     def process_trace(
         self, trace, chunk_size: int | None = None
     ) -> TracePipelineResult:
-        """The whole trace through all shards; merged, arrival-ordered.
+        """The whole trace through all shards; merged, arrival-ordered —
+        :meth:`process_traces` on a batch of one.
 
         ``trace`` is a :class:`~repro.datasets.packets.PacketTrace`
         (partitions are cached on the trace), a
@@ -541,17 +619,65 @@ class ShardedRuntime:
         aggregates are *not* written back into packet ``metadata`` — fork
         workers mutate copies).
         """
+        return self.process_traces([trace], chunk_size)[0]
+
+    def process_traces(
+        self,
+        traces: Sequence,
+        chunk_size: int | None = None,
+        on_result: Callable[[int, TracePipelineResult], None] | None = None,
+    ) -> list[TracePipelineResult]:
+        """Several traces, one after the other, as **one** run.
+
+        Each trace is partitioned on its own and its parts queue behind
+        the earlier traces' parts on their shards, so every shard sees
+        exactly what back-to-back :meth:`process_trace` calls would show
+        it — results and merged state are bit-identical — but a shard
+        starts trace ``k+1`` while another is still on ``k``, and the
+        pool's per-run costs are paid once.  ``on_result(k, result)``
+        fires as soon as trace ``k`` and every earlier one are merged (on
+        the fork backend, from a pool supervisor thread, one call at a
+        time).  :attr:`last_drain_ns` covers the whole run.
+        """
         chunk = self.chunk_size if chunk_size is None else chunk_size
         if chunk <= 0:
             raise ValueError("chunk_size must be positive")
+        requests = [self._parts(trace) for trace in traces]
+        merged: list = [None] * len(requests)
+
+        def merge(k: int, lanes: dict[int, TracePipelineResult]) -> None:
+            merged[k] = self._merge(*requests[k], lanes)
+            if on_result is not None:
+                on_result(k, merged[k])
+
+        blocks = [pipe.block for pipe in self.pipelines]
+        before = issue_cycles(blocks)
+        self._runner.run(
+            [
+                [(0, parts[s][1], k) for k, (__, parts) in enumerate(requests) if parts]
+                for s in range(self.shards)
+            ],
+            chunk,
+            len(requests),
+            merge,
+        )
+        self.last_drain_ns = drain_ns(blocks, before)
+        return merged
+
+    def _parts(self, trace):
+        """One trace as ``(columns, slot-consistent parts)``, a part being
+        a shard's ``(global_indices, sub_columns)`` — no parts at all for
+        an empty trace, which runs nothing."""
         columns = as_trace_columns(trace)
         if columns.n == 0:
-            self.last_drain_ns = 0.0
-            return empty_trace_result()
+            return columns, []
         if self.shards == 1:
             parts = [(np.arange(columns.n, dtype=np.int64), columns)]
+        elif isinstance(trace, PacketTrace):
+            parts = trace.shard_columns(self.shards, self.slots)
         else:
-            parts = self._partition(trace, columns)
+            assignments = columns.shard_assignments(self.shards, self.slots)
+            parts = columns.partition(assignments, self.shards)
         if self._runner.forked:
             # Workers score chunk-sized slices, so apply the arrival sort
             # ``process_trace_batch`` would have applied before slicing.
@@ -559,61 +685,24 @@ class ShardedRuntime:
             for indices, sub in unsorted:
                 order, sub = in_arrival_order(sub)
                 parts.append((indices[order], sub))
-        before = self._busy_cycles()
-        lanes = self._runner.run([[(0, sub)] for __, sub in parts], chunk)
-        results = [lane[0] for lane in lanes]
-        self.last_drain_ns = self._drain_ns(before)
+        return columns, parts
+
+    def _merge(self, columns, parts, lanes) -> TracePipelineResult:
+        """One trace's shard results, merged; notes which shard processed
+        its globally-last packet (the merged arbiter turn is that shard's)."""
+        if not parts:
+            return empty_trace_result()
+        results = [lanes[s] for s in range(self.shards)]
         if self.shards == 1:
             # No partition, no merge: the pipeline's own result.  Workers
             # saw the trace pre-sorted, so re-expose the caller-order
             # mapping one ``process_trace_batch`` call would report.
-            self._last_turn = self.pipelines[0].arbiter._turn
             if self._runner.forked:
                 return replace(results[0], order=parts[0][0])
             return results[0]
         merged = scatter_merge(columns, parts, results)
-        # The globally-last packet fixes the merged arbiter turn.
-        last = last_part(parts, results, merged.order[-1])
-        self._last_turn = self.pipelines[last or 0].arbiter._turn
+        self._turn_shard = last_part(parts, results, merged.order[-1]) or 0
         return merged
-
-    # ------------------------------------------------------------------
-    # Partitioning
-    # ------------------------------------------------------------------
-    def _partition(self, trace, columns: TraceColumns):
-        """Slot-consistent parts as ``[(global_indices, sub_columns)]``."""
-        if isinstance(trace, PacketTrace):
-            return trace.shard_columns(self.shards, self.slots)
-        assignments = columns.shard_assignments(self.shards, self.slots)
-        return columns.partition(assignments, self.shards)
-
-    # ------------------------------------------------------------------
-    # Modeled hardware drain
-    # ------------------------------------------------------------------
-    def _busy_cycles(self) -> list[int]:
-        return [
-            0 if pipe.block is None else pipe.block._next_issue_cycle
-            for pipe in self.pipelines
-        ]
-
-    def _drain_ns(self, before: list[int]) -> float:
-        """Slowest shard's modeled block drain for the cycles just issued.
-
-        Mirrors :attr:`BatchInferenceResult.duration_ns`: a shard that
-        issued ``B`` packets drains in ``latency + (B - 1) * II`` cycles;
-        shards run concurrently, so the trace drains with the slowest.
-        """
-        drains = [0.0]
-        for pipe, start in zip(self.pipelines, before):
-            if pipe.block is None:
-                continue
-            busy = pipe.block._next_issue_cycle - start
-            if busy <= 0:
-                continue
-            design = pipe.block.design
-            cycles = design.latency_cycles + busy - design.initiation_interval
-            drains.append(cycles / CLOCK_GHZ)
-        return max(drains)
 
     # ------------------------------------------------------------------
     # Merged observable state (for verification and reporting)
@@ -626,4 +715,6 @@ class ShardedRuntime:
         shard that processed the globally-last packet (see
         :func:`merge_pipeline_state`).
         """
-        return merge_pipeline_state(self.pipelines, self._last_turn)
+        return merge_pipeline_state(
+            self.pipelines, self.pipelines[self._turn_shard].arbiter._turn
+        )

@@ -40,11 +40,13 @@ from repro.runtime import (
     VirtualClock,
     WorkerHealth,
 )
+from repro.runtime.service import _COUNTERS as COUNTERS
 from repro.testbed import bursty_schedule, chunk_columns, replay_virtual
 
 from test_shard_runtime import (
     BACKENDS,
     backend_cases,
+    _deep_equal,
     _oracle,
     _pipeline,
     _random_columns,
@@ -589,11 +591,12 @@ class TestLifecycle:
         class FailsOnce:
             calls = 0
 
-            def process_trace(self, columns, chunk_size=None):
+            def process_traces(self, requests, chunk_size=None, on_result=None):
                 self.calls += 1
                 if self.calls == 1:
                     raise PoolError("every worker is gone")
-                return columns.n
+                for k, columns in enumerate(requests):
+                    on_result(k, columns.n)
 
         clock = VirtualClock()
         with _service(FailsOnce(), clock=clock) as svc:
@@ -601,13 +604,478 @@ class TestLifecycle:
             svc.submit("tenant", chunks[0])
             svc.submit("tenant", chunks[1])
             clock.advance(0.25)
-            assert svc.pump() == 2
+            # One request per run: a failed run fails its whole batch.
+            assert svc.pump(max_requests=1) == 1
+            assert svc.pump() == 1
             failed, completed = svc.take_results("tenant")
             assert (failed.status, failed.seq) == ("failed", 0)
-            assert failed.error == "every worker is gone"
+            assert failed.error == "PoolError: every worker is gone"
             assert failed.time_to_decision_s == failed.decided_at - failed.enqueued_at
             assert failed.time_to_decision_s == 0.25
             assert (completed.status, completed.seq) == ("completed", 1)
             assert completed.result == chunks[1].n
             stats = svc.stats()
             assert (stats.failed, stats.completed) == (1, 1)
+
+
+# ----------------------------------------------------------------------
+# Batched dispatch: pump() on a backlog is one run, and changes nothing
+# ----------------------------------------------------------------------
+FIVE_TUPLE = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+
+
+def _cut(columns, plan):
+    """Consecutive pieces of ``columns``, one per ``(size, one_flow)``; a
+    one-flow piece has a single five-tuple, so it lands on one shard."""
+    pieces, start = [], 0
+    for size, one_flow in plan:
+        piece = columns.slice(slice(start, start + size))
+        start += size
+        if one_flow and size:
+            piece = piece.take(np.arange(size))  # own arrays: edited below
+            for name in FIVE_TUPLE:
+                piece.headers[name][:] = piece.headers[name][0]
+        pieces.append(piece)
+    return pieces
+
+
+def _drive(svc, offers, state_of, one_at_a_time):
+    """Submit every ``(client, columns)`` offer, then dispatch: the whole
+    backlog per ``pump()``, or ``pump(max_requests=1)`` until dry."""
+    for client, columns in offers:
+        svc.submit(client, columns)
+    if one_at_a_time:
+        while svc.pump(max_requests=1):
+            pass
+    else:
+        svc.pump()
+    stats = svc.stats()
+    results = {r.request_id: r for r in svc.take_results()}
+    state = state_of()
+    svc.close()
+    return results, stats, state
+
+
+def _assert_same_service_outcome(batched, single):
+    (got, got_stats, got_state), (want, want_stats, want_state) = batched, single
+    assert got.keys() == want.keys()
+    for rid, expected in want.items():
+        record = got[rid]
+        assert (record.status, record.seq, record.stride, record.n_packets) == (
+            expected.status, expected.seq, expected.stride, expected.n_packets
+        ), rid
+        if expected.status == "completed":
+            assert _results_equal(expected.result, record.result), rid
+    for name in COUNTERS:
+        assert getattr(got_stats, name) == getattr(want_stats, name), name
+    assert _deep_equal(got_state, want_state)
+
+
+request_plans = st.lists(
+    st.tuples(
+        st.sampled_from(["alpha", "beta"]),
+        st.integers(min_value=0, max_value=3 * CHUNK),
+        st.booleans(),
+    ),
+    min_size=1, max_size=9,
+)
+
+
+class TestBatchEqualsOneAtATime:
+    """``pump()`` on the whole backlog (one backend run) against
+    ``pump(max_requests=1)`` in a loop (one run per request): same
+    results per request, same ``seq``, same merged state, same counters."""
+
+    @staticmethod
+    def _two_clients(backend, depth):
+        # degrade-to-sampling past ``depth``: strides 1, then 2, then 4.
+        return InferenceService(
+            backend,
+            [ClientSpec(name=name, queue_depth=depth, result_depth=64)
+             for name in ("alpha", "beta")],
+            overload="degrade-to-sampling",
+            chunk_size=CHUNK,
+            clock=VirtualClock(),
+        )
+
+    @pytest.mark.parametrize("backend, shards", backend_cases())
+    @settings(
+        max_examples=5, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(plan=request_plans, seed=st.integers(0, 10**6),
+           depth=st.sampled_from([2, 8]))
+    def test_sharded_runtime(self, blocks, backend, shards, plan, seed, depth):
+        columns = _random_columns(seed=seed, n=sum(size for __, size, __ in plan))
+        pieces = _cut(columns, [(size, one) for __, size, one in plan])
+        offers = [(client, piece) for (client, __, __), piece in zip(plan, pieces)]
+        outcomes = []
+        for one_at_a_time in (False, True):
+            runtime = _runtime(blocks, shards=shards, pool=backend)
+            outcomes.append(
+                _drive(self._two_clients(runtime, depth), offers,
+                       runtime.merged_state, one_at_a_time)
+            )
+        _assert_same_service_outcome(*outcomes)
+
+    @pytest.fixture(scope="class")
+    def tenants(self, quantized_dnn):
+        """(fabric apps factory, per-app packet columns) for two tenants."""
+        from repro.datasets import iot_cluster_dataset, iot_packet_trace
+        from repro.ml import KMeans
+        from repro.runtime import FabricApp
+
+        feats, __ = iot_cluster_dataset(400, seed=3)
+        km = KMeans(n_clusters=5, seed=0).fit(feats)
+        traces = {
+            "alpha": _random_columns(seed=41, n=27 * CHUNK),
+            "beta": chunk_columns(iot_packet_trace(27 * CHUNK, seed=4), 27 * CHUNK)[0],
+        }
+
+        def apps():
+            return [FabricApp.from_quantized_dnn(quantized_dnn),
+                    FabricApp.from_kmeans(km)]
+
+        return apps, traces
+
+    @pytest.mark.parametrize(
+        "backend, shards",
+        [pytest.param(name, shards, id=f"{name}-{shards}",
+                      marks=() if name == "serial" else fork_only)
+         for name in ("serial", "pool") for shards in (1, 2)],
+    )
+    @settings(
+        max_examples=4, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(plan=request_plans, depth=st.sampled_from([2, 8]))
+    def test_two_tenant_fabric(self, tenants, backend, shards, plan, depth):
+        from repro.runtime import MultiAppFabric
+
+        apps, traces = tenants
+        offers, cursor = [], {"alpha": 0, "beta": 0}
+        for client, size, __ in plan:
+            start = cursor[client]
+            cursor[client] += size
+            offers.append((client, traces[client].slice(slice(start, start + size))))
+        outcomes = []
+        for one_at_a_time in (False, True):
+            fabric = MultiAppFabric(apps(), shards=shards, **BACKENDS[backend])
+            svc = InferenceService(
+                fabric,
+                [ClientSpec(name="alpha", app="anomaly", queue_depth=depth,
+                            result_depth=64),
+                 ClientSpec(name="beta", app="iot", queue_depth=depth,
+                            result_depth=64)],
+                overload="degrade-to-sampling",
+                chunk_size=CHUNK,
+                clock=VirtualClock(),
+            )
+            outcomes.append(
+                _drive(
+                    svc, offers,
+                    lambda: {name: fabric.app_state(name) for name in ("anomaly", "iot")},
+                    one_at_a_time,
+                )
+            )
+        _assert_same_service_outcome(*outcomes)
+
+    @fork_only
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_faults_past_ordinal_zero_are_transparent(self, blocks, seed):
+        """Kills and torn frames on a lane's later chunks — unreachable
+        while every request was its own run — still leave every result
+        equal to the unfaulted one-at-a-time service's."""
+        rng = np.random.default_rng(seed)
+        plan_of_requests = [("alpha", 24, False)] * 10
+        columns = _random_columns(seed=seed, n=240)
+        pieces = _cut(columns, [(size, one) for __, size, one in plan_of_requests])
+        offers = [("alpha", piece) for piece in pieces]
+        faults = FaultPlan()
+        scheduled = []
+        for worker in (0, 1):
+            for ordinal, kind in zip(
+                rng.choice(np.arange(1, 8), size=2, replace=False),
+                ("kill", "torn_frame"),
+            ):
+                faults.add(worker=worker, ordinal=int(ordinal), kind=kind)
+                scheduled.append((worker, int(ordinal), kind))
+        faulted = _runtime(
+            blocks, pool="pool", pool_options={"faults": faults, **FAST_WATCHDOG}
+        )
+        batched = _drive(self._two_clients(faulted, 16), offers,
+                         faulted.merged_state, one_at_a_time=False)
+        assert sorted(faults.fired) == sorted(scheduled)
+        assert batched[1].pool.crashes >= 4
+        assert batched[1].pool.replayed_chunks >= 1
+        oracle = _runtime(blocks)
+        single = _drive(self._two_clients(oracle, 16), offers,
+                        oracle.merged_state, one_at_a_time=True)
+        assert all(r.status == "completed" for r in batched[0].values())
+        # Pool health differs by design; everything else must not.
+        _assert_same_service_outcome(batched, single)
+
+
+class TestBatchDelivery:
+    """What a batch may not change: per-request delivery, exactly-once
+    fates under failure, ``max_requests``, deadlines judged at the pop."""
+
+    @fork_only
+    def test_results_stream_out_in_seq_order_before_the_batch_ends(self, blocks):
+        import threading
+        import time as _time
+
+        chunks = _chunks(seed=7, n=6 * CHUNK, size=CHUNK)  # one chunk each
+        # One lane, so chunk ordinal k is request k: stall the last one.
+        plan = FaultPlan().add(
+            worker=0, ordinal=len(chunks) - 1, kind="delay", seconds=1.0
+        )
+        svc = _service(
+            _runtime(blocks, shards=1, pool="pool", pool_options={"faults": plan}),
+            clock=_time.monotonic, depth=len(chunks),
+        )
+        try:
+            for chunk in chunks:
+                assert svc.submit("tenant", chunk).accepted
+            pumping = threading.Thread(target=svc.pump)
+            pumping.start()
+            early = []
+            deadline = _time.monotonic() + 10.0
+            while not early and _time.monotonic() < deadline:
+                early = svc.take_results("tenant")
+                _time.sleep(0.002)
+            still_pumping = pumping.is_alive()
+            pumping.join(timeout=30.0)
+            assert not pumping.is_alive()
+            assert early and still_pumping, "nothing delivered before batch end"
+            assert plan.fired == [(0, len(chunks) - 1, "delay")]
+            results = early + svc.take_results("tenant")
+            assert [r.seq for r in results] == list(range(len(chunks)))
+            assert all(r.status == "completed" for r in results)
+            decided = [r.decided_at for r in results]
+            assert decided == sorted(decided)
+            assert decided[-1] - decided[0] >= 0.5  # not stamped at batch end
+        finally:
+            svc.close()
+
+    @fork_only
+    def test_poison_chunk_fails_the_rest_of_its_batch_once_each(self, blocks):
+        poisoned = 2
+        columns = _random_columns(seed=23, n=8 * CHUNK)
+        chunks = [columns.slice(slice(k * CHUNK, (k + 1) * CHUNK)) for k in range(8)]
+        for chunk in chunks:  # one chunk per lane per request: ordinal == request
+            assert set(chunk.shard_assignments(2, SLOTS)) == {0, 1}
+        plan = FaultPlan().add(worker=0, ordinal=poisoned, kind="kill", times=100)
+        runtime = _runtime(
+            blocks, pool="pool", pool_options={"faults": plan, **FAST_WATCHDOG}
+        )
+        clock = VirtualClock()
+        with _service(runtime, clock=clock, depth=8) as svc:
+            first = [svc.submit("tenant", chunk) for chunk in chunks[:5]]
+            clock.advance(0.25)
+            assert svc.pump() == 5
+            results = svc.take_results("tenant")
+            assert [r.request_id for r in results] == [a.request_id for a in first]
+            assert [r.status for r in results] == ["completed"] * poisoned + [
+                "failed"] * (5 - poisoned)
+            assert [r.seq for r in results] == list(range(5))
+            for r in results[poisoned:]:
+                assert r.error.startswith("PoisonChunk: ")
+                assert r.time_to_decision_s == r.decided_at - r.enqueued_at == 0.25
+            queued = svc.submit("tenant", chunks[5])
+            stats = svc.stats()
+            assert (stats.completed, stats.failed) == (poisoned, 5 - poisoned)
+            assert stats.accepted == (
+                stats.completed + stats.failed + stats.expired + stats.evicted
+                + sum(stats.queue_depths.values())
+            )
+            # The lanes were resynced: an in-process runtime restored to
+            # them is the oracle for what the dispatcher serves next.
+            plan.add(worker=0, ordinal=poisoned, kind="delay")  # disarm the kill
+            oracle = _runtime(blocks)
+            for mine, theirs in zip(oracle.pipelines, runtime.pipelines):
+                mine.restore_state(theirs.state_snapshot())
+            svc.submit("tenant", chunks[6])
+            assert svc.pump() == 2
+            after = svc.take_results("tenant")
+            assert [r.status for r in after] == ["completed", "completed"]
+            assert after[0].request_id == queued.request_id
+            for record, chunk in zip(after, chunks[5:7]):
+                expected = oracle.process_trace(chunk, chunk_size=CHUNK)
+                assert _results_equal(expected, record.result)
+            assert _deep_equal(
+                runtime.merged_state()["registers"],
+                oracle.merged_state()["registers"],
+            )
+
+    def test_any_backend_exception_fails_the_batch_and_service_lives(self):
+        """Not only ``PoolError``: whatever the backend raises, delivered
+        requests stay completed, the rest fail once, dispatch carries on."""
+
+        class RaisesMidBatch:
+            calls = 0
+
+            def process_traces(self, requests, chunk_size=None, on_result=None):
+                self.calls += 1
+                for k, columns in enumerate(requests):
+                    if self.calls == 1 and k == 1:
+                        raise ValueError("bad lane")
+                    on_result(k, columns.n)
+
+        clock = VirtualClock()
+        with _service(RaisesMidBatch(), clock=clock, depth=8) as svc:
+            chunks = _chunks()
+            for chunk in chunks[:3]:
+                svc.submit("tenant", chunk)
+            assert svc.pump() == 3
+            done, failed, also_failed = svc.take_results("tenant")
+            assert (done.status, done.seq) == ("completed", 0)
+            assert [(r.status, r.seq, r.error) for r in (failed, also_failed)] == [
+                ("failed", 1, "ValueError: bad lane"),
+                ("failed", 2, "ValueError: bad lane"),
+            ]
+            svc.submit("tenant", chunks[3])
+            assert svc.pump() == 1
+            (later,) = svc.take_results("tenant")
+            assert (later.status, later.seq) == ("completed", 3)
+            stats = svc.stats()
+            assert (stats.accepted, stats.completed, stats.failed) == (4, 2, 2)
+
+    @pytest.mark.parametrize("backend", ["serial", pytest.param("pool", marks=fork_only)])
+    def test_a_lost_delivery_never_shifts_results_onto_other_requests(
+        self, blocks, backend
+    ):
+        """A completion callback that raises on request ``k`` (on a pool
+        the supervisor only records it and keeps acking): ``k`` and every
+        later request fail once, none is handed its neighbour's result."""
+
+        class LosesOne:
+            def __init__(self, runtime, lost):
+                self.runtime, self.lost = runtime, lost
+
+            def process_traces(self, requests, chunk_size=None, on_result=None):
+                def flaky(k, result):
+                    if k == self.lost:
+                        self.lost = None
+                        raise KeyError("mislaid")
+                    on_result(k, result)
+
+                return self.runtime.process_traces(requests, chunk_size, flaky)
+
+            def close(self):
+                self.runtime.close()
+
+        lost = 1
+        chunks = _chunks(seed=29, n=6 * 40, size=40)  # several chunks per lane
+        runtime = _runtime(blocks, pool=backend)
+        oracle = _runtime(blocks)
+        with _service(LosesOne(runtime, lost), clock=VirtualClock(), depth=8) as svc:
+            for chunk in chunks[:5]:
+                svc.submit("tenant", chunk)
+            assert svc.pump() == 5
+            results = svc.take_results("tenant")
+            assert [r.seq for r in results] == list(range(5))
+            assert [r.status for r in results] == ["completed"] * lost + [
+                "failed"] * (5 - lost)
+            assert all("mislaid" in r.error for r in results[lost:])
+            # The in-process loop stops where the callback raised; a
+            # pool's lanes run on to the end of the batch.
+            scored = 5 if backend == "pool" else lost + 1
+            expected = [
+                oracle.process_trace(c, chunk_size=CHUNK)
+                for c in chunks[:scored] + chunks[5:]
+            ]
+            for record, theirs in zip(results[:lost], expected):
+                assert _results_equal(theirs, record.result)
+            svc.submit("tenant", chunks[5])
+            assert svc.pump() == 1
+            (later,) = svc.take_results("tenant")
+            assert (later.status, later.seq) == ("completed", 5)
+            assert _results_equal(expected[-1], later.result)
+            assert _deep_equal(runtime.merged_state(), oracle.merged_state())
+            stats = svc.stats()
+            assert (stats.accepted, stats.completed, stats.failed) == (6, lost + 1, 5 - lost)
+
+    def test_a_request_that_cannot_be_built_fails_the_batch_not_the_pump(self):
+        """Preparing the batch (the sampling ``take``) is inside the same
+        guard as the run: nothing popped is left without a fate."""
+
+        class NeverCalled:
+            def process_traces(self, requests, chunk_size=None, on_result=None):
+                raise AssertionError("unreachable")
+
+        class Untakeable:
+            n = 8
+
+            def take(self, indices):
+                raise IndexError("no such rows")
+
+        with _service(NeverCalled(), clock=VirtualClock(), depth=1,
+                      overload="degrade-to-sampling") as svc:
+            chunks = _chunks()
+            svc.submit("tenant", chunks[0])
+            assert svc.submit("tenant", chunks[1]).stride == 2
+            svc._clients["tenant"].queue[1].columns = Untakeable()
+            assert svc.pump() == 2
+            assert [(r.status, r.error) for r in svc.take_results("tenant")] == [
+                ("failed", "IndexError: no such rows")] * 2
+
+    def test_threaded_dispatcher_survives_a_raising_backend(self):
+        import time as _time
+
+        class RaisesOnce:
+            calls = 0
+
+            def process_traces(self, requests, chunk_size=None, on_result=None):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("lane fell over")
+                for k, columns in enumerate(requests):
+                    on_result(k, columns.n)
+
+        svc = _service(RaisesOnce(), clock=_time.monotonic, depth=8)
+        try:
+            svc.start()
+            chunks = _chunks()
+            svc.submit("tenant", chunks[0])
+            deadline = _time.monotonic() + 10.0
+            fates = []
+            while len(fates) < 2 and _time.monotonic() < deadline:
+                if len(fates) == 1 and svc.stats().accepted == 1:
+                    svc.submit("tenant", chunks[1])
+                fates.extend(svc.take_results("tenant"))
+                _time.sleep(0.005)
+            assert [r.status for r in fates] == ["failed", "completed"]
+        finally:
+            svc.close()
+
+    def test_max_requests_decides_exactly_that_many(self, blocks):
+        clock = VirtualClock()
+        with _service(_runtime(blocks), clock=clock, depth=8) as svc:
+            for chunk in _chunks()[:6]:
+                svc.submit("tenant", chunk)
+            assert svc.pump(max_requests=4) == 4
+            assert svc.stats().queue_depths["tenant"] == 2
+            assert [r.seq for r in svc.take_results("tenant")] == [0, 1, 2, 3]
+            assert svc.pump(max_requests=4) == 2
+            assert [r.seq for r in svc.take_results("tenant")] == [4, 5]
+
+    def test_expired_requests_take_no_seq_and_are_not_scored(self, blocks):
+        clock = VirtualClock()
+        with _service(_runtime(blocks), clock=clock, depth=8) as svc:
+            chunks = _chunks()
+            svc.submit("tenant", chunks[0])
+            svc.submit("tenant", chunks[1], deadline_s=0.5)
+            svc.submit("tenant", chunks[2])
+            clock.advance(1.0)
+            assert svc.pump() == 3
+            by_id = {r.request_id: r for r in svc.take_results("tenant")}
+            assert [(by_id[i].status, by_id[i].seq) for i in range(3)] == [
+                ("completed", 0), ("expired", -1), ("completed", 1),
+            ]
+            stats = svc.stats()
+            assert stats.packets_out == chunks[0].n + chunks[2].n
+            oracle = _oracle(blocks, SLOTS, tables=False)
+            for i in (0, 2):  # the expired chunk never touched the state
+                expected = oracle.process_trace_batch(chunks[i], chunk_size=CHUNK)
+                assert _results_equal(expected, by_id[i].result)

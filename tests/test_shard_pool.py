@@ -20,6 +20,7 @@ chunks.  These tests pin the contract down:
 
 from __future__ import annotations
 
+import copy
 import os
 import signal
 import threading
@@ -27,16 +28,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.hw import MapReduceBlock
 from repro.mapreduce import dnn_graph
-from repro.runtime import ShardPool, WorkerCrash
+from repro.runtime import PipelineShardWorker, ShardPool, WorkerCrash
 
 from test_shard_runtime import (
     MAX_SHARDS,
     _assert_equivalent,
+    _deep_equal,
     _oracle,
+    _packet,
+    _pipeline,
     _random_columns,
+    _reset,
     _runtime,
     fork_only,
 )
@@ -593,3 +599,132 @@ class TestPooledDataPlane:
                     )
                 assert outcome.drain_ns == expected.drain_ns
                 assert outcome.reconfigurations == expected.reconfigurations
+
+
+# ----------------------------------------------------------------------
+# state_delta diffs only the slots written since the last delta
+# ----------------------------------------------------------------------
+def _full_scan_registers(pipe, base) -> dict:
+    """The register part of ``state_delta`` as it was before the dirty
+    mask: compare every slot of every array; updates ``base`` in place."""
+    registers = {}
+    for name in pipe._REGISTER_NAMES:
+        current = getattr(pipe.accumulator, name).values
+        prior = base["registers"][name]
+        changed = np.flatnonzero(current != prior)
+        if len(changed):
+            registers[name] = (changed, current[changed].copy())
+            prior[changed] = current[changed]
+    return registers
+
+
+class TestSparseStateDelta:
+    SLOTS = 32
+
+    def _pair(self, blocks):
+        """Two identically configured pipelines on their own blocks."""
+        for block in blocks[:2]:
+            _reset(block)
+        return [_pipeline(block, self.SLOTS, tables=True) for block in blocks[:2]]
+
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        steps=st.lists(
+            st.sampled_from(
+                ["chunk", "chunk", "scalar", "delta", "delta", "restore",
+                 "apply", "rebase", "clear"]
+            ),
+            min_size=1, max_size=14,
+        ),
+        seed=st.integers(0, 10**6),
+    )
+    def test_equals_the_full_scan_under_any_interleaving(self, blocks, steps, seed):
+        pipe, twin = self._pair(blocks)
+        rng = np.random.default_rng(seed)
+        pristine = pipe.state_snapshot()
+        twin_base = twin.state_snapshot()
+        base = pipe.state_snapshot()
+        shadow = copy.deepcopy(base)  # the full scan's own base
+        for step in [*steps, "delta"]:
+            if step == "chunk":
+                pipe.process_trace_batch(
+                    _random_columns(int(rng.integers(1 << 30)), int(rng.integers(0, 20)))
+                )
+            elif step == "scalar":
+                for __ in range(int(rng.integers(1, 4))):
+                    pipe.process(_packet(rng, float(rng.uniform(0, 0.01))))
+            elif step == "restore":  # what a worker's rewind does
+                pipe.restore_state(pristine)
+            elif step == "apply":  # a twin's chunk lands here as a delta
+                twin.process_trace_batch(_random_columns(int(rng.integers(1 << 30)), 9))
+                pipe.apply_state_delta(twin.state_delta(twin_base))
+            elif step == "rebase":  # a base state_delta has never seen
+                base = pipe.state_snapshot()
+                shadow = copy.deepcopy(base)
+            elif step == "clear":
+                pipe.accumulator.byte_count.clear()
+            else:
+                delta = pipe.state_delta(base)
+                assert _deep_equal(delta["registers"], _full_scan_registers(pipe, shadow))
+                for indices, __ in delta["registers"].values():
+                    assert np.all(np.diff(indices) > 0)
+                assert _deep_equal(base["registers"], shadow["registers"])
+                assert _deep_equal(base["registers"], pipe.state_snapshot()["registers"])
+
+    def test_a_second_base_is_never_diffed_sparsely(self, blocks):
+        """The mask is relative to one base; any other gets the full scan."""
+        pipe, __ = self._pair(blocks)
+        first, second = pipe.state_snapshot(), pipe.state_snapshot()
+        pipe.process_trace_batch(_random_columns(5, 12))
+        moved = pipe.state_delta(first)["registers"]
+        assert moved and _deep_equal(pipe.state_delta(second)["registers"], moved)
+        assert pipe.state_delta(second)["registers"] == {}
+
+    def test_mask_stays_one_slot_file_when_nobody_asks(self, blocks):
+        pipe, __ = self._pair(blocks)
+        mask = pipe.accumulator.dirty
+        for seed in range(5):
+            pipe.process_trace_batch(_random_columns(seed, 40))
+        assert pipe.accumulator.dirty is mask
+        assert mask.shape == (self.SLOTS,) and mask.dtype == bool
+
+    @settings(
+        max_examples=15, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        steps=st.lists(
+            st.sampled_from(["chunk", "chunk", "chunk", "quiet", "rewind"]),
+            min_size=1, max_size=12,
+        ),
+        seed=st.integers(0, 10**6),
+    )
+    def test_worker_round_trips_leave_parent_equal_to_worker(self, blocks, steps, seed):
+        """The pool protocol end to end, in process: every chunk's
+        ``(result, delta)`` applied to the parent's twin keeps it equal to
+        the worker's pipeline — through rewinds and delta-less chunks."""
+        worker_pipe, parent = self._pair(blocks)
+        worker = PipelineShardWorker(worker_pipe)
+        worker.handle("mark", None)
+        pristine = parent.state_snapshot()
+        rng = np.random.default_rng(seed)
+        synced = True
+        for step in steps:
+            if step == "rewind":
+                worker.handle("rewind", None)
+                parent.restore_state(pristine)
+                synced = True
+                continue
+            columns = _random_columns(int(rng.integers(1 << 30)), int(rng.integers(0, 24)))
+            result, delta = worker.handle("chunk", (columns, step == "chunk"))
+            assert len(result) == columns.n
+            if delta is None:
+                # Caught up by the next delta — unless no base exists yet
+                # (deltas then start after this chunk, until the rewind).
+                synced = synced and worker._base is not None
+            elif synced:
+                parent.apply_state_delta(delta)
+                assert _deep_equal(parent.state_snapshot(), worker.handle("snapshot", None))

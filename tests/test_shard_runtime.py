@@ -195,6 +195,26 @@ def _random_columns(seed: int, n: int) -> TraceColumns:
     return TraceColumns.from_packets([_packet(rng, float(t)) for t in times])
 
 
+def _deep_equal(got, want) -> bool:
+    """Nested dict / list / tuple / ndarray / scalar equality (pipeline
+    snapshots, state deltas, merged state); arrays must share a dtype."""
+    if isinstance(want, dict):
+        return (
+            isinstance(got, dict)
+            and got.keys() == want.keys()
+            and all(_deep_equal(got[k], want[k]) for k in want)
+        )
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(
+            _deep_equal(g, w) for g, w in zip(got, want)
+        )
+    if isinstance(want, np.ndarray) or isinstance(got, np.ndarray):
+        return np.asarray(got).dtype == np.asarray(want).dtype and np.array_equal(
+            got, want
+        )
+    return got == want
+
+
 def _assert_equivalent(oracle: TaurusPipeline, runtime: ShardedRuntime, columns,
                        chunk_size: int = 16):
     expected = oracle.process_trace_batch(columns, chunk_size=chunk_size)
@@ -508,6 +528,58 @@ class TestRuntimePrimitives:
         runtime.pipelines[0].process_trace_batch = boom
         with pytest.raises(RuntimeError, match="shard exploded"):
             runtime.process_trace(_random_columns(seed=8, n=40))
+
+    def test_tally_hands_owners_over_once_in_order_under_contention(self):
+        """More lane threads than cores, a tiny switch interval: every
+        owner is completed exactly once, in order, with all its pieces."""
+        import threading
+
+        from repro.runtime.sharded import _Tally, empty_trace_result
+
+        lanes, owners, per_slot = 6, 150, 3
+        schedules = [[(0, None, owner) for owner in range(owners)]] * lanes
+        handed: list[tuple[int, dict]] = []
+        tally = _Tally(
+            schedules, [[per_slot] * owners] * lanes, owners,
+            lambda owner, results: handed.append((owner, results)),
+        )
+        piece = empty_trace_result()
+
+        def lane_thread(lane: int) -> None:
+            for __ in range(owners * per_slot):
+                tally.scored(lane, piece)
+
+        threads = [threading.Thread(target=lane_thread, args=(s,)) for s in range(lanes)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [owner for owner, __ in handed] == list(range(owners))
+        assert all(sorted(results) == list(range(lanes)) for __, results in handed)
+
+    def test_tally_hands_nobody_over_after_a_raising_on_done(self):
+        from repro.runtime.sharded import _Tally, empty_trace_result
+
+        handed: list[int] = []
+
+        def on_done(owner, results):
+            handed.append(owner)
+            if owner == 1:
+                raise KeyError("mislaid")
+
+        tally = _Tally([[(0, None, owner) for owner in range(4)]], [[1] * 4], 4, on_done)
+        tally.scored(0, empty_trace_result())
+        with pytest.raises(KeyError):
+            tally.scored(0, empty_trace_result())
+        tally.scored(0, empty_trace_result())
+        tally.scored(0, empty_trace_result())
+        assert handed == [0, 1]
 
     def test_unknown_executor_rejected(self, blocks):
         with pytest.raises(ValueError, match="unknown executor"):
