@@ -20,9 +20,10 @@ probe (optional, ``probe=True``)
     A tiny concrete execution: a 3-row batch (zeros plus two seeded
     random rows on the fixed-point grid) through ``execute_batch`` with
     an observer, checking the 2-D ``(B, width)`` value contract, inferred
-    vs. actual widths, batch/scalar bit-identity (the observer-less run,
-    where a compiled kernel answers, included), and fixed-point grid
-    drift on the outputs.  Seeded and O(nodes · iterations), so it is a
+    vs. actual widths, batch/scalar bit-identity, and fixed-point grid
+    drift on the outputs; a compiled kernel is run against its nodes on
+    ~500 more rows (saturating, NaN / inf, several row tiles), values and
+    state left behind.  Seeded and O(nodes · iterations), so it is a
     static check in spirit: no trace data, no model dependence.
 budgets (optional, ``config=`` given)
     Statically price the graph's CU/MU/config-word footprint against a
@@ -46,14 +47,11 @@ import numpy as np
 
 from ..fixpoint import FIX8, FixedPointFormat
 from ..hw.params import CUGeometry, DEFAULT_CU_GEOMETRY
-from ..mapreduce.ir import DataflowGraph, Node
+from ..mapreduce.ir import RESERVED_STATE_KEYS, DataflowGraph, Node
 from ..mapreduce.ops import REDUCE_OPS
 from .diagnostics import Diagnostic, Severity
 
 __all__ = ["verify_graph", "verify_fabric"]
-
-#: State key the interpreter itself owns (the temporal loop counter).
-RESERVED_STATE_KEYS = frozenset({"iteration"})
 
 #: Node kinds that must consume at least one predecessor.
 _CONSUMER_KINDS = frozenset(
@@ -538,8 +536,7 @@ def _probe(
 
     try:
         batch_out = graph.execute_batch(features, state={}, observer=observer)
-        # Without an observer a compiled kernel (if any) answers instead.
-        kernel_out = graph.execute_batch(features, state={})
+        differing = _kernel_divergence(graph, dim, fmt) if graph.kernel is not None else []
     except Exception as exc:  # noqa: BLE001 - any failure is the finding
         diags.append(Diagnostic(
             "ir-probe-failure", Severity.ERROR,
@@ -547,14 +544,12 @@ def _probe(
         ))
         return diags
 
-    if kernel_out.shape != batch_out.shape or not np.array_equal(
-        kernel_out, batch_out, equal_nan=True
-    ):
+    if differing:
         diags.append(Diagnostic(
             "ir-batch-divergence", Severity.ERROR,
-            f"execute_batch gives {kernel_out!r} without an observer but "
-            f"{batch_out!r} node by node; a compiled kernel must be "
-            "bit-identical to its nodes", src,
+            f"over {_KERNEL_PROBE_ROWS} probe rows the compiled kernel and its nodes "
+            f"disagree on {', '.join(differing)}; they must be bit-identical in "
+            "what they return and in the state they leave", src,
         ))
 
     # Batch/scalar bit-identity (the execute_batch contract).
@@ -592,6 +587,39 @@ def _probe(
             "skipped its format roundtrip (raw float leakage)", src,
         ))
     return diags
+
+
+#: Rows of the kernel-vs-nodes probe, 3 x 166 + 5: the shipped LSTM kernel's
+#: tile is 166 rows, so the batch crosses it twice and ends on a ragged tile.
+_KERNEL_PROBE_ROWS = 503
+
+
+def _kernel_divergence(graph: DataflowGraph, dim: int, fmt: FixedPointFormat) -> list[str]:
+    """Where a compiled kernel and its nodes differ: the output, state keys
+    (an output can hide a wrong intermediate: one raw unit of error in the
+    LSTM's ``h`` rarely moves its argmax).  Seeded rows: on / off grid, at
+    and beyond ``fmt``'s limits, NaN, +/-inf."""
+    rng = np.random.default_rng(1)
+    edges = np.array([fmt.min_value, fmt.max_value, np.nan, np.inf, -np.inf, 0.0])
+    edges = np.append(edges, 4 * edges[:2])
+    features = rng.uniform(-2.0, 2.0, size=(_KERNEL_PROBE_ROWS, dim))
+    features[::2] = fmt.roundtrip(features[::2])
+    features[: edges.size] = edges[:, None]
+    scattered = rng.random(features.shape) < 0.05
+    features[scattered] = rng.choice(edges, size=int(scattered.sum()))
+    fused_state, node_state = {}, {}
+    pairs = {"the output": (
+        graph.execute_batch(features, state=fused_state),
+        graph.execute_batch(features, state=node_state, observer=lambda *args: None),
+    )}
+    for key in sorted(fused_state.keys() | node_state.keys()):
+        pairs[f"state[{key!r}]"] = (fused_state.get(key), node_state.get(key))
+
+    def same(a, b) -> bool:  # a key only one side wrote compares None to a value
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+    return [name for name, (a, b) in pairs.items() if not same(a, b)]
 
 
 # ======================================================================

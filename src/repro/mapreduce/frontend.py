@@ -16,9 +16,12 @@ axis differs.  Batched reductions deliberately avoid BLAS matmuls
 (``sum(a * w, axis=-1)`` instead of ``a @ w``) so results do not drift
 with batch size.  The one exception is a sum of integer-valued float64
 terms that stays below 2^53: every partial sum is then exact, so the
-result does not depend on the order BLAS adds in.
+result does not depend on the order BLAS adds in, nor on how many threads
+it splits the sum over.
 :meth:`QuantizedLinear.mac_raw <repro.fixpoint.quantize.QuantizedLinear.mac_raw>`
-proves that bound per layer before it uses a float matmul on raw values.
+proves that bound per layer before it uses a float matmul on raw values,
+and :func:`_lstm_kernel` for the mat-vecs of the compiled recurrence — which
+it also keeps small enough (:data:`_SERIAL_GEMM_WORK`) to stay off BLAS threads.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fixpoint import FIX8, FixedPointFormat, QuantizedModel
-from ..ml.activations import ACTIVATIONS
+from ..ml.activations import ACTIVATIONS, sigmoid_piecewise, tanh_piecewise
 from .ir import DataflowGraph
 
 __all__ = [
@@ -103,6 +106,20 @@ _ELEMENTWISE_ACTIVATIONS = frozenset(
 _MAX_TABLE_BITS = 16
 
 
+def _raw_domain_table(fmt: FixedPointFormat, *hop) -> np.ndarray:
+    """The reference callables ``hop`` (``None`` entries skipped) composed
+    over every value of ``fmt``, indexed ``raw - raw_min``: a lookup is the
+    float64 the interpreter would compute for that raw value."""
+    values = fmt.dequantize(np.arange(fmt.raw_min, fmt.raw_max + 1))[:, None]
+    # exp() may overflow at the far ends of a coarse format: values the
+    # model never produces must not warn at lowering time.
+    with np.errstate(over="ignore"):
+        for fn in hop:
+            if fn is not None:
+                values = fn(values)
+    return np.asarray(values, dtype=np.float64).ravel()
+
+
 def _dnn_kernel(layers, activations):
     """Compile a quantized layer stack into one batch function, or ``None``.
 
@@ -124,22 +141,13 @@ def _dnn_kernel(layers, activations):
     ):
         return None
     requantize = [layer.in_fmt.quantize for layer in layers[1:]] + [None]
-    steps = []
-    for layer, activation, quantize in zip(layers, activations, requantize):
-        fmt = layer.act_fmt
-        values = fmt.dequantize(np.arange(fmt.raw_min, fmt.raw_max + 1))[:, None]
-        if activation is not None:
-            # The far ends of a coarse format may overflow exp(); a value
-            # the model never produces must not warn at lowering time.
-            with np.errstate(over="ignore"):
-                values = activation(values)
-        if quantize is not None:
-            values = quantize(values)
-        table = np.asarray(values, dtype=np.float64).ravel()
-        steps.append((layer.mac_raw, fmt.raw_min, table))
+    steps = [
+        (layer.mac_raw, layer.act_fmt.raw_min, _raw_domain_table(layer.act_fmt, act, quantize))
+        for layer, act, quantize in zip(layers, activations, requantize)
+    ]
     quantize_input = layers[0].in_fmt.quantize
 
-    def kernel(features: np.ndarray) -> np.ndarray:
+    def kernel(features: np.ndarray, state: dict) -> np.ndarray:
         raw = quantize_input(features)
         for mac_raw, raw_min, table in steps:
             index = mac_raw(raw)
@@ -496,6 +504,85 @@ def kmeans_graph(kmeans, fmt: FixedPointFormat = FIX8, name: str = "kmeans") -> 
 # ----------------------------------------------------------------------
 # LSTM (Indigo congestion control)
 # ----------------------------------------------------------------------
+#: Most ``rows x fan_in x fan_out`` multiply-adds handed to one BLAS call.
+#: OpenBLAS (0.3.31) runs a gemm on the calling thread up to M*N*K = 10^6
+#: and threads anything larger, and on a shared 2-vCPU host the worker's
+#: wake-up stalls such a call for milliseconds: ``(208, 37) @ (37, 128)``
+#: 0.035 ms, ``(224, 37) @ (37, 128)`` 8.0 ms median.  3/4 of the threshold.
+_SERIAL_GEMM_WORK = 3 << 18
+#: Integer-valued float64 sums below this are exact in any order.
+_EXACT_SUM_LIMIT = 1 << 53
+
+
+def _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out):
+    """Compile the recurrent lowering into one batch function, or ``None``.
+
+    The window is quantized once; ``h``, ``c`` and the gates stay raw
+    ``fmt`` integers (in float64) across all steps.  A mat-vec is a float
+    matmul on raw values, ``z_raw @ w_raw.T + b_raw * scale``: the
+    reference's ``sum(zq * w) + b`` in units of ``scale**-2`` exactly, every
+    partial sum an integer below 2^53 (proved here, else ``None``); then
+    ``/ scale``, ``rint``, clip as in ``fmt.quantize``.  Nonlinearities are
+    table lookups (``tanh_pw(c)`` unrounded, like the reference).  Rows run
+    in tiles — all steps, then the head — that keep the gate mat-vec under
+    :data:`_SERIAL_GEMM_WORK`.
+    """
+    scale, lo, hi, hidden = fmt.scale, fmt.raw_min, fmt.raw_max, w_out.shape[1]
+    # Raw operands are at most |lo| and scale <= |lo|: no partial sum exceeds this.
+    if fmt.total_bits > _MAX_TABLE_BITS or (dim + hidden + 1) * lo * lo >= _EXACT_SUM_LIMIT:
+        return None
+    # Parameters are already on fmt's grid: ``* scale`` recovers the raw.
+    wg, bg = np.ascontiguousarray((w_gates * scale).T), b_gates * scale * scale
+    wo, bo = np.ascontiguousarray((w_out * scale).T), b_out * scale * scale
+    tile = max(1, _SERIAL_GEMM_WORK // wg.size)
+    sigmoid = _raw_domain_table(fmt, sigmoid_piecewise, fmt.quantize)
+    # One table for all four gates: the g columns index its tanh half.
+    gate_table = np.concatenate([sigmoid, _raw_domain_table(fmt, tanh_piecewise, fmt.quantize)])
+    gate_index = np.full(4 * hidden, -lo, dtype=np.float64)
+    gate_index[2 * hidden : 3 * hidden] += sigmoid.size
+    cell_tanh = _raw_domain_table(fmt, tanh_piecewise)
+    s_i, s_f, s_g, s_o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+
+    def round_clip(acc: np.ndarray) -> np.ndarray:  # fmt.quantize, in place, still float
+        np.rint(acc, out=acc)
+        np.maximum(acc, lo, out=acc)
+        return np.minimum(acc, hi, out=acc)
+
+    def kernel(features: np.ndarray, state: dict) -> np.ndarray:
+        x_raw = fmt.quantize(features)
+        actions = np.empty((len(x_raw), 1), dtype=np.intp)
+        h_all = np.empty((len(x_raw), hidden), dtype=fmt.storage_dtype)
+        c_all = np.empty_like(h_all)
+        for start in range(0, len(x_raw), tile):
+            rows = slice(start, start + tile)
+            x = x_raw[rows]
+            z = np.zeros((len(x), dim + hidden))  # [x_t, h]; h and c start at 0
+            h = z[:, dim:]
+            c = np.zeros((len(x), hidden))
+            acc = np.empty((len(x), 4 * hidden))
+            for t in range(window_steps):
+                z[:, :dim] = x[:, t * dim : (t + 1) * dim]
+                np.matmul(z, wg, out=acc)
+                acc += bg
+                acc /= scale
+                round_clip(acc)
+                acc += gate_index
+                gates = gate_table.take(acc.astype(np.intp))
+                c *= gates[:, s_f]
+                c += gates[:, s_i] * gates[:, s_g]
+                c /= scale
+                round_clip(c)
+                h[:] = gates[:, s_o] * cell_tanh.take((c - lo).astype(np.intp))
+                round_clip(h)
+            logits = (h @ wo + bo) / scale
+            actions[rows, 0] = round_clip(logits).argmax(axis=1)
+            h_all[rows], c_all[rows] = h, c
+        state["h"], state["c"] = fmt.dequantize(h_all), fmt.dequantize(c_all)
+        return actions
+
+    return kernel
+
+
 def lstm_graph(
     lstm,
     window_steps: int = 8,
@@ -508,7 +595,8 @@ def lstm_graph(
     per history element (``temporal_iterations``), reusing the same CUs with
     hidden state parked in MUs — this is why the paper's Indigo latency
     (805 ns) is ~10x a feed-forward model's.  The packet's feature payload
-    is the flattened (T, D) observation window.
+    is the flattened (T, D) observation window.  ``execute_batch`` runs the
+    compiled ``kernel`` (:func:`_lstm_kernel`); the nodes stay the reference.
     """
     hidden = lstm.hidden_size
     dim = lstm.input_size
@@ -516,8 +604,6 @@ def lstm_graph(
     b_gates = fmt.roundtrip(np.clip(lstm.b_gates, fmt.min_value, fmt.max_value))
     w_out = fmt.roundtrip(np.clip(lstm.w_out, fmt.min_value, fmt.max_value))
     b_out = fmt.roundtrip(np.clip(lstm.b_out, fmt.min_value, fmt.max_value))
-
-    from ..ml.activations import sigmoid_piecewise, tanh_piecewise
 
     graph = DataflowGraph(name=name, temporal_iterations=window_steps)
     window = graph.add(
@@ -672,7 +758,9 @@ def lstm_graph(
         epilogue=True,
     )
     graph.add("output", preds=[action], name="action", width=1, epilogue=True)
-    return _verified(graph)
+    _verified(graph)
+    graph.kernel = _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out)
+    return graph
 
 
 # ----------------------------------------------------------------------

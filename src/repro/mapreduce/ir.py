@@ -36,8 +36,9 @@ The graph is executable two ways:
 
 The node-at-a-time interpreter is the *reference*.  A lowering may also
 attach a compiled :attr:`DataflowGraph.kernel` — one function computing
-the whole graph on a batch, bit-identical to the interpreter —
-which ``execute_batch`` runs whenever no ``observer`` is attached.  Passing
+the whole graph on a batch, bit-identical to the interpreter in its values
+and in the ``state`` it leaves — which ``execute_batch`` runs whenever no
+``observer`` is attached and ``state`` holds no recurrent entries.  Passing
 an ``observer`` (or calling ``execute``) always runs the reference.
 
 Epilogue contract
@@ -69,7 +70,10 @@ import numpy as np
 
 from .ops import REDUCE_OPS
 
-__all__ = ["Node", "DataflowGraph", "NODE_KINDS", "NODE_DESCRIPTOR_WORDS"]
+__all__ = ["Node", "DataflowGraph", "NODE_KINDS", "NODE_DESCRIPTOR_WORDS", "RESERVED_STATE_KEYS"]
+
+#: State key the interpreter itself owns (the temporal loop counter).
+RESERVED_STATE_KEYS = frozenset({"iteration"})
 
 #: Configuration words per node descriptor (opcode, routing, lane masks)
 #: streamed into the grid when a program is loaded.  Weight banks add their
@@ -190,11 +194,13 @@ class DataflowGraph:
     temporal_iterations: int = 1
     initiation_interval: int = 1
     _next_id: int = 0
-    #: Compiled batch function ``(B, D) float64 -> (B, out) float64``,
-    #: bit-identical to interpreting the nodes, or ``None`` (interpret).
+    #: Compiled batch function ``kernel(features, state) -> (B, out)``, or
+    #: ``None`` (interpret): bit-identical to interpreting the nodes on
+    #: ``(B, D)`` float64 features from a fresh ``state``, in what it
+    #: returns and in what it leaves in ``state`` (``iteration`` apart).
     #: Attached by a lowering once the graph is complete; :meth:`add`
     #: drops it, because it no longer describes the graph.
-    kernel: Callable[[np.ndarray], np.ndarray] | None = field(
+    kernel: Callable[[np.ndarray, dict], np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -316,7 +322,9 @@ class DataflowGraph:
         execution probe uses to check the 2-D value contract and inferred
         widths.  Observers must treat ``value`` as read-only.  Without an
         observer, a graph carrying a compiled :attr:`kernel` runs that
-        instead of the interpreter (same values, no per-node dispatch).
+        instead of the interpreter (same values, same ``state`` left, no
+        per-node dispatch) — unless ``state`` already holds entries besides
+        ``iteration``: a kernel starts its recurrence from nothing.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
@@ -324,10 +332,10 @@ class DataflowGraph:
                 f"execute_batch expects (B, D) features, got shape "
                 f"{features.shape}"
             )
-        if observer is None and self.kernel is not None:
-            if state is not None:  # what the interpreter would leave behind
-                state["iteration"] = self.temporal_iterations - 1
-            return self.kernel(features)
+        state = state if state is not None else {}
+        if observer is None and self.kernel is not None and state.keys() <= RESERVED_STATE_KEYS:
+            state["iteration"] = self.temporal_iterations - 1
+            return self.kernel(features, state)
         features = features.copy()  # private: nodes see a read-only view
         features.flags.writeable = False
         return self._interpret(

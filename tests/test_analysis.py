@@ -393,6 +393,64 @@ class TestProbeChecks:
         assert "ir-probe-failure" not in _ids(_verify(g, probe=False))
 
 
+class TestKernelProbe:
+    """The probe must see a compiled kernel that drifts from its nodes even
+    when the graph's output (the LSTM's argmax) hides the error."""
+
+    @staticmethod
+    def _lstm_with(mutate):
+        from repro.mapreduce import lstm_graph
+        from repro.ml import indigo_lstm
+
+        graph = lstm_graph(indigo_lstm(seed=0))
+        compiled = graph.kernel
+
+        def kernel(features, state):
+            return mutate(features, compiled(features, state), state)
+
+        graph.kernel = kernel
+        return graph
+
+    @staticmethod
+    def _divergences(graph):
+        return [d for d in _verify(graph) if d.check_id == "ir-batch-divergence"]
+
+    def test_faithful_kernel_is_clean(self):
+        assert not self._divergences(self._lstm_with(lambda f, out, state: out))
+
+    def test_one_raw_unit_in_hidden_state_is_seen(self):
+        def mutate(features, out, state):
+            state["h"][0, 0] += FIX8.resolution  # the action does not move
+            return out
+
+        (diag,) = self._divergences(self._lstm_with(mutate))
+        assert "state['h']" in diag.message and "the output" not in diag.message
+
+    def test_error_confined_to_a_later_tile_is_seen(self):
+        def mutate(features, out, state):
+            out[400:] = (out[400:] + 1) % 5
+            return out
+
+        (diag,) = self._divergences(self._lstm_with(mutate))
+        assert "the output" in diag.message
+
+    def test_mishandled_non_finite_input_is_seen(self):
+        def mutate(features, out, state):
+            state["c"][~np.isfinite(features).all(axis=1)] = 0.0
+            return out
+
+        (diag,) = self._divergences(self._lstm_with(mutate))
+        assert "state['c']" in diag.message
+
+    def test_missing_state_entry_is_seen(self):
+        def mutate(features, out, state):
+            del state["c"]
+            return out
+
+        (diag,) = self._divergences(self._lstm_with(mutate))
+        assert "state['c']" in diag.message
+
+
 class TestBudgetChecks:
     def test_mu_overflow_trigger(self):
         diags = _verify(_heavy_graph(16384 * (CFG.n_mus + 10)), probe=False)

@@ -20,6 +20,7 @@ from repro.datasets import (
 from repro.fixpoint import (
     FIX8,
     FIX16,
+    FIX32,
     FixedPointFormat,
     FixTensor,
     QuantizedLinear,
@@ -27,6 +28,7 @@ from repro.fixpoint import (
     quantize_model,
 )
 from repro.mapreduce import (
+    frontend,
     activation_graph,
     conv1d_graph,
     dnn_graph,
@@ -37,7 +39,8 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.ir import DataflowGraph
 from repro.mapreduce.ops import MAP_OPS, REDUCE_OPS
-from repro.ml import KMeans, indigo_lstm
+from repro.ml import KMeans, LSTM, indigo_lstm
+from repro.ml.activations import tanh_piecewise
 
 
 def assert_batch_matches_scalar(graph, feats):
@@ -158,19 +161,42 @@ def _layer(w_raw, w_frac, bias_raw, activation, in_fmt, act_fmt):
     )
 
 
+def _raw_domain(fmt):
+    """Every representable value of ``fmt``, one per row."""
+    return fmt.dequantize(np.arange(fmt.raw_min, fmt.raw_max + 1))[:, None]
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _assert_same_state(state, reference):
+    assert state.keys() == reference.keys()
+    for key, value in reference.items():
+        assert _same(state[key], value), key
+
+
 def assert_kernel_matches_reference(graph, feats, scalar_rows=None):
-    """Fused ``execute_batch`` == observed interpreter == scalar rows."""
+    """Fused ``execute_batch`` == observed interpreter == scalar rows, in
+    the values returned and in the ``state`` left behind."""
     assert graph.kernel is not None
     before = feats.copy()
-    fused = graph.execute_batch(feats)
-    assert fused.dtype == np.float64 and fused.ndim == 2
+    fused_state, reference_state = {}, {}
+    fused = graph.execute_batch(feats, state=fused_state)
+    assert fused.ndim == 2
     assert np.array_equal(feats, before, equal_nan=True)  # not mutated
-    reference = graph.execute_batch(feats, observer=_noop)
-    assert fused.shape == reference.shape
-    assert np.array_equal(fused, reference)
+    reference = graph.execute_batch(feats, state=reference_state, observer=_noop)
+    assert _same(fused, reference)
+    _assert_same_state(fused_state, reference_state)
     rows = range(len(feats)) if scalar_rows is None else scalar_rows
     for b in rows:
-        assert np.array_equal(graph.execute(feats[b]), fused[b])
+        row_state = {}
+        assert np.array_equal(graph.execute(feats[b], state=row_state), fused[b])
+        assert row_state.keys() == fused_state.keys()
+        for key in row_state.keys() - {"iteration"}:  # scalar state is (1, width)
+            assert np.array_equal(row_state[key][0], fused_state[key][b]), key
+    return fused, fused_state
 
 
 ELEMENTWISE = ("linear", "relu", "leaky_relu", "sigmoid", "tanh")
@@ -190,7 +216,7 @@ class TestKernelTables:
         # weight 1.0 at w_frac 0, in_fmt == act_fmt: shift 0, raw out == raw in.
         sweep = _layer([[1]], [0], [0], activation, fmt, fmt)
         passthrough = _layer([[1]], [0], [0], "linear", nxt, nxt)
-        domain = fmt.dequantize(np.arange(fmt.raw_min, fmt.raw_max + 1))[:, None]
+        domain = _raw_domain(fmt)
         assert np.array_equal(sweep.linear(domain), domain)  # the sweep is total
         for layers in ([sweep], [sweep, passthrough]):
             graph = dnn_graph(QuantizedModel(layers), exact_activations=exact)
@@ -306,6 +332,268 @@ class TestKernelFallbacks:
 
 
 # ----------------------------------------------------------------------
+# The compiled LSTM kernel == the interpreter == scalar rows, state included
+# ----------------------------------------------------------------------
+def _lstm(dim, hidden, actions, seed=0, gain=1.0):
+    """A random LSTM; ``gain`` > 1 drives the gates into saturation."""
+    lstm = LSTM(dim, hidden, actions, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    lstm.b_gates = lstm.b_gates + rng.uniform(-0.5, 0.5, size=4 * hidden)
+    lstm.b_out = rng.uniform(-0.5, 0.5, size=actions)
+    for name in ("w_gates", "b_gates", "w_out", "b_out"):
+        setattr(lstm, name, getattr(lstm, name) * gain)
+    return lstm
+
+
+def _lstm_rows(rng, batch, width, fmt):
+    """Rows on and off the grid, inside and beyond the range, with NaN,
+    +/-inf and huge values sprinkled in."""
+    rows = rng.uniform(fmt.min_value, fmt.max_value, size=(batch, width))
+    rows *= rng.choice([0.1, 1.0, 4.0], size=(batch, 1))
+    on_grid = rng.random(batch) < 0.5
+    rows[on_grid] = fmt.roundtrip(rows[on_grid])
+    special = rng.random(rows.shape) < 0.02
+    rows[special] = rng.choice(
+        [np.nan, np.inf, -np.inf, 1e300, -1e300], size=int(special.sum())
+    )
+    return rows
+
+
+def _tile_rows(dim, hidden):
+    """The compiled recurrence's row tile, from its private work bound."""
+    return max(1, frontend._SERIAL_GEMM_WORK // ((dim + hidden) * 4 * hidden))
+
+
+def _boundary_rows(batch, tile):
+    """Scalar-checked rows: both ends and both sides of every tile edge."""
+    edges = {0, batch - 1}
+    for edge in range(tile, batch, tile):
+        edges |= {edge - 1, edge}
+    return sorted(b for b in edges if 0 <= b < batch)
+
+
+class TestLstmKernelProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.sampled_from([4, 32, 64]),
+        dim=st.sampled_from([1, 5]),
+        actions=st.sampled_from([2, 5]),
+        gain=st.sampled_from([1.0, 6.0]),
+        fmt=st.sampled_from([FIX8, FIX16]),
+        steps=st.sampled_from([1, 2, 8]),
+        # batch = k * tile + extra: 0, 1, tile - 1, tile, tile + 1, 3 * tile + 5
+        tiles=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_lstms_and_windows(
+        self, hidden, dim, actions, gain, fmt, steps, tiles, seed
+    ):
+        tile = _tile_rows(dim, hidden)
+        batch = tiles[0] * tile + tiles[1]
+        graph = lstm_graph(
+            _lstm(dim, hidden, actions, seed % 1000, gain), window_steps=steps, fmt=fmt
+        )
+        feats = _lstm_rows(np.random.default_rng(seed), batch, steps * dim, fmt)
+        fused, state = assert_kernel_matches_reference(
+            graph, feats, scalar_rows=_boundary_rows(batch, tile)
+        )
+        assert fused.shape == (batch, 1) and np.issubdtype(fused.dtype, np.integer)
+        assert state["h"].shape == state["c"].shape == (batch, hidden)
+
+    def test_tile_is_sized_from_the_step_shape(self, monkeypatch):
+        """Every gate mat-vec stays under the private BLAS work bound — a
+        wider LSTM gets a smaller tile, not a threaded gemm — and the
+        analyser's kernel probe is sized for the shipped tile."""
+        from repro.analysis.ir_verify import _KERNEL_PROBE_ROWS
+
+        assert frontend._SERIAL_GEMM_WORK < 10**6  # OpenBLAS's threshold
+        assert _tile_rows(5, 32) == 166 and _tile_rows(5, 64) == 44
+        assert _KERNEL_PROBE_ROWS > 2 * 166 and _KERNEL_PROBE_ROWS % 166
+        calls = []
+        real = np.matmul
+
+        def spy(a, b, **kwargs):
+            calls.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return real(a, b, **kwargs)
+
+        graph = lstm_graph(_lstm(5, 64, 5), window_steps=2)
+        feats = _lstm_rows(np.random.default_rng(0), 3 * 44 + 5, 10, FIX8)
+        monkeypatch.setattr(np, "matmul", spy)
+        graph.execute_batch(feats)
+        assert len(calls) == 2 * 4 and max(calls) <= frontend._SERIAL_GEMM_WORK
+
+
+class TestLstmKernelFallbacks:
+    def _case(self, fmt=FIX8, batch=7):
+        graph = lstm_graph(_lstm(5, 32, 5), window_steps=4, fmt=fmt)
+        return graph, _lstm_rows(np.random.default_rng(5), batch, 20, fmt)
+
+    def test_fix32_runs_the_interpreter(self):
+        graph, feats = self._case(FIX32)
+        assert graph.kernel is None
+        assert_batch_matches_scalar(graph, feats)
+
+    def test_failed_exactness_bound_runs_the_interpreter(self, monkeypatch):
+        """No proof that every partial sum is an exact integer, no kernel."""
+        monkeypatch.setattr(frontend, "_EXACT_SUM_LIMIT", 1 << 12)
+        graph, feats = self._case()
+        assert graph.kernel is None
+        assert_batch_matches_scalar(graph, feats)
+
+    def test_add_after_lowering_drops_the_kernel(self):
+        graph, feats = self._case()
+        assert graph.kernel is not None
+        actions = graph.execute_batch(feats)
+        out = graph.outputs()[0]
+        negate = graph.add(
+            "map", preds=[graph.nodes[out.preds[0]]], name="negate", width=1,
+            chain_ops=1, fn=np.negative, batch_fn=np.negative, epilogue=True,
+        )
+        out.preds = [negate.node_id]
+        assert graph.kernel is None
+        assert np.array_equal(graph.execute_batch(feats), -actions)
+
+    @pytest.mark.parametrize("seeded", ["h", "c", "both"])
+    def test_seeded_state_runs_the_interpreter(self, seeded):
+        """A caller-provided ``h`` / ``c`` (off the grid: a raw-domain
+        kernel could not even represent it) is honoured, not ignored."""
+        graph, feats = self._case()
+        rng = np.random.default_rng(9)
+        seed = {
+            key: rng.uniform(-1, 1, size=(len(feats), 32))
+            for key in ("h", "c") if seeded in (key, "both")
+        }
+        fused_state = {k: v.copy() for k, v in seed.items()}
+        reference_state = {k: v.copy() for k, v in seed.items()}
+        fused = graph.execute_batch(feats, state=fused_state)
+        reference = graph.execute_batch(feats, state=reference_state, observer=_noop)
+        assert _same(fused, reference)
+        _assert_same_state(fused_state, reference_state)
+        unseeded = {}
+        graph.execute_batch(feats, state=unseeded)
+        assert not np.array_equal(unseeded["c"], fused_state["c"])  # the seed mattered
+
+    def test_reused_state_dict_continues_the_recurrence(self):
+        """The second call on one dict sees the first call's ``h`` / ``c``,
+        exactly as it does node by node."""
+        graph, feats = self._case()
+        fused_state, reference_state = {}, {}
+        for __ in range(2):
+            fused = graph.execute_batch(feats, state=fused_state)
+            reference = graph.execute_batch(feats, state=reference_state, observer=_noop)
+            assert _same(fused, reference)
+            _assert_same_state(fused_state, reference_state)
+
+
+class TestLstmFixedPointEdges:
+    """Hand-built one-unit LSTMs that park each requantisation point of the
+    step — gate pre-activation, ``c``, ``h`` — on its edges: exact rounding
+    ties of both signs, the format's ``raw_min`` / ``raw_max``, and the
+    first / last entry of every activation table."""
+
+    Q0_7 = FixedPointFormat(8, 7, "fix8")
+    Q3_12 = FixedPointFormat(16, 12, "fix16")
+
+    @staticmethod
+    def _unit_lstm(w_x, w_h, bias, actions=2):
+        """``hidden = dim = 1``; per-gate (i, f, g, o) weights on x and h."""
+        lstm = LSTM(1, 1, actions)
+        lstm.w_gates = np.column_stack([w_x, w_h]).astype(np.float64)
+        lstm.b_gates = np.asarray(bias, dtype=np.float64)
+        lstm.w_out = np.linspace(-1.0, 1.0, actions)[:, None]
+        lstm.b_out = np.zeros(actions)
+        return lstm
+
+    @staticmethod
+    def _observed(graph, feats, name):
+        """Every value node ``name`` takes while the interpreter runs."""
+        seen = []
+
+        def observer(node, value, iteration):
+            if node.name == name:
+                seen.append(np.array(value))
+
+        state = {}
+        graph.execute_batch(feats, state=state, observer=observer)
+        return np.stack(seen), state
+
+    @pytest.mark.parametrize("fmt", [FIX8, FIX16, Q0_7], ids=str)
+    def test_gate_ties_round_half_to_even(self, fmt):
+        """Weight = one raw unit: the accumulator is ``x_raw``, a tie at
+        every ``x_raw = scale/2 (mod scale)``.  ``rint`` sends 2.5 to 2 and
+        -2.5 to -2; a ``+ scale/2 >> frac`` shift would give 3 and -2."""
+        ulp = fmt.resolution
+        graph = lstm_graph(
+            self._unit_lstm([ulp] * 4, [0] * 4, [0] * 4), window_steps=1, fmt=fmt
+        )
+        feats = _raw_domain(fmt)
+        gates, __ = self._observed(graph, feats, "gate_matvec")
+        half = int(fmt.scale) // 2
+        for x_raw, want in [(half, 0), (3 * half, 2), (5 * half, 2),
+                            (-half, 0), (-3 * half, -2), (-5 * half, -2)]:
+            if fmt.raw_min <= x_raw <= fmt.raw_max:
+                assert gates[0, x_raw - fmt.raw_min, 0] * fmt.scale == want
+        assert_kernel_matches_reference(graph, feats, scalar_rows=range(0, len(feats), 37))
+
+    @pytest.mark.parametrize("fmt", [FIX8, FIX16, Q0_7], ids=str)
+    def test_gate_preactivation_sweeps_every_table_entry(self, fmt):
+        """Weight 1.0 (``max_value`` where 1.0 does not fit): each gate's
+        pre-activation takes every raw value, ``raw_min`` and ``raw_max``
+        included, so the first and last entry of the sigmoid and the tanh
+        table are both read.  Two steps put ``h`` back into the mat-vec."""
+        one = min(1.0, fmt.max_value)
+        lstm = self._unit_lstm([one] * 4, [one, -one, one, -one], [0] * 4)
+        graph = lstm_graph(lstm, window_steps=2, fmt=fmt)
+        feats = np.repeat(_raw_domain(fmt), 2, axis=1)
+        gates, __ = self._observed(graph, feats, "gate_matvec")
+        assert gates.min() == fmt.min_value and gates.max() == fmt.max_value
+        if one == 1.0:  # the sweep is total: no raw value is skipped
+            assert len(np.unique(gates[0, :, 0])) == len(feats)
+        assert_kernel_matches_reference(graph, feats, scalar_rows=range(0, len(feats), 37))
+
+    @pytest.mark.parametrize("fmt", [FIX8, FIX16], ids=str)
+    def test_gate_preactivation_saturates_both_ways(self, fmt):
+        """Weights and bias at the format limits push the accumulator far
+        past the range on both sides; the clip comes after the rounding."""
+        big = fmt.max_value
+        lstm = self._unit_lstm([big, -big, big, -big], [big] * 4, [big, big, fmt.min_value, 0])
+        graph = lstm_graph(lstm, window_steps=3, fmt=fmt)
+        feats = np.repeat(_raw_domain(fmt), 3, axis=1)
+        gates, __ = self._observed(graph, feats, "gate_matvec")
+        assert gates.min() == fmt.min_value and gates.max() == fmt.max_value
+        assert_kernel_matches_reference(graph, feats, scalar_rows=range(0, len(feats), 37))
+
+    @pytest.mark.parametrize("fmt", [FIX8, Q3_12], ids=str)
+    def test_cell_state_reaches_both_limits_and_ties(self, fmt):
+        """``i = f = o = 1`` and ``g = +/-1`` move ``c`` one unit per step:
+        after nine steps it has run into ``raw_max`` (clipped) and
+        ``raw_min`` — the first and last entry of the unrounded
+        ``tanh_pw(c)`` table — and ``h = rt(o * tanh_pw(c))`` sits on its
+        own limits, +/-1.0 (``|o * tanh_pw(c)| <= 1``: ``h`` cannot reach
+        ``raw_min`` / ``raw_max`` in any format).  ``i = sigmoid_pw(0) =
+        1/2`` times an odd ``g_raw`` makes ``i * g`` an exact tie of
+        either sign."""
+        big = fmt.max_value
+        ramp = self._unit_lstm([0, 0, big, 0], [0] * 4, [big, big, 0, big])
+        graph = lstm_graph(ramp, window_steps=9, fmt=fmt)
+        feats = np.repeat(np.array([[fmt.max_value], [fmt.min_value], [0.0]]), 9, axis=1)
+        __, state = self._observed(graph, feats, "cell_update")
+        assert state["c"][0, 0] == fmt.max_value and state["c"][1, 0] == fmt.min_value
+        assert state["h"][0, 0] == 1.0 and state["h"][1, 0] == -1.0
+        assert_kernel_matches_reference(graph, feats)
+
+        ties = self._unit_lstm([0, 0, 1.0, 0], [0] * 4, [0, 0, 0, big])
+        graph = lstm_graph(ties, window_steps=1, fmt=fmt)
+        feats = _raw_domain(fmt)
+        gates, state = self._observed(graph, feats, "gate_matvec")
+        g_raw = fmt.quantize(tanh_piecewise(gates[0, :, 2])).astype(int)
+        odd = g_raw % 2 == 1  # c = rt(g / 2): a tie, resolved to even
+        assert (odd & (g_raw > 0)).any() and (odd & (g_raw < 0)).any()
+        assert np.all(state["c"][odd, 0] * fmt.scale % 2 == 0)
+        assert_kernel_matches_reference(graph, feats, scalar_rows=range(0, len(feats), 37))
+
+
+# ----------------------------------------------------------------------
 # Epilogue contract
 # ----------------------------------------------------------------------
 def _counting_temporal_graph(iterations=5):
@@ -345,7 +633,9 @@ class TestEpilogueSemantics:
 
     def test_lstm_head_fn_call_counts(self):
         """The LSTM action head (epilogue) fires once per execute; the
-        recurrent cell fires once per history element."""
+        recurrent cell fires once per history element.  This is the
+        interpreter's contract, so the batched half attaches an observer
+        (without one the compiled kernel answers and calls no node)."""
         seqs, __ = generate_congestion_traces(4, seed=1)
         lstm = indigo_lstm(input_size=seqs.shape[-1], n_actions=5, seed=0)
         graph = lstm_graph(lstm, window_steps=seqs.shape[1])
@@ -368,7 +658,7 @@ class TestEpilogueSemantics:
         assert counts["cell_update"] == graph.temporal_iterations
         assert counts["action_head"] == 1
         counts["cell_update"] = counts["action_head"] = 0
-        graph.execute_batch(seqs.reshape(len(seqs), -1))
+        graph.execute_batch(seqs.reshape(len(seqs), -1), observer=_noop)
         assert counts["cell_update"] == graph.temporal_iterations
         assert counts["action_head"] == 1
 
