@@ -78,13 +78,12 @@ def _measure(quantized, lstm, anomaly_trace, congestion_trace, chunk_size):
             _apps(quantized, lstm), shards=shards, chunk_size=chunk_size
         )
         fabric.run(traces, policy=policy)  # warmup: primes partition caches
-        # Fresh fabric for clean register state; lanes (graph compilation)
-        # are built outside the timer so wall_pkt_per_s measures replay,
-        # not compile_graph.
+        # Fresh fabric for clean register state; construction builds the
+        # lanes (graph compilation), so it stays outside the timer and
+        # wall_pkt_per_s measures replay, not compile_graph.
         fabric = MultiAppFabric(
             _apps(quantized, lstm), shards=shards, chunk_size=chunk_size
         )
-        fabric._ensure_lanes()
         t0 = time.perf_counter()
         outcome = fabric.run(traces, policy=policy)
         wall_s = time.perf_counter() - t0

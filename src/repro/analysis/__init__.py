@@ -25,9 +25,6 @@ time*; this package is that layer for the reproduction:
   saturation, wide-accumulator overflow, and LUT domain-coverage
   warnings, plus bit-width-narrowing opportunities, with per-node
   waivers for saturation that is the quantization scheme by design.
-* :func:`analyze_effects` — a purity/effects pass classifying every node
-  as stateless / state-read / state-write / temporal
-  (:class:`GraphEffects`).
 * :func:`analyze_concurrency` — a CFG-based interprocedural lockset
   analysis over the runtime sources: thread entry-point discovery,
   per-statement must-locksets through helper calls and aliasing, a
@@ -46,7 +43,6 @@ app graphs and the runtime sources and is wired into CI as a lint gate
 
 from .concurrency import analyze_concurrency, analyze_concurrency_sources
 from .diagnostics import CHECKS, CheckSpec, Diagnostic, Severity, worst_severity
-from .effects import GraphEffects, NodeEffects, analyze_effects
 from .fork_lint import lint_paths, lint_source
 from .ir_verify import verify_fabric, verify_graph
 from .ranges import TOP, Interval, RangeReport, analyze_ranges
@@ -55,15 +51,12 @@ __all__ = [
     "CHECKS",
     "CheckSpec",
     "Diagnostic",
-    "GraphEffects",
     "Interval",
-    "NodeEffects",
     "RangeReport",
     "Severity",
     "TOP",
     "analyze_concurrency",
     "analyze_concurrency_sources",
-    "analyze_effects",
     "analyze_ranges",
     "lint_paths",
     "lint_source",

@@ -2,9 +2,9 @@
 
 Verifies every shipped dataflow graph (structure, shapes, execution
 probe, budgets against the default :class:`~repro.core.TaurusConfig`),
-runs the abstract-interpretation range/saturation analysis and the
-purity/effects pass over each (per-node waivers are reported), the
-shipped multi-app fabric bundle, and the runtime-source
+runs the abstract-interpretation range/saturation analysis over each
+(per-node waivers are reported), the shipped multi-app fabric bundle,
+and the runtime-source
 lints: fork-safety *and* the interprocedural lockset/protocol
 concurrency analysis (``repro.analysis.concurrency``).  Exit status is
 0 when no finding of warning severity or above remains, 1 otherwise —
@@ -38,7 +38,6 @@ from pathlib import Path
 
 from .concurrency import analyze_concurrency
 from .diagnostics import CHECKS, Severity
-from .effects import analyze_effects
 from .fork_lint import lint_paths
 from .ir_verify import verify_fabric, verify_graph
 from .ranges import analyze_ranges
@@ -138,11 +137,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             report = analyze_ranges(graph, suppress=suppress)
             found += report.diagnostics
-            effects = analyze_effects(graph).effects
             ranges[graph.name] = {
-                effects[nid].name: [_finite(iv.lo), _finite(iv.hi)]
+                report.names[nid]: [_finite(iv.lo), _finite(iv.hi)]
                 for nid, iv in report.intervals.items()
-                if effects[nid].name
+                if report.names[nid]
             }
             diags += found
             progress(f"  {graph.name}: {_tally(found)}")

@@ -127,20 +127,17 @@ class RangeReport:
     state: dict[str, Interval]
     diagnostics: list[Diagnostic]
     passes: int
+    #: Node id -> node name, for every node of the graph.
+    names: dict[int, str]
 
     def interval_of(self, name: str) -> Interval:
         """Proven interval of the (unique) node with this name."""
         matches = [
-            iv for nid, iv in self.intervals.items() if self._name(nid) == name
+            iv for nid, iv in self.intervals.items() if self.names.get(nid) == name
         ]
         if len(matches) != 1:
             raise KeyError(f"{len(matches)} nodes named {name!r}")
         return matches[0]
-
-    def _name(self, nid: int) -> str | None:
-        return self._names.get(nid)
-
-    _names: dict[int, str] = None  # populated by analyze_ranges
 
 
 # ======================================================================
@@ -633,15 +630,14 @@ def analyze_ranges(
     diagnostics += _narrowable_findings(graph, order, intervals)
 
     suppress = set(suppress)
-    report = RangeReport(
+    return RangeReport(
         graph=graph.name,
         intervals=intervals,
         state=state,
         diagnostics=[d for d in diagnostics if d.check_id not in suppress],
         passes=passes,
+        names={n.node_id: n.name for n in order},
     )
-    report._names = {n.node_id: n.name for n in order}
-    return report
 
 
 def _narrowable_findings(

@@ -1,13 +1,15 @@
 """Sharded, multi-app streaming runtime for trace-scale runs.
 
-The scale-out layer above the batched pipeline: flow-consistent sharding
-across parallel pipeline workers (:class:`ShardedRuntime`) and
-time-multiplexing of several compiled apps over shared grid lanes
-(:class:`MultiAppFabric`), both scored by one driver on one of two
-backends — an in-process loop, or pre-forked workers with pipelined
-chunk dispatch (:class:`ShardPool`: per worker, one writer thread sends
-and one supervisor receives) that live for one run or, kept warm,
-amortize their setup across runs.  Fork runs are crash-transparent:
+The scale-out layer above the batched pipeline is one lane runtime with
+two constructors: flow-consistent sharding of one app across parallel
+pipeline workers (:class:`ShardedRuntime`) and time-multiplexing of
+several compiled apps over shared grid lanes (:class:`MultiAppFabric`).
+Lanes, programs and — with ``pool=`` — workers exist from construction.
+Requests are scored on one of two backends — an in-process loop, or
+pre-forked workers with pipelined chunk dispatch (:class:`ShardPool`:
+per worker, one writer thread sends and one supervisor receives) that
+live for one run or, kept warm, amortize their setup across runs.
+Fork runs are crash-transparent:
 heartbeats and a watchdog detect dead or hung workers, replacements
 replay unacknowledged chunks, and deterministic fault injection
 (:class:`FaultPlan`) exercises those paths in tests.

@@ -4,9 +4,10 @@ Taurus positions the MapReduce block as a *shared* ML fabric inside the
 switch: several compiled dataflow programs can serve traffic from one
 grid, swapped between packets the way a CGRA swaps programs (not
 bitstreams).  :class:`MultiAppFabric` is that deployment shape for trace
-replay:
+replay — the lane runtime (:class:`~repro.runtime.sharded.LaneRunner`)
+constructed from apps, plus the policy scheduler (:meth:`MultiAppFabric.run`):
 
-* each registered :class:`FabricApp` bundles a compiled program
+* each :class:`FabricApp` bundles a compiled program
   (:class:`~repro.mapreduce.ir.DataflowGraph`), its PHV feature layout,
   and its decision hooks;
 * apps are scheduled in *chunks* over shared grid lanes with an
@@ -15,9 +16,8 @@ replay:
   both interleaving and the reconfiguration cost of each program swap
   (:meth:`~repro.hw.grid.MapReduceBlock.reconfigure` with
   ``account=True``);
-* with ``shards > 1`` the fabric extends the sharded runtime's
-  factory-per-worker shape to *heterogeneous* per-lane programs: lanes
-  are assigned app affinities, each app's trace is partitioned
+* with ``shards > 1`` lanes carry *heterogeneous* programs: lanes are
+  assigned app affinities, each app's trace is partitioned
   flow-consistently across its affine lanes, and an app whose lanes are
   exclusively its own never pays a reconfiguration (the thrash-free
   configuration when ``shards >= len(apps)``).
@@ -37,12 +37,10 @@ drain — never an app's decisions, scores, latencies, or register state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ..datasets.packets import PacketTrace, TraceColumns
+from ..datasets.packets import TraceColumns
 from ..hw.grid import MapReduceBlock
 from ..hw.params import CLOCK_GHZ
 from ..mapreduce.ir import DataflowGraph
@@ -52,18 +50,8 @@ from ..pisa.pipeline import (
     TracePipelineResult,
 )
 from ..pisa.registers import FlowFeatureAccumulator
-from .executors import selects_fork
-from .sharded import (
-    LaneRunner,
-    as_trace_columns,
-    drain_ns,
-    empty_trace_result,
-    in_arrival_order,
-    issue_cycles,
-    last_part,
-    merge_pipeline_state,
-    scatter_merge,
-)
+from .sharded import LaneRunner
+from .sharded import scatter_merge  # noqa: F401 - the ledger's tracer patches it here by attribute
 
 __all__ = [
     "FabricApp",
@@ -174,7 +162,9 @@ class FabricApp:
             kwargs["bypass_predicate"] = self.bypass_predicate
         if self.postprocess is not None:
             kwargs["postprocess"] = self.postprocess
-        pipe = TaurusPipeline(
+        if self.slots is not None:
+            kwargs["accumulator"] = FlowFeatureAccumulator(slots=self.slots)
+        return TaurusPipeline(
             block=block,
             feature_names=self.feature_names,
             bypass_predicate_batch=self.bypass_predicate_batch,
@@ -182,9 +172,6 @@ class FabricApp:
             program=self.graph,
             **kwargs,
         )
-        if self.slots is not None:
-            pipe.accumulator = FlowFeatureAccumulator(slots=self.slots)
-        return pipe
 
     # ------------------------------------------------------------------
     # Common app shapes
@@ -323,22 +310,20 @@ class MultiAppResult:
         return self.n_packets / (self.drain_ns * 1e-9)
 
 
-@dataclass
-class _Lane:
-    """One grid lane: a shared block plus this lane's per-app pipelines."""
+class MultiAppFabric(LaneRunner):
+    """``N`` compiled apps time-multiplexed over shared grid lanes: the
+    lane runtime with lanes from :meth:`FabricApp.build_pipeline`.
 
-    block: MapReduceBlock
-    pipelines: dict[int, TaurusPipeline]
-
-
-class MultiAppFabric:
-    """``N`` compiled apps time-multiplexed over shared grid lanes.
+    With at least one lane per app, lane ``s`` is dedicated to app
+    ``s % M`` — disjoint homes, zero reconfigurations.  With fewer lanes
+    than apps, apps round-robin onto lanes (``a % N``) and each lane
+    time-multiplexes its residents (:meth:`lane_apps` is that map).
 
     Parameters
     ----------
     apps:
-        Initial :class:`FabricApp` registrations (more via
-        :meth:`register` until the first run builds the lanes).
+        The :class:`FabricApp` programs to serve; at least one, names
+        unique.
     shards:
         Grid lanes.  ``1`` is the paper's single shared block; more lanes
         give apps affine homes (``shards >= len(apps)`` eliminates
@@ -350,10 +335,10 @@ class MultiAppFabric:
         :func:`schedule_chunks`).
     pool:
         How long fork workers live, as in
-        :class:`~repro.runtime.ShardedRuntime`: truthy keeps one worker
-        per lane across runs (forked by the first run, which builds the
-        lanes) instead of forking and reaping per run.  Close the fabric
-        (context manager or :meth:`close`) when a pool is attached.
+        :class:`~repro.runtime.ShardedRuntime`: truthy forks one worker
+        per lane now and keeps them across runs instead of forking and
+        reaping per run.  Close the fabric (context manager or
+        :meth:`close`) when a pool is attached.
     pool_options:
         Extra keyword arguments for the lane
         :class:`~repro.runtime.pool.ShardPool` (fault-tolerance knobs:
@@ -371,129 +356,29 @@ class MultiAppFabric:
         pool: bool | str = False,
         pool_options: dict | None = None,
     ):
-        if shards <= 0:
-            raise ValueError("shards must be positive")
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         if policy not in SCHEDULING_POLICIES:
             raise ValueError(
                 f"unknown policy {policy!r}; pick one of {SCHEDULING_POLICIES}"
             )
-        selects_fork(executor, pool, pool_options, shards)  # validate now
-        self.shards = shards
-        self.executor = executor
-        self.chunk_size = chunk_size
         self.policy = policy
-        self.apps: list[FabricApp] = []
-        self._lanes: list[_Lane] | None = None
-        self._runner: LaneRunner | None = None
-        #: Per app, the lane whose pipeline processed its globally-last
-        #: packet so far (the app's merged arbiter turn is that one's).
-        self._turn_lane: dict[int, int] = {}
-        self._pool_request = pool
-        self._pool_options = pool_options
-        #: Modeled drain of the last run (slowest lane; reconfiguration
-        #: and interleave costs included).
-        self.last_drain_ns = 0.0
-        for app in apps:
-            self.register(app)
-
-    # ------------------------------------------------------------------
-    # Worker lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def pool(self):
-        """The persistent lane-worker pool (``None`` unless ``pool`` was
-        set, and until the first run builds the lanes)."""
-        return None if self._runner is None else self._runner.pool
-
-    @property
-    def pool_health(self):
-        """The lane pool's :class:`~repro.runtime.health.PoolHealth`
-        counters (``None`` without a persistent pool, or before the
-        first run builds the lanes)."""
-        return None if self.pool is None else self.pool.health
-
-    def close(self) -> None:
-        """Shut the persistent lane-worker pool down (no-op without one)."""
-        if self._runner is not None:
-            self._runner.close()
-
-    def __enter__(self) -> "MultiAppFabric":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def reset_state(self) -> None:
-        """Rewind every lane pipeline (and pool worker) to the pristine
-        post-build mark, so a reused fabric behaves like a fresh one
-        (see :meth:`ShardPool.rewind`)."""
-        if self._runner is None:
-            return
-        self._runner.rewind()
-        self._turn_lane.clear()
-
-    # ------------------------------------------------------------------
-    # Registration and lane topology
-    # ------------------------------------------------------------------
-    def register(self, app: FabricApp) -> None:
-        """Add an app (before the first run compiles it onto the lanes)."""
-        if self._lanes is not None:
-            raise RuntimeError(
-                "apps must be registered before the fabric's first run"
-            )
-        if any(existing.name == app.name for existing in self.apps):
-            raise ValueError(f"duplicate app name {app.name!r}")
-        self.apps.append(app)
-
-    def lane_apps(self) -> list[list[int]]:
-        """App indices served by each lane (the affinity map).
-
-        With at least one lane per app, lane ``s`` is dedicated to app
-        ``s % M`` — disjoint homes, zero reconfigurations.  With fewer
-        lanes than apps, apps round-robin onto lanes (``a % N``) and each
-        lane time-multiplexes its residents.
-        """
+        self.apps = list(apps)
+        if not self.apps:
+            raise ValueError("no apps registered")
+        self._index = {app.name: a for a, app in enumerate(self.apps)}
+        if len(self._index) != len(self.apps):
+            raise ValueError(f"duplicate app name in {[app.name for app in self.apps]}")
         n_apps = len(self.apps)
-        if n_apps == 0:
-            return [[] for __ in range(self.shards)]
-        if self.shards >= n_apps:
-            return [[s % n_apps] for s in range(self.shards)]
-        return [
-            [a for a in range(n_apps) if a % self.shards == s]
-            for s in range(self.shards)
-        ]
-
-    def app_lanes(self, app_index: int) -> list[int]:
-        """The lanes app ``app_index`` is affine to."""
-        return [
-            s for s, ids in enumerate(self.lane_apps()) if app_index in ids
-        ]
-
-    def _ensure_lanes(self) -> list[_Lane]:
-        if self._lanes is None:
-            if not self.apps:
-                raise ValueError("no apps registered")
-            lanes = []
-            for ids in self.lane_apps():
-                block = MapReduceBlock(self.apps[ids[0]].graph)
-                lanes.append(
-                    _Lane(
-                        block=block,
-                        pipelines={
-                            a: self.apps[a].build_pipeline(block) for a in ids
-                        },
-                    )
-                )
-            self._lanes = lanes
-            self._runner = LaneRunner(
-                [lane.pipelines for lane in lanes],
-                self.executor,
-                self._pool_request,
-                self._pool_options,
-            )
-        return self._lanes
+        if shards >= n_apps:
+            affinity = [[s % n_apps] for s in range(shards)]
+        else:
+            affinity = [
+                [a for a in range(n_apps) if a % shards == s] for s in range(shards)
+            ]
+        lanes = []
+        for ids in affinity:
+            block = MapReduceBlock(self.apps[ids[0]].graph)
+            lanes.append({a: self.apps[a].build_pipeline(block) for a in ids})
+        super().__init__(lanes, executor, chunk_size, pool, pool_options)
 
     # ------------------------------------------------------------------
     # Execution
@@ -514,14 +399,7 @@ class MultiAppFabric:
         bit/stat-identical to running that app alone on its own trace.
         """
         policy = self.policy if policy is None else policy
-        if policy not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; pick one of {SCHEDULING_POLICIES}"
-            )
-        chunk = self.chunk_size if chunk_size is None else chunk_size
-        if chunk <= 0:
-            raise ValueError("chunk_size must be positive")
-        lanes = self._ensure_lanes()
+        chunk = self._chunk(chunk_size)
         prepared = [
             self._prepare(a, trace)
             for a, trace in enumerate(self._resolve_traces(traces))
@@ -530,16 +408,15 @@ class MultiAppFabric:
         # Per lane: FIFO chunk queues per resident app, interleaved by the
         # scheduling policy.
         schedules: list[list[tuple[int, TraceColumns, int]]] = []
-        for s, lane in enumerate(lanes):
+        for s, ids in enumerate(self.lane_apps()):
             per_app: dict[int, list[TraceColumns]] = {}
-            for a in lane.pipelines:
+            for a in ids:
                 __, sub = prepared[a][3][self.app_lanes(a).index(s)]
                 per_app[a] = [
                     sub.slice(slice(start, min(start + chunk, sub.n)))
                     for start in range(0, sub.n, chunk)
                 ]
-            ids = sorted(per_app)
-            issue_order = schedule_chunks(
+            issue_order = schedule_chunks(  # rejects an unknown policy
                 [len(per_app[a]) for a in ids],
                 weights=[self.apps[a].weight for a in ids],
                 policy=policy,
@@ -549,10 +426,7 @@ class MultiAppFabric:
                 [(ids[i], next(queues[ids[i]]), ids[i]) for i in issue_order]
             )
 
-        # Both backends leave this process's lane blocks current (in
-        # place, or by per-chunk delta), so the issue-clock and swap
-        # accounting reads the same counters either way.
-        blocks = [lane.block for lane in lanes]
+        blocks = self._blocks
         swaps = sum(block.reconfigurations for block in blocks)
         swap_cycles = sum(block.reconfig_cycles for block in blocks)
         merged = self._execute(prepared, schedules, chunk)
@@ -588,41 +462,15 @@ class MultiAppFabric:
         :meth:`ShardedRuntime.process_traces
         <repro.runtime.sharded.ShardedRuntime.process_traces>`.
         """
-        chunk = self.chunk_size if chunk_size is None else chunk_size
-        if chunk <= 0:
-            raise ValueError("chunk_size must be positive")
-        lanes = self._ensure_lanes()
-        index = {app.name: a for a, app in enumerate(self.apps)}
-        prepared = []
-        schedules: list[list[tuple[int, TraceColumns, int]]] = [[] for __ in lanes]
-        for k, (name, trace) in enumerate(requests):
-            a = index[name]
-            prepared.append(self._prepare(a, trace))
-            for s, (__, sub) in zip(self.app_lanes(a), prepared[k][3]):
-                if sub.n:
-                    schedules[s].append((a, sub, k))
-        return self._execute(prepared, schedules, chunk, on_result)
+        requests = list(requests)
+        unknown = sorted({name for name, __ in requests} - self._index.keys())
+        if unknown:
+            raise ValueError(
+                f"requests for unknown apps {unknown}; registered: {list(self._index)}"
+            )
+        indexed = [(self._index[name], trace) for name, trace in requests]
+        return self._process(indexed, chunk_size, on_result)
 
-    def _execute(self, prepared, schedules, chunk: int, on_result=None):
-        """One run of ``schedules``, whose slots are owned by the entries
-        of ``prepared`` (see :meth:`_prepare`): each entry's merged
-        result, handed to ``on_result`` as soon as it is complete."""
-        merged: list = [None] * len(prepared)
-
-        def merge(k: int, lane_results: dict[int, TracePipelineResult]) -> None:
-            merged[k] = self._merge_app(*prepared[k], lane_results)
-            if on_result is not None:
-                on_result(k, merged[k])
-
-        blocks = [lane.block for lane in self._lanes]
-        before = issue_cycles(blocks)
-        self._runner.run(schedules, chunk, len(prepared), merge)
-        self.last_drain_ns = drain_ns(blocks, before)
-        return merged
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _resolve_traces(self, traces) -> list:
         if isinstance(traces, dict):
             missing = [app.name for app in self.apps if app.name not in traces]
@@ -635,68 +483,6 @@ class MultiAppFabric:
                 f"got {len(traces)} traces for {len(self.apps)} apps"
             )
         return traces
-
-    def _prepare(self, app_index: int, trace):
-        """One app's trace as ``(app, time-sorted columns, caller-order
-        mapping, flow-consistent parts over the app's affine lanes)``."""
-        order, ordered = in_arrival_order(as_trace_columns(trace))
-        return app_index, ordered, order, self._partition(app_index, trace, ordered)
-
-    def _app_slots(self, app_index: int) -> int:
-        app = self.apps[app_index]
-        if app.slots is not None:
-            return app.slots
-        lanes = self._ensure_lanes()
-        pipe = lanes[self.app_lanes(app_index)[0]].pipelines[app_index]
-        return pipe.accumulator.packet_count.size
-
-    def _partition(
-        self, app_index: int, trace, ordered: TraceColumns
-    ) -> list[tuple[np.ndarray, TraceColumns]]:
-        """Flow-consistent parts of one app's trace over its lanes.
-
-        Part indices are positions into ``ordered`` (the time-sorted
-        view), so the cached :meth:`PacketTrace.shard_columns` partition
-        is only reusable when the trace's columns already are in arrival
-        order — otherwise its indices would reference the unsorted
-        layout and the scatter-merge would misplace rows.
-        """
-        n_lanes = len(self.app_lanes(app_index))
-        slots = self._app_slots(app_index)
-        if n_lanes == 1:
-            return [(np.arange(ordered.n, dtype=np.int64), ordered)]
-        if isinstance(trace, PacketTrace) and ordered is trace.columns():
-            return trace.shard_columns(n_lanes, slots)
-        assignments = ordered.shard_assignments(n_lanes, slots)
-        return ordered.partition(assignments, n_lanes)
-
-    def _merge_app(
-        self,
-        app_index: int,
-        ordered: TraceColumns,
-        order: np.ndarray,
-        parts,
-        scored: dict[int, TracePipelineResult],
-    ) -> TracePipelineResult:
-        """One app's lane outputs (``scored[lane]``; a lane that got none
-        of its packets is absent) as a single arrival-ordered result.
-
-        ``scatter_merge`` gathers over the *time-sorted* columns (so its
-        internal order is the identity); the returned result re-exposes
-        the caller-order mapping, exactly like one pipeline over the
-        original trace.
-        """
-        if ordered.n == 0:
-            # No packet of this app ran: its arbiter turn stands.
-            return empty_trace_result()
-        lane_ids = self.app_lanes(app_index)
-        lane_results = [scored.get(s) or empty_trace_result() for s in lane_ids]
-        merged = scatter_merge(ordered, parts, lane_results)
-        # The globally-last packet fixes this app's merged arbiter turn.
-        lane_pos = last_part(parts, lane_results, merged.order[-1])
-        if lane_pos is not None:
-            self._turn_lane[app_index] = lane_ids[lane_pos]
-        return replace(merged, order=order)
 
     # ------------------------------------------------------------------
     # Merged observable state (verification: no cross-app leakage)
@@ -711,17 +497,7 @@ class MultiAppFabric:
         counters are omitted: a lane's block is time-shared, so its
         packet/issue totals are a *fabric* observable, not a per-app one.
         """
-        index = next(
-            (a for a, app in enumerate(self.apps) if app.name == name), None
-        )
-        if index is None:
-            raise KeyError(name)
-        lanes = self._ensure_lanes()
-        lane_ids = self.app_lanes(index)
-        turn = lanes[self._turn_lane.get(index, lane_ids[0])].pipelines[index]
-        state = merge_pipeline_state(
-            [lanes[s].pipelines[index] for s in lane_ids], turn.arbiter._turn
-        )
+        state = self._state(self._index[name])
         state.pop("block_packets")
         state.pop("block_issue_cycles")
         return state

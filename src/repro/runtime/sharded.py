@@ -1,35 +1,33 @@
-"""Flow-consistent sharded execution of the batched PISA pipeline.
+"""The lane runtime: flow-consistent sharded execution of the PISA pipeline.
 
 The Taurus switch runs many compute units side by side; this runtime
 brings the same dimension of parallelism to trace replay by partitioning
-a packet trace across ``N`` independent :class:`~repro.pisa.TaurusPipeline`
-workers (each with its own parser, MATs, flow registers, and MapReduce
-block) and deterministically merging their outputs.
+a packet trace across ``N`` lanes — each a MapReduce block plus the
+:class:`~repro.pisa.TaurusPipeline` (parser, MATs, flow registers) of
+every app resident on it — and deterministically merging their outputs.
+One engine, :class:`LaneRunner`, owns the whole path and has two
+constructors, :class:`ShardedRuntime` and
+:class:`~repro.runtime.fabric.MultiAppFabric`; lanes, programs and —
+with ``pool=`` — workers exist from construction.
 
 **Why results stay bit-identical to one pipeline.**  Packets are sharded
 by *register slot*: the flow key's FNV-1a hash modulo the accumulator's
 slot count — exactly the index the flow registers use — then modulo the
-shard count.  Every packet that would touch a given register slot
-(including hash-collision neighbours) therefore lands on the same shard,
-in arrival order, so each shard's register file evolves exactly as the
+lane count.  Every packet that would touch a given register slot
+(including hash-collision neighbours) therefore lands on the same lane,
+in arrival order, so each lane's register file evolves exactly as the
 corresponding slots of a single shared register file would.  All other
 per-packet state (parse, MAT actions, fabric scoring) is independent
 across packets, and counters (stats, MAT hit/miss, parser totals) are
-pure sums.  The merge scatters per-shard outputs back to global
-arrival-time order and is asserted bit/stat-identical to the single-shard
+pure sums.  The merge scatters per-lane outputs back to global
+arrival-time order and is asserted bit/stat-identical to the single-lane
 oracle by ``tests/test_shard_runtime.py``.
 
-Where chunks are scored (``executor=``) comes from
-:mod:`repro.runtime.executors`: in process (``serial``), on forked
-workers (``fork`` — true multi-core; per-chunk state deltas keep this
-process's pipelines current), or ``auto``.  Both backends sit behind one
-driver, :class:`LaneRunner`, which the multi-app fabric shares.
-
 Besides wall-clock throughput, the runtime models the *hardware* drain
-rate of ``N`` parallel MapReduce blocks: each shard's block drains its
+rate of ``N`` parallel MapReduce blocks: each lane's block drains its
 packets at the design's initiation-interval-limited rate concurrently,
-so a trace completes in the slowest shard's drain time
-(:attr:`ShardedRuntime.last_drain_ns`) — the scale-out twin of
+so a run completes in the slowest lane's drain time
+(:attr:`LaneRunner.last_drain_ns`) — the scale-out twin of
 :attr:`~repro.hw.grid.BatchInferenceResult.duration_ns`.
 """
 
@@ -69,8 +67,7 @@ __all__ = [
 def as_trace_columns(trace) -> TraceColumns:
     """Coerce any accepted trace form to :class:`TraceColumns`.
 
-    Shared by :class:`ShardedRuntime` and the multi-app fabric: a
-    ``TraceColumns`` passes through, anything with a cached ``columns()``
+    A ``TraceColumns`` passes through, anything with a cached ``columns()``
     view (:class:`~repro.datasets.packets.PacketTrace`) uses it, and a
     plain packet list is columnarized on the fly.
     """
@@ -118,8 +115,8 @@ def scatter_merge(
     global arrival order — exactly what one pipeline over the whole trace
     produces (stable sort makes equal timestamps deterministic, and
     same-slot packets keep their relative order because they share a
-    part).  Shared by :class:`ShardedRuntime` (parts = shards of one
-    trace) and the multi-app fabric (parts = one app's lanes).
+    part).  The parts are one app's lanes (for the sharded runtime, the
+    shards of one trace).
     """
     n = columns.n
     order = np.argsort(columns.times, kind="stable")
@@ -330,35 +327,88 @@ class _Tally:
 
 
 class LaneRunner:
-    """Scores per-lane chunk schedules, in process or on forked workers.
+    """The lane runtime: traces in, merged arrival-ordered results out.
 
-    The one driver behind :class:`ShardedRuntime` (one app per lane) and
-    :class:`~repro.runtime.fabric.MultiAppFabric` (a lane's apps share a
-    block).  A lane is ``{app_index: pipeline}``, and this process's
-    pipelines are the state of record on both backends: the in-process
-    loop mutates them directly, the fork backend lands each chunk's
-    state delta on them as the chunk is acked — which is also what lets
-    the pool re-fork a crashed worker at exactly the last acked chunk
-    (see :meth:`ShardPool.map_streams`).
+    A **lane** is one MapReduce block plus the pipelines of the apps
+    resident on it, ``{app_index: pipeline}``; an app's **affinity** is
+    the set of lanes holding a pipeline for it.  A request is one app's
+    trace: coerced to columns, stably sorted by arrival time, partitioned
+    by register slot over the app's lanes, queued behind the earlier
+    requests' parts, scored, and merged back to arrival order.  **The
+    one-part rule:** an app with a single lane has nothing to partition
+    or scatter, so its result is that lane's own, with the caller-order
+    mapping re-exposed.  :class:`ShardedRuntime` (one app, every lane
+    affine to it) and :class:`~repro.runtime.fabric.MultiAppFabric`
+    (apps time-sharing the lanes' blocks) construct this class.
 
-    ``executor`` / ``pool`` / ``pool_options`` are the owner's knobs
-    (:func:`~repro.runtime.executors.selects_fork` validates them): a
-    truthy ``pool`` forks the workers now and keeps them until
-    :meth:`close`; otherwise a fork run spawns and reaps its own.
+    This process's pipelines are the state of record on both backends:
+    the in-process loop mutates them directly, the fork backend lands
+    each chunk's state delta on them as the chunk is acked — which is
+    also what lets the pool re-fork a crashed worker at exactly the last
+    acked chunk (see :meth:`ShardPool.map_streams`).  ``executor`` /
+    ``pool`` / ``pool_options`` are documented on :class:`ShardedRuntime`.
     """
 
     def __init__(
         self,
         lanes: Sequence[dict[int, TaurusPipeline]],
         executor: str = "auto",
+        chunk_size: int = DEFAULT_TRACE_CHUNK,
         pool: bool | str = False,
         pool_options: dict | None = None,
     ):
         self.lanes = list(lanes)
-        self.forked = selects_fork(executor, pool, pool_options, len(self.lanes))
+        if not self.lanes:
+            raise ValueError("shards must be positive")
+        if chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        self.shards = len(self.lanes)
+        self.executor = executor
+        self.chunk_size = chunk_size
+        self.forked = selects_fork(executor, pool, pool_options, self.shards)
         self.pool_options = pool_options or {}
+        self._lane_apps = [sorted(lane) for lane in self.lanes]
+        self._app_lanes: dict[int, list[int]] = {}
+        for s, ids in enumerate(self._lane_apps):
+            for app in ids:
+                self._app_lanes.setdefault(app, []).append(s)
+        #: Per app, the register slot count its lanes share (the
+        #: partition key's modulus).
+        self._slots: dict[int, int] = {}
+        for app, lane_ids in self._app_lanes.items():
+            counts = {
+                self.lanes[s][app].accumulator.packet_count.size for s in lane_ids
+            }
+            if len(counts) != 1:
+                raise ValueError(
+                    "shard pipelines must share one register slot count, got "
+                    f"{sorted(counts)}"
+                )
+            self._slots[app] = counts.pop()
+        #: Each lane's block (``None`` for a plain PISA pipeline).
+        self._blocks = [
+            lane[ids[0]].block for lane, ids in zip(self.lanes, self._lane_apps)
+        ]
+        #: Per app, the lane whose pipeline processed its globally-last
+        #: packet so far (the app's merged arbiter turn is that one's).
+        self._turn_lane: dict[int, int] = {}
+        #: Modeled drain of the last run: the slowest lane's
+        #: ``latency + (B - 1) * II``, program swaps included.
+        self.last_drain_ns = 0.0
+        #: The persistent worker pool (``None`` unless ``pool`` was set).
         self.pool: ShardPool | None = self._spawn(mark=True) if pool else None
 
+    def lane_apps(self) -> list[list[int]]:
+        """App indices served by each lane (the affinity map)."""
+        return self._lane_apps
+
+    def app_lanes(self, app_index: int) -> list[int]:
+        """The lanes app ``app_index`` is affine to."""
+        return self._app_lanes[app_index]
+
+    # ------------------------------------------------------------------
+    # Worker lifecycle
+    # ------------------------------------------------------------------
     def _spawn(self, mark: bool) -> ShardPool:
         contexts = [LaneWorker(lane) for lane in self.lanes]
         if mark:
@@ -371,8 +421,9 @@ class LaneRunner:
 
     @contextlib.contextmanager
     def workers(self) -> Iterator[ShardPool]:
-        """The fork pool for one run: the persistent one, or a fresh one
-        that is closed (children reaped, threads joined) on the way out."""
+        """The fork pool for one run (or for requests the runtime does not
+        model itself, e.g. read-only ``score``): the persistent one, or a
+        fresh one closed (children reaped, threads joined) on the way out."""
         if self.pool is not None:
             yield self.pool
             return
@@ -382,21 +433,146 @@ class LaneRunner:
         finally:
             pool.close()
 
-    def rewind(self) -> None:
-        """Every lane (here and in the workers) back to the pristine mark."""
+    @property
+    def pool_health(self) -> PoolHealth | None:
+        """The pool's :class:`~repro.runtime.health.PoolHealth` counters
+        (crashes, hangs, restarts, replayed/degraded chunks) — the only
+        place a transparently recovered worker failure is visible.
+        ``None`` without a persistent pool."""
+        return None if self.pool is None else self.pool.health
+
+    def rewind_state(self) -> None:
+        """Rewind every lane pipeline (here and in the pool workers) to
+        the pristine post-build mark, shipping no state, so a reused
+        runtime behaves like a fresh one (see :meth:`ShardPool.rewind`).
+        Needs persistent workers: the mark is pinned when they fork."""
         if self.pool is None:
             raise RuntimeError("rewinding requires persistent workers (pool=True)")
         self.pool.rewind()
+        self._turn_lane.clear()
+
+    reset_state = rewind_state
 
     def close(self) -> None:
-        """Shut the persistent pool down (no-op without one)."""
+        """Shut the persistent worker pool down (no-op without one)."""
         if self.pool is not None:
             self.pool.close()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
-    # Execution
+    # Requests: prepare, execute, merge
     # ------------------------------------------------------------------
-    def run(
+    def _chunk(self, chunk_size: int | None) -> int:
+        chunk = self.chunk_size if chunk_size is None else chunk_size
+        if chunk <= 0:
+            raise ValueError("chunk_size must be positive")
+        return chunk
+
+    def _prepare(self, app: int, trace):
+        """One app's trace as ``(app, time-sorted columns, caller-order
+        mapping, flow-consistent parts over the app's lanes)``, a part
+        being a lane's ``(indices into the sorted columns, sub_columns)``.
+
+        The cached :meth:`PacketTrace.shard_columns` partition indexes
+        the trace's *original* column order, so it is only reusable when
+        those columns already are in arrival order — otherwise its
+        indices would reference the unsorted layout and the merge would
+        misplace rows.
+        """
+        order, ordered = in_arrival_order(as_trace_columns(trace))
+        n_lanes = len(self._app_lanes[app])
+        if n_lanes == 1:
+            parts = [(None, ordered)]  # the one-part rule: nothing to index
+        elif isinstance(trace, PacketTrace) and ordered is trace.columns():
+            parts = trace.shard_columns(n_lanes, self._slots[app])
+        else:
+            assignments = ordered.shard_assignments(n_lanes, self._slots[app])
+            parts = ordered.partition(assignments, n_lanes)
+        return app, ordered, order, parts
+
+    def _process(self, requests, chunk_size, on_result) -> list[TracePipelineResult]:
+        """``(app, trace)`` requests, one after the other, as **one** run
+        (the body of both ``process_traces``)."""
+        chunk = self._chunk(chunk_size)
+        prepared = []
+        schedules: list[list[tuple[int, TraceColumns, int]]] = [[] for __ in self.lanes]
+        for k, (app, trace) in enumerate(requests):
+            prepared.append(self._prepare(app, trace))
+            for s, (__, sub) in zip(self._app_lanes[app], prepared[k][3]):
+                if sub.n:
+                    schedules[s].append((app, sub, k))
+        return self._execute(prepared, schedules, chunk, on_result)
+
+    def _execute(self, prepared, schedules, chunk: int, on_result=None):
+        """One run of ``schedules``, whose slots are owned by the entries
+        of ``prepared`` (see :meth:`_prepare`): each entry's merged
+        result, handed to ``on_result`` as soon as it is complete."""
+        merged: list = [None] * len(prepared)
+
+        def merge(k: int, lane_results: dict[int, TracePipelineResult]) -> None:
+            merged[k] = self._merge(*prepared[k], lane_results)
+            if on_result is not None:
+                on_result(k, merged[k])
+
+        # Both backends leave this process's lane blocks current (in
+        # place, or by per-chunk delta), so the issue-clock (and the
+        # fabric's swap) accounting reads the same counters either way.
+        before = issue_cycles(self._blocks)
+        self._run_schedules(schedules, chunk, len(prepared), merge)
+        self.last_drain_ns = drain_ns(self._blocks, before)
+        return merged
+
+    def _merge(
+        self,
+        app: int,
+        ordered: TraceColumns,
+        order: np.ndarray,
+        parts,
+        scored: dict[int, TracePipelineResult],
+    ) -> TracePipelineResult:
+        """One app's lane outputs (``scored[lane]``; a lane that got none
+        of its packets is absent) as a single arrival-ordered result.
+
+        The scatter gathers over the *time-sorted* columns (so its
+        internal order is the identity); the returned result re-exposes
+        the caller-order mapping, exactly like one pipeline over the
+        original trace.  Also notes which lane processed the app's
+        globally-last packet (the merged arbiter turn is that lane's).
+        """
+        if ordered.n == 0:
+            # No packet of this app ran: its arbiter turn stands.
+            return empty_trace_result()
+        lane_ids = self._app_lanes[app]
+        if len(lane_ids) == 1:
+            # One part over time-sorted columns: the lane's own result is
+            # already the merge (identity indices, identity order).
+            return replace(scored[lane_ids[0]], order=order)
+        results = [scored.get(s) or empty_trace_result() for s in lane_ids]
+        merged = scatter_merge(ordered, parts, results)
+        lane_pos = last_part(parts, results, merged.order[-1])
+        if lane_pos is not None:
+            self._turn_lane[app] = lane_ids[lane_pos]
+        return replace(merged, order=order)
+
+    def _state(self, app: int) -> dict:
+        """One app's pipeline state merged across its lanes (see
+        :func:`merge_pipeline_state`); the arbiter turn follows the lane
+        that processed the app's globally-last packet."""
+        lane_ids = self._app_lanes[app]
+        turn = self.lanes[self._turn_lane.get(app, lane_ids[0])][app]
+        return merge_pipeline_state(
+            [self.lanes[s][app] for s in lane_ids], turn.arbiter._turn
+        )
+
+    # ------------------------------------------------------------------
+    # The schedule loop
+    # ------------------------------------------------------------------
+    def _run_schedules(
         self,
         schedules: Sequence[Sequence[tuple[int, TraceColumns, int]]],
         chunk: int,
@@ -494,8 +670,9 @@ class LaneRunner:
                 lane[app].restore_state(snapshot)
 
 
-class ShardedRuntime:
-    """``N`` parallel pipeline workers behind one ``process_trace`` call.
+class ShardedRuntime(LaneRunner):
+    """``N`` parallel pipeline workers behind one ``process_trace`` call:
+    the lane runtime with one app, every lane affine to it.
 
     Parameters
     ----------
@@ -539,73 +716,11 @@ class ShardedRuntime:
         pool: bool | str = False,
         pool_options: dict | None = None,
     ):
-        if shards <= 0:
-            raise ValueError("shards must be positive")
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        self.shards = shards
-        self.executor = executor
-        self.chunk_size = chunk_size
         self.pipelines = [pipeline_factory(i) for i in range(shards)]
-        slot_counts = {
-            pipe.accumulator.packet_count.size for pipe in self.pipelines
-        }
-        if len(slot_counts) != 1:
-            raise ValueError(
-                "shard pipelines must share one register slot count, got "
-                f"{sorted(slot_counts)}"
-            )
-        self.slots = slot_counts.pop()
-        #: Modeled parallel-fabric drain time of the last run (max over
-        #: shards of latency + (B_s - 1) * II on that shard's block).
-        self.last_drain_ns = 0.0
-        #: The shard that processed the globally-last packet so far: the
-        #: merged arbiter turn is its pipeline's.
-        self._turn_shard = 0
-        self._runner = LaneRunner(
-            [{0: pipe} for pipe in self.pipelines], executor, pool, pool_options
-        )
+        lanes = [{0: pipe} for pipe in self.pipelines]
+        super().__init__(lanes, executor, chunk_size, pool, pool_options)
+        self.slots = self._slots[0]
 
-    # ------------------------------------------------------------------
-    # Worker lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def pool(self) -> ShardPool | None:
-        """The persistent worker pool (``None`` unless ``pool`` was set)."""
-        return self._runner.pool
-
-    @property
-    def pool_health(self) -> PoolHealth | None:
-        """The pool's :class:`~repro.runtime.health.PoolHealth` counters
-        (crashes, hangs, restarts, replayed/degraded chunks) — the only
-        place a transparently recovered worker failure is visible.
-        ``None`` without a persistent pool."""
-        return None if self.pool is None else self.pool.health
-
-    def workers(self):
-        """Context manager yielding the fork pool for one run of requests
-        the runtime does not model itself (e.g. read-only ``score``)."""
-        return self._runner.workers()
-
-    def close(self) -> None:
-        """Shut the persistent worker pool down (no-op without one)."""
-        self._runner.close()
-
-    def __enter__(self) -> "ShardedRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def rewind_state(self) -> None:
-        """Rewind every shard (parent and pool workers) to the pristine
-        post-build mark, shipping no state (see :meth:`ShardPool.rewind`)."""
-        self._runner.rewind()
-        self._turn_shard = 0
-
-    # ------------------------------------------------------------------
-    # Trace execution
-    # ------------------------------------------------------------------
     def process_trace(
         self, trace, chunk_size: int | None = None
     ) -> TracePipelineResult:
@@ -639,74 +754,8 @@ class ShardedRuntime:
         the fork backend, from a pool supervisor thread, one call at a
         time).  :attr:`last_drain_ns` covers the whole run.
         """
-        chunk = self.chunk_size if chunk_size is None else chunk_size
-        if chunk <= 0:
-            raise ValueError("chunk_size must be positive")
-        requests = [self._parts(trace) for trace in traces]
-        merged: list = [None] * len(requests)
+        return self._process([(0, trace) for trace in traces], chunk_size, on_result)
 
-        def merge(k: int, lanes: dict[int, TracePipelineResult]) -> None:
-            merged[k] = self._merge(*requests[k], lanes)
-            if on_result is not None:
-                on_result(k, merged[k])
-
-        blocks = [pipe.block for pipe in self.pipelines]
-        before = issue_cycles(blocks)
-        self._runner.run(
-            [
-                [(0, parts[s][1], k) for k, (__, parts) in enumerate(requests) if parts]
-                for s in range(self.shards)
-            ],
-            chunk,
-            len(requests),
-            merge,
-        )
-        self.last_drain_ns = drain_ns(blocks, before)
-        return merged
-
-    def _parts(self, trace):
-        """One trace as ``(columns, slot-consistent parts)``, a part being
-        a shard's ``(global_indices, sub_columns)`` — no parts at all for
-        an empty trace, which runs nothing."""
-        columns = as_trace_columns(trace)
-        if columns.n == 0:
-            return columns, []
-        if self.shards == 1:
-            parts = [(np.arange(columns.n, dtype=np.int64), columns)]
-        elif isinstance(trace, PacketTrace):
-            parts = trace.shard_columns(self.shards, self.slots)
-        else:
-            assignments = columns.shard_assignments(self.shards, self.slots)
-            parts = columns.partition(assignments, self.shards)
-        if self._runner.forked:
-            # Workers score chunk-sized slices, so apply the arrival sort
-            # ``process_trace_batch`` would have applied before slicing.
-            unsorted, parts = parts, []
-            for indices, sub in unsorted:
-                order, sub = in_arrival_order(sub)
-                parts.append((indices[order], sub))
-        return columns, parts
-
-    def _merge(self, columns, parts, lanes) -> TracePipelineResult:
-        """One trace's shard results, merged; notes which shard processed
-        its globally-last packet (the merged arbiter turn is that shard's)."""
-        if not parts:
-            return empty_trace_result()
-        results = [lanes[s] for s in range(self.shards)]
-        if self.shards == 1:
-            # No partition, no merge: the pipeline's own result.  Workers
-            # saw the trace pre-sorted, so re-expose the caller-order
-            # mapping one ``process_trace_batch`` call would report.
-            if self._runner.forked:
-                return replace(results[0], order=parts[0][0])
-            return results[0]
-        merged = scatter_merge(columns, parts, results)
-        self._turn_shard = last_part(parts, results, merged.order[-1]) or 0
-        return merged
-
-    # ------------------------------------------------------------------
-    # Merged observable state (for verification and reporting)
-    # ------------------------------------------------------------------
     def merged_state(self) -> dict:
         """Aggregate per-shard state as one pipeline would report it.
 
@@ -715,6 +764,4 @@ class ShardedRuntime:
         shard that processed the globally-last packet (see
         :func:`merge_pipeline_state`).
         """
-        return merge_pipeline_state(
-            self.pipelines, self.pipelines[self._turn_shard].arbiter._turn
-        )
+        return self._state(0)

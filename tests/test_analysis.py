@@ -19,7 +19,6 @@ from repro.analysis import (
     TOP,
     Interval,
     Severity,
-    analyze_effects,
     analyze_ranges,
     lint_source,
     verify_fabric,
@@ -1393,61 +1392,3 @@ class TestShippedGraphsRangeClean:
         self._assert_range_clean(conv1d_graph(unroll=8))
         for name in ACTIVATIONS:
             self._assert_range_clean(activation_graph(name))
-
-
-# ----------------------------------------------------------------------
-# Effects classification.
-# ----------------------------------------------------------------------
-def _reader(key):
-    """A state-reading fn whose key is a bytecode literal."""
-    ns = {}
-    exec(  # noqa: S102 - building a fixture, key is a test literal
-        "def fn(x, state=None):\n"
-        f"    return x + state.get({key!r}, 0.0)\n",
-        ns,
-    )
-    fn = ns["fn"]
-    fn.wants_state = True
-    return fn
-
-
-class TestEffects:
-    def test_pure_nodes_are_stateless(self):
-        effects = analyze_effects(_chain_graph())
-        assert effects.effect_of("m").effect == "stateless"
-        assert effects.effect_of("x").effect == "stateless"
-
-    def test_state_write_classified(self):
-        g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = _stateful("flow")
-        e = analyze_effects(g).effect_of("m")
-        assert e.effect == "state-write"
-        assert e.state_writes == ("flow",)
-
-    def test_state_read_classified(self):
-        g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = _reader("h")
-        e = analyze_effects(g).effect_of("m")
-        assert e.effect == "state-read"
-        assert e.state_reads == ("h",)
-
-    def test_iteration_read_is_temporal(self):
-        g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = _reader("iteration")
-        assert analyze_effects(g).effect_of("m").effect == "temporal"
-
-    def test_epilogue_is_temporal(self):
-        g = _chain_graph()
-        g.nodes[1].epilogue = True
-        assert analyze_effects(g).effect_of("m").effect == "temporal"
-
-    def test_lstm_classification(self):
-        from repro.mapreduce import lstm_graph
-        from repro.ml import indigo_lstm
-
-        effects = analyze_effects(lstm_graph(indigo_lstm(seed=0)))
-        assert effects.effect_of("read_h").effect == "state-read"
-        assert effects.effect_of("cell_update").effect == "state-write"
-        assert set(effects.effect_of("cell_update").state_writes) == {"c", "h"}
-        assert effects.effect_of("select_step").effect == "temporal"
-        assert effects.effect_of("gate_matvec").effect == "stateless"

@@ -445,28 +445,18 @@ class TestFabricSurface:
             MultiAppFabric(apps, shards=0)
         with pytest.raises(ValueError):
             MultiAppFabric(apps, policy="lottery")
+        with pytest.raises(ValueError, match="duplicate app name"):
+            MultiAppFabric(apps + [apps[0]])
+        with pytest.raises(ValueError, match="no apps"):
+            MultiAppFabric([])
         fabric = MultiAppFabric(apps)
         with pytest.raises(ValueError):
-            fabric.register(
-                FabricApp.from_quantized_dnn(quantized_dnn, name="anomaly")
-            )
-        with pytest.raises(ValueError):
             fabric.run({"anomaly": anomaly_trace})  # congestion missing
-        with pytest.raises(ValueError):
-            MultiAppFabric([]).run({})
+        with pytest.raises(ValueError, match=r"nope.*anomaly.*congestion"):
+            fabric.process_traces([("anomaly", anomaly_trace), ("nope", anomaly_trace)])
+        assert fabric.app_state("anomaly")["parser_packets"] == 0  # nothing ran
         with pytest.raises(KeyError):
             fabric.app_state("nope")
-
-    def test_register_after_run_rejected(
-        self, quantized_dnn, lstm, anomaly_trace, congestion_trace
-    ):
-        apps = _apps(quantized_dnn, lstm)
-        fabric = MultiAppFabric(apps, chunk_size=64)
-        fabric.run({"anomaly": anomaly_trace, "congestion": congestion_trace})
-        with pytest.raises(RuntimeError):
-            fabric.register(
-                FabricApp.from_quantized_dnn(quantized_dnn, name="late")
-            )
 
     def test_unsorted_packet_trace_matches_oracle(
         self, quantized_dnn, lstm

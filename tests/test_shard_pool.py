@@ -276,7 +276,7 @@ class TestRunScopedWorkers:
         with _pooled_runtime(blocks, 2, 16, True, mode="fork") as runtime:
             self._assert_warm_run_census(
                 lambda: runtime.process_trace(columns, chunk_size=16),
-                lambda: runtime._runner,
+                lambda: runtime,
                 new_threads,
             )
 
@@ -287,7 +287,7 @@ class TestRunScopedWorkers:
         with fabric:
             self._assert_warm_run_census(
                 lambda: fabric.run([trace, trace]),
-                lambda: fabric._runner,
+                lambda: fabric,
                 new_threads,
             )
 
@@ -465,7 +465,7 @@ class TestPoolLifecycle:
             columns = _random_columns(seed=61, n=80)
             # Poison one chunk payload so dispatch fails mid-run on one
             # shard while other chunks have already executed.
-            runner = runtime._runner
+            runner = runtime
             real_requests = runner._requests
 
             def poisoned(schedule, chunk):

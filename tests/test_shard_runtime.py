@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import DNN_FEATURES, expand_to_packets
-from repro.datasets.packets import TraceColumns
+from repro.datasets.packets import PacketTrace, TraceColumns
 from repro.hw import MapReduceBlock
 from repro.mapreduce import dnn_graph
 from repro.pisa import (
@@ -36,7 +36,8 @@ from repro.pisa import (
     TaurusPipeline,
     threshold_postprocess,
 )
-from repro.runtime import MultiAppFabric, ShardPool, ShardedRuntime
+from repro.runtime import FabricApp, MultiAppFabric, ShardPool, ShardedRuntime
+from repro.runtime.sharded import in_arrival_order, merge_pipeline_state, scatter_merge
 
 MAX_SHARDS = 4
 HAS_FORK = hasattr(os, "fork")
@@ -215,26 +216,24 @@ def _deep_equal(got, want) -> bool:
     return got == want
 
 
+def _assert_same_result(got, want, label=""):
+    """All six result arrays and every aggregate: same dtype, same values."""
+    pairs = {
+        name: (getattr(got, name), getattr(want, name))
+        for name in ("order", "times", "decisions", "ml_scores", "latencies_ns", "bypassed")
+    }
+    assert got.aggregates.keys() == want.aggregates.keys(), label
+    pairs.update({k: (got.aggregates[k], want.aggregates[k]) for k in want.aggregates})
+    for name, (g, w) in pairs.items():
+        assert g.dtype == w.dtype, f"{label}{name} dtype"
+        assert np.array_equal(g, w, equal_nan=True), f"{label}{name} diverged"
+
+
 def _assert_equivalent(oracle: TaurusPipeline, runtime: ShardedRuntime, columns,
                        chunk_size: int = 16):
     expected = oracle.process_trace_batch(columns, chunk_size=chunk_size)
     merged = runtime.process_trace(columns, chunk_size=chunk_size)
-
-    assert np.array_equal(expected.order, merged.order), "order diverged"
-    assert np.array_equal(expected.times, merged.times), "times diverged"
-    assert np.array_equal(expected.decisions, merged.decisions), "decisions"
-    assert np.array_equal(
-        expected.ml_scores, merged.ml_scores, equal_nan=True
-    ), "ml_scores diverged"
-    assert np.array_equal(
-        expected.latencies_ns, merged.latencies_ns
-    ), "latencies diverged"
-    assert np.array_equal(expected.bypassed, merged.bypassed), "bypass flags"
-    assert expected.aggregates.keys() == merged.aggregates.keys()
-    for key in expected.aggregates:
-        assert np.array_equal(
-            expected.aggregates[key], merged.aggregates[key]
-        ), f"aggregate {key} diverged"
+    _assert_same_result(merged, expected)
 
     state = runtime.merged_state()
     assert state["stats"] == oracle.stats
@@ -637,3 +636,133 @@ class TestBackendSelection:
 
     def test_falsy_pool_keeps_no_workers(self, blocks):
         assert ShardedRuntime(self._factory(blocks), executor="fork").pool is None
+
+
+class TestTwoConstructors:
+    """``ShardedRuntime`` and ``MultiAppFabric`` are one engine: the same
+    one-app workload through both equals one plain pipeline, so the merge
+    and state path is covered once, by construction."""
+
+    TRACE_KINDS = ("sorted", "reversed", "ties", "packet_trace", "packets", "empty")
+
+    @pytest.fixture(scope="class")
+    def app(self, quantized_dnn):
+        return FabricApp.from_quantized_dnn(quantized_dnn, slots=8)  # collisions
+
+    @pytest.fixture(scope="class")
+    def records(self, train_test_split):
+        return expand_to_packets(train_test_split[1], max_packets=40, seed=5)
+
+    @staticmethod
+    def _pipeline(app):
+        return app.build_pipeline(MapReduceBlock(app.graph))
+
+    @staticmethod
+    def _trace(kind, seed, n, records):
+        rng = np.random.default_rng(seed)
+        if kind == "empty":
+            return []
+        if kind == "packet_trace":  # unsorted: the shard_columns cache must be skipped
+            picks = rng.permutation(len(records.packets))[:n]
+            return PacketTrace(
+                [records.packets[i] for i in picks], records.flows,
+                records.duration, records.offered_gbps,
+            )
+        # "ties": two distinct timestamps, so long unsorted equal-time runs.
+        times = np.round(rng.uniform(0.0, 0.01, size=n), 2 if kind == "ties" else 4)
+        packets = [_packet(rng, float(t)) for t in times]
+        if kind == "packets":
+            return packets
+        columns = TraceColumns.from_packets(packets)
+        if kind == "ties":
+            return columns
+        order = np.argsort(columns.times, kind="stable")
+        return columns.take(order[::-1] if kind == "reversed" else order)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 36),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from(["serial", "fork"] if HAS_FORK else ["serial"]),
+        st.sampled_from(TRACE_KINDS),
+        st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_property_same_workload_same_everything(
+        self, app, records, seed, n, shards, backend, kind, batch
+    ):
+        trace = self._trace(kind, seed, n, records)
+        requests = [trace, [], trace] if batch else [trace]
+        oracle = self._pipeline(app)
+        expected = [oracle.process_trace_batch(t, chunk_size=5) for t in requests]
+        want = merge_pipeline_state([oracle], oracle.arbiter._turn)
+        runtime = ShardedRuntime(
+            lambda s: self._pipeline(app), shards=shards, chunk_size=5, **BACKENDS[backend]
+        )
+        fabric = MultiAppFabric([app], shards=shards, chunk_size=5, **BACKENDS[backend])
+        if batch:
+            via_runtime = runtime.process_traces(requests)
+            via_fabric = fabric.process_traces([(app.name, t) for t in requests])
+        else:
+            via_runtime = [runtime.process_trace(trace)]
+            via_fabric = [fabric.run({app.name: trace}).results[app.name]]
+        for k, result in enumerate(expected):
+            _assert_same_result(via_runtime[k], result, f"runtime[{k}] ")
+            _assert_same_result(via_fabric[k], result, f"fabric[{k}] ")
+        assert _deep_equal(runtime.merged_state(), want)
+        for counter in ("block_packets", "block_issue_cycles"):
+            want.pop(counter)  # a fabric lane's block is time-shared
+        assert _deep_equal(fabric.app_state(app.name), want)
+        assert runtime.last_drain_ns == fabric.last_drain_ns
+
+    def test_one_lane_result_is_the_one_part_scatter(self, app):
+        """The one-part rule returns the lane's own result; the oracle is
+        ``scatter_merge`` over that one part, called directly."""
+        from dataclasses import replace
+
+        columns = _random_columns(seed=12, n=50)
+        merged = MultiAppFabric([app], chunk_size=16).run([columns]).results[app.name]
+        order, ordered = in_arrival_order(columns)
+        lane = self._pipeline(app).process_trace_batch(ordered, chunk_size=16)
+        part = (np.arange(ordered.n, dtype=np.int64), ordered)
+        scattered = replace(scatter_merge(ordered, [part], [lane]), order=order)
+        _assert_same_result(merged, scattered, "one part ")
+
+    @fork_only
+    def test_pool_exists_from_construction(self, app):
+        with MultiAppFabric([app], shards=2, pool=True) as fabric:
+            assert fabric.pool.alive() == [True, True]  # before any run
+            assert fabric.pool_health is fabric.pool.health
+        assert fabric.pool.alive() == [False, False]
+
+    @pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=fork_only)])
+    def test_one_rewind_rule(self, app, pooled):
+        """``rewind_state`` / ``reset_state`` are one method on both
+        constructors: it needs persistent workers — before the first run
+        as much as after it — and forgets the turn lane."""
+        knobs = {"pool": True} if pooled else {}
+        columns = _random_columns(seed=13, n=60)
+        for make, run, state in (
+            (
+                lambda: ShardedRuntime(lambda s: self._pipeline(app), shards=2, **knobs),
+                lambda rt: rt.process_trace(columns, chunk_size=16),
+                lambda rt: rt.merged_state(),
+            ),
+            (
+                lambda: MultiAppFabric([app], shards=2, **knobs),
+                lambda rt: rt.run([columns], chunk_size=16),
+                lambda rt: rt.app_state(app.name),
+            ),
+        ):
+            with make() as rt:
+                assert type(rt).reset_state is type(rt).rewind_state
+                pristine = state(rt)
+                for rewind in (rt.rewind_state, rt.reset_state):
+                    if not pooled:  # before the first run, then after one
+                        with pytest.raises(RuntimeError, match="persistent workers"):
+                            rewind()
+                    run(rt)
+                    assert rt._turn_lane and not _deep_equal(state(rt), pristine)
+                    if pooled:
+                        rewind()
+                        assert not rt._turn_lane and _deep_equal(state(rt), pristine)
