@@ -1,16 +1,19 @@
 """Shared benchmark fixtures: trained models and workloads (session-scoped).
 
 Each benchmark regenerates one of the paper's tables or figures, printing
-the rows and writing them under ``results/``.  Perf-trajectory numbers
-(packets/sec and friends) go through :func:`bench_json`, which persists
-them as ``BENCH_<name>.json``.  Only an opt-in ``--runbench`` session
-writes the committed records (repo root, ``results/``); a smoke session
-writes both under pytest's tmp dir, so tier-1 leaves the tree clean.
+the rows and writing them through ``repro.core.write_result``.  The
+committed ``results/*.txt`` are the golden those tables are held to: a
+session writes under pytest's tmp dir and, when it ends, every table it
+wrote must equal its committed twin byte for byte — so tier-1 leaves the
+tree clean.  A caller that sets ``TAURUS_RESULTS_DIR`` itself is
+regenerating the committed tables, and is not compared::
+
+    TAURUS_RESULTS_DIR=results PYTHONPATH=src python -m pytest benchmarks -q --ignore=benchmarks/ledger
 """
 
 from __future__ import annotations
 
-import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,57 +24,29 @@ from repro.fixpoint import quantize_model
 from repro.ml import anomaly_detection_dnn
 from repro.testbed import EndToEndExperiment
 
-#: Where the committed BENCH_*.json records live (next to ROADMAP.md).
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def pytest_configure(config):
-    # Benchmarks print their tables; -s is not required because we also
-    # persist everything under results/.
-    pass
-
-
-@pytest.fixture(scope="session")
-def record_dir(pytestconfig, tmp_path_factory) -> Path:
-    """The repo root under ``--runbench``, else a session tmp dir."""
-    if pytestconfig.getoption("--runbench"):
-        return REPO_ROOT
-    return tmp_path_factory.mktemp("bench_records")
+#: The committed tables (next to ROADMAP.md).
+GOLDEN = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _smoke_results_dir(record_dir):
-    """Smoke sessions write their ``results/`` tables beside their records
-    (``repro.core.write_result`` reads ``TAURUS_RESULTS_DIR``)."""
-    with pytest.MonkeyPatch.context() as patch:
-        if record_dir != REPO_ROOT:
-            patch.setenv("TAURUS_RESULTS_DIR", str(record_dir / "results"))
+def _results_golden(tmp_path_factory):
+    """Send this session's tables to a tmp dir, then hold them to ``results/``."""
+    if "TAURUS_RESULTS_DIR" in os.environ:  # the caller is regenerating results/
         yield
-
-
-@pytest.fixture(scope="session")
-def bench_json(record_dir):
-    """Record perf numbers for the trajectory: ``record(name, payload)``.
-
-    Each named payload is merged (later records win key-by-key) and written
-    to ``BENCH_<name>.json`` in :func:`record_dir` when the session ends.
-    """
-    records: dict[str, dict] = {}
-
-    def record(name: str, payload: dict) -> None:
-        records.setdefault(name, {}).update(payload)
-
-    yield record
-    for name, payload in records.items():
-        path = record_dir / f"BENCH_{name}.json"
-        merged: dict = {}
-        if path.exists():
-            try:
-                merged = json.loads(path.read_text())
-            except (ValueError, OSError):
-                merged = {}
-        merged.update(payload)
-        path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+        return
+    written = tmp_path_factory.mktemp("results")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TAURUS_RESULTS_DIR", str(written))
+        yield
+    stale = sorted(
+        table.name
+        for table in written.iterdir()
+        if not (twin := GOLDEN / table.name).is_file() or twin.read_bytes() != table.read_bytes()
+    )
+    assert not stale, (
+        f"tables differ from results/ or have no committed twin: {stale} "
+        f"(this session's are under {written})"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ from repro.runtime import (
     WorkerHealth,
 )
 from repro.runtime.service import _COUNTERS as COUNTERS
-from repro.testbed import bursty_schedule, chunk_columns, replay_virtual
+from repro.testbed import bursty_schedule, chunk_columns, replay_virtual, replay_wall
 
 from test_shard_runtime import (
     BACKENDS,
@@ -515,6 +515,46 @@ class TestLifecycle:
             assert all(r.time_to_decision_s >= 0 for r in collected)
         finally:
             svc.close()
+
+        # The same behind the wall-clock producer: a bursty two-client
+        # schedule whose bursts overrun the queues on most hosts — which
+        # arrivals are shed is up to the host, the contract is not.
+        chunks = {
+            "alpha": _chunks(seed=3, n=600, size=20),
+            "beta": _chunks(seed=4, n=400, size=20),
+        }
+        schedule = bursty_schedule(
+            {name: len(c) for name, c in chunks.items()},
+            seed=7, base_rate=1000.0, burst_factor=20.0, burst_every=6, burst_len=4,
+        )
+        svc = InferenceService(
+            _runtime(blocks),
+            [ClientSpec(name=name, queue_depth=3, result_depth=len(c))
+             for name, c in chunks.items()],
+            chunk_size=CHUNK, clock=_time.monotonic,
+        )
+        try:
+            svc.start()
+            admissions = replay_wall(svc, schedule, chunks)
+            svc.drain(timeout=10.0)
+            results = svc.take_results()
+        finally:
+            svc.close()
+        assert [a.client for a in admissions] == [a.client for a in schedule]
+        assert all(a.status in (ACCEPTED, DEFERRED, SHED) for a in admissions)
+        accepted = {
+            verdict.request_id: chunks[arrival.client][arrival.chunk]
+            for verdict, arrival in zip(admissions, schedule) if verdict.accepted
+        }
+        assert accepted
+        assert sorted(r.request_id for r in results) == sorted(accepted)
+        oracle = _oracle(blocks, SLOTS, tables=False)
+        for record in sorted(results, key=lambda r: r.seq):
+            assert record.status == "completed"
+            expected = oracle.process_trace_batch(
+                accepted[record.request_id], chunk_size=CHUNK
+            )
+            assert _results_equal(expected, record.result)
 
     def test_interval_stats_window(self, blocks):
         clock = VirtualClock()

@@ -551,15 +551,18 @@ class TestPooledDataPlane:
         from repro.testbed.dataplane import TaurusDataPlane
 
         plain = TaurusDataPlane(quantized_dnn, shards=2, executor="fork")
-        with TaurusDataPlane(
-            quantized_dnn, shards=2, executor="fork", pool=True
-        ) as pooled:
-            for __ in range(3):
-                expected = plain.run_switch(small_trace, chunk_size=64)
-                assert expected == pooled.run_switch(small_trace, chunk_size=64)
-                assert (
-                    plain.last_modeled_drain_ns == pooled.last_modeled_drain_ns
-                )
+        # Heartbeats on (the default), then a quiet pool without them.
+        for pool_options in (None, {"heartbeat_interval": None}):
+            with TaurusDataPlane(
+                quantized_dnn, shards=2, executor="fork", pool=True,
+                pool_options=pool_options,
+            ) as pooled:
+                for __ in range(3):
+                    expected = plain.run_switch(small_trace, chunk_size=64)
+                    assert expected == pooled.run_switch(small_trace, chunk_size=64)
+                    assert (
+                        plain.last_modeled_drain_ns == pooled.last_modeled_drain_ns
+                    )
 
     def test_run_and_verify_through_pool(self, quantized_dnn, small_trace):
         from repro.testbed.dataplane import TaurusDataPlane
