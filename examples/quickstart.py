@@ -34,13 +34,13 @@ def main() -> None:
 
     # 3b. Static verification: the same graph the fabric runs, checked
     #     before deployment — widths, structure, fixed-point discipline,
-    #     and CU/MU budgets (`python -m repro.analysis` runs this over
-    #     everything the repo ships).  Info findings are known costs;
-    #     warnings/errors would fail CI's lint gate.
+    #     kernel-vs-nodes identity (`python -m repro.analysis` runs this
+    #     over everything the repo ships; the CU/MU budget is what
+    #     compile_graph checked in step 1).  Warnings/errors would fail
+    #     CI's lint gate.
     from repro.analysis import verify_graph, worst_severity
-    from repro.core import TaurusConfig
 
-    diags = verify_graph(detector.block.graph, config=TaurusConfig())
+    diags = verify_graph(detector.block.graph)
     worst = worst_severity(diags)
     print(f"static verification: {len(diags)} finding(s), worst: {worst}")
     for diag in diags:

@@ -1,31 +1,23 @@
 """``python -m repro.analysis`` — the repo's static-analysis gate.
 
 Verifies every shipped dataflow graph (structure, shapes, execution
-probe, budgets against the default :class:`~repro.core.TaurusConfig`),
-runs the abstract-interpretation range/saturation analysis over each
-(per-node waivers are reported), the shipped multi-app fabric bundle,
-and the runtime-source
-lints: fork-safety *and* the interprocedural lockset/protocol
-concurrency analysis (``repro.analysis.concurrency``).  Exit status is
-0 when no finding of warning severity or above remains, 1 otherwise —
-which is exactly what CI's ``lint`` job checks.
+probe), runs the abstract-interpretation range/saturation analysis over
+each (per-node waivers are reported), and the runtime-source lints:
+fork-safety *and* the interprocedural lockset/protocol concurrency
+analysis (``repro.analysis.concurrency``).  Exit status is 0 when no
+finding of warning severity or above remains, 1 otherwise — which is
+exactly what CI's ``lint`` job checks.
 
 Usage::
 
     python -m repro.analysis                  # the full shipped battery
-    python -m repro.analysis --format=json    # machine-readable report
     python -m repro.analysis --format=sarif   # SARIF 2.1.0 (CI upload)
     python -m repro.analysis --list-checks    # the check catalog
     python -m repro.analysis -v               # also print info findings
-    python -m repro.analysis --suppress ir-fixpoint-drift ...
     python -m repro.analysis path/to/file.py  # lint sources instead
 
-The JSON document carries every finding (check id, severity, category,
-message, graph/file provenance), the per-graph proven output intervals,
-and a summary block with the exit code — CI uploads it as an artifact so
-regressions diff as JSON, not log text.  The SARIF
-document carries the same findings in SARIF 2.1.0 shape (one run, one
-rule per catalog check, physical file/line locations) so
+The SARIF document carries the findings in SARIF 2.1.0 shape (one run,
+one rule per catalog check, physical file/line locations) so
 ``github/codeql-action/upload-sarif`` annotates PRs inline.
 """
 
@@ -39,7 +31,7 @@ from pathlib import Path
 from .concurrency import analyze_concurrency
 from .diagnostics import CHECKS, Severity
 from .fork_lint import lint_paths
-from .ir_verify import verify_fabric, verify_graph
+from .ir_verify import verify_graph
 from .ranges import analyze_ranges
 
 
@@ -72,30 +64,17 @@ def main(argv: list[str] | None = None) -> int:
         "default shipped battery",
     )
     parser.add_argument(
-        "--suppress",
-        action="append",
-        default=[],
-        metavar="CHECK-ID",
-        help="drop findings with this check ID (repeatable)",
-    )
-    parser.add_argument(
         "-v",
         "--verbose",
         action="store_true",
         help="also print info-severity findings (never gate-relevant)",
     )
     parser.add_argument(
-        "--no-probe",
-        action="store_true",
-        help="skip the execution probe (structure/budget checks only)",
-    )
-    parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "sarif"),
         default="text",
-        help="output format: human-readable text (default), one JSON "
-        "document on stdout, or SARIF 2.1.0 for CI code-scanning upload "
-        "(progress prints suppressed for both machine formats)",
+        help="output format: human-readable text (default) or SARIF 2.1.0 "
+        "for CI code-scanning upload (progress prints suppressed)",
     )
     parser.add_argument(
         "--list-checks", action="store_true", help="print the check catalog"
@@ -106,66 +85,32 @@ def main(argv: list[str] | None = None) -> int:
         _list_checks()
         return 0
 
-    unknown = [c for c in args.suppress if c not in CHECKS]
-    if unknown:
-        parser.error(f"unknown check ID(s): {', '.join(unknown)}")
-    suppress = set(args.suppress)
-    machine = args.format in ("json", "sarif")
+    sarif = args.format == "sarif"
 
     def progress(message: str) -> None:
-        if not machine:
+        if not sarif:
             print(message, flush=True)
 
-    diags = []
-    ranges: dict[str, dict[str, list[float]]] = {}
     if args.paths:
-        diags += lint_paths(args.paths)
-        diags += analyze_concurrency(args.paths)
-        diags = [d for d in diags if d.check_id not in suppress]
+        diags = lint_paths(args.paths) + analyze_concurrency(args.paths)
     else:
-        from ..core import TaurusConfig
-        from .catalog import shipped_fabric, shipped_graphs
+        from .catalog import shipped_graphs
 
-        config = TaurusConfig()
+        diags = []
         progress("verifying shipped graphs ...")
         for graph in shipped_graphs():
-            found = verify_graph(
-                graph,
-                config=config,
-                probe=not args.no_probe,
-                suppress=suppress,
-            )
-            report = analyze_ranges(graph, suppress=suppress)
-            found += report.diagnostics
-            ranges[graph.name] = {
-                report.names[nid]: [_finite(iv.lo), _finite(iv.hi)]
-                for nid, iv in report.intervals.items()
-                if report.names[nid]
-            }
+            found = verify_graph(graph) + analyze_ranges(graph).diagnostics
             diags += found
             progress(f"  {graph.name}: {_tally(found)}")
-        progress("verifying fabric bundle ...")
-        diags += verify_fabric(shipped_fabric(), config=config, suppress=suppress)
         runtime = _runtime_dir()
         progress(f"fork-safety lint over {runtime} ...")
-        diags += [
-            d
-            for d in lint_paths([runtime])
-            if d.check_id not in suppress
-        ]
+        diags += lint_paths([runtime])
         progress(f"concurrency analysis over {runtime} ...")
-        diags += [
-            d
-            for d in analyze_concurrency([runtime])
-            if d.check_id not in suppress
-        ]
+        diags += analyze_concurrency([runtime])
 
     gating = [d for d in diags if d.severity >= Severity.WARNING]
     exit_code = 1 if gating else 0
-    if args.format == "json":
-        print(json.dumps(_json_report(diags, ranges, exit_code)))
-        return exit_code
-    if args.format == "sarif":
+    if sarif:
         print(json.dumps(_sarif_report(diags)))
         return exit_code
 
@@ -182,35 +127,6 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
-def _json_report(diags, ranges, exit_code) -> dict:
-    """The machine-readable report (uploaded as a CI artifact)."""
-    return {
-        "findings": [
-            {
-                "check_id": d.check_id,
-                "severity": str(d.severity),
-                "category": (
-                    CHECKS[d.check_id].category if d.check_id in CHECKS else None
-                ),
-                "message": d.message,
-                "source": d.source,
-                "node": d.node,
-                "node_name": d.node_name,
-                "line": d.line,
-            }
-            for d in diags
-        ],
-        "summary": {
-            "total": len(diags),
-            "error": sum(d.severity == Severity.ERROR for d in diags),
-            "warning": sum(d.severity == Severity.WARNING for d in diags),
-            "info": sum(d.severity == Severity.INFO for d in diags),
-            "exit_code": exit_code,
-        },
-        "ranges": ranges,
-    }
-
-
 #: SARIF "level" per catalog severity (SARIF has no first-class info tier
 #: for gate purposes; "note" keeps advisory findings out of PR blocking).
 _SARIF_LEVELS = {
@@ -223,8 +139,8 @@ _SARIF_LEVELS = {
 def _sarif_report(diags) -> dict:
     """One SARIF 2.1.0 run for ``github/codeql-action/upload-sarif``.
 
-    Every catalog check ships as a rule (so suppressed/clean checks still
-    appear in the code-scanning config); findings carry physical file/line
+    Every catalog check ships as a rule (so clean checks still appear in
+    the code-scanning config); findings carry physical file/line
     locations when they anchor to source, and fall back to the logical
     graph name otherwise.
     """
@@ -294,13 +210,6 @@ def _relative_uri(source: str) -> str:
         return path.resolve().relative_to(Path.cwd()).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def _finite(value: float) -> float | None:
-    """Unbounded interval ends serialize as null (JSON has no Infinity)."""
-    import math
-
-    return value if math.isfinite(value) else None
 
 
 def _tally(diags) -> str:

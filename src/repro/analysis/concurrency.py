@@ -5,7 +5,8 @@ on pending-window condition variables (``pool.py``), a child heartbeat
 thread sharing a tx lock with the request loop (``executors.py``), and a
 service whose admission and scoring paths deliberately take separate
 locks (``service.py``).  The fork-safety lint catches *patterns*; this
-module is a real interprocedural analysis over the same sources:
+module is a real interprocedural analysis over the same sources (every
+check here is fired by a seeded bug in ``tests/test_analysis_yield.py``):
 
 1. **Thread discovery.**  Every ``threading.Thread(target=...)`` call is
    resolved to its target function (methods, nested functions, module
@@ -32,22 +33,31 @@ module is a real interprocedural analysis over the same sources:
    but no lock is common → ``rt-lockset-inconsistent``.  ``__init__``
    runs happen-before every spawn and are excluded.
 
-4. **Condition-variable discipline.**  ``rt-cv-wait-no-predicate``
+4. **Lock order.**  At each ``with`` acquisition every region already
+   in the must-lockset gives one edge, held → acquired (through helper
+   calls too: ``pump`` holding ``_dispatch_lock`` reaches ``_pop_batch``
+   taking ``_lock``).  A pair acquired in both orders is the AB/BA
+   deadlock, reported once (``rt-lock-order``).  Taking a
+   ``Condition(self._lock)`` while holding ``self._lock`` is re-entry,
+   not an edge.
+
+5. **Condition-variable discipline.**  ``rt-cv-wait-no-predicate``
    (a ``wait()`` not re-checked in an enclosing ``while``) and
    ``rt-cv-notify-unheld`` (``notify`` without the condition's lock in
    the dataflow lockset — CPython raises RuntimeError at runtime).
 
-5. **Framed-pipe protocol conformance.**  Message kinds are extracted
+6. **Framed-pipe protocol conformance.**  Message kinds are extracted
    direction-aware — request producers (yielded/returned/comprehension
    ``(kind, payload)`` tuples, ``send``/``broadcast``/``handle`` calls
    with constant kinds), request consumers (``kind == ...``
    comparisons), response producers (tuples passed to ``_send``/
    ``_post``), response consumers (``status == ...``) — and every kind
    must appear on both sides of its direction
-   (``rt-frame-unconsumed``).  The ack-window invariant from the
-   crash-recovery protocol (append under the condition *before* the
-   bytes hit the pipe; pop the head + notify under the same condition)
-   is checked structurally (``rt-ack-window-order``).
+   (``rt-frame-unconsumed``).  An ack window (a deque in a class with a
+   condition variable) whose head is popped in a function that never
+   notifies leaves the windowed producer parked until its poll timeout
+   (``rt-ack-window-order``); unguarded window touches are plain
+   ``rt-racy-field`` verdicts.
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records;
 the ``# noqa: <check-id> - justification`` waiver discipline from the
@@ -170,7 +180,6 @@ class _FileModel:
 class _Access:
     region: tuple[str, str]
     write: bool
-    subscript: bool
     lockset: frozenset
     role: str
     path: str
@@ -567,6 +576,8 @@ class _Analysis:
         self.program = program
         self.accesses: list[_Access] = []
         self.point_diags: dict[tuple, Diagnostic] = {}
+        #: (held, acquired) lock regions -> first (path, line, qualname).
+        self.lock_edges: dict[tuple, tuple[str, int, str]] = {}
         #: (qualname, role) → entry locksets already queued/processed.
         self.seen: dict[tuple[str, str], set[frozenset]] = {}
         self.work: list[tuple[str, str, frozenset]] = []
@@ -634,9 +645,23 @@ class _Analysis:
 
         in_states = must_fixpoint(cfg, entry, transfer)
         for node, state in in_states.items():
-            if node.kind != "stmt" or node.stmt is None:
-                continue
-            self._scan_statement(node.stmt, state, func, role)
+            if node.kind == "acquire":
+                self._note_lock_order(node.stmt, state, func)
+            elif node.kind == "stmt" and node.stmt is not None:
+                self._scan_statement(node.stmt, state, func, role)
+
+    def _note_lock_order(
+        self, expr: ast.expr, held: frozenset, func: _FuncModel
+    ) -> None:
+        """One edge per held region -> acquired region; a region already
+        held (a condition over a held lock) is re-entry, not an edge."""
+        acquired = _lock_regions(expr, func, self.program)
+        site = (func.file.path, expr.lineno, func.qualname)
+        for inner in acquired:
+            for outer in held - acquired:
+                edge = (outer, inner)
+                if edge not in self.lock_edges or site < self.lock_edges[edge]:
+                    self.lock_edges[edge] = site
 
     def _scan_statement(
         self, stmt: ast.AST, lockset: frozenset, func: _FuncModel, role: str
@@ -683,23 +708,18 @@ class _Analysis:
             region, info = resolved
             if info.kind in _SYNC_KINDS:
                 continue
-            write, subscript = _classify_access(target, parents, func, program)
+            write = _classify_access(target, parents, func, program)
             if write is None:
                 continue
             self.accesses.append(
                 _Access(
                     region=region,
                     write=write,
-                    subscript=subscript,
                     lockset=lockset,
                     role=role,
                     path=func.file.path,
                     line=getattr(target, "lineno", func.node.lineno),
                 )
-            )
-            self._check_window_access(
-                region, info, write, subscript, lockset, func,
-                getattr(target, "lineno", func.node.lineno),
             )
 
     def _scan_call(
@@ -738,30 +758,6 @@ class _Analysis:
         if callee is not None:
             self.enqueue(callee, role, lockset)
 
-    def _check_window_access(
-        self, region, info, write, subscript, lockset, func, line
-    ) -> None:
-        """Ack-window rule (a): window deques only move under their CV."""
-        cls = self.program.classes.get(region[0])
-        if cls is None or info.kind != "plain":
-            return
-        if not _is_window_attr(cls, region[1]):
-            return
-        if not (write or subscript):
-            return
-        for cond_attr, assoc in cls.condition_attrs():
-            if (cls.name, cond_attr) in lockset:
-                return
-            if assoc is not None and (cls.name, assoc) in lockset:
-                return
-        self._point(
-            "rt-ack-window-order", Severity.ERROR,
-            f"ack window {_region_name(region)} is touched without holding "
-            f"{cls.name}'s condition variable; a racing ack can pop or "
-            "observe the window mid-transition",
-            func.file, line,
-        )
-
     def _point(
         self, check: str, severity: Severity, message: str,
         file: _FileModel, line: int,
@@ -793,12 +789,12 @@ def _headline_children(stmt: ast.AST) -> list[ast.AST]:
 
 def _classify_access(
     node: ast.AST, parents: dict, func: _FuncModel, program: _Program
-) -> tuple[bool | None, bool]:
-    """``(is_write, is_subscript)`` for an attribute/name occurrence.
+) -> bool | None:
+    """Whether an attribute/name occurrence writes its region.
 
-    Returns ``(None, False)`` for occurrences that should not be
-    recorded (initialization bindings, the base of a deeper attribute
-    that resolves on its own, ...).
+    Returns None for occurrences that should not be recorded
+    (initialization bindings, the base of a deeper attribute that
+    resolves on its own, ...).
     """
     ctx = getattr(node, "ctx", None)
     parent = parents.get(node)
@@ -810,15 +806,13 @@ def _classify_access(
             # regions, so distinguish by definer.
             hit = _lookup_var(func, node.id, program)
             if hit is not None and hit[0] is func:
-                return None, False
+                return None
         if isinstance(parent, (ast.With, ast.AsyncWith, ast.withitem)):
-            return None, False
-        return True, False
+            return None
+        return True
     # Subscript store / load on the object: self.x[i] = v / self.x[i].
-    # Both are "window touches" for the ack-window rule; only the store
-    # is a write for race verdicts.
     if isinstance(parent, ast.Subscript) and parent.value is node:
-        return isinstance(parent.ctx, (ast.Store, ast.Del)), True
+        return isinstance(parent.ctx, (ast.Store, ast.Del))
     # Mutator method call: self.x.append(...)
     if (
         isinstance(parent, ast.Attribute)
@@ -831,8 +825,8 @@ def _classify_access(
             # propagation into the method, not as raw mutations.
             info = _expr_info(node, func, program)
             if info is None or info.kind != "class":
-                return True, False
-    return False, False
+                return True
+    return False
 
 
 def _inside_while(node: ast.AST, func: _FuncModel) -> bool:
@@ -859,16 +853,6 @@ def _resolve_call_target(
     if isinstance(call.func, ast.Attribute):
         return _resolve_callable(call.func, func, program)
     return None
-
-
-def _is_window_attr(cls: _ClassModel, attr: str) -> bool:
-    """A deque-ish attr in a condition-bearing class is an ack window."""
-    if not cls.condition_attrs():
-        return False
-    info = cls.attrs.get(attr)
-    if info is None or info.kind != "plain":
-        return False
-    return _constructed_as_deque(cls, attr)
 
 
 def _constructed_as_deque(cls: _ClassModel, attr: str) -> bool:
@@ -1123,137 +1107,68 @@ def _protocol_verdicts(
 
 
 # ----------------------------------------------------------------------
-# Ack-window lexical rules (b) and (c)
+# Lock order and the ack window
 # ----------------------------------------------------------------------
-def _window_regions(program: _Program) -> set[tuple[str, str]]:
-    regions: set[tuple[str, str]] = set()
-    for cls in program.classes.values():
-        if not cls.condition_attrs():
-            continue
-        for attr, info in cls.attrs.items():
-            if info.kind == "plain" and _constructed_as_deque(cls, attr):
-                regions.add((cls.name, attr))
-    return regions
-
-
-def _ack_window_lexical(
-    program: _Program, files: dict[str, _FileModel]
+def _lock_order_verdicts(
+    edges: dict[tuple, tuple[str, int, str]], files: dict[str, _FileModel]
 ) -> list[Diagnostic]:
-    windows = _window_regions(program)
-    if not windows:
-        return []
+    """One finding per lock pair taken in both orders, at the later site."""
     diags: list[Diagnostic] = []
-    seen: set[tuple[str, int]] = set()
-
-    def report(path: str, line: int, message: str) -> None:
-        if (path, line) in seen:
-            return
-        seen.add((path, line))
+    for (outer, inner), site in sorted(edges.items()):
+        back = edges.get((inner, outer))
+        if back is None or back < site:
+            continue  # no inversion, or reported from the other edge
+        path, line, qualname = back
         model = files.get(path)
-        if model is not None and suppressed(
-            model.lines, line, "rt-ack-window-order"
-        ):
-            return
-        diags.append(
-            Diagnostic(
-                "rt-ack-window-order", Severity.ERROR, message, path, line=line
-            )
-        )
-
-    for func in program.functions.values():
-        suites = _statement_suites(func.node)
-        for suite in suites:
-            send_line: int | None = None
-            for stmt in suite:
-                stmt_nodes = [
-                    n for n in ast.walk(stmt)
-                    if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ]
-                has_send = any(
-                    isinstance(n, ast.Call)
-                    and isinstance(n.func, ast.Attribute)
-                    and n.func.attr == "send"
-                    for n in stmt_nodes
-                )
-                append_node = next(
-                    (
-                        n for n in stmt_nodes
-                        if isinstance(n, ast.Call)
-                        and isinstance(n.func, ast.Attribute)
-                        and n.func.attr in ("append", "appendleft")
-                        and _window_base(n.func.value, func, program, windows)
-                    ),
-                    None,
-                )
-                if append_node is not None and send_line is not None:
-                    region = _window_base(
-                        append_node.func.value, func, program, windows
-                    )
-                    report(
-                        func.file.path, append_node.lineno,
-                        f"ack window {_region_name(region)} is appended to "
-                        f"*after* a send on line {send_line}; once the bytes "
-                        "are on the pipe the ack can race back and pop a "
-                        "head that was never appended — append before "
-                        "sending",
-                    )
-                if has_send and send_line is None:
-                    send_line = stmt.lineno
-        # Rule (c): a window popleft must notify the condition in the
-        # same function (the ack transition wakes the gated producer).
-        pops = [
-            n for n in function_body_nodes(func.node)
-            if isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "popleft"
-            and _window_base(n.func.value, func, program, windows)
-        ]
-        if pops:
-            notifies = any(
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr in ("notify", "notify_all")
-                for n in function_body_nodes(func.node)
-            )
-            if not notifies:
-                region = _window_base(
-                    pops[0].func.value, func, program, windows
-                )
-                report(
-                    func.file.path, pops[0].lineno,
-                    f"ack window {_region_name(region)} pops its head "
-                    "without notifying the gating condition variable; the "
-                    "windowed producer stays parked until its poll timeout",
-                )
+        if model is not None and suppressed(model.lines, line, "rt-lock-order"):
+            continue
+        diags.append(Diagnostic(
+            "rt-lock-order", Severity.ERROR,
+            f"{qualname}() takes {_region_name(outer)} while holding "
+            f"{_region_name(inner)}, but {site[2]}() "
+            f"({Path(site[0]).name}:{site[1]}) takes them in the opposite "
+            "order; concurrent callers deadlock holding one each",
+            path, line=line,
+        ))
     return diags
 
 
-def _window_base(
-    expr: ast.expr, func: _FuncModel, program: _Program,
-    windows: set[tuple[str, str]],
-) -> tuple[str, str] | None:
-    resolved = _region_of(expr, func, program)
-    if resolved is None:
-        return None
-    region, __ = resolved
-    return region if region in windows else None
-
-
-def _statement_suites(fn: ast.AST) -> list[list[ast.stmt]]:
-    """Every statement list (suite) in a function, nested scopes included."""
-    suites: list[list[ast.stmt]] = []
-    stack: list[ast.AST] = [fn]
-    while stack:
-        node = stack.pop()
-        for fname in ("body", "orelse", "finalbody"):
-            suite = getattr(node, fname, None)
-            if isinstance(suite, list) and suite and isinstance(suite[0], ast.stmt):
-                suites.append(suite)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                continue
-            stack.append(child)
-    return suites
+def _ack_window_verdicts(program: _Program) -> list[Diagnostic]:
+    """A window head pop must notify the gating condition in the same
+    function: the ack transition is what wakes the windowed producer."""
+    windows = {
+        (cls.name, attr)
+        for cls in program.classes.values()
+        if cls.condition_attrs()
+        for attr, info in cls.attrs.items()
+        if info.kind == "plain" and _constructed_as_deque(cls, attr)
+    }
+    diags: list[Diagnostic] = []
+    for func in program.functions.values():
+        body = function_body_nodes(func.node)
+        calls = [
+            n for n in body
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        ]
+        pops = [
+            (call, _region_of(call.func.value, func, program))
+            for call in calls
+            if call.func.attr == "popleft"
+        ]
+        pops = [(call, hit[0]) for call, hit in pops if hit and hit[0] in windows]
+        if not pops or any(c.func.attr in ("notify", "notify_all") for c in calls):
+            continue
+        call, region = pops[0]
+        if suppressed(func.file.lines, call.lineno, "rt-ack-window-order"):
+            continue
+        diags.append(Diagnostic(
+            "rt-ack-window-order", Severity.ERROR,
+            f"ack window {_region_name(region)} pops its head without "
+            "notifying the gating condition variable; the windowed "
+            "producer stays parked until its poll timeout",
+            func.file.path, line=call.lineno,
+        ))
+    return diags
 
 
 # ----------------------------------------------------------------------
@@ -1290,7 +1205,8 @@ def analyze_concurrency_sources(
     diags = list(analysis.point_diags.values())
     diags += _race_verdicts(analysis.accesses, files)
     diags += _protocol_verdicts(program, files)
-    diags += _ack_window_lexical(program, files)
+    diags += _lock_order_verdicts(analysis.lock_edges, files)
+    diags += _ack_window_verdicts(program)
     diags.sort(key=lambda d: (d.source, d.line or 0, d.check_id))
     return diags
 

@@ -2,23 +2,22 @@
 
 Every analyzer finding is a :class:`Diagnostic`: a stable check ID (the
 catalog key in :data:`CHECKS`), a severity, a human-readable message, and
-provenance — the graph node or source line the finding anchors to.  IDs
-are stable across releases so findings can be suppressed surgically
-(``suppress={"ir-fixpoint-drift"}`` in code, ``--suppress`` on the CLI,
-``# noqa: rt-pipe-ownership`` in linted sources).
+provenance — the graph node or source line the finding anchors to.  A
+finding in a linted source is waived on its line with
+``# noqa: rt-pipe-ownership - reason``; a graph node waives a range check
+through ``Node.waivers`` (the finding drops to info).
 
 Severity semantics
 ------------------
 ``error``
     The program will raise, diverge, or silently corrupt results at
-    runtime (or ``compile_graph`` will refuse it).  Lowering-time
-    verification raises on these.
+    runtime.  Lowering-time verification raises on these.
 ``warning``
     Suspect by construction — legal today, but the kind of thing that has
     bitten us before.  The CI gate fails on warnings and errors.
 ``info``
-    Advisory pricing/structure notes (fold factors, line-rate fractions,
-    swap costs).  Hidden unless asked for; never fails a gate.
+    A finding waived at lowering, kept for the audit.  Hidden unless
+    asked for; never fails a gate.
 """
 
 from __future__ import annotations
@@ -53,137 +52,91 @@ class CheckSpec:
 
     check_id: str
     severity: Severity
-    category: str  # "shape" | "structure" | "budget" | "fabric" | "range" | "fork-safety" | "concurrency"
+    category: str  # "shape" | "structure" | "range" | "fork-safety" | "concurrency"
     summary: str
 
 
-def _spec(check_id: str, severity: Severity, category: str, summary: str) -> CheckSpec:
-    return CheckSpec(check_id, severity, category, summary)
-
-
 #: The check catalog.  README's "Static analysis" section documents these;
-#: tests assert every entry has a triggering and a clean fixture.
+#: every entry is fired by at least one seeded bug in
+#: ``tests/test_analysis_yield.py`` (a test holds the table to the catalog).
 CHECKS: dict[str, CheckSpec] = {
     spec.check_id: spec
     for spec in [
         # -- shape / dtype -------------------------------------------------
-        _spec("ir-width-mismatch", Severity.ERROR, "shape",
-              "a node's fan-in width disagrees with what its predecessors produce"),
-        _spec("ir-gather-width", Severity.ERROR, "shape",
-              "a gather's declared width is not the sum of its inputs"),
-        _spec("ir-no-semantics", Severity.ERROR, "shape",
-              "a compute node has neither fn/batch_fn nor a named reduce op"),
-        _spec("ir-non-2d", Severity.ERROR, "shape",
-              "a probed node value leaks out of the (B, width) 2-D contract"),
-        _spec("ir-probe-width", Severity.ERROR, "shape",
-              "a probed node value's width disagrees with the inferred width"),
-        _spec("ir-batch-divergence", Severity.ERROR, "shape",
-              "execute_batch and execute disagree bit-for-bit on a probe row"),
-        _spec("ir-fixpoint-drift", Severity.WARNING, "shape",
-              "graph outputs leave the fixed-point grid (raw float leakage)"),
-        _spec("ir-probe-failure", Severity.ERROR, "shape",
-              "the execution probe raised; the graph cannot run as built"),
+        CheckSpec("ir-width-mismatch", Severity.ERROR, "shape",
+                  "a node's fan-in width disagrees with what its predecessors produce"),
+        CheckSpec("ir-gather-width", Severity.ERROR, "shape",
+                  "a gather's declared width is not the sum of its inputs"),
+        CheckSpec("ir-no-semantics", Severity.ERROR, "shape",
+                  "a compute node has neither fn/batch_fn nor a named reduce op"),
+        CheckSpec("ir-non-2d", Severity.ERROR, "shape",
+                  "a probed node value leaks out of the (B, width) 2-D contract"),
+        CheckSpec("ir-probe-width", Severity.ERROR, "shape",
+                  "a probed node value's width disagrees with the inferred width"),
+        CheckSpec("ir-batch-divergence", Severity.ERROR, "shape",
+                  "execute_batch and execute disagree bit-for-bit on a probe row"),
+        CheckSpec("ir-fixpoint-drift", Severity.WARNING, "shape",
+                  "graph outputs leave the fixed-point grid (raw float leakage)"),
+        CheckSpec("ir-probe-failure", Severity.ERROR, "shape",
+                  "the execution probe raised; the graph cannot run as built"),
         # -- structure -----------------------------------------------------
-        _spec("ir-cycle", Severity.ERROR, "structure",
-              "the dataflow graph contains a cycle"),
-        _spec("ir-malformed-io", Severity.ERROR, "structure",
-              "input/const nodes with predecessors, or an output feeding onward"),
-        _spec("ir-no-output", Severity.ERROR, "structure",
-              "the graph has no output node; execute() would raise"),
-        _spec("ir-multi-output", Severity.WARNING, "structure",
-              "several output nodes; execute() returns only the last in topo order"),
-        _spec("ir-orphan", Severity.ERROR, "structure",
-              "a compute node has no predecessors to consume"),
-        _spec("ir-unreachable", Severity.WARNING, "structure",
-              "no input reaches this node; it computes from constants alone"),
-        _spec("ir-dead-node", Severity.WARNING, "structure",
-              "no path from this node to any output; its value is discarded"),
-        _spec("ir-state-collision", Severity.ERROR, "structure",
-              "two nodes write the same state key (or a reserved key)"),
-        _spec("ir-epilogue-order", Severity.ERROR, "structure",
-              "an epilogue node feeds a non-epilogue node"),
-        _spec("ir-epilogue-io", Severity.WARNING, "structure",
-              "an input/const node is marked epilogue"),
-        _spec("ir-epilogue-inert", Severity.INFO, "structure",
-              "epilogue markers with temporal_iterations == 1 are inert"),
-        _spec("ir-temporal-no-state", Severity.WARNING, "structure",
-              "temporal iterations without carried state recompute the same values"),
-        # -- budgets -------------------------------------------------------
-        _spec("budget-mu-overflow", Severity.ERROR, "budget",
-              "weight/LUT demand exceeds the grid's MUs; compile_graph raises"),
-        _spec("budget-cu-fold", Severity.INFO, "budget",
-              "CU demand exceeds the grid; the compiler folds, multiplying II"),
-        _spec("budget-line-rate", Severity.INFO, "budget",
-              "the design sustains only a fraction of line rate"),
-        _spec("budget-config-stream", Severity.INFO, "budget",
-              "the program's configuration stream makes swaps expensive"),
-        # -- multi-app fabric ----------------------------------------------
-        _spec("fabric-duplicate-app", Severity.ERROR, "fabric",
-              "two fabric apps share a name; results would alias"),
-        _spec("fabric-state-overlap", Severity.INFO, "fabric",
-              "two fabric apps persist the same state key (isolated per "
-              "app, but merged state dumps become ambiguous)"),
-        _spec("fabric-mu-residency", Severity.WARNING, "fabric",
-              "apps cannot co-reside in MUs; every swap re-streams weights"),
+        CheckSpec("ir-no-output", Severity.ERROR, "structure",
+                  "the graph has no output node; execute() would raise"),
+        CheckSpec("ir-multi-output", Severity.WARNING, "structure",
+                  "several output nodes; execute() returns only the last in topo order"),
+        CheckSpec("ir-orphan", Severity.ERROR, "structure",
+                  "a compute node has no predecessors to consume"),
+        CheckSpec("ir-dead-node", Severity.WARNING, "structure",
+                  "no path from this node to any output; its value is discarded"),
+        CheckSpec("ir-state-collision", Severity.ERROR, "structure",
+                  "two nodes write the same state key (or a reserved key)"),
         # -- range analysis (repro.analysis.ranges) -------------------------
-        _spec("an-may-saturate", Severity.WARNING, "range",
-              "a value interval entering a saturating format conversion "
-              "exceeds the representable range; the hardware clips"),
-        _spec("an-acc-overflow", Severity.WARNING, "range",
-              "the wide integer accumulator bound exceeds wide_dtype; "
-              "integer MAC wraps instead of saturating"),
-        _spec("an-lut-oob", Severity.WARNING, "range",
-              "a LUT's index interval is not covered by its table domain"),
-        _spec("an-narrowable", Severity.INFO, "range",
-              "an edge's proven interval fits a strictly smaller format; "
-              "narrowing would halve its MU/stream footprint"),
+        CheckSpec("an-may-saturate", Severity.WARNING, "range",
+                  "a value interval entering a saturating format conversion "
+                  "exceeds the representable range; the hardware clips"),
+        CheckSpec("an-lut-oob", Severity.WARNING, "range",
+                  "a LUT's index interval is not covered by its table domain"),
         # -- runtime fork-safety -------------------------------------------
-        _spec("rt-fork-flush", Severity.ERROR, "fork-safety",
-              "os.fork() without flushing stdout/stderr first duplicates "
-              "buffered output into the child"),
-        _spec("rt-fork-child-exit", Severity.ERROR, "fork-safety",
-              "a forked child branch lacks os._exit(); it would unwind into "
-              "the parent's teardown (atexit, pytest)"),
-        _spec("rt-pipe-ownership", Severity.ERROR, "fork-safety",
-              "an os.pipe() fd is never closed or wrapped by os.fdopen in "
-              "its function; error paths leak it"),
-        _spec("rt-unbounded-close-join", Severity.WARNING, "fork-safety",
-              "a close/shutdown path joins a thread without a timeout"),
-        _spec("rt-fork-under-lock", Severity.ERROR, "fork-safety",
-              "os.fork() while holding a lock; the child inherits it held "
-              "forever"),
-        _spec("rt-unbounded-recv", Severity.WARNING, "fork-safety",
-              "recv() with no timeout (or join() with no timeout outside a "
-              "close path) parks the caller forever if the worker dies"),
-        _spec("rt-unbounded-queue", Severity.WARNING, "fork-safety",
-              "queue.Queue() with no maxsize (or put() with no timeout) "
-              "turns overload into unbounded memory growth or a parked "
-              "producer"),
-        _spec("rt-lock-order", Severity.ERROR, "fork-safety",
-              "two module-level locks are acquired in inconsistent orders "
-              "across functions; concurrent callers can deadlock"),
+        CheckSpec("rt-fork-flush", Severity.ERROR, "fork-safety",
+                  "os.fork() without flushing stdout/stderr first duplicates "
+                  "buffered output into the child"),
+        CheckSpec("rt-fork-child-exit", Severity.ERROR, "fork-safety",
+                  "a forked child branch lacks os._exit(); it would unwind into "
+                  "the parent's teardown (atexit, pytest)"),
+        CheckSpec("rt-pipe-ownership", Severity.ERROR, "fork-safety",
+                  "an os.pipe() fd is never closed or wrapped by os.fdopen in "
+                  "its function; error paths leak it"),
+        CheckSpec("rt-unbounded-recv", Severity.WARNING, "fork-safety",
+                  "recv() or join() with no timeout parks the caller forever "
+                  "if the worker dies"),
+        CheckSpec("rt-unbounded-queue", Severity.WARNING, "fork-safety",
+                  "queue.Queue() with no maxsize (or put() with no timeout) "
+                  "turns overload into unbounded memory growth or a parked "
+                  "producer"),
         # -- runtime concurrency (repro.analysis.concurrency) ---------------
-        _spec("rt-racy-field", Severity.WARNING, "concurrency",
-              "a shared field is written from one thread and touched from "
-              "another with no lock held on at least one access"),
-        _spec("rt-lockset-inconsistent", Severity.WARNING, "concurrency",
-              "every access to a shared field holds some lock, but no "
-              "single lock is common to all of them — the accesses do not "
-              "actually exclude each other"),
-        _spec("rt-cv-wait-no-predicate", Severity.WARNING, "concurrency",
-              "Condition.wait() outside a while-predicate loop; spurious "
-              "wakeups and missed notifies make the wait unsound"),
-        _spec("rt-cv-notify-unheld", Severity.ERROR, "concurrency",
-              "Condition.notify()/notify_all() without holding the "
-              "condition's lock; CPython raises RuntimeError at runtime"),
-        _spec("rt-frame-unconsumed", Severity.WARNING, "concurrency",
-              "a framed-pipe message kind is produced on one side of the "
-              "protocol with no matching consumer on the peer side (or "
-              "consumed but never produced)"),
-        _spec("rt-ack-window-order", Severity.ERROR, "concurrency",
-              "an ack-window transition violates the append-before-send / "
-              "pop-then-notify condition-variable ordering; replay after a "
-              "crash would drop or duplicate chunks"),
+        CheckSpec("rt-racy-field", Severity.WARNING, "concurrency",
+                  "a shared field is written from one thread and touched from "
+                  "another with no lock held on at least one access"),
+        CheckSpec("rt-lockset-inconsistent", Severity.WARNING, "concurrency",
+                  "every access to a shared field holds some lock, but no "
+                  "single lock is common to all of them — the accesses do not "
+                  "actually exclude each other"),
+        CheckSpec("rt-lock-order", Severity.ERROR, "concurrency",
+                  "two locks are acquired in opposite orders (through helper "
+                  "calls too); concurrent callers can deadlock"),
+        CheckSpec("rt-cv-wait-no-predicate", Severity.WARNING, "concurrency",
+                  "Condition.wait() outside a while-predicate loop; spurious "
+                  "wakeups and missed notifies make the wait unsound"),
+        CheckSpec("rt-cv-notify-unheld", Severity.ERROR, "concurrency",
+                  "Condition.notify()/notify_all() without holding the "
+                  "condition's lock; CPython raises RuntimeError at runtime"),
+        CheckSpec("rt-frame-unconsumed", Severity.WARNING, "concurrency",
+                  "a framed-pipe message kind is produced on one side of the "
+                  "protocol with no matching consumer on the peer side (or "
+                  "consumed but never produced)"),
+        CheckSpec("rt-ack-window-order", Severity.ERROR, "concurrency",
+                  "an ack window's head is popped without notifying its "
+                  "condition variable; the windowed producer stays parked"),
     ]
 }
 

@@ -3,7 +3,8 @@
 The sharded runtime forks workers, wires pipe pairs, and joins collector
 threads — each a pattern this repo has been bitten by before the current
 discipline was adopted.  This lint encodes that discipline so regressions
-are caught in CI rather than as hangs and leaked fds:
+are caught in CI rather than as hangs and leaked fds (every check here is
+fired by a seeded bug in ``tests/test_analysis_yield.py``):
 
 ``rt-fork-flush``
     ``os.fork()`` duplicates the process *including* stdio buffers; any
@@ -17,20 +18,12 @@ are caught in CI rather than as hangs and leaked fds:
     Every fd from ``os.pipe()`` must be closed (``os.close``) or have
     its ownership transferred (``os.fdopen``) within the same function,
     so error paths cannot leak it.
-``rt-unbounded-close-join``
-    ``Thread.join()`` without a timeout on a close/shutdown path turns a
-    stuck worker into a stuck interpreter exit.
-``rt-fork-under-lock``
-    Forking while holding a lock snapshots the lock *held* into the
-    child, which then deadlocks on first acquire.
 ``rt-unbounded-recv``
-    A ``recv()`` call with no timeout argument parks the caller on a
-    pipe forever if the worker dies without closing its end — the exact
-    hang the pool's watchdog exists to prevent.  The same applies to a
-    ``join()`` with no timeout *outside* a close/shutdown path: worker
-    supervision loops must stay interruptible, so joins there must be
-    bounded (loop on ``join(t)`` + ``is_alive()`` to wait indefinitely
-    but interruptibly).
+    A ``recv()`` or ``join()`` call with no timeout argument parks the
+    caller forever if the worker dies without closing its end — the exact
+    hang the pool's watchdog exists to prevent, and on a close path a
+    stuck interpreter exit.  Loop on ``join(t)`` + ``is_alive()`` to wait
+    indefinitely but interruptibly.
 ``rt-unbounded-queue``
     The serving loop's boundedness discipline, machine-enforced: a
     ``queue.Queue()`` constructed without a ``maxsize`` grows with
@@ -40,14 +33,9 @@ are caught in CI rather than as hangs and leaked fds:
     must carry a cap and every blocking put a deadline
     (``queue.SimpleQueue`` cannot be bounded at all, so it is always
     flagged).
-``rt-lock-order``
-    Two lock-ish names (anything whose terminal name contains "lock")
-    acquired in nested ``with`` blocks in one order in one function and
-    the opposite order in another is the classic AB/BA deadlock: two
-    concurrent callers each hold one lock and wait on the other forever.
-    The admission-vs-scoring lock split in ``runtime/service.py`` is the
-    motivating pattern — every function must acquire that pair in the
-    same order.
+
+Lock-acquisition order (``rt-lock-order``) is a lockset property and
+lives in :mod:`repro.analysis.concurrency`.
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records with
 file/line provenance.  Suppress a finding by appending ``# noqa`` (all
@@ -60,15 +48,10 @@ import ast
 from pathlib import Path
 from typing import Iterable
 
-from .cfg import Aliases, function_body_nodes, suppressed, terminal_name
+from .cfg import Aliases, function_body_nodes, suppressed
 from .diagnostics import Diagnostic, Severity
 
 __all__ = ["lint_source", "lint_paths"]
-
-#: Function names considered teardown paths for the bounded-join check.
-CLOSE_PATH_NAMES = frozenset(
-    {"close", "stop", "shutdown", "terminate", "reap", "__exit__", "__del__"}
-)
 
 
 def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
@@ -93,17 +76,14 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
 
         fork_calls = [c for c, name in resolved if name == "os.fork"]
         if fork_calls:
-            _lint_fork(fn, body, calls, resolved, fork_calls, report)
+            _lint_fork(fn, calls, resolved, fork_calls, report)
         _lint_pipes(body, resolved, report)
-        if fn.name in CLOSE_PATH_NAMES:
-            _lint_close_joins(fn, calls, report)
         _lint_unbounded_recv(fn, calls, report)
         _lint_unbounded_queue(fn, calls, resolved, report)
-    _lint_lock_order(tree, report)
     return diags
 
 
-def _lint_fork(fn, body, calls, resolved, fork_calls, report) -> None:
+def _lint_fork(fn, calls, resolved, fork_calls, report) -> None:
     first_fork = min(c.lineno for c in fork_calls)
     flush_lines = [
         c.lineno
@@ -122,25 +102,6 @@ def _lint_fork(fn, body, calls, resolved, fork_calls, report) -> None:
             "rt-fork-child-exit", Severity.ERROR,
             f"{fn.name}() forks but never calls os._exit(); a child that "
             "returns unwinds into the parent's teardown (atexit, pytest)",
-            first_fork,
-        )
-    held_lock_lines = [
-        c.lineno
-        for c in calls
-        if isinstance(c.func, ast.Attribute) and c.func.attr == "acquire"
-    ] + [
-        item.context_expr.lineno
-        for node in body
-        if isinstance(node, ast.With)
-        for item in node.items
-        if "lock" in (terminal_name(item.context_expr) or "").lower()
-    ]
-    if held_lock_lines:
-        report(
-            "rt-fork-under-lock", Severity.ERROR,
-            f"{fn.name}() forks in a function that acquires a lock "
-            f"(line {min(held_lock_lines)}); the child inherits the lock "
-            "held forever",
             first_fork,
         )
 
@@ -178,52 +139,25 @@ def _lint_pipes(body, resolved, report) -> None:
             )
 
 
-def _lint_close_joins(fn, calls, report) -> None:
-    for call in calls:
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr == "join"
-            and not call.args
-            and not call.keywords
-        ):
-            report(
-                "rt-unbounded-close-join", Severity.WARNING,
-                f"{fn.name}() joins a thread without a timeout on a "
-                "teardown path; a stuck worker hangs interpreter exit",
-                call.lineno,
-            )
-
-
 def _lint_unbounded_recv(fn, calls, report) -> None:
     """Flag blocking waits that a dead peer can never satisfy.
 
-    ``recv()`` with no timeout is flagged everywhere: the runtime's
-    receive APIs accept a ``hang_timeout`` precisely so a crashed worker
-    surfaces as :class:`WorkerCrash` instead of a parked parent.
-    ``join()`` with no timeout is flagged outside close paths (close
-    paths have their own stricter check); supervision code must use
-    bounded joins in a loop to stay interruptible.
+    The runtime's receive APIs accept a ``hang_timeout`` precisely so a
+    crashed worker surfaces as :class:`WorkerCrash` instead of a parked
+    parent, and every ``join()`` must be bounded so supervision and
+    teardown stay interruptible.
     """
-    on_close_path = fn.name in CLOSE_PATH_NAMES
     for call in calls:
-        if not isinstance(call.func, ast.Attribute):
-            continue
-        if call.args or call.keywords:
-            continue
-        if call.func.attr == "recv":
+        if (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("recv", "join")
+            and not (call.args or call.keywords)
+        ):
             report(
                 "rt-unbounded-recv", Severity.WARNING,
-                f"{fn.name}() calls recv() with no timeout; a dead worker "
-                "parks this caller on the pipe forever — pass a bounded "
-                "hang_timeout",
-                call.lineno,
-            )
-        elif call.func.attr == "join" and not on_close_path:
-            report(
-                "rt-unbounded-recv", Severity.WARNING,
-                f"{fn.name}() joins a thread without a timeout outside a "
-                "close path; loop on join(t)/is_alive() so the wait stays "
-                "interruptible",
+                f"{fn.name}() calls {call.func.attr}() with no timeout; a "
+                "dead worker parks this caller forever — pass a bound "
+                "(loop on join(t)/is_alive() to wait indefinitely)",
                 call.lineno,
             )
 
@@ -300,83 +234,6 @@ def _lint_unbounded_queue(fn, calls, resolved, report) -> None:
                 "timeout= or block=False",
                 call.lineno,
             )
-
-
-def _lock_name(expr: ast.expr) -> str | None:
-    """The lock-ish name a ``with`` item acquires, if any."""
-    target = expr.func if isinstance(expr, ast.Call) else expr
-    name = terminal_name(target)
-    if name is not None and "lock" in name.lower():
-        return name
-    return None
-
-
-def _lock_pairs(fn: ast.AST) -> list[tuple[str, str, int]]:
-    """Ordered ``(outer, inner, line)`` lock acquisitions nested in ``fn``.
-
-    Tracks the stack of lock-ish names held through nested ``with``
-    statements (multi-item ``with a, b:`` acquires left to right);
-    nested function/class scopes are skipped — they are visited as their
-    own functions.
-    """
-    pairs: list[tuple[str, str, int]] = []
-
-    def visit(node: ast.AST, held: list[str]) -> None:
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            inner_held = list(held)
-            for item in node.items:
-                name = _lock_name(item.context_expr)
-                if name is not None:
-                    for outer in inner_held:
-                        pairs.append((outer, name, item.context_expr.lineno))
-                    inner_held.append(name)
-            for child in node.body:
-                visit(child, inner_held)
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child, held)
-
-    for stmt in ast.iter_child_nodes(fn):
-        visit(stmt, [])
-    return pairs
-
-
-def _lint_lock_order(tree: ast.AST, report) -> None:
-    """Flag lock pairs acquired in opposite orders across functions.
-
-    Module-scoped (unlike the per-function checks above): the AB/BA
-    deadlock needs two functions to materialize.  Each unordered pair is
-    reported once, at the later (inverting) acquisition, naming both
-    functions.
-    """
-    orders: dict[frozenset, tuple[str, str, str, int]] = {}
-    flagged: set[frozenset] = set()
-    for fn in (
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ):
-        for outer, inner, line in _lock_pairs(fn):
-            if outer == inner:
-                continue
-            key = frozenset((outer, inner))
-            prev = orders.get(key)
-            if prev is None:
-                orders[key] = (outer, inner, fn.name, line)
-            elif (prev[0], prev[1]) != (outer, inner) and key not in flagged:
-                flagged.add(key)
-                report(
-                    "rt-lock-order", Severity.ERROR,
-                    f"{fn.name}() acquires {outer!r} then {inner!r}, but "
-                    f"{prev[2]}() (line {prev[3]}) acquires them in the "
-                    "opposite order; concurrent callers deadlock holding "
-                    "one each",
-                    line,
-                )
 
 
 def lint_paths(paths: Iterable[str | Path]) -> list[Diagnostic]:

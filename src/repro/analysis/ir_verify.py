@@ -1,12 +1,13 @@
 """Pass-based static verification of :class:`DataflowGraph` programs.
 
-:func:`verify_graph` runs four pass families and returns the union of
+:func:`verify_graph` runs three pass families and returns the union of
 their findings as :class:`~repro.analysis.diagnostics.Diagnostic` records:
 
 structure
-    Cycles, malformed input/const/output wiring, orphaned compute nodes,
-    unreachable and dead nodes, state-key collisions, epilogue/temporal
-    misuse.  Pure graph traversal; always runs.
+    Orphaned compute nodes, a missing or duplicated output, dead nodes,
+    and state-key collisions.  Pure graph traversal; always runs.  Cycles
+    and epilogue wiring are not checked here: ``topo_order`` raises on
+    the first and ``DataflowGraph.add`` on the second.
 shape
     Width inference propagated in topo order.  Each node kind has an
     output-width rule (``dot``/``mapreduce`` produce ``parallel`` values,
@@ -25,42 +26,29 @@ probe (optional, ``probe=True``)
     ~500 more rows (saturating, NaN / inf, several row tiles), values and
     state left behind.  Seeded and O(nodes · iterations), so it is a
     static check in spirit: no trace data, no model dependence.
-budgets (optional, ``config=`` given)
-    Statically price the graph's CU/MU/config-word footprint against a
-    :class:`~repro.core.TaurusConfig`-shaped object (anything with
-    ``n_cus``/``n_mus``) *before* ``compile_graph``: MU overflow is an
-    error (weights cannot fold), CU folding and sub-line-rate are
-    advisory (the compiler handles them, at a cost worth knowing).
 
-:func:`verify_fabric` adds the cross-app checks for a
-:class:`~repro.runtime.fabric.MultiAppFabric` bundle: duplicate app
-names, aggregate MU residency, and state-key overlap.
+Budgets are not priced here: ``compile_graph`` raises a typed
+``BudgetError`` on a design that does not fit.
 """
 
 from __future__ import annotations
 
 import dis
-import math
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from ..fixpoint import FIX8, FixedPointFormat
-from ..hw.params import CUGeometry, DEFAULT_CU_GEOMETRY
 from ..mapreduce.ir import RESERVED_STATE_KEYS, DataflowGraph, Node
 from ..mapreduce.ops import REDUCE_OPS
 from .diagnostics import Diagnostic, Severity
 
-__all__ = ["verify_graph", "verify_fabric"]
+__all__ = ["verify_graph"]
 
 #: Node kinds that must consume at least one predecessor.
 _CONSUMER_KINDS = frozenset(
     {"dot", "mapreduce", "map", "gather", "reduce", "lut", "output"}
 )
-
-#: Reconfiguration cost above which a program swap is called out
-#: (cycles; ~4 µs at 1 GHz — comparable to draining a deep queue).
-_CONFIG_STREAM_CYCLES = 4096
 
 #: The probe's drift grid: outputs must sit on multiples of 2**-12,
 #: which contains every shipped format's grid (frac_bits <= 12).
@@ -72,158 +60,26 @@ _DRIFT_GRID_BITS = 12
 # ======================================================================
 def verify_graph(
     graph: DataflowGraph,
-    config=None,
-    geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
     fmt: FixedPointFormat = FIX8,
     probe: bool = True,
-    suppress: Iterable[str] = (),
 ) -> list[Diagnostic]:
     """Statically verify one dataflow graph; returns all findings.
 
-    ``config`` (anything exposing ``n_cus``/``n_mus``) enables the budget
-    prechecks; ``probe`` enables the concrete 3-row execution probe
-    (skipped automatically while structural errors make execution
-    meaningless).  ``suppress`` drops findings by check ID.
+    ``probe`` enables the concrete 3-row execution probe (skipped
+    automatically while structural or shape errors make execution
+    meaningless).
     """
-    diags: list[Diagnostic] = []
-    diags += _check_structure(graph)
-    had_errors = any(d.severity >= Severity.ERROR for d in diags)
-
+    diags = _check_structure(graph)
     widths: dict[int, int | None] = {}
-    if not _has_cycle(graph):
-        if not _has_dangling_preds(graph):
-            diags += _check_shapes(graph, widths)
-            shape_errors = any(
-                d.severity >= Severity.ERROR for d in diags
-            )
-            if probe and not had_errors and not shape_errors:
-                diags += _probe(graph, widths, fmt)
-        if config is not None:
-            diags += _check_budgets(graph, config, geometry)
-
-    suppress = set(suppress)
-    return [d for d in diags if d.check_id not in suppress]
-
-
-def verify_fabric(
-    apps,
-    config=None,
-    suppress: Iterable[str] = (),
-) -> list[Diagnostic]:
-    """Cross-app checks for a multi-app bundle.
-
-    ``apps`` is any iterable of objects with ``name`` and ``graph``
-    attributes (e.g. :class:`~repro.runtime.fabric.FabricApp`).  Per-graph
-    findings are *not* repeated here — run :func:`verify_graph` on each
-    app's graph for those.
-    """
-    from ..compiler.allocate import graph_resources
-
-    apps = list(apps)
-    diags: list[Diagnostic] = []
-    source = "fabric[" + ",".join(app.name for app in apps) + "]"
-
-    seen: dict[str, int] = {}
-    for i, app in enumerate(apps):
-        if app.name in seen:
-            diags.append(Diagnostic(
-                "fabric-duplicate-app", Severity.ERROR,
-                f"apps #{seen[app.name]} and #{i} are both named "
-                f"{app.name!r}; per-app results and state would alias",
-                source, node_name=app.name,
-            ))
-        else:
-            seen[app.name] = i
-
-    keys_by_app = [
-        (app.name, _graph_state_keys(app.graph)) for app in apps
-    ]
-    for i, (name_a, keys_a) in enumerate(keys_by_app):
-        for name_b, keys_b in keys_by_app[i + 1:]:
-            shared = sorted(keys_a & keys_b)
-            if shared:
-                diags.append(Diagnostic(
-                    "fabric-state-overlap", Severity.INFO,
-                    f"apps {name_a!r} and {name_b!r} both persist state "
-                    f"key(s) {shared}; state is isolated per app, but "
-                    "merged dumps/deltas become ambiguous",
-                    source, node_name=name_a,
-                ))
-
-    if config is not None:
-        total_mu = sum(
-            graph_resources(app.graph).n_mu for app in apps
-        )
-        if total_mu > config.n_mus:
-            diags.append(Diagnostic(
-                "fabric-mu-residency", Severity.WARNING,
-                f"apps need {total_mu} MUs together but the grid has "
-                f"{config.n_mus}; they cannot co-reside, so every swap "
-                "re-streams weight banks",
-                source,
-            ))
-
-    suppress = set(suppress)
-    return [d for d in diags if d.check_id not in suppress]
+    diags += _check_shapes(graph, widths)
+    if probe and not any(d.severity >= Severity.ERROR for d in diags):
+        diags += _probe(graph, widths, fmt)
+    return diags
 
 
 # ======================================================================
 # Structure passes
 # ======================================================================
-def _has_cycle(graph: DataflowGraph) -> bool:
-    """Kahn's algorithm over the existing nodes.
-
-    Self-contained rather than delegating to ``graph.topo_order()``: the
-    verifier must stay diagnosable on exactly the malformed graphs (e.g.
-    dangling predecessor ids) that make ``topo_order`` blow up.
-    """
-    indegree = {nid: 0 for nid in graph.nodes}
-    succs: dict[int, list[int]] = {nid: [] for nid in graph.nodes}
-    for node in graph.nodes.values():
-        for pred in node.preds:
-            if pred in succs:  # dangling preds are _check_structure's job
-                indegree[node.node_id] += 1
-                succs[pred].append(node.node_id)
-    ready = [nid for nid, deg in indegree.items() if deg == 0]
-    visited = 0
-    while ready:
-        nid = ready.pop()
-        visited += 1
-        for nxt in succs[nid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    return visited != len(graph.nodes)
-
-
-def _has_dangling_preds(graph: DataflowGraph) -> bool:
-    return any(
-        pred not in graph.nodes
-        for node in graph.nodes.values()
-        for pred in node.preds
-    )
-
-
-def _successors(graph: DataflowGraph) -> dict[int, list[int]]:
-    succs: dict[int, list[int]] = {nid: [] for nid in graph.nodes}
-    for node in graph.nodes.values():
-        for pred in node.preds:
-            if pred in succs:
-                succs[pred].append(node.node_id)
-    return succs
-
-
-def _closure(start: Iterable[int], edges: dict[int, list[int]]) -> set[int]:
-    seen = set(start)
-    stack = list(seen)
-    while stack:
-        for nxt in edges.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def _check_structure(graph: DataflowGraph) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     src = graph.name
@@ -235,29 +91,8 @@ def _check_structure(graph: DataflowGraph) -> list[Diagnostic]:
             node_name=None if node is None else (node.name or None),
         ))
 
-    if _has_cycle(graph):
-        report("ir-cycle", Severity.ERROR,
-               "the dataflow graph contains a cycle; execution and "
-               "compilation both reject it")
-        return diags  # everything below assumes a DAG
-
-    succs = _successors(graph)
     outputs = graph.outputs()
-
-    # -- input/const/output wiring -------------------------------------
     for node in graph.nodes.values():
-        dangling = [p for p in node.preds if p not in graph.nodes]
-        if dangling:
-            report("ir-malformed-io", Severity.ERROR,
-                   f"references missing predecessor id(s) {dangling}", node)
-        if node.kind in ("input", "const") and node.preds:
-            report("ir-malformed-io", Severity.ERROR,
-                   f"{node.kind} nodes are sources and cannot have "
-                   "predecessors", node)
-        if node.kind == "output" and succs[node.node_id]:
-            report("ir-malformed-io", Severity.ERROR,
-                   "output nodes are sinks; feeding another node means "
-                   "the consumer reads the PHV write-back", node)
         if node.kind in _CONSUMER_KINDS and not node.preds:
             report("ir-orphan", Severity.ERROR,
                    f"{node.kind} node has no predecessors to consume", node)
@@ -270,16 +105,16 @@ def _check_structure(graph: DataflowGraph) -> list[Diagnostic]:
                f"graph has {len(outputs)} output nodes; execute() "
                "returns only the last in topo order")
 
-    # -- reachability ---------------------------------------------------
-    forward = _closure((n.node_id for n in graph.inputs()), succs)
-    preds_of = {nid: list(graph.nodes[nid].preds) for nid in graph.nodes}
-    backward = _closure((n.node_id for n in outputs), preds_of)
+    # -- liveness: everything an output reads, transitively --------------
+    live = {n.node_id for n in outputs}
+    stack = list(live)
+    while stack:
+        for pred in graph.nodes[stack.pop()].preds:
+            if pred not in live:
+                live.add(pred)
+                stack.append(pred)
     for node in graph.nodes.values():
-        if node.kind not in ("input", "const") and node.node_id not in forward:
-            report("ir-unreachable", Severity.WARNING,
-                   "no input reaches this node; it recomputes a "
-                   "constant for every packet", node)
-        if node.kind != "output" and node.node_id not in backward:
+        if node.kind != "output" and node.node_id not in live:
             report("ir-dead-node", Severity.WARNING,
                    "no path from this node to any output; its value "
                    "is computed and discarded", node)
@@ -299,42 +134,7 @@ def _check_structure(graph: DataflowGraph) -> list[Diagnostic]:
                        "order silently wins", node)
             else:
                 writes[key] = node
-
-    # -- epilogue / temporal --------------------------------------------
-    epilogue_nodes = [n for n in graph.nodes.values() if n.epilogue]
-    for node in graph.nodes.values():
-        if node.epilogue:
-            continue
-        for pred in node.preds:
-            if pred in graph.nodes and graph.nodes[pred].epilogue:
-                report("ir-epilogue-order", Severity.ERROR,
-                       f"consumes epilogue node "
-                       f"{graph.nodes[pred].name!r}, whose value does "
-                       "not exist before the last iteration", node)
-    for node in epilogue_nodes:
-        if node.kind in ("input", "const"):
-            report("ir-epilogue-io", Severity.WARNING,
-                   f"{node.kind} nodes are iteration-invariant; the "
-                   "epilogue marker only delays their consumers", node)
-    if epilogue_nodes and graph.temporal_iterations == 1:
-        report("ir-epilogue-inert", Severity.INFO,
-               f"{len(epilogue_nodes)} epilogue node(s) with "
-               "temporal_iterations == 1: the marker is inert")
-    if graph.temporal_iterations > 1 and not _graph_wants_state(graph):
-        report("ir-temporal-no-state", Severity.WARNING,
-               f"{graph.temporal_iterations} temporal iterations but no "
-               "node carries state; every iteration recomputes the same "
-               "values")
     return diags
-
-
-def _graph_wants_state(graph: DataflowGraph) -> bool:
-    return any(
-        getattr(fn, "wants_state", False)
-        for node in graph.nodes.values()
-        for fn in (node.fn, node.batch_fn)
-        if fn is not None
-    )
 
 
 def _node_state_keys(node: Node) -> set[str]:
@@ -371,13 +171,6 @@ def _written_subscript_keys(fn: Callable) -> set[str]:
     return keys
 
 
-def _graph_state_keys(graph: DataflowGraph) -> set[str]:
-    keys: set[str] = set()
-    for node in graph.nodes.values():
-        keys |= _node_state_keys(node)
-    return keys
-
-
 # ======================================================================
 # Shape / width inference
 # ======================================================================
@@ -407,11 +200,9 @@ def _check_shapes(
         ))
 
     for node in graph.topo_order():
-        data_preds = [
-            p for p in node.preds
-            if p in graph.nodes and graph.nodes[p].kind != "const"
+        pred_widths = [
+            widths.get(p) for p in node.preds if graph.nodes[p].kind != "const"
         ]
-        pred_widths = [widths.get(p) for p in data_preds]
         in_width = (
             sum(pred_widths) if pred_widths and None not in pred_widths
             else None
@@ -620,56 +411,3 @@ def _kernel_divergence(graph: DataflowGraph, dim: int, fmt: FixedPointFormat) ->
         return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
     return [name for name, (a, b) in pairs.items() if not same(a, b)]
-
-
-# ======================================================================
-# Budget prechecks
-# ======================================================================
-def _check_budgets(
-    graph: DataflowGraph, config, geometry: CUGeometry
-) -> list[Diagnostic]:
-    from ..compiler.allocate import graph_resources
-    from ..hw.grid import RECONFIG_BASE_CYCLES, RECONFIG_WORDS_PER_CYCLE
-
-    diags: list[Diagnostic] = []
-    src = graph.name
-    res = graph_resources(graph, geometry)
-
-    if res.n_mu > config.n_mus:
-        diags.append(Diagnostic(
-            "budget-mu-overflow", Severity.ERROR,
-            f"needs {res.n_mu} MUs but the grid has {config.n_mus}; "
-            "weights cannot time-multiplex, so compile_graph raises "
-            "(Section 6: larger models need compression)", src,
-        ))
-
-    fold = 1
-    if res.n_cu > config.n_cus:
-        fold = math.ceil(res.n_cu / config.n_cus)
-        diags.append(Diagnostic(
-            "budget-cu-fold", Severity.INFO,
-            f"needs {res.n_cu} CUs but the grid has {config.n_cus}; the "
-            f"compiler will fold x{fold}, multiplying the initiation "
-            "interval accordingly", src,
-        ))
-
-    ii = graph.initiation_interval * fold * graph.temporal_iterations
-    if ii > 1:
-        diags.append(Diagnostic(
-            "budget-line-rate", Severity.INFO,
-            f"sustains 1/{ii} of line rate on this grid "
-            f"(II {graph.initiation_interval} x fold {fold} x "
-            f"{graph.temporal_iterations} temporal iterations)", src,
-        ))
-
-    words = graph.config_words()
-    cycles = RECONFIG_BASE_CYCLES + math.ceil(
-        words / RECONFIG_WORDS_PER_CYCLE
-    )
-    if cycles > _CONFIG_STREAM_CYCLES:
-        diags.append(Diagnostic(
-            "budget-config-stream", Severity.INFO,
-            f"configuration stream is {words} words (~{cycles} cycles "
-            "per swap); time-multiplexing this program is expensive", src,
-        ))
-    return diags

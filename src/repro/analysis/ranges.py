@@ -9,7 +9,7 @@ checks each quantization point statically.
 
 Interval sources, in raw fixed-point terms where a format is known
 (:attr:`~repro.fixpoint.formats.FixedPointFormat.raw_min` /
-``raw_max`` / ``wide_dtype``):
+``raw_max``):
 
 * ``input`` nodes carry a declared ``value_range`` — the precondition the
   preprocessing MATs establish (threaded from the frontends' datasets and
@@ -19,9 +19,8 @@ Interval sources, in raw fixed-point terms where a format is known
 * Compute nodes name an abstract transfer (:data:`TRANSFERS`) via
   ``Node.transfer``, with parameters (weights, formats, clip bounds, LUT
   domains) in ``Node.payload``.  ``dot``/``mapreduce`` transfers do exact
-  interval arithmetic over the weight bank and check the wide integer
-  accumulator for overflow; ``lut`` transfers check domain coverage;
-  roundtrip points check saturation.  A node with neither a transfer nor
+  interval arithmetic over the weight bank; ``lut`` transfers check
+  domain coverage; roundtrip points check saturation.  A node with neither a transfer nor
   a declared ``value_range`` analyzes as unbounded (``TOP``) — sound,
   never wrong, just uninformative.
 * Stateful nodes iterate: state-key intervals start at ``[0, 0]`` (the
@@ -39,14 +38,8 @@ Findings (all carried as :class:`~repro.analysis.diagnostics.Diagnostic`):
     representable range; the hardware clips.  Lowerings waive this on
     calibrated dot nodes where clipping outliers is the design
     (TFLite-style calibration) — waived findings downgrade to info.
-``an-acc-overflow``
-    The wide integer accumulator bound exceeds ``wide_dtype``; integer
-    MAC would wrap (silent corruption, unlike saturation).
 ``an-lut-oob``
     A LUT's index interval is not covered by its table domain.
-``an-narrowable``
-    A proven interval fits a strictly smaller standard format at the
-    same binary point — the lead-in for automatic bit-width narrowing.
 
 Soundness contract (property-tested): for any input batch inside the
 declared input ranges, every value observed via
@@ -57,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -89,19 +82,12 @@ class Interval:
         """Smallest interval containing both (the lattice join)."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def shift(self, offset: float) -> "Interval":
-        return Interval(self.lo + offset, self.hi + offset)
-
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
 
     @property
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(self.lo), abs(self.hi))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.lo:g}, {self.hi:g}]"
@@ -301,8 +287,7 @@ def _t_dot(ctx: _Ctx, node: Node, args: list[Interval]) -> Interval:
     Exact interval arithmetic: per output row, the positive and negative
     weight mass bound the accumulator from the input interval.  With a
     saturating output format the pre-clip interval is checked
-    (``an-may-saturate``) and the raw wide-accumulator bound is priced
-    against ``wide_dtype`` (``an-acc-overflow``).
+    (``an-may-saturate``).
     """
     payload = _payload(node)
     weights = np.atleast_2d(np.asarray(payload["weights"], dtype=np.float64))
@@ -330,22 +315,6 @@ def _t_dot(ctx: _Ctx, node: Node, args: list[Interval]) -> Interval:
     acc = Interval(float(lo_rows.min()), float(hi_rows.max()))
 
     if fmt is not None:
-        in_frac = in_fmt.frac_bits if in_fmt is not None else fmt.frac_bits
-        w_frac = int(payload.get("w_frac_bits", fmt.frac_bits))
-        raw_bound = (
-            float(np.abs(weights).sum(axis=-1).max())
-            * (1 << w_frac)
-            * x.max_abs
-            * (1 << in_frac)
-        )
-        if raw_bound > fmt.wide_max:
-            ctx.report(
-                "an-acc-overflow",
-                f"wide accumulator bound {raw_bound:.3g} raw exceeds "
-                f"{np.dtype(fmt.wide_dtype).name} range "
-                f"[{fmt.wide_min}, {fmt.wide_max}]; integer MAC wraps",
-                node,
-            )
         _saturation_check(ctx, node, acc, fmt)
         if payload.get("requantize") == "shift":
             # Per-channel shift requantization rounds within half an
@@ -374,16 +343,6 @@ def _t_sq_dist(ctx: _Ctx, node: Node, args: list[Interval]) -> Interval:
     acc = Interval(
         float((d_lo**2).sum(axis=-1).min()), float((d_hi**2).sum(axis=-1).max())
     )
-
-    raw_bound = acc.hi * fmt.scale
-    if raw_bound > fmt.wide_max:
-        ctx.report(
-            "an-acc-overflow",
-            f"squared-distance accumulator bound {raw_bound:.3g} raw "
-            f"exceeds {np.dtype(fmt.wide_dtype).name} range; integer MAC "
-            "wraps",
-            node,
-        )
     _saturation_check(ctx, node, acc, fmt)
     return _rt_interval(acc, fmt)
 
@@ -583,16 +542,11 @@ def _propagate(
     return intervals, writes, ctx
 
 
-def analyze_ranges(
-    graph: DataflowGraph,
-    fmt: FixedPointFormat = FIX8,
-    suppress: Iterable[str] = (),
-) -> RangeReport:
+def analyze_ranges(graph: DataflowGraph, fmt: FixedPointFormat = FIX8) -> RangeReport:
     """Run the abstract interpreter over one graph.
 
     ``fmt`` is the datapath format assumed at roundtrip points that do
-    not name their own (``payload["fmt"]``).  ``suppress`` drops findings
-    by check ID, mirroring :func:`~repro.analysis.ir_verify.verify_graph`.
+    not name their own (``payload["fmt"]``).
     """
     order = graph.topo_order()
     state_keys = set()
@@ -626,43 +580,12 @@ def analyze_ranges(
     # all transfers are inclusion-monotone, so one final emitting pass
     # yields intervals sound for the whole temporal execution.
     intervals, __, ctx = _propagate(graph, order, fmt, state, emit=True)
-    diagnostics = ctx.diagnostics
-    diagnostics += _narrowable_findings(graph, order, intervals)
-
-    suppress = set(suppress)
     return RangeReport(
         graph=graph.name,
         intervals=intervals,
         state=state,
-        diagnostics=[d for d in diagnostics if d.check_id not in suppress],
+        diagnostics=ctx.diagnostics,
         passes=passes,
         names={n.node_id: n.name for n in order},
     )
 
-
-def _narrowable_findings(
-    graph: DataflowGraph,
-    order: list[Node],
-    intervals: dict[int, Interval],
-) -> list[Diagnostic]:
-    """Edges whose proven interval fits a smaller storage format."""
-    diags: list[Diagnostic] = []
-    for node in order:
-        fmt: FixedPointFormat | None = _payload(node).get("fmt")
-        iv = intervals.get(node.node_id)
-        if fmt is None or iv is None or not iv.bounded:
-            continue
-        needed = fmt.narrowest_total_bits(iv.lo, iv.hi)
-        if needed is not None and needed < fmt.total_bits:
-            raw = fmt.raw_interval(iv.lo, iv.hi)
-            if "an-narrowable" in node.waivers:
-                continue
-            diags.append(Diagnostic(
-                "an-narrowable", Severity.INFO,
-                f"proven interval {iv} (raw [{raw[0]}, {raw[1]}]) fits "
-                f"{needed} bits at Q{needed - 1 - fmt.frac_bits}."
-                f"{fmt.frac_bits}, but the edge is stored as {fmt}; "
-                "narrowing halves its MU/stream footprint",
-                graph.name, node=node.node_id, node_name=node.name or None,
-            ))
-    return diags

@@ -52,9 +52,9 @@ class BudgetError(ValueError):
     initiation interval for area), while MU-resident weights must stay
     loaded for every pass, so MU overflow has no fold to fall back on.
 
-    Attributes mirror the message so callers (and the static analyzer's
-    ``budget-*`` prechecks) can reason about the overflow without string
-    parsing.
+    Attributes mirror the message so callers can reason about the
+    overflow without string parsing.  This is the repo's one budget
+    check; ``repro.analysis`` does not price designs.
     """
 
     def __init__(self, graph_name: str, resource: str, needed: int, budget: int, hint: str):

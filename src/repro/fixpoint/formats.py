@@ -136,16 +136,6 @@ class FixedPointFormat:
     # ------------------------------------------------------------------
     # Interval helpers (repro.analysis.ranges works in these terms)
     # ------------------------------------------------------------------
-    @property
-    def wide_min(self) -> int:
-        """Smallest value of the wide accumulator dtype."""
-        return int(np.iinfo(self.wide_dtype).min)
-
-    @property
-    def wide_max(self) -> int:
-        """Largest value of the wide accumulator dtype."""
-        return int(np.iinfo(self.wide_dtype).max)
-
     def raw_interval(self, lo: float, hi: float) -> tuple[int, int]:
         """A real interval in raw fixed-point units, rounded outward.
 
@@ -163,23 +153,6 @@ class FixedPointFormat:
         """
         slack = self.resolution / 2.0
         return lo >= self.min_value - slack and hi <= self.max_value + slack
-
-    def narrowest_total_bits(self, lo: float, hi: float) -> int | None:
-        """Smallest standard width holding ``[lo, hi]`` at this binary point.
-
-        Returns the least ``total_bits`` in (8, 16, 32) whose signed raw
-        range contains the interval (keeping ``frac_bits`` fixed), or
-        ``None`` when even 32 bits cannot (unbounded intervals included).
-        """
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            return None
-        raw_lo, raw_hi = self.raw_interval(lo, hi)
-        for total in (8, 16, 32):
-            if self.frac_bits >= total:
-                continue
-            if -(1 << (total - 1)) <= raw_lo and raw_hi <= (1 << (total - 1)) - 1:
-                return total
-        return None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}(Q{self.int_bits}.{self.frac_bits})"

@@ -47,9 +47,10 @@ def _verified(graph: DataflowGraph) -> DataflowGraph:
     """Gate every lowering on the structural verifier before returning it.
 
     Runs :func:`repro.analysis.verify_graph` in structural mode (no
-    execution probe, no budget pricing — both belong to the CLI/CI gate;
-    training loops re-lower after every weight update, so this must stay
-    O(nodes)) and raises on any error-severity finding.  Lazy import:
+    execution probe — that belongs to the CLI/CI gate; training loops
+    re-lower after every weight update, so this must stay O(nodes)) and
+    raises on any error-severity finding.  Budgets are
+    :func:`~repro.compiler.compile_graph`'s.  Lazy import:
     ``repro.analysis`` imports this module for its shipped-graph catalog.
     """
     from ..analysis import Severity, verify_graph
@@ -219,7 +220,6 @@ def dnn_graph(
                 "bias": b_real,
                 "in_fmt": layer.in_fmt,
                 "fmt": layer.act_fmt,
-                "w_frac_bits": int(layer.w_frac.max()),
                 "requantize": "shift",
             },
             # TFLite-style calibration clips pre-activation outliers into

@@ -146,8 +146,6 @@ class PipelineShardWorker:
             return True
         if kind == "snapshot":
             return self.pipeline.state_snapshot()
-        if kind == "ping":  # noqa: rt-frame-unconsumed - produced by callers above the runtime package (liveness probes in tests/tools)
-            return "pong"
         raise ValueError(f"unknown request kind {kind!r}")
 
 
@@ -158,8 +156,8 @@ class LaneWorker:
     one (a shard).  Requests addressed to an app — ``(kind, (app,
     body))`` — are answered by that app's worker as ``(app, reply)``,
     which steers the shared block to the app's pinned program on the way;
-    lane-wide requests (``payload is None``: mark / rewind / snapshot /
-    ping) fan out and return ``{app: reply}``.
+    lane-wide requests (``payload is None``: mark / rewind / snapshot)
+    fan out and return ``{app: reply}``.
     """
 
     def __init__(self, pipelines: dict[int, TaurusPipeline]):

@@ -10,7 +10,9 @@ packet generation overlaps scoring end-to-end.  Two drive modes:
   :meth:`~repro.runtime.InferenceService.pump` cadence this is fully
   deterministic, which is what the exact-accounting property tests need.
 * :func:`replay_wall` — arrivals sleep on the wall clock against a
-  started (threaded) service; this is what the serving benchmark drives.
+  started (threaded) service, so the dispatcher thread and the producer
+  race for real (``examples/quickstart.py`` and
+  ``tests/test_serving.py::TestLifecycle::test_threaded_service_round_trip``).
 
 :func:`bursty_schedule` builds the seeded heavy-tailed arrival process:
 Poisson background traffic with periodic burst episodes where gaps shrink

@@ -1,13 +1,11 @@
 """Tests for ``repro.analysis``: trigger + clean fixtures per check.
 
-Every check in the catalog gets (a) a fixture that provokes exactly that
-finding and (b) a clean variant the check stays silent on.  A property
-test closes the loop: random verifier-clean graphs execute through both
-interpreter paths without error, while seeded defect classes are caught
-statically.
+Fixtures pin each check's edges (what it flags, what it leaves alone);
+what the checks catch in the shipped sources is
+``tests/test_analysis_yield.py``.  A property test closes the loop:
+random verifier-clean graphs execute through both interpreter paths
+without error, while seeded defect classes are caught statically.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -21,24 +19,15 @@ from repro.analysis import (
     Severity,
     analyze_ranges,
     lint_source,
-    verify_fabric,
     verify_graph,
     worst_severity,
 )
-from repro.core import TaurusConfig
-from repro.fixpoint import FIX8, FIX16, FIX32
+from repro.fixpoint import FIX8
 from repro.mapreduce import DataflowGraph
-
-CFG = TaurusConfig()
 
 
 def _ids(diags):
     return {d.check_id for d in diags}
-
-
-def _verify(graph, **kwargs):
-    kwargs.setdefault("config", CFG)
-    return verify_graph(graph, **kwargs)
 
 
 def _rt(x):
@@ -93,8 +82,7 @@ class TestCatalog:
         for check_id, spec in CHECKS.items():
             assert spec.check_id == check_id
             assert spec.category in (
-                "shape", "structure", "budget", "fabric", "fork-safety",
-                "range", "concurrency",
+                "shape", "structure", "fork-safety", "range", "concurrency",
             )
             assert spec.summary
 
@@ -102,8 +90,7 @@ class TestCatalog:
         assert len(CHECKS) >= 8
         categories = {spec.category for spec in CHECKS.values()}
         assert {
-            "shape", "structure", "budget", "fork-safety", "range",
-            "concurrency",
+            "shape", "structure", "fork-safety", "range", "concurrency",
         } <= categories
 
     def test_severity_ordering(self):
@@ -114,13 +101,13 @@ class TestCatalog:
         assert worst_severity([]) is None
         g = _chain_graph()
         g.nodes[1].fn = g.nodes[1].batch_fn = lambda x: np.asarray(x) + 1e-4
-        assert worst_severity(_verify(g)) == Severity.WARNING
+        assert worst_severity(verify_graph(g)) == Severity.WARNING
 
     def test_diagnostic_format_has_provenance(self):
         g = _chain_graph(name="fmt")
         g.nodes[1].fn = g.nodes[1].batch_fn = None
         diag = next(
-            d for d in _verify(g, probe=False)
+            d for d in verify_graph(g, probe=False)
             if d.check_id == "ir-no-semantics"
         )
         text = diag.format()
@@ -130,74 +117,35 @@ class TestCatalog:
 
 class TestCleanGraph:
     def test_chain_graph_is_clean(self):
-        assert _verify(_chain_graph()) == []
-
-    def test_suppress_drops_findings(self):
-        g = _chain_graph()
-        g.add("map", preds=[g.nodes[1]], name="dead", width=4, chain_ops=1,
-              fn=_rt, batch_fn=_rt)
-        assert "ir-dead-node" in _ids(_verify(g))
-        assert "ir-dead-node" not in _ids(
-            _verify(g, suppress={"ir-dead-node"})
-        )
+        assert verify_graph(_chain_graph()) == []
 
 
 class TestStructureChecks:
-    def test_cycle_trigger(self):
-        g = _chain_graph()
-        g.nodes[1].preds.append(2)  # map also consumes the output
-        assert _ids(_verify(g)) == {"ir-cycle"}  # everything else skipped
-
-    def test_malformed_io_input_with_preds(self):
-        g = _chain_graph()
-        extra = g.add("input", name="x2", width=4)
-        extra.preds.append(0)
-        assert "ir-malformed-io" in _ids(_verify(g, probe=False))
-
-    def test_malformed_io_dangling_pred(self):
-        g = _chain_graph()
-        g.nodes[1].preds.append(99)
-        assert "ir-malformed-io" in _ids(_verify(g))
-
-    def test_malformed_io_output_feeds_onward(self):
-        g = _chain_graph()
-        g.add("map", preds=[g.nodes[2]], name="after", width=4,
-              chain_ops=1, fn=_rt, batch_fn=_rt)
-        assert "ir-malformed-io" in _ids(_verify(g))
-
     def test_no_output_trigger(self):
         g = DataflowGraph(name="g")
         g.add("input", name="x", width=4)
-        assert "ir-no-output" in _ids(_verify(g))
+        assert "ir-no-output" in _ids(verify_graph(g))
 
     def test_multi_output_trigger(self):
         g = _chain_graph()
         g.add("output", preds=[g.nodes[1]], name="y2", width=4)
-        diags = _verify(g)
+        diags = verify_graph(g)
         assert "ir-multi-output" in _ids(diags)
         assert worst_severity(diags) == Severity.WARNING
 
     def test_orphan_trigger(self):
         g = _chain_graph()
         g.nodes[1].preds.clear()
-        assert "ir-orphan" in _ids(_verify(g))
-
-    def test_unreachable_trigger(self):
-        g = _chain_graph()
-        bank = g.add("const", name="w", weight_values=4)
-        fromconst = g.add("map", preds=[bank], name="c2", width=4,
-                          chain_ops=1, fn=_rt, batch_fn=_rt)
-        g.nodes[2].preds.append(fromconst.node_id)
-        assert "ir-unreachable" in _ids(_verify(g, probe=False))
+        assert "ir-orphan" in _ids(verify_graph(g))
 
     def test_dead_node_trigger(self):
         g = _chain_graph()
         g.add("map", preds=[g.nodes[0]], name="dead", width=4, chain_ops=1,
               fn=_rt, batch_fn=_rt)
-        assert "ir-dead-node" in _ids(_verify(g))
+        assert "ir-dead-node" in _ids(verify_graph(g))
 
     def test_const_is_neither_unreachable_nor_dead(self):
-        assert _verify(_heavy_graph(weight_values=4)) == []
+        assert verify_graph(_heavy_graph(weight_values=4)) == []
 
     def test_state_collision_trigger(self):
         g = DataflowGraph(name="g", temporal_iterations=2)
@@ -208,7 +156,7 @@ class TestStructureChecks:
         b = g.add("map", preds=[a], name="b", width=4, chain_ops=1,
                   fn=fb, batch_fn=fb)
         g.add("output", preds=[b], name="y", width=4)
-        assert "ir-state-collision" in _ids(_verify(g, probe=False))
+        assert "ir-state-collision" in _ids(verify_graph(g, probe=False))
 
     def test_reserved_state_key_trigger(self):
         g = DataflowGraph(name="g", temporal_iterations=2)
@@ -217,7 +165,7 @@ class TestStructureChecks:
         a = g.add("map", preds=[inp], name="a", width=4, chain_ops=1,
                   fn=fn, batch_fn=fn)
         g.add("output", preds=[a], name="y", width=4)
-        assert "ir-state-collision" in _ids(_verify(g, probe=False))
+        assert "ir-state-collision" in _ids(verify_graph(g, probe=False))
 
     def test_distinct_state_keys_clean(self):
         g = DataflowGraph(name="g", temporal_iterations=2)
@@ -228,40 +176,14 @@ class TestStructureChecks:
         b = g.add("map", preds=[a], name="b", width=4, chain_ops=1,
                   fn=fb, batch_fn=fb)
         g.add("output", preds=[b], name="y", width=4)
-        assert "ir-state-collision" not in _ids(_verify(g, probe=False))
-
-    def test_epilogue_order_trigger(self):
-        g = _chain_graph()
-        g.temporal_iterations = 2
-        g.nodes[1].epilogue = True  # map is epilogue, its consumer is not
-        assert "ir-epilogue-order" in _ids(_verify(g, probe=False))
-
-    def test_epilogue_io_trigger(self):
-        g = _chain_graph()
-        g.temporal_iterations = 2
-        for nid in (0, 1, 2):
-            g.nodes[nid].epilogue = True
-        assert "ir-epilogue-io" in _ids(_verify(g, probe=False))
-
-    def test_epilogue_inert_trigger(self):
-        g = _chain_graph()
-        for nid in (1, 2):
-            g.nodes[nid].epilogue = True
-        diags = _verify(g, probe=False)
-        inert = [d for d in diags if d.check_id == "ir-epilogue-inert"]
-        assert inert and all(d.severity == Severity.INFO for d in inert)
-
-    def test_temporal_no_state_trigger(self):
-        g = _chain_graph()
-        g.temporal_iterations = 3
-        assert "ir-temporal-no-state" in _ids(_verify(g, probe=False))
+        assert "ir-state-collision" not in _ids(verify_graph(g, probe=False))
 
     def test_lstm_epilogue_and_state_clean(self):
         """The LSTM exercises epilogue + temporal + state — all clean."""
         from repro.mapreduce import lstm_graph
         from repro.ml import indigo_lstm
 
-        diags = _verify(lstm_graph(indigo_lstm(seed=0)))
+        diags = verify_graph(lstm_graph(indigo_lstm(seed=0)))
         assert worst_severity(diags) in (None, Severity.INFO)
 
 
@@ -274,19 +196,19 @@ class TestShapeChecks:
                   fn=lambda x: np.sum(x, axis=-1, keepdims=True),
                   batch_fn=lambda x: np.sum(x, axis=-1, keepdims=True))
         g.add("output", preds=[d], name="y", width=1)
-        assert "ir-width-mismatch" in _ids(_verify(g, probe=False))
+        assert "ir-width-mismatch" in _ids(verify_graph(g, probe=False))
 
     def test_width_mismatch_output_trigger(self):
         g = _chain_graph()
         g.nodes[2].width = 2  # output claims 2, map produces 4
-        assert "ir-width-mismatch" in _ids(_verify(g, probe=False))
+        assert "ir-width-mismatch" in _ids(verify_graph(g, probe=False))
 
     def test_width_mismatch_reduce_trigger(self):
         g = DataflowGraph(name="g")
         inp = g.add("input", name="x", width=4)
         r = g.add("reduce", preds=[inp], name="r", width=7, reduce_op="sum")
         g.add("output", preds=[r], name="y", width=1)
-        assert "ir-width-mismatch" in _ids(_verify(g, probe=False))
+        assert "ir-width-mismatch" in _ids(verify_graph(g, probe=False))
 
     def test_gather_width_trigger(self):
         g = DataflowGraph(name="g")
@@ -297,7 +219,7 @@ class TestShapeChecks:
                   fn=_rt, batch_fn=_rt)
         gt = g.add("gather", preds=[a, b], name="gt", width=5)  # != 8
         g.add("output", preds=[gt], name="y", width=5)
-        assert "ir-gather-width" in _ids(_verify(g, probe=False))
+        assert "ir-gather-width" in _ids(verify_graph(g, probe=False))
 
     def test_gather_width_clean(self):
         g = DataflowGraph(name="g")
@@ -308,7 +230,7 @@ class TestShapeChecks:
                   fn=_rt, batch_fn=_rt)
         gt = g.add("gather", preds=[a, b], name="gt", width=8)
         g.add("output", preds=[gt], name="y", width=8)
-        assert _verify(g) == []
+        assert verify_graph(g) == []
 
     def test_map_may_slice_its_input(self):
         """conv-style window extraction: width-4 input, width-2 map."""
@@ -318,19 +240,19 @@ class TestShapeChecks:
                   fn=lambda x: np.asarray(x)[..., :2],
                   batch_fn=lambda x: np.asarray(x)[..., :2])
         g.add("output", preds=[m], name="y", width=2)
-        assert _verify(g) == []
+        assert verify_graph(g) == []
 
     def test_no_semantics_trigger(self):
         g = _chain_graph()
         g.nodes[1].fn = g.nodes[1].batch_fn = None
-        assert "ir-no-semantics" in _ids(_verify(g, probe=False))
+        assert "ir-no-semantics" in _ids(verify_graph(g, probe=False))
 
     def test_reduce_op_counts_as_semantics(self):
         g = DataflowGraph(name="g")
         inp = g.add("input", name="x", width=4)
         r = g.add("reduce", preds=[inp], name="r", width=4, reduce_op="sum")
         g.add("output", preds=[r], name="y", width=1)
-        assert "ir-no-semantics" not in _ids(_verify(g))
+        assert "ir-no-semantics" not in _ids(verify_graph(g))
 
     def test_unknown_reduce_op_has_no_semantics(self):
         g = DataflowGraph(name="g")
@@ -338,7 +260,7 @@ class TestShapeChecks:
         r = g.add("reduce", preds=[inp], name="r", width=4,
                   reduce_op="median")
         g.add("output", preds=[r], name="y", width=1)
-        assert "ir-no-semantics" in _ids(_verify(g, probe=False))
+        assert "ir-no-semantics" in _ids(verify_graph(g, probe=False))
 
 
 class TestProbeChecks:
@@ -346,23 +268,23 @@ class TestProbeChecks:
         g = _chain_graph()
         g.nodes[1].fn = lambda x: np.asarray(x)
         g.nodes[1].batch_fn = lambda x: np.asarray(x)[:, :, None]  # 3-D
-        assert "ir-non-2d" in _ids(_verify(g))
+        assert "ir-non-2d" in _ids(verify_graph(g))
 
     def test_probe_width_trigger(self):
         g = _chain_graph()
         g.nodes[1].fn = lambda x: np.asarray(x)[..., :2]
         g.nodes[1].batch_fn = lambda x: np.asarray(x)[..., :2]
-        assert "ir-probe-width" in _ids(_verify(g))  # declares 4, emits 2
+        assert "ir-probe-width" in _ids(verify_graph(g))  # declares 4, emits 2
 
     def test_batch_divergence_trigger(self):
         g = _chain_graph()
         g.nodes[1].batch_fn = lambda x: _rt(x) + 0.0625  # one LSB off
-        assert "ir-batch-divergence" in _ids(_verify(g))
+        assert "ir-batch-divergence" in _ids(verify_graph(g))
 
     def test_fixpoint_drift_trigger(self):
         g = _chain_graph()
         g.nodes[1].fn = g.nodes[1].batch_fn = lambda x: np.asarray(x) + 1e-4
-        diags = _verify(g)
+        diags = verify_graph(g)
         assert "ir-fixpoint-drift" in _ids(diags)
         assert worst_severity(diags) == Severity.WARNING
 
@@ -372,7 +294,7 @@ class TestProbeChecks:
 
         g = _chain_graph()
         g.nodes[1].fn = g.nodes[1].batch_fn = boom
-        assert "ir-probe-failure" in _ids(_verify(g))
+        assert "ir-probe-failure" in _ids(verify_graph(g))
 
     def test_probe_skipped_on_structural_errors(self):
         def boom(x):
@@ -380,8 +302,8 @@ class TestProbeChecks:
 
         g = _chain_graph()
         g.nodes[1].fn = g.nodes[1].batch_fn = boom
-        g.nodes[1].preds.append(99)  # structural error disables the probe
-        assert "ir-probe-failure" not in _ids(_verify(g))
+        g.add("map", name="orphan", width=4, chain_ops=1, fn=_rt, batch_fn=_rt)
+        assert "ir-probe-failure" not in _ids(verify_graph(g))  # ir-orphan gates it
 
     def test_probe_flag_disables(self):
         def boom(x):
@@ -389,7 +311,7 @@ class TestProbeChecks:
 
         g = _chain_graph()
         g.nodes[1].fn = g.nodes[1].batch_fn = boom
-        assert "ir-probe-failure" not in _ids(_verify(g, probe=False))
+        assert "ir-probe-failure" not in _ids(verify_graph(g, probe=False))
 
 
 class TestKernelProbe:
@@ -412,7 +334,7 @@ class TestKernelProbe:
 
     @staticmethod
     def _divergences(graph):
-        return [d for d in _verify(graph) if d.check_id == "ir-batch-divergence"]
+        return [d for d in verify_graph(graph) if d.check_id == "ir-batch-divergence"]
 
     def test_faithful_kernel_is_clean(self):
         assert not self._divergences(self._lstm_with(lambda f, out, state: out))
@@ -448,78 +370,6 @@ class TestKernelProbe:
 
         (diag,) = self._divergences(self._lstm_with(mutate))
         assert "state['c']" in diag.message
-
-
-class TestBudgetChecks:
-    def test_mu_overflow_trigger(self):
-        diags = _verify(_heavy_graph(16384 * (CFG.n_mus + 10)), probe=False)
-        assert "budget-mu-overflow" in _ids(diags)
-        assert worst_severity(diags) == Severity.ERROR
-
-    def test_mu_within_budget_clean(self):
-        diags = _verify(_heavy_graph(16384 * 2), probe=False)
-        assert "budget-mu-overflow" not in _ids(diags)
-
-    def test_cu_fold_and_line_rate_trigger(self):
-        g = DataflowGraph(name="g")
-        inp = g.add("input", name="x", width=4)
-        m = g.add("map", preds=[inp], name="wide", width=4, chain_ops=1,
-                  parallel=4 * CFG.n_cus, fn=_rt, batch_fn=_rt)
-        g.add("output", preds=[m], name="y", width=4)
-        diags = _verify(g, probe=False)
-        assert {"budget-cu-fold", "budget-line-rate"} <= _ids(diags)
-        assert worst_severity(diags) == Severity.INFO  # advisory only
-
-    def test_config_stream_trigger(self):
-        assert "budget-config-stream" in _ids(
-            _verify(_heavy_graph(70_000), probe=False)
-        )
-
-    def test_budgets_skipped_without_config(self):
-        diags = verify_graph(
-            _heavy_graph(16384 * (CFG.n_mus + 10)), probe=False
-        )
-        assert not any(d.check_id.startswith("budget-") for d in diags)
-
-
-class _App:
-    """Duck-typed FabricApp stand-in (name + graph is the contract)."""
-
-    def __init__(self, name, graph):
-        self.name = name
-        self.graph = graph
-
-
-class TestFabricChecks:
-    def test_duplicate_app_trigger(self):
-        apps = [_App("a", _chain_graph()), _App("a", _chain_graph())]
-        assert "fabric-duplicate-app" in _ids(verify_fabric(apps))
-
-    def test_distinct_apps_clean(self):
-        apps = [_App("a", _chain_graph()), _App("b", _chain_graph())]
-        assert verify_fabric(apps, config=CFG) == []
-
-    def test_state_overlap_trigger(self):
-        def build():
-            g = DataflowGraph(name="g", temporal_iterations=2)
-            inp = g.add("input", name="x", width=4)
-            fn = _stateful("h")
-            m = g.add("map", preds=[inp], name="m", width=4, chain_ops=1,
-                      fn=fn, batch_fn=fn)
-            g.add("output", preds=[m], name="y", width=4)
-            return g
-
-        diags = verify_fabric([_App("a", build()), _App("b", build())])
-        overlap = [d for d in diags if d.check_id == "fabric-state-overlap"]
-        assert overlap and all(d.severity == Severity.INFO for d in overlap)
-
-    def test_mu_residency_trigger(self):
-        per_app = 16384 * (CFG.n_mus // 2 + 3)  # 2 apps -> over budget
-        apps = [
-            _App("a", _heavy_graph(per_app)),
-            _App("b", _heavy_graph(per_app)),
-        ]
-        assert "fabric-mu-residency" in _ids(verify_fabric(apps, config=CFG))
 
 
 FORK_CLEAN = '''
@@ -585,9 +435,9 @@ class TestForkLint:
         assert lint_source(src) == []
 
     def test_unbounded_close_join_trigger(self):
-        src = "def close(self):\n    self._t.join()\n"
-        diags = lint_source(src)
-        assert _ids(diags) == {"rt-unbounded-close-join"}
+        # A close path gets no exemption: an untimed join is an unbounded wait.
+        diags = lint_source("def close(self):\n    self._t.join()\n")
+        assert _ids(diags) == {"rt-unbounded-recv"}
         assert diags[0].severity == Severity.WARNING
 
     def test_bounded_join_clean(self):
@@ -631,28 +481,6 @@ class TestForkLint:
         src = "def close(self):\n    return ', '.join(['a'])\n"
         assert lint_source(src) == []
 
-    def test_fork_under_lock_with_trigger(self):
-        src = (
-            "import os, sys\n"
-            "def f(lock):\n"
-            "    sys.stdout.flush()\n"
-            "    with lock:\n"
-            "        pid = os.fork()\n"
-            "    os._exit(0)\n"
-        )
-        assert "rt-fork-under-lock" in _ids(lint_source(src))
-
-    def test_fork_under_acquire_trigger(self):
-        src = (
-            "import os, sys\n"
-            "def f(mutex):\n"
-            "    sys.stdout.flush()\n"
-            "    mutex.acquire()\n"
-            "    pid = os.fork()\n"
-            "    os._exit(0)\n"
-        )
-        assert "rt-fork-under-lock" in _ids(lint_source(src))
-
     def test_noqa_listed_suppression(self):
         src = (
             "import os, sys\n"
@@ -670,7 +498,7 @@ class TestForkLint:
 
     def test_noqa_other_id_does_not_suppress(self):
         src = "def close(self):\n    self._t.join()  # noqa: rt-fork-flush\n"
-        assert "rt-unbounded-close-join" in _ids(lint_source(src))
+        assert "rt-unbounded-recv" in _ids(lint_source(src))
 
     def test_import_alias_resolution(self):
         src = (
@@ -705,82 +533,6 @@ class TestForkLint:
         assert lint_paths([runtime_dir]) == []
 
 
-class TestLockOrderLint:
-    """rt-lock-order: inconsistent lock-acquisition orders across functions."""
-
-    INVERTED = (
-        "def f(a_lock, b_lock):\n"
-        "    with a_lock:\n"
-        "        with b_lock:\n"
-        "            pass\n"
-        "def g(a_lock, b_lock):\n"
-        "    with b_lock:\n"
-        "        with a_lock:\n"
-        "            pass\n"
-    )
-
-    def test_inversion_trigger(self):
-        diags = [
-            d for d in lint_source(self.INVERTED)
-            if d.check_id == "rt-lock-order"
-        ]
-        assert len(diags) == 1
-        # Reported once, at the later of the two orderings, naming both.
-        assert diags[0].line == 7
-        assert "f()" in diags[0].message and "g()" in diags[0].message
-
-    def test_consistent_order_clean(self):
-        src = (
-            "def f(a_lock, b_lock):\n"
-            "    with a_lock:\n"
-            "        with b_lock:\n"
-            "            pass\n"
-            "def g(a_lock, b_lock):\n"
-            "    with a_lock:\n"
-            "        with b_lock:\n"
-            "            pass\n"
-        )
-        assert lint_source(src) == []
-
-    def test_multi_item_with_records_order(self):
-        # `with a, b:` acquires left to right — inverting it elsewhere
-        # is the same deadlock.
-        src = (
-            "def f(a_lock, b_lock):\n"
-            "    with a_lock, b_lock:\n"
-            "        pass\n"
-            "def g(a_lock, b_lock):\n"
-            "    with b_lock:\n"
-            "        with a_lock:\n"
-            "            pass\n"
-        )
-        assert "rt-lock-order" in _ids(lint_source(src))
-
-    def test_non_lock_names_ignored(self):
-        src = (
-            "def f(conn, handle):\n"
-            "    with conn:\n"
-            "        with handle:\n"
-            "            pass\n"
-            "def g(conn, handle):\n"
-            "    with handle:\n"
-            "        with conn:\n"
-            "            pass\n"
-        )
-        assert lint_source(src) == []
-
-    def test_single_lock_never_flagged(self):
-        src = (
-            "def f(a_lock):\n"
-            "    with a_lock:\n"
-            "        pass\n"
-            "def g(a_lock):\n"
-            "    with a_lock:\n"
-            "        pass\n"
-        )
-        assert lint_source(src) == []
-
-
 class TestCLI:
     """``python -m repro.analysis`` in paths mode (the shipped-graph
     battery is exercised by the CI lint job itself, not re-trained here)."""
@@ -804,19 +556,6 @@ class TestCLI:
         assert "[rt-fork-flush]" in out
         assert "snippet.py:3" in out
 
-    def test_suppress_flag(self, tmp_path):
-        from repro.analysis.__main__ import main
-
-        src = "import os\ndef f():\n    pid = os.fork()\n    os._exit(0)\n"
-        path = self._write(tmp_path, src)
-        assert main([path, "--suppress", "rt-fork-flush"]) == 0
-
-    def test_unknown_suppress_rejected(self, tmp_path):
-        from repro.analysis.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--suppress", "not-a-check"])
-
     def test_list_checks(self, capsys):
         from repro.analysis.__main__ import main
 
@@ -825,54 +564,27 @@ class TestCLI:
         for check_id in CHECKS:
             assert check_id in out
 
-    def test_json_findings(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
-        src = "import os\ndef f():\n    pid = os.fork()\n    os._exit(0)\n"
-        assert main([self._write(tmp_path, src), "--format=json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["summary"]["exit_code"] == 1
-        assert doc["summary"]["total"] == len(doc["findings"])
-        flush = next(
-            f for f in doc["findings"] if f["check_id"] == "rt-fork-flush"
-        )
-        assert flush["category"] == "fork-safety"
-        assert flush["severity"] == "error"
-        assert flush["line"] == 3
-        assert flush["source"].endswith("snippet.py")
-
-    def test_json_clean_is_empty_report(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
-        assert main([self._write(tmp_path, FORK_CLEAN), "--format=json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["findings"] == []
-        assert doc["summary"] == {
-            "total": 0, "error": 0, "warning": 0, "info": 0, "exit_code": 0,
-        }
-
-
 class TestShippedGraphsClean:
     """The CI gate's contract: zero warning+ findings on shipped graphs."""
 
     def test_dnn_graph_clean(self, quantized_dnn):
         from repro.mapreduce import dnn_graph
 
-        assert worst_severity(_verify(dnn_graph(quantized_dnn))) in (
+        assert worst_severity(verify_graph(dnn_graph(quantized_dnn))) in (
             None, Severity.INFO,
         )
 
     def test_svm_graph_clean(self, trained_svm):
         from repro.mapreduce import svm_graph
 
-        diags = _verify(svm_graph(trained_svm))
+        diags = verify_graph(svm_graph(trained_svm))
         assert "ir-fixpoint-drift" not in _ids(diags)  # bias is on-grid
         assert worst_severity(diags) in (None, Severity.INFO)
 
     def test_kmeans_graph_clean(self, trained_kmeans):
         from repro.mapreduce import kmeans_graph
 
-        assert worst_severity(_verify(kmeans_graph(trained_kmeans))) in (
+        assert worst_severity(verify_graph(kmeans_graph(trained_kmeans))) in (
             None, Severity.INFO,
         )
 
@@ -889,7 +601,7 @@ class TestShippedGraphsClean:
             activation_graph("act_lut"),
             conv1d_graph(unroll=8),
         ):
-            assert worst_severity(_verify(g)) in (None, Severity.INFO), g.name
+            assert worst_severity(verify_graph(g)) in (None, Severity.INFO), g.name
 
 
 class TestFrontendIntegration:
@@ -956,7 +668,7 @@ class TestPropertyCleanGraphsExecute:
     @given(width=st.integers(2, 8), ops=_OPS, seed=st.integers(0, 2**16))
     def test_verifier_clean_graphs_execute(self, width, ops, seed):
         g = _random_graph(width, ops)
-        assert _verify(g) == []  # clean by construction
+        assert verify_graph(g) == []  # clean by construction
 
         rng = np.random.default_rng(seed)
         features = FIX8.roundtrip(rng.uniform(-2, 2, size=(4, width)))
@@ -971,8 +683,7 @@ class TestPropertyCleanGraphsExecute:
         width=st.integers(2, 8),
         ops=_OPS,
         defect=st.sampled_from(
-            ["gather-width", "no-semantics", "dead-node", "no-output",
-             "dangling-pred", "drift"]
+            ["gather-width", "no-semantics", "dead-node", "no-output", "drift"]
         ),
     )
     def test_seeded_defects_are_caught(self, width, ops, defect):
@@ -984,7 +695,6 @@ class TestPropertyCleanGraphsExecute:
             "no-semantics": "ir-no-semantics",
             "dead-node": "ir-dead-node",
             "no-output": "ir-no-output",
-            "dangling-pred": "ir-malformed-io",
             "drift": "ir-fixpoint-drift",
         }[defect]
 
@@ -999,8 +709,6 @@ class TestPropertyCleanGraphsExecute:
                   chain_ops=1, fn=_rt, batch_fn=_rt)
         elif defect == "no-output":
             del g.nodes[out.node_id]
-        elif defect == "dangling-pred":
-            victim.preds.append(4096)
         elif defect == "drift":
             # Seed at the *last* hop: a downstream roundtrip would erase
             # off-grid leakage before it reaches the output.
@@ -1009,7 +717,7 @@ class TestPropertyCleanGraphsExecute:
                       width=out.width, chain_ops=1, fn=bad, batch_fn=bad)
             out.preds = [m.node_id]
 
-        assert expected in _ids(_verify(g)), defect
+        assert expected in _ids(verify_graph(g)), defect
 
 
 # ----------------------------------------------------------------------
@@ -1024,28 +732,6 @@ def _ranged_graph(value_range, *, transfer="roundtrip", payload=None,
               fn=fn, batch_fn=fn, transfer=transfer,
               payload=payload or {}, waivers=waivers)
     g.add("output", preds=[m], name="y", width=width)
-    return g
-
-
-def _dot_graph(value_range, weights, fmt):
-    """input -> dot(resident bank) -> output with a dot transfer."""
-    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-
-    def fn(x):
-        return fmt.roundtrip(
-            (np.asarray(x, dtype=np.float64)[..., None, :] * w).sum(axis=-1)
-        )
-
-    g = DataflowGraph(name="dotted")
-    inp = g.add("input", name="x", width=w.shape[1],
-                value_range=value_range)
-    bank = g.add("const", name="w", weight_values=int(w.size),
-                 payload={"values": w})
-    d = g.add("dot", preds=[inp, bank], name="d", parallel=1,
-              width=w.shape[1], chain_ops=1, reduce_op="sum",
-              fn=fn, batch_fn=fn, transfer="dot",
-              payload={"weights": w, "fmt": fmt})
-    g.add("output", preds=[d], name="y", width=w.shape[0])
     return g
 
 
@@ -1136,17 +822,6 @@ class TestRangeChecks:
         assert report.interval_of("x") == TOP
         assert "an-may-saturate" in _ids(report.diagnostics)
 
-    def test_acc_overflow_trigger(self):
-        # |W|·2^16 · |x|·2^16 exceeds int64: the wide MAC would wrap.
-        g = _dot_graph((-30000.0, 30000.0), np.full((1, 4), 32000.0), FIX32)
-        assert "an-acc-overflow" in _ids(analyze_ranges(g).diagnostics)
-
-    def test_acc_overflow_clean(self):
-        g = _dot_graph((-1.0, 1.0), np.full((1, 4), 0.25), FIX32)
-        report = analyze_ranges(g)
-        assert report.diagnostics == []
-        assert report.interval_of("d") == Interval(-1.0, 1.0)
-
     def test_lut_oob_trigger(self):
         g = _ranged_graph(
             (-4.0, 4.0), transfer="lut",
@@ -1163,25 +838,6 @@ class TestRangeChecks:
         assert report.diagnostics == []
         assert report.interval_of("m") == Interval(0.0, 1.0)
 
-    def test_narrowable_info(self):
-        fmt = FIX16.with_frac_bits(4)  # Q11.4: +/-0.4 fits 8 bits
-        report = analyze_ranges(
-            _ranged_graph((-0.4, 0.4), payload={"fmt": fmt},
-                          fn=fmt.roundtrip)
-        )
-        narrow = [d for d in report.diagnostics
-                  if d.check_id == "an-narrowable"]
-        assert len(narrow) == 1 and narrow[0].severity == Severity.INFO
-        assert "8 bits" in narrow[0].message
-
-    def test_narrowable_clean_when_width_is_used(self):
-        fmt = FIX16.with_frac_bits(4)
-        report = analyze_ranges(
-            _ranged_graph((-1000.0, 1000.0), payload={"fmt": fmt},
-                          fn=fmt.roundtrip)
-        )
-        assert report.diagnostics == []
-
     def test_waiver_downgrades_to_info(self):
         fmt = FIX8.with_frac_bits(6)
         report = analyze_ranges(
@@ -1194,13 +850,6 @@ class TestRangeChecks:
         assert len(sat) == 1
         assert sat[0].severity == Severity.INFO
         assert "waived at lowering" in sat[0].message
-
-    def test_suppress_drops_findings(self):
-        fmt = FIX8.with_frac_bits(6)
-        g = _ranged_graph((-4.0, 4.0), payload={"fmt": fmt},
-                          fn=fmt.roundtrip)
-        report = analyze_ranges(g, suppress={"an-may-saturate"})
-        assert report.diagnostics == []
 
     def test_unknown_transfer_rejected(self):
         g = _ranged_graph((-1.0, 1.0), transfer="no-such-transfer")
@@ -1339,8 +988,6 @@ class TestRangeSoundness:
         corpus = [
             (_ranged_graph((-4.0, 4.0), payload={"fmt": narrow},
                            fn=narrow.roundtrip), "an-may-saturate"),
-            (_dot_graph((-30000.0, 30000.0), np.full((1, 4), 32000.0),
-                        FIX32), "an-acc-overflow"),
             (_ranged_graph((-4.0, 4.0), transfer="lut",
                            payload={"domain": (-2.0, 2.0),
                                     "range": (0.0, 1.0)}), "an-lut-oob"),

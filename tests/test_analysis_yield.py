@@ -15,15 +15,21 @@ A row with ``missed=`` is a bug the analyser does not see: it asserts that
 **nothing** of warning severity fires, so it flips loudly the day something
 starts catching it.  ``missed`` names the tier-1 test that fails on the
 mutant instead (run by hand when the row was seeded), or says that nothing
-does — those are ROADMAP items 4 / 6's first customers.  This file only
-measures; it adds, changes and deletes no check.
+does — those are ROADMAP item 4's first customers.
 
-Two seeded edits turned out to be equivalent mutants and are not rows:
-``activation_graph.clip_addr`` removed (Q3.4 cannot leave +-8), and SVM
+The table is also the catalog's admission rule: every check in ``CHECKS``
+must be fired by some row (``test_every_check_catches_a_seeded_bug``), so
+a check nothing here catches is deleted, not kept.
+
+Three seeded edits turned out to be equivalent mutants and are not rows:
+``activation_graph.clip_addr`` removed (Q3.4 cannot leave +-8); SVM
 ``scale_gamma``'s *callable* widened to clip at -16 without declaring it
 (``exp(-8)`` already rounds to 0 in Q3.4) — ``ranges.py`` reads a node's
 declared payload, never its callable, so only the declared twin of that
-edit (``svm-declared-clip``) is visible to it.
+edit (``svm-declared-clip``) is visible to it; and the DNN output declared
+``width=cursor.width`` (a historical bug: a bare one-unit dot's width is
+its fan-in), which on the shipped DNN is its one-unit sigmoid map, so the
+width is right.
 """
 
 import types
@@ -40,7 +46,6 @@ from repro.analysis import (
     lint_source,
     verify_graph,
 )
-from repro.core import TaurusConfig
 from repro.ml import indigo_lstm
 
 SRC = Path(repro.__file__).resolve().parent
@@ -53,6 +58,8 @@ ACK = ("with self.cv:\n            entry = self.pending.popleft()\n"
 GATE = ("            while len(run.pending) >= run.pool.window and not self.dead:\n"
         "                run.cv.wait(0.05)\n")
 CLIPPED_GATES = "w_gates = fmt.roundtrip(np.clip(lstm.w_gates, fmt.min_value, fmt.max_value))"
+SQ_DIST = "np.sum((xq[:, None, :] - bank[None, :, :]) ** 2, axis=-1)"
+KMEANS_OUT = '    graph.add("output", preds=[nearest], name="cluster", width=1)\n'
 
 
 def row(name, file, old, new, *fires, lowering=None, missed=None):
@@ -70,7 +77,7 @@ ROWS = [
         'yield ("chunk", ', 'yield ("chunk2", ', "rt-frame-unconsumed"),
     row("ack-pops-outside-cv", "runtime/pool.py", ACK,
         "entry = self.pending.popleft()\n        with self.cv:\n            self.cv.notify_all()\n",
-        "rt-ack-window-order", "rt-racy-field"),
+        "rt-racy-field"),
     row("ack-notifies-outside-cv", "runtime/pool.py", ACK,
         "with self.cv:\n            entry = self.pending.popleft()\n        self.cv.notify_all()\n",
         "rt-cv-notify-unheld"),
@@ -79,19 +86,19 @@ ROWS = [
     row("window-append-outside-cv", "runtime/pool.py",
         "            run.pending.append((ordinal, kind, payload))",
         "        run.pending.append((ordinal, kind, payload))",
-        "rt-ack-window-order", "rt-racy-field"),
+        "rt-racy-field"),
     row("window-wait-if-not-while", "runtime/pool.py",
         "while len(run.pending) >= run.pool.window", "if len(run.pending) >= run.pool.window",
         "rt-cv-wait-no-predicate"),
     row("supervise-head-outside-cv", "runtime/pool.py",
         "with run.cv:\n                        head = (",
         "if True:\n                        head = (",
-        "rt-ack-window-order", "rt-racy-field"),
+        "rt-racy-field"),
     row("slot-queue-unbounded", "runtime/pool.py",
         "queue.Queue(maxsize=_SLOT_QUEUE_DEPTH)", "queue.Queue()", "rt-unbounded-queue"),
     row("slot-close-bare-join", "runtime/pool.py",
         "self._writer.join(max(0.0, deadline - time.monotonic()))\n        if self._writer",
-        "self._writer.join()\n        if self._writer", "rt-unbounded-close-join"),
+        "self._writer.join()\n        if self._writer", "rt-unbounded-recv"),
     row("slot-recv-without-deadline", "runtime/pool.py",
         "return self.worker.recv(hang_timeout)", "return self.worker.recv()", "rt-unbounded-recv"),
     row("fork-without-flushes", "runtime/executors.py",
@@ -101,16 +108,24 @@ ROWS = [
     row("fork-parent-keeps-request-read", "runtime/executors.py",
         "        os.close(request_read)\n        os.close(response_write)",
         "        os.close(response_write)", "rt-pipe-ownership"),
-    # rt-ack-window-order: the analyser takes the latency deques for ack windows.
     row("service-delivers-unlocked", "runtime/service.py",
         "with self._lock:\n                self._deliver(waiting.pop(index)",
         "if True:\n                self._deliver(waiting.pop(index)",
-        "rt-racy-field", "rt-ack-window-order"),
+        "rt-racy-field"),
     row("service-close-notifies-unheld", "runtime/service.py",
         "            self._work.notify_all()\n            thread = self._thread\n"
         "            self._thread = None\n",
         "            thread = self._thread\n            self._thread = None\n"
         "        self._work.notify_all()\n", "rt-cv-notify-unheld"),
+    # ``_pop_batch`` is only ever called under ``_dispatch_lock``, but
+    # ``submit`` and the delivery path touch the queues under ``_lock``.
+    row("pop-batch-trusts-dispatch-lock", "runtime/service.py",
+        "        with self._lock:\n            now = self.clock()",
+        "        if True:\n            now = self.clock()", "rt-lockset-inconsistent"),
+    # ``pump`` holds _dispatch_lock and takes _lock inside ``_pop_batch``.
+    row("service-close-lock-order", "runtime/service.py",
+        "with self._lock:\n            self._closed = True",
+        "with self._lock, self._dispatch_lock:\n            self._closed = True", "rt-lock-order"),
     # ---- caught, mapreduce/frontend.py -----------------------------------
     row("lstm-kernel-state-key", FRONTEND, 'state["h"], state["c"] = fmt.dequantize',
         'state["h"], state["cell"] = fmt.dequantize', "ir-batch-divergence", lowering="lstm"),
@@ -131,6 +146,33 @@ ROWS = [
         "ir-dead-node", "ir-batch-divergence", lowering="dnn"),
     row("svm-declared-clip", FRONTEND, '"clip": (-8.0, 0.0)', '"clip": (-16.0, 0.0)',
         "an-lut-oob", lowering="svm"),
+    row("lstm-read-h-caches-into-state", FRONTEND,
+        '        return state.get("h", np.zeros((x.shape[0], hidden)))',
+        '        state["h"] = state.get("h", np.zeros((x.shape[0], hidden)))\n        return state["h"]',
+        "ir-state-collision", lowering="lstm"),
+    row("lstm-cell-update-loses-wants-state", FRONTEND, "    cell_update.wants_state = True\n", "",
+        "ir-width-mismatch", lowering="lstm"),
+    # The head dot is the one the lowering does not waive.
+    row("lstm-head-weights-x40-unclipped", FRONTEND,
+        "w_out = fmt.roundtrip(np.clip(lstm.w_out, fmt.min_value, fmt.max_value))",
+        "w_out = fmt.roundtrip(lstm.w_out * 40.0)", "an-may-saturate", lowering="lstm"),
+    # Historical: the SVM lowering shipped this bias until the verifier landed.
+    row("svm-bias-raw-float", FRONTEND, "bias = float(fmt.roundtrip(svm.bias))",
+        "bias = float(svm.bias)", "ir-fixpoint-drift", lowering="svm"),
+    row("svm-scale-gamma-loses-fn", FRONTEND, "        fn=scale_gamma,\n        batch_fn=scale_gamma,\n",
+        "", "ir-no-semantics", lowering="svm"),
+    row("svm-scale-gamma-loses-preds", FRONTEND, '        preds=[gathered],\n        name="scale_gamma",',
+        '        name="scale_gamma",', "ir-orphan", lowering="svm"),
+    # Both interpreter paths agree on the wrong (B, k, dim) distances.
+    row("kmeans-distance-drops-sum", FRONTEND, SQ_DIST, "(xq[:, None, :] - bank[None, :, :]) ** 2",
+        "ir-non-2d", lowering="kmeans"),
+    row("kmeans-distance-sums-over-centroids", FRONTEND, SQ_DIST, SQ_DIST.replace("-1)", "1)"),
+        "ir-probe-width", lowering="kmeans"),
+    row("kmeans-forgets-output", FRONTEND, KMEANS_OUT, "", "ir-no-output", lowering="kmeans"),
+    # execute() returns one of the two; the other is silently dropped.
+    row("kmeans-exports-distances-too", FRONTEND, KMEANS_OUT,
+        KMEANS_OUT + '    graph.add("output", preds=[gathered], name="distances", width=k)\n',
+        "ir-multi-output", lowering="kmeans"),
     # ---- missed by the analyser, caught by the tests that own the code ---
     row("window-gate-deleted", "runtime/pool.py", GATE, "",
         missed="tests/test_serving.py::TestBatchEqualsOneAtATime"
@@ -145,12 +187,6 @@ ROWS = [
         missed="tests/test_mapreduce_batch.py::TestLstmFixedPointEdges"
                "::test_gate_ties_round_half_to_even"),
     # ---- missed by both: known misses ------------------------------------
-    # ``pump`` holds _dispatch_lock and takes _lock inside ``_pop_batch``: a real
-    # AB/BA inversion, but rt-lock-order pairs only ``with`` blocks nested in
-    # one function, so an inversion across a call passes.
-    row("service-close-lock-order", "runtime/service.py",
-        "with self._lock:\n            self._closed = True",
-        "with self._lock, self._dispatch_lock:\n            self._closed = True", missed=NOTHING),
     # Heartbeat and response frames can interleave on the pipe.
     row("serve-sends-without-tx-lock", "runtime/executors.py",
         "with tx_lock:\n                write_frame(tx, blob)",
@@ -167,8 +203,9 @@ ROWS = [
 
 
 @pytest.fixture(scope="module")
-def models(quantized_dnn, trained_svm):
-    return {"dnn": quantized_dnn, "svm": trained_svm, "lstm": indigo_lstm(seed=0)}
+def models(quantized_dnn, trained_svm, trained_kmeans):
+    return {"dnn": quantized_dnn, "svm": trained_svm, "kmeans": trained_kmeans,
+            "lstm": indigo_lstm(seed=0)}
 
 
 def _runtime_findings(edited: dict[str, str]) -> list:
@@ -195,7 +232,7 @@ def _graph_findings(text: str, lowering: str, models) -> list:
         # The lowering's own ``_verified`` gate: its message lists the findings;
         # a catalog spec carries the id and severity ``_fired`` reads.
         return [spec for check, spec in CHECKS.items() if f"[{check}]" in str(refused)]
-    return verify_graph(graph, config=TaurusConfig()) + analyze_ranges(graph).diagnostics
+    return verify_graph(graph) + analyze_ranges(graph).diagnostics
 
 
 def _fired(findings) -> set[str]:
@@ -225,7 +262,11 @@ def test_unedited_sources_are_clean(models):
 
 
 def test_totals():
-    """24 caught by the analyser, 3 more by the tests that own the code, 4 by nothing."""
+    """36 caught by the analyser, 3 more by the tests that own the code, 3 by nothing."""
     missed = [param.values[5] for param in ROWS]
     by_nothing, by_analyser = missed.count(NOTHING), missed.count(None)
-    assert (by_analyser, len(ROWS) - by_analyser - by_nothing, by_nothing) == (24, 3, 4)
+    assert (by_analyser, len(ROWS) - by_analyser - by_nothing, by_nothing) == (36, 3, 3)
+
+
+def test_every_check_catches_a_seeded_bug():
+    assert set().union(*(param.values[3] for param in ROWS)) == set(CHECKS)
