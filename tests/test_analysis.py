@@ -17,6 +17,7 @@ from repro.analysis import (
     TOP,
     Interval,
     Severity,
+    analyze_concurrency_sources,
     analyze_ranges,
     lint_source,
     verify_graph,
@@ -531,6 +532,49 @@ class TestForkLint:
 
         runtime_dir = Path(repro.runtime.__file__).parent
         assert lint_paths([runtime_dir]) == []
+
+
+class TestLockOrderLint:
+    """rt-lock-order on free functions whose lock-named parameters carry no
+    class; the class-based fixtures are ``tests/test_concurrency_analysis.py``."""
+
+    @staticmethod
+    def _lock_order(src):
+        return [
+            d for d in analyze_concurrency_sources([("snippet.py", src)])
+            if d.check_id == "rt-lock-order"
+        ]
+
+    def test_inversion_trigger(self):
+        diags = self._lock_order(
+            "def f(a_lock, b_lock):\n"
+            "    with a_lock:\n"
+            "        with b_lock:\n"
+            "            pass\n"
+            "def g(a_lock, b_lock):\n"
+            "    with b_lock:\n"
+            "        with a_lock:\n"
+            "            pass\n"
+        )
+        assert len(diags) == 1
+        # Reported once, at the later of the two orderings, naming both.
+        assert diags[0].line == 7
+        assert "f()" in diags[0].message and "g()" in diags[0].message
+
+    def test_multi_item_with_records_order(self):
+        # `with a, b:` acquires left to right — inverting it elsewhere
+        # is the same deadlock.
+        diags = self._lock_order(
+            "def f(a_lock, b_lock):\n"
+            "    with a_lock, b_lock:\n"
+            "        pass\n"
+            "def g(a_lock, b_lock):\n"
+            "    with b_lock:\n"
+            "        with a_lock:\n"
+            "            pass\n"
+        )
+        assert len(diags) == 1
+        assert "f()" in diags[0].message and "g()" in diags[0].message
 
 
 class TestCLI:
