@@ -16,20 +16,19 @@ every catalog entry is fired by a seeded bug in
   contract, and fixed-point format drift.  Every lowering gates on its
   structural half (``frontend._verified``); budgets are
   ``compile_graph``'s (``BudgetError``).
-* :func:`lint_source` / :func:`lint_paths` — an AST-based fork-safety
-  lint for runtime sources (flush before fork, ``os._exit`` in forked
-  children, pipe-fd ownership, unbounded waits and queues).
 * :func:`analyze_ranges` — an abstract interpreter proving per-node
   value intervals (in raw fixed-point units) through every graph:
   saturation and LUT domain-coverage warnings, with per-node waivers for
   saturation that is the quantization scheme by design.
-* :func:`analyze_concurrency` — a CFG-based interprocedural lockset
-  analysis over the runtime sources: thread entry-point discovery,
-  per-statement must-locksets through helper calls and aliasing, race
-  verdicts (``rt-racy-field``, ``rt-lockset-inconsistent``), lock-order
-  inversions (``rt-lock-order``), condition-variable discipline
-  (``rt-cv-wait-no-predicate``, ``rt-cv-notify-unheld``), and the framed
-  pipe protocol (``rt-frame-unconsumed``, ``rt-ack-window-order``).
+* :func:`analyze_concurrency` — one pass over the runtime sources: one
+  parse, a CFG-based interprocedural lockset analysis (thread entry-point
+  discovery, per-statement must-locksets through helper calls, race
+  verdicts, lock-order inversions, condition-variable discipline), the
+  framed pipe protocol, and the per-function fork-safety checks (flush
+  before fork, ``os._exit`` in forked children, pipe-fd ownership,
+  unbounded waits and queues).  Types are read from annotations and
+  constructor calls, never propagated, so an unannotated value is
+  untyped.
 
 Everything surfaces as :class:`Diagnostic` records with stable check IDs
 (see :data:`CHECKS`), severities, and node/line provenance.  The CLI —
@@ -40,7 +39,6 @@ app graphs and the runtime sources and is wired into CI as a lint gate
 
 from .concurrency import analyze_concurrency, analyze_concurrency_sources
 from .diagnostics import CHECKS, CheckSpec, Diagnostic, Severity, worst_severity
-from .fork_lint import lint_paths, lint_source
 from .ir_verify import verify_graph
 from .ranges import TOP, Interval, RangeReport, analyze_ranges
 
@@ -55,8 +53,6 @@ __all__ = [
     "analyze_concurrency",
     "analyze_concurrency_sources",
     "analyze_ranges",
-    "lint_paths",
-    "lint_source",
     "verify_graph",
     "worst_severity",
 ]

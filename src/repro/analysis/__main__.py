@@ -2,9 +2,9 @@
 
 Verifies every shipped dataflow graph (structure, shapes, execution
 probe), runs the abstract-interpretation range/saturation analysis over
-each (per-node waivers are reported), and the runtime-source lints:
-fork-safety *and* the interprocedural lockset/protocol concurrency
-analysis (``repro.analysis.concurrency``).  Exit status is 0 when no
+each (per-node waivers are reported), and makes one pass over the
+runtime sources (``repro.analysis.concurrency``: fork safety, locksets,
+the pipe protocol).  Exit status is 0 when no
 finding of warning severity or above remains, 1 otherwise — which is
 exactly what CI's ``lint`` job checks.
 
@@ -14,7 +14,7 @@ Usage::
     python -m repro.analysis --format=sarif   # SARIF 2.1.0 (CI upload)
     python -m repro.analysis --list-checks    # the check catalog
     python -m repro.analysis -v               # also print info findings
-    python -m repro.analysis path/to/file.py  # lint sources instead
+    python -m repro.analysis path/to/file.py  # analyse sources instead
 
 The SARIF document carries the findings in SARIF 2.1.0 shape (one run,
 one rule per catalog check, physical file/line locations) so
@@ -30,7 +30,6 @@ from pathlib import Path
 
 from .concurrency import analyze_concurrency
 from .diagnostics import CHECKS, Severity
-from .fork_lint import lint_paths
 from .ir_verify import verify_graph
 from .ranges import analyze_ranges
 
@@ -55,12 +54,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static verification of shipped dataflow programs "
-        "and fork-safety lint of runtime sources.",
+        "and one analysis pass over runtime sources.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="Python files/directories to fork-lint instead of the "
+        help="Python files/directories to analyse instead of the "
         "default shipped battery",
     )
     parser.add_argument(
@@ -92,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             print(message, flush=True)
 
     if args.paths:
-        diags = lint_paths(args.paths) + analyze_concurrency(args.paths)
+        diags = analyze_concurrency(args.paths)
     else:
         from .catalog import shipped_graphs
 
@@ -103,9 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             diags += found
             progress(f"  {graph.name}: {_tally(found)}")
         runtime = _runtime_dir()
-        progress(f"fork-safety lint over {runtime} ...")
-        diags += lint_paths([runtime])
-        progress(f"concurrency analysis over {runtime} ...")
+        progress(f"runtime analysis over {runtime} ...")
         diags += analyze_concurrency([runtime])
 
     gating = [d for d in diags if d.severity >= Severity.WARNING]

@@ -1,11 +1,9 @@
-"""Shared AST infrastructure for source-level analyses: aliases, noqa,
-and a statement-level control-flow graph with a must-dataflow solver.
+"""AST groundwork for the runtime-source analysis: aliases, noqa, and a
+statement-level control-flow graph with a must-dataflow solver.
 
-Two analyses walk the runtime sources — :mod:`repro.analysis.fork_lint`
-(pattern lints) and :mod:`repro.analysis.concurrency` (interprocedural
-locksets) — and both need the same groundwork: import-alias resolution
+:mod:`repro.analysis.concurrency` needs import-alias resolution
 (``os.fork`` vs ``from os import fork as f``), per-line ``# noqa``
-suppression, and scope-respecting AST walks.  This module is that
+suppression, and scope-respecting AST walks; this module is that
 groundwork, plus the piece the lockset analysis is built on: a
 :class:`CFG` per function and :func:`must_fixpoint`, a forward dataflow
 solver whose join is set **intersection** — the meet of the lockset
@@ -16,15 +14,16 @@ The lattice contract matters enough to be tested on its own: ``TOP_SET``
 (the "every lock" top element, represented as ``None``) is the identity
 of :func:`join_must`, the meet is commutative/associative/idempotent,
 and the fixpoint is independent of worklist order — the hypothesis
-property tests drive :func:`solve_must` over randomly generated
-branch/merge graphs and check the solution equals the brute-force
-intersection over all paths.
+property tests drive :func:`must_fixpoint` over randomly generated
+branch/merge graphs of :class:`CFGNode` (worklist order varied by
+permuting successor lists) and check the solution equals the
+brute-force intersection over all paths.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "Aliases",
@@ -35,14 +34,13 @@ __all__ = [
     "function_body_nodes",
     "join_must",
     "must_fixpoint",
-    "solve_must",
     "suppressed",
     "terminal_name",
 ]
 
 
 # ----------------------------------------------------------------------
-# Alias / name helpers (shared with fork_lint)
+# Alias / name helpers
 # ----------------------------------------------------------------------
 class Aliases:
     """Best-effort import resolution: local name -> canonical dotted name."""
@@ -148,10 +146,6 @@ class CFGNode:
     def link(self, succ: "CFGNode") -> None:
         if succ not in self.succs:
             self.succs.append(succ)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        line = getattr(self.stmt, "lineno", "?")
-        return f"<CFGNode {self.kind}@{line}>"
 
 
 class CFG:
@@ -334,10 +328,7 @@ def must_fixpoint(
     work = [cfg.entry]
     while work:
         node = work.pop()
-        state = in_state.get(node, TOP_SET)
-        if state is TOP_SET:  # pragma: no cover - entry is always seeded
-            continue
-        out = transfer(node, state)
+        out = transfer(node, in_state[node])  # queued only once set
         for succ in node.succs:
             merged = join_must(in_state.get(succ, TOP_SET), out)
             if merged != in_state.get(succ, TOP_SET):
@@ -345,34 +336,3 @@ def must_fixpoint(
                 work.append(succ)
     return {n: s for n, s in in_state.items() if s is not TOP_SET}
 
-
-def solve_must(
-    succs: Mapping[Hashable, Iterable[Hashable]],
-    effects: Mapping[Hashable, tuple[frozenset, frozenset]],
-    entry: Hashable,
-    init: frozenset = frozenset(),
-    order: Sequence[Hashable] | None = None,
-) -> dict[Hashable, frozenset]:
-    """:func:`must_fixpoint` over an explicit graph (no AST needed).
-
-    ``effects[n] = (acquires, releases)`` is n's transfer;
-    ``order`` optionally biases worklist processing — the result must
-    not depend on it (the property the lattice tests pin).
-    Returns IN states for reachable nodes.
-    """
-    rank = {n: i for i, n in enumerate(order)} if order is not None else {}
-    in_state: dict[Hashable, frozenset | None] = {entry: frozenset(init)}
-    work = [entry]
-    while work:
-        if rank:
-            work.sort(key=lambda n: rank.get(n, 0), reverse=True)
-        node = work.pop()
-        state = in_state[node]
-        acquires, releases = effects.get(node, (frozenset(), frozenset()))
-        out = (state | acquires) - releases
-        for succ in succs.get(node, ()):
-            merged = join_must(in_state.get(succ, TOP_SET), out)
-            if merged != in_state.get(succ, TOP_SET):
-                in_state[succ] = merged
-                work.append(succ)
-    return {n: s for n, s in in_state.items() if s is not TOP_SET}

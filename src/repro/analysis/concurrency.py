@@ -1,69 +1,92 @@
-"""Lockset race detection + IPC protocol conformance for the runtime.
+"""One pass over the runtime sources: fork safety, locksets, the pipe protocol.
 
 The runtime is genuinely concurrent: per-shard supervisor threads gated
 on pending-window condition variables (``pool.py``), a child heartbeat
 thread sharing a tx lock with the request loop (``executors.py``), and a
 service whose admission and scoring paths deliberately take separate
-locks (``service.py``).  The fork-safety lint catches *patterns*; this
-module is a real interprocedural analysis over the same sources (every
-check here is fired by a seeded bug in ``tests/test_analysis_yield.py``):
+locks (``service.py``).  It also forks workers and wires pipe pairs.
+This module parses the sources once into one program model and runs
+every ``rt-*`` check over it (each is fired by a seeded bug in
+``tests/test_analysis_yield.py``):
 
-1. **Thread discovery.**  Every ``threading.Thread(target=...)`` call is
+1. **Types are read, never propagated.**  A value's type comes from an
+   annotation (a parameter, ``x: T = ...``, ``self.x: T = ...``, or a
+   resolvable callee's return annotation; ``T | None``, ``Optional[T]``
+   and string annotations read as ``T``), from a constructor call
+   (``Cls(...)``, ``threading.Lock()``, ``Condition(self._lock)``,
+   ``queue.Queue(...)``, ``deque(...)``), or from ``self.x = param`` with
+   ``param`` annotated.  Nothing else is typed: ``b = a.attr`` leaves
+   ``b`` untyped, and an untyped value is neither a lock nor a shared
+   field.  Where the analysis needs a type, the runtime carries an
+   annotation.
+
+2. **Thread discovery.**  Every ``threading.Thread(target=...)`` call is
    resolved to its target function (methods, nested functions, module
    functions).  Each spawned target roots an analysis context with role
    ``thread:<name>``; the public surface of each class roots a shared
    ``api:<Class>`` role (any caller thread), and helpers reached from
    neither become their own roots.
 
-2. **Locksets.**  A statement-level CFG per function (``repro.analysis
+3. **Locksets.**  A statement-level CFG per function (``repro.analysis
    .cfg``) carries a *must*-lockset — the set of lock regions held on
-   every path — through ``with self._lock:`` acquisitions, condition
-   variables (acquiring a ``threading.Condition(self._lock)`` also
-   acquires its underlying lock), helper calls (context-sensitive on
-   the entry lockset), and aliasing (``run.cv`` and ``self.cv`` resolve
-   to the same ``(_ShardRun, cv)`` region via annotations and
-   constructor-call type inference).
+   every path — through ``with`` acquisitions, condition variables
+   (acquiring a ``threading.Condition(self._lock)`` also acquires its
+   underlying lock), and helper calls (context-sensitive on the entry
+   lockset).  ``run.cv`` and ``self.cv`` name the same ``(_ShardRun,
+   cv)`` region when both are typed ``_ShardRun``.  A lock-typed
+   parameter or local that is not a closure cell is keyed by its name
+   within its module.
 
-3. **Shared-field race verdicts.**  Every ``obj.attr`` access on a
-   resolvable class is recorded as ``(region, read/write, lockset,
-   role)``; closure variables shared with spawned nested functions are
-   tracked the same way.  A field written at all and touched from ≥2
-   roles must have a *common* lock across every access: if some access
-   holds nothing → ``rt-racy-field``; if every access holds *a* lock
-   but no lock is common → ``rt-lockset-inconsistent``.  ``__init__``
-   runs happen-before every spawn and are excluded.
+4. **Shared-field race verdicts.**  Every ``obj.attr`` access on a typed
+   receiver is recorded as ``(region, read/write, lockset, role)``;
+   closure variables shared with spawned nested functions are tracked
+   the same way.  A field written at all and touched from ≥2 roles must
+   have a *common* lock across every access: if some access holds
+   nothing → ``rt-racy-field``; if every access holds *a* lock but no
+   lock is common → ``rt-lockset-inconsistent``.  ``__init__`` runs
+   happen-before every spawn and are excluded.
 
-4. **Lock order.**  At each ``with`` acquisition every region already
-   in the must-lockset gives one edge, held → acquired (through helper
+5. **Lock order.**  At each ``with`` acquisition every region already in
+   the must-lockset gives one edge, held → acquired (through helper
    calls too: ``pump`` holding ``_dispatch_lock`` reaches ``_pop_batch``
    taking ``_lock``).  A pair acquired in both orders is the AB/BA
    deadlock, reported once (``rt-lock-order``).  Taking a
    ``Condition(self._lock)`` while holding ``self._lock`` is re-entry,
    not an edge.
 
-5. **Condition-variable discipline.**  ``rt-cv-wait-no-predicate``
-   (a ``wait()`` not re-checked in an enclosing ``while``) and
+6. **Condition-variable discipline.**  ``rt-cv-wait-no-predicate`` (a
+   ``wait()`` not re-checked in an enclosing ``while``) and
    ``rt-cv-notify-unheld`` (``notify`` without the condition's lock in
    the dataflow lockset — CPython raises RuntimeError at runtime).
 
-6. **Framed-pipe protocol conformance.**  Message kinds are extracted
+7. **Framed-pipe protocol conformance.**  Message kinds are extracted
    direction-aware — request producers (yielded/returned/comprehension
    ``(kind, payload)`` tuples, ``send``/``broadcast``/``handle`` calls
    with constant kinds), request consumers (``kind == ...``
    comparisons), response producers (tuples passed to ``_send``/
    ``_post``), response consumers (``status == ...``) — and every kind
-   must appear on both sides of its direction
-   (``rt-frame-unconsumed``).  An ack window (a deque in a class with a
-   condition variable) whose head is popped in a function that never
-   notifies leaves the windowed producer parked until its poll timeout
-   (``rt-ack-window-order``); unguarded window touches are plain
-   ``rt-racy-field`` verdicts.
+   must appear on both sides of its direction (``rt-frame-unconsumed``).
+   An ack window (a deque in a class with a condition variable) whose
+   head is popped in a function that never notifies leaves the windowed
+   producer parked until its poll timeout (``rt-ack-window-order``);
+   unguarded window touches are plain ``rt-racy-field`` verdicts.
 
-Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records;
-the ``# noqa: <check-id> - justification`` waiver discipline from the
-fork lint applies, anchored at one deterministic line per finding (the
-first unlocked write, else the first unlocked access) so a single
-per-line waiver retires exactly one verdict.
+8. **Fork safety, per function.**  ``rt-fork-flush`` (``os.fork()`` with
+   no earlier ``flush()``: buffered stdio is written twice),
+   ``rt-fork-child-exit`` (a forking function that never calls
+   ``os._exit``: the child unwinds into the parent's teardown),
+   ``rt-pipe-ownership`` (an ``os.pipe()`` fd that never reaches
+   ``os.close``/``os.fdopen`` in its function), ``rt-unbounded-recv``
+   (``recv()``/``join()`` with no timeout: a dead worker parks the
+   caller forever), ``rt-unbounded-queue`` (a queue with no ``maxsize``,
+   any ``SimpleQueue``, or a ``put()`` with neither a timeout nor
+   ``block=False``).
+
+Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records.
+A finding is waived by ``# noqa: <check-id> - justification`` on its
+anchor line — one deterministic line per finding (for races, the first
+unlocked write, else the first unlocked access) — so a single per-line
+waiver retires exactly one verdict.
 """
 
 from __future__ import annotations
@@ -71,7 +94,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cfg import (
     Aliases,
@@ -89,23 +112,30 @@ __all__ = ["analyze_concurrency", "analyze_concurrency_sources"]
 # ----------------------------------------------------------------------
 # Type vocabulary
 # ----------------------------------------------------------------------
-#: Canonical constructor names whose instances synchronize internally —
-#: method calls on them are not shared-state accesses.
-_LOCK_CTORS = {"threading.Lock", "threading.RLock"}
-_CONDITION_CTORS = {"threading.Condition"}
-_THREADSAFE_CTORS = {
-    "threading.Event",
-    "threading.Semaphore",
-    "threading.BoundedSemaphore",
-    "threading.Barrier",
-    "queue.Queue",
-    "queue.LifoQueue",
-    "queue.PriorityQueue",
-    "queue.SimpleQueue",
-    "multiprocessing.Queue",
-    "multiprocessing.SimpleQueue",
+#: Canonical constructor names and the kind of value they build.  Lock,
+#: condition and thread-safe values synchronize internally — method calls
+#: on them are not shared-state accesses.
+_KINDS = {
+    "threading.Lock": "lock",
+    "threading.RLock": "lock",
+    "threading.Condition": "condition",
+    "collections.deque": "deque",
+    **dict.fromkeys(
+        (
+            "threading.Event",
+            "threading.Semaphore",
+            "threading.BoundedSemaphore",
+            "threading.Barrier",
+            "queue.Queue",
+            "queue.LifoQueue",
+            "queue.PriorityQueue",
+            "queue.SimpleQueue",
+            "multiprocessing.Queue",
+            "multiprocessing.SimpleQueue",
+        ),
+        "threadsafe",
+    ),
 }
-_DEQUE_CTORS = {"collections.deque"}
 
 #: Method calls that mutate their receiver (container/file mutators).
 _MUTATORS = frozenset({
@@ -115,7 +145,7 @@ _MUTATORS = frozenset({
     "truncate", "writelines",
 })
 
-#: Attribute kinds whose accesses are never recorded as shared state.
+#: Kinds whose accesses are never recorded as shared state.
 _SYNC_KINDS = frozenset({"lock", "condition", "threadsafe"})
 
 
@@ -123,7 +153,7 @@ _SYNC_KINDS = frozenset({"lock", "condition", "threadsafe"})
 class _TypeInfo:
     """What we know about an attribute's or local's value."""
 
-    kind: str            # "lock" | "condition" | "threadsafe" | "class" | "plain"
+    kind: str            # "lock" | "condition" | "threadsafe" | "deque" | "class" | "plain"
     cls: str | None = None     # class name when kind == "class"
     assoc: str | None = None   # condition: the lock attr it wraps (same class)
 
@@ -134,17 +164,8 @@ _PLAIN = _TypeInfo("plain")
 @dataclass
 class _ClassModel:
     name: str
-    file: "_FileModel"
-    node: ast.ClassDef
     attrs: dict[str, _TypeInfo] = field(default_factory=dict)
     methods: dict[str, str] = field(default_factory=dict)  # name -> qualname
-
-    def condition_attrs(self) -> list[tuple[str, str | None]]:
-        return [
-            (attr, info.assoc)
-            for attr, info in self.attrs.items()
-            if info.kind == "condition"
-        ]
 
 
 @dataclass
@@ -154,6 +175,7 @@ class _FuncModel:
     file: "_FileModel"
     cls: str | None            # owning class name, if a method
     encloser: str | None       # qualname of the enclosing function, if nested
+    body: list[ast.AST]        # its own AST nodes, nested scopes excluded
     locals_: dict[str, _TypeInfo] = field(default_factory=dict)
     bound: set[str] = field(default_factory=set)   # params + assigned names
     nested: dict[str, str] = field(default_factory=dict)  # name -> qualname
@@ -171,8 +193,6 @@ class _FileModel:
     lines: list[str]
     aliases: Aliases
     parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-    constants: dict[str, str] = field(default_factory=dict)  # NAME -> str value
-    classes: dict[str, _ClassModel] = field(default_factory=dict)
     module_funcs: dict[str, str] = field(default_factory=dict)  # name -> qualname
 
 
@@ -212,24 +232,26 @@ def _build_program(sources: list[tuple[str, str]]) -> _Program:
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
                 model.parents[child] = node
-        _collect_constants(model)
+        _collect_constants(model, program)
         _collect_defs(model, program)
         program.files.append(model)
-    for model in program.files:
-        for cls in model.classes.values():
-            _infer_attr_types(cls, program)
+    # Parameters first (``self.x = param`` reads them), then attributes
+    # (a local's callee return type may hang off one), then locals.
     for func in program.functions.values():
-        _infer_local_types(func, program)
+        _read_param_types(func, program)
+    for cls in program.classes.values():
+        _read_attr_types(cls, program)
     for func in program.functions.values():
+        _read_local_types(func, program)
         func.spawns = any(
             _is_thread_ctor(node, func.file.aliases)
-            for node in function_body_nodes(func.node)
+            for node in func.body
             if isinstance(node, ast.Call)
         )
     return program
 
 
-def _collect_constants(model: _FileModel) -> None:
+def _collect_constants(model: _FileModel, program: _Program) -> None:
     for stmt in model.tree.body:
         if (
             isinstance(stmt, ast.Assign)
@@ -239,14 +261,16 @@ def _collect_constants(model: _FileModel) -> None:
             and isinstance(stmt.value, ast.Constant)
             and isinstance(stmt.value.value, str)
         ):
-            model.constants[stmt.targets[0].id] = stmt.value.value
+            program.constants[stmt.targets[0].id] = stmt.value.value
 
 
 def _collect_defs(model: _FileModel, program: _Program) -> None:
     def add_func(node, cls_name, encloser, qualname) -> _FuncModel:
-        func = _FuncModel(qualname, node, model, cls_name, encloser)
+        func = _FuncModel(
+            qualname, node, model, cls_name, encloser, function_body_nodes(node)
+        )
         program.functions[qualname] = func
-        for child in function_body_nodes(node):
+        for child in func.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = add_func(child, cls_name, qualname, f"{qualname}.{child.name}")
                 func.nested[child.name] = inner.qualname
@@ -254,8 +278,7 @@ def _collect_defs(model: _FileModel, program: _Program) -> None:
 
     for stmt in model.tree.body:
         if isinstance(stmt, ast.ClassDef):
-            cls = _ClassModel(stmt.name, model, stmt)
-            model.classes[stmt.name] = cls
+            cls = _ClassModel(stmt.name)
             program.classes[stmt.name] = cls
             for item in stmt.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -265,142 +288,136 @@ def _collect_defs(model: _FileModel, program: _Program) -> None:
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             model.module_funcs[stmt.name] = stmt.name
             add_func(stmt, None, None, stmt.name)
-    program.constants.update(model.constants)
 
 
-def _annotation_class(annotation: ast.expr | None, program: _Program) -> str | None:
-    """The class a parameter/return annotation names, if we model it."""
+def _named_type(
+    expr: ast.expr, program: _Program, aliases: Aliases
+) -> _TypeInfo | None:
+    """The type a (possibly module-qualified) name denotes, if modeled."""
+    kind = _KINDS.get(aliases.resolve(expr))
+    if kind is not None:
+        return _TypeInfo(kind)
+    name = None
+    if isinstance(expr, ast.Name):
+        name = expr.id
+    elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+        if expr.value.id in aliases.modules:
+            name = expr.attr
+    if name in program.classes:
+        return _TypeInfo("class", cls=name)
+    return None
+
+
+def _annotation_type(
+    annotation: ast.expr | None, program: _Program, aliases: Aliases
+) -> _TypeInfo | None:
+    """An annotation's type: ``T``, ``T | None``, ``Optional[T]``, ``"T"``."""
     if annotation is None:
         return None
     if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        name = annotation.value.strip().strip("'\"")
-    else:
-        name = terminal_name(annotation)
-    if name is not None and name in program.classes:
-        return name
-    return None
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return (
+            _annotation_type(annotation.left, program, aliases)
+            or _annotation_type(annotation.right, program, aliases)
+        )
+    if (
+        isinstance(annotation, ast.Subscript)
+        and terminal_name(annotation.value) == "Optional"
+    ):
+        return _annotation_type(annotation.slice, program, aliases)
+    return _named_type(annotation, program, aliases)
 
 
-def _value_type(
-    value: ast.expr, func: _FuncModel | None, program: _Program,
-    aliases: Aliases,
+def _call_type(
+    call: ast.Call, func: _FuncModel, program: _Program
 ) -> _TypeInfo | None:
-    """Infer the type of an assigned expression, or None if unknown."""
-    if isinstance(value, ast.Call):
-        canonical = aliases.resolve(value.func)
-        if canonical in _LOCK_CTORS:
-            return _TypeInfo("lock")
-        if canonical in _CONDITION_CTORS:
-            assoc = None
-            if value.args:
-                arg = value.args[0]
-                if (
-                    isinstance(arg, ast.Attribute)
-                    and isinstance(arg.value, ast.Name)
-                    and arg.value.id == "self"
-                ):
-                    assoc = arg.attr
-            return _TypeInfo("condition", assoc=assoc)
-        if canonical in _THREADSAFE_CTORS:
-            return _TypeInfo("threadsafe")
-        if canonical in _DEQUE_CTORS:
-            return _TypeInfo("plain")
-        ctor = terminal_name(value.func)
-        if isinstance(value.func, ast.Name):
-            if value.func.id == "deque":
-                return _TypeInfo("plain")
-            if value.func.id in program.classes:
-                return _TypeInfo("class", cls=value.func.id)
-        # ClassName.classmethod(...) / typed_expr.method(...) with a
-        # return annotation naming a modeled class.
-        if isinstance(value.func, ast.Attribute) and ctor is not None:
-            owner = None
-            base = value.func.value
-            if isinstance(base, ast.Name) and base.id in program.classes:
-                owner = base.id
-            elif func is not None:
-                owner = _expr_class(base, func, program)
-            if owner is not None:
-                method = program.classes[owner].methods.get(ctor)
-                if method is not None:
-                    returns = program.functions[method].node.returns
-                    cls = _annotation_class(returns, program)
-                    if cls is not None:
-                        return _TypeInfo("class", cls=cls)
+    """A constructor call's type, or its resolved callee's return annotation."""
+    info = _named_type(call.func, program, func.file.aliases)
+    if info is not None:
+        if info.kind == "condition" and call.args and _is_self_attr(call.args[0]):
+            info.assoc = call.args[0].attr
+        return info
+    callee = _resolve_callable(call.func, func, program)
+    if callee is None:
         return None
-    if func is not None:
-        cls = _expr_class(value, func, program)
-        if cls is not None:
-            return _TypeInfo("class", cls=cls)
-        info = _expr_info(value, func, program)
-        if info is not None and info.kind in _SYNC_KINDS:
-            return info
-    return None
+    target = program.functions[callee]
+    return _annotation_type(target.node.returns, program, target.file.aliases)
 
 
-def _infer_attr_types(cls: _ClassModel, program: _Program) -> None:
-    """Attribute types from ``self.x = ...`` across every method."""
-    aliases = cls.file.aliases
-    for method_name, qualname in cls.methods.items():
-        func = program.functions[qualname]
-        params = {
-            arg.arg: _annotation_class(arg.annotation, program)
-            for arg in func.node.args.args + func.node.args.kwonlyargs
-        }
-        for node in function_body_nodes(func.node):
-            target = None
-            value = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target, value = node.target, node.value
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                continue
-            info = _value_type(value, None, program, aliases)
-            if info is None and isinstance(value, ast.Name):
-                cls_name = params.get(value.id)
-                if cls_name is not None:
-                    info = _TypeInfo("class", cls=cls_name)
-            existing = cls.attrs.get(target.attr)
-            if existing is None or (
-                existing.kind == "plain" and info is not None
-            ):
-                cls.attrs[target.attr] = info or _PLAIN
+def _is_self_attr(expr: ast.expr) -> bool:
+    return (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    )
 
 
-def _infer_local_types(func: _FuncModel, program: _Program) -> None:
-    """Local variable types: annotations, constructor calls, typed attrs."""
+def _assignments(func: _FuncModel) -> list[tuple]:
+    """``(target, value, annotation)`` for each one-target assignment in
+    ``func``'s own body, in source order."""
+    found = []
+    for node in func.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            found.append((node, node.targets[0], node.value, None))
+        elif isinstance(node, ast.AnnAssign):
+            found.append((node, node.target, node.value, node.annotation))
+    found.sort(key=lambda item: (item[0].lineno, item[0].col_offset))
+    return [item[1:] for item in found]
+
+
+def _assigned_type(
+    value: ast.expr | None, annotation: ast.expr | None,
+    func: _FuncModel, program: _Program,
+) -> _TypeInfo | None:
+    info = _annotation_type(annotation, program, func.file.aliases)
+    if info is None and isinstance(value, ast.Call):
+        info = _call_type(value, func, program)
+    return info
+
+
+def _read_param_types(func: _FuncModel, program: _Program) -> None:
     args = func.node.args
-    for arg in args.args + args.posonlyargs + args.kwonlyargs:
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
         func.bound.add(arg.arg)
-        cls = _annotation_class(arg.annotation, program)
-        if cls is not None:
-            func.locals_[arg.arg] = _TypeInfo("class", cls=cls)
+        info = _annotation_type(arg.annotation, program, func.file.aliases)
+        if info is not None:
+            func.locals_[arg.arg] = info
     for extra in (args.vararg, args.kwarg):
         if extra is not None:
             func.bound.add(extra.arg)
-    # Two passes so `b = a.method()` sees `a = Ctor()` regardless of
-    # textual order inside loops.
-    for _ in range(2):
-        for node in function_body_nodes(func.node):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                func.bound.add(node.id)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                func.bound.add(node.name)
-            target = None
-            value = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target, value = node.target, node.value
-            if not isinstance(target, ast.Name):
+
+
+def _read_attr_types(cls: _ClassModel, program: _Program) -> None:
+    """Attribute types from ``self.x = ...`` across every method; the
+    first typed assignment wins."""
+    for qualname in cls.methods.values():
+        func = program.functions[qualname]
+        for target, value, annotation in _assignments(func):
+            if not _is_self_attr(target):
                 continue
-            info = _value_type(value, func, program, func.file.aliases)
-            if info is not None and target.id not in func.locals_:
+            info = _assigned_type(value, annotation, func, program)
+            if info is None and isinstance(value, ast.Name):
+                info = func.locals_.get(value.id)  # self.x = param
+            existing = cls.attrs.get(target.attr)
+            if existing is None or (existing.kind == "plain" and info is not None):
+                cls.attrs[target.attr] = info or _PLAIN
+
+
+def _read_local_types(func: _FuncModel, program: _Program) -> None:
+    """Local types from annotations and calls; the first typed binding wins."""
+    for node in func.body:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            func.bound.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func.bound.add(node.name)
+    for target, value, annotation in _assignments(func):
+        if isinstance(target, ast.Name) and target.id not in func.locals_:
+            info = _assigned_type(value, annotation, func, program)
+            if info is not None:
                 func.locals_[target.id] = info
 
 
@@ -421,11 +438,7 @@ def _lookup_var(func: _FuncModel, name: str, program: _Program):
     while current is not None:
         if name in current.bound:
             return current, current.locals_.get(name)
-        current = (
-            program.functions.get(current.encloser)
-            if current.encloser
-            else None
-        )
+        current = program.functions.get(current.encloser) if current.encloser else None
     return None
 
 
@@ -444,7 +457,7 @@ def _expr_info(
             return program.classes[base_cls].attrs.get(expr.attr)
         return None
     if isinstance(expr, ast.Call):
-        return _value_type(expr, func, program, func.file.aliases)
+        return _call_type(expr, func, program)
     return None
 
 
@@ -476,50 +489,26 @@ def _region_of(
         definer, info = hit
         if definer.spawns:
             return (f"func:{definer.qualname}", expr.id), (info or _PLAIN)
-        return None
+        if info is not None and info.kind in ("lock", "condition"):
+            return (Path(func.file.path).stem, expr.id), info
     return None
 
 
 def _lock_regions(
     expr: ast.expr, func: _FuncModel, program: _Program
 ) -> frozenset:
-    """The lock regions acquiring ``expr`` (a ``with`` item) holds.
-
-    A condition also holds its associated lock.  Unresolvable
-    expressions whose terminal name looks lock-ish fall back to a
-    name-keyed region so untyped test fixtures still participate.
-    """
+    """The lock regions acquiring ``expr`` (a ``with`` item) holds; a
+    condition also holds its associated lock.  Untyped: none."""
     target = expr.func if isinstance(expr, ast.Call) else expr
     resolved = _region_of(target, func, program)
-    if resolved is not None:
-        region, info = resolved
-        if info.kind == "lock":
-            return frozenset({region})
-        if info.kind == "condition":
-            regions = {region}
-            if info.assoc is not None:
-                regions.add((region[0], info.assoc))
-            return frozenset(regions)
-        return frozenset()
-    name = terminal_name(target)
-    if name is not None and any(
-        marker in name.lower() for marker in ("lock", "cv", "cond", "mutex")
-    ):
-        return frozenset({("<untyped>", name)})
-    return frozenset()
-
-
-def _condition_region(
-    expr: ast.expr, func: _FuncModel, program: _Program
-) -> tuple[tuple[str, str], str | None] | None:
-    """``(region, assoc-lock-attr)`` if ``expr`` is condition-typed."""
-    resolved = _region_of(expr, func, program)
     if resolved is None:
-        return None
+        return frozenset()
     region, info = resolved
-    if info.kind != "condition":
-        return None
-    return region, info.assoc
+    if info.kind not in ("lock", "condition"):
+        return frozenset()
+    if info.assoc is None:
+        return frozenset({region})
+    return frozenset({region, (region[0], info.assoc)})
 
 
 # ----------------------------------------------------------------------
@@ -534,14 +523,17 @@ def _resolve_callable(
         while current is not None:
             if expr.id in current.nested:
                 return current.nested[expr.id]
-            current = (
-                program.functions.get(current.encloser)
-                if current.encloser
-                else None
-            )
+            current = program.functions.get(current.encloser) if current.encloser else None
         return func.file.module_funcs.get(expr.id)
     if isinstance(expr, ast.Attribute):
-        base_cls = _expr_class(expr.value, func, program)
+        base = expr.value
+        if (
+            isinstance(base, ast.Name)
+            and base.id in program.classes
+            and _lookup_var(func, base.id, program) is None
+        ):
+            return program.classes[base.id].methods.get(expr.attr)  # Cls.method
+        base_cls = _expr_class(base, func, program)
         if base_cls is not None:
             return program.classes[base_cls].methods.get(expr.attr)
     return None
@@ -551,7 +543,7 @@ def _discover_thread_roots(program: _Program) -> dict[str, str]:
     """qualname → role for every resolvable ``Thread(target=...)``."""
     roots: dict[str, str] = {}
     for func in program.functions.values():
-        for node in function_body_nodes(func.node):
+        for node in func.body:
             if not (isinstance(node, ast.Call) and _is_thread_ctor(node, func.file.aliases)):
                 continue
             target = next(
@@ -605,28 +597,18 @@ class _Analysis:
     def run(self, roots: Iterable[tuple[str, str]]) -> None:
         for qualname, role in roots:
             self.enqueue(qualname, role, frozenset())
-        while self.work:
-            qualname, role, lockset = self.work.pop()
-            self._process(qualname, role, lockset)
+        self._drain()
         # Helpers reached from no root (private, called only from
         # __init__, or spawned in unresolvable ways) self-root so their
         # accesses still participate in verdicts.
-        pending = [
-            q for q in sorted(self.program.functions)
-            if q not in {k for (k, _r) in self.seen}
-        ]
-        while pending:
-            qualname = pending.pop(0)
-            if any(k == qualname for (k, _r) in self.seen):
-                continue
-            func = self.program.functions[qualname]
-            if func.name in ("__init__", "__post_init__"):
-                continue
-            owner = func.cls or Path(func.file.path).stem
-            self.enqueue(qualname, f"api:{owner}", frozenset())
-            while self.work:
-                q, role, lockset = self.work.pop()
-                self._process(q, role, lockset)
+        for qualname, func in sorted(self.program.functions.items()):
+            if not any(seen == qualname for seen, __ in self.seen):
+                self.enqueue(qualname, _api_role(func), frozenset())
+                self._drain()
+
+    def _drain(self) -> None:
+        while self.work:
+            self._process(*self.work.pop())
 
     # -- one context ---------------------------------------------------
     def _process(self, qualname: str, role: str, entry: frozenset) -> None:
@@ -728,9 +710,9 @@ class _Analysis:
         program = self.program
         # Condition-variable discipline.
         if isinstance(call.func, ast.Attribute):
-            cond = _condition_region(call.func.value, func, program)
-            if cond is not None:
-                region, assoc = cond
+            resolved = _region_of(call.func.value, func, program)
+            if resolved is not None and resolved[1].kind == "condition":
+                region, assoc = resolved[0], resolved[1].assoc
                 if call.func.attr in ("wait", "wait_for"):
                     if not _inside_while(call, func):
                         self._point(
@@ -754,7 +736,7 @@ class _Analysis:
                         )
         if _is_thread_ctor(call, func.file.aliases):
             return  # spawned targets root their own thread contexts
-        callee = _resolve_call_target(call, func, program)
+        callee = _resolve_callable(call.func, func, program)
         if callee is not None:
             self.enqueue(callee, role, lockset)
 
@@ -763,13 +745,23 @@ class _Analysis:
         file: _FileModel, line: int,
     ) -> None:
         key = (check, file.path, line)
-        if key in self.point_diags:
-            return
-        if suppressed(file.lines, line, check):
-            return
-        self.point_diags[key] = Diagnostic(
-            check, severity, message, file.path, line=line
-        )
+        if key not in self.point_diags:
+            self.point_diags[key] = Diagnostic(
+                check, severity, message, file.path, line=line
+            )
+
+
+def _public(name: str) -> bool:
+    """Part of a class's (or module's) callable surface; ``__init__`` runs
+    before any spawn and is never a root."""
+    if name in ("__init__", "__post_init__"):
+        return False
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def _api_role(func: _FuncModel) -> str:
+    """The shared role of a class's (or module's) public surface."""
+    return f"api:{func.cls or Path(func.file.path).stem}"
 
 
 def _headline_children(stmt: ast.AST) -> list[ast.AST]:
@@ -778,12 +770,9 @@ def _headline_children(stmt: ast.AST) -> list[ast.AST]:
         return [stmt.test]
     if isinstance(stmt, (ast.For, ast.AsyncFor)):
         return [stmt.target, stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return []  # withitems are acquire/release pseudo-nodes
-    if isinstance(stmt, ast.Try):
-        return []
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return []
+    if isinstance(stmt, (ast.With, ast.AsyncWith, ast.Try, ast.FunctionDef,
+                         ast.AsyncFunctionDef, ast.ClassDef)):
+        return []  # withitems are acquire/release pseudo-nodes; scopes are their own
     return list(ast.iter_child_nodes(stmt))
 
 
@@ -821,8 +810,8 @@ def _classify_access(
     ):
         grand = parents.get(parent)
         if isinstance(grand, ast.Call) and grand.func is parent:
-            # Method calls on class-typed values are handled by
-            # propagation into the method, not as raw mutations.
+            # A method call on a class-typed value is analysed inside
+            # the callee, not as a raw mutation.
             info = _expr_info(node, func, program)
             if info is None or info.kind != "class":
                 return True
@@ -842,41 +831,6 @@ def _inside_while(node: ast.AST, func: _FuncModel) -> bool:
     return False
 
 
-def _resolve_call_target(
-    call: ast.Call, func: _FuncModel, program: _Program
-) -> str | None:
-    if isinstance(call.func, ast.Name):
-        qualname = _resolve_callable(call.func, func, program)
-        if qualname is not None and qualname in program.functions:
-            return qualname
-        return None
-    if isinstance(call.func, ast.Attribute):
-        return _resolve_callable(call.func, func, program)
-    return None
-
-
-def _constructed_as_deque(cls: _ClassModel, attr: str) -> bool:
-    for node in ast.walk(cls.node):
-        target = None
-        value = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        if not (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and target.attr == attr
-        ):
-            continue
-        if isinstance(value, ast.Call):
-            name = terminal_name(value.func)
-            if name == "deque":
-                return True
-    return False
-
-
 def _region_name(region: tuple[str, str]) -> str:
     return f"{region[0]}.{region[1]}"
 
@@ -884,9 +838,7 @@ def _region_name(region: tuple[str, str]) -> str:
 # ----------------------------------------------------------------------
 # Race verdicts
 # ----------------------------------------------------------------------
-def _race_verdicts(
-    accesses: list[_Access], files: dict[str, _FileModel]
-) -> list[Diagnostic]:
+def _race_verdicts(accesses: list[_Access]) -> list[Diagnostic]:
     by_region: dict[tuple[str, str], list[_Access]] = {}
     for access in accesses:
         by_region.setdefault(access.region, []).append(access)
@@ -904,32 +856,17 @@ def _race_verdicts(
             # cells, so only a thread spawned by the invocation itself
             # can race on one.
             continue
-        common = frozenset.intersection(*(a.lockset for a in group))
-        if common:
+        if frozenset.intersection(*(a.lockset for a in group)):
             continue
-        unlocked = sorted(
-            (a for a in group if not a.lockset),
-            key=lambda a: (not a.write, a.path, a.line),
-        )
+        unlocked = [a for a in group if not a.lockset]
+        anchor = min(unlocked or group, key=lambda a: (not a.write, a.path, a.line))
         if unlocked:
-            anchor = unlocked[0]
             check = "rt-racy-field"
-            detail = (
-                "with no lock held at "
-                f"{Path(anchor.path).name}:{anchor.line}"
-            )
+            detail = f"with no lock held at {Path(anchor.path).name}:{anchor.line}"
         else:
-            anchor = sorted(
-                group, key=lambda a: (not a.write, a.path, a.line)
-            )[0]
             check = "rt-lockset-inconsistent"
-            locks = sorted(
-                {_region_name(r) for a in group for r in a.lockset}
-            )
-            detail = (
-                "under locks with no common member "
-                f"({', '.join(locks)})"
-            )
+            locks = sorted({_region_name(r) for a in group for r in a.lockset})
+            detail = f"under locks with no common member ({', '.join(locks)})"
         writers = sorted({a.role for a in group if a.write})
         readers = sorted(roles - set(writers)) or writers
         message = (
@@ -937,13 +874,8 @@ def _race_verdicts(
             f"{', '.join(writers)} and accessed from {', '.join(readers)} "
             f"{detail}"
         )
-        model = files.get(anchor.path)
-        if model is not None and suppressed(model.lines, anchor.line, check):
-            continue
         diags.append(
-            Diagnostic(
-                check, Severity.WARNING, message, anchor.path, line=anchor.line
-            )
+            Diagnostic(check, Severity.WARNING, message, anchor.path, line=anchor.line)
         )
     return diags
 
@@ -955,9 +887,20 @@ def _race_verdicts(
 _REQUEST_CALLS = frozenset({"send", "broadcast", "submit", "handle"})
 #: Calls whose tuple argument produces a *response*.
 _RESPONSE_CALLS = frozenset({"_send", "_post"})
-#: Variable names whose comparisons consume request / response kinds.
-_REQUEST_VARS = frozenset({"kind"})
-_RESPONSE_VARS = frozenset({"status"})
+#: Bare names whose ``==`` comparisons consume a kind, per direction.
+_CONSUMER_VARS = {"kind": "request", "status": "response"}
+
+#: One message per (direction, side) whose kind the other side lacks.
+_UNMATCHED = {
+    ("request", "produced"): "request kind {!r} is produced but no peer-side "
+    "consumer matches it (no `kind == ...` dispatch); the worker would raise on it",
+    ("request", "consumed"): "request kind {!r} has a consumer but no producer in "
+    "the analyzed sources; dead protocol arm or a producer outside the audited set",
+    ("response", "produced"): "response kind {!r} is produced but never consumed "
+    "(no `status == ...` match); the collector would misparse it",
+    ("response", "consumed"): "response kind {!r} has a consumer but no producer "
+    "in the analyzed sources",
+}
 
 
 def _const_str(expr: ast.expr, program: _Program) -> str | None:
@@ -970,139 +913,72 @@ def _const_str(expr: ast.expr, program: _Program) -> str | None:
     return None
 
 
-class _ProtocolModel:
-    def __init__(self) -> None:
-        #: kind -> first (path, line) per table
-        self.produced_req: dict[str, tuple[str, int]] = {}
-        self.consumed_req: dict[str, tuple[str, int]] = {}
-        self.produced_resp: dict[str, tuple[str, int]] = {}
-        self.consumed_resp: dict[str, tuple[str, int]] = {}
+def _protocol_verdicts(program: _Program) -> list[Diagnostic]:
+    """Every message kind must appear on both sides of its direction."""
+    #: (direction, side) -> kind -> first (path, line)
+    sites: dict[tuple[str, str], dict[str, tuple[str, int]]] = {
+        key: {} for key in _UNMATCHED
+    }
 
-    @staticmethod
-    def _note(table: dict, kind: str, path: str, line: int) -> None:
+    def note(direction: str, side: str, kind: str, path: str, line: int) -> None:
+        table = sites[direction, side]
         if kind not in table or (path, line) < table[kind]:
             table[kind] = (path, line)
 
-
-def _extract_protocol(program: _Program) -> _ProtocolModel:
-    proto = _ProtocolModel()
     for model in program.files:
-        parents = model.parents
         for node in ast.walk(model.tree):
             # -- producers: (kind, payload) tuples in streaming position
-            if (
-                isinstance(node, ast.Tuple)
-                and len(node.elts) == 2
-                and _const_str(node.elts[0], program) is not None
-            ):
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2:
                 kind = _const_str(node.elts[0], program)
-                parent = parents.get(node)
-                direction = None
-                if isinstance(parent, (ast.Yield, ast.Return)):
-                    direction = "request"
-                elif isinstance(
-                    parent, (ast.GeneratorExp, ast.ListComp, ast.SetComp)
-                ) and getattr(parent, "elt", None) is node:
-                    direction = "request"
-                elif isinstance(parent, ast.Call) and node in parent.args:
-                    callee = terminal_name(parent.func)
-                    if callee in _RESPONSE_CALLS:
-                        direction = "response"
-                if direction == "request":
-                    proto._note(proto.produced_req, kind, model.path, node.lineno)
-                elif direction == "response":
-                    proto._note(proto.produced_resp, kind, model.path, node.lineno)
-            # -- producers: send/broadcast/submit/handle with const kind
-            if isinstance(node, ast.Call):
-                callee = terminal_name(node.func)
-                if callee in _REQUEST_CALLS:
-                    for arg in node.args:
-                        kind = _const_str(arg, program)
-                        if kind is not None:
-                            proto._note(
-                                proto.produced_req, kind, model.path, node.lineno
-                            )
-                            break
-            # -- consumers: kind == "..." / status == "...".  Only bare
-            # names count: frame dispatch always unpacks the tuple into
-            # locals, while `self.status`-style attribute compares are
-            # unrelated state machines (admission verdicts, fault kinds).
-            if isinstance(node, ast.Compare) and len(node.comparators) == 1:
-                if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-                    continue
-                left_name = (
-                    node.left.id if isinstance(node.left, ast.Name) else None
+                parent = model.parents.get(node)
+                streamed = isinstance(parent, (ast.Yield, ast.Return)) or (
+                    isinstance(parent, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+                    and parent.elt is node
                 )
-                kind = _const_str(node.comparators[0], program)
-                if kind is None or left_name is None:
-                    # symmetric: "..." == kind
-                    right = node.comparators[0]
+                replied = (
+                    isinstance(parent, ast.Call)
+                    and node in parent.args
+                    and terminal_name(parent.func) in _RESPONSE_CALLS
+                )
+                if kind is not None and (streamed or replied):
+                    direction = "request" if streamed else "response"
+                    note(direction, "produced", kind, model.path, node.lineno)
+            # -- producers: send/broadcast/submit/handle with const kind
+            if isinstance(node, ast.Call) and terminal_name(node.func) in _REQUEST_CALLS:
+                kinds = [_const_str(arg, program) for arg in node.args]
+                kind = next((k for k in kinds if k is not None), None)
+                if kind is not None:
+                    note("request", "produced", kind, model.path, node.lineno)
+            # -- consumers: kind == "..." / status == "...", either way
+            # round.  Only bare names count: frame dispatch always unpacks
+            # the tuple into locals, while `self.status`-style attribute
+            # compares are unrelated state machines (admission verdicts).
+            if (
+                isinstance(node, ast.Compare)
+                and len(node.comparators) == 1
+                and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+            ):
+                for name, other in (
+                    (node.left, node.comparators[0]), (node.comparators[0], node.left)
+                ):
+                    kind = _const_str(other, program)
                     if (
-                        isinstance(right, ast.Name)
-                        and right.id in (_REQUEST_VARS | _RESPONSE_VARS)
+                        isinstance(name, ast.Name)
+                        and name.id in _CONSUMER_VARS
+                        and kind is not None
                     ):
-                        left_name = right.id
-                        kind = _const_str(node.left, program)
-                if kind is None or left_name is None:
-                    continue
-                if left_name in _REQUEST_VARS:
-                    proto._note(proto.consumed_req, kind, model.path, node.lineno)
-                elif left_name in _RESPONSE_VARS:
-                    proto._note(proto.consumed_resp, kind, model.path, node.lineno)
-    return proto
+                        note(_CONSUMER_VARS[name.id], "consumed", kind, model.path, node.lineno)
+                        break
 
-
-def _protocol_verdicts(
-    program: _Program, files: dict[str, _FileModel]
-) -> list[Diagnostic]:
-    proto = _extract_protocol(program)
-    # Only meaningful when the file set actually speaks the protocol.
-    if not (
-        proto.produced_req or proto.consumed_req
-        or proto.produced_resp or proto.consumed_resp
-    ):
-        return []
     diags: list[Diagnostic] = []
-
-    def report(kind: str, site: tuple[str, int], message: str) -> None:
-        path, line = site
-        model = files.get(path)
-        if model is not None and suppressed(
-            model.lines, line, "rt-frame-unconsumed"
-        ):
-            return
-        diags.append(
-            Diagnostic(
-                "rt-frame-unconsumed", Severity.WARNING, message, path, line=line
-            )
-        )
-
-    for kind in sorted(set(proto.produced_req) - set(proto.consumed_req)):
-        report(
-            kind, proto.produced_req[kind],
-            f"request kind {kind!r} is produced but no peer-side consumer "
-            "matches it (no `kind == ...` dispatch); the worker would "
-            "raise on it",
-        )
-    for kind in sorted(set(proto.consumed_req) - set(proto.produced_req)):
-        report(
-            kind, proto.consumed_req[kind],
-            f"request kind {kind!r} has a consumer but no producer in the "
-            "analyzed sources; dead protocol arm or a producer outside "
-            "the audited set",
-        )
-    for kind in sorted(set(proto.produced_resp) - set(proto.consumed_resp)):
-        report(
-            kind, proto.produced_resp[kind],
-            f"response kind {kind!r} is produced but never consumed "
-            "(no `status == ...` match); the collector would misparse it",
-        )
-    for kind in sorted(set(proto.consumed_resp) - set(proto.produced_resp)):
-        report(
-            kind, proto.consumed_resp[kind],
-            f"response kind {kind!r} has a consumer but no producer in "
-            "the analyzed sources",
-        )
+    for (direction, side), message in _UNMATCHED.items():
+        other = sites[direction, "consumed" if side == "produced" else "produced"]
+        for kind, (path, line) in sorted(sites[direction, side].items()):
+            if kind not in other:
+                diags.append(Diagnostic(
+                    "rt-frame-unconsumed", Severity.WARNING, message.format(kind),
+                    path, line=line,
+                ))
     return diags
 
 
@@ -1110,7 +986,7 @@ def _protocol_verdicts(
 # Lock order and the ack window
 # ----------------------------------------------------------------------
 def _lock_order_verdicts(
-    edges: dict[tuple, tuple[str, int, str]], files: dict[str, _FileModel]
+    edges: dict[tuple, tuple[str, int, str]]
 ) -> list[Diagnostic]:
     """One finding per lock pair taken in both orders, at the later site."""
     diags: list[Diagnostic] = []
@@ -1119,9 +995,6 @@ def _lock_order_verdicts(
         if back is None or back < site:
             continue  # no inversion, or reported from the other edge
         path, line, qualname = back
-        model = files.get(path)
-        if model is not None and suppressed(model.lines, line, "rt-lock-order"):
-            continue
         diags.append(Diagnostic(
             "rt-lock-order", Severity.ERROR,
             f"{qualname}() takes {_region_name(outer)} while holding "
@@ -1133,42 +1006,133 @@ def _lock_order_verdicts(
     return diags
 
 
-def _ack_window_verdicts(program: _Program) -> list[Diagnostic]:
+def _ack_window_verdict(
+    func: _FuncModel, calls: list[ast.Call], windows: set, program: _Program
+) -> Iterator[Diagnostic]:
     """A window head pop must notify the gating condition in the same
     function: the ack transition is what wakes the windowed producer."""
-    windows = {
-        (cls.name, attr)
-        for cls in program.classes.values()
-        if cls.condition_attrs()
-        for attr, info in cls.attrs.items()
-        if info.kind == "plain" and _constructed_as_deque(cls, attr)
+    methods = [call.func.attr for call in calls if isinstance(call.func, ast.Attribute)]
+    if "notify" in methods or "notify_all" in methods:
+        return
+    for call in calls:
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "popleft":
+            hit = _region_of(call.func.value, func, program)
+            if hit is not None and hit[0] in windows:
+                yield Diagnostic(
+                    "rt-ack-window-order", Severity.ERROR,
+                    f"ack window {_region_name(hit[0])} pops its head without "
+                    "notifying the gating condition variable; the windowed "
+                    "producer stays parked until its poll timeout",
+                    func.file.path, line=call.lineno,
+                )
+                return
+
+
+# ----------------------------------------------------------------------
+# Fork safety
+# ----------------------------------------------------------------------
+#: Queue factories that accept a ``maxsize`` bound.
+_BOUNDABLE_QUEUES = frozenset({
+    "queue.Queue", "queue.LifoQueue", "queue.PriorityQueue",
+    "multiprocessing.Queue", "multiprocessing.JoinableQueue",
+})
+
+
+def _fork_verdicts(func: _FuncModel, calls: list[ast.Call]) -> Iterator[Diagnostic]:
+    """The fork-safety checks over one function's own body."""
+    name, aliases = func.name, func.file.aliases
+    resolved = [(call, aliases.resolve(call.func)) for call in calls]
+
+    def finding(check: str, severity: Severity, message: str, line: int):
+        return Diagnostic(check, severity, message, func.file.path, line=line)
+
+    forks = [call.lineno for call, canonical in resolved if canonical == "os.fork"]
+    if forks:
+        first = min(forks)
+        if not any(call.lineno < first and _method(call) == "flush" for call in calls):
+            yield finding(
+                "rt-fork-flush", Severity.ERROR,
+                f"{name}() calls os.fork() without flushing stdout/stderr "
+                "first; buffered output is duplicated into the child", first,
+            )
+        if not any(canonical == "os._exit" for __, canonical in resolved):
+            yield finding(
+                "rt-fork-child-exit", Severity.ERROR,
+                f"{name}() forks but never calls os._exit(); a child that "
+                "returns unwinds into the parent's teardown (atexit, pytest)", first,
+            )
+    owned = {
+        arg.id
+        for call, canonical in resolved
+        if canonical in ("os.close", "os.fdopen")
+        for arg in call.args
+        if isinstance(arg, ast.Name)
     }
-    diags: list[Diagnostic] = []
-    for func in program.functions.values():
-        body = function_body_nodes(func.node)
-        calls = [
-            n for n in body
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-        ]
-        pops = [
-            (call, _region_of(call.func.value, func, program))
-            for call in calls
-            if call.func.attr == "popleft"
-        ]
-        pops = [(call, hit[0]) for call, hit in pops if hit and hit[0] in windows]
-        if not pops or any(c.func.attr in ("notify", "notify_all") for c in calls):
-            continue
-        call, region = pops[0]
-        if suppressed(func.file.lines, call.lineno, "rt-ack-window-order"):
-            continue
-        diags.append(Diagnostic(
-            "rt-ack-window-order", Severity.ERROR,
-            f"ack window {_region_name(region)} pops its head without "
-            "notifying the gating condition variable; the windowed "
-            "producer stays parked until its poll timeout",
-            func.file.path, line=call.lineno,
-        ))
-    return diags
+    for node in func.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and aliases.resolve(node.value.func) == "os.pipe"
+            and isinstance(node.targets[0], (ast.Tuple, ast.List))
+        ):
+            leaked = [
+                e.id for e in node.targets[0].elts
+                if isinstance(e, ast.Name) and e.id not in owned
+            ]
+            if leaked:
+                yield finding(
+                    "rt-pipe-ownership", Severity.ERROR,
+                    f"pipe fd(s) {leaked} never reach os.close/os.fdopen in "
+                    "this function; an error path leaks them", node.lineno,
+                )
+    for call, canonical in resolved:
+        method = _method(call)
+        if method in ("recv", "join") and not (call.args or call.keywords):
+            yield finding(
+                "rt-unbounded-recv", Severity.WARNING,
+                f"{name}() calls {method}() with no timeout; a dead worker "
+                "parks this caller forever — pass a bound (loop on "
+                "join(t)/is_alive() to wait indefinitely)", call.lineno,
+            )
+        if canonical in _BOUNDABLE_QUEUES and not (
+            call.args or any(kw.arg == "maxsize" for kw in call.keywords)
+        ):
+            yield finding(
+                "rt-unbounded-queue", Severity.WARNING,
+                f"{name}() builds {canonical.rsplit('.', 1)[-1]}() with no "
+                "maxsize; offered load grows it without bound — cap it",
+                call.lineno,
+            )
+        elif canonical in ("queue.SimpleQueue", "multiprocessing.SimpleQueue"):
+            yield finding(
+                "rt-unbounded-queue", Severity.WARNING,
+                f"{name}() builds SimpleQueue(), which cannot be bounded; "
+                "use Queue(maxsize=...) instead", call.lineno,
+            )
+        if method == "put" and not _put_is_bounded(call):
+            yield finding(
+                "rt-unbounded-queue", Severity.WARNING,
+                f"{name}() calls put() with no timeout; a dead consumer "
+                "parks this producer on a full queue forever — pass "
+                "timeout= or block=False", call.lineno,
+            )
+
+
+def _method(call: ast.Call) -> str | None:
+    return call.func.attr if isinstance(call.func, ast.Attribute) else None
+
+
+def _put_is_bounded(call: ast.Call) -> bool:
+    """``put(item, block=True, timeout=None)`` is bounded iff it passes a
+    timeout or ``block=False``."""
+    given = dict(zip(("item", "block", "timeout"), call.args))
+    given.update((kw.arg, kw.value) for kw in call.keywords)
+    timeout, block = given.get("timeout"), given.get("block")
+    no_timeout = timeout is None or (
+        isinstance(timeout, ast.Constant) and timeout.value is None
+    )
+    blocking = not (isinstance(block, ast.Constant) and block.value is False)
+    return not (no_timeout and blocking)
 
 
 # ----------------------------------------------------------------------
@@ -1177,36 +1141,37 @@ def _ack_window_verdicts(program: _Program) -> list[Diagnostic]:
 def analyze_concurrency_sources(
     sources: list[tuple[str, str]]
 ) -> list[Diagnostic]:
-    """Run the full concurrency battery over ``(path, text)`` pairs."""
+    """Every ``rt-*`` check over ``(path, text)`` pairs, in one pass."""
     program = _build_program(sources)
-    files = {model.path: model for model in program.files}
 
-    roots: list[tuple[str, str]] = []
     thread_roots = _discover_thread_roots(program)
-    for qualname, role in sorted(thread_roots.items()):
-        roots.append((qualname, role))
-    for qualname in sorted(program.functions):
-        func = program.functions[qualname]
-        if qualname in thread_roots:
-            continue
-        name = func.name
-        if name in ("__init__", "__post_init__"):
-            continue
-        public = not name.startswith("_") or (
-            name.startswith("__") and name.endswith("__")
-        )
-        if public and func.encloser is None:
-            owner = func.cls or Path(func.file.path).stem
-            roots.append((qualname, f"api:{owner}"))
+    roots = sorted(thread_roots.items()) + [
+        (qualname, _api_role(func))
+        for qualname, func in sorted(program.functions.items())
+        if qualname not in thread_roots and func.encloser is None and _public(func.name)
+    ]
 
     analysis = _Analysis(program)
     analysis.run(roots)
 
     diags = list(analysis.point_diags.values())
-    diags += _race_verdicts(analysis.accesses, files)
-    diags += _protocol_verdicts(program, files)
-    diags += _lock_order_verdicts(analysis.lock_edges, files)
-    diags += _ack_window_verdicts(program)
+    diags += _race_verdicts(analysis.accesses)
+    diags += _protocol_verdicts(program)
+    diags += _lock_order_verdicts(analysis.lock_edges)
+    windows = {
+        (cls.name, attr)
+        for cls in program.classes.values()
+        if any(info.kind == "condition" for info in cls.attrs.values())
+        for attr, info in cls.attrs.items()
+        if info.kind == "deque"
+    }
+    for func in program.functions.values():
+        calls = [node for node in func.body if isinstance(node, ast.Call)]
+        diags += _ack_window_verdict(func, calls, windows, program)
+        diags += _fork_verdicts(func, calls)
+
+    lines = {model.path: model.lines for model in program.files}
+    diags = [d for d in diags if not suppressed(lines[d.source], d.line, d.check_id)]
     diags.sort(key=lambda d: (d.source, d.line or 0, d.check_id))
     return diags
 

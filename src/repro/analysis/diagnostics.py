@@ -96,7 +96,7 @@ CHECKS: dict[str, CheckSpec] = {
                   "exceeds the representable range; the hardware clips"),
         CheckSpec("an-lut-oob", Severity.WARNING, "range",
                   "a LUT's index interval is not covered by its table domain"),
-        # -- runtime fork-safety -------------------------------------------
+        # -- runtime fork safety (the runtime pass, per function) ----------
         CheckSpec("rt-fork-flush", Severity.ERROR, "fork-safety",
                   "os.fork() without flushing stdout/stderr first duplicates "
                   "buffered output into the child"),
@@ -113,7 +113,7 @@ CHECKS: dict[str, CheckSpec] = {
                   "queue.Queue() with no maxsize (or put() with no timeout) "
                   "turns overload into unbounded memory growth or a parked "
                   "producer"),
-        # -- runtime concurrency (repro.analysis.concurrency) ---------------
+        # -- runtime concurrency (the runtime pass's locksets, protocol) ---
         CheckSpec("rt-racy-field", Severity.WARNING, "concurrency",
                   "a shared field is written from one thread and touched from "
                   "another with no lock held on at least one access"),

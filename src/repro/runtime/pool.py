@@ -350,7 +350,7 @@ class _WindowStream:
         return self
 
     def __next__(self) -> tuple[str, object]:
-        run = self.run
+        run: _ShardRun = self.run
         if self.dead:
             raise StopIteration
         if self._replay:
@@ -593,7 +593,7 @@ class ShardPool:
             worker_health.hangs += 1  # noqa: rt-racy-field - advisory counter, one supervisor writer per index; healthy() reads are monotonic
         else:
             worker_health.crashes += 1  # noqa: rt-racy-field - advisory counter, one supervisor writer per index; healthy() reads are monotonic
-        worker_health.last_error = str(exc)  # noqa: rt-racy-field - diagnostic string, one supervisor writer per index; readers tolerate any published value
+        worker_health.last_error = str(exc)
 
     # ------------------------------------------------------------------
     # State consistency (shared by every pool=True surface)

@@ -19,16 +19,21 @@ from repro.analysis import (
     Severity,
     analyze_concurrency_sources,
     analyze_ranges,
-    lint_source,
     verify_graph,
     worst_severity,
 )
+from repro.analysis.__main__ import main
 from repro.fixpoint import FIX8
 from repro.mapreduce import DataflowGraph
 
 
 def _ids(diags):
     return {d.check_id for d in diags}
+
+
+def _runtime_pass(src, path="snippet.py"):
+    """The runtime-source analysis over one source text."""
+    return analyze_concurrency_sources([(path, src)])
 
 
 def _rt(x):
@@ -93,6 +98,19 @@ class TestCatalog:
         assert {
             "shape", "structure", "fork-safety", "range", "concurrency",
         } <= categories
+
+    def test_concurrency_checks_registered(self):
+        assert {c for c, spec in CHECKS.items() if spec.category == "concurrency"} == {
+            "rt-racy-field", "rt-lockset-inconsistent", "rt-lock-order",
+            "rt-cv-wait-no-predicate", "rt-cv-notify-unheld",
+            "rt-frame-unconsumed", "rt-ack-window-order",
+        }
+
+    def test_severities(self):
+        assert CHECKS["rt-cv-notify-unheld"].severity == Severity.ERROR
+        assert CHECKS["rt-ack-window-order"].severity == Severity.ERROR
+        assert CHECKS["rt-lock-order"].severity == Severity.ERROR
+        assert CHECKS["rt-racy-field"].severity == Severity.WARNING
 
     def test_severity_ordering(self):
         assert Severity.INFO < Severity.WARNING < Severity.ERROR
@@ -398,32 +416,10 @@ def close(self):
 
 
 class TestForkLint:
+    """The fork-safety checks, which ride the runtime pass per function."""
+
     def test_clean_source(self):
-        assert lint_source(FORK_CLEAN, "clean.py") == []
-
-    def test_fork_flush_trigger(self):
-        src = "import os\ndef f():\n    pid = os.fork()\n    os._exit(0)\n"
-        assert "rt-fork-flush" in _ids(lint_source(src))
-
-    def test_fork_child_exit_trigger(self):
-        src = (
-            "import os, sys\n"
-            "def f():\n"
-            "    sys.stdout.flush()\n"
-            "    pid = os.fork()\n"
-        )
-        assert "rt-fork-child-exit" in _ids(lint_source(src))
-
-    def test_pipe_ownership_trigger(self):
-        src = (
-            "import os, sys\n"
-            "def f():\n"
-            "    r, w = os.pipe()\n"
-            "    sys.stdout.flush()\n"
-            "    pid = os.fork()\n"
-            "    os._exit(0)\n"
-        )
-        assert "rt-pipe-ownership" in _ids(lint_source(src))
+        assert _runtime_pass(FORK_CLEAN, "clean.py") == []
 
     def test_pipe_fdopen_counts_as_ownership(self):
         src = (
@@ -433,54 +429,54 @@ class TestForkLint:
             "    os.close(w)\n"
             "    return os.fdopen(r, 'rb')\n"
         )
-        assert lint_source(src) == []
+        assert _runtime_pass(src) == []
 
     def test_unbounded_close_join_trigger(self):
         # A close path gets no exemption: an untimed join is an unbounded wait.
-        diags = lint_source("def close(self):\n    self._t.join()\n")
+        diags = _runtime_pass("def close(self):\n    self._t.join()\n")
         assert _ids(diags) == {"rt-unbounded-recv"}
         assert diags[0].severity == Severity.WARNING
 
     def test_bounded_join_clean(self):
         src = "def close(self):\n    self._t.join(timeout=1.0)\n"
-        assert lint_source(src) == []
+        assert _runtime_pass(src) == []
 
     def test_join_outside_close_path_flagged(self):
         # An untimed join outside a close path can park a supervision
         # loop forever on a stuck worker; it must be bounded.
         src = "def collect(self):\n    self._t.join()\n"
-        diags = lint_source(src)
+        diags = _runtime_pass(src)
         assert _ids(diags) == {"rt-unbounded-recv"}
         assert diags[0].severity == Severity.WARNING
 
     def test_bounded_join_outside_close_path_clean(self):
         src = "def collect(self):\n    self._t.join(1.0)\n"
-        assert lint_source(src) == []
+        assert _runtime_pass(src) == []
 
     def test_unbounded_recv_trigger(self):
         src = "def collect(self):\n    return self.worker.recv()\n"
-        assert _ids(lint_source(src)) == {"rt-unbounded-recv"}
+        assert _ids(_runtime_pass(src)) == {"rt-unbounded-recv"}
 
     def test_unbounded_recv_flagged_even_on_close_path(self):
         # recv() has no close-path exemption: a dead worker never
         # answers, whatever phase the caller is in.
         src = "def close(self):\n    return self.worker.recv()\n"
-        assert "rt-unbounded-recv" in _ids(lint_source(src))
+        assert "rt-unbounded-recv" in _ids(_runtime_pass(src))
 
     def test_bounded_recv_clean(self):
         src = "def collect(self):\n    return self.worker.recv(30.0)\n"
-        assert lint_source(src) == []
+        assert _runtime_pass(src) == []
 
     def test_recv_keyword_timeout_clean(self):
         src = (
             "def collect(self):\n"
             "    return self.worker.recv(hang_timeout=30.0)\n"
         )
-        assert lint_source(src) == []
+        assert _runtime_pass(src) == []
 
     def test_string_join_not_flagged(self):
         src = "def close(self):\n    return ', '.join(['a'])\n"
-        assert lint_source(src) == []
+        assert _runtime_pass(src) == []
 
     def test_noqa_listed_suppression(self):
         src = (
@@ -491,15 +487,15 @@ class TestForkLint:
             "    pid = os.fork()\n"
             "    os._exit(0)\n"
         )
-        assert "rt-pipe-ownership" not in _ids(lint_source(src))
+        assert "rt-pipe-ownership" not in _ids(_runtime_pass(src))
 
     def test_noqa_bare_suppresses_all(self):
         src = "def close(self):\n    self._t.join()  # noqa\n"
-        assert lint_source(src) == []
+        assert _runtime_pass(src) == []
 
     def test_noqa_other_id_does_not_suppress(self):
         src = "def close(self):\n    self._t.join()  # noqa: rt-fork-flush\n"
-        assert "rt-unbounded-recv" in _ids(lint_source(src))
+        assert "rt-unbounded-recv" in _ids(_runtime_pass(src))
 
     def test_import_alias_resolution(self):
         src = (
@@ -508,7 +504,7 @@ class TestForkLint:
             "    pid = posix.fork()\n"
             "    posix._exit(0)\n"
         )
-        assert "rt-fork-flush" in _ids(lint_source(src))
+        assert "rt-fork-flush" in _ids(_runtime_pass(src))
 
     def test_nested_function_linted_separately(self):
         # The outer function neither forks nor joins; the nested one forks
@@ -521,60 +517,8 @@ class TestForkLint:
             "        os._exit(0)\n"
             "    return inner\n"
         )
-        diags = lint_source(src)
+        diags = _runtime_pass(src)
         assert _ids(diags) == {"rt-fork-flush"}
-
-    def test_runtime_sources_are_clean(self):
-        from pathlib import Path
-
-        import repro.runtime
-        from repro.analysis import lint_paths
-
-        runtime_dir = Path(repro.runtime.__file__).parent
-        assert lint_paths([runtime_dir]) == []
-
-
-class TestLockOrderLint:
-    """rt-lock-order on free functions whose lock-named parameters carry no
-    class; the class-based fixtures are ``tests/test_concurrency_analysis.py``."""
-
-    @staticmethod
-    def _lock_order(src):
-        return [
-            d for d in analyze_concurrency_sources([("snippet.py", src)])
-            if d.check_id == "rt-lock-order"
-        ]
-
-    def test_inversion_trigger(self):
-        diags = self._lock_order(
-            "def f(a_lock, b_lock):\n"
-            "    with a_lock:\n"
-            "        with b_lock:\n"
-            "            pass\n"
-            "def g(a_lock, b_lock):\n"
-            "    with b_lock:\n"
-            "        with a_lock:\n"
-            "            pass\n"
-        )
-        assert len(diags) == 1
-        # Reported once, at the later of the two orderings, naming both.
-        assert diags[0].line == 7
-        assert "f()" in diags[0].message and "g()" in diags[0].message
-
-    def test_multi_item_with_records_order(self):
-        # `with a, b:` acquires left to right — inverting it elsewhere
-        # is the same deadlock.
-        diags = self._lock_order(
-            "def f(a_lock, b_lock):\n"
-            "    with a_lock, b_lock:\n"
-            "        pass\n"
-            "def g(a_lock, b_lock):\n"
-            "    with b_lock:\n"
-            "        with a_lock:\n"
-            "            pass\n"
-        )
-        assert len(diags) == 1
-        assert "f()" in diags[0].message and "g()" in diags[0].message
 
 
 class TestCLI:
@@ -587,13 +531,9 @@ class TestCLI:
         return str(target)
 
     def test_clean_paths_exit_zero(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
         assert main([self._write(tmp_path, FORK_CLEAN)]) == 0
 
     def test_findings_exit_one_and_print(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
         src = "import os\ndef f():\n    pid = os.fork()\n    os._exit(0)\n"
         assert main([self._write(tmp_path, src)]) == 1
         out = capsys.readouterr().out
@@ -601,8 +541,6 @@ class TestCLI:
         assert "snippet.py:3" in out
 
     def test_list_checks(self, capsys):
-        from repro.analysis.__main__ import main
-
         assert main(["--list-checks"]) == 0
         out = capsys.readouterr().out
         for check_id in CHECKS:

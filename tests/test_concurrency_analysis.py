@@ -1,12 +1,15 @@
-"""Tests for the interprocedural concurrency analysis.
+"""Tests for the one runtime pass (``repro.analysis.concurrency``).
 
-Each new rt-* check gets a trigger+clean fixture pair; the lockset
+What each rt-* check catches in the shipped runtime is
+``tests/test_analysis_yield.py``; the fixtures here pin the edges no
+seeded-bug row reaches (messages, anchor lines, waiver syntax, clean
+shapes, closures, branch joins, lock-typed parameters).  The lockset
 lattice contract (join = intersection = a proper meet, fixpoint
 independent of worklist order and equal to the all-paths intersection)
-is pinned with hypothesis property tests over randomly generated
-branch/merge graphs; and the acceptance criterion — the runtime sources
-are warning-clean with every surviving waiver justified inline — is a
-test, not a hope.
+is pinned with hypothesis property tests over ``must_fixpoint`` on
+randomly generated branch/merge graphs.  The runtime sources are
+warning-clean, and every waiver there is justified inline and still
+live: removing it brings its finding back.
 """
 
 import json
@@ -14,23 +17,13 @@ import re
 import textwrap
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_concurrency, analyze_concurrency_sources
-from repro.analysis.cfg import TOP_SET, join_must, solve_must
+from repro.analysis.__main__ import main
+from repro.analysis.cfg import CFG, TOP_SET, CFGNode, join_must, must_fixpoint
 from repro.analysis.diagnostics import CHECKS, Severity
-
-CONCURRENCY_CHECKS = (
-    "rt-racy-field",
-    "rt-lockset-inconsistent",
-    "rt-lock-order",
-    "rt-cv-wait-no-predicate",
-    "rt-cv-notify-unheld",
-    "rt-frame-unconsumed",
-    "rt-ack-window-order",
-)
 
 
 def run_analysis(src: str):
@@ -41,19 +34,6 @@ def run_analysis(src: str):
 
 def check_ids(src: str) -> set:
     return {d.check_id for d in run_analysis(src)}
-
-
-class TestCatalog:
-    def test_new_checks_registered(self):
-        for check in CONCURRENCY_CHECKS:
-            assert check in CHECKS
-            assert CHECKS[check].category == "concurrency"
-
-    def test_severities(self):
-        assert CHECKS["rt-cv-notify-unheld"].severity == Severity.ERROR
-        assert CHECKS["rt-ack-window-order"].severity == Severity.ERROR
-        assert CHECKS["rt-lock-order"].severity == Severity.ERROR
-        assert CHECKS["rt-racy-field"].severity == Severity.WARNING
 
 
 class TestRacyField:
@@ -331,23 +311,38 @@ class TestLockOrderLint:
         )
         assert not check_ids(waived)
 
+    #: Free functions: a lock-typed parameter is keyed by its name within
+    #: its module, so ``f`` and ``g`` take the same two locks.
+    FREE = (
+        "import threading\n"
+        "def f(a_lock: threading.Lock, b_lock: threading.Lock):\n"
+        "    with a_lock:\n"
+        "        with b_lock:\n"
+        "            pass\n"
+        "def g(a_lock: threading.Lock, b_lock: threading.Lock):\n"
+        "    with b_lock:\n"
+        "        with a_lock:\n"
+        "            pass\n"
+    )
+
+    def test_free_function_inversion_trigger(self):
+        (found,) = [d for d in run_analysis(self.FREE) if d.check_id == "rt-lock-order"]
+        # Reported once, at the later of the two orderings, naming both.
+        assert found.line == 8
+        assert "f()" in found.message and "g()" in found.message
+
+    def test_multi_item_with_records_order(self):
+        # `with a, b:` acquires left to right — inverting it elsewhere
+        # is the same deadlock.
+        multi = self.FREE.replace(
+            "    with a_lock:\n        with b_lock:\n            pass\n",
+            "    with a_lock, b_lock:\n        pass\n", 1,
+        )
+        (found,) = [d for d in run_analysis(multi) if d.check_id == "rt-lock-order"]
+        assert "f()" in found.message and "g()" in found.message
+
 
 class TestConditionDiscipline:
-    def test_wait_outside_while_triggers(self):
-        diags = run_analysis("""
-            import threading
-
-            class Waits:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._cv = threading.Condition(self._lock)
-
-                def bad(self):
-                    with self._cv:
-                        self._cv.wait()
-        """)
-        assert "rt-cv-wait-no-predicate" in {d.check_id for d in diags}
-
     def test_wait_in_while_is_clean(self):
         assert not check_ids("""
             import threading
@@ -476,14 +471,6 @@ ACK_WINDOW_PRELUDE = """
 
 
 class TestAckWindowOrder:
-    def test_pop_without_notify_triggers(self):
-        diags = run_analysis(ACK_WINDOW_PRELUDE + """
-            def bad_pop(self):
-                with self.cv:
-                    return self.pending.popleft()
-        """)
-        assert "rt-ack-window-order" in {d.check_id for d in diags}
-
     def test_disciplined_window_is_clean(self):
         assert "rt-ack-window-order" not in check_ids(ACK_WINDOW_PRELUDE + """
             def good(self, worker, item):
@@ -532,47 +519,34 @@ class TestJoinIsAMeet:
 
 
 @st.composite
-def dag_problems(draw):
-    """A random branch/merge DAG with acquire/release effects."""
+def graph_problems(draw, acyclic=False):
+    """A random branch/merge graph with acquire/release effects per node;
+    ``acyclic`` keeps every edge forward (no loop back-edges)."""
     n = draw(st.integers(min_value=2, max_value=7))
     succs = {}
-    for i in range(n - 1):
-        succs[i] = sorted(
-            draw(
-                st.sets(
-                    st.integers(min_value=i + 1, max_value=n - 1), max_size=3
-                )
-            )
-        )
-    succs[n - 1] = []
-    effects = {
-        i: (
-            draw(locksets),
-            draw(locksets),
-        )
-        for i in range(n)
-    }
-    init = draw(locksets)
-    return n, succs, effects, init
-
-
-@st.composite
-def graph_problems(draw):
-    """Like dag_problems but cycles (loop back-edges) are allowed."""
-    n = draw(st.integers(min_value=2, max_value=7))
-    succs = {
-        i: sorted(
-            draw(
-                st.sets(
-                    st.integers(min_value=0, max_value=n - 1), max_size=3
-                )
-            )
-        )
-        for i in range(n)
-    }
+    for i in range(n):
+        targets = range(i + 1, n) if acyclic else range(n)
+        succs[i] = sorted(draw(st.sets(st.sampled_from(targets), max_size=3))) if targets else []
     effects = {i: (draw(locksets), draw(locksets)) for i in range(n)}
     init = draw(locksets)
     return n, succs, effects, init
+
+
+def _solve(succs, effects, init, shuffle=None):
+    """``must_fixpoint`` over the graph, node 0 the entry; ``shuffle``
+    permutes every successor list first, which reorders the worklist."""
+    nodes = [CFGNode("stmt") for _ in succs]
+    for i, node in enumerate(nodes):
+        node.succs = [nodes[j] for j in succs[i]]
+        if shuffle is not None:
+            shuffle(node.succs)
+
+    def transfer(node, state):
+        acquires, releases = effects[node.index]
+        return (state | acquires) - releases
+
+    solved = must_fixpoint(CFG(nodes[0], nodes[-1], nodes), init, transfer)
+    return {node.index: state for node, state in solved.items()}
 
 
 def _all_paths(succs, entry, target, limit=5000):
@@ -591,10 +565,10 @@ def _all_paths(succs, entry, target, limit=5000):
 
 class TestFixpointIsPathIntersection:
     @settings(max_examples=200, deadline=None)
-    @given(dag_problems())
+    @given(graph_problems(acyclic=True))
     def test_in_state_equals_meet_over_all_paths(self, problem):
         n, succs, effects, init = problem
-        solved = solve_must(succs, effects, entry=0, init=init)
+        solved = _solve(succs, effects, init)
         for target in range(n):
             paths = _all_paths(succs, 0, target)
             if not paths:
@@ -613,14 +587,9 @@ class TestFixpointIsPathIntersection:
     @given(graph_problems(), st.randoms(use_true_random=False))
     def test_worklist_order_is_irrelevant(self, problem, rnd):
         n, succs, effects, init = problem
-        baseline = solve_must(succs, effects, entry=0, init=init)
+        baseline = _solve(succs, effects, init)
         for _ in range(3):
-            order = list(range(n))
-            rnd.shuffle(order)
-            assert (
-                solve_must(succs, effects, entry=0, init=init, order=order)
-                == baseline
-            )
+            assert _solve(succs, effects, init, shuffle=rnd.shuffle) == baseline
 
     @settings(max_examples=100, deadline=None)
     @given(graph_problems())
@@ -628,7 +597,7 @@ class TestFixpointIsPathIntersection:
         # IN[succ] must be ≤ OUT[node] for every edge: re-applying one
         # transfer step never discovers anything new.
         n, succs, effects, init = problem
-        solved = solve_must(succs, effects, entry=0, init=init)
+        solved = _solve(succs, effects, init)
         for node, state in solved.items():
             acquires, releases = effects[node]
             out = (state | acquires) - releases
@@ -654,16 +623,12 @@ TRIGGER_FILE = textwrap.dedent("""
 
 class TestCLI:
     def test_paths_mode_runs_concurrency(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
         snippet = tmp_path / "snippet.py"
         snippet.write_text(TRIGGER_FILE)
         assert main([str(snippet)]) == 1
         assert "rt-cv-notify-unheld" in capsys.readouterr().out
 
     def test_sarif_output(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
         snippet = tmp_path / "snippet.py"
         snippet.write_text(TRIGGER_FILE)
         assert main(["--format=sarif", str(snippet)]) == 1
@@ -681,8 +646,6 @@ class TestCLI:
         assert location["region"]["startLine"] == 10
 
     def test_sarif_rules_carry_catalog_metadata(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
         assert main(["--format=sarif", str(clean)]) == 0
@@ -697,12 +660,30 @@ class TestCLI:
 
 
 # ----------------------------------------------------------------------
-# The acceptance criterion: the runtime is clean and waivers justified
+# The acceptance criterion: the runtime is clean, every waiver justified
+# and still live
 # ----------------------------------------------------------------------
 def _runtime_dir() -> Path:
     import repro.runtime
 
     return Path(repro.runtime.__file__).resolve().parent
+
+
+def _runtime_sources() -> dict[str, str]:
+    return {str(path): path.read_text() for path in sorted(_runtime_dir().rglob("*.py"))}
+
+
+#: ``# noqa: <rt-check> - justification``
+WAIVER = re.compile(r"# noqa: (rt-[a-z-]+)([^\n]*)")
+
+
+def _waivers(sources):
+    """``(path, lineno, match)`` for every ``# noqa: rt-*`` in ``sources``."""
+    for path, text in sources.items():
+        for lineno, line in enumerate(text.splitlines(), 1):
+            match = WAIVER.search(line)
+            if match:
+                yield path, lineno, match
 
 
 class TestRuntimeIsClean:
@@ -714,31 +695,34 @@ class TestRuntimeIsClean:
     #: ``# noqa: rt-*`` waivers under ``src/repro/runtime``, pinned so
     #: the count only moves down: a deleted waiver lowers this number in
     #: the same change, a new one fails here — fix the finding instead.
-    WAIVERS = 15
+    WAIVERS = 14
 
     def test_every_waiver_carries_a_justification(self):
-        pattern = re.compile(r"# noqa: (rt-[a-z-]+)([^\n]*)")
-        unjustified = []
-        waivers = 0
-        for path in sorted(_runtime_dir().rglob("*.py")):
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                match = pattern.search(line)
-                if not match:
-                    continue
-                waivers += 1
-                if match.group(1) not in CONCURRENCY_CHECKS:
-                    continue
-                if " - " not in match.group(2):
-                    unjustified.append(f"{path.name}:{lineno}")
+        waivers = list(_waivers(_runtime_sources()))
+        unjustified = [
+            f"{Path(path).name}:{lineno}"
+            for path, lineno, match in waivers
+            if " - " not in match.group(2)
+        ]
         assert not unjustified, unjustified
-        assert waivers == self.WAIVERS, (
-            f"{waivers} rt-* waivers in the runtime, pinned at "
+        assert len(waivers) == self.WAIVERS, (
+            f"{len(waivers)} rt-* waivers in the runtime, pinned at "
             f"{self.WAIVERS}: waivers only go down"
         )
 
-    @pytest.mark.parametrize("check", CONCURRENCY_CHECKS)
-    def test_each_check_exercised_by_fixtures(self, check):
-        # Belt and braces: the catalog promise is that every check has a
-        # triggering fixture somewhere in this file.
-        source = Path(__file__).read_text()
-        assert check in source
+    def test_every_waiver_still_fires(self):
+        """Removing a waiver brings its check's finding back on that line;
+        a waiver that suppresses nothing is dead and must go."""
+        sources = _runtime_sources()
+        dead = []
+        for path, lineno, match in _waivers(sources):
+            lines = sources[path].splitlines()
+            lines[lineno - 1] = lines[lineno - 1][: match.start()]
+            edited = {**sources, path: "\n".join(lines) + "\n"}
+            found = analyze_concurrency_sources(list(edited.items()))
+            if not any(
+                (d.check_id, d.source, d.line) == (match.group(1), path, lineno)
+                for d in found
+            ):
+                dead.append(f"{Path(path).name}:{lineno} {match.group(1)}")
+        assert not dead, f"dead waivers: {dead}"
