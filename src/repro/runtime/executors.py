@@ -454,10 +454,11 @@ class ForkWorker:
         in flight for longer than ``hang_timeout`` gets the child
         SIGKILLed (the watchdog's stuck-worker rule).
 
-        Raises :class:`WorkerCrash` if the child died (EOF / torn frame)
-        or was killed by the watchdog, :class:`WorkerDispatchError` if
-        the parent-side dispatch failed (echoed :data:`ERROR_REQUEST`),
-        or ``RuntimeError`` if the child survived but its handler raised.
+        Raises :class:`WorkerCrash` if the child died (EOF / torn frame),
+        was killed by the watchdog, or sent a frame that does not unpickle
+        (then it is killed too), :class:`WorkerDispatchError` if the
+        parent-side dispatch failed (echoed :data:`ERROR_REQUEST`), or
+        ``RuntimeError`` if the child survived but its handler raised.
         """
         while True:
             frame = self._next_frame(hang_timeout)
@@ -468,7 +469,16 @@ class ForkWorker:
                     "response pipe closed",
                     worker_index=self.index,
                 )
-            status, payload = pickle.loads(frame)
+            try:
+                status, payload = pickle.loads(frame)
+            except Exception as exc:
+                self.kill()
+                raise WorkerCrash(
+                    self.pid,
+                    self.reap(),
+                    f"garbled frame ({type(exc).__name__}: {exc})",
+                    worker_index=self.index,
+                ) from None
             if status == "beat":
                 busy_s = float(payload.get("busy_s", 0.0))
                 if hang_timeout is not None and busy_s > hang_timeout:

@@ -15,7 +15,9 @@ shipped* while the worker scores chunk ``k``.  Responses stream back per
 chunk and carry incremental state deltas
 (:meth:`~repro.pisa.TaurusPipeline.state_delta`), so the parent's
 pipelines track the workers chunk by chunk and per-message cost stays
-bounded by the chunk itself, not the register file.
+bounded by the chunk itself, not the register file.  The parent is the
+only truth: no worker state is ever read back, and after a run every
+worker that died or failed is re-forked from the parent's contexts.
 
 Lifecycle: the pool is a context manager; ``close()`` is deterministic
 (EOF-then-reap with a bounded SIGKILL fallback, so an abandoned mid-trace
@@ -105,15 +107,14 @@ class PipelineShardWorker:
     * ``("score", features)`` — a read-only pass through the block's
       graph interpreter (no issue-clock accounting), the pool twin of
       ``TaurusDataPlane._stream_scores``'s in-process loop.
-    * ``("snapshot", None)`` — full state, for post-failure resync and
-      verification;
     * ``("mark", None)`` / ``("rewind", None)`` — zero-payload per-run
       reset: ``mark`` pins the current state *inside* the worker and
       ``rewind`` restores it, so a pool owner wanting fresh-run
       semantics doesn't ship the register file down the pipe every run.
       Marks set on the context **before** spawning are inherited by the
-      forked workers (and by crash replacements, which re-fork from the
-      parent's context).
+      forked workers (and by replacements, which re-fork from the
+      parent's context).  No request returns the worker's state: the
+      parent's twin of this pipeline, kept current by deltas, is the truth.
     """
 
     def __init__(self, pipeline: TaurusPipeline):
@@ -144,8 +145,6 @@ class PipelineShardWorker:
             self.pipeline.restore_state(self._mark)
             self._base = None
             return True
-        if kind == "snapshot":
-            return self.pipeline.state_snapshot()
         raise ValueError(f"unknown request kind {kind!r}")
 
 
@@ -156,8 +155,8 @@ class LaneWorker:
     one (a shard).  Requests addressed to an app — ``(kind, (app,
     body))`` — are answered by that app's worker as ``(app, reply)``,
     which steers the shared block to the app's pinned program on the way;
-    lane-wide requests (``payload is None``: mark / rewind / snapshot)
-    fan out and return ``{app: reply}``.
+    lane-wide requests (``payload is None``: mark / rewind) fan out and
+    return ``{app: reply}``; no request reads a lane's state back.
     """
 
     def __init__(self, pipelines: dict[int, TaurusPipeline]):
@@ -501,8 +500,8 @@ class ShardPool:
     def restart(self, index: int) -> None:
         """Replace worker ``index`` with a fresh fork from the parent's
         current context (it re-inherits the parent's pipeline state, so
-        a replaced worker resumes consistent with the parent).  A closed
-        pool only reaps — no fresh worker to leak."""
+        a replaced worker resumes consistent with the parent): crash
+        recovery and the post-run re-fork.  A closed pool only reaps."""
         self._slots[index].close(self.close_timeout)
         if not self._closed:  # noqa: rt-racy-field - monotonic bool; a supervisor reading stale False takes one extra recovery lap, harmlessly
             self._slots[index] = self._spawn(index)  # noqa: rt-racy-field - per-index slot replacement; list cell assignment is atomic under the GIL and each index is owned by its supervisor during recovery
@@ -550,24 +549,6 @@ class ShardPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("pool is closed")
-
-    def submit(self, index: int, kind: str, payload=None) -> None:
-        """Queue one request for worker ``index`` (non-blocking)."""
-        self._check_open()
-        self._slots[index].submit([(kind, payload)])
-
-    def collect(self, index: int):
-        """The next response from worker ``index`` (blocking, in order).
-
-        Bounded by the pool's ``hang_timeout``: a worker that dies or
-        stalls mid-request surfaces as :class:`WorkerCrash` instead of
-        parking the caller on the pipe forever.
-        """
-        return self._slots[index].recv(self.hang_timeout)
-
     def broadcast(self, kind: str, payloads=None) -> list:
         """One request per worker; returns the per-worker responses.
 
@@ -609,43 +590,20 @@ class ShardPool:
             context.handle("rewind", None)
         self.broadcast("rewind")
 
-    def pull_snapshots(self) -> list | None:
-        """Best-effort worker snapshots for post-failure resync.
-
-        After a failed run the workers are the truth (they may have
-        executed chunks whose deltas were never applied parent-side).
-        Returns None when the workers are unreachable — the caller's
-        original error should still propagate either way.
-        """
-        try:
-            return self.broadcast("snapshot")
-        except Exception:
-            return None
-
-    def _heal_and_raise(self, errors: dict[int, BaseException]) -> None:
-        """Replace crashed workers, then raise one typed report.
-
-        A lone :class:`~repro.runtime.health.PoolError` subclass (e.g. a
-        :class:`~repro.runtime.health.PoisonChunk`) propagates as itself;
-        anything else aggregates into a :class:`PoolError` whose
-        ``worker_errors`` maps worker index to the original exception.
-        """
+    def _raise_report(self, errors: dict[int, BaseException]) -> None:
+        """Raise a failed run's errors as one typed report: a lone
+        :class:`~repro.runtime.health.PoolError` (e.g. a ``PoisonChunk``)
+        as itself, anything else as a :class:`PoolError` whose
+        ``worker_errors`` maps worker index to the original exception."""
         if not errors:
             return
-        details = []
-        for index in sorted(errors):
-            exc = errors[index]
-            if isinstance(exc, WorkerCrash):
-                self.restart(index)
-                details.append(f"{exc} [worker replaced]")
-            else:
-                details.append(str(exc))
         if len(errors) == 1:
             (only,) = errors.values()
             if isinstance(only, PoolError):
                 raise only
         raise PoolError(
-            "shard pool run failed: " + "; ".join(details),
+            "shard pool run failed: "
+            + "; ".join(str(errors[index]) for index in sorted(errors)),
             worker_errors=errors,
         )
 
@@ -681,13 +639,18 @@ class ShardPool:
         :class:`~repro.runtime.health.PoisonChunk`; past
         ``max_worker_crashes`` (or a failed re-fork) the shard degrades
         to in-parent scoring via ``degrade(index, kind, payload)`` (or
-        the parent context itself when no callable is given).
+        the parent context itself when no callable is given).  A handler
+        error inside a worker fails the run with a prefix: that worker's
+        later responses are drained but never reach ``on_result``, so the
+        parent keeps exactly the chunks before the failed one, and the
+        worker is re-forked from it after the run.
         """
         return self._dispatch(streams, self.faults, on_result, degrade)
 
     def _dispatch(self, streams, faults, on_result=None, degrade=None):
         """The one request path: a supervisor per non-idle worker."""
-        self._check_open()
+        if self._closed:
+            raise RuntimeError("pool is closed")
         if len(streams) != self.shards:
             raise ValueError(
                 f"got {len(streams)} streams for {self.shards} workers"
@@ -721,10 +684,20 @@ class ShardPool:
                     # Still executing on a writer that outlived a bounded
                     # close(); the generator finishes on that thread.
                     pass
-        errors = {
-            run.index: run.error for run in runs if run.error is not None
-        }
-        self._heal_and_raise(errors)
+        for run in runs:
+            # The one post-run re-fork site: a dead worker, or one whose
+            # run failed and so may be past what landed here.  A dispatch
+            # error leaves its worker in step (everything sent was acked).
+            stale = run.error is not None and not isinstance(
+                run.error, WorkerDispatchError)
+            try:
+                if stale or not self._slots[run.index].alive:
+                    self.restart(run.index)
+            except OSError:
+                pass  # best effort: the next run's crash recovery retries
+        self._raise_report(
+            {run.index: run.error for run in runs if run.error is not None}
+        )
         out: list[list] = [[] for __ in range(self.shards)]
         for run in runs:
             out[run.index] = run.results
@@ -748,6 +721,7 @@ class ShardPool:
         index = run.index
         crashes_this_run = 0
         retries: dict[int, int] = {}
+        landing = True  # until the worker reports a handler error
         attempt = _WindowStream(run)
         self._slots[index].submit(attempt)
         try:
@@ -762,8 +736,9 @@ class ShardPool:
                         run.collected - 1 if run.collected else None
                     )
                     self._note_crash(index, exc)
-                    if self._closed:
-                        run.error = exc
+                    if self._closed or not landing:
+                        # Nothing more can land: the post-run site re-forks.
+                        run.error = run.error or exc
                         return
                     crashes_this_run += 1
                     with run.cv:
@@ -775,10 +750,6 @@ class ShardPool:
                     retries[head] = retries.get(head, 0) + 1
                     if retries[head] > self.max_chunk_retries:
                         run.error = PoisonChunk(index, head, retries[head])
-                        try:
-                            self.restart(index)  # keep the pool usable
-                        except OSError:
-                            pass
                         return
                     if crashes_this_run > self.max_worker_crashes:
                         self._degrade_shard(run, attempt, degrade, on_result)
@@ -808,16 +779,19 @@ class ShardPool:
                     run.error = exc
                     return
                 except RuntimeError as exc:
-                    # In-band handler failure: the conversation is still
-                    # in sync, so this *is* the ack for the pending head.
-                    # Record the first error and keep draining.
+                    # In-band handler failure: the conversation is still in
+                    # sync, so this *is* the ack for the pending head.  Keep
+                    # draining, landing nothing more (the prefix rule).
                     run.ack()
                     run.collected += 1
                     if run.error is None:
                         run.error = exc
+                    landing = False
                     continue
                 ordinal, __, __ = run.ack()
                 run.collected += 1
+                if not landing:
+                    continue
                 if on_result is None:
                     run.results[ordinal] = response
                 else:
@@ -854,8 +828,8 @@ class ShardPool:
         attempt.dead = True
         with run.cv:
             run.cv.notify_all()
-        # Retire the dead slot first: close() joins its writer thread,
-        # so nothing else is pulling from the caller's stream below.
+        # Retire the dead slot first (the post-run site re-forks it):
+        # close() joins its writer, so nothing else pulls the stream below.
         self._slots[index].close(self.close_timeout)
         worker_health = self.health.worker(index)
 
@@ -898,11 +872,3 @@ class ShardPool:
                 execute(ordinal, kind, payload)
         except BaseException as exc:
             run.error = exc
-        finally:
-            # Leave the pool usable for the next run if we can.
-            if not self._closed:
-                try:
-                    self._slots[index] = self._spawn(index)
-                    worker_health.restarts += 1
-                except OSError:
-                    pass

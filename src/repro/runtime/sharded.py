@@ -341,12 +341,13 @@ class LaneRunner:
     affine to it) and :class:`~repro.runtime.fabric.MultiAppFabric`
     (apps time-sharing the lanes' blocks) construct this class.
 
-    This process's pipelines are the state of record on both backends:
-    the in-process loop mutates them directly, the fork backend lands
-    each chunk's state delta on them as the chunk is acked — which is
-    also what lets the pool re-fork a crashed worker at exactly the last
-    acked chunk (see :meth:`ShardPool.map_streams`).  ``executor`` /
-    ``pool`` / ``pool_options`` are documented on :class:`ShardedRuntime`.
+    This process's pipelines are the only state of record on both
+    backends: the in-process loop mutates them directly, the fork backend
+    lands each chunk's state delta on them as the chunk is acked and never
+    reads a worker's state back — which is what lets the pool re-fork a
+    worker at exactly what landed, after a crash or a failed run (see
+    :meth:`ShardPool.map_streams`).  ``executor`` / ``pool`` /
+    ``pool_options`` are documented on :class:`ShardedRuntime`.
     """
 
     def __init__(
@@ -626,15 +627,7 @@ class LaneRunner:
             tally.scored(lane, result)
 
         with self.workers() as pool:
-            try:
-                pool.map_streams(streams, on_result=acked, degrade=self._degrade)
-            except RuntimeError:
-                # A failed run may have executed chunks worker-side
-                # whose deltas never landed here; pull full snapshots
-                # so this process's pipelines stay consistent with the
-                # workers instead of silently drifting on the next run.
-                self._resync(pool)
-                raise
+            pool.map_streams(streams, on_result=acked, degrade=self._degrade)
 
     def _score(self, lane: int, app: int, columns: TraceColumns, chunk: int):
         """The in-process backend: this process's pipeline scores the slot."""
@@ -658,16 +651,6 @@ class LaneRunner:
             raise RuntimeError(f"cannot degrade request kind {kind!r}")
         app, (columns, __) = payload
         return app, (self._score(lane, app, columns, max(columns.n, 1)), None)
-
-    def _resync(self, pool: ShardPool) -> None:
-        """Restore this process's pipelines from the workers' snapshots
-        (best effort — after a failed run the workers are the truth)."""
-        snapshots = pool.pull_snapshots()
-        if snapshots is None:
-            return
-        for lane, per_app in zip(self.lanes, snapshots):
-            for app, snapshot in per_app.items():
-                lane[app].restore_state(snapshot)
 
 
 class ShardedRuntime(LaneRunner):

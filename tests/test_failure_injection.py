@@ -286,7 +286,7 @@ class TestCrashTransparentRuns:
 
     def test_control_requests_do_not_consume_the_plan(self, blocks):
         """Plans are keyed on ``map_streams`` dispatch ordinals: ``rewind``
-        and ``broadcast`` take the same path but never a fault event."""
+        (a ``broadcast``) takes the same path but never a fault event."""
         plan = FaultPlan().add(0, 0, "kill")
         oracle = _oracle(blocks, slots=16, tables=True)
         runtime = _pooled_runtime(
@@ -294,7 +294,7 @@ class TestCrashTransparentRuns:
         )
         with runtime:
             runtime.rewind_state()
-            assert len(runtime.pool.broadcast("snapshot")) == 2
+            runtime.rewind_state()
             assert plan.fired == [] and len(plan) == 1
             _assert_equivalent(oracle, runtime, _random_columns(seed=113, n=90))
             assert plan.fired == [(0, 0, "kill")]
@@ -407,6 +407,29 @@ class TestPoisonChunkAndDegradedMode:
             ) == [[7], [8]]
         finally:
             pool.close()
+
+    def test_nothing_lands_after_a_handler_error(self):
+        """The prefix rule holds through a later crash: once a worker's
+        handler raised, nothing more from its lane lands — not even by
+        degrading, which this pool does on its first crash."""
+
+        class Fragile:
+            def handle(self, kind, payload):
+                if kind == "boom":
+                    raise ValueError("chunk exploded")
+                return payload
+
+        landed = []
+        plan = FaultPlan().add(0, 1, "kill")
+        with ShardPool([Fragile()], faults=plan, max_worker_crashes=0) as pool:
+            with pytest.raises(RuntimeError, match="chunk exploded"):
+                pool.map_streams(
+                    [(iter([("boom", 0), ("echo", 1), ("echo", 2)]), 3)],
+                    on_result=lambda index, ordinal, response: landed.append(ordinal),
+                )
+            assert landed == [] and plan.fired == [(0, 1, "kill")]
+            assert pool.health.worker(0).degraded_chunks == 0
+            assert pool.map_streams([(iter([("echo", 7)]), 1)]) == [[7]]
 
     def test_repeated_crashes_degrade_to_in_parent_scoring(self, blocks):
         """Past ``max_worker_crashes`` the shard falls back to scoring

@@ -929,7 +929,9 @@ class TestBatchDelivery:
                 stats.completed + stats.failed + stats.expired + stats.evicted
                 + sum(stats.queue_depths.values())
             )
-            # The lanes were resynced: an in-process runtime restored to
+            # This process's lanes are the truth (lane 0 kept its chunks
+            # before the poison, lane 1 all five; the poisoned worker was
+            # re-forked from them): an in-process runtime restored to
             # them is the oracle for what the dispatcher serves next.
             plan.add(worker=0, ordinal=poisoned, kind="delay")  # disarm the kill
             oracle = _runtime(blocks)

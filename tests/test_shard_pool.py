@@ -33,7 +33,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.hw import MapReduceBlock
 from repro.mapreduce import dnn_graph
-from repro.runtime import PipelineShardWorker, ShardPool, WorkerCrash
+from repro.pisa import threshold_postprocess
+from repro.runtime import (
+    ForkWorker,
+    PipelineShardWorker,
+    PoisonChunk,
+    ShardedRuntime,
+    ShardPool,
+    WorkerCrash,
+)
+from repro.runtime.sharded import in_arrival_order, merge_pipeline_state
 
 from test_shard_runtime import (
     MAX_SHARDS,
@@ -90,6 +99,17 @@ class _Sleeper:
         if kind == "sleep":
             time.sleep(payload)
         return "done"
+
+
+def _refuse_to_load():
+    raise ValueError("cannot load")
+
+
+class _Unloadable:
+    """Pickles in the worker; loading it in the parent raises."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
 
 
 class TestPoolIdentity:
@@ -213,7 +233,8 @@ class TestRunScopedWorkers:
         runtime.pipelines[1].process_trace_batch = boom  # inherited by the fork
         with pytest.raises(RuntimeError, match="chunk exploded"):
             runtime.process_trace(_random_columns(42, 90), chunk_size=16)
-        assert len(pids) == 2
+        # The failed lane is re-forked before the run's pool closes.
+        assert len(pids) == 3
         self._assert_gone(pids)
         assert new_threads() == []
 
@@ -338,18 +359,43 @@ class TestPoolLifecycle:
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
     def test_worker_crash_carries_exit_status(self):
-        pool = ShardPool([_Sleeper()], mode="fork", close_timeout=0.5)
-        with pool:
-            os.kill(pool.worker_pids[0], signal.SIGKILL)
-            pool.submit(0, "sleep", 0.0)
+        worker = ForkWorker(_Sleeper(), index=0)
+        try:
+            os.kill(worker.pid, signal.SIGKILL)
             with pytest.raises(WorkerCrash) as info:
-                pool.collect(0)
+                worker.send("sleep", 0.0)  # a broken pipe, or EOF below
+                worker.recv()
             assert info.value.exit_status == -signal.SIGKILL
             assert info.value.signal_name == "SIGKILL"
             assert info.value.worker_index == 0
             # Human-readable report: signal by name, not a negative int.
             assert "SIGKILL" in str(info.value)
-            assert str(pool.worker_pids[0]) in str(info.value)
+            assert str(worker.pid) in str(info.value)
+        finally:
+            worker.close(0.5)
+
+    @staticmethod
+    def _in_background(pool, streams):
+        """``pool.map_streams(streams)`` on a started caller thread, the
+        way an abandoned run leaves it; ``outcome`` gets its ``value`` or
+        ``error``."""
+        outcome: dict = {}
+
+        def run():
+            try:
+                outcome["value"] = pool.map_streams(streams)
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        return caller, outcome
+
+    @staticmethod
+    def _assert_failed(caller, outcome):
+        caller.join(5.0)
+        assert not caller.is_alive()
+        assert isinstance(outcome.get("error"), RuntimeError)
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
     def test_close_is_deterministic_under_abandoned_run(self):
@@ -358,9 +404,10 @@ class TestPoolLifecycle:
         no child behind."""
         pool = ShardPool([_Sleeper(), _Sleeper()], mode="fork", close_timeout=0.5)
         pids = list(pool.worker_pids)
-        pool.submit(0, "sleep", 30.0)
-        pool.submit(0, "sleep", 30.0)  # queued behind the first
-        pool.submit(1, "sleep", 30.0)
+        caller, outcome = self._in_background(pool, [
+            (iter([("sleep", 30.0), ("sleep", 30.0)]), 2),  # one queued behind
+            (iter([("sleep", 30.0)]), 1),
+        ])
         time.sleep(0.2)  # workers are now parked inside their chunks
         t0 = time.perf_counter()
         pool.close()
@@ -369,8 +416,9 @@ class TestPoolLifecycle:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)  # reaped, not leaked
         pool.close()  # idempotent
+        self._assert_failed(caller, outcome)
         with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(0, "sleep", 0.0)
+            pool.broadcast("sleep", 0.0)
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
     def test_close_timeout_is_one_end_to_end_budget(self):
@@ -378,8 +426,9 @@ class TestPoolLifecycle:
         join, reap, and worker close share one deadline instead of each
         burning a full budget in sequence (worst case used to be ~3x)."""
         pool = ShardPool([_Sleeper()], mode="fork", close_timeout=0.6)
-        pool.submit(0, "sleep", 30.0)
-        pool.submit(0, "sleep", 30.0)  # writer parked behind a stuck worker
+        caller, outcome = self._in_background(
+            pool, [(iter([("sleep", 30.0), ("sleep", 30.0)]), 2)]
+        )
         time.sleep(0.2)
         t0 = time.perf_counter()
         pool.close()
@@ -388,6 +437,7 @@ class TestPoolLifecycle:
             f"close took {elapsed:.2f}s; budget must be end-to-end, "
             "not per teardown phase"
         )
+        self._assert_failed(caller, outcome)
 
     @fork_only
     def test_close_while_caller_stream_is_mid_next(self):
@@ -408,26 +458,15 @@ class TestPoolLifecycle:
                 raise
 
         pool = ShardPool([_Sleeper()], mode="fork", close_timeout=0.5)
-        outcome: dict = {}
-
-        def run():
-            try:
-                outcome["value"] = pool.map_streams([(stream(), 2)])
-            except BaseException as exc:
-                outcome["error"] = exc
-
-        caller = threading.Thread(target=run)
-        caller.start()
+        caller, outcome = self._in_background(pool, [(stream(), 2)])
         try:
             assert entered.wait(5.0)
             t0 = time.perf_counter()
             pool.close()
             assert time.perf_counter() - t0 < 1.5
             assert thrown == []
-            caller.join(5.0)
-            assert not caller.is_alive()
+            self._assert_failed(caller, outcome)
             assert thrown == []
-            assert isinstance(outcome.get("error"), RuntimeError)
         finally:
             release.set()
             caller.join(5.0)
@@ -455,45 +494,56 @@ class TestPoolLifecycle:
             # The conversation stayed in sync: new runs still work.
             assert pool.map_streams([(iter([("echo", 7)]), 1)]) == [[7]]
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
-    def test_failed_run_resyncs_parent_from_workers(self, blocks):
-        """A run that fails after some chunks executed worker-side must
-        not leave this process's pipelines behind the workers: the next
-        (successful) run still matches the oracle exactly."""
+    @fork_only
+    @pytest.mark.parametrize(
+        "shards, failing", [(1, 1), (1, 2), (1, 3), (2, 2)],
+        ids=["chunk1", "chunk2", "chunk3", "two-shards"],
+    )
+    def test_failed_lane_keeps_the_chunks_before_the_failure(
+        self, blocks, tmp_path, shards, failing
+    ):
+        """The prefix rule: a hook that raises in shard 0's worker on its
+        ``failing``-th chunk of 16 leaves shard 0 with exactly its earlier
+        chunks and shard 1 with everything; nothing is read back from a
+        worker, and without a rewind the next run continues from there."""
+        # Armed by a file, not a call count alone: the re-forked worker
+        # inherits the parent's count and would raise again.
+        armed = tmp_path / "armed"
+        armed.touch()
+        calls = []
+        __, threshold = threshold_postprocess(0.5)
+
+        def hook(values):
+            calls.append(None)
+            if len(calls) == failing and armed.exists():
+                raise ValueError(f"hook raised on chunk {failing}")
+            return threshold(values)
+
+        def factory(i):
+            pipe = _pipeline(blocks[i + 1], 16, tables=True)
+            if i == 0:
+                pipe.postprocess_batch = hook
+            return pipe
+
+        columns = _random_columns(seed=61, n=48 * shards)
+        __, ordered = in_arrival_order(columns)
+        lanes = ordered.shard_assignments(shards, 16)
+        first = np.flatnonzero(lanes == 0)
+        assert len(first) > 16 * (failing - 1)
         oracle = _oracle(blocks, slots=16, tables=True)
-        runtime = _pooled_runtime(blocks, 2, slots=16, tables=True, mode="fork")
-        with runtime:
-            columns = _random_columns(seed=61, n=80)
-            # Poison one chunk payload so dispatch fails mid-run on one
-            # shard while other chunks have already executed.
-            runner = runtime
-            real_requests = runner._requests
-
-            def poisoned(schedule, chunk):
-                for i, request in enumerate(real_requests(schedule, chunk)):
-                    if i == 1:
-                        raise RuntimeError("poisoned chunk")
-                    yield request
-
-            runner._requests = poisoned
-            with pytest.raises(RuntimeError):
+        landed = np.union1d(first[: 16 * (failing - 1)], np.flatnonzero(lanes != 0))
+        oracle.process_trace_batch(ordered.take(landed), chunk_size=16)
+        for block in blocks[1 : shards + 1]:
+            _reset(block)
+        with ShardedRuntime(factory, shards=shards, executor="fork", pool=True) as runtime:
+            with pytest.raises(RuntimeError, match=f"hook raised on chunk {failing}"):
                 runtime.process_trace(columns, chunk_size=16)
-            del runner._requests
-            # The invariant the resync maintains: this process's
-            # pipelines equal the workers', observable for observable,
-            # even though the failed run's deltas were discarded.
-            snapshots = runtime.pool.broadcast("snapshot")
-            for pipe, per_app in zip(runtime.pipelines, snapshots):
-                mine, theirs = pipe.state_snapshot(), per_app[0]
-                assert mine["stats"] == theirs["stats"]
-                for name, values in theirs["registers"].items():
-                    assert np.array_equal(mine["registers"][name], values)
-                assert mine["parser_packets"] == theirs["parser_packets"]
-                assert mine["tables"] == theirs["tables"]
-                assert mine["block"] == theirs["block"]
-            # And after a rewind the pool serves a pristine run again.
-            runtime.rewind_state()
-            _assert_equivalent(oracle, runtime, columns, chunk_size=16)
+            armed.unlink()
+            assert _deep_equal(
+                runtime.merged_state(),
+                merge_pipeline_state([oracle], oracle.arbiter._turn),
+            )
+            _assert_equivalent(oracle, runtime, _random_columns(seed=62, n=90))
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
     def test_idle_multi_worker_close_is_fast_eof(self):
@@ -514,8 +564,8 @@ class TestPoolLifecycle:
     @fork_only
     @pytest.mark.parametrize("mode", ["fork"])  # the one worker kind left
     def test_worker_exception_is_in_band(self, mode):
-        """A handler exception fails the run but leaves the worker alive
-        and the conversation in sync."""
+        """A handler exception fails the run in band (no crash) and the
+        pool stays usable: the worker is re-forked after the run."""
 
         class Fragile:
             def handle(self, kind, payload):
@@ -536,7 +586,8 @@ class TestPoolLifecycle:
         the fork, lets the heartbeat thread preempt a 4 KiB response
         between its header and body, so a dropped lock garbles a frame
         (with the lock dropped, ten rounds failed 20 runs of 20; one round
-        failed 7 of 10)."""
+        failed 7 of 10).  A garbled frame is recovered as a crash, so the
+        responses stay exact and ``crashes == 0`` is what fails."""
 
         class Payload:
             def handle(self, kind, payload):
@@ -555,6 +606,22 @@ class TestPoolLifecycle:
                 (responses,) = pool.map_streams([(stream, requests)])
                 assert responses == [bytes([i % 251]) * 4096 for i in range(requests)]
             assert pool.health.crashes == 0
+
+    @fork_only
+    def test_garbled_frame_is_a_crash(self):
+        """A response the parent cannot unpickle kills and replaces its
+        worker like any crash: the chunk is replayed, and one that garbles
+        every time is a ``PoisonChunk``; the pool serves the next run."""
+
+        class Garbler:
+            def handle(self, kind, payload):
+                return _Unloadable() if kind == "garble" else payload
+
+        with ShardPool([Garbler()], max_chunk_retries=1, retry_backoff=0.01) as pool:
+            with pytest.raises(PoisonChunk):
+                pool.map_streams([(iter([("echo", 1), ("garble", None)]), 2)])
+            assert pool.health.crashes >= 1
+            assert pool.map_streams([(iter([("echo", 7)]), 1)]) == [[7]]
 
     def test_pool_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -758,4 +825,4 @@ class TestSparseStateDelta:
                 synced = synced and worker._base is not None
             elif synced:
                 parent.apply_state_delta(delta)
-                assert _deep_equal(parent.state_snapshot(), worker.handle("snapshot", None))
+                assert _deep_equal(parent.state_snapshot(), worker.pipeline.state_snapshot())
