@@ -71,13 +71,13 @@ def main() -> None:
     print("non-ML packets would take the bypass path at zero added latency")
 
     # 5. Scale out: the same trace, sharded flow-consistently across four
-    #    parallel pipeline/block workers (bit-identical results; modeled
+    #    pipeline/block lanes, in process (bit-identical results; modeled
     #    drain shows four fabrics draining concurrently).
     from repro.testbed import TaurusDataPlane
 
     single = TaurusDataPlane(detector.quantized)
     sharded = TaurusDataPlane(detector.quantized, shards=4)
-    print(f"\nsharded replay across {sharded.shards} pipeline workers ...")
+    print(f"\nsharded replay across {sharded.shards} pipeline lanes ...")
     result_1 = single.run_switch(trace)
     result_4 = sharded.run_switch(trace)
     assert result_1 == result_4, "sharded replay must be bit-identical"
@@ -126,32 +126,28 @@ def main() -> None:
         f"issues {len(two.results['congestion'])} cwnd actions — same fabric"
     )
 
-    # 7. Persistent shard pool: executor="fork" alone forks the workers
-    #    for each run and reaps them after it; serving many (small)
-    #    traces back to back, that setup dominates.  pool=True keeps the
-    #    same workers warm across runs; per-run rewind keeps every result
-    #    identical to a freshly forked run.
+    # 7. Persistent shard pool: pool=True forks the workers once, when the
+    #    data plane is built, and close() reaps them; every run in between
+    #    reuses them, rewound per run so each result equals the in-process
+    #    path's.  Without a pool every run stays in process.
     import time
 
     small_traces = [
         expand_to_packets(held_out, max_packets=500, seed=s) for s in (31, 32, 33)
     ]
-    per_run = TaurusDataPlane(detector.quantized, shards=2, executor="fork")
-    print("\nreplaying 3 small traces, workers forked per run vs kept warm ...")
+    in_process = TaurusDataPlane(detector.quantized, shards=2)
+    print("\nreplaying 3 small traces, in process vs on the warm pool ...")
     t0 = time.perf_counter()
-    cold = [per_run.run_switch(t) for t in small_traces]
-    cold_s = time.perf_counter() - t0
-    with TaurusDataPlane(
-        detector.quantized, shards=2, executor="fork", pool=True
-    ) as pooled:
-        pooled.run_switch(small_traces[0])  # spawn + warm the workers
+    local = [in_process.run_switch(t) for t in small_traces]
+    local_s = time.perf_counter() - t0
+    with TaurusDataPlane(detector.quantized, shards=2, pool=True) as pooled:
         t0 = time.perf_counter()
         warm = [pooled.run_switch(t) for t in small_traces]
         warm_s = time.perf_counter() - t0
-    assert cold == warm, "warm-pool runs must match forked-per-run exactly"
+    assert local == warm, "warm-pool runs must match the in-process path exactly"
     print(
-        f"forked per run {cold_s * 1e3:.0f} ms -> warm pool {warm_s * 1e3:.0f} ms "
-        f"({cold_s / warm_s:.1f}x) for identical results"
+        f"in process {local_s * 1e3:.0f} ms, warm pool {warm_s * 1e3:.0f} ms "
+        "for identical results"
     )
 
     # 8. Crash transparency: kill a worker mid-sequence and the pool
@@ -168,7 +164,7 @@ def main() -> None:
     ) as survivor:
         crashed = [survivor.run_switch(t) for t in small_traces]
         health = survivor.pool_health
-    assert crashed == cold, "recovery must be invisible in the results"
+    assert crashed == local, "recovery must be invisible in the results"
     print(
         f"worker killed mid-run: {health.crashes} crash, "
         f"{health.restarts} restart, {health.replayed_chunks} chunk(s) "

@@ -5,10 +5,10 @@ two constructors: flow-consistent sharding of one app across parallel
 pipeline workers (:class:`ShardedRuntime`) and time-multiplexing of
 several compiled apps over shared grid lanes (:class:`MultiAppFabric`).
 Lanes, programs and — with ``pool=`` — workers exist from construction.
-Requests are scored on one of two backends — an in-process loop, or
-pre-forked workers with pipelined chunk dispatch (:class:`ShardPool`:
-per worker, one writer thread sends and one supervisor receives) that
-live for one run or, kept warm, amortize their setup across runs.
+Requests are scored on one of two backends — an in-process loop, or,
+with ``pool=``, workers forked at construction and reaped by ``close()``
+with pipelined chunk dispatch (:class:`ShardPool`: per worker, one
+writer thread sends and one supervisor receives).
 Fork runs are crash-transparent:
 heartbeats and a watchdog detect dead or hung workers, replacements
 replay unacknowledged chunks, and deterministic fault injection
@@ -23,13 +23,7 @@ per-request time-to-decision accounting; it scores whatever is queued
 as one such run and still delivers each request as it completes.
 """
 
-from .executors import (
-    EXECUTORS,
-    ForkWorker,
-    WorkerCrash,
-    available_parallelism,
-    resolve_executor,
-)
+from .executors import EXECUTORS, ForkWorker, WorkerCrash
 from .faults import FAULT_KINDS, FaultEvent, FaultPlan
 from .health import PoisonChunk, PoolError, PoolHealth, WorkerHealth
 from .fabric import (
@@ -65,8 +59,6 @@ __all__ = [
     "EXECUTORS",
     "ForkWorker",
     "WorkerCrash",
-    "available_parallelism",
-    "resolve_executor",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",

@@ -8,12 +8,12 @@ A trace reaches a pipeline through exactly one of two backends:
 * **fork pool** (``fork``) — one pre-forked :class:`ForkWorker` per
   shard behind :class:`~repro.runtime.pool.ShardPool`.  Children inherit
   the parent's pipelines copy-on-write; chunks go down a framed pipe and
-  results plus incremental state deltas come back.  Workers live for one
-  run (``pool`` falsy) or until the owner closes (``pool`` truthy).
+  results plus incremental state deltas come back.
 
-``auto`` picks per host: in-process when there is nothing to parallelize
-(one task, one usable CPU, or no :func:`os.fork`), the fork pool
-otherwise.
+``pool`` alone picks the backend: workers are forked when their owner is
+constructed with a truthy ``pool`` and reaped by its ``close()``;
+without one, every run is in process.  ``executor`` is a checked
+spelling of the same choice (:func:`selects_fork`).
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ __all__ = [
     "ForkWorker",
     "WorkerCrash",
     "WorkerDispatchError",
-    "available_parallelism",
     "read_frame",
-    "resolve_executor",
     "selects_fork",
     "write_frame",
 ]
@@ -51,35 +49,16 @@ EXECUTORS = ("auto", "serial", "fork")
 FORK_MODES = ("auto", "fork")
 
 
-def available_parallelism() -> int:
-    """CPUs this process may actually use (affinity-aware where possible)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def resolve_executor(mode: str, n_tasks: int) -> str:
-    """Map an executor request to the concrete backend for this host."""
-    if mode not in EXECUTORS:
-        raise ValueError(f"unknown executor {mode!r}; pick one of {EXECUTORS}")
-    if mode != "auto":
-        return mode
-    if n_tasks <= 1 or available_parallelism() <= 1 or not hasattr(os, "fork"):
-        return "serial"
-    return "fork"
-
-
-def selects_fork(executor: str, pool, pool_options, n_tasks: int) -> bool:
+def selects_fork(executor: str, pool, pool_options) -> bool:
     """Validate an ``executor`` x ``pool`` selector; True for the fork pool.
 
-    ``executor`` says where chunks are scored; ``pool`` only says how
-    long fork workers live (falsy: one run; truthy: until closed), so a
-    truthy ``pool`` selects the fork backend on every host and contradicts
-    ``executor="serial"``.  ``pool_options`` configure fork workers and
-    are refused unless the caller asked for them by name.
+    A truthy ``pool`` forks persistent workers, a falsy one scores in
+    process, on every host.  ``executor`` only has to agree: ``"fork"``
+    needs a truthy ``pool``, ``"serial"`` refuses one, ``"auto"`` follows
+    it.  ``pool_options`` configure fork workers, so they need a pool too.
     """
-    backend = resolve_executor(executor, n_tasks)
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; pick one of {EXECUTORS}")
     if pool and pool is not True and pool not in FORK_MODES:
         raise ValueError(
             f"unknown pool mode {pool!r}; pick True or one of {FORK_MODES}"
@@ -89,9 +68,14 @@ def selects_fork(executor: str, pool, pool_options, n_tasks: int) -> bool:
             "executor='serial' scores in process and has no workers to keep "
             "warm; drop pool= or pick executor='fork'"
         )
-    if pool_options and not pool and executor != "fork":
-        raise ValueError("pool_options requires pool=True or executor='fork'")
-    return bool(pool) or backend == "fork"
+    if not pool and executor == "fork":
+        raise ValueError(
+            "executor='fork' needs pool=True: workers are forked when the "
+            "owner is built and reaped by its close()"
+        )
+    if pool_options and not pool:
+        raise ValueError("pool_options requires pool=True")
+    return bool(pool)
 
 
 # ----------------------------------------------------------------------

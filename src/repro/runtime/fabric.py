@@ -334,11 +334,9 @@ class MultiAppFabric(LaneRunner):
         Default scheduling policy for :meth:`run` (see
         :func:`schedule_chunks`).
     pool:
-        How long fork workers live, as in
-        :class:`~repro.runtime.ShardedRuntime`: truthy forks one worker
-        per lane now and keeps them across runs instead of forking and
-        reaping per run.  Close the fabric (context manager or
-        :meth:`close`) when a pool is attached.
+        As in :class:`~repro.runtime.ShardedRuntime`: truthy forks one
+        worker per lane now, serving every run until the fabric is
+        closed (context manager or :meth:`close`); falsy runs in process.
     pool_options:
         Extra keyword arguments for the lane
         :class:`~repro.runtime.pool.ShardPool` (fault-tolerance knobs:

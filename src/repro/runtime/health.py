@@ -69,8 +69,9 @@ class WorkerHealth:
 class PoolHealth:
     """Aggregated failure counters for a :class:`ShardPool`.
 
-    One :class:`WorkerHealth` per slot; counters accumulate across runs
-    until :meth:`reset`.  ``degraded`` means at least one chunk was scored
+    One :class:`WorkerHealth` per slot; counters accumulate for the pool's
+    whole life (diff windows with :meth:`snapshot` / :meth:`since`).
+    ``degraded`` means at least one chunk was scored
     in the parent because a slot could not be kept alive — results are
     still exact, but that shard ran without parallelism.
     """
@@ -111,9 +112,6 @@ class PoolHealth:
     @property
     def healthy(self) -> bool:
         return all(w.healthy for w in self.workers)
-
-    def reset(self) -> None:
-        self.workers = [WorkerHealth(index=w.index) for w in self.workers]  # noqa: rt-racy-field - reset() is a between-runs API by contract; no pool run is active when it swaps the list
 
     def snapshot(self) -> "PoolHealth":
         """Deep copy of the current counters (a point-in-time window mark).

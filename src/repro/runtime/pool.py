@@ -3,9 +3,9 @@
 :class:`ShardPool` is ``N`` **pre-forked** workers, each holding a
 pipeline (or fabric lane) inherited copy-on-write at spawn time, served
 over a framed request/response pipe protocol
-(:class:`~repro.runtime.executors.ForkWorker`).  Its owner decides how
-long the workers live: one run (``executor="fork"``) or until closed
-(``pool=True``), which amortizes the fork across consecutive runs.
+(:class:`~repro.runtime.executors.ForkWorker`).  Workers live as long
+as their owner: forked when a ``pool=True`` runtime is built, reaped by
+its ``close()``, so one fork serves every run.
 
 Every request takes one path: the caller's stream is pulled by the
 worker's dedicated writer thread, which sends each request down the pipe

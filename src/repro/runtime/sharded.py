@@ -33,11 +33,10 @@ so a run completes in the slowest lane's drain time
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import deque
 from dataclasses import replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -364,9 +363,8 @@ class LaneRunner:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.shards = len(self.lanes)
-        self.executor = executor
         self.chunk_size = chunk_size
-        self.forked = selects_fork(executor, pool, pool_options, self.shards)
+        forked = selects_fork(executor, pool, pool_options)
         self.pool_options = pool_options or {}
         self._lane_apps = [sorted(lane) for lane in self.lanes]
         self._app_lanes: dict[int, list[int]] = {}
@@ -396,8 +394,9 @@ class LaneRunner:
         #: Modeled drain of the last run: the slowest lane's
         #: ``latency + (B - 1) * II``, program swaps included.
         self.last_drain_ns = 0.0
-        #: The persistent worker pool (``None`` unless ``pool`` was set).
-        self.pool: ShardPool | None = self._spawn(mark=True) if pool else None
+        #: The worker pool: forked here, reaped by :meth:`close`
+        #: (``None`` without ``pool``: every run is in process).
+        self.pool: ShardPool | None = self._spawn() if forked else None
 
     def lane_apps(self) -> list[list[int]]:
         """App indices served by each lane (the affinity map)."""
@@ -410,43 +409,28 @@ class LaneRunner:
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _spawn(self, mark: bool) -> ShardPool:
+    def _spawn(self) -> ShardPool:
         contexts = [LaneWorker(lane) for lane in self.lanes]
-        if mark:
-            # Pin the pristine post-build state *before* forking, so every
-            # worker (and every crash replacement) inherits the rewind
-            # point and per-run rewinds ship zero payload.
-            for context in contexts:
-                context.handle("mark", None)
+        # Pin the pristine post-build state *before* forking, so every
+        # worker (and every crash replacement) inherits the rewind point
+        # and per-run rewinds ship zero payload.
+        for context in contexts:
+            context.handle("mark", None)
         return ShardPool(contexts, **self.pool_options)
-
-    @contextlib.contextmanager
-    def workers(self) -> Iterator[ShardPool]:
-        """The fork pool for one run (or for requests the runtime does not
-        model itself, e.g. read-only ``score``): the persistent one, or a
-        fresh one closed (children reaped, threads joined) on the way out."""
-        if self.pool is not None:
-            yield self.pool
-            return
-        pool = self._spawn(mark=False)
-        try:
-            yield pool
-        finally:
-            pool.close()
 
     @property
     def pool_health(self) -> PoolHealth | None:
         """The pool's :class:`~repro.runtime.health.PoolHealth` counters
         (crashes, hangs, restarts, replayed/degraded chunks) — the only
         place a transparently recovered worker failure is visible.
-        ``None`` without a persistent pool."""
+        ``None`` without a pool."""
         return None if self.pool is None else self.pool.health
 
     def rewind_state(self) -> None:
         """Rewind every lane pipeline (here and in the pool workers) to
         the pristine post-build mark, shipping no state, so a reused
         runtime behaves like a fresh one (see :meth:`ShardPool.rewind`).
-        Needs persistent workers: the mark is pinned when they fork."""
+        Needs a pool: the mark is pinned when its workers fork."""
         if self.pool is None:
             raise RuntimeError("rewinding requires persistent workers (pool=True)")
         self.pool.rewind()
@@ -455,7 +439,7 @@ class LaneRunner:
     reset_state = rewind_state
 
     def close(self) -> None:
-        """Shut the persistent worker pool down (no-op without one)."""
+        """Shut the worker pool down (no-op without one)."""
         if self.pool is not None:
             self.pool.close()
 
@@ -600,12 +584,13 @@ class LaneRunner:
         """
         # Pieces per slot: one in-process call, or ``ceil(n / chunk)``
         # acks on the fork backend (none for an empty slot).
+        forked = self.pool is not None
         pieces = [
-            [-(-columns.n // chunk) if self.forked else 1 for __, columns, __ in slots]
+            [-(-columns.n // chunk) if forked else 1 for __, columns, __ in slots]
             for slots in schedules
         ]
         tally = _Tally(schedules, pieces, owners, on_done)
-        if not self.forked or not any(schedules):  # an empty run forks nothing
+        if not forked or not any(schedules):  # an empty run sends nothing
             for k in range(max(map(len, schedules), default=0)):
                 for s, slots in enumerate(schedules):
                     if k < len(slots):
@@ -626,8 +611,7 @@ class LaneRunner:
                 self.lanes[lane][app].apply_state_delta(delta)
             tally.scored(lane, result)
 
-        with self.workers() as pool:
-            pool.map_streams(streams, on_result=acked, degrade=self._degrade)
+        self.pool.map_streams(streams, on_result=acked, degrade=self._degrade)
 
     def _score(self, lane: int, app: int, columns: TraceColumns, chunk: int):
         """The in-process backend: this process's pipeline scores the slot."""
@@ -669,25 +653,23 @@ class ShardedRuntime(LaneRunner):
         Number of workers.  ``1`` degenerates to the plain batched
         pipeline with no partition and no merge.
     executor:
-        Where chunks are scored: ``serial`` (in process) | ``fork``
-        (forked workers) | ``auto`` (see :mod:`repro.runtime.executors`).
+        ``auto`` (default) | ``serial`` | ``fork``: a checked spelling of
+        the ``pool`` choice — ``serial`` refuses a pool, ``fork`` needs
+        one (see :func:`~repro.runtime.executors.selects_fork`).
     chunk_size:
         Default packets-per-chunk for each shard's vectorized loop.
     pool:
-        How long fork workers live.  Falsy (default): each run forks its
-        own and reaps them before returning.  Truthy (``True``, or the
-        spellings ``"auto"`` / ``"fork"``): one
+        Falsy (default): every run scores in process.  Truthy (``True``,
+        or the spellings ``"auto"`` / ``"fork"``): one
         :class:`~repro.runtime.pool.ShardPool` is forked now and serves
-        every run — same merged results, no per-run setup; close the
-        runtime (context manager or :meth:`close`) when done.
-        Contradicts ``executor="serial"``.
+        every run — same merged results; close the runtime (context
+        manager or :meth:`close`) to reap it.
     pool_options:
         Extra keyword arguments for the
         :class:`~repro.runtime.pool.ShardPool` (``window``,
         ``hang_timeout``, ``heartbeat_interval``, ``max_worker_crashes``,
         ``faults``, ...) — the fault-tolerance knobs, and the seam the
-        failure-injection tests use.  Needs ``pool`` or
-        ``executor="fork"``.
+        failure-injection tests use.  Needs ``pool``.
     """
 
     def __init__(

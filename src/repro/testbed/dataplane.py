@@ -23,7 +23,8 @@ Two trace-scale entry points:
 Both scale out: ``TaurusDataPlane(..., shards=N)`` partitions the trace
 across ``N`` parallel pipeline/block workers (flow-consistent for the
 switch path, so results stay bit-identical — see
-:class:`~repro.runtime.ShardedRuntime`), in process or on forked workers.
+:class:`~repro.runtime.ShardedRuntime`), in process or, with
+``pool=True``, on workers forked at construction and reaped by ``close()``.
 """
 
 from __future__ import annotations
@@ -95,25 +96,24 @@ class TaurusDataPlane:
     shards:
         Parallel workers for trace-scale runs.  ``run_switch`` partitions
         by flow (register-slot-consistent, bit-identical results); on
-        forked workers ``run``/``verify_equivalence`` split the
-        stateless scoring pass into contiguous row blocks.  ``1`` keeps
-        the single-pipeline path untouched.
+        the warm pool ``run``/``verify_equivalence`` split the stateless
+        scoring pass into contiguous row blocks.  ``1`` keeps the
+        single-pipeline path untouched.
     executor:
-        Where chunks are scored: ``auto`` | ``serial`` (in process) |
-        ``fork`` (forked workers).
+        ``auto`` | ``serial`` | ``fork``, checked against ``pool`` as in
+        :class:`~repro.runtime.ShardedRuntime`.
     pool:
-        Keep the fork workers **warm across calls**
-        (:class:`~repro.runtime.ShardPool`).  ``run``, ``run_switch``,
-        ``run_multi``, and ``verify_equivalence`` then reuse long-lived
-        workers instead of forking and reaping per call; a per-run
-        rewind keeps every result bit/stat-identical to run-scoped
-        workers.  Use the data plane as a context manager (or call
-        :meth:`close`) to shut pools down deterministically.
+        Fork one warm :class:`~repro.runtime.ShardedRuntime` pool now;
+        ``run``, ``run_switch`` and ``verify_equivalence`` then score on
+        its workers, rewound per run so every result is bit/stat-identical
+        to the in-process path.  Use the data plane as a context manager
+        (or call :meth:`close`) to reap them; a call after that raises
+        the pool's "closed" error.  ``run_multi`` runs in process either
+        way (warm multi-app lanes are ``MultiAppFabric(pool=True)``).
     pool_options:
-        Extra keyword arguments forwarded to every
-        :class:`~repro.runtime.ShardPool` this data plane builds
-        (``hang_timeout``, ``max_chunk_retries``, ``faults``, ...).
-        Requires ``pool=True`` or ``executor="fork"``.
+        Extra keyword arguments for that pool's
+        :class:`~repro.runtime.ShardPool` (``hang_timeout``,
+        ``max_chunk_retries``, ``faults``, ...).  Requires ``pool``.
     """
 
     def __init__(
@@ -127,15 +127,10 @@ class TaurusDataPlane:
     ):
         if shards <= 0:
             raise ValueError("shards must be positive")
-        self._forked = selects_fork(executor, pool, pool_options, shards)
+        forked = selects_fork(executor, pool, pool_options)
         self.quantized = quantized
         self.threshold = threshold
         self.shards = shards
-        self.executor = executor
-        self.pool = bool(pool)
-        self.pool_options = pool_options
-        self._pool_runtime: ShardedRuntime | None = None
-        self._pool_fabrics: dict[tuple, MultiAppFabric] = {}
         self.block = MapReduceBlock(dnn_graph(quantized, name="anomaly_dnn"))
         # Exact-activation lowering: bit-identical to the quantized model,
         # used for trace-scale scoring and the equivalence check.
@@ -150,6 +145,20 @@ class TaurusDataPlane:
         #: The :class:`~repro.runtime.MultiAppFabric` behind the last
         #: :meth:`run_multi` call (state inspection / repeated runs).
         self.last_fabric: MultiAppFabric | None = None
+        #: The warm runtime behind ``pool=True`` (``None`` without one).
+        #: The pristine post-build state is marked in every worker at
+        #: spawn, so a per-run rewind gives fresh-pipeline semantics
+        #: without shipping register files down the pipes.
+        self._runtime: ShardedRuntime | None = None
+        if forked:
+            blocks = self._exact_shard_blocks()
+            self._runtime = ShardedRuntime(
+                lambda shard: self.build_pipeline(block=blocks[shard]),
+                shards=shards,
+                executor=executor,
+                pool=pool,
+                pool_options=pool_options,
+            )
 
     def _exact_shard_blocks(self) -> list[MapReduceBlock]:
         """One exact-activation block per shard (compiled once, cached).
@@ -170,49 +179,16 @@ class TaurusDataPlane:
             ]
         return self._shard_blocks
 
-    # ------------------------------------------------------------------
-    # Persistent pool plumbing
-    # ------------------------------------------------------------------
-    def _pooled_runtime(self) -> ShardedRuntime:
-        """The warm sharded runtime behind ``pool=True`` (built once).
-
-        The pristine post-build pipeline state is marked inside every
-        worker at spawn and rewound before each run, so warm-pool runs
-        keep :meth:`run_switch`'s fresh-pipelines-per-call semantics
-        without shipping register files down the pipes.
-        """
-        if self._pool_runtime is None:
-            blocks = self._exact_shard_blocks()
-            self._pool_runtime = ShardedRuntime(
-                lambda shard: self.build_pipeline(block=blocks[shard]),
-                shards=self.shards,
-                executor=self.executor,
-                pool=True,
-                pool_options=self.pool_options,
-            )
-        return self._pool_runtime
-
     @property
     def pool_health(self):
-        """Crash/recovery counters of the warm pools (``None`` until built).
-
-        Returns the :class:`~repro.runtime.PoolHealth` of the sharded
-        runtime behind ``run``/``run_switch``/``verify_equivalence``.
-        Fabric pools built by :meth:`run_multi` report their own health
-        via ``last_fabric.pool_health``.
-        """
-        if self._pool_runtime is None:
-            return None
-        return self._pool_runtime.pool_health
+        """The warm pool's :class:`~repro.runtime.PoolHealth` (``None``
+        without ``pool``); a ``run_multi`` fabric has none."""
+        return None if self._runtime is None else self._runtime.pool_health
 
     def close(self) -> None:
-        """Shut down every persistent pool this data plane spawned."""
-        if self._pool_runtime is not None:
-            self._pool_runtime.close()
-            self._pool_runtime = None
-        for fabric in self._pool_fabrics.values():
-            fabric.close()
-        self._pool_fabrics.clear()
+        """Reap the warm pool's workers (no-op without one)."""
+        if self._runtime is not None:
+            self._runtime.close()
 
     def __enter__(self) -> "TaurusDataPlane":
         return self
@@ -225,15 +201,29 @@ class TaurusDataPlane:
     ) -> np.ndarray:
         """Score features through the batched graph path, in chunks.
 
-        Scoring is stateless per row and read-only, so the fork backend
+        Scoring is stateless per row and read-only, so the warm pool
         splits the matrix into contiguous row blocks — one per worker —
-        and streams each block chunk-by-chunk; results concatenate back
-        in order, bit-identical to the in-process pass.
+        and streams each block chunk-by-chunk (chunk ``k+1`` crosses the
+        pipe while the worker scores ``k``); results concatenate back in
+        order, bit-identical to the in-process pass.
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self._forked and len(feats) > chunk_size:
-            return self._stream_scores_forked(feats, chunk_size)
+        if self._runtime is not None and len(feats) > chunk_size:
+            bounds = np.linspace(0, len(feats), num=self.shards + 1, dtype=np.int64)
+
+            def score_requests(lo: int, hi: int):
+                for start in range(lo, hi, chunk_size):
+                    yield ("score", (0, feats[start : min(start + chunk_size, hi)]))
+
+            streams = [
+                (score_requests(int(lo), int(hi)), -(-int(hi - lo) // chunk_size))
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            responses = self._runtime.pool.map_streams(streams)
+            return np.concatenate(
+                [scores for parts in responses for __, scores in parts]
+            )
         # Values only: go straight to the graph interpreter rather than
         # MapReduceBlock.run_batch, whose timing accounting would advance
         # the block's issue clock for what is a read-only scoring pass.
@@ -243,35 +233,6 @@ class TaurusDataPlane:
             chunk = feats[start : start + chunk_size]
             scores[start : start + len(chunk)] = graph.execute_batch(chunk)[:, 0]
         return scores
-
-    def _stream_scores_forked(
-        self, feats: np.ndarray, chunk_size: int
-    ) -> np.ndarray:
-        """The scoring pass on forked workers, chunk-pipelined.
-
-        Each worker's row block ships as a stream of ``score`` requests:
-        chunk ``k+1`` crosses the pipe while the worker's graph
-        interpreter runs chunk ``k``.
-        """
-        runtime = self._pooled_runtime() if self.pool else self.build_runtime()
-        bounds = np.linspace(
-            0, len(feats), num=runtime.shards + 1, dtype=np.int64
-        )
-
-        def score_requests(lo: int, hi: int):
-            for start in range(lo, hi, chunk_size):
-                yield ("score", (0, feats[start : min(start + chunk_size, hi)]))
-
-        streams = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            lo, hi = int(lo), int(hi)
-            n_chunks = -(-(hi - lo) // chunk_size) if hi > lo else 0
-            streams.append((score_requests(lo, hi), n_chunks))
-        with runtime.workers() as workers:
-            responses = workers.map_streams(streams)
-        return np.concatenate(
-            [scores for parts in responses for __, scores in parts]
-        )
 
     def run(
         self, trace: PacketTrace, chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -309,13 +270,12 @@ class TaurusDataPlane:
     def build_runtime(
         self, feature_names: tuple[str, ...] = DNN_FEATURES
     ) -> ShardedRuntime:
-        """A sharded runtime over fresh pipelines (one per shard block)."""
+        """An in-process sharded runtime over fresh pipelines (one per
+        shard block)."""
         blocks = self._exact_shard_blocks()
         return ShardedRuntime(
             lambda shard: self.build_pipeline(feature_names, block=blocks[shard]),
             shards=self.shards,
-            executor=self.executor,
-            pool_options=None if self.pool else self.pool_options,
         )
 
     def run_switch(
@@ -334,13 +294,13 @@ class TaurusDataPlane:
         :attr:`last_modeled_drain_ns`).  With ``pool=True`` the warm
         workers serve the run instead: they are rewound to the pristine
         baseline first, so repeated calls still see identical register
-        state — without paying a fork-and-reap per call.
+        state.
         """
-        if self.pool:
-            runtime = self._pooled_runtime()
-            runtime.rewind_state()
-        else:
+        runtime = self._runtime
+        if runtime is None:
             runtime = self.build_runtime()
+        else:
+            runtime.rewind_state()
         outcome = runtime.process_trace(trace, chunk_size=chunk_size)
         self.last_modeled_drain_ns = runtime.last_drain_ns
         return self.detection_from_outcome(trace, outcome)
@@ -376,55 +336,19 @@ class TaurusDataPlane:
 
         ``apps`` is a sequence of :class:`~repro.runtime.FabricApp` and
         ``traces`` maps app name to its trace (or is a sequence aligned
-        with ``apps``).  The fabric inherits this data plane's ``shards``
-        and ``executor``: with one shard, every app shares one grid and
-        pays a modeled reconfiguration per program switch; with
+        with ``apps``).  Each call builds one in-process fabric over this
+        data plane's ``shards``: with one shard, every app shares one grid
+        and pays a modeled reconfiguration per program switch; with
         ``shards >= len(apps)``, each app gets affine lanes and the apps
         drain concurrently.  Per-app merged results are bit/stat-identical
         to running each app alone on its own trace slice; the modeled
         drain (including reconfiguration + interleave costs) lands in
-        :attr:`last_modeled_drain_ns`.  With ``pool=True`` the fabric
-        (lanes, compiled programs, *and* its lane workers) is cached per
-        app set and reset to pristine state per call, so repeated
-        multi-app runs skip both recompilation and per-run forking.
+        :attr:`last_modeled_drain_ns`.
         """
-        if self.pool:
-            # Cache per app-name set so a serving loop that rebuilds its
-            # FabricApp objects each call cannot accumulate one worker
-            # pool per call; a name set served by *different* app objects
-            # evicts (and closes) the stale fabric rather than silently
-            # reusing the old programs.
-            key = tuple(app.name for app in apps)
-            fabric = self._pool_fabrics.get(key)
-            if fabric is not None and any(
-                cached is not app for cached, app in zip(fabric.apps, apps)
-            ):
-                fabric.close()
-                fabric = None
-            if fabric is None:
-                fabric = MultiAppFabric(
-                    apps,
-                    shards=self.shards,
-                    executor=self.executor,
-                    chunk_size=chunk_size,
-                    policy=policy,
-                    pool=True,
-                    pool_options=self.pool_options,
-                )
-                self._pool_fabrics[key] = fabric
-            else:
-                fabric.reset_state()
-            outcome = fabric.run(traces, policy=policy, chunk_size=chunk_size)
-        else:
-            fabric = MultiAppFabric(
-                apps,
-                shards=self.shards,
-                executor=self.executor,
-                chunk_size=chunk_size,
-                policy=policy,
-                pool_options=self.pool_options,
-            )
-            outcome = fabric.run(traces)
+        fabric = MultiAppFabric(
+            apps, shards=self.shards, chunk_size=chunk_size, policy=policy
+        )
+        outcome = fabric.run(traces)
         self.last_modeled_drain_ns = outcome.drain_ns
         self.last_fabric = fabric
         return outcome

@@ -175,9 +175,9 @@ def blocks(quantized_dnn):
     ]
 
 
-def _pooled_runtime(blocks, shards, pool_options=None, backend="pool"):
+def _pooled_runtime(blocks, shards, pool_options=None):
     return _runtime(
-        blocks, shards, slots=16, tables=True, backend=backend,
+        blocks, shards, slots=16, tables=True, backend="pool",
         pool_options=pool_options,
     )
 
@@ -266,23 +266,6 @@ class TestCrashTransparentRuns:
             assert health.worker(0).hangs == 1
             assert health.crashes == 0  # a hang is not an exit
             assert runtime.pool.alive() == [True] * shards
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_run_scoped_kill_identity(self, blocks, shards):
-        """Workers that live for one run recover the same way: a seeded
-        kill inside an ``executor="fork"`` run (no pool kept) is
-        bit/stat-identical to the in-process oracle."""
-        plan = FaultPlan().add(shards - 1, 1, "kill")
-        oracle = _oracle(blocks, slots=16, tables=True)
-        runtime = _pooled_runtime(
-            blocks, shards, backend="fork",
-            pool_options=dict(FAST_WATCHDOG, faults=plan),
-        )
-        _assert_equivalent(oracle, runtime, _random_columns(seed=111, n=150))
-        assert plan.fired == [(shards - 1, 1, "kill")]
-        assert runtime.pool is None and runtime.pool_health is None
-        # The next run forks fresh workers from the recovered state.
-        _assert_equivalent(oracle, runtime, _random_columns(seed=112, n=90))
 
     def test_control_requests_do_not_consume_the_plan(self, blocks):
         """Plans are keyed on ``map_streams`` dispatch ordinals: ``rewind``
@@ -507,7 +490,7 @@ class TestDataPlaneCrashTransparency:
         ds = generate_connections(150, anomaly_fraction=0.5, seed=6)
         trace = expand_to_packets(ds, max_packets=1200, seed=6)
 
-        plain = TaurusDataPlane(quantized_dnn, shards=2, executor="fork")
+        plain = TaurusDataPlane(quantized_dnn, shards=2)
         expected = plain.run_switch(trace, chunk_size=64)
 
         plan = FaultPlan().add(0, 1, "kill")

@@ -198,32 +198,32 @@ class TestMultiAppIdentity:
             _assert_state_matches(fabric, "anomaly", pipe_a)
             _assert_state_matches(fabric, "congestion", pipe_c)
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork executor needs POSIX")
+    @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
     def test_fork_restores_resident_program(
         self, quantized_dnn, lstm, anomaly_trace, congestion_trace
     ):
         """Regression: fork write-back must also sync which program each
         lane's block left resident (it rides every chunk's state delta)
         — otherwise a *second* run on the same fabric models a different
-        reconfiguration bill per executor."""
+        reconfiguration bill per backend."""
         outcomes = {}
-        for executor in ("serial", "fork"):
+        for backend in ("serial", "fork"):
             # Three apps on two lanes: lane 0 time-multiplexes two apps,
             # so its forked worker leaves a non-initial program resident.
             apps = _apps(quantized_dnn, lstm) + [
                 FabricApp.from_quantized_dnn(quantized_dnn, name="anomaly2")
             ]
-            fabric = MultiAppFabric(
-                apps, shards=2, chunk_size=64, executor=executor
-            )
             traces = {
                 "anomaly": anomaly_trace,
                 "congestion": congestion_trace,
                 "anomaly2": anomaly_trace,
             }
-            first = fabric.run(traces)
-            assert first.reconfigurations > 0  # lane 0 really switches
-            outcomes[executor] = fabric.run(traces)
+            with MultiAppFabric(
+                apps, shards=2, chunk_size=64, **BACKENDS[backend]
+            ) as fabric:
+                first = fabric.run(traces)
+                assert first.reconfigurations > 0  # lane 0 really switches
+                outcomes[backend] = fabric.run(traces)
         assert (
             outcomes["serial"].reconfigurations
             == outcomes["fork"].reconfigurations

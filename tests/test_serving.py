@@ -71,8 +71,8 @@ def blocks(quantized_dnn):
 
 def _runtime(blocks, shards=2, pool=None, pool_options=None) -> ShardedRuntime:
     """In process by default; ``pool`` picks a backend of
-    ``test_shard_runtime.BACKENDS`` (``"fork"`` forks per request,
-    ``"pool"`` keeps the workers warm)."""
+    ``test_shard_runtime.BACKENDS`` (``"fork"`` and ``"pool"`` are the
+    fork pool's two spellings; the service closes it)."""
     for block in blocks[1 : shards + 1]:
         _reset(block)
     return ShardedRuntime(

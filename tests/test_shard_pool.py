@@ -1,21 +1,23 @@
 """Lifecycle + identity tests for the shard worker pool.
 
-:class:`~repro.runtime.ShardPool` is the fork backend: pre-forked workers
-that live for one run or are kept warm across runs, fed pipelined
+:class:`~repro.runtime.ShardPool` is the fork backend: workers forked
+when their owner is built and reaped by its ``close()``, fed pipelined
 chunks.  These tests pin the contract down:
 
-* runs on every backend (in-process, fork workers for one run, fork
-  workers kept warm) are **bit/stat-identical** to the single-pipeline
-  oracle, including per-chunk incremental state-delta transport;
-* a fork run that does not keep its workers leaves nothing behind — no
-  child process, no pool thread — whether it returns or raises;
+* runs on both backends (in-process, and the fork pool) are
+  **bit/stat-identical** to the single-pipeline oracle, including
+  per-chunk incremental state-delta transport;
+* a run forks nothing and leaves only its owner's workers and writers
+  behind, and ``close()`` leaves no child process and no pool thread —
+  whether the run returned or raised, and even when a fork fails while
+  the pool is being built;
 * a killed worker is detected, reported with its exit status, and
   replaced by a fresh fork;
 * pool close is deterministic — bounded, idempotent, and safe under an
   abandoned mid-trace run;
 * the ``pool=True`` surfaces on :class:`TaurusDataPlane`
-  (``run`` / ``run_switch`` / ``run_multi`` / ``verify_equivalence``)
-  match their run-scoped twins call for call.
+  (``run`` / ``run_switch`` / ``verify_equivalence``) match the
+  in-process path call for call, and fork nothing once closed.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ HAS_FORK = hasattr(os, "fork")
 
 #: This file's ids for the backends of ``test_shard_runtime.BACKENDS``:
 #: ``fork`` has always meant the kept-warm pool here.
-MODES = {"in-process": "serial", "fork-run": "fork", "fork": "pool"}
+MODES = {"in-process": "serial", "fork": "fork"}
 
 
 def mode_params(shard_counts=None):
@@ -89,6 +91,28 @@ def blocks(quantized_dnn):
 
 def _pooled_runtime(blocks, shards, slots, tables, mode, pool_options=None):
     return _runtime(blocks, shards, slots, tables, MODES[mode], pool_options)
+
+
+def _spy_on_spawns(monkeypatch):
+    """Record every worker pid forked while the patch is active."""
+    import repro.runtime.pool as pool_module
+
+    pids: list[int] = []
+    real = pool_module.ForkWorker
+
+    class Spy(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(pool_module, "ForkWorker", Spy)
+    return pids
+
+
+def _assert_gone(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # reaped, not leaked
 
 
 class _Sleeper:
@@ -127,10 +151,9 @@ class TestPoolIdentity:
     def test_repeated_runs_match_fork_per_run(self, blocks, mode, shards):
         """Back-to-back runs accumulate state exactly like one pipeline.
 
-        Fresh forks per run start from the parent's accumulated state;
-        warm workers accumulate their own and ship it chunk-delta by
-        chunk-delta; the in-process loop mutates it in place.  All three
-        must track the oracle across runs.
+        Warm workers accumulate their own state and ship it chunk-delta by
+        chunk-delta; the in-process loop mutates it in place.  Both must
+        track the oracle across runs.
         """
         oracle = _oracle(blocks, slots=16, tables=True)
         runtime = _pooled_runtime(blocks, shards, slots=16, tables=True, mode=mode)
@@ -160,10 +183,11 @@ class TestPoolIdentity:
 
 @fork_only
 class TestRunScopedWorkers:
-    """``executor="fork"`` without ``pool``: the workers' lifetime is one
-    run, and the run cleans up after itself on every exit path.  A warm
-    pool keeps its workers and writers, and a run adds one supervisor
-    thread per shard for as long as it lasts."""
+    """Workers live as long as their owner: forked at construction,
+    reaped by ``close()``.  What is scoped to a run is one supervisor
+    thread per shard; a run forks nothing, and once the owner is closed
+    no child process and no pool thread is left — whether the run
+    returned or raised."""
 
     @pytest.fixture()
     def new_threads(self, monkeypatch):
@@ -186,61 +210,45 @@ class TestRunScopedWorkers:
         alive.started = started
         return alive
 
-    @staticmethod
-    def _spy_on_spawns(monkeypatch):
-        """Record every worker pid forked while the patch is active."""
-        import repro.runtime.pool as pool_module
-
-        pids: list[int] = []
-        real = pool_module.ForkWorker
-
-        class Spy(real):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pids.append(self.pid)
-
-        monkeypatch.setattr(pool_module, "ForkWorker", Spy)
-        return pids
-
-    @staticmethod
-    def _assert_gone(pids):
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)  # reaped, not leaked
-
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_returning_run_leaves_nothing_behind(
         self, blocks, shards, monkeypatch, new_threads
     ):
-        pids = self._spy_on_spawns(monkeypatch)
+        pids = _spy_on_spawns(monkeypatch)
         oracle = _oracle(blocks, slots=16, tables=True)
-        runtime = _pooled_runtime(blocks, shards, 16, True, mode="fork-run")
-        _assert_equivalent(oracle, runtime, _random_columns(41, 90))
+        with _pooled_runtime(blocks, shards, 16, True, mode="fork") as runtime:
+            assert len(pids) == shards  # forked by the constructor
+            _assert_equivalent(oracle, runtime, _random_columns(41, 90))
         assert len(pids) == shards
-        self._assert_gone(pids)
+        _assert_gone(pids)
         assert new_threads() == []
-        assert runtime.pool is None and runtime.pool_health is None
 
     def test_raising_run_leaves_nothing_behind(
         self, blocks, monkeypatch, new_threads
     ):
-        pids = self._spy_on_spawns(monkeypatch)
-        runtime = _pooled_runtime(blocks, 2, 16, True, mode="fork-run")
+        pids = _spy_on_spawns(monkeypatch)
 
         def boom(*args, **kwargs):
             raise ValueError("chunk exploded")
 
-        runtime.pipelines[1].process_trace_batch = boom  # inherited by the fork
-        with pytest.raises(RuntimeError, match="chunk exploded"):
-            runtime.process_trace(_random_columns(42, 90), chunk_size=16)
-        # The failed lane is re-forked before the run's pool closes.
-        assert len(pids) == 3
-        self._assert_gone(pids)
+        def factory(i):
+            _reset(blocks[i + 1])
+            pipe = _pipeline(blocks[i + 1], 16, tables=True)
+            if i == 1:
+                pipe.process_trace_batch = boom  # inherited by the fork
+            return pipe
+
+        with ShardedRuntime(factory, shards=2, pool=True) as runtime:
+            with pytest.raises(RuntimeError, match="chunk exploded"):
+                runtime.process_trace(_random_columns(42, 90), chunk_size=16)
+            # The failed lane is re-forked after the run.
+            assert len(pids) == 3
+        _assert_gone(pids)
         assert new_threads() == []
 
     @staticmethod
-    def _two_app_fabric(quantized_dnn, seed, **backend):
-        """A two-shard fork fabric of two anomaly-DNN apps, and a trace."""
+    def _two_app_fabric(quantized_dnn, seed):
+        """A two-shard pooled fabric of two anomaly-DNN apps, and a trace."""
         from repro.datasets import expand_to_packets, generate_connections
         from repro.runtime import FabricApp, MultiAppFabric
 
@@ -251,23 +259,21 @@ class TestRunScopedWorkers:
             FabricApp.from_quantized_dnn(quantized_dnn, name=name)
             for name in ("a", "b")
         ]
-        fabric = MultiAppFabric(
-            apps, shards=2, chunk_size=32, executor="fork", **backend
-        )
+        fabric = MultiAppFabric(apps, shards=2, chunk_size=32, pool=True)
         return fabric, trace
 
     def test_fabric_run_leaves_nothing_behind(
         self, quantized_dnn, monkeypatch, new_threads
     ):
-        pids = self._spy_on_spawns(monkeypatch)
+        pids = _spy_on_spawns(monkeypatch)
         fabric, trace = self._two_app_fabric(quantized_dnn, 43)
-        fabric.run([trace, trace])
+        with fabric:
+            fabric.run([trace, trace])
+            with pytest.raises(ValueError, match="missing traces"):
+                fabric.run({"a": trace})
         assert len(pids) == 2
-        self._assert_gone(pids)
+        _assert_gone(pids)
         assert new_threads() == []
-        with pytest.raises(ValueError, match="missing traces"):
-            fabric.run({"a": trace})  # raises before any fork
-        assert len(pids) == 2
 
     @staticmethod
     def _assert_warm_run_census(run, runner, new_threads):
@@ -305,7 +311,7 @@ class TestRunScopedWorkers:
     def test_warm_fabric_run_adds_one_thread_per_shard(
         self, quantized_dnn, new_threads
     ):
-        fabric, trace = self._two_app_fabric(quantized_dnn, 45, pool=True)
+        fabric, trace = self._two_app_fabric(quantized_dnn, 45)
         with fabric:
             self._assert_warm_run_census(
                 lambda: fabric.run([trace, trace]),
@@ -356,6 +362,44 @@ class TestPoolLifecycle:
             assert runtime.pool.alive() == [True, True]
             assert runtime.pool_health.crashes == 1
             _assert_equivalent(oracle, runtime, columns, chunk_size=16)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="counts fds via /proc (Linux) and needs fork",
+    )
+    def test_fork_failure_closes_pipes_and_reaps_children(
+        self, blocks, monkeypatch
+    ):
+        """An ``EAGAIN`` on the second fork while a ``pool=True`` runtime
+        builds its workers must not leak the pipe pairs or leave the
+        first child unreaped."""
+        import errno
+
+        real_fork = os.fork
+        calls = {"n": 0}
+        spawned: list[int] = []
+
+        def flaky_fork():
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            pid = real_fork()
+            if pid:
+                spawned.append(pid)
+            return pid
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        monkeypatch.setattr(os, "fork", flaky_fork)
+        with pytest.raises(OSError, match="unavailable"):
+            _pooled_runtime(blocks, 2, slots=16, tables=False, mode="fork")
+        monkeypatch.setattr(os, "fork", real_fork)
+        assert open_fds() == before, "fork failure leaked pipe fds"
+        assert len(spawned) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(spawned[0], os.WNOHANG)  # reaped, not stranded
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork pool needs POSIX")
     def test_worker_crash_carries_exit_status(self):
@@ -643,9 +687,11 @@ class TestPooledDataPlane:
     def test_run_switch_repeated_matches_fork_per_run(
         self, quantized_dnn, small_trace
     ):
+        """Repeated warm-pool ``run_switch`` calls, rewound per run, equal
+        fresh in-process pipelines call for call."""
         from repro.testbed.dataplane import TaurusDataPlane
 
-        plain = TaurusDataPlane(quantized_dnn, shards=2, executor="fork")
+        plain = TaurusDataPlane(quantized_dnn, shards=2)
         # Heartbeats on (the default), then a quiet pool without them.
         for pool_options in (None, {"heartbeat_interval": None}):
             with TaurusDataPlane(
@@ -669,34 +715,31 @@ class TestPooledDataPlane:
             )
             assert pooled.verify_equivalence(small_trace, chunk_size=32)
 
-    def test_run_multi_reuses_and_resets_the_fabric(
-        self, quantized_dnn, small_trace
+    @fork_only
+    def test_a_closed_data_plane_forks_nothing(
+        self, quantized_dnn, small_trace, monkeypatch
     ):
+        """The pool is forked by the constructor and reaped by ``close()``;
+        afterwards the pooled surfaces raise the pool's "closed" error
+        and ``run_multi`` runs in process — nothing forks again."""
         from repro.testbed.dataplane import TaurusDataPlane
 
-        plain = TaurusDataPlane(quantized_dnn, shards=2)
-        with TaurusDataPlane(quantized_dnn, shards=2, pool=True) as pooled:
-            apps = [pooled.anomaly_app(), pooled.anomaly_app(name="anomaly2")]
-            traces = [small_trace, small_trace]
-            expected = plain.run_multi(apps, traces, chunk_size=64)
-            first = pooled.run_multi(apps, traces, chunk_size=64)
-            assert pooled.last_fabric is not None
-            fabric = pooled.last_fabric
-            second = pooled.run_multi(apps, traces, chunk_size=64)
-            assert pooled.last_fabric is fabric  # cached, not rebuilt
-            for outcome in (first, second):
-                for name in expected.results:
-                    assert np.array_equal(
-                        expected.results[name].decisions,
-                        outcome.results[name].decisions,
-                    )
-                    assert np.array_equal(
-                        expected.results[name].ml_scores,
-                        outcome.results[name].ml_scores,
-                        equal_nan=True,
-                    )
-                assert outcome.drain_ns == expected.drain_ns
-                assert outcome.reconfigurations == expected.reconfigurations
+        pids = _spy_on_spawns(monkeypatch)
+        dataplane = TaurusDataPlane(quantized_dnn, shards=2, pool=True)
+        dataplane.run_switch(small_trace, chunk_size=64)
+        assert len(pids) == 2
+        dataplane.close()
+        for call in (
+            lambda: dataplane.run_switch(small_trace, chunk_size=64),
+            lambda: dataplane.run(small_trace, chunk_size=64),
+            lambda: dataplane.verify_equivalence(small_trace, chunk_size=64),
+        ):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+        dataplane.run_multi([dataplane.anomaly_app()], [small_trace], chunk_size=64)
+        assert dataplane.last_fabric.pool is None
+        assert len(pids) == 2
+        _assert_gone(pids)
 
 
 # ----------------------------------------------------------------------

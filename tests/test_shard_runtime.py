@@ -7,8 +7,8 @@ PR-2 oracle) and the runtime at shards ∈ {1, 2, 4} and assert every
 observable matches bit/stat-for-bit — merged decisions, scores, latencies,
 bypass flags, aggregates, stats, MAT counters, register contents, parser
 and block counters, queue watermarks, and the arbiter turn — across
-TCP/UDP mixes, register-collision traces, and every backend (the
-in-process loop, fork workers for one run, fork workers kept warm).
+TCP/UDP mixes, register-collision traces, and both backends (the
+in-process loop, and the fork pool under both of its spellings).
 """
 
 from __future__ import annotations
@@ -43,13 +43,14 @@ MAX_SHARDS = 4
 HAS_FORK = hasattr(os, "fork")
 fork_only = pytest.mark.skipif(not HAS_FORK, reason="fork workers need POSIX")
 
-#: The surviving ways to run shards, as ``ShardedRuntime`` /
-#: ``MultiAppFabric`` keyword arguments: the in-process loop, fork
-#: workers that live for one run, and fork workers kept warm.
+#: The ways to run shards, as ``ShardedRuntime`` / ``MultiAppFabric``
+#: keyword arguments: the in-process loop, and the fork pool (forked at
+#: construction, reaped by ``close()``) spelled as the cost ledger spells
+#: it and by ``pool`` alone.
 BACKENDS = {
     "serial": {"executor": "serial"},
-    "fork": {"executor": "fork"},
-    "pool": {"executor": "fork", "pool": True},
+    "fork": {"executor": "fork", "pool": "fork"},
+    "pool": {"pool": True},
 }
 
 
@@ -159,7 +160,7 @@ def _runtime(
     blocks, shards: int, slots: int, tables: bool, backend: str = "serial",
     pool_options: dict | None = None,
 ) -> ShardedRuntime:
-    """A runtime on ``backend``; close it (``with``) when it is ``pool``."""
+    """A runtime on ``backend``; close it (``with``) when it forks."""
     for block in blocks[1 : shards + 1]:
         _reset(block)
     return ShardedRuntime(
@@ -360,17 +361,16 @@ class TestShardedDataPlane:
         __, test = train_test_split
         trace = expand_to_packets(test, max_packets=500, seed=21)
         base = TaurusDataPlane(quantized_dnn)
-        executor = "fork" if HAS_FORK else "serial"
         expected = base.run_switch(trace)
-        # 8: more lanes than CPUs, some nearly empty; 3 last, the checks below go on with it.
+        # 8: more lanes than CPUs, some nearly empty.
         for shards in (8, 3):
-            sharded = TaurusDataPlane(quantized_dnn, shards=shards, executor=executor)
-            assert expected == sharded.run_switch(trace)
-            assert 0 < sharded.last_modeled_drain_ns < base.last_modeled_drain_ns
-        # The scoring shortcut agrees too, sharded (small chunks force
-        # the multi-worker row-block split on the fork backend).
-        assert base.run(trace, chunk_size=64) == sharded.run(trace, chunk_size=64)
-        assert sharded.verify_equivalence(trace, chunk_size=64)
+            with TaurusDataPlane(quantized_dnn, shards=shards, pool=HAS_FORK) as sharded:
+                assert expected == sharded.run_switch(trace)
+                assert 0 < sharded.last_modeled_drain_ns < base.last_modeled_drain_ns
+                # The scoring shortcut agrees too, sharded (small chunks
+                # force the multi-worker row-block split on the pool).
+                assert base.run(trace, chunk_size=64) == sharded.run(trace, chunk_size=64)
+                assert sharded.verify_equivalence(trace, chunk_size=64)
 
     def test_shards_validated(self, quantized_dnn):
         from repro.testbed.dataplane import TaurusDataPlane
@@ -476,60 +476,23 @@ class TestArbiterMergeWithBypass:
 
 
 class TestRuntimePrimitives:
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux"),
-        reason="counts fds via /proc (Linux) and needs fork",
-    )
-    def test_fork_failure_closes_pipes_and_reaps_children(
-        self, blocks, monkeypatch
-    ):
-        """A mid-spawn ``os.fork`` failure (e.g. EAGAIN) while a fork run
-        builds its workers must not leak the just-created pipe pairs or
-        leave the earlier children unreaped."""
-        import errno
-
-        real_fork = os.fork
-        calls = {"n": 0}
-        spawned: list[int] = []
-
-        def flaky_fork():
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-            pid = real_fork()
-            if pid:
-                spawned.append(pid)
-            return pid
-
-        def open_fds():
-            return len(os.listdir("/proc/self/fd"))
-
-        runtime = _runtime(blocks, 2, slots=16, tables=False, backend="fork")
-        before = open_fds()
-        monkeypatch.setattr(os, "fork", flaky_fork)
-        with pytest.raises(OSError, match="unavailable"):
-            runtime.process_trace(_random_columns(seed=8, n=40))
-        monkeypatch.setattr(os, "fork", real_fork)
-        assert open_fds() == before, "fork failure leaked pipe fds"
-        # The first (successfully spawned) child was reaped, not stranded.
-        assert spawned
-        for pid in spawned:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
     @fork_only
     def test_fork_worker_failure_raises(self, blocks):
-        """A worker whose handler raises fails the fork run in the
+        """A worker whose handler raises fails the pooled run in the
         parent, with the worker's message."""
-        runtime = _runtime(blocks, 2, slots=16, tables=False, backend="fork")
 
         def boom(*args, **kwargs):
             raise ValueError("shard exploded")
 
-        # Forked workers inherit the sabotaged pipeline copy-on-write.
-        runtime.pipelines[0].process_trace_batch = boom
-        with pytest.raises(RuntimeError, match="shard exploded"):
-            runtime.process_trace(_random_columns(seed=8, n=40))
+        def factory(i):
+            pipe = _pipeline(blocks[i + 1], 16, tables=False)
+            if i == 0:
+                pipe.process_trace_batch = boom  # inherited by the fork
+            return pipe
+
+        with ShardedRuntime(factory, shards=2, pool=True) as runtime:
+            with pytest.raises(RuntimeError, match="shard exploded"):
+                runtime.process_trace(_random_columns(seed=8, n=40))
 
     def test_tally_hands_owners_over_once_in_order_under_contention(self):
         """More lane threads than cores, a tiny switch interval: every
@@ -592,8 +555,9 @@ class TestRuntimePrimitives:
 
 
 class TestBackendSelection:
-    """``executor`` says where chunks are scored, ``pool`` how long fork
-    workers live: five valid configurations of two backends."""
+    """``pool`` picks the backend and ``executor`` must agree with it:
+    workers are forked when their owner is built and reaped by its
+    ``close()``; without a pool every run is in process, on every host."""
 
     @staticmethod
     def _factory(blocks):
@@ -620,15 +584,24 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="serial"):
             ShardedRuntime(self._factory(blocks), executor="serial", pool=True)
 
+    def test_fork_executor_needs_a_pool(self, blocks, quantized_dnn):
+        from repro.testbed.dataplane import TaurusDataPlane
+
+        app = FabricApp.from_quantized_dnn(quantized_dnn)
+        for build in (
+            lambda **knobs: ShardedRuntime(self._factory(blocks), **knobs),
+            lambda **knobs: MultiAppFabric([app], shards=2, **knobs),
+            lambda **knobs: TaurusDataPlane(quantized_dnn, shards=2, **knobs),
+        ):
+            for knobs in ({}, {"pool_options": {"hang_timeout": 1.0}}):
+                with pytest.raises(ValueError, match="pool=True"):
+                    build(executor="fork", **knobs)
+
     def test_pool_options_need_a_fork_backend_by_name(self, blocks):
         with pytest.raises(ValueError, match="pool_options requires pool"):
             ShardedRuntime(
                 self._factory(blocks), pool_options={"hang_timeout": 1.0}
             )
-        ShardedRuntime(
-            self._factory(blocks), executor="fork",
-            pool_options={"hang_timeout": 1.0},
-        )
 
     @fork_only
     @pytest.mark.parametrize("pool", [True, "auto", "fork"])
@@ -637,8 +610,39 @@ class TestBackendSelection:
             assert runtime.pool.alive() == [True]  # one shard still forks
         assert runtime.pool.alive() == [False]
 
-    def test_falsy_pool_keeps_no_workers(self, blocks):
-        assert ShardedRuntime(self._factory(blocks), executor="fork").pool is None
+    def test_falsy_pool_keeps_no_workers(
+        self, blocks, quantized_dnn, train_test_split, monkeypatch
+    ):
+        """With ``os.fork`` refusing, every surface still runs two shards
+        with the default ``executor`` — in process, equal to the oracle."""
+        from repro.testbed.dataplane import TaurusDataPlane
+
+        def no_fork():
+            raise OSError("forking is off in this test")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        columns = _random_columns(seed=14, n=90)
+        for block in blocks[1:3]:
+            _reset(block)
+        runtime = ShardedRuntime(self._factory(blocks), shards=2)
+        assert runtime.pool is None
+        _assert_equivalent(_oracle(blocks, slots=16, tables=False), runtime, columns)
+
+        app = FabricApp.from_quantized_dnn(quantized_dnn)
+        expected = app.build_pipeline(MapReduceBlock(app.graph)).process_trace_batch(
+            columns, chunk_size=16
+        )
+        fabric = MultiAppFabric([app], shards=2, chunk_size=16)
+        assert fabric.pool is None
+        _assert_same_result(fabric.run([columns]).results[app.name], expected)
+
+        trace = expand_to_packets(train_test_split[1], max_packets=300, seed=15)
+        base = TaurusDataPlane(quantized_dnn)
+        sharded = TaurusDataPlane(quantized_dnn, shards=2)
+        assert sharded.pool_health is None
+        assert sharded.run_switch(trace) == base.run_switch(trace)
+        assert sharded.run(trace, chunk_size=64) == base.run(trace, chunk_size=64)
+        assert sharded.verify_equivalence(trace, chunk_size=64)
 
 
 class TestTwoConstructors:
@@ -699,16 +703,17 @@ class TestTwoConstructors:
         oracle = self._pipeline(app)
         expected = [oracle.process_trace_batch(t, chunk_size=5) for t in requests]
         want = merge_pipeline_state([oracle], oracle.arbiter._turn)
-        runtime = ShardedRuntime(
+        with ShardedRuntime(
             lambda s: self._pipeline(app), shards=shards, chunk_size=5, **BACKENDS[backend]
-        )
-        fabric = MultiAppFabric([app], shards=shards, chunk_size=5, **BACKENDS[backend])
-        if batch:
-            via_runtime = runtime.process_traces(requests)
-            via_fabric = fabric.process_traces([(app.name, t) for t in requests])
-        else:
-            via_runtime = [runtime.process_trace(trace)]
-            via_fabric = [fabric.run({app.name: trace}).results[app.name]]
+        ) as runtime, MultiAppFabric(
+            [app], shards=shards, chunk_size=5, **BACKENDS[backend]
+        ) as fabric:
+            if batch:
+                via_runtime = runtime.process_traces(requests)
+                via_fabric = fabric.process_traces([(app.name, t) for t in requests])
+            else:
+                via_runtime = [runtime.process_trace(trace)]
+                via_fabric = [fabric.run({app.name: trace}).results[app.name]]
         for k, result in enumerate(expected):
             _assert_same_result(via_runtime[k], result, f"runtime[{k}] ")
             _assert_same_result(via_fabric[k], result, f"fabric[{k}] ")
