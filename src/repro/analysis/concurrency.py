@@ -1,10 +1,10 @@
 """One pass over the runtime sources: fork safety, locksets, the pipe protocol.
 
-The runtime is genuinely concurrent: per-shard supervisor threads gated
-on pending-window condition variables (``pool.py``), a child heartbeat
-thread sharing a tx lock with the request loop (``executors.py``), and a
+The runtime is genuinely concurrent: per-shard writer and supervisor
+threads gated on pending-window condition variables (``pool.py``), and a
 service whose admission and scoring paths deliberately take separate
-locks (``service.py``).  It also forks workers and wires pipe pairs.
+locks (``service.py``).  It also forks single-threaded workers and wires
+pipe pairs (``executors.py``).
 This module parses the sources once into one program model and runs
 every ``rt-*`` check over it (each is fired by a seeded bug in
 ``tests/test_analysis_yield.py``):

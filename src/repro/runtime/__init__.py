@@ -10,7 +10,7 @@ with ``pool=``, workers forked at construction and reaped by ``close()``
 with pipelined chunk dispatch (:class:`ShardPool`: per worker, one
 writer thread sends and one supervisor receives).
 Fork runs are crash-transparent:
-heartbeats and a watchdog detect dead or hung workers, replacements
+EOF detects a dead worker and a per-response deadline a hung one, replacements
 replay unacknowledged chunks, and deterministic fault injection
 (:class:`FaultPlan`) exercises those paths in tests.
 Several traces can share one run (``process_traces`` on either

@@ -24,7 +24,6 @@ import select
 import signal
 import struct
 import sys
-import threading
 import time
 from typing import Sequence
 
@@ -200,67 +199,31 @@ class WorkerCrash(RuntimeError):
         return message
 
 
-def _serve(
-    context,
-    request_fd: int,
-    response_fd: int,
-    heartbeat_interval: float | None = None,
-) -> None:
+def _serve(context, request_fd: int, response_fd: int) -> None:
     """A forked worker's request loop: framed pickles in, framed out.
 
     Runs until the parent closes the request pipe (EOF is the shutdown
     signal).  Handler exceptions are reported in-band — ``(False, msg)``
-    — so one bad chunk doesn't kill the worker.
-
-    With ``heartbeat_interval`` set, a daemon thread interleaves
-    ``("beat", {"busy_s", "handled"})`` frames with responses (the
-    response writer is serialized by a lock, so frames never tear).
-    ``busy_s`` is how long the *current* request has been in flight —
-    the parent-side watchdog uses it to tell a stuck worker from a slow
-    chunk queue.
+    — so one bad chunk doesn't kill the worker.  The loop is the child's
+    only thread and answers each request before reading the next, so the
+    response is the only frame a worker sends: the parent times each one
+    against its deadline (:meth:`ForkWorker.recv`).
 
     ``FAULT_REQUEST`` frames carry an injected failure plus the real
     request; the failure is executed *here*, at the dispatch point, so
     tests can provoke every crash mode deterministically (see
     :mod:`repro.runtime.faults`).
     """
-    state = {"busy_since": None, "handled": 0}
-    tx_lock = threading.Lock()
-
     with os.fdopen(request_fd, "rb") as rx, os.fdopen(response_fd, "wb") as tx:
 
         def _send(response) -> None:
-            blob = pickle.dumps(response, protocol=pickle.HIGHEST_PROTOCOL)
-            with tx_lock:
-                write_frame(tx, blob)
+            write_frame(tx, pickle.dumps(response, protocol=pickle.HIGHEST_PROTOCOL))
 
         def _handle(kind, payload):
-            state["busy_since"] = time.monotonic()  # noqa: rt-racy-field - heartbeat telemetry tolerates staleness; dict item writes are atomic under the GIL
             try:
-                try:
-                    return (True, context.handle(kind, payload))
-                except BaseException as exc:  # report, never unwind the loop
-                    return (False, f"{type(exc).__name__}: {exc}")
-            finally:
-                state["busy_since"] = None
-                state["handled"] += 1
-
-        if heartbeat_interval:
-
-            def _beat() -> None:
-                while True:
-                    time.sleep(heartbeat_interval)
-                    since = state["busy_since"]
-                    busy_s = 0.0 if since is None else time.monotonic() - since
-                    try:
-                        _send(("beat", {
-                            "busy_s": busy_s,
-                            "handled": state["handled"],
-                        }))
-                    except (OSError, ValueError):
-                        return  # pipe gone: the worker is shutting down
-
-            threading.Thread(target=_beat, daemon=True).start()
+                return (True, context.handle(kind, payload))
+            except BaseException as exc:  # report, never unwind the loop
+                return (False, f"{type(exc).__name__}: {exc}")
 
         while True:
             frame = read_frame(rx)
@@ -281,19 +244,15 @@ def _serve(
                     # Hold the chunk (busy, unresponsive).  A hang only
                     # ends when the watchdog SIGKILLs us; a delay is the
                     # benign twin that must NOT trip recovery.
-                    state["busy_since"] = time.monotonic()
                     time.sleep(seconds)
-                    state["busy_since"] = None
                 if fault_kind == "torn_frame":
                     # Crash mid-write: promise a full frame, deliver half.
-                    response = _handle(kind, payload)
                     blob = pickle.dumps(
-                        response, protocol=pickle.HIGHEST_PROTOCOL
+                        _handle(kind, payload), protocol=pickle.HIGHEST_PROTOCOL
                     )
-                    with tx_lock:
-                        tx.write(_FRAME_HEADER.pack(len(blob)))
-                        tx.write(blob[: max(1, len(blob) // 2)])
-                        tx.flush()
+                    tx.write(_FRAME_HEADER.pack(len(blob)))
+                    tx.write(blob[: max(1, len(blob) // 2)])
+                    tx.flush()
                     os._exit(1)
             _send(_handle(kind, payload))
 
@@ -317,7 +276,6 @@ class ForkWorker:
         context,
         extra_close_fds: Sequence[int] = (),
         *,
-        heartbeat_interval: float | None = None,
         index: int | None = None,
     ):
         if not hasattr(os, "fork"):
@@ -343,7 +301,7 @@ class ForkWorker:
                         os.close(fd)
                     except OSError:
                         pass
-                _serve(context, request_read, response_write, heartbeat_interval)
+                _serve(context, request_read, response_write)
             except BaseException:
                 status = 1
             finally:
@@ -352,7 +310,6 @@ class ForkWorker:
         os.close(response_write)
         self.pid = pid
         self.index = index
-        self.heartbeat_interval = heartbeat_interval
         self._tx = os.fdopen(request_write, "wb")
         # Unbuffered: recv() select()s on the raw fd, and a buffered file
         # object could hold a frame select cannot see.
@@ -392,18 +349,12 @@ class ForkWorker:
                 worker_index=self.index,
             ) from None
 
-    def _next_frame(self, hang_timeout: float | None) -> bytes | None:
+    def _next_frame(self, hang_timeout: float) -> bytes | None:
         """One frame off the response pipe, None on EOF/torn frame.
 
-        With a ``hang_timeout``, waits on the raw fd via select and
-        SIGKILLs the child if *nothing* (not even a heartbeat) arrives
-        within the deadline — the watchdog's no-signs-of-life rule.
+        Waits on the raw fd via select and SIGKILLs the child if no frame
+        arrives within ``hang_timeout``.
         """
-        if hang_timeout is None:
-            try:
-                return read_frame(self._rx)
-            except (OSError, ValueError):  # pipe closed (pool shutdown)
-                return None
         deadline = time.monotonic() + hang_timeout
         while True:
             try:
@@ -416,7 +367,7 @@ class ForkWorker:
                 raise WorkerCrash(
                     self.pid,
                     self.reap(),
-                    f"no frames for {hang_timeout:.1f}s",
+                    f"no response within {hang_timeout:.1f}s",
                     worker_index=self.index,
                     hung=True,
                 )
@@ -430,61 +381,45 @@ class ForkWorker:
                 except (OSError, ValueError):
                     return None
 
-    def recv(self, hang_timeout: float | None = None):
-        """The next response, in request order.
+    def recv(self, hang_timeout: float):
+        """The next response, in request order, within ``hang_timeout``.
 
-        Heartbeat frames are consumed transparently; each one restarts
-        the ``hang_timeout`` clock, and a beat reporting a single request
-        in flight for longer than ``hang_timeout`` gets the child
-        SIGKILLed (the watchdog's stuck-worker rule).
+        The worker answers requests one at a time, so the deadline runs
+        from this call — for a caller draining responses, from the
+        previous response — and bounds one request's time in the worker.
+        A child silent past it is SIGKILLed (``hung``).
 
         Raises :class:`WorkerCrash` if the child died (EOF / torn frame),
-        was killed by the watchdog, or sent a frame that does not unpickle
+        was killed by the deadline, or sent a frame that does not unpickle
         (then it is killed too), :class:`WorkerDispatchError` if the
         parent-side dispatch failed (echoed :data:`ERROR_REQUEST`), or
         ``RuntimeError`` if the child survived but its handler raised.
         """
-        while True:
-            frame = self._next_frame(hang_timeout)
-            if frame is None:
-                raise WorkerCrash(
-                    self.pid,
-                    self.reap(),
-                    "response pipe closed",
-                    worker_index=self.index,
-                )
-            try:
-                status, payload = pickle.loads(frame)
-            except Exception as exc:
-                self.kill()
-                raise WorkerCrash(
-                    self.pid,
-                    self.reap(),
-                    f"garbled frame ({type(exc).__name__}: {exc})",
-                    worker_index=self.index,
-                ) from None
-            if status == "beat":
-                busy_s = float(payload.get("busy_s", 0.0))
-                if hang_timeout is not None and busy_s > hang_timeout:
-                    self.kill()
-                    raise WorkerCrash(
-                        self.pid,
-                        self.reap(),
-                        f"request in flight for {busy_s:.1f}s "
-                        f"(deadline {hang_timeout:.1f}s)",
-                        worker_index=self.index,
-                        hung=True,
-                    )
-                continue
-            if status == "abort":
-                raise WorkerDispatchError(
-                    f"dispatch to pool worker pid {self.pid} failed: {payload}"
-                )
-            if not status:
-                raise RuntimeError(
-                    f"pool worker pid {self.pid} failed: {payload}"
-                )
-            return payload
+        frame = self._next_frame(hang_timeout)
+        if frame is None:
+            raise WorkerCrash(
+                self.pid,
+                self.reap(),
+                "response pipe closed",
+                worker_index=self.index,
+            )
+        try:
+            status, payload = pickle.loads(frame)
+        except Exception as exc:
+            self.kill()
+            raise WorkerCrash(
+                self.pid,
+                self.reap(),
+                f"garbled frame ({type(exc).__name__}: {exc})",
+                worker_index=self.index,
+            ) from None
+        if status == "abort":
+            raise WorkerDispatchError(
+                f"dispatch to pool worker pid {self.pid} failed: {payload}"
+            )
+        if not status:
+            raise RuntimeError(f"pool worker pid {self.pid} failed: {payload}")
+        return payload
 
     def kill(self) -> None:
         """SIGKILL the child (idempotent; reap() collects the status)."""

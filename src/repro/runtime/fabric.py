@@ -340,7 +340,7 @@ class MultiAppFabric(LaneRunner):
     pool_options:
         Extra keyword arguments for the lane
         :class:`~repro.runtime.pool.ShardPool` (fault-tolerance knobs:
-        ``hang_timeout``, ``heartbeat_interval``, ``faults``, ...), as in
+        ``hang_timeout``, ``faults``, ...), as in
         :class:`~repro.runtime.ShardedRuntime`.
     """
 

@@ -24,10 +24,10 @@ Lifecycle: the pool is a context manager; ``close()`` is deterministic
 run cannot hang shutdown).
 
 Failure model: a dead worker surfaces as EOF on the framed protocol; a
-*hung* worker is caught by the parent-side watchdog (heartbeat frames
-from a worker-side thread, plus per-``recv`` deadlines) and SIGKILLed so
-it surfaces the same way.  On every request both are **recovered
-from transparently**: chunks ride a bounded ack window, so on a crash
+*hung* worker — one that sends no response within ``hang_timeout`` of
+its previous one — is SIGKILLed by the parent so it surfaces the same
+way.  On every request both are **recovered from transparently**:
+chunks ride a bounded ack window, so on a crash
 the pool re-forks a replacement from the parent's pipelines — which the
 eagerly-applied state deltas hold at exactly the last *acked* chunk —
 replays the sent-but-unacked chunks, and continues; merged results are
@@ -191,15 +191,11 @@ class _ForkSlot:
         context,
         extra_close_fds: Sequence[int],
         *,
-        heartbeat_interval: float | None = None,
         index: int | None = None,
     ):
         self.context = context
         self.worker = ForkWorker(
-            context,
-            extra_close_fds=extra_close_fds,
-            heartbeat_interval=heartbeat_interval,
-            index=index,
+            context, extra_close_fds=extra_close_fds, index=index
         )
         self._requests: queue.Queue = queue.Queue(maxsize=_SLOT_QUEUE_DEPTH)
         self._closing = False
@@ -253,7 +249,7 @@ class _ForkSlot:
         """Queue a request stream for the writer (returns immediately)."""
         _bounded_put(self._requests, stream, give_up=lambda: self._closing)
 
-    def recv(self, hang_timeout: float | None = None):
+    def recv(self, hang_timeout: float):
         return self.worker.recv(hang_timeout)
 
     def close(self, timeout: float) -> None:
@@ -317,6 +313,18 @@ class _ShardRun:
                 return (FAULT_REQUEST, (event.wire(), (kind, payload)))
         return (kind, payload)
 
+    def pull(self, pulled: int) -> tuple[str, object]:
+        """The caller's next request, ``pulled`` in.  A stream that ends
+        before ``count`` is the caller's error, raised here rather than
+        left to the deadline, which would kill a healthy worker."""
+        try:
+            return next(self.source)
+        except StopIteration:
+            raise PoolError(
+                f"stream for worker {self.index} ended after "
+                f"{pulled} of {self.count} requests"
+            ) from None
+
     def ack(self) -> tuple[int, str, object]:
         """Pop the pending head (the chunk this response answers)."""
         with self.cv:
@@ -361,10 +369,11 @@ class _WindowStream:
             # Never pull past the expected count: the last pull then
             # happens-before the last ack, so once the supervisor is
             # done this thread is done with the caller's stream.
-            done = run.next_ordinal >= run.count
-        if self.dead or done:
+            pulled = run.next_ordinal
+        if self.dead or pulled >= run.count:
             raise StopIteration
-        kind, payload = next(run.source)  # StopIteration ends the attempt
+        # A short stream raises here; the writer echoes it as an abort.
+        kind, payload = run.pull(pulled)
         with run.cv:
             ordinal = run.next_ordinal
             run.next_ordinal += 1
@@ -399,16 +408,13 @@ class ShardPool:
         also the most a crash can force the pool to replay.
     close_timeout:
         Per-worker bound on graceful shutdown before SIGKILL.
-    heartbeat_interval:
-        Cadence of worker-side heartbeat frames.  ``None``
-        disables heartbeats — then only the coarser no-frames watchdog
-        rule can catch a hang.
     hang_timeout:
-        Watchdog deadline: a single request in flight longer than this
-        (per a heartbeat), or a response pipe silent for this long, gets
-        the worker SIGKILLed and recovered like a crash.  Individual
-        chunks must score well inside this bound.  ``None`` disables the
-        watchdog.
+        Per-response deadline, in seconds (positive): a worker that sends
+        no response within this long of its previous one (or of the start
+        of the run) is SIGKILLed and recovered like a crash.  Workers
+        answer in order and the window keeps the next request queued, so
+        this bounds each request, never the run; individual chunks must
+        score well inside it.
     max_chunk_retries:
         Crashes attributed to one chunk before it is declared a
         :class:`~repro.runtime.health.PoisonChunk`.
@@ -432,8 +438,7 @@ class ShardPool:
         window: int = 2,
         close_timeout: float = 5.0,
         *,
-        heartbeat_interval: float | None = 0.2,
-        hang_timeout: float | None = 30.0,
+        hang_timeout: float = 30.0,
         max_chunk_retries: int = 3,
         max_worker_crashes: int = 5,
         retry_backoff: float = 0.05,
@@ -443,13 +448,14 @@ class ShardPool:
             raise ValueError("a pool needs at least one worker context")
         if window <= 0:
             raise ValueError("window must be positive")
+        if hang_timeout is None or hang_timeout <= 0:
+            raise ValueError(f"hang_timeout must be positive, got {hang_timeout!r}")
         if mode not in FORK_MODES:
             raise ValueError(
                 f"unknown pool mode {mode!r}; pick one of {FORK_MODES}"
             )
         self.window = window
         self.close_timeout = close_timeout
-        self.heartbeat_interval = heartbeat_interval
         self.hang_timeout = hang_timeout
         self.max_chunk_retries = max_chunk_retries
         self.max_worker_crashes = max_worker_crashes
@@ -491,10 +497,7 @@ class ShardPool:
             if slot.alive:
                 sibling_fds.extend(slot.worker.parent_fds)
         return _ForkSlot(
-            self.contexts[index],
-            extra_close_fds=sibling_fds,
-            heartbeat_interval=self.heartbeat_interval,
-            index=index,
+            self.contexts[index], extra_close_fds=sibling_fds, index=index
         )
 
     def restart(self, index: int) -> None:
@@ -859,15 +862,8 @@ class ShardPool:
                 if self._closed:
                     run.error = PoolError("pool closed during degraded run")
                     return
-                try:
-                    kind, payload = next(run.source)
-                except StopIteration:
-                    run.error = PoolError(
-                        f"stream for worker {index} ended after "
-                        f"{run.collected} of {run.count} responses"
-                    )
-                    return
                 ordinal = run.next_ordinal
+                kind, payload = run.pull(ordinal)
                 run.next_ordinal += 1  # noqa: rt-racy-field - degraded mode owns the run exclusively; the windowed writer was joined before entry
                 execute(ordinal, kind, payload)
         except BaseException as exc:

@@ -666,10 +666,9 @@ class ShardedRuntime(LaneRunner):
         manager or :meth:`close`) to reap it.
     pool_options:
         Extra keyword arguments for the
-        :class:`~repro.runtime.pool.ShardPool` (``window``,
-        ``hang_timeout``, ``heartbeat_interval``, ``max_worker_crashes``,
-        ``faults``, ...) — the fault-tolerance knobs, and the seam the
-        failure-injection tests use.  Needs ``pool``.
+        :class:`~repro.runtime.pool.ShardPool` (``window``, ``hang_timeout``,
+        ``max_worker_crashes``, ``faults``, ...) — the fault-tolerance
+        knobs, and the seam the failure-injection tests use.  Needs ``pool``.
     """
 
     def __init__(

@@ -435,11 +435,11 @@ class TestFrameProtocol:
         # _send-style tuples, not request-side sends.
         assert "rt-frame-unconsumed" not in check_ids("""
             def worker(_send, results):
-                _send(("beat", None))
+                _send(("abort", None))
 
             def collector(frame):
                 status, payload = frame
-                if status == "beat":
+                if status == "abort":
                     return None
                 return payload
         """)
@@ -695,7 +695,7 @@ class TestRuntimeIsClean:
     #: ``# noqa: rt-*`` waivers under ``src/repro/runtime``, pinned so
     #: the count only moves down: a deleted waiver lowers this number in
     #: the same change, a new one fails here — fix the finding instead.
-    WAIVERS = 13
+    WAIVERS = 12
 
     def test_every_waiver_carries_a_justification(self):
         waivers = list(_waivers(_runtime_sources()))

@@ -46,10 +46,9 @@ HAS_FORK = hasattr(os, "fork")
 fork_only = pytest.mark.skipif(not HAS_FORK, reason="fault injection needs fork")
 
 #: Watchdog knobs fast enough for tests: chunks score in milliseconds,
-#: so a 0.75 s deadline with 0.1 s heartbeats catches injected hangs
-#: quickly without ever tripping on real work.
-FAST_WATCHDOG = {"hang_timeout": 0.75, "heartbeat_interval": 0.1,
-                 "retry_backoff": 0.01}
+#: so a 0.75 s per-response deadline catches injected hangs quickly
+#: without ever tripping on real work.
+FAST_WATCHDOG = {"hang_timeout": 0.75, "retry_backoff": 0.01}
 
 
 class TestSaturatingInputs:
@@ -251,8 +250,8 @@ class TestCrashTransparentRuns:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_hang_identity(self, blocks, shards):
-        """A hung worker is killed by the watchdog (heartbeats report it
-        stuck mid-request) and recovered exactly like a crash."""
+        """A hung worker is killed by the watchdog (no response within the
+        deadline) and recovered exactly like a crash."""
         plan = FaultPlan().add(0, 1, "hang")  # sleeps "forever"
         oracle = _oracle(blocks, slots=16, tables=True)
         runtime = _pooled_runtime(
@@ -285,18 +284,27 @@ class TestCrashTransparentRuns:
 
     def test_delay_fault_is_benign(self, blocks):
         """``delay`` shifts timing without breaking anything — the
-        negative control for the watchdog (no kill below the deadline)."""
-        plan = FaultPlan().add(0, 0, "delay", seconds=0.2)
-        oracle = _oracle(blocks, slots=16, tables=True)
-        runtime = _pooled_runtime(
-            blocks, 2, pool_options=dict(FAST_WATCHDOG, faults=plan)
-        )
-        with runtime:
-            _assert_equivalent(
-                oracle, runtime, _random_columns(seed=103, n=100)
+        negative control for the watchdog (no kill below the deadline).
+        The deadline is per response, not per run: three consecutive
+        0.4 s delays on one worker add up past the 0.75 s deadline, but
+        no single response is late."""
+        one = FaultPlan().add(0, 0, "delay", seconds=0.2)
+        three = FaultPlan()
+        for ordinal in range(3):
+            three.add(0, ordinal, "delay", seconds=0.4)
+        for plan in (one, three):
+            oracle = _oracle(blocks, slots=16, tables=True)
+            runtime = _pooled_runtime(
+                blocks, 2, pool_options=dict(FAST_WATCHDOG, faults=plan)
             )
-            assert runtime.pool_health.healthy
-            assert runtime.pool_health.crashes == 0
+            with runtime:
+                _assert_equivalent(
+                    oracle, runtime, _random_columns(seed=103, n=100)
+                )
+                health = runtime.pool_health
+                assert len(plan) == 0  # every delay fired
+                assert health.healthy
+                assert health.crashes == health.hangs == 0
 
     def test_crash_on_first_and_last_chunk(self, blocks):
         """Boundary ordinals: death before any ack and death on the

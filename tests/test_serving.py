@@ -56,8 +56,7 @@ from test_shard_runtime import (
 HAS_FORK = hasattr(os, "fork")
 fork_only = pytest.mark.skipif(not HAS_FORK, reason="fault injection needs fork")
 
-FAST_WATCHDOG = {"hang_timeout": 0.75, "heartbeat_interval": 0.1,
-                 "retry_backoff": 0.01}
+FAST_WATCHDOG = {"hang_timeout": 0.75, "retry_backoff": 0.01}
 
 SLOTS = 32
 CHUNK = 16

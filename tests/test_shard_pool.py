@@ -125,6 +125,11 @@ class _Sleeper:
         return "done"
 
 
+class _Echo:
+    def handle(self, kind, payload):
+        return payload
+
+
 def _refuse_to_load():
     raise ValueError("cannot load")
 
@@ -408,7 +413,7 @@ class TestPoolLifecycle:
             os.kill(worker.pid, signal.SIGKILL)
             with pytest.raises(WorkerCrash) as info:
                 worker.send("sleep", 0.0)  # a broken pipe, or EOF below
-                worker.recv()
+                worker.recv(5.0)
             assert info.value.exit_status == -signal.SIGKILL
             assert info.value.signal_name == "SIGKILL"
             assert info.value.worker_index == 0
@@ -523,15 +528,11 @@ class TestPoolLifecycle:
         stranding the collector on a response that will never come — and
         the worker must stay usable."""
 
-        class Echo:
-            def handle(self, kind, payload):
-                return payload
-
         def bad_stream():
             yield ("echo", 1)
             raise RuntimeError("staging blew up")
 
-        with ShardPool([Echo()], mode=mode) as pool:
+        with ShardPool([_Echo()], mode=mode) as pool:
             with pytest.raises(RuntimeError, match="staging blew up"):
                 pool.map_streams([(bad_stream(), 3)])
             assert pool.alive() == [True]
@@ -624,32 +625,21 @@ class TestPoolLifecycle:
             assert pool.broadcast("echo", [41]) == [41]
 
     @fork_only
-    def test_heartbeats_never_interleave_with_responses(self):
-        """Heartbeat and response frames share one pipe, serialized by the
-        worker's tx lock.  A one-microsecond switch interval, inherited by
-        the fork, lets the heartbeat thread preempt a 4 KiB response
-        between its header and body, so a dropped lock garbles a frame
-        (with the lock dropped, ten rounds failed 20 runs of 20; one round
-        failed 7 of 10).  A garbled frame is recovered as a crash, so the
-        responses stay exact and ``crashes == 0`` is what fails."""
-
-        class Payload:
-            def handle(self, kind, payload):
-                return bytes([payload % 251]) * 4096
-
-        requests = 3000
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pool = ShardPool([Payload()], heartbeat_interval=0.0002)
-        finally:
-            sys.setswitchinterval(interval)
-        with pool:
-            for __ in range(10):
-                stream = (("echo", i) for i in range(requests))
-                (responses,) = pool.map_streams([(stream, requests)])
-                assert responses == [bytes([i % 251]) * 4096 for i in range(requests)]
-            assert pool.health.crashes == 0
+    def test_short_stream_fails_the_run_not_the_worker(self):
+        """A stream that ends before its promised count fails the run as a
+        dispatch error, at once: the healthy worker is neither timed out
+        nor killed, and serves the next run."""
+        with ShardPool([_Echo()], hang_timeout=1.0) as pool:
+            pid = pool.worker_pids[0]
+            caller, outcome = self._in_background(
+                pool, [(iter([("echo", 1)]), 2)]
+            )
+            caller.join(5.0)
+            assert not caller.is_alive(), "a short stream hung the run"
+            assert "ended after 1 of 2 requests" in str(outcome.get("error"))
+            assert pool.health.hangs == pool.health.crashes == 0
+            assert pool.worker_pids == [pid]
+            assert pool.map_streams([(iter([("echo", 7)]), 1)]) == [[7]]
 
     @fork_only
     def test_garbled_frame_is_a_crash(self):
@@ -674,6 +664,9 @@ class TestPoolLifecycle:
             ShardPool([_Sleeper()], mode="hyperdrive")
         with pytest.raises(ValueError, match="window"):
             ShardPool([_Sleeper()], window=0)
+        for hang_timeout in (None, 0, -1.0):
+            with pytest.raises(ValueError, match="hang_timeout"):
+                ShardPool([_Sleeper()], hang_timeout=hang_timeout)
 
 
 class TestPooledDataPlane:
@@ -692,18 +685,13 @@ class TestPooledDataPlane:
         from repro.testbed.dataplane import TaurusDataPlane
 
         plain = TaurusDataPlane(quantized_dnn, shards=2)
-        # Heartbeats on (the default), then a quiet pool without them.
-        for pool_options in (None, {"heartbeat_interval": None}):
-            with TaurusDataPlane(
-                quantized_dnn, shards=2, executor="fork", pool=True,
-                pool_options=pool_options,
-            ) as pooled:
-                for __ in range(3):
-                    expected = plain.run_switch(small_trace, chunk_size=64)
-                    assert expected == pooled.run_switch(small_trace, chunk_size=64)
-                    assert (
-                        plain.last_modeled_drain_ns == pooled.last_modeled_drain_ns
-                    )
+        with TaurusDataPlane(
+            quantized_dnn, shards=2, executor="fork", pool=True
+        ) as pooled:
+            for __ in range(3):
+                expected = plain.run_switch(small_trace, chunk_size=64)
+                assert expected == pooled.run_switch(small_trace, chunk_size=64)
+                assert plain.last_modeled_drain_ns == pooled.last_modeled_drain_ns
 
     def test_run_and_verify_through_pool(self, quantized_dnn, small_trace):
         from repro.testbed.dataplane import TaurusDataPlane
