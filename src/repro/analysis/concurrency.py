@@ -1,6 +1,6 @@
 """One pass over the runtime sources: fork safety, locksets, the pipe protocol.
 
-The runtime is genuinely concurrent: per-shard writer and supervisor
+The runtime is genuinely concurrent: per-run writer and supervisor
 threads gated on pending-window condition variables (``pool.py``), and a
 service whose admission and scoring paths deliberately take separate
 locks (``service.py``).  It also forks single-threaded workers and wires
@@ -25,7 +25,9 @@ every ``rt-*`` check over it (each is fired by a seeded bug in
    functions).  Each spawned target roots an analysis context with role
    ``thread:<name>``; the public surface of each class roots a shared
    ``api:<Class>`` role (any caller thread), and helpers reached from
-   neither become their own roots.
+   neither become their own roots.  Shared state is a typed receiver's
+   fields: a closure variable is never a region, so a thread target
+   shares state through ``self`` (every runtime thread targets a method).
 
 3. **Locksets.**  A statement-level CFG per function (``repro.analysis
    .cfg``) carries a *must*-lockset — the set of lock regions held on
@@ -34,16 +36,14 @@ every ``rt-*`` check over it (each is fired by a seeded bug in
    underlying lock), and helper calls (context-sensitive on the entry
    lockset).  ``run.cv`` and ``self.cv`` name the same ``(_ShardRun,
    cv)`` region when both are typed ``_ShardRun``.  A lock-typed
-   parameter or local that is not a closure cell is keyed by its name
-   within its module.
+   parameter or local is keyed by its name within its module.
 
 4. **Shared-field race verdicts.**  Every ``obj.attr`` access on a typed
-   receiver is recorded as ``(region, read/write, lockset, role)``;
-   closure variables shared with spawned nested functions are tracked
-   the same way.  A field written at all and touched from ≥2 roles must
-   have a *common* lock across every access: if some access holds
-   nothing → ``rt-racy-field``; if every access holds *a* lock but no
-   lock is common → ``rt-lockset-inconsistent``.  ``__init__`` runs
+   receiver is recorded as ``(region, read/write, lockset, role)``.  A
+   field written at all and touched from ≥2 roles must have a *common*
+   lock across every access: if some access holds nothing →
+   ``rt-racy-field``; if every access holds *a* lock but no lock is
+   common → ``rt-lockset-inconsistent``.  ``__init__`` runs
    happen-before every spawn and are excluded.
 
 5. **Lock order.**  At each ``with`` acquisition every region already in
@@ -76,11 +76,9 @@ every ``rt-*`` check over it (each is fired by a seeded bug in
    ``rt-fork-child-exit`` (a forking function that never calls
    ``os._exit``: the child unwinds into the parent's teardown),
    ``rt-pipe-ownership`` (an ``os.pipe()`` fd that never reaches
-   ``os.close``/``os.fdopen`` in its function), ``rt-unbounded-recv``
+   ``os.close``/``os.fdopen`` in its function) and ``rt-unbounded-recv``
    (``recv()``/``join()`` with no timeout: a dead worker parks the
-   caller forever), ``rt-unbounded-queue`` (a queue with no ``maxsize``,
-   any ``SimpleQueue``, or a ``put()`` with neither a timeout nor
-   ``block=False``).
+   caller forever).
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records.
 A finding is waived by ``# noqa: <check-id> - justification`` on its
@@ -179,7 +177,6 @@ class _FuncModel:
     locals_: dict[str, _TypeInfo] = field(default_factory=dict)
     bound: set[str] = field(default_factory=set)   # params + assigned names
     nested: dict[str, str] = field(default_factory=dict)  # name -> qualname
-    spawns: bool = False       # a threading.Thread(...) appears in its body
 
     @property
     def name(self) -> str:
@@ -243,11 +240,6 @@ def _build_program(sources: list[tuple[str, str]]) -> _Program:
         _read_attr_types(cls, program)
     for func in program.functions.values():
         _read_local_types(func, program)
-        func.spawns = any(
-            _is_thread_ctor(node, func.file.aliases)
-            for node in func.body
-            if isinstance(node, ast.Call)
-        )
     return program
 
 
@@ -473,8 +465,8 @@ def _region_of(
 ) -> tuple[tuple[str, str], _TypeInfo] | None:
     """The abstract memory region an lvalue-ish expression names.
 
-    ``self.attr`` / ``typed.attr`` → ``(Class, attr)``; a closure
-    variable of a thread-spawning encloser → ``(func:<qualname>, var)``.
+    ``self.attr`` / ``typed.attr`` → ``(Class, attr)``; a lock-typed
+    name → ``(module, name)``.
     """
     if isinstance(expr, ast.Attribute):
         base_cls = _expr_class(expr.value, func, program)
@@ -483,12 +475,7 @@ def _region_of(
             return (base_cls, expr.attr), info
         return None
     if isinstance(expr, ast.Name) and expr.id != "self":
-        hit = _lookup_var(func, expr.id, program)
-        if hit is None:
-            return None
-        definer, info = hit
-        if definer.spawns:
-            return (f"func:{definer.qualname}", expr.id), (info or _PLAIN)
+        info = _expr_info(expr, func, program)
         if info is not None and info.kind in ("lock", "condition"):
             return (Path(func.file.path).stem, expr.id), info
     return None
@@ -673,24 +660,15 @@ class _Analysis:
         for node in nodes:
             if isinstance(node, ast.Call):
                 self._scan_call(node, lockset, func, role)
-            target = None
-            if isinstance(node, ast.Attribute):
-                target = node
-            elif (
-                isinstance(node, ast.Name)
-                and node.id != "self"
-                and not isinstance(parents.get(node), ast.Attribute)
-            ):
-                target = node
-            if target is None:
-                continue
-            resolved = _region_of(target, func, program)
+            if not isinstance(node, ast.Attribute):
+                continue  # only fields are shared; a name is a lock at most
+            resolved = _region_of(node, func, program)
             if resolved is None:
                 continue
             region, info = resolved
             if info.kind in _SYNC_KINDS:
                 continue
-            write = _classify_access(target, parents, func, program)
+            write = _classify_access(node, parents, func, program)
             if write is None:
                 continue
             self.accesses.append(
@@ -700,7 +678,7 @@ class _Analysis:
                     lockset=lockset,
                     role=role,
                     path=func.file.path,
-                    line=getattr(target, "lineno", func.node.lineno),
+                    line=node.lineno,
                 )
             )
 
@@ -779,23 +757,14 @@ def _headline_children(stmt: ast.AST) -> list[ast.AST]:
 def _classify_access(
     node: ast.AST, parents: dict, func: _FuncModel, program: _Program
 ) -> bool | None:
-    """Whether an attribute/name occurrence writes its region.
+    """Whether an attribute occurrence writes its region.
 
-    Returns None for occurrences that should not be recorded
-    (initialization bindings, the base of a deeper attribute that
-    resolves on its own, ...).
+    Returns None for occurrences that should not be recorded (a ``with
+    ... as self.x`` binding).
     """
     ctx = getattr(node, "ctx", None)
     parent = parents.get(node)
     if isinstance(ctx, (ast.Store, ast.Del)):
-        if isinstance(node, ast.Name):
-            # A plain rebind in the defining function is initialization
-            # (pre-spawn); a Store in a *nested* function is a nonlocal
-            # write worth recording.  _region_of only yields closure
-            # regions, so distinguish by definer.
-            hit = _lookup_var(func, node.id, program)
-            if hit is not None and hit[0] is func:
-                return None
         if isinstance(parent, (ast.With, ast.AsyncWith, ast.withitem)):
             return None
         return True
@@ -848,14 +817,6 @@ def _race_verdicts(accesses: list[_Access]) -> list[Diagnostic]:
         roles = {a.role for a in group}
         if len(roles) < 2 or not any(a.write for a in group):
             continue
-        if region[0].startswith("func:") and not any(
-            role.startswith("thread:") for role in roles
-        ):
-            # A closure cell is per-invocation: different API entry
-            # points reaching the defining function get *different*
-            # cells, so only a thread spawned by the invocation itself
-            # can race on one.
-            continue
         if frozenset.intersection(*(a.lockset for a in group)):
             continue
         unlocked = [a for a in group if not a.lockset]
@@ -884,7 +845,7 @@ def _race_verdicts(accesses: list[_Access]) -> list[Diagnostic]:
 # Protocol conformance (framed pipe message state machine)
 # ----------------------------------------------------------------------
 #: Calls whose constant string argument produces a *request* kind.
-_REQUEST_CALLS = frozenset({"send", "broadcast", "submit", "handle"})
+_REQUEST_CALLS = frozenset({"send", "broadcast", "handle"})
 #: Calls whose tuple argument produces a *response*.
 _RESPONSE_CALLS = frozenset({"_send", "_post"})
 #: Bare names whose ``==`` comparisons consume a kind, per direction.
@@ -943,7 +904,7 @@ def _protocol_verdicts(program: _Program) -> list[Diagnostic]:
                 if kind is not None and (streamed or replied):
                     direction = "request" if streamed else "response"
                     note(direction, "produced", kind, model.path, node.lineno)
-            # -- producers: send/broadcast/submit/handle with const kind
+            # -- producers: send/broadcast/handle with const kind
             if isinstance(node, ast.Call) and terminal_name(node.func) in _REQUEST_CALLS:
                 kinds = [_const_str(arg, program) for arg in node.args]
                 kind = next((k for k in kinds if k is not None), None)
@@ -1031,13 +992,6 @@ def _ack_window_verdict(
 # ----------------------------------------------------------------------
 # Fork safety
 # ----------------------------------------------------------------------
-#: Queue factories that accept a ``maxsize`` bound.
-_BOUNDABLE_QUEUES = frozenset({
-    "queue.Queue", "queue.LifoQueue", "queue.PriorityQueue",
-    "multiprocessing.Queue", "multiprocessing.JoinableQueue",
-})
-
-
 def _fork_verdicts(func: _FuncModel, calls: list[ast.Call]) -> Iterator[Diagnostic]:
     """The fork-safety checks over one function's own body."""
     name, aliases = func.name, func.file.aliases
@@ -1085,7 +1039,7 @@ def _fork_verdicts(func: _FuncModel, calls: list[ast.Call]) -> Iterator[Diagnost
                     f"pipe fd(s) {leaked} never reach os.close/os.fdopen in "
                     "this function; an error path leaks them", node.lineno,
                 )
-    for call, canonical in resolved:
+    for call in calls:
         method = _method(call)
         if method in ("recv", "join") and not (call.args or call.keywords):
             yield finding(
@@ -1094,45 +1048,10 @@ def _fork_verdicts(func: _FuncModel, calls: list[ast.Call]) -> Iterator[Diagnost
                 "parks this caller forever — pass a bound (loop on "
                 "join(t)/is_alive() to wait indefinitely)", call.lineno,
             )
-        if canonical in _BOUNDABLE_QUEUES and not (
-            call.args or any(kw.arg == "maxsize" for kw in call.keywords)
-        ):
-            yield finding(
-                "rt-unbounded-queue", Severity.WARNING,
-                f"{name}() builds {canonical.rsplit('.', 1)[-1]}() with no "
-                "maxsize; offered load grows it without bound — cap it",
-                call.lineno,
-            )
-        elif canonical in ("queue.SimpleQueue", "multiprocessing.SimpleQueue"):
-            yield finding(
-                "rt-unbounded-queue", Severity.WARNING,
-                f"{name}() builds SimpleQueue(), which cannot be bounded; "
-                "use Queue(maxsize=...) instead", call.lineno,
-            )
-        if method == "put" and not _put_is_bounded(call):
-            yield finding(
-                "rt-unbounded-queue", Severity.WARNING,
-                f"{name}() calls put() with no timeout; a dead consumer "
-                "parks this producer on a full queue forever — pass "
-                "timeout= or block=False", call.lineno,
-            )
 
 
 def _method(call: ast.Call) -> str | None:
     return call.func.attr if isinstance(call.func, ast.Attribute) else None
-
-
-def _put_is_bounded(call: ast.Call) -> bool:
-    """``put(item, block=True, timeout=None)`` is bounded iff it passes a
-    timeout or ``block=False``."""
-    given = dict(zip(("item", "block", "timeout"), call.args))
-    given.update((kw.arg, kw.value) for kw in call.keywords)
-    timeout, block = given.get("timeout"), given.get("block")
-    no_timeout = timeout is None or (
-        isinstance(timeout, ast.Constant) and timeout.value is None
-    )
-    blocking = not (isinstance(block, ast.Constant) and block.value is False)
-    return not (no_timeout and blocking)
 
 
 # ----------------------------------------------------------------------

@@ -109,10 +109,6 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec("rt-unbounded-recv", Severity.WARNING, "fork-safety",
                   "recv() or join() with no timeout parks the caller forever "
                   "if the worker dies"),
-        CheckSpec("rt-unbounded-queue", Severity.WARNING, "fork-safety",
-                  "queue.Queue() with no maxsize (or put() with no timeout) "
-                  "turns overload into unbounded memory growth or a parked "
-                  "producer"),
         # -- runtime concurrency (the runtime pass's locksets, protocol) ---
         CheckSpec("rt-racy-field", Severity.WARNING, "concurrency",
                   "a shared field is written from one thread and touched from "

@@ -7,8 +7,9 @@ several compiled apps over shared grid lanes (:class:`MultiAppFabric`).
 Lanes, programs and — with ``pool=`` — workers exist from construction.
 Requests are scored on one of two backends — an in-process loop, or,
 with ``pool=``, workers forked at construction and reaped by ``close()``
-with pipelined chunk dispatch (:class:`ShardPool`: per worker, one
-writer thread sends and one supervisor receives).
+with pipelined chunk dispatch (:class:`ShardPool`: per worker, a run
+starts one writer thread that sends and one supervisor that receives,
+and joins both before it returns).
 Fork runs are crash-transparent:
 EOF detects a dead worker and a per-response deadline a hung one, replacements
 replay unacknowledged chunks, and deterministic fault injection

@@ -7,12 +7,13 @@ over a framed request/response pipe protocol
 as their owner: forked when a ``pool=True`` runtime is built, reaped by
 its ``close()``, so one fork serves every run.
 
-Every request takes one path: the caller's stream is pulled by the
-worker's dedicated writer thread, which sends each request down the pipe
-while at most ``window`` of them are unacked, and one supervisor per
-worker receives the responses.  So chunk ``k+1`` is being sliced *and
-shipped* while the worker scores chunk ``k``.  Responses stream back per
-chunk and carry incremental state deltas
+Every request takes one path: for each worker a run starts a writer
+thread, which pulls the caller's stream and sends each request down the
+pipe while at most ``window`` of them are unacked, and a supervisor,
+which receives the responses.  Both are joined before the run returns,
+so an idle pool owns no thread in the parent.  Chunk ``k+1`` is being
+sliced *and shipped* while the worker scores chunk ``k``.  Responses
+stream back per chunk and carry incremental state deltas
 (:meth:`~repro.pisa.TaurusPipeline.state_delta`), so the parent's
 pipelines track the workers chunk by chunk and per-message cost stays
 bounded by the chunk itself, not the register file.  The parent is the
@@ -20,8 +21,8 @@ only truth: no worker state is ever read back, and after a run every
 worker that died or failed is re-forked from the parent's contexts.
 
 Lifecycle: the pool is a context manager; ``close()`` is deterministic
-(EOF-then-reap with a bounded SIGKILL fallback, so an abandoned mid-trace
-run cannot hang shutdown).
+(join the writer, EOF, reap — one bounded budget per worker with a
+SIGKILL fallback, so an abandoned mid-trace run cannot hang shutdown).
 
 Failure model: a dead worker surfaces as EOF on the framed protocol; a
 *hung* worker — one that sends no response within ``hang_timeout`` of
@@ -44,13 +45,12 @@ schedules for tests come from :mod:`repro.runtime.faults`.
 from __future__ import annotations
 
 import os
-import queue
 import signal
 import sys
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..pisa.pipeline import TaurusPipeline
 from .executors import (
@@ -64,33 +64,6 @@ from .faults import FAULT_REQUEST, FaultPlan
 from .health import PoisonChunk, PoolError, PoolHealth
 
 __all__ = ["ShardPool", "PipelineShardWorker", "LaneWorker"]
-
-#: Sentinel asking a slot's writer thread to exit.
-_SHUTDOWN = object()
-
-#: Hard cap on per-slot request/response queues.  Real depth is tiny (one
-#: stream per run plus a shutdown sentinel; responses ride the ack
-#: window), so the cap never throttles a healthy pool — it exists so a
-#: pathological caller fails loudly instead of growing memory unboundedly.
-_SLOT_QUEUE_DEPTH = 64
-
-
-def _bounded_put(q: "queue.Queue", item, give_up) -> bool:
-    """Put in bounded slices; gives up (returns False) when told to.
-
-    The lint discipline (``rt-unbounded-queue``) bans both unbounded
-    queues and puts that can park forever on a full one: retrying in
-    timed slices keeps the writer interruptible while ``give_up()``
-    decides when waiting stops making sense (close deadline passed,
-    receiver gone).
-    """
-    while True:
-        try:
-            q.put(item, timeout=0.1)
-            return True
-        except queue.Full:
-            if give_up():
-                return False
 
 
 # ----------------------------------------------------------------------
@@ -175,103 +148,6 @@ class LaneWorker:
 
 
 # ----------------------------------------------------------------------
-# Worker slots (one per shard)
-# ----------------------------------------------------------------------
-class _ForkSlot:
-    """A :class:`ForkWorker` plus its dedicated writer thread.
-
-    The writer pumps request streams into the pipe so the dispatching
-    thread never blocks on a full pipe — without it, a parent stuck in
-    ``write`` (big chunk) and a child stuck in ``write`` (big response)
-    would deadlock.  Responses are read by the shard's supervisor.
-    """
-
-    def __init__(
-        self,
-        context,
-        extra_close_fds: Sequence[int],
-        *,
-        index: int | None = None,
-    ):
-        self.context = context
-        self.worker = ForkWorker(
-            context, extra_close_fds=extra_close_fds, index=index
-        )
-        self._requests: queue.Queue = queue.Queue(maxsize=_SLOT_QUEUE_DEPTH)
-        self._closing = False
-        self._writer = threading.Thread(
-            target=self._pump, name=f"pool-writer-{self.worker.pid}",
-            daemon=True,
-        )
-        self._writer.start()
-
-    @property
-    def pid(self) -> int | None:
-        return self.worker.pid
-
-    @property
-    def alive(self) -> bool:
-        return self.worker.alive
-
-    def _pump(self) -> None:
-        while True:
-            try:
-                item = self._requests.get(timeout=0.5)
-            except queue.Empty:
-                if self._closing:
-                    return  # sentinel lost to a full queue; exit anyway
-                continue
-            if item is _SHUTDOWN:
-                return
-            stream = item
-            try:
-                for kind, payload in stream:
-                    if self._closing:
-                        break
-                    self.worker.send(kind, payload)
-            except WorkerCrash:
-                pass  # the supervisor sees the EOF and reports it
-            except BaseException as exc:
-                # The stream's iterator raised, or a payload would not
-                # pickle.  A supervisor is (or will be) blocked on the
-                # response pipe, so the failure must travel *through the
-                # worker*: echo it back as an abort response.  Nothing
-                # was sent after the error, so the conversation stays in
-                # sync and the worker stays usable.
-                try:
-                    self.worker.send(
-                        ERROR_REQUEST, f"{type(exc).__name__}: {exc}"
-                    )
-                except WorkerCrash:
-                    pass
-
-    def submit(self, stream: Iterable[tuple[str, object]]) -> None:
-        """Queue a request stream for the writer (returns immediately)."""
-        _bounded_put(self._requests, stream, give_up=lambda: self._closing)
-
-    def recv(self, hang_timeout: float):
-        return self.worker.recv(hang_timeout)
-
-    def close(self, timeout: float) -> None:
-        # One end-to-end budget across every join/reap stage — a slot
-        # with a wedged writer AND a stuck child must not spend the full
-        # timeout once per stage.
-        deadline = time.monotonic() + timeout
-        self._closing = True  # noqa: rt-racy-field - monotonic shutdown flag; the pump thread observes it at the next frame boundary
-        _bounded_put(
-            self._requests, _SHUTDOWN,
-            give_up=lambda: time.monotonic() >= deadline,
-        )
-        self._writer.join(max(0.0, deadline - time.monotonic()))
-        if self._writer.is_alive():
-            # Writer is wedged in a pipe write (child mid-chunk, buffer
-            # full).  Killing the child EPIPEs the write and frees it.
-            self.worker.reap(0.0)
-            self._writer.join(max(0.0, deadline - time.monotonic()))
-        self.worker.close(max(0.0, deadline - time.monotonic()))
-
-
-# ----------------------------------------------------------------------
 # Crash-transparent dispatch (one supervisor per shard)
 # ----------------------------------------------------------------------
 class _ShardRun:
@@ -336,15 +212,16 @@ class _ShardRun:
 class _WindowStream:
     """One dispatch attempt for a shard: replay first, then windowed sends.
 
-    Submitted to a :class:`_ForkSlot`'s writer thread.  Re-sends the
-    chunks the previous attempt had sent but not acked (already in
+    :meth:`write` is the attempt's writer thread, which the supervisor
+    starts against the shard's current worker.  It re-sends the chunks
+    the previous attempt had sent but not acked (already in
     ``run.pending``), then pulls fresh chunks from the caller's stream,
     gated so at most ``window`` chunks are ever in flight.  The
     supervisor marks the attempt ``dead`` on a crash; a dead attempt
     stops yielding promptly, parking any already-pulled chunk in
     ``pending`` for the next attempt to replay.  Exactly one attempt
     pulls from the source at a time — the supervisor retires the old
-    slot (joining its writer) before submitting a new attempt.
+    worker (joining its writer) before starting a new attempt.
     """
 
     def __init__(self, run: _ShardRun):
@@ -386,6 +263,30 @@ class _WindowStream:
             raise StopIteration
         return run.wrap(ordinal, kind, payload)
 
+    def write(self, worker: ForkWorker) -> None:
+        """The writer thread's body: send every request to ``worker``.
+
+        A thread of its own so the supervisor never blocks on a full
+        request pipe: a parent stuck in ``write`` (big chunk) and a child
+        stuck in ``write`` (big response) would deadlock.
+        """
+        try:
+            for kind, payload in self:
+                worker.send(kind, payload)
+        except WorkerCrash:
+            pass  # the supervisor sees the EOF and reports it
+        except BaseException as exc:
+            # The stream's iterator raised, or a payload would not
+            # pickle.  The supervisor is (or will be) blocked on the
+            # response pipe, so the failure must travel *through the
+            # worker*: echo it back as an abort response.  Nothing was
+            # sent after the error, so the conversation stays in sync
+            # and the worker stays usable.
+            try:
+                worker.send(ERROR_REQUEST, f"{type(exc).__name__}: {exc}")
+            except WorkerCrash:
+                pass
+
 
 # ----------------------------------------------------------------------
 # The pool
@@ -407,7 +308,8 @@ class ShardPool:
         buffering: chunk ``k+1`` ships while ``k`` scores) — which is
         also the most a crash can force the pool to replay.
     close_timeout:
-        Per-worker bound on graceful shutdown before SIGKILL.
+        Per-worker bound on retiring a worker — joining its writer, then
+        EOF and reap — before SIGKILL.
     hang_timeout:
         Per-response deadline, in seconds (positive): a worker that sends
         no response within this long of its previous one (or of the start
@@ -465,14 +367,16 @@ class ShardPool:
         self.contexts = list(contexts)
         self._closed = False
         self._lock = threading.Lock()
-        # Spawn sequentially into the live slot list so every child can
+        #: The live dispatch attempt's writer per worker index (runs only).
+        self._writers: dict[int, threading.Thread] = {}
+        # Spawn sequentially into the live worker list so every child can
         # close its inherited copies of the earlier siblings' pipe fds —
         # otherwise a sibling's dup of a request-write end would keep
         # that worker from ever seeing EOF at close().
-        self._slots: list = []
+        self._workers: list[ForkWorker] = []
         try:
             for i in range(len(self.contexts)):
-                self._slots.append(self._spawn(i))
+                self._workers.append(self._spawn(i))
         except BaseException:
             self.close()  # a failed fork must not strand earlier siblings
             raise
@@ -486,38 +390,72 @@ class ShardPool:
 
     @property
     def worker_pids(self) -> list[int | None]:
-        return [slot.pid for slot in self._slots]
+        return [worker.pid for worker in self._workers]
 
     def alive(self) -> list[bool]:
-        return [slot.alive for slot in self._slots]
+        return [worker.alive for worker in self._workers]
 
-    def _spawn(self, index: int) -> _ForkSlot:
+    def _spawn(self, index: int) -> ForkWorker:
         sibling_fds: list[int] = []
-        for slot in self._slots:
-            if slot.alive:
-                sibling_fds.extend(slot.worker.parent_fds)
-        return _ForkSlot(
+        for worker in self._workers:
+            if worker.alive:
+                sibling_fds.extend(worker.parent_fds)
+        return ForkWorker(
             self.contexts[index], extra_close_fds=sibling_fds, index=index
         )
+
+    def _start_attempt(self, run: _ShardRun) -> _WindowStream:
+        """A new dispatch attempt for ``run``, its writer thread started
+        against the shard's current worker."""
+        attempt = _WindowStream(run)
+        writer = threading.Thread(
+            target=attempt.write, args=(self._workers[run.index],),
+            name=f"pool-write-{run.index}", daemon=True,
+        )
+        with self._lock:  # close() never sees an unstarted writer
+            writer.start()
+            self._writers[run.index] = writer
+        return attempt
+
+    def _join_writer(self, index: int, deadline: float) -> None:
+        """Join worker ``index``'s writer by ``deadline``.  One wedged in
+        a pipe write (child mid-chunk, buffer full) is freed by killing
+        the child, which EPIPEs the write."""
+        with self._lock:
+            writer = self._writers.pop(index, None)
+        if writer is None:
+            return
+        writer.join(max(0.0, deadline - time.monotonic()))
+        if writer.is_alive():
+            self._workers[index].kill()
+            writer.join(max(0.0, deadline - time.monotonic()))
+
+    def _retire(self, index: int) -> None:
+        """Join worker ``index``'s writer, then EOF and reap the child —
+        one ``close_timeout`` deadline across every stage, so a wedged
+        writer AND a stuck child never spend the budget once per stage."""
+        deadline = time.monotonic() + self.close_timeout
+        self._join_writer(index, deadline)
+        self._workers[index].close(max(0.0, deadline - time.monotonic()))
 
     def restart(self, index: int) -> None:
         """Replace worker ``index`` with a fresh fork from the parent's
         current context (it re-inherits the parent's pipeline state, so
         a replaced worker resumes consistent with the parent): crash
         recovery and the post-run re-fork.  A closed pool only reaps."""
-        self._slots[index].close(self.close_timeout)
+        self._retire(index)
         if not self._closed:  # noqa: rt-racy-field - monotonic bool; a supervisor reading stale False takes one extra recovery lap, harmlessly
-            self._slots[index] = self._spawn(index)  # noqa: rt-racy-field - per-index slot replacement; list cell assignment is atomic under the GIL and each index is owned by its supervisor during recovery
+            self._workers[index] = self._spawn(index)  # noqa: rt-racy-field - per-index worker replacement; list cell assignment is atomic under the GIL and each index is owned by its supervisor during recovery
             self.health.worker(index).restarts += 1  # noqa: rt-racy-field - advisory restart counter; per-index single writer during recovery
 
     def close(self) -> None:
         """Deterministic shutdown, safe under an abandoned mid-trace run.
 
-        EOFs every request pipe and reaps each child with a bounded
-        SIGKILL fallback — no GC reliance, no unbounded joins.  A
-        caller's stream is never touched from here: the run that owns it
-        fails with the dead worker and closes it on its own thread.
-        Idempotent.
+        Retires every worker — writer joined, request pipe EOFed, child
+        reaped — with a bounded SIGKILL fallback: no GC reliance, no
+        unbounded joins.  A caller's stream is never touched from here:
+        the run that owns it fails with the dead worker and closes it on
+        its own thread.  Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -527,15 +465,15 @@ class ShardPool:
             # Interpreter shutdown froze the daemon writer threads, which
             # may hold pipe-buffer locks — joining them would deadlock.
             # OS-level teardown only.
-            for slot in self._slots:
+            for worker in self._workers:
                 try:
-                    os.kill(slot.pid, signal.SIGKILL)
-                    os.waitpid(slot.pid, os.WNOHANG)
+                    os.kill(worker.pid, signal.SIGKILL)
+                    os.waitpid(worker.pid, os.WNOHANG)
                 except (OSError, ChildProcessError):
                     pass
             return
-        for slot in self._slots:
-            slot.close(self.close_timeout)
+        for index in range(len(self._workers)):
+            self._retire(index)
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -552,21 +490,17 @@ class ShardPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def broadcast(self, kind: str, payloads=None) -> list:
-        """One request per worker; returns the per-worker responses.
+    def broadcast(self, kind: str, payload=None) -> list:
+        """The same request, ``(kind, payload)``, to every worker; returns
+        the per-worker responses.
 
-        ``payloads`` is either one payload per worker or a single shared
-        payload (including None).  Each request rides the
-        :meth:`map_streams` path as a one-request stream, so a worker
-        that dies holding it is replaced from the parent's context and
-        the request replayed; only the :class:`FaultPlan` is skipped.
+        Each request rides the :meth:`map_streams` path as a one-request
+        stream, so a worker that dies holding it is replaced from the
+        parent's context and the request replayed; only the
+        :class:`FaultPlan` is skipped.
         """
-        if isinstance(payloads, (list, tuple)) and len(payloads) == self.shards:
-            per_worker = list(payloads)
-        else:
-            per_worker = [payloads] * self.shards
         answers = self._dispatch(
-            [(iter([(kind, payload)]), 1) for payload in per_worker], None
+            [(iter([(kind, payload)]), 1) for __ in range(self.shards)], None
         )
         return [answer for (answer,) in answers]
 
@@ -621,9 +555,10 @@ class ShardPool:
 
         ``streams[i]`` is ``(iterator of (kind, payload), expected
         response count)`` — or None/``(_, 0)`` for an idle worker.  Each
-        stream is pulled by its worker's writer thread, at most
-        ``window`` requests ahead of the acks, so slicing, shipping and
-        scoring overlap per worker and workers run concurrently.  A
+        stream is pulled by a writer thread the run starts for its
+        worker, at most ``window`` requests ahead of the acks, so
+        slicing, shipping and scoring overlap per worker and workers run
+        concurrently.  A
         generator stream is closed here, on the caller's thread, once
         the run is over.  Responses return per worker **in request
         order**.
@@ -694,7 +629,7 @@ class ShardPool:
             stale = run.error is not None and not isinstance(
                 run.error, WorkerDispatchError)
             try:
-                if stale or not self._slots[run.index].alive:
+                if stale or not self._workers[run.index].alive:
                     self.restart(run.index)
             except OSError:
                 pass  # best effort: the next run's crash recovery retries
@@ -719,18 +654,18 @@ class ShardPool:
         worker was holding), re-fork a replacement from the parent's
         last-acked state, replay the window, and continue — escalating
         to :class:`PoisonChunk` or degraded in-parent scoring when the
-        crash budget runs out.
+        crash budget runs out.  Every writer it starts is joined before
+        it returns.
         """
         index = run.index
         crashes_this_run = 0
         retries: dict[int, int] = {}
         landing = True  # until the worker reports a handler error
-        attempt = _WindowStream(run)
-        self._slots[index].submit(attempt)
+        attempt = self._start_attempt(run)
         try:
             while run.collected < run.count:
                 try:
-                    response = self._slots[index].recv(self.hang_timeout)
+                    response = self._workers[index].recv(self.hang_timeout)
                 except WorkerCrash as exc:
                     attempt.dead = True  # noqa: rt-racy-field - deliberately unlatched kill flag; worst case one extra chunk parks in pending for replay
                     with run.cv:
@@ -772,8 +707,7 @@ class ShardPool:
                     with run.cv:
                         replay = len(run.pending)
                     self.health.worker(index).replayed_chunks += replay
-                    attempt = _WindowStream(run)
-                    self._slots[index].submit(attempt)
+                    attempt = self._start_attempt(run)
                     continue
                 except WorkerDispatchError as exc:
                     # The caller's stream raised mid-dispatch.  The worker
@@ -809,6 +743,7 @@ class ShardPool:
             attempt.dead = True
             with run.cv:
                 run.cv.notify_all()
+            self._join_writer(index, time.monotonic() + self.close_timeout)
 
     def _degrade_shard(
         self,
@@ -831,9 +766,9 @@ class ShardPool:
         attempt.dead = True
         with run.cv:
             run.cv.notify_all()
-        # Retire the dead slot first (the post-run site re-forks it):
-        # close() joins its writer, so nothing else pulls the stream below.
-        self._slots[index].close(self.close_timeout)
+        # Retire the dead worker first (the post-run site re-forks it):
+        # that joins its writer, so nothing else pulls the stream below.
+        self._retire(index)
         worker_health = self.health.worker(index)
 
         def execute(ordinal: int, kind: str, payload) -> None:

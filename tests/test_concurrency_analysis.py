@@ -3,7 +3,7 @@
 What each rt-* check catches in the shipped runtime is
 ``tests/test_analysis_yield.py``; the fixtures here pin the edges no
 seeded-bug row reaches (messages, anchor lines, waiver syntax, clean
-shapes, closures, branch joins, lock-typed parameters).  The lockset
+shapes, branch joins, lock-typed parameters).  The lockset
 lattice contract (join = intersection = a proper meet, fixpoint
 independent of worklist order and equal to the all-paths intersection)
 is pinned with hypothesis property tests over ``must_fixpoint`` on
@@ -103,35 +103,6 @@ class TestRacyField:
             "counter is advisory",
         )
         assert "rt-racy-field" not in check_ids(waived)
-
-    def test_closure_shared_with_spawned_thread(self):
-        assert "rt-racy-field" in check_ids("""
-            import threading
-
-            def run():
-                total = [0]
-
-                def worker():
-                    total[0] += 1
-
-                t = threading.Thread(target=worker)
-                t.start()
-                return total[0]
-        """)
-
-    def test_closure_without_thread_is_private(self):
-        # A closure cell is per-invocation: helpers called from several
-        # public entry points do not share cells, so no race.
-        assert "rt-racy-field" not in check_ids("""
-            def run():
-                total = [0]
-
-                def helper():
-                    total[0] += 1
-
-                helper()
-                return total[0]
-        """)
 
 
 class TestInterproceduralLocksets:
@@ -695,7 +666,7 @@ class TestRuntimeIsClean:
     #: ``# noqa: rt-*`` waivers under ``src/repro/runtime``, pinned so
     #: the count only moves down: a deleted waiver lowers this number in
     #: the same change, a new one fails here — fix the finding instead.
-    WAIVERS = 12
+    WAIVERS = 11
 
     def test_every_waiver_carries_a_justification(self):
         waivers = list(_waivers(_runtime_sources()))

@@ -7,8 +7,9 @@ chunks.  These tests pin the contract down:
 * runs on both backends (in-process, and the fork pool) are
   **bit/stat-identical** to the single-pipeline oracle, including
   per-chunk incremental state-delta transport;
-* a run forks nothing and leaves only its owner's workers and writers
-  behind, and ``close()`` leaves no child process and no pool thread —
+* a run forks nothing and leaves no thread behind (its supervisors and
+  writers are joined before it returns), an idle pool owns no parent
+  thread, and ``close()`` leaves no child process and no pool thread —
   whether the run returned or raised, and even when a fork fails while
   the pool is being built;
 * a killed worker is detected, reported with its exit status, and
@@ -190,9 +191,9 @@ class TestPoolIdentity:
 class TestRunScopedWorkers:
     """Workers live as long as their owner: forked at construction,
     reaped by ``close()``.  What is scoped to a run is one supervisor
-    thread per shard; a run forks nothing, and once the owner is closed
-    no child process and no pool thread is left — whether the run
-    returned or raised."""
+    and one writer thread per shard; a run forks nothing, and once the
+    owner is closed no child process and no pool thread is left —
+    whether the run returned or raised."""
 
     @pytest.fixture()
     def new_threads(self, monkeypatch):
@@ -281,44 +282,46 @@ class TestRunScopedWorkers:
         assert new_threads() == []
 
     @staticmethod
-    def _assert_warm_run_census(run, runner, new_threads):
-        """``run()`` on a warm two-shard pool starts one supervisor per
-        shard and nothing else, and leaves no thread behind — returning
-        or raising."""
-        run()  # workers forked, writers resident
-        resident = new_threads()
-        del new_threads.started[:]
-        run()
-        assert sorted(new_threads.started) == [
-            "pool-supervise-0", "pool-supervise-1"
+    def _assert_run_census(run, runner, new_threads):
+        """A freshly built two-shard owner holds no parent thread;
+        ``run()`` starts exactly one supervisor and one writer per shard
+        and leaves none of them behind — returning or raising."""
+        assert new_threads() == []  # workers forked, no thread resident
+        per_run = [
+            "pool-supervise-0", "pool-supervise-1", "pool-write-0", "pool-write-1"
         ]
-        assert new_threads() == resident
+        for __ in range(2):
+            del new_threads.started[:]
+            run()
+            assert sorted(new_threads.started) == per_run
+            assert new_threads() == []
 
         def poisoned(slots, chunk):
             raise RuntimeError("staging blew up")
             yield
 
         runner()._requests = poisoned
+        del new_threads.started[:]
         with pytest.raises(RuntimeError, match="staging blew up"):
             run()
-        assert "chunk-prefetch" not in new_threads.started
-        assert new_threads() == resident
+        assert sorted(new_threads.started) == per_run
+        assert new_threads() == []
 
-    def test_warm_run_adds_one_thread_per_shard(self, blocks, new_threads):
+    def test_run_threads_live_inside_the_run(self, blocks, new_threads):
         columns = _random_columns(44, 90)
         with _pooled_runtime(blocks, 2, 16, True, mode="fork") as runtime:
-            self._assert_warm_run_census(
+            self._assert_run_census(
                 lambda: runtime.process_trace(columns, chunk_size=16),
                 lambda: runtime,
                 new_threads,
             )
 
-    def test_warm_fabric_run_adds_one_thread_per_shard(
+    def test_fabric_run_threads_live_inside_the_run(
         self, quantized_dnn, new_threads
     ):
         fabric, trace = self._two_app_fabric(quantized_dnn, 45)
         with fabric:
-            self._assert_warm_run_census(
+            self._assert_run_census(
                 lambda: fabric.run([trace, trace]),
                 lambda: fabric,
                 new_threads,
@@ -604,7 +607,7 @@ class TestPoolLifecycle:
         pool.close()
         assert time.perf_counter() - t0 < 2.0, "EOF shutdown degraded to SIGKILL"
         # Clean EOF exits, not signal deaths.
-        assert [slot.worker._exit_status for slot in pool._slots] == [0, 0, 0]
+        assert [worker._exit_status for worker in pool._workers] == [0, 0, 0]
 
     @fork_only
     @pytest.mark.parametrize("mode", ["fork"])  # the one worker kind left
@@ -622,7 +625,16 @@ class TestPoolLifecycle:
             with pytest.raises(RuntimeError, match="chunk exploded"):
                 pool.broadcast("boom")
             assert pool.alive() == [True]
-            assert pool.broadcast("echo", [41]) == [41]
+            assert pool.broadcast("echo", 41) == [41]
+
+    @fork_only
+    def test_broadcast_sends_one_shared_payload(self):
+        """A list or tuple as long as the pool is still one payload: a
+        lane request's ``(app, body)`` on a two-worker pool is not split."""
+        with ShardPool([_Echo(), _Echo()]) as pool:
+            assert pool.broadcast("echo", ("a", "b")) == [("a", "b")] * 2
+            assert pool.broadcast("echo", [1, 2]) == [[1, 2]] * 2
+            assert pool.broadcast("echo") == [None, None]
 
     @fork_only
     def test_short_stream_fails_the_run_not_the_worker(self):
