@@ -175,9 +175,10 @@ def main() -> None:
     #    trace, producers submit chunk-sized requests through bounded
     #    per-tenant queues and every submit gets an explicit verdict —
     #    ACCEPTED, DEFERRED (rate-limited, retry later), or SHED (queue
-    #    full).  A bursty two-tenant schedule over a started service
-    #    shows the envelope: admitted chunks are scored by the warm
-    #    shard pool while overload is shed, not buffered without bound.
+    #    full — the one overload rule).  A bursty two-tenant schedule
+    #    over a started service shows the envelope: admitted chunks are
+    #    scored in full by the warm shard pool while overload is shed at
+    #    the bound, not buffered and not sampled.
     from repro.hw import MapReduceBlock
     from repro.mapreduce import dnn_graph
     from repro.runtime import ClientSpec, InferenceService, ShardedRuntime

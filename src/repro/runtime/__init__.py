@@ -17,11 +17,12 @@ replay unacknowledged chunks, and deterministic fault injection
 Several traces can share one run (``process_traces`` on either
 runtime): each lane queues trace ``k+1``'s part behind ``k``'s, so no
 lane idles between traces and results stay bit-identical to one run per
-trace.  :class:`InferenceService` turns the pool-backed runtimes into an
-always-on serving loop with explicit admission control, per-client
-bounded queues, token-bucket rate limiting, overload policies, and
-per-request time-to-decision accounting; it scores whatever is queued
-as one such run and still delivers each request as it completes.
+trace.  :class:`InferenceService` turns either runtime, in process or
+pooled, into an always-on serving loop with explicit admission control,
+per-client bounded queues that shed at their bound, token-bucket rate
+limiting, and per-request time-to-decision accounting; it scores
+whatever is queued as one such run and still delivers each request as
+it completes.
 """
 
 from .executors import EXECUTORS, ForkWorker, WorkerCrash
@@ -38,7 +39,6 @@ from .pool import LaneWorker, PipelineShardWorker, ShardPool
 from .service import (
     ACCEPTED,
     DEFERRED,
-    OVERLOAD_POLICIES,
     SHED,
     Admission,
     ClientSpec,
@@ -78,7 +78,6 @@ __all__ = [
     "ACCEPTED",
     "DEFERRED",
     "SHED",
-    "OVERLOAD_POLICIES",
     "Admission",
     "ClientSpec",
     "InferenceService",

@@ -70,8 +70,7 @@ class PoolHealth:
     """Aggregated failure counters for a :class:`ShardPool`.
 
     One :class:`WorkerHealth` per slot; counters accumulate for the pool's
-    whole life (diff windows with :meth:`snapshot` / :meth:`since`).
-    ``degraded`` means at least one chunk was scored
+    whole life.  ``degraded`` means at least one chunk was scored
     in the parent because a slot could not be kept alive — results are
     still exact, but that shard ran without parallelism.
     """
@@ -114,12 +113,11 @@ class PoolHealth:
         return all(w.healthy for w in self.workers)
 
     def snapshot(self) -> "PoolHealth":
-        """Deep copy of the current counters (a point-in-time window mark).
+        """Deep copy of the current counters.
 
-        Counters on a live pool accumulate across runs; re-forking just to
-        zero them would defeat the point of a warm pool.  A service that
-        reports per-interval stats instead marks a window with
-        ``snapshot()`` and later diffs against it with :meth:`since`.
+        :meth:`InferenceService.stats` hands this copy back, so a caller
+        holding a :class:`ServiceStats` never sees the live pool's
+        supervisors move its numbers.
         """
         return PoolHealth(
             workers=[
@@ -135,31 +133,6 @@ class PoolHealth:
                 for w in self.workers
             ]
         )
-
-    def since(self, baseline: "PoolHealth") -> "PoolHealth":
-        """Per-worker counter deltas accumulated after ``baseline``.
-
-        ``baseline`` is a prior :meth:`snapshot` of the same pool.  Workers
-        the baseline does not know about (a pool resized between marks)
-        count from zero.
-        """
-        base = {w.index: w for w in baseline.workers}
-        zero = WorkerHealth(index=-1)
-        delta = []
-        for w in self.workers:
-            b = base.get(w.index, zero)
-            delta.append(
-                WorkerHealth(
-                    index=w.index,
-                    crashes=w.crashes - b.crashes,
-                    hangs=w.hangs - b.hangs,
-                    restarts=w.restarts - b.restarts,
-                    replayed_chunks=w.replayed_chunks - b.replayed_chunks,
-                    degraded_chunks=w.degraded_chunks - b.degraded_chunks,
-                    last_error=w.last_error if w.last_error != b.last_error else "",
-                )
-            )
-        return PoolHealth(workers=delta)
 
     def summary(self) -> str:
         return (

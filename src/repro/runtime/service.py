@@ -1,30 +1,28 @@
-"""Always-on inference serving on the warm shard pool.
+"""Always-on inference serving over a lane runtime.
 
 PR 5–7 built a substrate that can score traces fast and survive its own
 workers dying; this module makes it *a service*.  The paper's end state is
 a switch that scores every packet forever, so the missing robustness layer
-is the one above the pool: staying correct and bounded when **load**
+is the one above the runtime: staying correct and bounded when **load**
 misbehaves, not just when processes do.
 
-:class:`InferenceService` wraps a pool-backed runtime — a single-app
+:class:`InferenceService` wraps a single-app
 :class:`~repro.runtime.sharded.ShardedRuntime` or a multi-tenant
-:class:`~repro.runtime.fabric.MultiAppFabric` — behind the four-gate
-surface of a serving loop:
+:class:`~repro.runtime.fabric.MultiAppFabric` — scoring in process or on
+its fork pool — behind the four-gate surface of a serving loop:
 
 ingress
     :meth:`InferenceService.submit` — producers hand in packet chunks.
     Admission is **explicit**: every submit returns ``ACCEPTED``,
     ``DEFERRED`` (rate-limited; carries a retry-after), or ``SHED``
-    (overload; dropped now) instead of ever blocking unboundedly.
+    (queue full or draining; dropped now) instead of ever blocking.
 stream-results
     :meth:`InferenceService.take_results` — per-client bounded result
     buffers; every accepted request's fate (completed / expired /
-    evicted / failed) eventually appears exactly once.
+    failed) eventually appears exactly once.
 query-stats
-    :meth:`InferenceService.stats` / :meth:`InferenceService.interval_stats`
-    — cumulative and per-window counters (the window deltas ride on
-    :meth:`PoolHealth.snapshot`/:meth:`PoolHealth.since`, so a warm pool
-    reports per-interval health without re-forking).
+    :meth:`InferenceService.stats` — cumulative counters, with a copy of
+    the pool's :class:`PoolHealth` when there is a pool.
 admin
     :meth:`InferenceService.start` / :meth:`InferenceService.drain` /
     :meth:`InferenceService.close` — lifecycle.  ``drain`` is the graceful
@@ -34,10 +32,10 @@ admin
 Boundedness discipline
 ----------------------
 Every buffer in the service has a hard cap: per-client ingress queues
-(``queue_depth``, with the overload policy deciding what happens at the
-cap), per-client result buffers (``result_depth``, oldest dropped and
-counted), and the latency reservoir (``latency_window``).  Nothing in
-this module grows with offered load.
+(``queue_depth``; a submit at the cap is shed), per-client result buffers
+(``result_depth``, oldest dropped and counted), and the latency reservoir
+(the last 4096 decisions).  Nothing in this module grows with offered
+load.
 
 Determinism contract
 --------------------
@@ -67,7 +65,6 @@ __all__ = [
     "ACCEPTED",
     "DEFERRED",
     "SHED",
-    "OVERLOAD_POLICIES",
     "Admission",
     "ClientSpec",
     "InferenceService",
@@ -80,13 +77,8 @@ ACCEPTED = "accepted"
 DEFERRED = "deferred"
 SHED = "shed"
 
-#: What happens when a client's ingress queue is at ``queue_depth``:
-#: ``reject-new`` sheds the incoming request; ``drop-oldest`` evicts the
-#: queue head to make room (the evicted request's fate is delivered on the
-#: result stream); ``degrade-to-sampling`` keeps admitting up to
-#: ``2 * queue_depth`` but scores a deterministic row subsample (stride 2,
-#: then 4), shedding only at the hard cap.
-OVERLOAD_POLICIES = ("reject-new", "drop-oldest", "degrade-to-sampling")
+#: Time-to-decision samples kept for the p50 / p99 in :meth:`stats`.
+_LATENCY_SAMPLES = 4096
 
 
 class VirtualClock:
@@ -120,7 +112,6 @@ class Admission:
     client: str
     reason: str = ""          # "rate-limited" | "queue-full" | "draining" | ""
     retry_after_s: float = 0.0   # DEFERRED only: when the bucket refills
-    stride: int = 1           # >1: admitted degraded-to-sampling
 
     @property
     def accepted(self) -> bool:
@@ -135,8 +126,6 @@ class ClientSpec:
     (``rate=None`` disables rate limiting).  ``app`` binds the client to a
     fabric app by name (required when the service wraps a
     ``MultiAppFabric``; ignored for a single-app runtime).
-    ``deadline_s`` is the default per-request decision budget; a request
-    still queued past it is expired, not scored.
     """
 
     name: str
@@ -144,7 +133,6 @@ class ClientSpec:
     queue_depth: int = 8
     rate: float | None = None
     burst: float | None = None
-    deadline_s: float | None = None
     result_depth: int | None = None   # default: 4 * queue_depth
 
     def __post_init__(self) -> None:
@@ -166,8 +154,7 @@ class ServiceResult:
 
     ``status`` is ``"completed"`` (``result`` holds the per-chunk
     :class:`~repro.pisa.pipeline.TracePipelineResult`), ``"expired"``
-    (deadline passed while queued; never scored), ``"evicted"``
-    (drop-oldest made room for a newer request), or ``"failed"`` (the
+    (deadline passed while queued; never scored), or ``"failed"`` (the
     runtime raised; ``error`` carries the message).  ``seq`` is the global
     scoring order — replaying completed chunks by ``seq`` through a fresh
     runtime reproduces ``result`` exactly.
@@ -181,15 +168,13 @@ class ServiceResult:
     enqueued_at: float = 0.0
     decided_at: float = 0.0
     time_to_decision_s: float = 0.0
-    stride: int = 1
     n_packets: int = 0
     error: str = ""
 
 
 _COUNTERS = (
-    "submitted", "accepted", "deferred", "shed", "evicted", "completed",
-    "expired", "failed", "sampled", "late", "packets_in", "packets_out",
-    "results_dropped",
+    "submitted", "accepted", "deferred", "shed", "completed", "expired",
+    "failed", "packets_in", "packets_out", "results_dropped",
 )
 
 
@@ -197,22 +182,18 @@ _COUNTERS = (
 class ServiceStats:
     """Counter snapshot from the query-stats gate.
 
-    ``expired`` *is* the deadline-violation count (requests never scored);
-    ``late`` counts requests that completed after their deadline anyway.
-    ``pool`` carries the backing pool's :class:`PoolHealth` counters for
-    the same window (``None`` when the runtime is not pool-backed).
+    ``expired`` counts deadline violations (requests never scored).
+    ``pool`` is a copy of the backing pool's :class:`PoolHealth` counters
+    (``None`` when the runtime scores in process).
     """
 
     submitted: int = 0
     accepted: int = 0
     deferred: int = 0
     shed: int = 0
-    evicted: int = 0
     completed: int = 0
     expired: int = 0
     failed: int = 0
-    sampled: int = 0
-    late: int = 0
     packets_in: int = 0
     packets_out: int = 0
     results_dropped: int = 0
@@ -220,10 +201,6 @@ class ServiceStats:
     p99_decision_s: float = float("nan")
     queue_depths: dict[str, int] = field(default_factory=dict)
     pool: PoolHealth | None = None
-
-    @property
-    def deadline_violations(self) -> int:
-        return self.expired
 
     def summary(self) -> str:
         lat = (
@@ -245,7 +222,6 @@ class _Pending:
     client: str
     app: str | None            # the client's fabric binding, read at submit
     columns: object            # TraceColumns
-    stride: int
     enqueued_at: float
     deadline_at: float | None
     seq: int = -1              # scoring order, numbered at the pop
@@ -282,14 +258,18 @@ class _ClientState:
 
 
 class InferenceService:
-    """The always-on serving loop over a pool-backed runtime.
+    """The always-on serving loop over a lane runtime.
 
     ``backend`` is a ready :class:`ShardedRuntime` (single app: every
     client scores through the same switch program and shared flow state,
     in admission order) or a :class:`MultiAppFabric` (each client's
-    :attr:`ClientSpec.app` names its program; states stay per-app).  The
-    service only calls their ``process_traces`` and never rewinds — state
-    accumulates across chunks exactly like a switch that never stops.
+    :attr:`ClientSpec.app` names its program; states stay per-app), in
+    process or on a fork pool.  The service only calls their
+    ``process_traces`` and never rewinds — state accumulates across
+    chunks exactly like a switch that never stops.
+
+    There is one overload rule: a submit that finds its client's queue at
+    ``queue_depth`` is shed.  Nothing admitted is ever scored partially.
 
     Two drive modes share all the logic:
 
@@ -309,18 +289,11 @@ class InferenceService:
         backend,
         clients,
         *,
-        overload: str = "reject-new",
         chunk_size: int | None = None,
         clock: Callable[[], float] = time.monotonic,
-        latency_window: int = 4096,
         own_backend: bool = True,
     ):
-        if overload not in OVERLOAD_POLICIES:
-            raise ValueError(
-                f"unknown overload policy {overload!r}; pick one of {OVERLOAD_POLICIES}"
-            )
         self.backend = backend
-        self.overload = overload
         self.chunk_size = chunk_size
         self.clock = clock
         self.own_backend = own_backend
@@ -348,14 +321,12 @@ class InferenceService:
         self._work = threading.Condition(self._lock)
         self._dispatch_lock = threading.Lock()
         self._counts = dict.fromkeys(_COUNTERS, 0)
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        self._window_latencies: deque[float] = deque(maxlen=latency_window)
+        self._latencies: deque[float] = deque(maxlen=_LATENCY_SAMPLES)
         self._next_id = 0
         self._seq = 0
         self._draining = False
         self._closed = False
         self._thread: threading.Thread | None = None
-        self._window = self._mark_window()
 
     # ------------------------------------------------------------------
     # Gate 1: ingress
@@ -366,7 +337,8 @@ class InferenceService:
         Never blocks on queue space or scoring: the caller always gets an
         answer now, and backpressure is the answer (``DEFERRED`` with a
         retry-after when rate-limited, ``SHED`` when the queue bound or
-        the drain gate says no).
+        the drain gate says no).  A request still queued ``deadline_s``
+        after this call is expired, not scored.
         """
         columns = as_trace_columns(trace)
         with self._lock:
@@ -387,37 +359,23 @@ class InferenceService:
                     DEFERRED, rid, client,
                     reason="rate-limited", retry_after_s=retry_after,
                 )
-            stride = 1
-            occ = len(state.queue)
-            depth = state.spec.queue_depth
-            if occ >= depth:
-                if self.overload == "reject-new":
-                    self._counts["shed"] += 1
-                    return Admission(SHED, rid, client, reason="queue-full")
-                if self.overload == "drop-oldest":
-                    self._deliver(state.queue.popleft(), "evicted", now)
-                else:  # degrade-to-sampling
-                    if occ >= 2 * depth:
-                        self._counts["shed"] += 1
-                        return Admission(SHED, rid, client, reason="queue-full")
-                    stride = 2 if occ < depth + (depth + 1) // 2 else 4
-                    self._counts["sampled"] += 1
-            budget = deadline_s if deadline_s is not None else state.spec.deadline_s
+            if len(state.queue) >= state.spec.queue_depth:
+                self._counts["shed"] += 1
+                return Admission(SHED, rid, client, reason="queue-full")
             state.queue.append(
                 _Pending(
                     request_id=rid,
                     client=client,
                     app=state.spec.app,
                     columns=columns,
-                    stride=stride,
                     enqueued_at=now,
-                    deadline_at=None if budget is None else now + budget,
+                    deadline_at=None if deadline_s is None else now + deadline_s,
                 )
             )
             self._counts["accepted"] += 1
             self._counts["packets_in"] += columns.n
             self._work.notify_all()
-            return Admission(ACCEPTED, rid, client, stride=stride)
+            return Admission(ACCEPTED, rid, client)
 
     # ------------------------------------------------------------------
     # Dispatch (manual pump or the dispatcher thread)
@@ -488,15 +446,11 @@ class InferenceService:
             with self._lock:
                 self._deliver(waiting.pop(index), "completed", self.clock(), result)
 
+        requests = [
+            (pending.app, pending.columns) if self._is_fabric else pending.columns
+            for pending in batch
+        ]
         try:
-            requests = []
-            for pending in batch:
-                if pending.stride > 1:
-                    pending.columns = pending.columns.take(
-                        np.arange(0, pending.columns.n, pending.stride, dtype=np.int64)
-                    )
-                columns = pending.columns
-                requests.append((pending.app, columns) if self._is_fabric else columns)
             self.backend.process_traces(requests, self.chunk_size, completed)
         except Exception as exc:  # the dispatcher must outlive any backend failure
             error = f"{type(exc).__name__}: {exc}"
@@ -513,10 +467,7 @@ class InferenceService:
         ttd = now - pending.enqueued_at
         if fate == "completed":
             self._counts["packets_out"] += pending.columns.n
-            if pending.deadline_at is not None and now > pending.deadline_at:
-                self._counts["late"] += 1
             self._latencies.append(ttd)
-            self._window_latencies.append(ttd)
         results = self._clients[pending.client].results
         # deque(maxlen=) drops the head silently; count it first.
         if len(results) == results.maxlen:
@@ -531,7 +482,6 @@ class InferenceService:
                 enqueued_at=pending.enqueued_at,
                 decided_at=now,
                 time_to_decision_s=ttd,
-                stride=pending.stride,
                 n_packets=pending.columns.n if fate == "completed" else 0,
                 error=error,
             )
@@ -575,58 +525,20 @@ class InferenceService:
     def stats(self) -> ServiceStats:
         """Cumulative counters since construction."""
         with self._lock:
-            return self._stats_locked(self._counts, list(self._latencies), None)
-
-    def interval_stats(self) -> ServiceStats:
-        """Counters accumulated since the previous ``interval_stats`` call.
-
-        The pool's per-window health rides on
-        :meth:`PoolHealth.snapshot`/:meth:`PoolHealth.since` — no re-fork,
-        no reset of the live counters.
-        """
-        with self._lock:
-            counts, pool_base = self._window
-            delta = {k: self._counts[k] - counts[k] for k in _COUNTERS}
-            window_lat = list(self._window_latencies)
-            self._window_latencies.clear()
-            health = self._pool_health()
-            pool = None
-            if health is not None:
-                pool = (
-                    health.since(pool_base)
-                    if pool_base is not None
-                    else health.snapshot()
-                )
-            self._window = self._mark_window()
-            return self._stats_locked(delta, window_lat, pool)
-
-    def _mark_window(self):
-        health = self._pool_health()
-        return (
-            dict(self._counts),
-            None if health is None else health.snapshot(),
-        )
-
-    def _pool_health(self) -> PoolHealth | None:
-        return getattr(self.backend, "pool_health", None)
-
-    def _stats_locked(self, counts, latencies, pool) -> ServiceStats:
-        p50 = p99 = float("nan")
-        if latencies:
-            p50 = float(np.percentile(latencies, 50))
-            p99 = float(np.percentile(latencies, 99))
-        if pool is None:
-            health = self._pool_health()
-            pool = None if health is None else health.snapshot()
-        return ServiceStats(
-            **{k: counts[k] for k in _COUNTERS},
-            p50_decision_s=p50,
-            p99_decision_s=p99,
-            queue_depths={
-                name: len(state.queue) for name, state in self._clients.items()
-            },
-            pool=pool,
-        )
+            p50 = p99 = float("nan")
+            if self._latencies:
+                p50 = float(np.percentile(self._latencies, 50))
+                p99 = float(np.percentile(self._latencies, 99))
+            health: PoolHealth | None = getattr(self.backend, "pool_health", None)
+            return ServiceStats(
+                **self._counts,
+                p50_decision_s=p50,
+                p99_decision_s=p99,
+                queue_depths={
+                    name: len(state.queue) for name, state in self._clients.items()
+                },
+                pool=None if health is None else health.snapshot(),
+            )
 
     # ------------------------------------------------------------------
     # Gate 4: admin

@@ -5,25 +5,32 @@ The serving contract under test:
 * admission is **explicit and deterministic** — a seeded bursty arrival
   schedule replayed against a virtual clock yields the exact same
   ACCEPTED / DEFERRED / SHED sequence every time, queues never exceed
-  their bound, and the counters account for every submit exactly;
-* overload policies behave as documented — reject-new sheds at the cap,
-  drop-oldest evicts the queue head (and delivers its fate), and
-  degrade-to-sampling admits with a deterministic row stride up to a
-  hard cap;
+  their bound (a submit at the bound is shed), and the counters account
+  for every submit exactly;
 * accepted chunks are **bit-identical to the batch oracle** — a fresh
   runtime replaying the completed chunks in recorded ``seq`` order
   reproduces every result exactly, *including* when a
   :class:`~repro.runtime.FaultPlan` is killing pool workers mid-service;
-* shutdown is a graceful bounded drain and the per-interval stats ride
-  :meth:`PoolHealth.snapshot`/:meth:`PoolHealth.since` without resetting
-  the live pool.
+* shutdown is a graceful bounded drain;
+* :class:`TestServiceStateMachine` drives all of it at once — submits,
+  pumps, clock steps, injected failures, drain and close in any order —
+  against a model that predicts every verdict, queue depth and ``seq``.
 """
 
 import os
+import threading
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.hw import MapReduceBlock
 from repro.mapreduce import dnn_graph
@@ -38,7 +45,6 @@ from repro.runtime import (
     PoolHealth,
     ShardedRuntime,
     VirtualClock,
-    WorkerHealth,
 )
 from repro.runtime.service import _COUNTERS as COUNTERS
 from repro.testbed import bursty_schedule, chunk_columns, replay_virtual, replay_wall
@@ -82,11 +88,10 @@ def _runtime(blocks, shards=2, pool=None, pool_options=None) -> ShardedRuntime:
     )
 
 
-def _service(backend, *, clock, depth=4, overload="reject-new", **spec_kw):
+def _service(backend, *, clock, depth=4, **spec_kw):
     return InferenceService(
         backend,
         [ClientSpec(name="tenant", queue_depth=depth, **spec_kw)],
-        overload=overload,
         chunk_size=CHUNK,
         clock=clock,
     )
@@ -113,7 +118,7 @@ def _results_equal(a, b) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Satellite: PoolHealth.snapshot() / since() window deltas
+# PoolHealth.snapshot(): the copy stats() hands back
 # ----------------------------------------------------------------------
 class TestHealthWindows:
     def test_snapshot_is_a_deep_copy(self):
@@ -124,37 +129,9 @@ class TestHealthWindows:
         assert mark.crashes == 0 and mark.replayed_chunks == 0
         assert health.crashes == 3 and health.replayed_chunks == 7
 
-    def test_since_diffs_per_worker(self):
-        health = PoolHealth.for_pool(2)
-        health.worker(0).crashes = 2
-        health.worker(1).hangs = 1
-        mark = health.snapshot()
-        health.worker(0).crashes = 5
-        health.worker(0).restarts = 4
-        delta = health.since(mark)
-        assert delta.worker(0).crashes == 3
-        assert delta.worker(0).restarts == 4
-        assert delta.worker(1).hangs == 0
-        assert health.crashes == 5  # live counters untouched
-
-    def test_since_unknown_worker_counts_from_zero(self):
-        mark = PoolHealth.for_pool(1)
-        health = PoolHealth(
-            workers=[WorkerHealth(index=0), WorkerHealth(index=1, crashes=2)]
-        )
-        assert health.since(mark).crashes == 2
-
-    def test_since_unchanged_error_is_blanked(self):
-        health = PoolHealth.for_pool(1)
-        health.worker(0).last_error = "old"
-        mark = health.snapshot()
-        assert health.since(mark).worker(0).last_error == ""
-        health.worker(0).last_error = "new"
-        assert health.since(mark).worker(0).last_error == "new"
-
 
 # ----------------------------------------------------------------------
-# Admission control, one policy at a time (virtual clock, manual pump)
+# Admission control (virtual clock, manual pump)
 # ----------------------------------------------------------------------
 class TestAdmission:
     def test_reject_new_sheds_at_the_bound(self, blocks):
@@ -194,42 +171,8 @@ class TestAdmission:
             results = svc.take_results("tenant")
             assert [r.status for r in results] == ["expired", "completed"]
             stats = svc.stats()
-            assert stats.expired == stats.deadline_violations == 1
+            assert stats.expired == 1
             assert stats.completed == 1
-
-    def test_drop_oldest_evicts_and_reports(self, blocks):
-        clock = VirtualClock()
-        with _service(
-            _runtime(blocks), clock=clock, depth=2, overload="drop-oldest"
-        ) as svc:
-            chunks = _chunks()
-            first = svc.submit("tenant", chunks[0])
-            svc.submit("tenant", chunks[1])
-            third = svc.submit("tenant", chunks[2])
-            assert third.accepted  # made room by evicting the head
-            evicted = svc.take_results("tenant")
-            assert [r.status for r in evicted] == ["evicted"]
-            assert evicted[0].request_id == first.request_id
-            assert svc.stats().evicted == 1
-            svc.pump()
-            done = svc.take_results("tenant")
-            assert [r.status for r in done] == ["completed", "completed"]
-
-    def test_degrade_to_sampling_strides_then_sheds(self, blocks):
-        clock = VirtualClock()
-        with _service(
-            _runtime(blocks), clock=clock, depth=2,
-            overload="degrade-to-sampling",
-        ) as svc:
-            chunks = _chunks(size=20)
-            strides = [svc.submit("tenant", c).stride for c in chunks[:4]]
-            assert strides == [1, 1, 2, 4]
-            fifth = svc.submit("tenant", chunks[4])
-            assert fifth.status == SHED  # hard cap at 2 * depth
-            svc.pump()
-            done = svc.take_results("tenant")
-            assert [r.n_packets for r in done] == [20, 20, 10, 5]
-            assert svc.stats().sampled == 2
 
     def test_draining_sheds_new_submits(self, blocks):
         clock = VirtualClock()
@@ -298,7 +241,7 @@ class TestExactAccounting:
         assert stats.deferred == by_status[DEFERRED]
         assert stats.shed == by_status[SHED]
         # Every accepted request's fate is delivered exactly once.
-        assert stats.completed + stats.expired + stats.evicted == stats.accepted
+        assert stats.completed + stats.expired == stats.accepted
         fates = {r.request_id for r in results}
         accepted_ids = {a.request_id for a in admissions if a.accepted}
         assert fates == accepted_ids
@@ -309,10 +252,8 @@ class TestExactAccounting:
     def test_schedule_replays_identically(self, blocks):
         first = _run_schedule(blocks, seed=1234)[0]
         second = _run_schedule(blocks, seed=1234)[0]
-        assert [
-            (a.status, a.client, a.stride, a.reason) for a in first
-        ] == [
-            (a.status, a.client, a.stride, a.reason) for a in second
+        assert [(a.status, a.client, a.reason) for a in first] == [
+            (a.status, a.client, a.reason) for a in second
         ]
 
     def test_queue_never_exceeds_bound_mid_run(self, blocks):
@@ -325,6 +266,245 @@ class TestExactAccounting:
                 assert svc.stats().queue_depths["tenant"] <= 3
                 if i % 4 == 3:
                     svc.pump(max_requests=1)
+
+
+# ----------------------------------------------------------------------
+# The service as a state machine: a model predicts every verdict, queue
+# depth and ``seq``; failures are injected through one shim backend
+# ----------------------------------------------------------------------
+DEPTHS = {"alpha": 2, "beta": 3}  # alpha is also rate-limited
+RATE, BURST = 40.0, 2.0
+STEPS, MAX_SIZE = 20, 24
+
+
+class _Shim:
+    """A runtime plus one failure armed for its next run: ``("raise", k)``
+    scores the first ``k`` requests, then raises (``k=0``: before
+    scoring); ``("callback", k)`` hands the runtime an ``on_result`` that
+    raises on request ``k``."""
+
+    def __init__(self, runtime):
+        self.runtime, self.armed = runtime, None
+
+    def process_traces(self, requests, chunk_size=None, on_result=None):
+        # Unarmed is a callback that never raises.
+        kind, k = self.armed or ("callback", len(requests))
+        self.armed = None
+        if kind == "raise":
+            self.runtime.process_traces(requests[:k], chunk_size, on_result)
+            raise RuntimeError(f"raised after {k} results")
+
+        def flaky(index, result):
+            if index == k:
+                raise KeyError("lost callback")
+            on_result(index, result)
+
+        self.runtime.process_traces(requests, chunk_size, flaky)
+
+    def close(self):
+        self.runtime.close()
+
+
+def _service_machine(blocks, pool=None):
+    trace = _random_columns(seed=31, n=STEPS * 4 * MAX_SIZE)
+
+    class ServiceMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.faults = FaultPlan() if pool else None
+            options = pool and {"faults": self.faults, **FAST_WATCHDOG}
+            self.shim = _Shim(_runtime(blocks, pool=pool, pool_options=options))
+            self.clock = VirtualClock()
+            self.svc = InferenceService(
+                self.shim,
+                [ClientSpec(name="alpha", queue_depth=DEPTHS["alpha"], rate=RATE,
+                            burst=BURST, result_depth=256),
+                 ClientSpec(name="beta", queue_depth=DEPTHS["beta"], result_depth=256)],
+                chunk_size=CHUNK, clock=self.clock,
+            )
+            self.oracle = _oracle(blocks, SLOTS, tables=False)
+            self.queues = {name: deque() for name in DEPTHS}
+            self.tokens, self.stamp, self.draining = BURST, 0.0, False
+            self.rr = self.seq = self.rows = 0
+            self.verdicts = Counter()
+            self.chunks = {}  # accepted request id -> its columns
+            self.expect = {}  # request id -> (status, seq), predicted at the pop
+            self.fates = {}   # request id -> its delivered ServiceResult
+            self.exact_below = float("inf")  # seqs the oracle still vouches for
+
+        def teardown(self):
+            self.svc.close()
+
+        def _token(self, now):
+            self.tokens = min(BURST, self.tokens + (now - self.stamp) * RATE)
+            self.stamp = now
+            if self.tokens < 1.0:
+                return False
+            self.tokens -= 1.0
+            return True
+
+        def _pop(self, limit):
+            """Round-robin from ``rr``; deadlines are judged at the pop."""
+            names, popped, batch = list(DEPTHS), 0, []
+            while limit is None or popped < limit:
+                turns = [(self.rr + step) % 2 for step in range(2)]
+                ready = [turn for turn in turns if self.queues[names[turn]]]
+                if not ready:
+                    break
+                self.rr = (ready[0] + 1) % 2
+                rid, deadline_at = self.queues[names[ready[0]]].popleft()
+                popped += 1
+                if deadline_at is not None and self.clock() > deadline_at:
+                    self.expect[rid] = ("expired", -1)
+                else:
+                    self.expect[rid] = ("completed", self.seq)
+                    self.seq += 1
+                    batch.append(rid)
+            return popped, batch
+
+        @rule(client=st.sampled_from(sorted(DEPTHS)), deadline=st.none() | st.sampled_from(
+            [0.0, 0.01]), burst=st.lists(st.integers(1, MAX_SIZE), min_size=1, max_size=4))
+        def submit(self, client, deadline, burst):
+            """A burst of back-to-back submits: the bucket and the bound bite."""
+            for size in burst:
+                chunk = trace.slice(slice(self.rows, self.rows + size))
+                self.rows += size
+                verdict, now = self.svc.submit(client, chunk, deadline_s=deadline), self.clock()
+                if self.draining:
+                    want = (SHED, "draining")
+                elif client == "alpha" and not self._token(now):
+                    want = (DEFERRED, "rate-limited")
+                elif len(self.queues[client]) >= DEPTHS[client]:
+                    want = (SHED, "queue-full")
+                else:
+                    want = (ACCEPTED, "")
+                    deadline_at = None if deadline is None else now + deadline
+                    self.queues[client].append((verdict.request_id, deadline_at))
+                    self.chunks[verdict.request_id] = chunk
+                assert (verdict.status, verdict.reason, verdict.request_id) == (
+                    *want, sum(self.verdicts.values()))
+                self.verdicts[want[0]] += 1
+
+        @rule(dt=st.sampled_from([0.004, 0.03, 0.2]))
+        def advance(self, dt):
+            self.clock.advance(dt)
+
+        @precondition(lambda self: any(self.queues.values()))
+        @rule(limit=st.none() | st.integers(1, 4), fail=st.none() | st.tuples(
+            st.sampled_from(["raise", "callback"]), st.integers(0, 3)))
+        def pump(self, limit, fail):
+            self.shim.armed = fail
+            popped, batch = self._pop(limit)
+            assert self.svc.pump(limit) == popped
+            self.shim.armed = None
+            if fail and batch:
+                kind, k = fail
+                for rid in batch[k:]:
+                    self.expect[rid] = ("failed", self.expect[rid][1])
+                if kind == "callback" and k < len(batch):  # it scored, then was lost
+                    self.exact_below = min(self.exact_below, self.expect[batch[k]][1])
+
+        @precondition(lambda self: self.faults is not None)
+        @rule(worker=st.integers(0, 1), ordinal=st.integers(0, 1))
+        def kill(self, worker, ordinal):
+            self.faults.add(worker=worker, ordinal=ordinal, kind="kill")
+
+        @precondition(lambda self: sum(self.verdicts.values()) >= 8)
+        @rule(close=st.booleans())
+        def drain(self, close):
+            self.draining = True
+            self._pop(None)
+            if close:
+                self.svc.close()
+            else:
+                self.svc.drain()
+            self._collect()
+            assert self.fates.keys() == self.chunks.keys(), "a fate is missing"
+
+        def _collect(self):
+            for record in sorted(self.svc.take_results(), key=lambda r: r.seq):
+                rid, result = record.request_id, record.result
+                assert rid not in self.fates, f"request {rid} delivered twice"
+                self.fates[rid] = record
+                if record.status == "completed":
+                    chunk = self.chunks[rid]
+                    assert np.array_equal(result.times, chunk.times[result.order])
+                    if record.seq < self.exact_below:
+                        expected = self.oracle.process_trace_batch(chunk, chunk_size=CHUNK)
+                        assert _results_equal(expected, result)
+
+        @invariant()
+        def accounted(self):
+            self._collect()
+            stats, fates = self.svc.stats(), Counter(s for s, __ in self.expect.values())
+            queued = {name: len(queue) for name, queue in self.queues.items()}
+            assert stats.queue_depths == queued
+            assert all(queued[name] <= depth for name, depth in DEPTHS.items())
+            assert stats.submitted == stats.accepted + stats.deferred + stats.shed
+            assert stats.accepted == (
+                stats.completed + stats.failed + stats.expired + sum(queued.values()))
+            assert (stats.accepted, stats.deferred, stats.shed) == (
+                self.verdicts[ACCEPTED], self.verdicts[DEFERRED], self.verdicts[SHED])
+            assert (stats.completed, stats.failed, stats.expired) == (
+                fates["completed"], fates["failed"], fates["expired"])
+            assert {rid: (r.status, r.seq) for rid, r in self.fates.items()} == self.expect
+
+    return ServiceMachine
+
+
+class TestServiceStateMachine:
+    def test_in_process(self, blocks):
+        run_state_machine_as_test(
+            _service_machine(blocks),
+            settings=settings(max_examples=100, stateful_step_count=STEPS, deadline=None),
+        )
+
+    @fork_only
+    def test_on_the_pool_with_kills(self, blocks):
+        run_state_machine_as_test(
+            _service_machine(blocks, pool="pool"),
+            settings=settings(max_examples=10, stateful_step_count=STEPS, deadline=None),
+        )
+
+    def test_close_from_a_second_thread(self, blocks):
+        """A started service closed from another thread while a producer
+        submits: ``>=`` while it runs (a batch may be in flight), ``==``
+        and one fate per accepted request after close."""
+        import time as _time
+
+        chunks = _chunks(seed=13, n=6000, size=10)
+        svc = InferenceService(
+            _runtime(blocks),
+            [ClientSpec(name="alpha", queue_depth=2, rate=500.0, burst=4.0,
+                        result_depth=len(chunks)),
+             ClientSpec(name="beta", queue_depth=3, result_depth=len(chunks))],
+            chunk_size=CHUNK,
+        ).start()
+        admissions, running = [], []
+
+        def produce():
+            for i, chunk in enumerate(chunks):
+                admissions.append(svc.submit(("alpha", "beta")[i % 2], chunk))
+                running.append(svc.stats())
+                _time.sleep(0.0005)
+
+        producer = threading.Thread(target=produce)
+        closer = threading.Thread(target=svc.close)
+        producer.start()
+        _time.sleep(0.1)
+        closer.start()
+        for thread in (closer, producer):
+            thread.join(timeout=15.0)
+            assert not thread.is_alive(), "close deadlocked"
+        for stats in running:
+            assert stats.submitted == stats.accepted + stats.deferred + stats.shed
+            assert stats.accepted >= (stats.completed + stats.failed + stats.expired
+                                      + sum(stats.queue_depths.values()))
+        stats = svc.stats()
+        accepted = sorted(a.request_id for a in admissions if a.accepted)
+        assert stats.accepted == stats.completed == len(accepted)
+        assert not any(stats.queue_depths.values())
+        assert sorted(r.request_id for r in svc.take_results()) == accepted
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +672,7 @@ class TestMultiTenantFabric:
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: threaded dispatch, graceful drain, interval stats
+# Lifecycle: threaded dispatch, graceful drain
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_threaded_service_round_trip(self, blocks):
@@ -554,27 +734,6 @@ class TestLifecycle:
                 accepted[record.request_id], chunk_size=CHUNK
             )
             assert _results_equal(expected, record.result)
-
-    def test_interval_stats_window(self, blocks):
-        clock = VirtualClock()
-        with _service(
-            _runtime(blocks, pool="pool" if HAS_FORK else None),
-            clock=clock, depth=8,
-        ) as svc:
-            chunks = _chunks(n=60, size=20)
-            svc.interval_stats()  # open a fresh window
-            for chunk in chunks:
-                svc.submit("tenant", chunk)
-            svc.pump()
-            window = svc.interval_stats()
-            assert window.completed == len(chunks)
-            if HAS_FORK:
-                assert window.pool is not None  # rides PoolHealth.snapshot
-            idle = svc.interval_stats()
-            assert idle.completed == 0 and idle.submitted == 0
-            assert np.isnan(idle.p50_decision_s)
-            # Cumulative stats are unaffected by window marks.
-            assert svc.stats().completed == len(chunks)
 
     def test_close_is_idempotent_and_closes_backend(self, blocks):
         clock = VirtualClock()
@@ -700,8 +859,8 @@ def _assert_same_service_outcome(batched, single):
     assert got.keys() == want.keys()
     for rid, expected in want.items():
         record = got[rid]
-        assert (record.status, record.seq, record.stride, record.n_packets) == (
-            expected.status, expected.seq, expected.stride, expected.n_packets
+        assert (record.status, record.seq, record.n_packets) == (
+            expected.status, expected.seq, expected.n_packets
         ), rid
         if expected.status == "completed":
             assert _results_equal(expected.result, record.result), rid
@@ -727,12 +886,11 @@ class TestBatchEqualsOneAtATime:
 
     @staticmethod
     def _two_clients(backend, depth):
-        # degrade-to-sampling past ``depth``: strides 1, then 2, then 4.
+        # Depth 2 sheds part of most plans, so SHED is inside the comparison.
         return InferenceService(
             backend,
             [ClientSpec(name=name, queue_depth=depth, result_depth=64)
              for name in ("alpha", "beta")],
-            overload="degrade-to-sampling",
             chunk_size=CHUNK,
             clock=VirtualClock(),
         )
@@ -806,7 +964,6 @@ class TestBatchEqualsOneAtATime:
                             result_depth=64),
                  ClientSpec(name="beta", app="iot", queue_depth=depth,
                             result_depth=64)],
-                overload="degrade-to-sampling",
                 chunk_size=CHUNK,
                 clock=VirtualClock(),
             )
@@ -925,7 +1082,7 @@ class TestBatchDelivery:
             stats = svc.stats()
             assert (stats.completed, stats.failed) == (poisoned, 5 - poisoned)
             assert stats.accepted == (
-                stats.completed + stats.failed + stats.expired + stats.evicted
+                stats.completed + stats.failed + stats.expired
                 + sum(stats.queue_depths.values())
             )
             # This process's lanes are the truth (lane 0 kept its chunks
@@ -1036,30 +1193,6 @@ class TestBatchDelivery:
             assert _deep_equal(runtime.merged_state(), oracle.merged_state())
             stats = svc.stats()
             assert (stats.accepted, stats.completed, stats.failed) == (6, lost + 1, 5 - lost)
-
-    def test_a_request_that_cannot_be_built_fails_the_batch_not_the_pump(self):
-        """Preparing the batch (the sampling ``take``) is inside the same
-        guard as the run: nothing popped is left without a fate."""
-
-        class NeverCalled:
-            def process_traces(self, requests, chunk_size=None, on_result=None):
-                raise AssertionError("unreachable")
-
-        class Untakeable:
-            n = 8
-
-            def take(self, indices):
-                raise IndexError("no such rows")
-
-        with _service(NeverCalled(), clock=VirtualClock(), depth=1,
-                      overload="degrade-to-sampling") as svc:
-            chunks = _chunks()
-            svc.submit("tenant", chunks[0])
-            assert svc.submit("tenant", chunks[1]).stride == 2
-            svc._clients["tenant"].queue[1].columns = Untakeable()
-            assert svc.pump() == 2
-            assert [(r.status, r.error) for r in svc.take_results("tenant")] == [
-                ("failed", "IndexError: no such rows")] * 2
 
     def test_threaded_dispatcher_survives_a_raising_backend(self):
         import time as _time
