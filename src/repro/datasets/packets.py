@@ -246,7 +246,6 @@ class PacketTrace:
     offered_gbps: float
     time_dilation: float = 1.0
     _columns: TraceColumns | None = field(default=None, repr=False, compare=False)
-    _shard_views: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -292,22 +291,6 @@ class PacketTrace:
                 flow_ids=np.fromiter((p.flow_id for p in packets), np.int64, n),
             )
         return self._columns
-
-    def shard_columns(
-        self, n_shards: int, slots: int
-    ) -> list[tuple[np.ndarray, TraceColumns]]:
-        """Cached flow-consistent partition of :meth:`columns`.
-
-        Returns ``(global_indices, columns)`` per shard (see
-        :meth:`TraceColumns.shard_assignments`); repeated sharded runs at
-        the same geometry re-partition for free.
-        """
-        key = (int(n_shards), int(slots))
-        if key not in self._shard_views:
-            columns = self.columns()
-            assignments = columns.shard_assignments(n_shards, slots)
-            self._shard_views[key] = columns.partition(assignments, n_shards)
-        return self._shard_views[key]
 
     @property
     def anomalous_fraction(self) -> float:

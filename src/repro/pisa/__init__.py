@@ -17,7 +17,7 @@ from .pipeline import (
     threshold_postprocess,
 )
 from .registers import FlowFeatureAccumulator, RegisterArray, fnv1a_columns
-from .scheduler import PIFO, PacketQueue, RoundRobinArbiter
+from .scheduler import PacketQueue, RoundRobinArbiter
 from .tables import LogTransformTable, PortLikelihoodTable, StandardizeTable
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "FlowFeatureAccumulator",
     "RegisterArray",
     "fnv1a_columns",
-    "PIFO",
     "PacketQueue",
     "RoundRobinArbiter",
     "LogTransformTable",

@@ -1,58 +1,19 @@
-"""Packet scheduling: PIFO and the bypass-path round-robin arbiter.
+"""Packet scheduling: the per-path sub-queues and their round-robin arbiter.
 
-Postprocessing "connects inference to scheduling, which uses abstractions
-like PIFO to support a variety of scheduling algorithms" (Section 3.2); the
-modified pipeline splits the packet queue into sub-queues with "a
+The modified pipeline splits the packet queue into sub-queues with "a
 round-robin (RR) selector arbitrat[ing] which path to connect to the
-postprocessing MATs" (Fig. 6).
+postprocessing MATs" (Fig. 6).  Rank-ordered push-in first-out queues
+(Section 3.2) are not modeled: no stage of the pipeline orders packets
+by rank.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["PIFO", "PacketQueue", "RoundRobinArbiter"]
-
-
-class PIFO:
-    """A push-in first-out queue: enqueue with a rank, dequeue smallest.
-
-    Ties break by arrival order, which keeps equal-rank packets FIFO (the
-    property Sivaraman et al.'s hardware design guarantees).
-    """
-
-    def __init__(self, capacity: int = 65536):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._heap: list[tuple[float, int, Any]] = []
-        self._counter = itertools.count()
-        self.drops = 0
-
-    def push(self, item: Any, rank: float) -> bool:
-        """Enqueue; returns False (tail-drop) when full."""
-        if len(self._heap) >= self.capacity:
-            self.drops += 1
-            return False
-        heapq.heappush(self._heap, (rank, next(self._counter), item))
-        return True
-
-    def pop(self) -> Any:
-        if not self._heap:
-            raise IndexError("pop from empty PIFO")
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def peek_rank(self) -> float:
-        if not self._heap:
-            raise IndexError("peek on empty PIFO")
-        return self._heap[0][0]
+__all__ = ["PacketQueue", "RoundRobinArbiter"]
 
 
 @dataclass

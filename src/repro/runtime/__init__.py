@@ -3,7 +3,8 @@
 The scale-out layer above the batched pipeline is one lane runtime with
 two constructors: flow-consistent sharding of one app across parallel
 pipeline workers (:class:`ShardedRuntime`) and time-multiplexing of
-several compiled apps over shared grid lanes (:class:`MultiAppFabric`).
+several compiled apps over shared grid lanes (:class:`MultiAppFabric`,
+whose apps take round-robin turns on a lane, one chunk at a time).
 Lanes, programs and — with ``pool=`` — workers exist from construction.
 Requests are scored on one of two backends — an in-process loop, or,
 with ``pool=``, workers forked at construction and reaped by ``close()``
@@ -23,19 +24,15 @@ per-client bounded queues that shed at their bound, token-bucket rate
 limiting, and per-request time-to-decision accounting; it scores
 whatever is queued as one such run and still delivers each request as
 it completes.
+
+``__all__`` holds only names with a customer outside the tests (the
+census is ``tests/test_service_surface.py``); anything else is imported
+from the module that defines it.
 """
 
-from .executors import EXECUTORS, ForkWorker, WorkerCrash
-from .faults import FAULT_KINDS, FaultEvent, FaultPlan
-from .health import PoisonChunk, PoolError, PoolHealth, WorkerHealth
-from .fabric import (
-    SCHEDULING_POLICIES,
-    FabricApp,
-    MultiAppFabric,
-    MultiAppResult,
-    schedule_chunks,
-)
-from .pool import LaneWorker, PipelineShardWorker, ShardPool
+from .fabric import FabricApp, MultiAppFabric, MultiAppResult
+from .faults import FaultPlan
+from .pool import PipelineShardWorker, ShardPool
 from .service import (
     ACCEPTED,
     DEFERRED,
@@ -47,32 +44,13 @@ from .service import (
     ServiceStats,
     VirtualClock,
 )
-from .sharded import (
-    ShardedRuntime,
-    as_trace_columns,
-    concat_results,
-    empty_trace_result,
-    merge_pipeline_state,
-    scatter_merge,
-)
+from .sharded import ShardedRuntime, merge_pipeline_state
 
 __all__ = [
-    "EXECUTORS",
-    "ForkWorker",
-    "WorkerCrash",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultPlan",
-    "PoisonChunk",
-    "PoolError",
-    "PoolHealth",
-    "WorkerHealth",
-    "SCHEDULING_POLICIES",
     "FabricApp",
     "MultiAppFabric",
     "MultiAppResult",
-    "schedule_chunks",
-    "LaneWorker",
+    "FaultPlan",
     "PipelineShardWorker",
     "ShardPool",
     "ACCEPTED",
@@ -85,9 +63,5 @@ __all__ = [
     "ServiceStats",
     "VirtualClock",
     "ShardedRuntime",
-    "as_trace_columns",
-    "concat_results",
-    "empty_trace_result",
     "merge_pipeline_state",
-    "scatter_merge",
 ]

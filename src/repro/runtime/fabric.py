@@ -5,17 +5,18 @@ switch: several compiled dataflow programs can serve traffic from one
 grid, swapped between packets the way a CGRA swaps programs (not
 bitstreams).  :class:`MultiAppFabric` is that deployment shape for trace
 replay — the lane runtime (:class:`~repro.runtime.sharded.LaneRunner`)
-constructed from apps, plus the policy scheduler (:meth:`MultiAppFabric.run`):
+constructed from apps, plus the round-robin interleave of
+:meth:`MultiAppFabric.run`:
 
 * each :class:`FabricApp` bundles a compiled program
   (:class:`~repro.mapreduce.ir.DataflowGraph`), its PHV feature layout,
   and its decision hooks;
-* apps are scheduled in *chunks* over shared grid lanes with an
-  issue-clock-accounted scheduler (:func:`schedule_chunks`: round-robin,
-  weighted stride, or the serial baseline), so the modeled drain reflects
-  both interleaving and the reconfiguration cost of each program swap
-  (:meth:`~repro.hw.grid.MapReduceBlock.reconfigure` with
-  ``account=True``);
+* apps take turns in *chunks* on shared grid lanes — one chunk per app
+  per pass, round-robin — with issue-clock accounting, so the modeled
+  drain reflects both interleaving and the reconfiguration cost of each
+  program swap (:meth:`~repro.hw.grid.MapReduceBlock.reconfigure` with
+  ``account=True``); running each app to completion instead is
+  :meth:`MultiAppFabric.process_traces` with one request per app;
 * with ``shards > 1`` lanes carry *heterogeneous* programs: lanes are
   assigned app affinities, each app's trace is partitioned
   flow-consistently across its affine lanes, and an app whose lanes are
@@ -25,19 +26,19 @@ constructed from apps, plus the policy scheduler (:meth:`MultiAppFabric.run`):
 **Why per-app results are bit/stat-identical to running each app alone.**
 Every app owns its pipelines (parser, MATs, flow registers, queues) on
 each of its lanes — only the grid is shared.  Chunks of one app execute
-in arrival order per lane (every policy preserves per-app FIFO), the
+in arrival order per lane (the interleave keeps each app FIFO), the
 graph interpreter carries no state between batches, and a packet's
 latency is the design latency of *its* program (steering swaps the
 program in before any ML work, and an un-stalled issue pays no wait).
 Interleaving therefore changes only the shared issue clock — the modeled
 drain — never an app's decisions, scores, latencies, or register state.
 ``tests/test_multi_app_fabric.py`` property-tests this at shards ∈
-{1, 2, 4} under every policy.
+{1, 2, 4}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..datasets.packets import TraceColumns
@@ -53,75 +54,18 @@ from ..pisa.registers import FlowFeatureAccumulator
 from .sharded import LaneRunner
 from .sharded import scatter_merge  # noqa: F401 - the ledger's tracer patches it here by attribute
 
-__all__ = [
-    "FabricApp",
-    "MultiAppFabric",
-    "MultiAppResult",
-    "SCHEDULING_POLICIES",
-    "schedule_chunks",
-]
-
-#: Chunk-interleave policies: fair alternation, weight-proportional
-#: stride scheduling, and the run-each-app-to-completion baseline.
-SCHEDULING_POLICIES = ("round_robin", "weighted", "serial")
+__all__ = ["FabricApp", "MultiAppFabric", "MultiAppResult"]
 
 
-def schedule_chunks(
-    counts: Sequence[int],
-    weights: Sequence[float] | None = None,
-    policy: str = "round_robin",
-) -> list[int]:
-    """Deterministic issue order of per-app chunks on one lane.
-
-    ``counts[a]`` is how many chunks app ``a`` has queued; the returned
-    list names the app issued at each slot (every app's chunks stay FIFO
-    — only the interleave between apps changes).
-
-    * ``round_robin`` — one chunk per app per pass, skipping finished apps;
-    * ``weighted`` — stride scheduling: app ``a`` accumulates pass value
-      ``1 / weights[a]`` per issued chunk and the lowest pass (ties to the
-      lower app index) issues next, so issue frequency is proportional to
-      weight;
-    * ``serial`` — all of app 0, then all of app 1, ... (the baseline the
-      multi-app benchmark compares against).
-    """
-    if policy not in SCHEDULING_POLICIES:
-        raise ValueError(
-            f"unknown policy {policy!r}; pick one of {SCHEDULING_POLICIES}"
-        )
-    counts = [int(c) for c in counts]
-    if any(c < 0 for c in counts):
-        raise ValueError("chunk counts must be non-negative")
-    n = len(counts)
-    order: list[int] = []
-    if policy == "serial":
-        for a in range(n):
-            order.extend([a] * counts[a])
-        return order
-    if policy == "round_robin":
-        remaining = list(counts)
-        while any(remaining):
-            for a in range(n):
-                if remaining[a]:
-                    order.append(a)
-                    remaining[a] -= 1
-        return order
-    strides = [1.0] * n if weights is None else [float(w) for w in weights]
-    if len(strides) != n:
-        raise ValueError("weights must align with counts")
-    if any(w <= 0 for w in strides):
-        raise ValueError("weights must be positive")
-    remaining = list(counts)
-    passes = [1.0 / w for w in strides]
-    while any(remaining):
-        a = min(
-            (i for i in range(n) if remaining[i]),
-            key=lambda i: (passes[i], i),
-        )
-        order.append(a)
-        remaining[a] -= 1
-        passes[a] += 1.0 / strides[a]
-    return order
+def _round_robin(queues: Sequence[list]) -> list:
+    """The queues' items, one per queue per pass, skipping queues that
+    ran dry: the issue order of one lane (each queue stays FIFO)."""
+    return [
+        queue[k]
+        for k in range(max(map(len, queues), default=0))
+        for queue in queues
+        if k < len(queue)
+    ]
 
 
 @dataclass
@@ -130,25 +74,20 @@ class FabricApp:
 
     The program plus everything the switch needs to serve it: the PHV
     feature layout, decision hooks (scalar + vectorized twins, so both
-    execution paths stay fast and identical), a scheduling ``weight`` for
-    the weighted policy, and an optional flow-register file size.
+    execution paths stay fast and identical), and an optional
+    flow-register file size.
     """
 
     name: str
     graph: DataflowGraph
     feature_names: tuple[str, ...]
-    weight: float = 1.0
     slots: int | None = None
-    bypass_predicate: Callable | None = None
-    bypass_predicate_batch: Callable | None = None
     postprocess: Callable | None = None
     postprocess_batch: Callable | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("apps need a name")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
 
     def build_pipeline(self, block: MapReduceBlock) -> TaurusPipeline:
         """An independent pipeline for this app around a (shared) block.
@@ -158,8 +97,6 @@ class FabricApp:
         block back to this app's program whenever another app ran last.
         """
         kwargs: dict = {}
-        if self.bypass_predicate is not None:
-            kwargs["bypass_predicate"] = self.bypass_predicate
         if self.postprocess is not None:
             kwargs["postprocess"] = self.postprocess
         if self.slots is not None:
@@ -167,7 +104,6 @@ class FabricApp:
         return TaurusPipeline(
             block=block,
             feature_names=self.feature_names,
-            bypass_predicate_batch=self.bypass_predicate_batch,
             postprocess_batch=self.postprocess_batch,
             program=self.graph,
             **kwargs,
@@ -183,7 +119,6 @@ class FabricApp:
         name: str = "anomaly",
         feature_names: tuple[str, ...] | None = None,
         threshold: float = 0.5,
-        weight: float = 1.0,
         slots: int | None = None,
     ) -> "FabricApp":
         """A score-thresholding DNN app (the anomaly-detection shape).
@@ -205,7 +140,6 @@ class FabricApp:
             feature_names=(
                 DNN_FEATURES if feature_names is None else feature_names
             ),
-            weight=weight,
             slots=slots,
             postprocess=scalar_post,
             postprocess_batch=batch_post,
@@ -217,7 +151,6 @@ class FabricApp:
         lstm,
         window_steps: int = 8,
         name: str = "congestion",
-        weight: float = 1.0,
         slots: int | None = None,
     ) -> "FabricApp":
         """A recurrent action-head app (the Indigo congestion shape).
@@ -241,7 +174,6 @@ class FabricApp:
                 for t in range(window_steps)
                 for d in range(lstm.input_size)
             ),
-            weight=weight,
             slots=slots,
             postprocess=action_scalar,
             postprocess_batch=action_batch,
@@ -253,7 +185,6 @@ class FabricApp:
         kmeans,
         feature_names: tuple[str, ...] | None = None,
         name: str = "iot",
-        weight: float = 1.0,
         slots: int | None = None,
     ) -> "FabricApp":
         """A nearest-centroid classifier app (the IoT-classification shape).
@@ -282,7 +213,6 @@ class FabricApp:
             name=name,
             graph=kmeans_graph(kmeans, name=f"{name}_kmeans"),
             feature_names=tuple(feature_names),
-            weight=weight,
             slots=slots,
             postprocess=scalar_post,
             postprocess_batch=batch_post,
@@ -298,16 +228,6 @@ class MultiAppResult:
     reconfigurations: int
     reconfig_ns: float
     n_packets: int
-    policy: str
-    shards: int
-    per_app_packets: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def model_pkt_per_s(self) -> float:
-        """Aggregate modeled drain throughput across all apps."""
-        if self.drain_ns <= 0:
-            return 0.0
-        return self.n_packets / (self.drain_ns * 1e-9)
 
 
 class MultiAppFabric(LaneRunner):
@@ -330,18 +250,10 @@ class MultiAppFabric(LaneRunner):
         reconfiguration thrash entirely while keeping one fabric).
     executor / chunk_size:
         As in :class:`~repro.runtime.ShardedRuntime`.
-    policy:
-        Default scheduling policy for :meth:`run` (see
-        :func:`schedule_chunks`).
     pool:
         As in :class:`~repro.runtime.ShardedRuntime`: truthy forks one
         worker per lane now, serving every run until the fabric is
         closed (context manager or :meth:`close`); falsy runs in process.
-    pool_options:
-        Extra keyword arguments for the lane
-        :class:`~repro.runtime.pool.ShardPool` (fault-tolerance knobs:
-        ``hang_timeout``, ``faults``, ...), as in
-        :class:`~repro.runtime.ShardedRuntime`.
     """
 
     def __init__(
@@ -350,15 +262,8 @@ class MultiAppFabric(LaneRunner):
         shards: int = 1,
         executor: str = "auto",
         chunk_size: int = DEFAULT_TRACE_CHUNK,
-        policy: str = "round_robin",
         pool: bool | str = False,
-        pool_options: dict | None = None,
     ):
-        if policy not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; pick one of {SCHEDULING_POLICIES}"
-            )
-        self.policy = policy
         self.apps = list(apps)
         if not self.apps:
             raise ValueError("no apps registered")
@@ -376,17 +281,12 @@ class MultiAppFabric(LaneRunner):
         for ids in affinity:
             block = MapReduceBlock(self.apps[ids[0]].graph)
             lanes.append({a: self.apps[a].build_pipeline(block) for a in ids})
-        super().__init__(lanes, executor, chunk_size, pool, pool_options)
+        super().__init__(lanes, executor, chunk_size, pool)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        traces,
-        policy: str | None = None,
-        chunk_size: int | None = None,
-    ) -> MultiAppResult:
+    def run(self, traces, chunk_size: int | None = None) -> MultiAppResult:
         """Every app's trace through the shared fabric, per-app merged.
 
         ``traces`` maps app name to trace (a
@@ -396,51 +296,36 @@ class MultiAppFabric(LaneRunner):
         arrival-ordered :class:`TracePipelineResult` per app,
         bit/stat-identical to running that app alone on its own trace.
         """
-        policy = self.policy if policy is None else policy
         chunk = self._chunk(chunk_size)
         prepared = [
             self._prepare(a, trace)
             for a, trace in enumerate(self._resolve_traces(traces))
         ]
 
-        # Per lane: FIFO chunk queues per resident app, interleaved by the
-        # scheduling policy.
+        # Per lane: each resident app's part as a FIFO queue of chunks,
+        # issued round-robin.
         schedules: list[list[tuple[int, TraceColumns, int]]] = []
         for s, ids in enumerate(self.lane_apps()):
-            per_app: dict[int, list[TraceColumns]] = {}
+            queues = []
             for a in ids:
                 __, sub = prepared[a][3][self.app_lanes(a).index(s)]
-                per_app[a] = [
-                    sub.slice(slice(start, min(start + chunk, sub.n)))
+                queues.append([
+                    (a, sub.slice(slice(start, min(start + chunk, sub.n))), a)
                     for start in range(0, sub.n, chunk)
-                ]
-            issue_order = schedule_chunks(  # rejects an unknown policy
-                [len(per_app[a]) for a in ids],
-                weights=[self.apps[a].weight for a in ids],
-                policy=policy,
-            )
-            queues = {a: iter(per_app[a]) for a in ids}
-            schedules.append(
-                [(ids[i], next(queues[ids[i]]), ids[i]) for i in issue_order]
-            )
+                ])
+            schedules.append(_round_robin(queues))
 
         blocks = self._blocks
         swaps = sum(block.reconfigurations for block in blocks)
         swap_cycles = sum(block.reconfig_cycles for block in blocks)
         merged = self._execute(prepared, schedules, chunk)
-        per_app_packets = {
-            app.name: prepared[a][1].n for a, app in enumerate(self.apps)
-        }
         return MultiAppResult(
             results={app.name: merged[a] for a, app in enumerate(self.apps)},
             drain_ns=self.last_drain_ns,
             reconfigurations=sum(b.reconfigurations for b in blocks) - swaps,
             reconfig_ns=(sum(b.reconfig_cycles for b in blocks) - swap_cycles)
             / CLOCK_GHZ,
-            n_packets=sum(per_app_packets.values()),
-            policy=policy,
-            shards=self.shards,
-            per_app_packets=per_app_packets,
+            n_packets=sum(entry[1].n for entry in prepared),
         )
 
     def process_traces(
@@ -461,16 +346,20 @@ class MultiAppFabric(LaneRunner):
         <repro.runtime.sharded.ShardedRuntime.process_traces>`.
         """
         requests = list(requests)
-        unknown = sorted({name for name, __ in requests} - self._index.keys())
+        self._check_names(name for name, __ in requests)
+        indexed = [(self._index[name], trace) for name, trace in requests]
+        return self._process(indexed, chunk_size, on_result)
+
+    def _check_names(self, names) -> None:
+        unknown = sorted(set(names) - self._index.keys())
         if unknown:
             raise ValueError(
                 f"requests for unknown apps {unknown}; registered: {list(self._index)}"
             )
-        indexed = [(self._index[name], trace) for name, trace in requests]
-        return self._process(indexed, chunk_size, on_result)
 
     def _resolve_traces(self, traces) -> list:
         if isinstance(traces, dict):
+            self._check_names(traces)
             missing = [app.name for app in self.apps if app.name not in traces]
             if missing:
                 raise ValueError(f"missing traces for apps: {missing}")

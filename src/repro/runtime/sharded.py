@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..datasets.packets import PacketTrace, TraceColumns
+from ..datasets.packets import TraceColumns
 from ..hw.params import CLOCK_GHZ
 from ..pisa.pipeline import (
     DEFAULT_TRACE_CHUNK,
@@ -462,19 +462,11 @@ class LaneRunner:
         """One app's trace as ``(app, time-sorted columns, caller-order
         mapping, flow-consistent parts over the app's lanes)``, a part
         being a lane's ``(indices into the sorted columns, sub_columns)``.
-
-        The cached :meth:`PacketTrace.shard_columns` partition indexes
-        the trace's *original* column order, so it is only reusable when
-        those columns already are in arrival order — otherwise its
-        indices would reference the unsorted layout and the merge would
-        misplace rows.
         """
         order, ordered = in_arrival_order(as_trace_columns(trace))
         n_lanes = len(self._app_lanes[app])
         if n_lanes == 1:
             parts = [(None, ordered)]  # the one-part rule: nothing to index
-        elif isinstance(trace, PacketTrace) and ordered is trace.columns():
-            parts = trace.shard_columns(n_lanes, self._slots[app])
         else:
             assignments = ordered.shard_assignments(n_lanes, self._slots[app])
             parts = ordered.partition(assignments, n_lanes)
@@ -691,8 +683,7 @@ class ShardedRuntime(LaneRunner):
         """The whole trace through all shards; merged, arrival-ordered —
         :meth:`process_traces` on a batch of one.
 
-        ``trace`` is a :class:`~repro.datasets.packets.PacketTrace`
-        (partitions are cached on the trace), a
+        ``trace`` is a :class:`~repro.datasets.packets.PacketTrace`, a
         :class:`~repro.datasets.packets.TraceColumns`, or a list of
         pipeline packets (converted; unlike the single-pipeline path, flow
         aggregates are *not* written back into packet ``metadata`` — fork

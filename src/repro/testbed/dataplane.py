@@ -7,8 +7,8 @@ packet traces stream through the dataflow graph's batched interpreter
 on the *graph path* — the same IR the fabric executes — not a shortcut
 through the quantized model.  The exact-activation lowering makes the graph
 bit-identical to :class:`~repro.fixpoint.quantize.QuantizedModel`, and
-:meth:`TaurusDataPlane.verify_equivalence` now re-checks that over the
-**full trace** per run (the old behaviour was a 32-sample spot check).
+:meth:`TaurusDataPlane.verify_equivalence` re-checks that over the
+**full trace**.
 
 Two trace-scale entry points:
 
@@ -91,8 +91,6 @@ class TaurusDataPlane:
     ----------
     quantized:
         The deployed (fix8) model; both graph lowerings derive from it.
-    threshold:
-        Decision threshold for the anomaly postprocess hook.
     shards:
         Parallel workers for trace-scale runs.  ``run_switch`` partitions
         by flow (register-slot-consistent, bit-identical results); on
@@ -116,10 +114,12 @@ class TaurusDataPlane:
         ``max_chunk_retries``, ``faults``, ...).  Requires ``pool``.
     """
 
+    #: Decision threshold of the anomaly postprocess hook.
+    threshold = 0.5
+
     def __init__(
         self,
         quantized: QuantizedModel,
-        threshold: float = 0.5,
         shards: int = 1,
         executor: str = "auto",
         pool: bool = False,
@@ -129,7 +129,6 @@ class TaurusDataPlane:
             raise ValueError("shards must be positive")
         forked = selects_fork(executor, pool, pool_options)
         self.quantized = quantized
-        self.threshold = threshold
         self.shards = shards
         self.block = MapReduceBlock(dnn_graph(quantized, name="anomaly_dnn"))
         # Exact-activation lowering: bit-identical to the quantized model,
@@ -142,9 +141,6 @@ class TaurusDataPlane:
         #: (slowest shard's II-limited block drain; the hardware-scaling
         #: twin of wall-clock throughput).
         self.last_modeled_drain_ns = 0.0
-        #: The :class:`~repro.runtime.MultiAppFabric` behind the last
-        #: :meth:`run_multi` call (state inspection / repeated runs).
-        self.last_fabric: MultiAppFabric | None = None
         #: The warm runtime behind ``pool=True`` (``None`` without one).
         #: The pristine post-build state is marked in every worker at
         #: spawn, so a per-run rewind gives fresh-pipeline semantics
@@ -181,7 +177,7 @@ class TaurusDataPlane:
 
     @property
     def pool_health(self):
-        """The warm pool's :class:`~repro.runtime.PoolHealth` (``None``
+        """The warm pool's :class:`~repro.runtime.health.PoolHealth` (``None``
         without ``pool``); a ``run_multi`` fabric has none."""
         return None if self._runtime is None else self._runtime.pool_health
 
@@ -319,58 +315,44 @@ class TaurusDataPlane:
     # ------------------------------------------------------------------
     # Multi-app fabric
     # ------------------------------------------------------------------
-    def anomaly_app(self, name: str = "anomaly", weight: float = 1.0) -> FabricApp:
+    def anomaly_app(self, name: str = "anomaly") -> FabricApp:
         """This data plane's anomaly detector as a registrable fabric app."""
         return FabricApp.from_quantized_dnn(
-            self.quantized, name=name, threshold=self.threshold, weight=weight
+            self.quantized, name=name, threshold=self.threshold
         )
 
     def run_multi(
-        self,
-        apps,
-        traces,
-        policy: str = "round_robin",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        self, apps, traces, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> MultiAppResult:
         """Several compiled apps time-multiplexed over this switch's grid.
 
         ``apps`` is a sequence of :class:`~repro.runtime.FabricApp` and
         ``traces`` maps app name to its trace (or is a sequence aligned
         with ``apps``).  Each call builds one in-process fabric over this
-        data plane's ``shards``: with one shard, every app shares one grid
-        and pays a modeled reconfiguration per program switch; with
-        ``shards >= len(apps)``, each app gets affine lanes and the apps
-        drain concurrently.  Per-app merged results are bit/stat-identical
+        data plane's ``shards``: with one shard, the apps take round-robin
+        turns on one grid, chunk by chunk, paying a modeled
+        reconfiguration per program switch; with ``shards >= len(apps)``,
+        each app gets affine lanes and the apps drain concurrently.  Per-app merged results are bit/stat-identical
         to running each app alone on its own trace slice; the modeled
         drain (including reconfiguration + interleave costs) lands in
         :attr:`last_modeled_drain_ns`.
         """
-        fabric = MultiAppFabric(
-            apps, shards=self.shards, chunk_size=chunk_size, policy=policy
-        )
+        fabric = MultiAppFabric(apps, shards=self.shards, chunk_size=chunk_size)
         outcome = fabric.run(traces)
         self.last_modeled_drain_ns = outcome.drain_ns
-        self.last_fabric = fabric
         return outcome
 
     def verify_equivalence(
-        self,
-        trace: PacketTrace,
-        n_samples: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        self, trace: PacketTrace, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> bool:
         """Check fabric execution matches the vectorized path bit-for-bit.
 
         Uses the graph with exact activations (the quantized model's own),
-        as the fast path does.  By default the **entire trace** streams
-        through the batched graph interpreter and is compared against the
-        quantized model; pass ``n_samples`` to restrict the check to an
-        evenly spaced subsample (the legacy spot-check).
+        as the fast path does: the **entire trace** streams through the
+        batched graph interpreter and is compared against the quantized
+        model.
         """
         feats = trace.columns().features
-        if n_samples is not None:
-            step = max(1, len(feats) // n_samples)
-            feats = feats[::step][:n_samples]
         via_graph = self._stream_scores(feats, chunk_size)
         via_model = self.quantized(feats).reshape(-1)
         return bool(np.array_equal(via_graph, via_model))

@@ -116,7 +116,6 @@ class EndToEndExperiment:
     # ------------------------------------------------------------------
     def run_multi_app(
         self,
-        policy: str = "round_robin",
         n_congestion_packets: int = 2000,
         lstm_sequences: int = 300,
         lstm_epochs: int = 3,
@@ -161,7 +160,6 @@ class EndToEndExperiment:
                 "anomaly": self.workload.trace,
                 "congestion": congestion_trace,
             },
-            policy=policy,
         )
         detection = self.dataplane.detection_from_outcome(
             self.workload.trace, outcome.results["anomaly"]
@@ -170,7 +168,6 @@ class EndToEndExperiment:
         oracle = congestion_trace.columns().labels[congestion.order]
         agreement = float(np.mean(congestion.decisions == oracle))
         return MultiAppRow(
-            policy=policy,
             anomaly=detection,
             congestion_action_agreement=agreement,
             drain_ns=outcome.drain_ns,
@@ -184,7 +181,6 @@ class EndToEndExperiment:
 class MultiAppRow:
     """Two apps sharing one switch: per-app quality + fabric accounting."""
 
-    policy: str
     anomaly: DataPlaneResult
     congestion_action_agreement: float
     drain_ns: float

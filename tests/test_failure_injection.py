@@ -27,13 +27,9 @@ from repro.pisa import (
     PacketQueue,
     TaurusPipeline,
 )
-from repro.runtime import (
-    FaultEvent,
-    FaultPlan,
-    PoisonChunk,
-    PoolError,
-    ShardPool,
-)
+from repro.runtime import FaultPlan, ShardPool
+from repro.runtime.faults import FaultEvent
+from repro.runtime.health import PoisonChunk, PoolError
 
 from test_shard_runtime import (
     _assert_equivalent,

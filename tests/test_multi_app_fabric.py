@@ -3,12 +3,12 @@
 :class:`~repro.runtime.MultiAppFabric` time-multiplexes several compiled
 programs over shared grid lanes; these tests drive two heterogeneous apps
 (the anomaly DNN and the Indigo congestion LSTM) through the fabric at
-shards ∈ {1, 2, 4} under every scheduling policy and assert each app's
+shards ∈ {1, 2, 4} and assert each app's
 merged results and pipeline state are bit/stat-identical to running that
 app alone on its own trace — i.e. interleaving never leaks
 register/recurrent state between apps.  Reconfiguration accounting, the
-chunk scheduler, the ``run_multi`` surface, and the experiment scenario
-are covered alongside.
+round-robin interleave, the ``run_multi`` surface, and the experiment
+scenario are covered alongside.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ from repro.datasets import (
 )
 from repro.hw import MapReduceBlock
 from repro.ml import indigo_lstm
-from repro.runtime import (
-    FabricApp,
-    MultiAppFabric,
-    schedule_chunks,
-)
+from repro.runtime import FabricApp, MultiAppFabric
+from repro.runtime.fabric import _round_robin
 
 from test_shard_runtime import BACKENDS, backend_cases
 
@@ -57,15 +54,10 @@ def congestion_trace():
     return congestion_packet_trace(140, CFG, seed=32)
 
 
-def _apps(quantized_dnn, lstm, weights=(1.0, 1.0)):
+def _apps(quantized_dnn, lstm):
     return [
-        FabricApp.from_quantized_dnn(
-            quantized_dnn, name="anomaly", weight=weights[0]
-        ),
-        FabricApp.from_lstm(
-            lstm, window_steps=CFG.window_steps, name="congestion",
-            weight=weights[1],
-        ),
+        FabricApp.from_quantized_dnn(quantized_dnn, name="anomaly"),
+        FabricApp.from_lstm(lstm, window_steps=CFG.window_steps, name="congestion"),
     ]
 
 
@@ -118,30 +110,33 @@ def _assert_state_matches(fabric, name, oracle_pipe):
 
 class TestMultiAppIdentity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("policy", ["round_robin", "weighted", "serial"])
+    @pytest.mark.parametrize("order", ["round_robin", "serial"])
     def test_identical_to_each_app_alone(
         self, quantized_dnn, lstm, anomaly_trace, congestion_trace,
-        shards, policy,
+        shards, order,
     ):
-        """Per-app results and state never depend on shards or policy."""
+        """Per-app results and state never depend on shards or issue
+        order: ``run``'s round-robin, or the serial baseline — one
+        ``process_traces`` request per app, each run to completion."""
         apps = _apps(quantized_dnn, lstm)
         oracle_a, pipe_a = _oracle(apps[0], anomaly_trace)
         oracle_c, pipe_c = _oracle(apps[1], congestion_trace)
         fabric = MultiAppFabric(
             apps, shards=shards, chunk_size=64, executor="serial"
         )
-        outcome = fabric.run(
-            {"anomaly": anomaly_trace, "congestion": congestion_trace},
-            policy=policy,
-        )
-        _assert_result_equal(outcome.results["anomaly"], oracle_a, "anomaly")
-        _assert_result_equal(
-            outcome.results["congestion"], oracle_c, "congestion"
-        )
+        traces = {"anomaly": anomaly_trace, "congestion": congestion_trace}
+        if order == "serial":
+            results = dict(zip(traces, fabric.process_traces(traces.items())))
+        else:
+            outcome = fabric.run(traces)
+            results = outcome.results
+            assert outcome.n_packets == len(anomaly_trace) + len(congestion_trace)
+            assert outcome.drain_ns == fabric.last_drain_ns
+        _assert_result_equal(results["anomaly"], oracle_a, "anomaly")
+        _assert_result_equal(results["congestion"], oracle_c, "congestion")
         _assert_state_matches(fabric, "anomaly", pipe_a)
         _assert_state_matches(fabric, "congestion", pipe_c)
-        assert outcome.n_packets == len(anomaly_trace) + len(congestion_trace)
-        assert outcome.drain_ns == fabric.last_drain_ns > 0
+        assert fabric.last_drain_ns > 0
 
     def test_interleave_does_not_leak_recurrent_or_register_state(
         self, quantized_dnn, lstm, anomaly_trace, congestion_trace
@@ -234,25 +229,20 @@ class TestMultiAppIdentity:
         st.integers(min_value=0, max_value=10_000),
         st.integers(20, 120),
         st.sampled_from([1, 2, 4]),
-        st.sampled_from(["round_robin", "weighted", "serial"]),
     )
     @settings(max_examples=6, deadline=None)
-    def test_property_random_workloads(
-        self, quantized_dnn, lstm, seed, n, shards, policy
-    ):
+    def test_property_random_workloads(self, quantized_dnn, lstm, seed, n, shards):
         """Randomized traces: the fabric never diverges from the oracles."""
         dataset = generate_connections(max(n // 2, 10), seed=seed)
         trace_a = expand_to_packets(dataset, max_packets=n, seed=seed)
         trace_c = congestion_packet_trace(
             max(n // 3, 5), CFG, seed=seed, n_flows=7
         )
-        apps = _apps(quantized_dnn, lstm, weights=(2.0, 1.0))
+        apps = _apps(quantized_dnn, lstm)
         oracle_a, __ = _oracle(apps[0], trace_a, chunk_size=17)
         oracle_c, __ = _oracle(apps[1], trace_c, chunk_size=17)
         fabric = MultiAppFabric(apps, shards=shards, chunk_size=17)
-        outcome = fabric.run(
-            {"anomaly": trace_a, "congestion": trace_c}, policy=policy
-        )
+        outcome = fabric.run({"anomaly": trace_a, "congestion": trace_c})
         _assert_result_equal(outcome.results["anomaly"], oracle_a, "anomaly")
         _assert_result_equal(
             outcome.results["congestion"], oracle_c, "congestion"
@@ -267,20 +257,20 @@ class TestReconfigurationAccounting:
         apps = _apps(quantized_dnn, lstm)
         fabric = MultiAppFabric(apps, shards=1, chunk_size=64)
         rr = fabric.run(
-            {"anomaly": anomaly_trace, "congestion": congestion_trace},
-            policy="round_robin",
+            {"anomaly": anomaly_trace, "congestion": congestion_trace}
         )
         assert rr.reconfigurations > 1
         assert rr.reconfig_ns > 0
-        serial = fabric.run(
-            {"anomaly": anomaly_trace, "congestion": congestion_trace},
-            policy="serial",
+        # The serial baseline: one request per app, each run to completion
+        # on a fresh grid (the anomaly program is resident), switches once;
+        # interleaving switches on (nearly) every chunk boundary.
+        serial = MultiAppFabric(apps, shards=1, chunk_size=64)
+        block = serial.lanes[0][0].block
+        serial.process_traces(
+            [("anomaly", anomaly_trace), ("congestion", congestion_trace)]
         )
-        # Running each app to completion switches once; interleaving
-        # switches on (nearly) every chunk boundary.
-        assert serial.reconfigurations == 1
-        assert serial.reconfigurations < rr.reconfigurations
-        assert serial.drain_ns < rr.drain_ns
+        assert block.reconfigurations == 1
+        assert serial.last_drain_ns < rr.drain_ns
 
     def test_affine_lanes_eliminate_thrash(
         self, quantized_dnn, lstm, anomaly_trace, congestion_trace
@@ -299,7 +289,6 @@ class TestReconfigurationAccounting:
         assert two.reconfigurations == 0
         assert two.reconfig_ns == 0.0
         assert 0 < two.drain_ns < one.drain_ns
-        assert two.model_pkt_per_s > one.model_pkt_per_s
 
     def test_reconfigure_respects_block_budgets(self, quantized_dnn):
         """Regression: reconfigure used to drop the block's MU budget and
@@ -330,41 +319,18 @@ class TestReconfigurationAccounting:
 
 
 class TestChunkScheduler:
+    """The one interleave: a lane issues its apps' chunks round-robin."""
+
     def test_round_robin_alternates(self):
-        assert schedule_chunks([3, 3]) == [0, 1, 0, 1, 0, 1]
-        assert schedule_chunks([4, 1]) == [0, 1, 0, 0, 0]
-
-    def test_serial_runs_to_completion(self):
-        assert schedule_chunks([2, 3], policy="serial") == [0, 0, 1, 1, 1]
-
-    def test_weighted_is_proportional(self):
-        order = schedule_chunks(
-            [9, 3], weights=[3.0, 1.0], policy="weighted"
-        )
-        # In every window of 4 issues before either app runs dry, the
-        # 3x-weighted app issues 3 chunks.
-        assert order[:8].count(0) == 6
-        assert [a for a in order if a == 1] == [1, 1, 1]
-
-    def test_weighted_defaults_to_fair(self):
-        assert schedule_chunks([2, 2], policy="weighted") == [0, 1, 0, 1]
+        assert _round_robin([[0, 0, 0], [1, 1, 1]]) == [0, 1, 0, 1, 0, 1]
+        assert _round_robin([[0, 0, 0, 0], [1]]) == [0, 1, 0, 0, 0]
 
     def test_per_app_order_is_fifo(self):
-        for policy in ("round_robin", "weighted", "serial"):
-            order = schedule_chunks([5, 4, 3], policy=policy)
-            assert len(order) == 12
-            for a, count in enumerate((5, 4, 3)):
-                assert order.count(a) == count
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            schedule_chunks([1], policy="lottery")
-        with pytest.raises(ValueError):
-            schedule_chunks([-1])
-        with pytest.raises(ValueError):
-            schedule_chunks([1, 1], weights=[1.0, 0.0], policy="weighted")
-        with pytest.raises(ValueError):
-            schedule_chunks([1, 1], weights=[1.0], policy="weighted")
+        queues = [[(a, k) for k in range(n)] for a, n in enumerate((5, 4, 3))]
+        order = _round_robin(queues)
+        assert len(order) == 12
+        for a, queue in enumerate(queues):
+            assert [item for item in order if item[0] == a] == queue
 
 
 class TestFabricSurface:
@@ -387,8 +353,7 @@ class TestFabricSurface:
         )
         _assert_result_equal(outcome.results["anomaly"], oracle_a, "anomaly")
         assert dataplane.last_modeled_drain_ns == outcome.drain_ns > 0
-        assert dataplane.last_fabric is not None
-        assert outcome.shards == 2
+        assert outcome.reconfigurations == 0  # shards=2: one lane per app
 
     def test_traces_as_sequence(
         self, quantized_dnn, lstm, anomaly_trace, congestion_trace
@@ -443,8 +408,6 @@ class TestFabricSurface:
         apps = _apps(quantized_dnn, lstm)
         with pytest.raises(ValueError):
             MultiAppFabric(apps, shards=0)
-        with pytest.raises(ValueError):
-            MultiAppFabric(apps, policy="lottery")
         with pytest.raises(ValueError, match="duplicate app name"):
             MultiAppFabric(apps + [apps[0]])
         with pytest.raises(ValueError, match="no apps"):
@@ -452,8 +415,11 @@ class TestFabricSurface:
         fabric = MultiAppFabric(apps)
         with pytest.raises(ValueError):
             fabric.run({"anomaly": anomaly_trace})  # congestion missing
-        with pytest.raises(ValueError, match=r"nope.*anomaly.*congestion"):
+        unknown = r"unknown apps \['nope'\]; registered: \['anomaly', 'congestion'\]"
+        with pytest.raises(ValueError, match=unknown):
             fabric.process_traces([("anomaly", anomaly_trace), ("nope", anomaly_trace)])
+        with pytest.raises(ValueError, match=unknown):  # run used to ignore the key
+            fabric.run({"anomaly": anomaly_trace, "congestion": [], "nope": anomaly_trace})
         assert fabric.app_state("anomaly")["parser_packets"] == 0  # nothing ran
         with pytest.raises(KeyError):
             fabric.app_state("nope")
@@ -462,9 +428,8 @@ class TestFabricSurface:
         self, quantized_dnn, lstm
     ):
         """Regression: a PacketTrace whose packets are NOT in arrival
-        order must still merge bit-identically.  The cached
-        ``shard_columns`` partition indexes the trace's *original* column
-        order, so the fabric may only reuse it for already-sorted traces."""
+        order must still merge bit-identically (a partition cached on the
+        trace once indexed its *original* column order and misplaced rows)."""
         from repro.datasets.packets import PacketTrace
 
         dataset = generate_connections(60, seed=51)
@@ -521,7 +486,6 @@ class TestExperimentScenario:
         row = experiment.run_multi_app(
             n_congestion_packets=200, lstm_sequences=80, lstm_epochs=1
         )
-        assert row.policy == "round_robin"
         assert row.n_packets == 3000 + 200
         assert row.drain_ns > 0
         # shards=1 data plane: the two apps time-share one grid.

@@ -11,7 +11,6 @@ from repro.pisa import (
     LogTransformTable,
     MatchActionTable,
     MatchKind,
-    PIFO,
     Packet,
     PacketQueue,
     PortLikelihoodTable,
@@ -512,30 +511,6 @@ class TestLookupTables:
 
 
 class TestScheduler:
-    def test_pifo_orders_by_rank(self):
-        pifo = PIFO()
-        pifo.push("low", rank=10.0)
-        pifo.push("high", rank=1.0)
-        assert pifo.pop() == "high"
-        assert pifo.pop() == "low"
-
-    def test_pifo_fifo_on_ties(self):
-        pifo = PIFO()
-        for i in range(5):
-            pifo.push(i, rank=0.0)
-        assert [pifo.pop() for __ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_pifo_tail_drop(self):
-        pifo = PIFO(capacity=2)
-        assert pifo.push("a", 1.0)
-        assert pifo.push("b", 1.0)
-        assert not pifo.push("c", 1.0)
-        assert pifo.drops == 1
-
-    def test_pifo_empty_pop(self):
-        with pytest.raises(IndexError):
-            PIFO().pop()
-
     def test_queue_watermark(self):
         q = PacketQueue("q", capacity=10)
         for i in range(7):
@@ -560,15 +535,6 @@ class TestScheduler:
         arb = RoundRobinArbiter([a, b])
         assert arb.select() == "only"
         assert arb.select() is None
-
-    @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=50))
-    @settings(max_examples=25, deadline=None)
-    def test_pifo_pop_order_is_sorted(self, ranks):
-        pifo = PIFO()
-        for r in ranks:
-            pifo.push(r, rank=r)
-        popped = [pifo.pop() for __ in range(len(ranks))]
-        assert popped == sorted(popped)
 
     # ------------------------------------------------------------------
     # PacketQueue deque regression (pop was list.pop(0): O(N^2) drains)

@@ -1,11 +1,13 @@
-"""Surface census for the serving slice: every public service name has a customer.
+"""Surface census for the lane runtime: every public name has a customer.
 
-One row per name in ``repro.runtime.service.__all__``, per keyword of
-``InferenceService`` and per ``ClientSpec`` field.  A row is
+One row per name in ``repro.runtime.__all__``, ``service.__all__`` and
+``pisa.scheduler.__all__``, per ``__init__`` keyword of the runtime
+constructors and per field of their records — keyed ``Class.name``,
+except the service's keywords and ``ClientSpec``'s fields.  A row is
 ``"<file>:<function> — why"``: the first non-test caller that needs the
-name, or — where no such caller exists — the test that pins the bug the
-name was needed to catch.  New service surface adds its row here in the
-change that adds it; a name whose last customer goes, goes with it.
+name, or — where no such caller exists — the test that pins the case the
+name is needed for.  New surface adds its row here in the change that
+adds it; a name whose last customer goes, goes with it.
 """
 
 import dataclasses
@@ -13,13 +15,20 @@ import inspect
 import re
 from pathlib import Path
 
+from repro import runtime
+from repro.pisa import scheduler
 from repro.runtime import service
+from repro.runtime.fabric import FabricApp, MultiAppFabric, MultiAppResult
 from repro.runtime.service import ClientSpec, InferenceService
+from repro.runtime.sharded import ShardedRuntime
+from repro.testbed.dataplane import TaurusDataPlane
 
 REPO = Path(__file__).resolve().parents[1]
 
+LEDGER_STACK = "benchmarks/ledger/workloads.py:__init__ — `Backend` builds every ledger stack"
+
 CUSTOMERS = {
-    # repro.runtime.service.__all__
+    # repro.runtime.service.__all__ (all re-exported by repro.runtime)
     "ACCEPTED": "benchmarks/ledger/phases.py:submit_backlog — refuses a backlog "
                 "submit whose verdict is not ACCEPTED (`Admission.accepted`)",
     "DEFERRED": "benchmarks/ledger/phases.py:serve_window — the serve summary's "
@@ -47,13 +56,71 @@ CUSTOMERS = {
     "rate": "examples/quickstart.py:main — the rate-limited `scratch` tenant",
     "burst": "examples/quickstart.py:main — the rate-limited `scratch` tenant",
     "result_depth": "benchmarks/ledger/workloads.py:client_specs — buffers never drop",
+    # the rest of repro.runtime.__all__
+    "FabricApp": "benchmarks/ledger/workloads.py:build_apps — multiapp_c512's two apps",
+    "FaultPlan": "examples/quickstart.py:main — the worker kill of step 8",
+    "MultiAppFabric": LEDGER_STACK + " for multiapp_c512",
+    "MultiAppResult": "src/repro/testbed/dataplane.py:run_multi — its return type",
+    "PipelineShardWorker": "benchmarks/ledger/layers.py:transport_probe — one "
+                           "worker's transport, priced alone",
+    "ShardPool": "benchmarks/ledger/layers.py:spawn_probe — the `pool.spawn_s` fork",
+    "ShardedRuntime": LEDGER_STACK + " for the one-app workloads",
+    "merge_pipeline_state": "benchmarks/ledger/verify.py:state — the oracle's state",
+    # ShardedRuntime and MultiAppFabric keywords
+    **{f"ShardedRuntime.{keyword}": LEDGER_STACK
+       for keyword in ("pipeline_factory", "shards", "executor", "chunk_size", "pool")},
+    "ShardedRuntime.pool_options": "src/repro/testbed/dataplane.py:__init__ — "
+                                   "passes `TaurusDataPlane.pool_options` on",
+    **{f"MultiAppFabric.{keyword}": LEDGER_STACK
+       for keyword in ("apps", "shards", "executor", "chunk_size", "pool")},
+    # TaurusDataPlane keywords
+    "TaurusDataPlane.quantized": "src/repro/testbed/experiment.py:build",
+    "TaurusDataPlane.shards": "examples/quickstart.py:main — the 4-lane replay",
+    "TaurusDataPlane.executor": "examples/quickstart.py:main — step 8's `fork`",
+    "TaurusDataPlane.pool": "examples/quickstart.py:main — the warm pool of step 7",
+    "TaurusDataPlane.pool_options": "examples/quickstart.py:main — step 8's FaultPlan",
+    # FabricApp fields
+    "FabricApp.name": "benchmarks/ledger/workloads.py:oracle_pipelines — keys the oracle",
+    "FabricApp.graph": "benchmarks/ledger/workloads.py:oracle_pipelines — the oracle's block",
+    "FabricApp.feature_names": "src/repro/runtime/fabric.py:from_lstm — the "
+                               "flattened window layout the pipeline parses",
+    "FabricApp.slots": "tests/test_shard_runtime.py:app — an 8-slot register file "
+                       "forces the hash-collision neighbours the slot-keyed "
+                       "partition must keep on one lane",
+    "FabricApp.postprocess": "benchmarks/ledger/verify.py:scalar_prefix_mismatches — "
+                             "scalar `process` on the oracle's app pipelines",
+    "FabricApp.postprocess_batch": "src/repro/runtime/fabric.py:from_lstm — the "
+                                   "vectorized argmax decision",
+    # MultiAppResult fields
+    "MultiAppResult.results": "benchmarks/ledger/workloads.py:run — per-app results",
+    "MultiAppResult.drain_ns": "examples/quickstart.py:main — shared grid vs two lanes",
+    "MultiAppResult.reconfigurations": "benchmarks/ledger/workloads.py:run — "
+                                       "hashed into `sim_digest`",
+    "MultiAppResult.reconfig_ns": "src/repro/testbed/experiment.py:run_multi_app",
+    "MultiAppResult.n_packets": "src/repro/testbed/experiment.py:run_multi_app",
+    # repro.pisa.scheduler.__all__
+    "PacketQueue": "src/repro/pisa/pipeline.py:__post_init__ — the ML and bypass queues",
+    "RoundRobinArbiter": "src/repro/pisa/pipeline.py:__post_init__ — Fig. 6's selector",
 }
 
 
+def _keywords(cls) -> set[str]:
+    return set(inspect.signature(cls.__init__).parameters) - {"self"}
+
+
+def _fields(cls) -> set[str]:
+    return {field.name for field in dataclasses.fields(cls)}
+
+
 def test_the_census_names_exactly_the_service_surface():
-    keywords = set(inspect.signature(InferenceService.__init__).parameters) - {"self"}
-    fields = {field.name for field in dataclasses.fields(ClientSpec)}
-    assert CUSTOMERS.keys() == set(service.__all__) | keywords | fields
+    constructors = (ShardedRuntime, MultiAppFabric, TaurusDataPlane)
+    records = (FabricApp, MultiAppResult)
+    assert CUSTOMERS.keys() == (
+        set(runtime.__all__) | set(service.__all__) | set(scheduler.__all__)
+        | _keywords(InferenceService) | _fields(ClientSpec)
+        | {f"{cls.__name__}.{name}" for cls in constructors for name in _keywords(cls)}
+        | {f"{cls.__name__}.{name}" for cls in records for name in _fields(cls)}
+    )
 
 
 def test_every_customer_exists():

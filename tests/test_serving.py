@@ -41,11 +41,10 @@ from repro.runtime import (
     ClientSpec,
     FaultPlan,
     InferenceService,
-    PoolError,
-    PoolHealth,
     ShardedRuntime,
     VirtualClock,
 )
+from repro.runtime.health import PoolError, PoolHealth
 from repro.runtime.service import _COUNTERS as COUNTERS
 from repro.testbed import bursty_schedule, chunk_columns, replay_virtual, replay_wall
 

@@ -290,17 +290,12 @@ class TestShardMergeDeterminism:
             _assert_equivalent(oracle, runtime, _random_columns(seed, 60))
 
     def test_packet_trace_partitions_cached(self, blocks, train_test_split):
-        """PacketTrace input reuses the trace's cached shard partition."""
+        """PacketTrace input takes the one partition path, like columns."""
         __, test = train_test_split
         trace = expand_to_packets(test, max_packets=400, seed=9)
         oracle = _oracle(blocks, slots=64, tables=True)
         runtime = _runtime(blocks, 2, slots=64, tables=True)
-        slots = runtime.slots
         _assert_equivalent(oracle, runtime, trace, chunk_size=64)
-        assert (2, slots) in trace._shard_views
-        parts = trace.shard_columns(2, slots)
-        assert sum(len(indices) for indices, __ in parts) == len(trace)
-        assert trace.shard_columns(2, slots) is parts  # cached, not rebuilt
 
     def test_more_shards_than_flows(self, blocks):
         """Shards beyond the flow count leave some workers empty."""
@@ -590,12 +585,13 @@ class TestBackendSelection:
         app = FabricApp.from_quantized_dnn(quantized_dnn)
         for build in (
             lambda **knobs: ShardedRuntime(self._factory(blocks), **knobs),
-            lambda **knobs: MultiAppFabric([app], shards=2, **knobs),
             lambda **knobs: TaurusDataPlane(quantized_dnn, shards=2, **knobs),
         ):
             for knobs in ({}, {"pool_options": {"hang_timeout": 1.0}}):
                 with pytest.raises(ValueError, match="pool=True"):
                     build(executor="fork", **knobs)
+        with pytest.raises(ValueError, match="pool=True"):
+            MultiAppFabric([app], shards=2, executor="fork")
 
     def test_pool_options_need_a_fork_backend_by_name(self, blocks):
         with pytest.raises(ValueError, match="pool_options requires pool"):
@@ -669,7 +665,7 @@ class TestTwoConstructors:
         rng = np.random.default_rng(seed)
         if kind == "empty":
             return []
-        if kind == "packet_trace":  # unsorted: the shard_columns cache must be skipped
+        if kind == "packet_trace":  # an unsorted PacketTrace
             picks = rng.permutation(len(records.packets))[:n]
             return PacketTrace(
                 [records.packets[i] for i in picks], records.flows,

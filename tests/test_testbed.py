@@ -126,8 +126,9 @@ class TestTaurusDataPlane:
         assert result.added_latency_ns == pytest.approx(151, abs=25)
 
     def test_fabric_equivalence(self, small_workload, quantized_dnn):
+        """Many small chunks stream to the same bit-exact scores."""
         plane = TaurusDataPlane(quantized_dnn)
-        assert plane.verify_equivalence(small_workload.trace, n_samples=16)
+        assert plane.verify_equivalence(small_workload.trace, chunk_size=16)
 
     def test_fabric_equivalence_full_trace(self, small_workload, quantized_dnn):
         """Default verify now streams the whole trace, not a spot check."""
