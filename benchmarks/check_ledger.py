@@ -8,11 +8,12 @@ benchmarks/ledger/run.py --workload W --seed 0 --trace 1 --out DIR`` writes
 (``<workload>.trace.seed<N>.<stamp>.<pid>.json`` — not the Chrome trace
 ``<workload>.trace.json`` beside them), one or more per workload.  Per
 workload it fails on a run that is not ``correct`` and ``valid``, on a
-crash / replay / degrade / failed counter that is not 0, and on a median
-``<layer>.overhead_ratio`` above its ceiling.  An overhead ratio is one
-layer over the layer below at equal chunk size, on one host in one run —
-the only kind of floor that travels between hosts.  Prints one row per
-workload x ratio; exit status 0 when everything holds, else 1.
+crash / replay / degrade / failed counter that is not 0, on a median
+``<layer>.overhead_ratio`` above its ceiling, and on a median
+``pisa.calls_per_chunk`` above its ceiling.  An overhead ratio is one layer
+over the layer below at equal chunk size, on one host in one run; a call
+count is exact — the two kinds of floor that travel between hosts.  Prints
+one row per workload x metric; exit status 0 when everything holds, else 1.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ MEDIANS = {
 #: (largest max / min over those five runs: 1.18), tripped by a layer that
 #: got half again as dear relative to the layer below.
 HEADROOM = 1.5
+#: workload -> ``pisa.calls_per_chunk``: the Python calls one chunk makes
+#: through the in-process pipeline, counted when the MAT stage was compiled
+#: (CHANGES.md).  A count, not a time: every run on every host reads the
+#: same number for the same code and numpy.
+CALLS = {"dnn_c8192": 328.5, "dnn_c64": 326.125, "bypass_c512": 412.75, "multiapp_c512": 364.0}
+#: A call ceiling is this much above its count: tripped by a stage that
+#: gains a handful of per-chunk calls.
+CALLS_HEADROOM = 1.1
 #: Exactly 0 on every run of a healthy program.
 ZERO = ("pool.crashes", "pool.replayed_chunks", "pool.degraded_chunks", "service.failed_frac")
 
@@ -56,8 +65,9 @@ def check(directory: Path) -> list[str]:
             counts = {name: run["metrics"][name]["value"] for name in ZERO}
             bad += [f"{name} = {n}, must be 0" for name, n in counts.items() if n != 0]
             problems += [f"{file}: {what}" for what in bad]
-        for layer, recorded in medians.items():
-            name, ceiling = f"{layer}.overhead_ratio", HEADROOM * recorded
+        ceilings = {f"{layer}.overhead_ratio": HEADROOM * m for layer, m in medians.items()}
+        ceilings["pisa.calls_per_chunk"] = CALLS_HEADROOM * CALLS[workload]
+        for name, ceiling in ceilings.items():
             median = statistics.median(run["metrics"][name]["value"] for run in runs.values())
             print(f"{workload:14s} {name:24s} median {median:6.2f} of {len(runs)}   "
                   f"ceiling {ceiling:6.2f}   {'OVER' if median > ceiling else 'ok'}")

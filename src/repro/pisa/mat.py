@@ -12,9 +12,20 @@ installation order):
 * the scalar :meth:`MatchActionTable.lookup`, which consults a hash index
   for exact tables and falls back to a priority-ordered scan otherwise;
 * the batched :meth:`MatchActionTable.lookup_batch`, which resolves a whole
-  :class:`~repro.pisa.phv.PHVBatch` at once — a hash-join over the key
-  columns for exact tables, broadcast mask comparisons priority-resolved
-  with ``argmax`` for ternary/LPM/range.
+  :class:`~repro.pisa.phv.PHVBatch` at once — through the table's compiled
+  form for exact tables, broadcast mask comparisons priority-resolved with
+  ``argmax`` for ternary/LPM/range.
+
+An exact table is compiled once per control-plane change (the first lookup
+after an ``install`` / ``remove_all``): every full-key entry becomes one
+dense integer code — per key field the value's rank among the entries'
+distinct values, the ranks combined mixed-radix and re-ranked after each
+field so a code never outgrows the entry count — held as a sorted array of
+codes beside the winning entry's position.  A batch is then resolved with
+one ``searchsorted`` per field (plus one per field after the first for the
+combined code) and an equality check, whatever the key's width or sign.
+One ``bincount`` of the winners gives the miss count, the per-entry hit
+counts and the action groups ``apply_batch`` runs.
 """
 
 from __future__ import annotations
@@ -28,6 +39,8 @@ from .actions import Action
 from .phv import PHV, PHVBatch
 
 __all__ = ["MatchKind", "TableEntry", "MatchActionTable"]
+
+_INT64 = np.iinfo(np.int64)
 
 
 class MatchKind:
@@ -74,6 +87,20 @@ class MatchActionTable:
     _partial_positions: list[int] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: Exact tables, compiled: per key field, the sorted distinct values of
+    #: the indexed full-key entries.
+    _field_values: list[np.ndarray] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: Exact tables, compiled: per key field after the first, the sorted
+    #: mixed-radix codes of the key prefixes that end at that field.
+    _prefix_codes: list[np.ndarray] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: Exact tables, compiled: full-key code -> position of the winning entry.
+    _code_winner: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), repr=False, compare=False
+    )
     #: Index needs rebuilding before the next lookup (set by installs so
     #: bulk rule pushes pay one O(n) rebuild, not one per entry).
     _index_dirty: bool = field(default=True, repr=False, compare=False)
@@ -83,6 +110,8 @@ class MatchActionTable:
             raise ValueError(f"unknown match kind {self.kind!r}")
         if not self.key_fields:
             raise ValueError("a MAT needs at least one key field")
+        for entry in self.entries:
+            self._check(entry)
         # Constructor-provided entries may arrive in any order; every
         # lookup path assumes priority order (ties keep given order).
         self.entries.sort(key=lambda e: -e.priority)
@@ -94,9 +123,7 @@ class MatchActionTable:
         """Install a rule (raises when the table is full, as TCAMs do)."""
         if len(self.entries) >= self.max_entries:
             raise RuntimeError(f"table {self.name!r} is full ({self.max_entries})")
-        missing = set(entry.match) - set(self.key_fields)
-        if missing:
-            raise ValueError(f"match on non-key fields: {sorted(missing)}")
+        self._check(entry)
         # Keep entries ordered by priority (highest wins, ties keep
         # installation order) without re-sorting the whole list per insert.
         bisect.insort(self.entries, entry, key=lambda e: -e.priority)
@@ -109,12 +136,47 @@ class MatchActionTable:
         self._index_dirty = True
         return n
 
+    def _check(self, entry: TableEntry) -> None:
+        """Reject a rule the data plane could not match (``ValueError``)."""
+        missing = set(entry.match) - set(self.key_fields)
+        if missing:
+            raise ValueError(f"match on non-key fields: {sorted(missing)}")
+        for fname, spec in entry.match.items():
+            try:
+                if self.kind == MatchKind.EXACT:
+                    int(spec)  # type: ignore[arg-type]
+                    continue
+                first, second = spec  # type: ignore[misc]
+                int(first), int(second)
+            except (TypeError, ValueError, OverflowError):
+                shape = {
+                    MatchKind.EXACT: "an integer",
+                    MatchKind.TERNARY: "(value, mask)",
+                    MatchKind.LPM: "(prefix, length)",
+                    MatchKind.RANGE: "(lo, hi)",
+                }[self.kind]
+                raise ValueError(
+                    f"table {self.name!r}: {self.kind} spec for {fname!r} "
+                    f"must be {shape}, got {spec!r}"
+                ) from None
+            if self.kind == MatchKind.LPM and not 0 <= int(second) <= 32:
+                raise ValueError(
+                    f"table {self.name!r}: {self.kind} length for {fname!r} must be "
+                    f"in [0, 32], got {second!r}"
+                )
+
     def _ensure_index(self) -> None:
-        """(Re)build the exact-match hash index lazily, once per change."""
-        if not self._index_dirty:
-            return
+        """Compile the table if a control-plane change left it stale."""
+        if self._index_dirty:
+            self._compile()
+
+    def _compile(self) -> None:
+        """Build the scalar hash index and the batched sorted-code index."""
         self._exact_index = {}
         self._partial_positions = []
+        self._field_values = []
+        self._prefix_codes = []
+        self._code_winner = np.empty(0, dtype=np.int64)
         self._index_dirty = False
         if self.kind != MatchKind.EXACT:
             return
@@ -126,6 +188,27 @@ class MatchActionTable:
                 self._exact_index.setdefault(key, pos)
             else:
                 self._partial_positions.append(pos)
+        # A key outside int64 can never equal a row of an int64 column.
+        indexed = [
+            (key, pos)
+            for key, pos in self._exact_index.items()
+            if all(_INT64.min <= v <= _INT64.max for v in key)
+        ]
+        if not indexed:
+            return
+        keys = np.array([key for key, __ in indexed], dtype=np.int64)
+        code = np.zeros(len(indexed), dtype=np.int64)
+        for j in range(len(self.key_fields)):
+            values = np.unique(keys[:, j])
+            code = code * len(values) + np.searchsorted(values, keys[:, j])
+            self._field_values.append(values)
+            if j:
+                # Re-rank so the next field's radix cannot overflow a code.
+                prefixes = np.unique(code)
+                code = np.searchsorted(prefixes, code)
+                self._prefix_codes.append(prefixes)
+        self._code_winner = np.empty(len(indexed), dtype=np.int64)
+        self._code_winner[code] = [pos for __, pos in indexed]
 
     @property
     def occupancy(self) -> int:
@@ -194,21 +277,19 @@ class MatchActionTable:
     # Batched data-plane lookup
     # ------------------------------------------------------------------
     def _winners_exact(self, cols: dict[str, np.ndarray], n: int) -> np.ndarray:
-        """Hash-join the batch's key columns against the exact index."""
+        """Look the batch's key columns up in the compiled sorted codes."""
         winner = np.full(n, -1, dtype=np.int64)
-        if self._exact_index:
-            keys = np.stack([cols[f] for f in self.key_fields], axis=1)
-            uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            upos = np.fromiter(
-                (
-                    self._exact_index.get(tuple(int(v) for v in row), -1)
-                    for row in uniq
-                ),
-                np.int64,
-                len(uniq),
-            )
-            winner = upos[inverse]
+        if len(self._code_winner):
+            hit = np.ones(n, dtype=bool)
+            code = np.zeros(n, dtype=np.int64)
+            for j, (fname, values) in enumerate(zip(self.key_fields, self._field_values)):
+                found, rank = _rank(values, cols[fname])
+                hit &= found
+                code = code * len(values) + rank
+                if j:
+                    found, code = _rank(self._prefix_codes[j - 1], code)
+                    hit &= found
+            winner = np.where(hit, self._code_winner[code], winner)
         # Wildcarded entries can still outrank an index hit when they sit
         # earlier in priority order.
         for pos in self._partial_positions:
@@ -245,33 +326,56 @@ class MatchActionTable:
         # Entries are priority-ordered, so the first matching row wins.
         return np.where(any_hit, matched.argmax(axis=0), np.int64(-1))
 
+    def _resolve(self, batch: PHVBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Winner per packet (-1 = miss) and ``bincount(winner + 1)``, with
+        the counters advanced from that count."""
+        n = batch.n
+        self.lookups += n
+        self._ensure_index()
+        if not self.entries or n == 0:
+            winner = np.full(n, -1, dtype=np.int64)
+        else:
+            cols = {f: batch.int_column(f) for f in self.key_fields}
+            if self.kind == MatchKind.EXACT:
+                winner = self._winners_exact(cols, n)
+            else:
+                winner = self._winners_masked(cols, n)
+        counts = np.bincount(winner + 1, minlength=len(self.entries) + 1)
+        self.misses += int(counts[0])
+        # Array methods, not ``np.`` wrappers: this runs once per stage
+        # per chunk, and the wrappers are Python calls.
+        for pos in counts[1:].nonzero()[0]:
+            self.entries[pos].hits += int(counts[pos + 1])
+        return winner, counts
+
     def lookup_batch(self, batch: PHVBatch) -> np.ndarray:
         """Winning entry position per packet (-1 = miss), plus accounting.
 
-        Stat counters (``lookups``/``misses``/per-entry ``hits``) advance
-        exactly as ``N`` scalar lookups would.
+        Exact tables are resolved through the compiled sorted codes (built
+        once per ``install`` / ``remove_all``), then the wildcarded entries
+        that outrank a code hit; other kinds through broadcast masks.  Stat
+        counters (``lookups``/``misses``/per-entry ``hits``) advance exactly
+        as ``N`` scalar lookups would, all from one ``bincount``.
         """
-        n = batch.n
-        self.lookups += n
-        if not self.entries or n == 0:
-            self.misses += n
-            return np.full(n, -1, dtype=np.int64)
-        cols = {f: batch.int_column(f) for f in self.key_fields}
-        if self.kind == MatchKind.EXACT:
-            self._ensure_index()
-            winner = self._winners_exact(cols, n)
-        else:
-            winner = self._winners_masked(cols, n)
-        hit_positions, counts = np.unique(winner[winner >= 0], return_counts=True)
-        for pos, count in zip(hit_positions, counts):
-            self.entries[int(pos)].hits += int(count)
-        self.misses += int(np.count_nonzero(winner < 0))
-        return winner
+        return self._resolve(batch)[0]
 
     def apply_batch(self, batch: PHVBatch) -> None:
-        """Batched lookup + grouped action application (one stage's work)."""
-        winner = self.lookup_batch(batch)
-        for pos in np.unique(winner):
-            mask = winner == pos
-            action = self.default_action if pos < 0 else self.entries[int(pos)].action
-            action.apply_batch(batch, mask)
+        """Batched lookup + grouped action application (one stage's work).
+
+        The lookup's ``bincount`` names the action groups: each non-empty
+        bin (misses first, then entries in priority order) runs its action
+        once on its rows; actions without primitives, such as the default
+        noop, are skipped.
+        """
+        winner, counts = self._resolve(batch)
+        for slot in counts.nonzero()[0]:
+            action = self.default_action if slot == 0 else self.entries[slot - 1].action
+            if action.primitives:
+                action.apply_batch(batch, winner == slot - 1)
+
+
+def _rank(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each ``x`` sits in the sorted ``values``: (present, index), the
+    index clipped into range so misses stay safe to gather with."""
+    index = np.minimum(values.searchsorted(x), len(values) - 1)
+    return values[index] == x, index
