@@ -112,6 +112,18 @@ class TraceColumns:
             for name in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
         )
 
+    def flow_hashes(self) -> np.ndarray:
+        """Per-packet uint64 FNV-1a hash of the five-tuple.
+
+        The one place the columnar path hashes flow keys: its callers
+        compute it once per trace and take register slots (``hash %
+        slots``) and shard ids from it.  Not cached — header columns may
+        be edited in place between calls.
+        """
+        from ..pisa.registers import fnv1a_columns  # local: avoids module cycle
+
+        return fnv1a_columns(self.five_tuple_columns())
+
     def slice(self, sl: slice) -> "TraceColumns":
         """A zero-copy view of a contiguous packet range."""
         return TraceColumns(
@@ -154,9 +166,7 @@ class TraceColumns:
             raise ValueError("n_shards must be positive")
         if slots <= 0:
             raise ValueError("slots must be positive")
-        from ..pisa.registers import fnv1a_columns  # local: avoids module cycle
-
-        slot = fnv1a_columns(self.five_tuple_columns()) % np.uint64(slots)
+        slot = self.flow_hashes() % np.uint64(slots)
         return (slot % np.uint64(n_shards)).astype(np.int64)
 
     def partition(

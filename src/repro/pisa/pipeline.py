@@ -357,7 +357,9 @@ class TaurusPipeline:
         (columns are built on the fly, and flow aggregates are written
         back into each packet's ``metadata`` as the scalar loop does).
 
-        Packets stream through in arrival order, ``chunk_size`` at a time:
+        The five-tuple is hashed once for the whole call
+        (:meth:`~repro.datasets.packets.TraceColumns.flow_hashes`); then
+        packets stream through in arrival order, ``chunk_size`` at a time:
         vectorized parse, batched flow-register accumulation, batched MAT
         stages, a chunked pass through the MapReduce block's batched graph
         interpreter for non-bypass packets, and vectorized decisions.
@@ -382,6 +384,7 @@ class TaurusPipeline:
             if packets is not None:
                 packets = [packets[i] for i in order]
 
+        hashes = columns.flow_hashes()  # once per call, not per chunk
         decisions = np.zeros(n, dtype=np.int64)
         scores = np.full(n, np.nan)
         latencies = np.empty(n, dtype=np.float64)
@@ -392,7 +395,7 @@ class TaurusPipeline:
             sl = slice(start, min(start + chunk_size, n))
             chunk = columns.slice(sl)
             chunk_packets = None if packets is None else packets[sl]
-            dec, sc, lat, byp, agg = self._process_chunk(chunk, chunk_packets)
+            dec, sc, lat, byp, agg = self._process_chunk(chunk, hashes[sl], chunk_packets)
             decisions[sl] = dec
             scores[sl] = sc
             latencies[sl] = lat
@@ -412,13 +415,14 @@ class TaurusPipeline:
             },
         )
 
-    def _process_chunk(self, chunk: TraceColumns, chunk_packets):
-        """One chunk through every pipeline stage, vectorized."""
+    def _process_chunk(self, chunk: TraceColumns, hashes: np.ndarray, chunk_packets):
+        """One chunk through every pipeline stage, vectorized; ``hashes``
+        is the chunk's slice of the trace's flow-hash column."""
         m = chunk.n
         batch = self.parser.parse_batch(chunk.headers, chunk.payload_len)
 
         agg = self.accumulator.update_batch(
-            chunk.five_tuple_columns(),
+            hashes,
             chunk.sizes,
             chunk.header("urgent_flag") != 0,
             chunk.times,

@@ -5,6 +5,12 @@ switch-processing pipeline to aggregate features across packets and across
 flows" — e.g. counting urgent flags or tracking connection duration.  A
 register array is indexed by a hash of the flow key (as real switches do),
 so collisions are possible and modeled.
+
+The key is fixed per packet, so the batched path hashes it once per trace
+(``TraceColumns.flow_hashes``, a call to :func:`fnv1a_columns`) and
+:meth:`FlowFeatureAccumulator.update_batch` takes that hash column; the
+scalar :func:`_fnv1a` behind :meth:`RegisterArray.index_of` is the oracle
+both are pinned to.
 """
 
 from __future__ import annotations
@@ -16,13 +22,25 @@ import numpy as np
 __all__ = ["RegisterArray", "FlowFeatureAccumulator", "fnv1a_columns"]
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: ``_FNV_PRIME ** k mod 2**64`` for k = 0..8: one multiply that stands in
+#: for ``k`` rounds over zero bytes (xor with 0 is the identity).
+_PRIME_POWERS = [np.uint64(pow(_FNV_PRIME, k, 1 << 64)) for k in range(9)]
+
+
 def _fnv1a(key: tuple) -> int:
-    """FNV-1a over the flow key's integer components (deterministic)."""
-    acc = 0xCBF29CE484222325
+    """FNV-1a over the flow key's integer components (deterministic).
+
+    Each component is hashed as its 64-bit two's-complement little-endian
+    bytes, so a negative value hashes like its ``int64`` column entry.
+    """
+    acc = _FNV_OFFSET
     for part in key:
-        for byte in int(part).to_bytes(8, "little", signed=False):
+        for byte in (int(part) & _MASK64).to_bytes(8, "little"):
             acc ^= byte
-            acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            acc = (acc * _FNV_PRIME) & _MASK64
     return acc
 
 
@@ -33,16 +51,29 @@ def fnv1a_columns(columns) -> np.ndarray:
     row); returns a uint64 hash per row, bit-identical to hashing each
     row's tuple with the scalar function.  uint64 arithmetic wraps mod
     2**64, matching the scalar mask.
+
+    A column is read byte by byte through a little-endian ``uint8`` view of
+    its 64-bit two's-complement values.  Bytes above the column's widest
+    value are zero in every row, so their rounds reduce to multiplies and
+    fold into one multiply by a power of the prime: a 16-bit port column
+    costs two xors and two multiplies, not eight of each.
     """
     columns = [np.asarray(col) for col in columns]
     n = len(columns[0]) if columns else 0
-    acc = np.full(n, 0xCBF29CE484222325, dtype=np.uint64)
-    prime = np.uint64(0x100000001B3)
-    byte_mask = np.uint64(0xFF)
+    acc = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    if n == 0:
+        return acc
     for col in columns:
-        c = col.astype(np.uint64)
-        for shift in range(0, 64, 8):  # little-endian byte order
-            acc = (acc ^ ((c >> np.uint64(shift)) & byte_mask)) * prime
+        words = np.ascontiguousarray(col, dtype="<u8")
+        width = (int(words.max()).bit_length() + 7) // 8  # 0..8 live bytes
+        octets = words.view(np.uint8).reshape(n, 8)
+        for j in range(width - 1):
+            acc ^= octets[:, j]
+            acc *= _PRIME_POWERS[1]
+        if width:
+            acc ^= octets[:, width - 1]
+        # The last live byte's multiply and one per zero byte above it.
+        acc *= _PRIME_POWERS[min(8, 9 - width)]
     return acc
 
 
@@ -85,10 +116,6 @@ class RegisterArray:
         self.values[idx] = min(int(value), self.max_value)
         if self._dirty is not None:
             self._dirty[idx] = True
-
-    def index_columns(self, columns) -> np.ndarray:
-        """Vectorized :meth:`index_of`: one slot index per key row."""
-        return (fnv1a_columns(columns) % np.uint64(self.size)).astype(np.int64)
 
     def clear(self) -> None:
         self.values[:] = 0
@@ -150,7 +177,7 @@ class FlowFeatureAccumulator:
 
     def update_batch(
         self,
-        key_columns,
+        hashes: np.ndarray,
         sizes: np.ndarray,
         urgent: np.ndarray,
         times: np.ndarray,
@@ -166,8 +193,11 @@ class FlowFeatureAccumulator:
 
         Parameters
         ----------
-        key_columns:
-            Sequence of arrays, one per five-tuple component.
+        hashes:
+            Per-packet uint64 flow-key hashes (``TraceColumns.flow_hashes``,
+            computed once per trace by the caller); a packet's slot is
+            ``hash % slots``, the :meth:`RegisterArray.index_of` slot of
+            its five-tuple.
         sizes:
             Per-packet byte counts (non-negative).
         urgent:
@@ -188,7 +218,8 @@ class FlowFeatureAccumulator:
         urgent_amt = np.asarray(urgent, dtype=bool).astype(np.int64)
         now_ms = (np.asarray(times, dtype=np.float64) * 1e3).astype(np.int64)
         # All four arrays share the slot count, hence the slot index.
-        idx = self.packet_count.index_columns(key_columns)
+        size = np.uint64(self.packet_count.size)
+        idx = (np.asarray(hashes, dtype=np.uint64) % size).astype(np.int64)
 
         # Group packets by slot, preserving arrival order within a slot.
         order = np.argsort(idx, kind="stable")

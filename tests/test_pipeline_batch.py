@@ -303,6 +303,32 @@ class TestBatchEqualsScalar:
         packets = [from_record(p) for p in trace.packets]
         _assert_equivalent(pa, pb, packets, trace, chunk_size=64)
 
+    def test_negative_header_values(self, block_pair):
+        """A negative five-tuple component hashes as its 64-bit
+        two's-complement bytes on both paths, so both agree."""
+        pa, pb = _pipeline_pair(block_pair, slots=16)
+        packets = _random_packets(seed=8, n=60)
+        for k, packet in enumerate(packets):
+            field = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")[k % 5]
+            packet.headers[field] = -1 - (k % 3) * 0x7FFF_0000
+        scalar, __ = _assert_equivalent(pa, pb, packets, _clone(packets), chunk_size=7)
+        assert len(scalar) == 60
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 90])
+    def test_hashes_once_per_call(self, block_pair, monkeypatch, chunk_size):
+        """The five-tuple is hashed once per ``process_trace_batch`` call,
+        whatever the chunk size."""
+        import repro.pisa.registers as registers
+
+        calls = []
+        kernel = registers.fnv1a_columns
+        monkeypatch.setattr(
+            registers, "fnv1a_columns", lambda cols: calls.append(1) or kernel(cols)
+        )
+        __, pb = _pipeline_pair(block_pair)
+        pb.process_trace_batch(_random_packets(seed=10, n=90), chunk_size=chunk_size)
+        assert len(calls) == 1
+
     @given(st.integers(min_value=0, max_value=10_000), st.integers(2, 36))
     @settings(max_examples=12, deadline=None)
     def test_property_random_workloads(self, block_pair, seed, n):

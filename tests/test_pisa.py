@@ -21,6 +21,7 @@ from repro.pisa import (
     TableEntry,
     default_layout,
     default_parser,
+    fnv1a_columns,
 )
 from repro.pisa.phv import PHV, PHVLayout
 
@@ -404,22 +405,43 @@ class TestRegisters:
         indices = {reg.index_of(k) for k in keys}
         assert indices <= {0, 1}
 
-    def test_vectorized_hash_matches_scalar(self):
-        from repro.pisa import fnv1a_columns
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_vectorized_hash_matches_scalar(self, data):
+        """``fnv1a_columns`` == the scalar ``_fnv1a`` per row, whatever
+        each column's byte width (0..8, so every fold of zero high bytes),
+        dtype, sign or stride."""
         from repro.pisa.registers import _fnv1a
 
-        rng = np.random.default_rng(3)
-        keys = [tuple(int(v) for v in rng.integers(0, 2**32, size=5))
-                for __ in range(64)]
-        cols = [np.array([k[j] for k in keys], dtype=np.int64) for j in range(5)]
+        n_cols = data.draw(st.integers(0, 6), label="columns")
+        n_rows = data.draw(st.integers(0, 300), label="rows")
+        cols = []
+        for __ in range(n_cols):
+            dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint16]))
+            info = np.iinfo(dtype)
+            width = data.draw(st.integers(0, info.bits // 8), label="byte width")
+            high = min(info.max, (1 << (8 * width)) - 1)
+            # Negative values read as full-width two's complement (8 bytes).
+            low = info.min if width == info.bits // 8 else 0
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            rng = np.random.default_rng(seed)
+            col = rng.integers(low, high, size=2 * n_rows, dtype=dtype, endpoint=True)
+            if n_rows and high:
+                col[rng.integers(2 * n_rows)] = high  # the width is reached
+            cols.append(col[::2] if data.draw(st.booleans(), label="strided")
+                        else col[:n_rows])
+        rows = list(zip(*cols)) if cols else []
         assert np.array_equal(
             fnv1a_columns(cols),
-            np.array([_fnv1a(k) for k in keys], dtype=np.uint64),
+            np.array([_fnv1a(row) for row in rows], dtype=np.uint64),
         )
-        reg = RegisterArray(size=77)
-        assert np.array_equal(
-            reg.index_columns(cols),
-            np.array([reg.index_of(k) for k in keys]),
+
+    def test_negative_component_hashes_as_twos_complement(self):
+        from repro.pisa.registers import _fnv1a
+
+        assert _fnv1a((-1, -(2**63))) == _fnv1a((2**64 - 1, 2**63))
+        assert RegisterArray(size=77).index_of((-5, 0, 0, 0, 0)) == (
+            _fnv1a((2**64 - 5, 0, 0, 0, 0)) % 77
         )
 
     def test_update_batch_matches_sequential_updates(self):
@@ -443,7 +465,7 @@ class TestRegisters:
             for i in range(n)
         ]
         cols = [np.array([k[j] for k in keys], dtype=np.int64) for j in range(5)]
-        batch_out = batch_acc.update_batch(cols, sizes, urgent, times)
+        batch_out = batch_acc.update_batch(fnv1a_columns(cols), sizes, urgent, times)
 
         for field_name in ("flow_pkts", "flow_bytes", "flow_urgent", "flow_duration_ms"):
             assert np.array_equal(
@@ -459,20 +481,16 @@ class TestRegisters:
         """Chunked batches carry register state across the boundary."""
         rng = np.random.default_rng(9)
         n = 100
-        cols = [rng.integers(0, 4, size=n).astype(np.int64) for __ in range(5)]
+        hashes = fnv1a_columns([rng.integers(0, 4, size=n) for __ in range(5)])
         sizes = rng.integers(64, 1500, size=n)
         urgent = rng.random(n) < 0.5
         times = np.sort(rng.uniform(0.0, 1.0, size=n))
 
         one = FlowFeatureAccumulator(slots=8)
-        whole = one.update_batch(cols, sizes, urgent, times)
+        whole = one.update_batch(hashes, sizes, urgent, times)
         two = FlowFeatureAccumulator(slots=8)
-        first = two.update_batch(
-            [c[:60] for c in cols], sizes[:60], urgent[:60], times[:60]
-        )
-        second = two.update_batch(
-            [c[60:] for c in cols], sizes[60:], urgent[60:], times[60:]
-        )
+        first = two.update_batch(hashes[:60], sizes[:60], urgent[:60], times[:60])
+        second = two.update_batch(hashes[60:], sizes[60:], urgent[60:], times[60:])
         for field_name in whole:
             assert np.array_equal(
                 whole[field_name],

@@ -310,6 +310,27 @@ class TestShardMergeDeterminism:
         busy = [p.stats["ml"] + p.stats["bypass"] for p in runtime.pipelines]
         assert sorted(busy)[:3] == [0, 0, 0]
 
+    @pytest.mark.parametrize("one_flow", [False, True], ids=["two-busy", "one-busy"])
+    def test_hashes_once_plus_once_per_busy_lane(self, blocks, monkeypatch, one_flow):
+        """A 2-lane request hashes its five-tuples once to partition, and
+        each lane that got packets hashes its part once more."""
+        import repro.pisa.registers as registers
+
+        columns = _random_columns(seed=8, n=90)
+        if one_flow:
+            for name in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol"):
+                columns.headers[name][:] = 9
+        calls = []
+        kernel = registers.fnv1a_columns
+        monkeypatch.setattr(
+            registers, "fnv1a_columns", lambda cols: calls.append(1) or kernel(cols)
+        )
+        runtime = _runtime(blocks, 2, slots=16, tables=False)
+        runtime.process_trace(columns, chunk_size=7)
+        busy = sum(p.stats["ml"] + p.stats["bypass"] > 0 for p in runtime.pipelines)
+        assert busy == (1 if one_flow else 2)
+        assert len(calls) == 1 + busy
+
     def test_empty_trace(self, blocks):
         runtime = _runtime(blocks, 2, slots=16, tables=False)
         out = runtime.process_trace(TraceColumns.from_packets([]))
