@@ -26,11 +26,13 @@ from pathlib import Path
 
 #: workload -> layer -> median ``<layer>.overhead_ratio`` of the five traced
 #: runs (seed 0, 2 vCPUs) taken when the ceilings were last set (CHANGES.md,
-#: PR 22, lists every run).
+#: PR 22, lists every run).  ``service`` on ``dnn_c64`` and ``bypass_c512``
+#: is the median of ten traced runs taken when fork lanes began folding
+#: queued requests into full-chunk pieces (CHANGES.md lists every run).
 MEDIANS = {
     "dnn_c8192": {"pisa": 3.32, "sharded": 1.27, "pool": 1.17, "service": 0.94},
-    "dnn_c64": {"pisa": 6.04, "sharded": 1.16, "pool": 1.58, "service": 2.16},
-    "bypass_c512": {"pisa": 14.03, "sharded": 1.10, "pool": 1.09, "service": 1.85},
+    "dnn_c64": {"pisa": 6.04, "sharded": 1.16, "pool": 1.58, "service": 1.59},
+    "bypass_c512": {"pisa": 14.03, "sharded": 1.10, "pool": 1.09, "service": 1.26},
     "multiapp_c512": {"pisa": 2.48, "sharded": 1.05, "pool": 1.95, "service": 1.01},
 }
 #: A ceiling is this much above its median: clear of the run-to-run spread

@@ -29,6 +29,14 @@ packets at the design's initiation-interval-limited rate concurrently,
 so a run completes in the slowest lane's drain time
 (:attr:`LaneRunner.last_drain_ns`) — the scale-out twin of
 :attr:`~repro.hw.grid.BatchInferenceResult.duration_ns`.
+
+**Requests and pieces.**  A request is the unit of admission, deadline
+and delivery: results come back, and ``on_result`` fires, once per
+request, in order.  On the fork backend a *piece* is the unit of
+execution, ack and replay: each lane's queued slots are cut into pieces
+of ``chunk`` rows that may span the end of one request and the start of
+the next (see :meth:`LaneRunner._run_schedules`), so a lane ships full
+chunks whatever size its requests are.
 """
 
 from __future__ import annotations
@@ -278,19 +286,102 @@ def last_part(parts, results, last_index: int) -> int | None:
     return None
 
 
-class _Tally:
-    """Whose result each scored piece of one run belongs to.
+def _fold(slots, chunk: int):
+    """One lane's ``(app, columns, owner)`` slots as pieces of at most
+    ``chunk`` rows: yields ``(app, spans)``, a span being a slot's
+    ``(columns, start, stop)`` row range.
 
-    Every lane reports its pieces in issue order (:meth:`scored`); an
-    owner is complete when each of its slots has all its pieces, and
-    owners are handed to ``on_done`` strictly in order, under the lock.
+    Consecutive slots are one stream while the app stays the same and
+    each slot's first time is at or after the previous slot's last; the
+    stream is cut every ``chunk`` rows.  Only what is already queued is
+    folded, and an empty slot yields nothing.
+    """
+    app, spans, rows, last = None, [], 0, None
+    for slot_app, columns, __ in slots:
+        if columns.n == 0:
+            continue
+        if spans and (slot_app != app or columns.times[0] < last):
+            yield app, spans
+            spans, rows = [], 0
+        app, start = slot_app, 0
+        while start < columns.n:
+            stop = min(columns.n, start + chunk - rows)
+            spans.append((columns, start, stop))
+            rows += stop - start
+            start = stop
+            if rows == chunk:
+                yield app, spans
+                spans, rows = [], 0
+        last = columns.times[-1]
+    if spans:
+        yield app, spans
+
+
+def _join(spans) -> TraceColumns:
+    """One piece's columns: a whole slot is the slot's own object, part
+    of one slot a view, and rows of several slots one copy.  A header or
+    feature block that a slot lacks reads as zeros there, as the parser
+    and ``has_features`` already treat it."""
+    parts = [
+        columns if stop - start == columns.n else columns.slice(slice(start, stop))
+        for columns, start, stop in spans
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    features = None
+    widths = [part.features.shape[1] for part in parts if part.features is not None]
+    if widths:
+        features = np.concatenate([
+            np.zeros((part.n, widths[0])) if part.features is None else part.features
+            for part in parts
+        ])
+    names = dict.fromkeys(name for part in parts for name in part.headers)
+    return TraceColumns(
+        times=np.concatenate([part.times for part in parts]),
+        sizes=np.concatenate([part.sizes for part in parts]),
+        payload_len=np.concatenate([part.payload_len for part in parts]),
+        headers={
+            name: np.concatenate([part.header(name) for part in parts])
+            for name in names
+        },
+        features=features,
+        has_features=np.concatenate([part.has_features for part in parts]),
+    )
+
+
+def _rows(result: TracePipelineResult, start: int, stop: int) -> TracePipelineResult:
+    """Rows ``start:stop`` of a time-sorted result (identity order); the
+    whole result comes back as the same object."""
+    if start == 0 and stop == len(result):
+        return result
+    sl = slice(start, stop)
+    return TracePipelineResult(
+        order=np.arange(stop - start, dtype=np.int64),
+        times=result.times[sl],
+        decisions=result.decisions[sl],
+        ml_scores=result.ml_scores[sl],
+        latencies_ns=result.latencies_ns[sl],
+        bypassed=result.bypassed[sl],
+        aggregates={key: values[sl] for key, values in result.aggregates.items()},
+    )
+
+
+class _Tally:
+    """Whose rows each scored piece of one run belongs to.
+
+    Every lane reports its results in issue order (:meth:`scored`), and
+    a result's rows belong to the lane's slots in that order: a piece
+    may finish one slot and start the next, and a slot may take several
+    pieces.  An owner is complete when each of its slots has all its
+    rows, and owners are handed to ``on_done`` strictly in order, under
+    the lock.
     """
 
-    def __init__(self, schedules, pieces, owners: int, on_done):
-        #: Per lane, the unfinished slots as ``[owner, pieces to come]``.
+    def __init__(self, schedules, owners: int, on_done):
+        #: Per lane, the unfinished slots as ``[owner, rows to come]``.
         self._open = [
-            deque([owner, n] for (__, __, owner), n in zip(slots, counts))
-            for slots, counts in zip(schedules, pieces)
+            deque([owner, columns.n] for __, columns, owner in slots)
+            for slots in schedules
         ]
         self._pieces: list[dict[int, list]] = [{} for __ in range(owners)]
         self._slots = [0] * owners
@@ -306,17 +397,26 @@ class _Tally:
                 self._settle(lane)
 
     def scored(self, lane: int, result: TracePipelineResult) -> None:
-        """The next piece of ``lane``'s first unfinished slot is in."""
+        """The next ``len(result)`` rows of ``lane`` are in, split over
+        its first unfinished slots by row count."""
         with self._lock:
-            slot = self._open[lane][0]
-            self._pieces[slot[0]][lane].append(result)
-            slot[1] -= 1
+            slots, start = self._open[lane], 0
+            while start < len(result):
+                slot = slots[0]
+                stop = min(start + slot[1], len(result))
+                self._pieces[slot[0]][lane].append(_rows(result, start, stop))
+                slot[1] -= stop - start
+                start = stop
+                self._close(lane)
             self._settle(lane)
 
-    def _settle(self, lane: int) -> None:
+    def _close(self, lane: int) -> None:
         slots = self._open[lane]
         while slots and slots[0][1] == 0:
             self._slots[slots.popleft()[0]] -= 1
+
+    def _settle(self, lane: int) -> None:
+        self._close(lane)
         while self._next < len(self._slots) and self._slots[self._next] == 0:
             # No owner is handed over after one whose ``on_done`` raised.
             owner, self._next = self._next, len(self._slots)
@@ -462,8 +562,12 @@ class LaneRunner:
         """One app's trace as ``(app, time-sorted columns, caller-order
         mapping, flow-consistent parts over the app's lanes)``, a part
         being a lane's ``(indices into the sorted columns, sub_columns)``.
+        The columns drop ``labels`` / ``flow_ids``: no pipeline stage
+        reads them, so no part copies them and no worker is sent them.
         """
         order, ordered = in_arrival_order(as_trace_columns(trace))
+        if ordered.labels is not None or ordered.flow_ids is not None:
+            ordered = replace(ordered, labels=None, flow_ids=None)
         n_lanes = len(self._app_lanes[app])
         if n_lanes == 1:
             parts = [(None, ordered)]  # the one-part rule: nothing to index
@@ -563,26 +667,32 @@ class LaneRunner:
         slot is a part of (a request of a batch, an app of a fabric run).
         In process, each slot is one
         ``process_trace_batch(columns, chunk_size=chunk)`` call, lanes
-        taking turns.  On the fork backend the caller passes slots in
-        arrival order and each is sliced into ``chunk``-sized requests,
-        so the pool slices and ships request ``k+1`` while the worker
-        scores ``k`` and every lane works through its own schedule
-        without waiting for the others.
+        taking turns.
+
+        On the fork backend a request is still the unit of admission,
+        deadline and delivery, but a *piece* is the unit of execution,
+        ack and replay.  Consecutive slots of one lane are one stream
+        while they are for the same app and each slot's first time is
+        at or after the previous slot's last; that stream is cut every
+        ``chunk`` rows (:func:`_fold`), so a piece may span the end of
+        one request and the start of the next.  A new app, or a time
+        that goes backwards at a slot boundary, starts a new piece, so
+        every piece is time-sorted and the worker's arrival sort is the
+        identity.  The pool slices and ships piece ``k+1`` while the
+        worker scores ``k``, and every lane works through its own
+        schedule without waiting for the others.  A ``FaultPlan``
+        ordinal, a replay and ``PoolHealth.replayed_chunks`` count
+        pieces.  When a worker's handler raises on a piece, every owner
+        with rows in it fails with the run, and the lane keeps exactly
+        the pieces acked before it (other lanes keep everything).
 
         ``on_done(owner, {lane: result})`` — an owner's slots on one lane
         concatenated in issue order — fires as soon as that owner and
         every lower-numbered one are complete: at ack time on the fork
         backend, from the lanes' supervisor threads, one call at a time.
         """
-        # Pieces per slot: one in-process call, or ``ceil(n / chunk)``
-        # acks on the fork backend (none for an empty slot).
-        forked = self.pool is not None
-        pieces = [
-            [-(-columns.n // chunk) if forked else 1 for __, columns, __ in slots]
-            for slots in schedules
-        ]
-        tally = _Tally(schedules, pieces, owners, on_done)
-        if not forked or not any(schedules):  # an empty run sends nothing
+        tally = _Tally(schedules, owners, on_done)
+        if self.pool is None or not any(schedules):  # an empty run sends nothing
             for k in range(max(map(len, schedules), default=0)):
                 for s, slots in enumerate(schedules):
                     if k < len(slots):
@@ -590,8 +700,8 @@ class LaneRunner:
                         tally.scored(s, self._score(s, app, columns, chunk))
             return
         streams = [
-            (self._requests(slots, chunk), sum(counts))
-            for slots, counts in zip(schedules, pieces)
+            (self._requests(slots, chunk), sum(1 for __ in _fold(slots, chunk)))
+            for slots in schedules
         ]
 
         def acked(lane: int, __ordinal: int, response) -> None:
@@ -611,12 +721,10 @@ class LaneRunner:
 
     @staticmethod
     def _requests(slots, chunk: int):
-        """Lazy chunk slicing — pulled by the pool's writer threads, at
-        most ``window`` requests ahead of the acks."""
-        for app, columns, __ in slots:
-            for start in range(0, columns.n, chunk):
-                sliced = columns.slice(slice(start, min(start + chunk, columns.n)))
-                yield ("chunk", (app, (sliced, True)))
+        """Lazy piece building (:func:`_fold`) — pulled by the pool's
+        writer threads, at most ``window`` requests ahead of the acks."""
+        for app, spans in _fold(slots, chunk):
+            yield ("chunk", (app, (_join(spans), True)))
 
     def _degrade(self, lane: int, kind: str, payload):
         # In-parent fallback when a lane's workers cannot be kept alive:
@@ -704,10 +812,15 @@ class ShardedRuntime(LaneRunner):
         exactly what back-to-back :meth:`process_trace` calls would show
         it — results and merged state are bit-identical — but a shard
         starts trace ``k+1`` while another is still on ``k``, and the
-        pool's per-run costs are paid once.  ``on_result(k, result)``
-        fires as soon as trace ``k`` and every earlier one are merged (on
-        the fork backend, from a pool supervisor thread, one call at a
-        time).  :attr:`last_drain_ns` covers the whole run.
+        pool's per-run costs are paid once.  A trace is the unit of
+        admission, deadline and delivery: ``on_result(k, result)`` fires
+        once per trace, as soon as trace ``k`` and every earlier one are
+        merged (on the fork backend, from a pool supervisor thread, one
+        call at a time).  On the fork backend a piece of ``chunk`` rows
+        is the unit of execution, ack and replay, and it may span the
+        end of one trace's part and the start of the next (see
+        :meth:`_run_schedules`).  :attr:`last_drain_ns` covers the whole
+        run.
         """
         return self._process([(0, trace) for trace in traces], chunk_size, on_result)
 

@@ -69,8 +69,8 @@ def row(name, file, old, new, *fires, lowering=None, missed=None):
 ROWS = [
     # ---- caught, runtime/ ------------------------------------------------
     row("tally-scored-unlocked", "runtime/sharded.py",
-        "with self._lock:\n            slot = self._open",
-        "if True:\n            slot = self._open",
+        "with self._lock:\n            slots, start = self._open",
+        "if True:\n            slots, start = self._open",
         "rt-racy-field"),
     row("requests-unknown-kind", "runtime/sharded.py",
         'yield ("chunk", ', 'yield ("chunk2", ', "rt-frame-unconsumed"),

@@ -27,15 +27,21 @@ from repro.pisa import (
     PacketQueue,
     TaurusPipeline,
 )
-from repro.runtime import FaultPlan, ShardPool
+from repro.runtime import FaultPlan, ShardPool, ShardedRuntime
 from repro.runtime.faults import FaultEvent
 from repro.runtime.health import PoisonChunk, PoolError
+from repro.runtime.sharded import merge_pipeline_state
 
 from test_shard_runtime import (
     _assert_equivalent,
+    _assert_same_result,
+    _deep_equal,
     _oracle,
+    _pipeline,
     _random_columns,
+    _reset,
     _runtime,
+    _sorted_requests,
 )
 
 HAS_FORK = hasattr(os, "fork")
@@ -466,6 +472,74 @@ class TestPoisonChunkAndDegradedMode:
             finally:
                 runtime.pool._spawn = original_spawn
             assert runtime.pool_health.worker(0).degraded_chunks >= 1
+
+
+@fork_only
+class TestSpanningPieces:
+    """A fork lane's piece may span requests: it is replayed whole and
+    fails whole, while requests are still delivered once and in order.
+    One lane, 10-row requests, 16-row pieces: piece 1 holds the end of
+    request 1, all of request 2 and the start of request 3."""
+
+    SIZES = [10] * 6
+
+    @pytest.mark.parametrize("kind", ["kill", "hang"])
+    def test_fault_on_a_spanning_piece_is_invisible(self, blocks, kind):
+        plan = FaultPlan().add(0, 1, kind)
+        __, requests = _sorted_requests(seed=120, sizes=self.SIZES)
+        oracle = _oracle(blocks, slots=16, tables=True)
+        expected = [oracle.process_trace_batch(r, chunk_size=16) for r in requests]
+        delivered = []
+        runtime = _pooled_runtime(
+            blocks, 1, pool_options=dict(FAST_WATCHDOG, faults=plan, window=1)
+        )
+        with runtime:
+            got = runtime.process_traces(
+                requests, chunk_size=16,
+                on_result=lambda k, result: delivered.append(k),
+            )
+            state = runtime.merged_state()
+            health = runtime.pool_health
+        assert delivered == list(range(len(requests)))
+        for k, (result, want) in enumerate(zip(got, expected)):
+            _assert_same_result(result, want, f"request {k} ")
+        assert _deep_equal(state, merge_pipeline_state([oracle], oracle.arbiter._turn))
+        assert plan.fired == [(0, 1, kind)]
+        assert health.crashes + health.hangs == 1
+        # Window 1: the one piece in flight is replayed, not its requests.
+        assert health.replayed_chunks == 1
+
+    def test_handler_error_on_a_spanning_piece_fails_its_owners(self, blocks):
+        """The worker raises on piece 1: requests 1–3 have rows in it and
+        none is delivered; the lane keeps exactly piece 0."""
+        ordered, requests = _sorted_requests(seed=121, sizes=self.SIZES)
+
+        def factory(i):
+            pipe = _pipeline(blocks[1], 16, tables=True)
+            score, calls = pipe.process_trace_batch, []
+
+            def flaky(columns, chunk_size):
+                calls.append(columns.n)  # the forked worker's own count
+                if len(calls) == 2:
+                    raise ValueError("piece exploded")
+                return score(columns, chunk_size=chunk_size)
+
+            pipe.process_trace_batch = flaky
+            return pipe
+
+        _reset(blocks[1])
+        delivered = []
+        with ShardedRuntime(factory, shards=1, pool=True) as runtime:
+            with pytest.raises(RuntimeError, match="piece exploded"):
+                runtime.process_traces(
+                    requests, chunk_size=16,
+                    on_result=lambda k, result: delivered.append(k),
+                )
+            state = runtime.merged_state()
+        assert delivered == [0]
+        oracle = _oracle(blocks, slots=16, tables=True)
+        oracle.process_trace_batch(ordered.slice(slice(0, 16)), chunk_size=16)
+        assert _deep_equal(state, merge_pipeline_state([oracle], oracle.arbiter._turn))
 
 
 class TestFaultConfigValidation:

@@ -491,6 +491,28 @@ class TestArbiterMergeWithBypass:
         assert state["queues"]["bypass"]["high_watermark"] == 1
 
 
+def _columns_of(rows: int):
+    """A stand-in for a slot's columns: the tally reads only ``n``."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(n=rows)
+
+
+def _one_row_result():
+    """A one-row :class:`TracePipelineResult` (one row of a piece)."""
+    from repro.pisa.pipeline import TracePipelineResult
+
+    return TracePipelineResult(
+        order=np.zeros(1, dtype=np.int64),
+        times=np.zeros(1),
+        decisions=np.zeros(1, dtype=np.int64),
+        ml_scores=np.zeros(1),
+        latencies_ns=np.zeros(1),
+        bypassed=np.zeros(1, dtype=bool),
+        aggregates={},
+    )
+
+
 class TestRuntimePrimitives:
     @fork_only
     def test_fork_worker_failure_raises(self, blocks):
@@ -515,16 +537,16 @@ class TestRuntimePrimitives:
         owner is completed exactly once, in order, with all its pieces."""
         import threading
 
-        from repro.runtime.sharded import _Tally, empty_trace_result
+        from repro.runtime.sharded import _Tally
 
         lanes, owners, per_slot = 6, 150, 3
-        schedules = [[(0, None, owner) for owner in range(owners)]] * lanes
+        schedules = [[(0, _columns_of(per_slot), owner) for owner in range(owners)]] * lanes
         handed: list[tuple[int, dict]] = []
         tally = _Tally(
-            schedules, [[per_slot] * owners] * lanes, owners,
+            schedules, owners,
             lambda owner, results: handed.append((owner, results)),
         )
-        piece = empty_trace_result()
+        piece = _one_row_result()
 
         def lane_thread(lane: int) -> None:
             for __ in range(owners * per_slot):
@@ -545,7 +567,7 @@ class TestRuntimePrimitives:
         assert all(sorted(results) == list(range(lanes)) for __, results in handed)
 
     def test_tally_hands_nobody_over_after_a_raising_on_done(self):
-        from repro.runtime.sharded import _Tally, empty_trace_result
+        from repro.runtime.sharded import _Tally
 
         handed: list[int] = []
 
@@ -554,12 +576,12 @@ class TestRuntimePrimitives:
             if owner == 1:
                 raise KeyError("mislaid")
 
-        tally = _Tally([[(0, None, owner) for owner in range(4)]], [[1] * 4], 4, on_done)
-        tally.scored(0, empty_trace_result())
+        tally = _Tally([[(0, _columns_of(1), owner) for owner in range(4)]], 4, on_done)
+        tally.scored(0, _one_row_result())
         with pytest.raises(KeyError):
-            tally.scored(0, empty_trace_result())
-        tally.scored(0, empty_trace_result())
-        tally.scored(0, empty_trace_result())
+            tally.scored(0, _one_row_result())
+        tally.scored(0, _one_row_result())
+        tally.scored(0, _one_row_result())
         assert handed == [0, 1]
 
     def test_unknown_executor_rejected(self, blocks):
@@ -791,3 +813,191 @@ class TestTwoConstructors:
                     if pooled:
                         rewind()
                         assert not rt._turn_lane and _deep_equal(state(rt), pristine)
+
+
+def _sorted_requests(seed: int, sizes) -> tuple[TraceColumns, list[TraceColumns]]:
+    """One time-sorted trace and its consecutive slices of ``sizes``
+    rows: no request boundary goes back in time, so a lane's queued
+    slots are one stream the fork backend may fold."""
+    __, ordered = in_arrival_order(_random_columns(seed, int(sum(sizes))))
+    bounds = np.cumsum([0, *sizes])
+    return ordered, [ordered.slice(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestFoldedPieces:
+    """A fork lane cuts its queued slots into pieces of ``chunk`` rows
+    that may span requests (``LaneRunner._run_schedules``): what that
+    ships, and that it changes no observable."""
+
+    BOUNDARIES = ("sorted", "tied", "overlap", "reversed")
+
+    @pytest.fixture(scope="class")
+    def apps(self, quantized_dnn):
+        return [
+            FabricApp.from_quantized_dnn(quantized_dnn, name="a", slots=8),
+            FabricApp.from_quantized_dnn(quantized_dnn, name="b", threshold=0.3, slots=8),
+        ]
+
+    @staticmethod
+    def _pipeline(app):
+        return app.build_pipeline(MapReduceBlock(app.graph))
+
+    @staticmethod
+    def _traces(plan, seed):
+        """One trace per ``(app, n, boundary, bare)`` of ``plan``.  Each
+        request's own rows are shuffled; its earliest time relative to
+        the request before it is ``boundary``: after its last, equal to
+        it, inside its span, or before its first.  A ``bare`` request
+        has no ``urgent_flag`` column."""
+        rng = np.random.default_rng(seed)
+        traces, first, last = [], 1.0, 1.0
+        for __, n, boundary, bare in plan:
+            if n == 0:
+                traces.append([])
+                continue
+            start = {
+                "sorted": last + 1e-3,
+                "tied": last,
+                "overlap": (first + last) / 2,
+                "reversed": first - 0.02,
+            }[boundary]
+            times = start + np.round(rng.uniform(0.0, 0.01, size=n), 3)
+            times[0] = start
+            first, last = start, float(times.max())
+            columns = TraceColumns.from_packets(
+                [_packet(rng, float(t)) for t in rng.permutation(times)]
+            )
+            if bare:
+                del columns.headers["urgent_flag"]
+            traces.append(columns)
+        return traces
+
+    @staticmethod
+    def _batch(make, requests, chunk, state):
+        """``process_traces`` on a fresh ``make()``: results, the
+        ``on_result`` order, the state and ``last_drain_ns``."""
+        delivered = []
+        with make() as rt:
+            results = rt.process_traces(
+                requests, chunk_size=chunk,
+                on_result=lambda k, result: delivered.append(k),
+            )
+            return results, delivered, state(rt), rt.last_drain_ns
+
+    @classmethod
+    def _assert_folding_changes_nothing(cls, make, requests, chunk, state):
+        """The batch on ``make(pool=True)`` and in process equals
+        back-to-back one-request runs on one in-process ``make()``."""
+        oracle = make()
+        alone = [oracle.process_traces([r], chunk_size=chunk)[0] for r in requests]
+        serial = cls._batch(make, requests, chunk, state)
+        forked = cls._batch(lambda: make(pool=True), requests, chunk, state)
+        for label, (results, delivered, got, __) in (("in process", serial), ("fork", forked)):
+            assert delivered == list(range(len(requests))), label
+            for k, (result, expected) in enumerate(zip(results, alone)):
+                _assert_same_result(result, expected, f"{label}[{k}] ")
+            assert _deep_equal(got, state(oracle)), label
+        assert forked[3] == serial[3]
+
+    @fork_only
+    @given(
+        plan=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1]),
+                st.integers(0, 12),
+                st.sampled_from(BOUNDARIES),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 10_000),
+        chunk=st.sampled_from([3, 5, 8]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_property_folding_changes_nothing(self, apps, plan, seed, chunk):
+        """A batch on a 2-lane fork runtime and on a 1-lane two-app fork
+        fabric equals the in-process batch and back-to-back one-request
+        runs: results with their dtypes, state, ``last_drain_ns`` and
+        the ``on_result`` order."""
+        traces = self._traces(plan, seed)
+        self._assert_folding_changes_nothing(
+            lambda **knobs: ShardedRuntime(
+                lambda s: self._pipeline(apps[0]), shards=2, **knobs
+            ),
+            traces, chunk, ShardedRuntime.merged_state,
+        )
+        self._assert_folding_changes_nothing(
+            lambda **knobs: MultiAppFabric(apps, shards=1, **knobs),
+            [(apps[a].name, t) for (a, *__), t in zip(plan, traces)], chunk,
+            lambda rt: [rt.app_state(app.name) for app in apps],
+        )
+
+    @staticmethod
+    def _spy(rt):
+        """Record, per ``_requests`` call, the lane's slots and the
+        columns of every piece it ships."""
+        shipped = []
+        requests = rt._requests
+
+        def spy(slots, chunk):
+            pieces = []
+            shipped.append((slots, pieces))
+            for request in requests(slots, chunk):
+                kind, (__, (columns, __)) = request
+                assert kind == "chunk"
+                pieces.append(columns)
+                yield request
+
+        rt._requests = spy
+        return shipped
+
+    @fork_only
+    def test_a_lane_ships_full_chunk_pieces(self, apps):
+        """32 requests of 64 rows over 2 lanes: each lane ships
+        ``ceil(lane rows / 64)`` pieces, not one half chunk per request,
+        and no piece carries ``labels`` or ``flow_ids``."""
+        __, requests = _sorted_requests(seed=21, sizes=[64] * 32)
+        assert all(r.labels is not None and r.flow_ids is not None for r in requests)
+        with ShardedRuntime(
+            lambda s: self._pipeline(apps[0]), shards=2, chunk_size=64, pool=True
+        ) as rt:
+            shipped = self._spy(rt)
+            rt.process_traces(requests)
+        assert len(shipped) == 2
+        for slots, pieces in shipped:
+            rows = sum(columns.n for __, columns, __ in slots)
+            assert len(slots) == 32 and rows > 64
+            assert len(pieces) == -(-rows // 64)
+            assert [p.n for p in pieces[:-1]] == [64] * (len(pieces) - 1)
+            assert all(p.labels is None and p.flow_ids is None for p in pieces)
+
+    @fork_only
+    def test_a_backwards_boundary_starts_a_piece(self, apps):
+        """Two requests fold into one piece when the second starts at or
+        after the first's last time, and ship apart when it goes back."""
+        __, (early, late) = _sorted_requests(seed=22, sizes=[10, 10])
+        assert late.times[0] >= early.times[-1] and early.times[0] < late.times[-1]
+        with ShardedRuntime(
+            lambda s: self._pipeline(apps[0]), shards=1, chunk_size=64, pool=True
+        ) as rt:
+            shipped = self._spy(rt)
+            rt.process_traces([early, late])
+            rt.process_traces([late, early])
+        assert [[p.n for p in pieces] for __, pieces in shipped] == [[20], [10, 10]]
+
+    @fork_only
+    def test_a_slot_that_is_one_piece_ships_as_itself(self, apps):
+        """A slot of exactly ``chunk`` rows is shipped as its own columns
+        (no copy), as is every slot of a lane whose apps alternate: a new
+        app starts a new piece."""
+        __, traces = _sorted_requests(seed=23, sizes=[64, 64, 10, 10, 10, 10])
+        with MultiAppFabric(apps, shards=1, chunk_size=64, pool=True) as fabric:
+            shipped = self._spy(fabric)
+            fabric.process_traces(
+                [(apps[k % 2].name, trace) for k, trace in enumerate(traces)]
+            )
+            fabric.run({app.name: trace for app, trace in zip(apps, traces)})
+        for slots, pieces in shipped:
+            assert len(pieces) == len(slots)
+            assert all(p is columns for p, (__, columns, __) in zip(pieces, slots))
