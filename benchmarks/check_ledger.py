@@ -40,10 +40,11 @@ MEDIANS = {
 #: got half again as dear relative to the layer below.
 HEADROOM = 1.5
 #: workload -> ``pisa.calls_per_chunk``: the Python calls one chunk makes
-#: through the in-process pipeline, counted when the flow hash left the
-#: chunk loop (CHANGES.md).  A count, not a time: every run on every host
-#: reads the same number for the same code and numpy.
-CALLS = {"dnn_c8192": 317.25, "dnn_c64": 312.0, "bypass_c512": 398.625, "multiapp_c512": 352.111}
+#: through the in-process pipeline, counted when the PHV became fixed-layout
+#: blocks written by a compiled parse graph (CHANGES.md).  A count, not a
+#: time: every run on every host reads the same number for the same code
+#: and numpy.
+CALLS = {"dnn_c8192": 196.25, "dnn_c64": 191.125, "bypass_c512": 266.625, "multiapp_c512": 204.778}
 #: A call ceiling is this much above its count: tripped by a stage that
 #: gains a handful of per-chunk calls.
 CALLS_HEADROOM = 1.1

@@ -56,18 +56,16 @@ class Action:
 
     def apply(self, phv: PHV) -> None:
         # VLIW semantics: all slots read the old PHV, then write together.
-        staged = [(p.dst, p.fn(phv)) for p in self.primitives]
-        for dst, value in staged:
-            if dst in phv.layout.feature_fields:
-                phv.values[dst] = float(value)
-            else:
-                phv.set(dst, value)
+        for dst, value in [(p.dst, p.fn(phv)) for p in self.primitives]:
+            phv.set(dst, value)
 
     def apply_batch(self, batch: PHVBatch, mask: np.ndarray) -> None:
         """Apply to every selected row of a batch, with VLIW semantics.
 
         All slots are evaluated against the pre-action columns before any
-        write lands, exactly as :meth:`apply` stages scalar slots.
+        write lands, exactly as :meth:`apply` stages scalar slots.  Cutting a
+        full-length result to the selected rows copies it, so a slot that
+        returns a live column view cannot see an earlier slot's write.
         """
         if not self.primitives or not mask.any():
             return
@@ -75,6 +73,8 @@ class Action:
         for p in self.primitives:
             if p.batch_fn is not None:
                 values = p.batch_fn(batch, mask)
+                if np.ndim(values) and len(values) == batch.n:
+                    values = values[mask]
             else:
                 rows = np.flatnonzero(mask)
                 values = np.array(

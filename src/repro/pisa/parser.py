@@ -8,6 +8,7 @@ graph explicitly: states extract fields and branch on a select field.
 from __future__ import annotations
 
 from collections import deque
+from graphlib import CycleError, TopologicalSorter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,21 +39,34 @@ class Parser:
         PHV layout fields are extracted into.
     states:
         Parse states, keyed by name; parsing starts at ``start``.
+
+    The graph is compiled once, here: each state's extracts are resolved to
+    their PHV slots and width masks, and the graph is checked for a cycle.
+    ``states`` must not be mutated afterwards.
     """
 
     def __init__(self, layout: PHVLayout, states: dict[str, ParseState], start: str = "start"):
         if start not in states:
             raise ValueError(f"missing start state {start!r}")
-        for state in states.values():
-            for target in list(state.transitions.values()) + (
-                [state.default_next] if state.default_next else []
-            ):
-                if target is not None and target not in states:
-                    raise ValueError(f"transition to unknown state {target!r}")
+        graph = {n: {*s.transitions.values(), s.default_next} - {None} for n, s in states.items()}
+        unknown = set().union(*graph.values()) - states.keys()
+        if unknown:
+            raise ValueError(f"transition to unknown state {min(unknown)!r}")
         self.layout = layout
         self.states = states
         self.start = start
         self.packets_parsed = 0
+        try:
+            TopologicalSorter(graph).prepare()
+            self._loops = False
+        except CycleError:
+            self._loops = True
+        # Per state: its extracts as (field, *slot) and their written-mask
+        # rows.  An extract naming no layout field is a KeyError here.
+        self._plan = {}
+        for name, state in states.items():
+            slots = [(f, *layout.slots[f]) for f in state.extracts]
+            self._plan[name] = slots, np.array([slot[3] for slot in slots], dtype=np.intp)
 
     def parse(self, packet: Packet) -> PHV:
         """Walk the parse graph, producing the packet's PHV."""
@@ -80,50 +94,50 @@ class Parser:
     ) -> PHVBatch:
         """Parse ``N`` packets at once from columnar header fields.
 
-        Instead of walking the state machine once per packet, the parse
-        graph is evaluated once per *reachable (state, packet-subset)*
-        pair: each worklist item carries a boolean mask of the packets
-        currently in that state, extraction is a masked column copy, and a
-        select fans the mask out per distinct transition value.  Results
-        are bit-identical to :meth:`parse` per packet — including the loop
-        guard, which trips when any packet revisits more states than the
-        graph has.
+        The graph is evaluated once per reachable (state, packet mask)
+        pair; the start state runs unmasked and a select fans the mask out
+        per transition value.  Each extract is one masked write into the
+        batch's header block (``np.bitwise_and(column, width_mask,
+        out=row, where=mask)``) or feature block, and a state's written
+        rows are set in one step.  Results are bit-identical to
+        :meth:`parse` per packet.  The per-packet loop guard runs only when
+        the graph has a cycle: in a DAG no packet can visit more states
+        than there are, so it could never trip.
         """
         n = len(payload_len)
         batch = PHVBatch(self.layout, n)
-        if n == 0:
-            self.packets_parsed += 0
-            return batch
-
-        def column(name: str) -> np.ndarray:
-            col = headers.get(name)
-            if col is None:
-                return np.zeros(n, dtype=np.int64)
-            return col if col.dtype == np.int64 else col.astype(np.int64)
-
-        visited = np.zeros(n, dtype=np.int64)
-        limit = len(self.states) + 1
-        work: deque[tuple[str, np.ndarray]] = deque(
-            [(self.start, np.ones(n, dtype=bool))]
-        )
+        block, features, written = batch.headers, batch.features, batch.written
+        zeros = np.zeros(n, dtype=np.int64)
+        # Non-int64 columns convert with int() truncation semantics.
+        headers = {name: col.astype(np.int64, copy=False) for name, col in headers.items()}
+        visited = np.zeros(n, dtype=np.int64) if self._loops else None
+        work: deque[tuple[str, np.ndarray | bool]] = deque([(self.start, True)])
         while work:
             state_name, mask = work.popleft()
-            visited[mask] += 1
-            if visited[mask].max() > limit:
-                raise RuntimeError("parse graph loop detected")
             state = self.states[state_name]
-            for fname in state.extracts:
-                batch.set_column(fname, column(fname), where=mask)
+            extracts, rows = self._plan[state_name]
+            if visited is not None:
+                visited += mask
+                if visited.max() > len(self.states) + 1:
+                    raise RuntimeError("parse graph loop detected")
+            for fname, feature, index, __, width_mask, __ in extracts:
+                col = headers.get(fname, zeros)
+                if feature:
+                    np.copyto(features[:, index], col, where=mask)
+                else:
+                    np.bitwise_and(col, width_mask, out=block[index], where=mask)
+            if len(rows):
+                written[rows] |= mask
             if state.select is not None:
-                key = column(state.select)
-                remaining = mask.copy()
+                key = headers.get(state.select, zeros)
+                remaining = mask
                 for value, target in state.transitions.items():
-                    sub = remaining & (key == value)
+                    sub = (key == value) & remaining
                     if sub.any():
-                        remaining &= ~sub
+                        remaining = remaining & ~sub
                         if target is not None:
                             work.append((target, sub))
-                if state.default_next is not None and remaining.any():
+                if state.default_next is not None and (remaining is True or remaining.any()):
                     work.append((state.default_next, remaining))
             elif state.default_next is not None:
                 work.append((state.default_next, mask))

@@ -19,28 +19,38 @@ __all__ = ["PHVLayout", "PHV", "PHVBatch", "PHVRow"]
 
 @dataclass(frozen=True)
 class PHVLayout:
-    """Field names and bit-widths of the PHV (a fixed hardware layout)."""
+    """Field names and bit-widths of the PHV (a fixed hardware layout).
+
+    ``slots`` resolves each name once, at construction, to
+    ``(is_feature, index, written_row, width_mask, width)``: header fields take
+    indexes ``0 .. H-1`` in declaration order, feature fields indexes
+    ``0 .. F-1`` in ``feature_fields`` order, and a batch's written mask
+    has header rows first, then feature rows (``written_row = H + index``).
+    """
 
     fields: tuple[tuple[str, int], ...]
     feature_fields: tuple[str, ...] = ()
+    n_headers: int = field(init=False, repr=False, compare=False)
+    slots: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [name for name, __ in self.fields]
         if len(set(names)) != len(names):
             raise ValueError("duplicate PHV field names")
-        missing = set(self.feature_fields) - set(names)
+        features = set(self.feature_fields)
+        missing = features - set(names)
         if missing:
             raise ValueError(f"feature fields not in layout: {sorted(missing)}")
-
-    @property
-    def total_bits(self) -> int:
-        return sum(width for __, width in self.fields)
+        widths = dict(self.fields)
+        headers = [(name, w) for name, w in self.fields if name not in features]
+        slots = {name: (False, h, h, (1 << w) - 1, w) for h, (name, w) in enumerate(headers)}
+        for j, name in enumerate(self.feature_fields):
+            slots[name] = (True, j, len(headers) + j, 0, widths[name])
+        object.__setattr__(self, "n_headers", len(headers))
+        object.__setattr__(self, "slots", slots)
 
     def width_of(self, name: str) -> int:
-        for field_name, width in self.fields:
-            if field_name == name:
-                return width
-        raise KeyError(name)
+        return self.slots[name][4]
 
 
 @dataclass
@@ -55,12 +65,10 @@ class PHV:
         return self.values.get(name, default)
 
     def set(self, name: str, value: float) -> None:
-        width = self.layout.width_of(name)
-        if name not in self.layout.feature_fields:
-            # Header fields are unsigned integers of the declared width.
-            mask = (1 << width) - 1
-            value = int(value) & mask
-        self.values[name] = value
+        # Header fields are unsigned integers of the declared width;
+        # feature fields are floats.
+        feature, __, __, mask, __ = self.layout.slots[name]
+        self.values[name] = float(value) if feature else int(value) & mask
 
     # ------------------------------------------------------------------
     # Feature region: the dense slice that enters the MapReduce block
@@ -69,120 +77,94 @@ class PHV:
         """Features as fixed-point-formatted values (what the fabric sees).
 
         Preprocessing MATs "format these features as fixed-point numbers"
-        (Section 5.2.2); the roundtrip applies that quantization.
+        (Section 5.2.2); the roundtrip applies that quantization, which
+        saturates out-of-range values and maps NaN to zero itself.
         """
-        raw = np.array(
-            [self.values.get(name, 0.0) for name in self.layout.feature_fields]
-        )
-        return fmt.roundtrip(np.clip(raw, fmt.min_value, fmt.max_value))
+        raw = [self.values.get(name, 0.0) for name in self.layout.feature_fields]
+        return fmt.roundtrip(np.array(raw))
 
     def set_features(self, values: np.ndarray) -> None:
         names = self.layout.feature_fields
         values = np.asarray(values, dtype=np.float64)
         if len(values) != len(names):
-            raise ValueError(
-                f"expected {len(names)} features, got {len(values)}"
-            )
-        for name, value in zip(names, values):
-            self.values[name] = float(value)
+            raise ValueError(f"expected {len(names)} features, got {len(values)}")
+        self.values.update(zip(names, values.tolist()))
 
 
 class PHVBatch:
-    """``N`` packets' header vectors as one column per field.
+    """``N`` packets' header vectors as three fixed-layout blocks.
 
-    The columnar twin of :class:`PHV`: the batched pipeline parses, matches,
-    and acts on these arrays instead of per-packet dicts.  Semantics mirror
-    the scalar PHV exactly — header fields are masked to their declared
-    width on write, feature fields stay float, and a per-field ``written``
-    mask stands in for dict-key presence (so "was ``decision`` explicitly
-    set?" works the same way).  Reads of never-written fields return zeros,
-    matching ``PHV.get``'s default.
+    The columnar twin of :class:`PHV`, at the slots of :attr:`PHVLayout.slots`:
+    ``headers`` is ``int64[H, N]`` (values masked to their declared width
+    on write), ``features`` is ``float64[N, F]`` in ``feature_fields`` order
+    (the dense region :meth:`feature_matrix` quantizes as one block for the
+    MapReduce block), and ``written`` is ``bool[H + F, N]``, the twin of
+    dict-key presence (so "was ``decision`` explicitly set?" works the same
+    way).  A batch is allocated zeroed, so a never-written field reads as
+    zeros, matching ``PHV.get``'s default.
     """
 
-    __slots__ = ("layout", "n", "values", "written")
+    __slots__ = ("layout", "n", "headers", "features", "written")
 
     def __init__(self, layout: PHVLayout, n: int):
         self.layout = layout
         self.n = n
-        self.values: dict[str, np.ndarray] = {}
-        self.written: dict[str, np.ndarray] = {}
+        h, f = layout.n_headers, len(layout.feature_fields)
+        self.headers = np.zeros((h, n), dtype=np.int64)
+        self.features = np.zeros((n, f), dtype=np.float64)
+        self.written = np.zeros((h + f, n), dtype=bool)
 
     # ------------------------------------------------------------------
     # Column access
     # ------------------------------------------------------------------
-    def _materialize(self, name: str) -> np.ndarray:
-        col = self.values.get(name)
-        if col is None:
-            dtype = (
-                np.float64 if name in self.layout.feature_fields else np.int64
-            )
-            col = np.zeros(self.n, dtype=dtype)
-            self.values[name] = col
-            self.written[name] = np.zeros(self.n, dtype=bool)
-        return col
-
     def column(self, name: str) -> np.ndarray:
         """The field's value column (zeros where never written).
 
-        Returned arrays are read-only views: written fields would alias
-        live pipeline state while never-written fields are synthesized
-        zeros, so allowing in-place mutation would succeed or vanish
-        depending on history.  Write through :meth:`set_column` instead.
+        Returned arrays are read-only views of the live block; write
+        through :meth:`set_column` instead.
         """
-        self.layout.width_of(name)  # validates the field exists
-        col = self.values.get(name)
-        if col is None:
-            dtype = np.float64 if name in self.layout.feature_fields else np.int64
-            col = np.zeros(self.n, dtype=dtype)
-        view = col[:]
+        feature, index, __, __, __ = self.layout.slots[name]
+        view = self.features[:, index] if feature else self.headers[index]
         view.flags.writeable = False
         return view
 
     def int_column(self, name: str) -> np.ndarray:
         """The column as int64 (``int(phv.get(name))`` per row)."""
         col = self.column(name)
-        if col.dtype == np.int64:
-            return col
-        return col.astype(np.int64)  # truncates toward zero, like int()
+        return col if col.dtype == np.int64 else col.astype(np.int64)  # int() truncation
 
     def was_written(self, name: str) -> np.ndarray:
         """Which rows had the field explicitly set (dict-presence twin)."""
-        mask = self.written.get(name)
-        if mask is None:
-            return np.zeros(self.n, dtype=bool)
-        return mask
+        return self.written[self.layout.slots[name][2]]
 
     def set_column(self, name: str, values, where: np.ndarray | None = None) -> None:
         """Write a field for all rows (or the rows selected by ``where``).
 
         Applies the scalar ``PHV.set`` conversion per row: header fields
         are truncated to int and masked to the declared width; feature
-        fields are stored as float.
+        fields are stored as float.  ``values`` is a scalar, a full-length
+        column, or one value per selected row.
         """
-        width = self.layout.width_of(name)
-        col = self._materialize(name)
-        if name in self.layout.feature_fields:
-            vals = np.asarray(values, dtype=np.float64)
-        else:
-            vals = np.asarray(values)
-            if vals.dtype != np.int64:
-                vals = vals.astype(np.int64)  # int() truncation semantics
-            vals = vals & np.int64((1 << width) - 1)
+        feature, index, row, mask, __ = self.layout.slots[name]
+        if feature:
+            col, vals = self.features[:, index], np.asarray(values, dtype=np.float64)
+        else:  # int() truncation, then the width mask
+            col, vals = self.headers[index], np.asarray(values).astype(np.int64, copy=False) & mask
         if where is None:
-            col[:] = vals
-            self.written[name][:] = True
-        else:
-            # Accept a scalar, a full-length column, or one value per
-            # selected row.
-            if np.ndim(vals) > 0 and len(vals) == self.n:
-                vals = vals[where]
-            col[where] = vals
-            self.written[name][where] = True
+            where = slice(None)
+        elif vals.ndim and len(vals) == self.n:
+            vals = vals[where]
+        col[where] = vals
+        self.written[row, where] = True
 
     def clear(self, name: str) -> None:
         """Forget the field entirely (``phv.values.pop(name, None)``)."""
-        self.values.pop(name, None)
-        self.written.pop(name, None)
+        feature, index, row, __, __ = self.layout.slots[name]
+        if feature:
+            self.features[:, index] = 0.0
+        else:
+            self.headers[index] = 0
+        self.written[row] = False
 
     # ------------------------------------------------------------------
     # Feature region
@@ -190,25 +172,31 @@ class PHVBatch:
     def feature_matrix(self, fmt: FixedPointFormat = FIX8) -> np.ndarray:
         """The dense ``[N, D]`` feature block, fixed-point formatted.
 
-        Row ``i`` equals ``self.row(i)``-as-PHV ``feature_vector()`` —
-        the same clip + quantize roundtrip, vectorized.
+        Row ``i`` equals ``self.to_phv(i).feature_vector(fmt)``: the block
+        itself goes through the quantize roundtrip, which saturates and
+        maps NaN to zero.
         """
-        names = self.layout.feature_fields
-        raw = np.empty((self.n, len(names)), dtype=np.float64)
-        for j, name in enumerate(names):
-            raw[:, j] = self.column(name)
-        return fmt.roundtrip(np.clip(raw, fmt.min_value, fmt.max_value))
+        return fmt.roundtrip(self.features)
 
     def set_features(self, matrix: np.ndarray, where: np.ndarray | None = None) -> None:
-        """Write the feature region from an ``[N, D]`` block."""
-        names = self.layout.feature_fields
+        """Write the feature region from an ``[N, D]`` block, or only the
+        rows the boolean mask ``where`` selects (``matrix`` then holds
+        either every row or one row per selected row)."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape[1] != len(names):
+        if matrix.shape[1] != self.features.shape[1]:
             raise ValueError(
-                f"expected {len(names)} features, got {matrix.shape[1]}"
+                f"expected {self.features.shape[1]} features, got {matrix.shape[1]}"
             )
-        for j, name in enumerate(names):
-            self.set_column(name, matrix[:, j], where=where)
+        rows = self.written[self.layout.n_headers :]
+        if where is None:
+            self.features[:] = matrix
+            rows[:] = True
+            return
+        if len(matrix) == self.n:
+            np.copyto(self.features, matrix, where=where[:, None])
+        else:
+            self.features[where] = matrix
+        rows |= where
 
     # ------------------------------------------------------------------
     # Scalar fallback
@@ -220,13 +208,11 @@ class PHVBatch:
 
     def to_phv(self, i: int) -> PHV:
         """Materialize packet ``i`` as a standalone scalar :class:`PHV`."""
+        row = PHVRow(self, i)
         phv = PHV(self.layout)
-        for name, col in self.values.items():
-            if self.written[name][i]:
-                if name in self.layout.feature_fields:
-                    phv.values[name] = float(col[i])
-                else:
-                    phv.values[name] = int(col[i])
+        for name, (__, __, written_row, __, __) in self.layout.slots.items():
+            if self.written[written_row, i]:
+                phv.values[name] = row.get(name)
         return phv
 
 
@@ -234,7 +220,7 @@ class PHVRow:
     """One row of a :class:`PHVBatch`, quacking like a :class:`PHV`.
 
     Hands non-vectorized callables (custom actions, bypass predicates) the
-    scalar view they expect; writes go back into the batch columns.
+    scalar view they expect; writes go back into the batch blocks.
     """
 
     __slots__ = ("batch", "i")
@@ -248,20 +234,17 @@ class PHVRow:
         return self.batch.layout
 
     def get(self, name: str, default: float = 0.0) -> float:
-        self.batch.layout.width_of(name)
-        mask = self.batch.written.get(name)
-        if mask is None or not mask[self.i]:
+        feature, index, row, __, __ = self.batch.layout.slots[name]
+        if not self.batch.written[row, self.i]:
             return default
-        value = self.batch.values[name][self.i]
-        if name in self.batch.layout.feature_fields:
-            return float(value)
-        return int(value)
+        if feature:
+            return float(self.batch.features[self.i, index])
+        return int(self.batch.headers[index, self.i])
 
     def set(self, name: str, value: float) -> None:
-        width = self.batch.layout.width_of(name)
-        col = self.batch._materialize(name)
-        if name in self.batch.layout.feature_fields:
-            col[self.i] = float(value)
+        feature, index, row, mask, __ = self.batch.layout.slots[name]
+        if feature:
+            self.batch.features[self.i, index] = float(value)
         else:
-            col[self.i] = int(value) & ((1 << width) - 1)
-        self.batch.written[name][self.i] = True
+            self.batch.headers[index, self.i] = int(value) & mask
+        self.batch.written[row, self.i] = True

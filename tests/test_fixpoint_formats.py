@@ -88,3 +88,15 @@ class TestQuantization:
         once = FIX8.roundtrip(np.array(values))
         twice = FIX8.roundtrip(once)
         assert np.array_equal(once, twice)
+
+    @pytest.mark.parametrize("fmt", [FIX8, FIX16], ids=lambda f: f.name)
+    def test_roundtrip_needs_no_outer_clip(self, fmt):
+        """The PHV's feature boundary quantizes raw values with no clip of
+        its own: ``quantize`` already maps NaN to 0, +/-inf to the limits
+        and saturates, so the clip changed no bit."""
+        half = fmt.resolution / 2
+        edges = [fmt.min_value, fmt.max_value, half, -half]
+        edges += [e + d for e in edges for d in (half, -half)]
+        values = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, *edges])
+        clipped = fmt.roundtrip(np.clip(values, fmt.min_value, fmt.max_value))
+        assert fmt.roundtrip(values).tobytes() == clipped.tobytes()

@@ -23,7 +23,7 @@ from repro.pisa import (
     default_parser,
     fnv1a_columns,
 )
-from repro.pisa.phv import PHV, PHVLayout
+from repro.pisa.phv import PHV, PHVBatch, PHVLayout
 
 
 def _phv(**values):
@@ -64,6 +64,114 @@ class TestPHV:
         phv = _phv()
         with pytest.raises(KeyError):
             phv.get("no_such_field")
+
+    def test_feature_field_set_stores_float(self):
+        phv = _phv()
+        phv.set("f0", 3)
+        phv.set("f1", np.int64(7))
+        assert [(phv.get(f), type(phv.get(f))) for f in ("f0", "f1")] == [
+            (3.0, float), (7.0, float)]
+
+
+_LAYOUT = default_layout(("f0", "f1"))
+_FIELDS = [name for name, __ in _LAYOUT.fields]
+_HEADERS = [name for name in _FIELDS if name not in _LAYOUT.feature_fields]
+
+
+def _typed(phv):
+    return {name: (value, type(value)) for name, value in phv.values.items()}
+
+
+@st.composite
+def _phv_ops(draw):
+    """A row count and a random sequence of PHVBatch writes."""
+    n = draw(st.integers(0, 6))
+    masks = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: np.array(bits, dtype=bool))
+    ops = []
+    for __ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["set", "set", "set", "clear", "features"]))
+        where = draw(st.none() | masks)
+        rows = n if where is None else int(where.sum())
+        if kind == "clear":
+            ops.append(("clear", draw(st.sampled_from(_FIELDS))))
+        elif kind == "features":
+            size = draw(st.sampled_from([n, rows]))
+            matrix = draw(st.lists(
+                st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+                min_size=size, max_size=size))
+            ops.append(("features", np.array(matrix, dtype=np.float64).reshape(size, 2), where))
+        else:
+            name = draw(st.sampled_from(_FIELDS))
+            # Negative and over-width ints, and floats that int() truncates.
+            value = draw(st.sampled_from([
+                st.integers(-(1 << 40), 1 << 40),
+                st.floats(-1e9, 1e9, allow_nan=False),
+            ]))
+            form = draw(st.sampled_from(["scalar", "full", "selected"]))
+            if form == "scalar":
+                values = draw(value)
+            else:
+                size = n if form == "full" else rows
+                values = draw(st.lists(value, min_size=size, max_size=size))
+            ops.append(("set", name, form, values, where))
+    return n, ops
+
+
+class TestPHVBatchMatchesScalarPHV:
+    @settings(max_examples=200, deadline=None)
+    @given(_phv_ops())
+    def test_property_ops_match_scalar(self, case):
+        n, ops = case
+        batch = PHVBatch(_LAYOUT, n)
+        rows = [PHV(_LAYOUT) for __ in range(n)]
+        for op in ops:
+            if op[0] == "clear":
+                batch.clear(op[1])
+                for phv in rows:
+                    phv.values.pop(op[1], None)
+            elif op[0] == "features":
+                __, matrix, where = op
+                batch.set_features(matrix, where=where)
+                picked = range(n) if where is None else np.flatnonzero(where)
+                full = len(matrix) == n
+                for k, i in enumerate(picked):
+                    rows[i].set_features(matrix[i if full else k])
+            else:
+                __, name, form, values, where = op
+                batch.set_column(name, np.array(values) if form != "scalar" else values,
+                                 where=where)
+                picked = range(n) if where is None else np.flatnonzero(where)
+                for k, i in enumerate(picked):
+                    rows[i].set(name, values if form == "scalar" else
+                                values[i if form == "full" else k])
+        for i, phv in enumerate(rows):
+            assert _typed(batch.to_phv(i)) == _typed(phv), f"row {i}"
+            view = batch.row(i)
+            assert [(view.get(f, None), type(view.get(f, None))) for f in _FIELDS] == [
+                (phv.get(f, None), type(phv.get(f, None))) for f in _FIELDS]
+        for name in _FIELDS:
+            column = batch.column(name)
+            assert column.tolist() == [phv.get(name) for phv in rows]
+            assert batch.was_written(name).tolist() == [name in phv.values for phv in rows]
+            with pytest.raises(ValueError):
+                column[...] = 1
+        assert batch.feature_matrix().tolist() == [phv.feature_vector().tolist() for phv in rows]
+
+    @pytest.mark.parametrize("call", [
+        lambda b: b.column("nope"),
+        lambda b: b.int_column("nope"),
+        lambda b: b.set_column("nope", 1),
+        lambda b: b.was_written("nope"),
+        lambda b: b.clear("nope"),
+        lambda b: b.row(0).get("nope"),
+        lambda b: b.row(0).set("nope", 1),
+        lambda b: PHV(_LAYOUT).get("nope"),
+        lambda b: PHV(_LAYOUT).set("nope", 1),
+    ])
+    def test_unknown_field_raises_key_error(self, call):
+        with pytest.raises(KeyError):
+            call(PHVBatch(_LAYOUT, 2))
 
 
 class TestParser:
@@ -147,6 +255,109 @@ class TestParserLoopDetection:
         with pytest.raises(RuntimeError, match="parse graph loop detected"):
             parser.parse(Packet(headers={"protocol": 0}))
 
+    def _select_cycle_parser(self, loop_value):
+        from repro.pisa import ParseState, Parser
+
+        return Parser(
+            default_layout(("f0",)),
+            {
+                "start": ParseState(name="start", extracts=["src_ip"], select="protocol",
+                                    transitions={loop_value: "spin"}, default_next="accept"),
+                "spin": ParseState(name="spin", extracts=["seq"], default_next="start"),
+                "accept": ParseState(name="accept", extracts=["dst_port"]),
+            },
+        )
+
+    def test_cycle_taken_by_some_packets_raises_on_both_paths(self):
+        parser = self._select_cycle_parser(loop_value=6)
+        packets = [Packet(headers={"protocol": p, "src_ip": 4}) for p in (17, 6, 1)]
+        with pytest.raises(RuntimeError, match="parse graph loop detected"):
+            parser.parse(packets[1])
+        with pytest.raises(RuntimeError, match="parse graph loop detected"):
+            parser.parse_batch(*_columns(packets))
+
+    def test_cycle_no_packet_traverses_parses_on_both_paths(self):
+        parser = self._select_cycle_parser(loop_value=99)
+        packets = [Packet(headers={"protocol": p, "seq": 3, "dst_port": 80}, payload_len=p)
+                   for p in (17, 6, 1)]
+        out = parser.parse_batch(*_columns(packets))
+        for i, packet in enumerate(packets):
+            assert _typed(out.to_phv(i)) == _typed(parser.parse(packet))
+
+
+def _columns(packets, names=None):
+    """``parse_batch`` arguments for ``packets`` (absent headers read 0)."""
+    names = names or sorted({name for p in packets for name in p.headers})
+    headers = {name: np.array([int(p.headers.get(name, 0)) for p in packets], dtype=np.int64)
+               for name in names}
+    return headers, np.array([p.payload_len for p in packets], dtype=np.int64)
+
+
+@st.composite
+def _parse_dags(draw):
+    """A random acyclic parse graph over ``_LAYOUT`` and packets to run it on.
+
+    States only transition to later states (or terminate through ``None``),
+    and packets carry negative and over-width values.
+    """
+    from repro.pisa import ParseState, Parser
+
+    k = draw(st.integers(1, 6))
+    names = [f"s{i}" for i in range(k)]
+    states = {}
+    for i, name in enumerate(names):
+        later = st.none() | st.sampled_from(names[i + 1:]) if i + 1 < k else st.none()
+        select = draw(st.none() | st.sampled_from(_HEADERS))
+        states[name] = ParseState(
+            name=name,
+            extracts=draw(st.lists(st.sampled_from(_FIELDS), max_size=4)),
+            select=select,
+            transitions=draw(st.dictionaries(st.integers(-2, 3), later, max_size=3))
+            if select else {},
+            default_next=draw(later),
+        )
+    # Select fields always carry small values, so packets split at selects.
+    selects = {state.select for state in states.values()} - {None}
+    present = sorted(set(draw(st.lists(st.sampled_from(_FIELDS)))) | selects)
+    small, wide = st.integers(-2, 3), st.integers(-(1 << 40), 1 << 40)
+    headers = st.fixed_dictionaries(
+        {f: small if f in selects else small | wide for f in present})
+    packets = draw(st.lists(
+        st.builds(Packet, headers=headers, payload_len=st.integers(0, 1 << 17)), max_size=12))
+    return Parser(_LAYOUT, states, start="s0"), packets, present
+
+
+class TestParseGraphs:
+    def test_feature_extract_matches_scalar_values_and_types(self):
+        """A parse graph may extract straight into the feature region: both
+        paths then hold the same float, not the scalar path an int."""
+        from repro.pisa import ParseState, Parser
+
+        parser = Parser(_LAYOUT, {"start": ParseState(name="start", extracts=["f0", "seq"])})
+        packets = [Packet(headers={"f0": v, "seq": v}) for v in (3, -5, 1 << 33)]
+        out = parser.parse_batch(*_columns(packets))
+        for i, packet in enumerate(packets):
+            assert _typed(out.to_phv(i)) == _typed(parser.parse(packet))
+        assert out.to_phv(0).values["f0"] == 3.0
+
+    def test_unknown_extract_rejected_at_construction(self):
+        from repro.pisa import ParseState, Parser
+
+        with pytest.raises(KeyError):
+            Parser(_LAYOUT, {"start": ParseState(name="start", extracts=["nope"])})
+
+    @settings(max_examples=150, deadline=None)
+    @given(_parse_dags())
+    def test_property_batch_matches_scalar_on_random_dags(self, case):
+        parser, packets, present = case
+        out = parser.parse_batch(*_columns(packets, present))
+        expected = [parser.parse(packet) for packet in packets]
+        assert out.n == len(packets)
+        for i, phv in enumerate(expected):
+            assert _typed(out.to_phv(i)) == _typed(phv), f"packet {i}"
+        for name in _FIELDS:  # rows a packet's path never extracts read 0
+            assert out.column(name).tolist() == [phv.get(name) for phv in expected]
+
 
 class TestBatchParser:
     def test_batch_matches_scalar_paths(self):
@@ -196,6 +407,25 @@ class TestActions:
         action.apply(phv)
         assert phv.get("ml_score") == 1   # old decision (0) + 1
         assert phv.get("decision") == 1   # old score (5) % 4
+
+    def test_batch_vliw_reads_before_writes(self):
+        """A slot reading a live column view still sees the pre-action
+        value when an earlier slot writes that column."""
+        swap = Action("swap", [
+            Primitive("src_port", lambda p: p.get("dst_port"),
+                      batch_fn=lambda b, m: b.column("dst_port")),
+            Primitive("dst_port", lambda p: p.get("src_port"),
+                      batch_fn=lambda b, m: b.column("src_port")),
+        ])
+        batch = PHVBatch(_LAYOUT, 3)
+        batch.set_column("src_port", np.array([1, 2, 3]))
+        mask = np.array([True, False, True])
+        swap.apply_batch(batch, mask)
+        expected = [_phv(src_port=p) for p in (1, 2, 3)]
+        for phv, hit in zip(expected, mask):
+            if hit:
+                swap.apply(phv)
+        assert [batch.to_phv(i).values for i in range(3)] == [p.values for p in expected]
 
     def test_set_const_helper(self):
         phv = _phv()
