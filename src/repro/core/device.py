@@ -56,44 +56,32 @@ class TaurusSwitch:
     ) -> "TaurusSwitch":
         """Configure a switch with a compiled MapReduce program.
 
-        Decision hooks come in matched scalar/vectorized pairs.  When
-        neither ``postprocess`` nor ``postprocess_batch`` is given, both
-        default to thresholding at ``config.decision_threshold``, so
-        batched trace runs stay on the vectorized path out of the box.
-        Supplying a custom scalar hook without its batched twin is still
-        correct — the batched pipeline falls back to per-row evaluation —
-        just slower; supply both to keep trace replay fast (and keep them
-        semantically identical: the scalar hook remains the oracle).
-        Supplying only a batched hook is rejected: without its scalar
-        oracle the two execution paths could silently diverge.
+        Decision hooks come in scalar/vectorized pairs, and
+        :class:`~repro.pisa.TaurusPipeline` owns the pair rule: give both
+        hooks of a pair or neither (a lone hook is a ``ValueError``).  The
+        scalar hook is the oracle; its twin must agree with it row for
+        row.  With neither postprocess hook given, both threshold at
+        ``config.decision_threshold``.
         """
         config = config or TaurusConfig()
-        if postprocess_batch is not None and postprocess is None:
-            raise ValueError(
-                "postprocess_batch needs its scalar postprocess oracle"
-            )
-        if bypass_predicate_batch is not None and bypass_predicate is None:
-            raise ValueError(
-                "bypass_predicate_batch needs its scalar bypass_predicate oracle"
-            )
         block = MapReduceBlock(
             graph,
             geometry=config.geometry,
             cu_budget=config.n_cus,
             mu_budget=config.n_mus,
         )
-        if postprocess is None:
+        if postprocess is None and postprocess_batch is None:
             postprocess, postprocess_batch = threshold_postprocess(
                 config.decision_threshold
             )
-        kwargs = {"postprocess": postprocess}
-        if postprocess_batch is not None:
-            kwargs["postprocess_batch"] = postprocess_batch
-        if bypass_predicate is not None:
-            kwargs["bypass_predicate"] = bypass_predicate
-        if bypass_predicate_batch is not None:
-            kwargs["bypass_predicate_batch"] = bypass_predicate_batch
-        pipeline = TaurusPipeline(block=block, feature_names=feature_names, **kwargs)
+        pipeline = TaurusPipeline(
+            block=block,
+            feature_names=feature_names,
+            postprocess=postprocess,
+            postprocess_batch=postprocess_batch,
+            bypass_predicate=bypass_predicate,
+            bypass_predicate_batch=bypass_predicate_batch,
+        )
         return cls(
             config=config,
             pipeline=pipeline,

@@ -29,10 +29,16 @@ The graph is executable two ways:
 * :meth:`DataflowGraph.execute` interprets one feature vector (one packet)
   at a time — the cycle-faithful view the hardware models wrap.
 * :meth:`DataflowGraph.execute_batch` interprets a ``(B, D)`` block of
-  feature vectors in one pass, using each node's vectorized ``batch_fn``
-  (falling back to a per-row loop over ``fn`` when a node has none).  This
-  is how multi-hundred-thousand-packet traces stream through the functional
-  CGRA path at scale; results are bit-identical to the scalar interpreter.
+  feature vectors in one pass, using each node's vectorized ``batch_fn``.
+  This is how multi-hundred-thousand-packet traces stream through the
+  functional CGRA path at scale; results are bit-identical to the scalar
+  interpreter.
+
+Every compute node is a pair: ``fn`` is the scalar oracle, ``batch_fn``
+its vectorized twin.  A ``reduce`` node may leave both out and name a
+:data:`~repro.mapreduce.ops.REDUCE_OPS` entry instead.  A graph built
+without twins still runs through ``execute``; ``execute_batch`` raises
+``ValueError`` naming the first node that has none.
 
 The node-at-a-time interpreter is the *reference*.  A lowering may also
 attach a compiled :attr:`DataflowGraph.kernel` — one function computing
@@ -116,11 +122,13 @@ class Node:
         nodes may omit ``fn`` entirely, in which case the interpreter
         applies the named :data:`~repro.mapreduce.ops.REDUCE_OPS` entry.
     batch_fn:
-        Vectorized semantics: called with ``(B, width)`` arrays (one row
-        per packet), returns a ``(B, out_width)`` array.  Optional — the
-        batched interpreter falls back to looping ``fn`` per row — but
-        required for state-carrying nodes and for batched execution to be
-        fast.
+        Vectorized twin of ``fn``: called with ``(B, width)`` arrays (one
+        row per packet), returns a ``(B, out_width)`` array whose row
+        ``b`` is what ``fn`` returns for packet ``b``.  Optional at
+        construction (scalar :meth:`DataflowGraph.execute` never reads
+        it), but :meth:`DataflowGraph.execute_batch` runs only
+        ``batch_fn`` and raises ``ValueError`` on a node without one
+        (named ``REDUCE_OPS`` reduces apart).
     weight_values:
         Number of constant values this node keeps in MUs (``const``/``lut``).
     value_range:
@@ -314,8 +322,9 @@ class DataflowGraph:
         ``(B, hidden)`` for the LSTM), and epilogue nodes run once after
         the final temporal iteration.
 
-        Nodes without a ``batch_fn`` fall back to looping ``fn`` over rows
-        (correct but slow); state-carrying nodes must provide ``batch_fn``.
+        Every compute node needs its ``batch_fn`` (a ``reduce`` node may
+        name a ``REDUCE_OPS`` entry instead); a node without one is a
+        ``ValueError`` naming it.
 
         ``observer(node, value, iteration)`` is called with every node's
         stored value as it is computed — the hook ``repro.analysis``'s
@@ -391,9 +400,7 @@ class DataflowGraph:
                         result = value
                     else:
                         value = (
-                            _as_batch_2d(
-                                _run_node_batched(node, args, state, batch)
-                            )
+                            _as_batch_2d(_run_node_batched(node, args, state))
                             if batched
                             else _run_node_scalar(node, args, state)
                         )
@@ -425,24 +432,13 @@ def _run_node_scalar(node: Node, args: list[np.ndarray], state: dict) -> np.ndar
     return node.fn(*args, **_state_kwarg(node.fn, state))
 
 
-def _run_node_batched(
-    node: Node, args: list[np.ndarray], state: dict, batch: int
-) -> np.ndarray:
-    """One node on a batch: vectorized ``batch_fn``, or a row loop."""
+def _run_node_batched(node: Node, args: list[np.ndarray], state: dict) -> np.ndarray:
+    """One node on a batch: its ``batch_fn``, or a named reduce."""
     if node.batch_fn is not None:
         return node.batch_fn(*args, **_state_kwarg(node.batch_fn, state))
-    if node.fn is None:
-        if node.kind == "reduce" and node.reduce_op in REDUCE_OPS:
-            return REDUCE_OPS[node.reduce_op].batched(args[0])
-        raise ValueError(f"node {node.name!r} has no semantics")
-    if getattr(node.fn, "wants_state", False):
-        raise ValueError(
-            f"node {node.name!r} carries state and needs a batch_fn for "
-            "batched execution (per-row state would diverge)"
-        )
-    return np.stack(
-        [np.atleast_1d(node.fn(*[a[b] for a in args])) for b in range(batch)]
-    )
+    if node.fn is None and node.kind == "reduce" and node.reduce_op in REDUCE_OPS:
+        return REDUCE_OPS[node.reduce_op].batched(args[0])
+    raise ValueError(f"node {node.name!r} has no batch_fn for batched execution")
 
 
 def _state_kwarg(fn: Callable, state: dict) -> dict:

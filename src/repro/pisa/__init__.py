@@ -4,7 +4,7 @@ from .actions import MAX_OPS_PER_STAGE, Action, Primitive
 from .mat import MatchActionTable, MatchKind, TableEntry
 from .packet import Packet, from_record
 from .parser import Parser, ParseState, default_layout, default_parser
-from .phv import PHV, PHVBatch, PHVLayout, PHVRow
+from .phv import PHV, PHVBatch, PHVLayout
 from .pipeline import (
     DECISION_DROP,
     DECISION_FLAG,
@@ -18,7 +18,6 @@ from .pipeline import (
 )
 from .registers import FlowFeatureAccumulator, RegisterArray, fnv1a_columns
 from .scheduler import PacketQueue, RoundRobinArbiter
-from .tables import LogTransformTable, PortLikelihoodTable, StandardizeTable
 
 __all__ = [
     "MAX_OPS_PER_STAGE",
@@ -36,7 +35,6 @@ __all__ = [
     "PHV",
     "PHVBatch",
     "PHVLayout",
-    "PHVRow",
     "DECISION_DROP",
     "DECISION_FLAG",
     "DECISION_FORWARD",
@@ -51,7 +49,4 @@ __all__ = [
     "fnv1a_columns",
     "PacketQueue",
     "RoundRobinArbiter",
-    "LogTransformTable",
-    "PortLikelihoodTable",
-    "StandardizeTable",
 ]

@@ -26,18 +26,21 @@ MAX_OPS_PER_STAGE = 12
 class Primitive:
     """One VLIW slot: dst <- fn(PHV).  ``fn`` returns the new value.
 
-    ``batch_fn`` is the optional vectorized twin used by the batched
-    pipeline: called with ``(batch, mask)`` it returns the new values for
-    the selected rows (a scalar, a full-length column, or one value per
-    selected row).  Without it the batched path falls back to calling
-    ``fn`` once per selected row on a :class:`~repro.pisa.phv.PHVRow`
-    view — correct, just slower.
+    ``batch_fn`` is its required vectorized twin (keyword-only), the one
+    the batched pipeline calls: with ``(batch, mask)`` it returns the new
+    values for the selected rows (a scalar, a full-length column, or one
+    value per selected row), reading the pre-action columns.  ``fn`` is
+    the oracle; the twin must agree with it row for row.
     """
 
     dst: str
     fn: Callable[[PHV], float]
     note: str = ""
-    batch_fn: Callable[[PHVBatch, np.ndarray], np.ndarray | float] | None = None
+    batch_fn: Callable[[PHVBatch, np.ndarray], np.ndarray | float] = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        if not callable(self.batch_fn):
+            raise ValueError(f"primitive for {self.dst!r} needs its batch_fn twin")
 
 
 @dataclass
@@ -71,15 +74,9 @@ class Action:
             return
         staged = []
         for p in self.primitives:
-            if p.batch_fn is not None:
-                values = p.batch_fn(batch, mask)
-                if np.ndim(values) and len(values) == batch.n:
-                    values = values[mask]
-            else:
-                rows = np.flatnonzero(mask)
-                values = np.array(
-                    [p.fn(batch.row(i)) for i in rows], dtype=np.float64
-                )
+            values = p.batch_fn(batch, mask)
+            if np.ndim(values) and len(values) == batch.n:
+                values = values[mask]
             staged.append((p.dst, values))
         for dst, values in staged:
             batch.set_column(dst, values, where=mask)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..fixpoint import FIX8, FixedPointFormat
 
-__all__ = ["PHVLayout", "PHV", "PHVBatch", "PHVRow"]
+__all__ = ["PHVLayout", "PHV", "PHVBatch"]
 
 
 @dataclass(frozen=True)
@@ -199,52 +199,14 @@ class PHVBatch:
         rows |= where
 
     # ------------------------------------------------------------------
-    # Scalar fallback
+    # Scalar view
     # ------------------------------------------------------------------
-    def row(self, i: int) -> "PHVRow":
-        """A PHV-compatible scalar view of packet ``i`` (for fallback
-        evaluation of non-vectorized callables)."""
-        return PHVRow(self, i)
-
     def to_phv(self, i: int) -> PHV:
         """Materialize packet ``i`` as a standalone scalar :class:`PHV`."""
-        row = PHVRow(self, i)
         phv = PHV(self.layout)
-        for name, (__, __, written_row, __, __) in self.layout.slots.items():
-            if self.written[written_row, i]:
-                phv.values[name] = row.get(name)
+        for name, (feature, index, row, __, __) in self.layout.slots.items():
+            if self.written[row, i]:
+                phv.values[name] = (
+                    float(self.features[i, index]) if feature else int(self.headers[index, i])
+                )
         return phv
-
-
-class PHVRow:
-    """One row of a :class:`PHVBatch`, quacking like a :class:`PHV`.
-
-    Hands non-vectorized callables (custom actions, bypass predicates) the
-    scalar view they expect; writes go back into the batch blocks.
-    """
-
-    __slots__ = ("batch", "i")
-
-    def __init__(self, batch: PHVBatch, i: int):
-        self.batch = batch
-        self.i = i
-
-    @property
-    def layout(self) -> PHVLayout:
-        return self.batch.layout
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        feature, index, row, __, __ = self.batch.layout.slots[name]
-        if not self.batch.written[row, self.i]:
-            return default
-        if feature:
-            return float(self.batch.features[self.i, index])
-        return int(self.batch.headers[index, self.i])
-
-    def set(self, name: str, value: float) -> None:
-        feature, index, row, mask, __ = self.batch.layout.slots[name]
-        if feature:
-            self.batch.features[self.i, index] = float(value)
-        else:
-            self.batch.headers[index, self.i] = int(value) & mask
-        self.batch.written[row, self.i] = True

@@ -64,11 +64,6 @@ BASE_SWITCH_LATENCY_NS = 1000.0
 DEFAULT_TRACE_CHUNK = 8192
 
 
-def _default_bypass(phv: PHV) -> bool:
-    """Default policy: every packet goes through ML."""
-    return False
-
-
 def threshold_postprocess(
     threshold: float = 0.5,
 ) -> tuple[Callable[[np.ndarray], int], Callable[[np.ndarray], np.ndarray]]:
@@ -100,9 +95,7 @@ def action_postprocess(
     index (the congestion LSTM), a nearest-centroid cluster id (the IoT
     KMeans) — the postprocess just reads output ``component`` as an int.
     Like :func:`threshold_postprocess` and :func:`port_bypass`, the pair
-    is built together so the per-packet and batched paths cannot drift,
-    and installing both keeps trace-scale runs off the per-row fallback
-    loop.
+    is built together so the per-packet and batched paths cannot drift.
     """
     component = int(component)
 
@@ -124,8 +117,7 @@ def port_bypass(
     of ints) skip the ML block — the "trusted service port" policy the
     telemetry tests model.  Like :func:`threshold_postprocess`, the pair
     is built together so the per-packet and batched paths cannot drift;
-    install both (``bypass_predicate=`` and ``bypass_predicate_batch=``)
-    to keep trace-scale runs off the per-row fallback loop.
+    install it as ``bypass_predicate=`` and ``bypass_predicate_batch=``.
     """
     if isinstance(ports, (int, np.integer)):
         ports = (ports,)
@@ -141,7 +133,13 @@ def port_bypass(
     return scalar, batch
 
 
-_default_postprocess, _default_postprocess_batch = threshold_postprocess(0.5)
+def _never_bypass(phv: PHV) -> bool:
+    """Default policy: every packet goes through ML."""
+    return False
+
+
+def _never_bypass_batch(batch: PHVBatch) -> np.ndarray:
+    return np.zeros(batch.n, dtype=bool)
 
 
 @dataclass
@@ -196,18 +194,21 @@ class TaurusPipeline:
         The configured MapReduce block (or None for a plain PISA switch).
     feature_names:
         Names of the dense PHV feature region.
-    bypass_predicate:
-        Decides from the parsed PHV whether the packet skips ML (default:
-        everything goes through ML).
-    postprocess:
-        Maps the fabric's numeric output to a decision code; default
-        thresholds score >= 0.5 as FLAG (the anomaly use case).
-    bypass_predicate_batch / postprocess_batch:
-        Optional vectorized twins used by :meth:`process_trace_batch`
-        (``PHVBatch -> bool[N]`` and ``values[N, W] -> int[N]``).  When a
-        custom scalar hook has no batched twin, the batched path falls
-        back to calling the scalar hook per packet — still correct, just
-        slower.
+    bypass_predicate / bypass_predicate_batch:
+        Decide from the parsed PHV whether the packet skips ML: the scalar
+        hook for :meth:`process` (``PHV -> bool``), its vectorized twin
+        for :meth:`process_trace_batch` (``PHVBatch -> bool[N]``).
+        Default: everything goes through ML.
+    postprocess / postprocess_batch:
+        Map the fabric's numeric output to a decision code: the scalar
+        hook (``values[W] -> int``) and its twin (``values[N, W] ->
+        int[N]``).  Default: :func:`threshold_postprocess` at 0.5, which
+        flags a score >= 0.5 (the anomaly use case).
+
+        Hooks come in pairs: give both of a pair or neither, else the
+        constructor raises ``ValueError``.  The scalar hook is the oracle
+        and the twin must agree with it row for row; the batched path
+        calls only the twin.
     program:
         The dataflow program this pipeline's packets must score through.
         ``None`` (the default) trusts whatever the block is configured
@@ -220,22 +221,35 @@ class TaurusPipeline:
 
     block: MapReduceBlock | None
     feature_names: tuple[str, ...]
-    bypass_predicate: Callable[[PHV], bool] = field(default=_default_bypass)
-    postprocess: Callable[[np.ndarray], int] = field(default=_default_postprocess)
+    bypass_predicate: Callable[[PHV], bool] | None = None
+    postprocess: Callable[[np.ndarray], int] | None = None
     bypass_predicate_batch: Callable[[PHVBatch], np.ndarray] | None = None
     postprocess_batch: Callable[[np.ndarray], np.ndarray] | None = None
     program: DataflowGraph | None = None
-    parser: Parser = field(init=False)
-    preprocess_tables: list[MatchActionTable] = field(default_factory=list)
-    postprocess_tables: list[MatchActionTable] = field(default_factory=list)
     accumulator: FlowFeatureAccumulator = field(default_factory=FlowFeatureAccumulator)
+    parser: Parser = field(init=False)
+    preprocess_tables: list[MatchActionTable] = field(init=False, default_factory=list)
+    postprocess_tables: list[MatchActionTable] = field(init=False, default_factory=list)
     ml_queue: PacketQueue = field(init=False)
     bypass_queue: PacketQueue = field(init=False)
     stats: dict[str, int] = field(
-        default_factory=lambda: {"ml": 0, "bypass": 0, "flagged": 0, "dropped": 0}
+        init=False,
+        default_factory=lambda: {"ml": 0, "bypass": 0, "flagged": 0, "dropped": 0},
     )
 
     def __post_init__(self) -> None:
+        for hook in ("bypass_predicate", "postprocess"):
+            scalar, batch = getattr(self, hook), getattr(self, f"{hook}_batch")
+            if (scalar is None) != (batch is None):
+                raise ValueError(
+                    f"{hook} and {hook}_batch come as a pair: "
+                    f"the scalar {hook} oracle and its vectorized twin"
+                )
+        if self.bypass_predicate is None:
+            self.bypass_predicate = _never_bypass
+            self.bypass_predicate_batch = _never_bypass_batch
+        if self.postprocess is None:
+            self.postprocess, self.postprocess_batch = threshold_postprocess(0.5)
         layout = default_layout(self.feature_names)
         self.parser = default_parser(layout)
         self.ml_queue = PacketQueue("mapreduce", capacity=8192)
@@ -439,9 +453,10 @@ class TaurusPipeline:
         for table in self.preprocess_tables:
             table.apply_batch(batch)
 
-        bypass = self._bypass_mask(batch)
         if self.block is None:
             bypass = np.ones(m, dtype=bool)
+        else:
+            bypass = self.bypass_predicate_batch(batch)
         batch.set_column("ml_bypass", bypass.astype(np.int64))
 
         ml = ~bypass
@@ -463,7 +478,7 @@ class TaurusPipeline:
                 where=ml,
             )
             chunk_latencies[ml] = BASE_SWITCH_LATENCY_NS + result.latency_ns
-            chunk_decisions[ml] = self._decide(values)
+            chunk_decisions[ml] = self.postprocess_batch(values)
 
         batch.clear("decision")
         for table in self.postprocess_tables:
@@ -478,50 +493,22 @@ class TaurusPipeline:
         self.stats["flagged"] += int(
             np.count_nonzero(chunk_decisions == DECISION_FLAG)
         )
-        self._account_queue_transit(bypass, chunk_packets)
+        self._account_queue_transit(bypass)
         return chunk_decisions, chunk_scores, chunk_latencies, bypass, agg
 
-    def _bypass_mask(self, batch: PHVBatch) -> np.ndarray:
-        """Evaluate the bypass predicate over a batch."""
-        if self.bypass_predicate_batch is not None:
-            return np.asarray(self.bypass_predicate_batch(batch), dtype=bool)
-        if self.bypass_predicate is _default_bypass:
-            return np.zeros(batch.n, dtype=bool)
-        return np.fromiter(
-            (bool(self.bypass_predicate(batch.row(i))) for i in range(batch.n)),
-            bool,
-            batch.n,
-        )
-
-    def _decide(self, values: np.ndarray) -> np.ndarray:
-        """Map fabric outputs ``[N, W]`` to decision codes ``[N]``."""
-        if self.postprocess_batch is not None:
-            return np.asarray(self.postprocess_batch(values), dtype=np.int64)
-        if self.postprocess is _default_postprocess:
-            return _default_postprocess_batch(values).astype(np.int64)
-        return np.fromiter(
-            (int(self.postprocess(row)) for row in values), np.int64, len(values)
-        )
-
-    def _account_queue_transit(self, bypass: np.ndarray, chunk_packets) -> None:
+    def _account_queue_transit(self, bypass: np.ndarray) -> None:
         """Replicate the scalar per-packet queue/arbiter state updates.
 
         The scalar loop pushes each packet onto its sub-queue and
         immediately drains one via the round-robin arbiter, so queue depth
         never exceeds one and the arbiter always pops the packet just
-        pushed.  With empty queues that collapses to a closed form
-        (watermarks hit one, the turn follows the last packet); if a
-        caller left items queued, fall back to replaying the sequence.
+        pushed.  Precondition: both queues are empty at the chunk
+        boundary — only :meth:`process` pushes onto them, and it pops what
+        it pushed.  That collapses the sequence to a closed form: the
+        watermarks hit one and the turn follows the last packet.
         """
         m = len(bypass)
         if m == 0:
-            return
-        queues = (self.ml_queue, self.bypass_queue)
-        if any(len(q) for q in queues) or any(q.capacity < 1 for q in queues):
-            for j in range(m):
-                queue = self.bypass_queue if bypass[j] else self.ml_queue
-                queue.push(None if chunk_packets is None else chunk_packets[j])
-                self.arbiter.select()
             return
         n_bypass = int(np.count_nonzero(bypass))
         if n_bypass < m:

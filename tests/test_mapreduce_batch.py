@@ -103,18 +103,6 @@ class TestBatchScalarEquivalence:
         with pytest.raises(ValueError, match="expects"):
             graph.execute_batch(np.ones(16))
 
-    def test_fallback_loops_scalar_fn(self):
-        """Nodes lowered without a batch_fn still execute (row loop)."""
-        g = DataflowGraph("fallback")
-        inp = g.add("input", name="x", width=3)
-        doubled = g.add(
-            "map", preds=[inp], name="double", width=3, chain_ops=1,
-            fn=lambda x: 2.0 * x,
-        )
-        g.add("output", preds=[doubled], name="y", width=3)
-        feats = np.arange(12, dtype=np.float64).reshape(4, 3)
-        assert np.array_equal(g.execute_batch(feats), 2.0 * feats)
-
     def test_reduce_node_without_fn_uses_named_op(self):
         """Reduce nodes lowered without fn fall back to REDUCE_OPS."""
         g = DataflowGraph("opreduce")
@@ -124,6 +112,23 @@ class TestBatchScalarEquivalence:
         feats = np.array([[1.0, 7.0, 3.0, 2.0], [9.0, 0.0, 4.0, 5.0]])
         assert np.array_equal(g.execute(feats[0]), [7.0])
         assert np.array_equal(g.execute_batch(feats), [[7.0], [9.0]])
+
+    def test_fallback_loops_scalar_fn(self):
+        """A node with no ``batch_fn`` still runs through scalar ``execute``;
+        the row loop over it is the caller's, because ``execute_batch``
+        refuses the node by name instead of looping rows itself."""
+        g = DataflowGraph("fallback")
+        inp = g.add("input", name="x", width=3)
+        doubled = g.add(
+            "map", preds=[inp], name="double", width=3, chain_ops=1,
+            fn=lambda x: 2.0 * x,
+        )
+        g.add("output", preds=[doubled], name="y", width=3)
+        feats = np.arange(12, dtype=np.float64).reshape(4, 3)
+        looped = np.stack([g.execute(row) for row in feats])
+        assert np.array_equal(looped, 2.0 * feats)
+        with pytest.raises(ValueError, match="'double' has no batch_fn"):
+            g.execute_batch(feats)
 
     def test_fallback_rejects_stateful_scalar_fn(self):
         g = DataflowGraph("stateful", temporal_iterations=2)

@@ -10,6 +10,8 @@ watermarks, and the arbiter's turn.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,8 @@ from repro.pisa import (
     TableEntry,
     TaurusPipeline,
     from_record,
+    port_bypass,
+    threshold_postprocess,
 )
 
 
@@ -105,8 +109,8 @@ def _install_all_kind_tables(pipe: TaurusPipeline) -> None:
             Action.set_const("lan_ok", "decision", DECISION_FORWARD),
         )
     )
-    # A generic (non-vectorized) VLIW action: both slots must read the
-    # pre-action PHV, and the batched path must fall back per row.
+    # A generic VLIW action: both slots, scalar and batched, must read
+    # the pre-action PHV.
     post_generic = MatchActionTable(
         name="post_generic", key_fields=("dst_port",), kind=MatchKind.EXACT
     )
@@ -116,8 +120,10 @@ def _install_all_kind_tables(pipe: TaurusPipeline) -> None:
             Action(
                 "swapish",
                 [
-                    Primitive("ml_score", lambda p: p.get("decision") + 1),
-                    Primitive("decision", lambda p: p.get("ml_score") % 3),
+                    Primitive("ml_score", lambda p: p.get("decision") + 1,
+                              batch_fn=lambda b, m: b.column("decision") + 1),
+                    Primitive("decision", lambda p: p.get("ml_score") % 3,
+                              batch_fn=lambda b, m: b.column("ml_score") % 3),
                 ],
             ),
         )
@@ -234,9 +240,13 @@ class TestBatchEqualsScalar:
             assert a.metadata == b.metadata
 
     def test_bypass_predicate_fallback(self, block_pair):
-        """A scalar-only predicate is honoured row by row."""
+        """A scalar predicate is honoured row by row once it has its batch
+        twin; :func:`port_bypass` builds the pair together."""
+        scalar_bypass, batch_bypass = port_bypass(22)
         pa, pb = _pipeline_pair(
-            block_pair, bypass_predicate=lambda phv: phv.get("dst_port") == 22
+            block_pair,
+            bypass_predicate=scalar_bypass,
+            bypass_predicate_batch=batch_bypass,
         )
         packets = _random_packets(seed=3, n=80)
         scalar, batch = _assert_equivalent(pa, pb, packets, _clone(packets))
@@ -251,7 +261,7 @@ class TestBatchEqualsScalar:
         packets = _random_packets(seed=4, n=80)
         _assert_equivalent(pa, pb, packets, _clone(packets))
 
-    def test_custom_postprocess_fallback(self, block_pair):
+    def test_custom_postprocess_pair(self, block_pair):
         threshold = 0.25
         pa, pb = _pipeline_pair(
             block_pair,
@@ -260,10 +270,56 @@ class TestBatchEqualsScalar:
                 if float(np.atleast_1d(value)[0]) >= threshold
                 else DECISION_FORWARD
             ),
+            postprocess_batch=lambda values: np.where(
+                values[:, 0] >= threshold, DECISION_DROP, DECISION_FORWARD
+            ),
         )
         packets = _random_packets(seed=5, n=50)
         scalar, batch = _assert_equivalent(pa, pb, packets, _clone(packets))
         assert batch.dropped > 0
+
+    @pytest.mark.parametrize("hook", [
+        "bypass_predicate", "bypass_predicate_batch", "postprocess", "postprocess_batch",
+    ])
+    def test_unpaired_hook_rejected(self, block_pair, hook):
+        """A hook without its twin once let the two paths decide the same
+        packets differently (a batch twin ran beside the default scalar
+        threshold); either half alone is refused."""
+        twin = hook[: -len("_batch")] if hook.endswith("_batch") else f"{hook}_batch"
+        with pytest.raises(ValueError, match=twin):
+            TaurusPipeline(
+                block=block_pair[0], feature_names=DNN_FEATURES,
+                **{hook: lambda x: np.full(len(x), DECISION_DROP)},
+            )
+
+    def test_batch_path_never_calls_a_scalar_hook(self, block_pair):
+        """Scalar hooks and primitive ``fn``s that raise, beside working
+        twins: the batched path runs the twins alone and still matches
+        the oracle."""
+        def explode(*args):
+            raise AssertionError("the batched path called a scalar callable")
+
+        scalar_bypass, batch_bypass = port_bypass(22)
+        scalar_post, batch_post = threshold_postprocess(0.25)
+        a, b = block_pair
+        _reset(a)
+        _reset(b)
+        pa = _pipeline(a, slots=16, bypass_predicate=scalar_bypass,
+                       bypass_predicate_batch=batch_bypass, postprocess=scalar_post,
+                       postprocess_batch=batch_post)
+        pb = _pipeline(b, slots=16, bypass_predicate=explode,
+                       bypass_predicate_batch=batch_bypass, postprocess=explode,
+                       postprocess_batch=batch_post)
+        _install_all_kind_tables(pa)
+        _install_all_kind_tables(pb)
+        for table in pb.preprocess_tables + pb.postprocess_tables:
+            for action in [table.default_action, *(e.action for e in table.entries)]:
+                action.primitives[:] = [
+                    dataclasses.replace(p, fn=explode) for p in action.primitives
+                ]
+        packets = _random_packets(seed=8, n=200)
+        __, batch = _assert_equivalent(pa, pb, packets, _clone(packets))
+        assert batch.bypassed.any() and batch.dropped > 0
 
     def test_no_block_all_bypass(self):
         pa = TaurusPipeline(block=None, feature_names=DNN_FEATURES)

@@ -8,16 +8,13 @@ from repro.pisa import (
     MAX_OPS_PER_STAGE,
     Action,
     FlowFeatureAccumulator,
-    LogTransformTable,
     MatchActionTable,
     MatchKind,
     Packet,
     PacketQueue,
-    PortLikelihoodTable,
     Primitive,
     RegisterArray,
     RoundRobinArbiter,
-    StandardizeTable,
     TableEntry,
     default_layout,
     default_parser,
@@ -147,9 +144,6 @@ class TestPHVBatchMatchesScalarPHV:
                                 values[i if form == "full" else k])
         for i, phv in enumerate(rows):
             assert _typed(batch.to_phv(i)) == _typed(phv), f"row {i}"
-            view = batch.row(i)
-            assert [(view.get(f, None), type(view.get(f, None))) for f in _FIELDS] == [
-                (phv.get(f, None), type(phv.get(f, None))) for f in _FIELDS]
         for name in _FIELDS:
             column = batch.column(name)
             assert column.tolist() == [phv.get(name) for phv in rows]
@@ -164,8 +158,8 @@ class TestPHVBatchMatchesScalarPHV:
         lambda b: b.set_column("nope", 1),
         lambda b: b.was_written("nope"),
         lambda b: b.clear("nope"),
-        lambda b: b.row(0).get("nope"),
-        lambda b: b.row(0).set("nope", 1),
+        lambda b: b.set_column("nope", np.zeros(2), where=np.ones(2, dtype=bool)),
+        lambda b: b.layout.width_of("nope"),
         lambda b: PHV(_LAYOUT).get("nope"),
         lambda b: PHV(_LAYOUT).set("nope", 1),
     ])
@@ -390,23 +384,40 @@ class TestBatchParser:
 
 class TestActions:
     def test_vliw_width_enforced(self):
-        prims = [Primitive("ml_score", lambda phv: 1.0)] * (MAX_OPS_PER_STAGE + 1)
+        prims = [Primitive("ml_score", lambda phv: 1.0, batch_fn=lambda b, m: 1.0)] * (
+            MAX_OPS_PER_STAGE + 1)
         with pytest.raises(ValueError):
             Action("too_wide", prims)
 
+    def test_primitive_needs_its_batch_twin(self):
+        with pytest.raises(ValueError, match="batch_fn"):
+            Primitive("ml_score", lambda phv: 1.0, batch_fn=None)
+        with pytest.raises(TypeError, match="batch_fn"):
+            Primitive("ml_score", lambda phv: 1.0)
+
     def test_vliw_reads_before_writes(self):
-        """All slots see the pre-action PHV (true VLIW semantics)."""
-        phv = _phv(ml_score=5)
+        """All slots see the pre-action PHV (true VLIW semantics), on the
+        scalar PHV and on the selected rows of a batch alike."""
         action = Action(
             "swapish",
             [
-                Primitive("ml_score", lambda p: p.get("decision") + 1),
-                Primitive("decision", lambda p: p.get("ml_score") % 4),
+                Primitive("ml_score", lambda p: p.get("decision") + 1,
+                          batch_fn=lambda b, m: b.column("decision") + 1),
+                Primitive("decision", lambda p: p.get("ml_score") % 4,
+                          batch_fn=lambda b, m: b.column("ml_score") % 4),
             ],
         )
+        phv = _phv(ml_score=5)
         action.apply(phv)
         assert phv.get("ml_score") == 1   # old decision (0) + 1
         assert phv.get("decision") == 1   # old score (5) % 4
+        batch = PHVBatch(_LAYOUT, 3)
+        batch.set_column("ml_score", np.array([5, 6, 7]))
+        batch.set_column("decision", np.array([0, 2, 3]))
+        mask = np.array([True, False, True])
+        action.apply_batch(batch, mask)
+        assert batch.column("ml_score").tolist() == [1, 6, 4]
+        assert batch.column("decision").tolist() == [1, 2, 3]
 
     def test_batch_vliw_reads_before_writes(self):
         """A slot reading a live column view still sees the pre-action
@@ -726,36 +737,6 @@ class TestRegisters:
                 whole[field_name],
                 np.concatenate([first[field_name], second[field_name]]),
             ), field_name
-
-
-class TestLookupTables:
-    def test_port_likelihood_learning(self):
-        ports = np.array([80, 80, 80, 4444, 4444])
-        labels = np.array([0, 0, 0, 1, 1])
-        table = PortLikelihoodTable.from_traffic(ports, labels)
-        assert table.lookup(80) == 0.0
-        assert table.lookup(4444) == 1.0
-        assert table.lookup(9999) == 0.5  # default prior
-
-    def test_log_transform_accuracy(self):
-        table = LogTransformTable()
-        values = np.logspace(0, 6, 50)
-        assert table.error_vs_exact(values) < 0.09  # linear-in-segment bound
-
-    def test_log_transform_below_one(self):
-        assert LogTransformTable().lookup(0.5) == 0.5
-
-    def test_standardize_fit_apply(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(5.0, 2.0, size=(500, 3))
-        table = StandardizeTable.fit(x)
-        out = table.apply(x)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-9)
-
-    def test_standardize_rejects_zero_scale(self):
-        with pytest.raises(ValueError):
-            StandardizeTable(means=np.zeros(2), scales=np.array([1.0, 0.0]))
 
 
 class TestScheduler:

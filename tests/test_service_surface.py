@@ -1,9 +1,11 @@
-"""Surface census for the lane runtime: every public name has a customer.
+"""Surface census for the lane runtime and the switch model: every public
+name has a customer.
 
-One row per name in ``repro.runtime.__all__``, ``service.__all__`` and
-``pisa.scheduler.__all__``, per ``__init__`` keyword of the runtime
-constructors and per field of their records — keyed ``Class.name``,
-except the service's keywords and ``ClientSpec``'s fields.  A row is
+One row per name in ``repro.runtime.__all__``, ``service.__all__``,
+``repro.pisa.__all__`` and ``pisa.scheduler.__all__``, per ``__init__``
+keyword of the runtime constructors and of ``TaurusPipeline`` and per
+field of their records — keyed ``Class.name``, except the service's
+keywords and ``ClientSpec``'s fields.  A row is
 ``"<file>:<function> — why"``: the first non-test caller that needs the
 name, or — where no such caller exists — the test that pins the case the
 name is needed for.  New surface adds its row here in the change that
@@ -15,8 +17,8 @@ import inspect
 import re
 from pathlib import Path
 
-from repro import runtime
-from repro.pisa import scheduler
+from repro import pisa, runtime
+from repro.pisa import TaurusPipeline, scheduler
 from repro.runtime import service
 from repro.runtime.fabric import FabricApp, MultiAppFabric, MultiAppResult
 from repro.runtime.service import ClientSpec, InferenceService
@@ -98,9 +100,51 @@ CUSTOMERS = {
                                        "hashed into `sim_digest`",
     "MultiAppResult.reconfig_ns": "src/repro/testbed/experiment.py:run_multi_app",
     "MultiAppResult.n_packets": "src/repro/testbed/experiment.py:run_multi_app",
-    # repro.pisa.scheduler.__all__
+    # repro.pisa.scheduler.__all__ (both re-exported by repro.pisa)
     "PacketQueue": "src/repro/pisa/pipeline.py:__post_init__ — the ML and bypass queues",
     "RoundRobinArbiter": "src/repro/pisa/pipeline.py:__post_init__ — Fig. 6's selector",
+    # the rest of repro.pisa.__all__
+    "MAX_OPS_PER_STAGE": "src/repro/pisa/actions.py:__post_init__ — the VLIW issue "
+                         "width an `Action` is held to",
+    "Action": "benchmarks/ledger/workloads.py:_install_tables — the tag and deny actions",
+    "Primitive": "src/repro/pisa/actions.py:set_const — the one slot of a constant write",
+    "MatchActionTable": "benchmarks/ledger/workloads.py:_install_tables — bypass_c512's MATs",
+    "MatchKind": "benchmarks/ledger/workloads.py:_install_tables — exact tag, ternary deny",
+    "TableEntry": "benchmarks/ledger/workloads.py:_install_tables — one rule per port / prefix",
+    "Packet": "src/repro/core/device.py:process — the scalar oracle's input",
+    "from_record": "benchmarks/ledger/verify.py:scalar_prefix_mismatches — one packet "
+                   "per trace record for scalar `process`",
+    "Parser": "src/repro/pisa/pipeline.py:__post_init__ — the pipeline's parse graph",
+    "ParseState": "src/repro/pisa/parser.py:default_parser — the Ethernet/IP/L4 states",
+    "default_layout": "src/repro/pisa/pipeline.py:__post_init__ — the PHV layout",
+    "default_parser": "src/repro/pisa/pipeline.py:__post_init__",
+    "PHV": "src/repro/pisa/pipeline.py:process — the scalar oracle's header vector",
+    "PHVBatch": "src/repro/pisa/parser.py:parse_batch — what a chunk parses into",
+    "PHVLayout": "src/repro/pisa/parser.py:default_layout — headers plus feature region",
+    "DECISION_DROP": "benchmarks/ledger/workloads.py:_install_tables — the deny override",
+    "DECISION_FLAG": "src/repro/testbed/dataplane.py:detection_from_outcome — flagged "
+                     "packets are the detections",
+    "DECISION_FORWARD": "src/repro/pisa/pipeline.py:threshold_postprocess — below threshold",
+    "DEFAULT_TRACE_CHUNK": "src/repro/runtime/sharded.py:__init__ — the default chunk",
+    "PipelineResult": "src/repro/core/device.py:process — its return type",
+    "TaurusPipeline": "benchmarks/ledger/workloads.py:build_pipeline — the one-app switch",
+    "TracePipelineResult": "src/repro/core/device.py:process_trace_batch — its return type",
+    "port_bypass": "benchmarks/ledger/workloads.py:build_pipeline — bypass_c512's ports",
+    "threshold_postprocess": "benchmarks/ledger/workloads.py:build_pipeline",
+    "FlowFeatureAccumulator": "src/repro/runtime/fabric.py:build_pipeline — a "
+                              "`FabricApp.slots`-sized register file",
+    "RegisterArray": "src/repro/pisa/registers.py:__post_init__ — the four flow registers",
+    "fnv1a_columns": "src/repro/datasets/packets.py:flow_hashes — one hash per packet",
+    # TaurusPipeline keywords
+    **{f"TaurusPipeline.{keyword}": "benchmarks/ledger/workloads.py:build_pipeline"
+       for keyword in ("block", "feature_names", "postprocess", "postprocess_batch")},
+    **{f"TaurusPipeline.{keyword}": "benchmarks/ledger/workloads.py:build_pipeline — "
+       "bypass_c512's port bypass pair" for keyword in ("bypass_predicate",
+                                                        "bypass_predicate_batch")},
+    "TaurusPipeline.program": "src/repro/runtime/fabric.py:build_pipeline — steers the "
+                              "shared block to the app's program",
+    "TaurusPipeline.accumulator": "src/repro/runtime/fabric.py:build_pipeline — "
+                                  "`FabricApp.slots`",
 }
 
 
@@ -113,10 +157,11 @@ def _fields(cls) -> set[str]:
 
 
 def test_the_census_names_exactly_the_service_surface():
-    constructors = (ShardedRuntime, MultiAppFabric, TaurusDataPlane)
+    constructors = (ShardedRuntime, MultiAppFabric, TaurusDataPlane, TaurusPipeline)
     records = (FabricApp, MultiAppResult)
     assert CUSTOMERS.keys() == (
         set(runtime.__all__) | set(service.__all__) | set(scheduler.__all__)
+        | set(pisa.__all__)
         | _keywords(InferenceService) | _fields(ClientSpec)
         | {f"{cls.__name__}.{name}" for cls in constructors for name in _keywords(cls)}
         | {f"{cls.__name__}.{name}" for cls in records for name in _fields(cls)}
