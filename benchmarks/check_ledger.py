@@ -40,11 +40,11 @@ MEDIANS = {
 #: got half again as dear relative to the layer below.
 HEADROOM = 1.5
 #: workload -> ``pisa.calls_per_chunk``: the Python calls one chunk makes
-#: through the in-process pipeline, counted when every switch hook became a
-#: scalar/batch pair and the per-row fallbacks went (CHANGES.md).  A count, not a
-#: time: every run on every host reads the same number for the same code
-#: and numpy.
-CALLS = {"dnn_c8192": 187.25, "dnn_c64": 182.125, "bypass_c512": 256.625, "multiapp_c512": 195.778}
+#: through the in-process pipeline, counted when the stage bodies moved to
+#: fewer numpy passes (clip-first quantize, folded MAC epilogue, cached
+#: format constants; CHANGES.md).  A count, not a time: every run on every
+#: host reads the same number for the same code and numpy.
+CALLS = {"dnn_c8192": 80.75, "dnn_c64": 75.375, "bypass_c512": 149.875, "multiapp_c512": 89.778}
 #: A call ceiling is this much above its count: tripped by a stage that
 #: gains a handful of per-chunk calls.
 CALLS_HEADROOM = 1.1

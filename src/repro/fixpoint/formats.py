@@ -17,6 +17,7 @@ products; saturation merely clips them).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,9 @@ class FixedPointFormat:
     total_bits: int
     frac_bits: int
     name: str
+    # The derived constants below are cached per instance (outside the
+    # dataclass fields, so equality and hashing are unchanged): the
+    # per-chunk quantize reads them without a Python call each.
 
     def __post_init__(self) -> None:
         if self.total_bits not in (8, 16, 32):
@@ -55,47 +59,47 @@ class FixedPointFormat:
                 f"frac_bits must be in [0, {self.total_bits}), got {self.frac_bits}"
             )
 
-    @property
+    @cached_property
     def int_bits(self) -> int:
         """Integer bits, excluding the sign bit."""
         return self.total_bits - self.frac_bits - 1
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """Multiplier applied to real values before rounding to integers."""
         return float(1 << self.frac_bits)
 
-    @property
+    @cached_property
     def raw_min(self) -> int:
         """Smallest representable stored integer."""
         return -(1 << (self.total_bits - 1))
 
-    @property
+    @cached_property
     def raw_max(self) -> int:
         """Largest representable stored integer."""
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
+    @cached_property
     def min_value(self) -> float:
         """Smallest representable real value."""
         return self.raw_min / self.scale
 
-    @property
+    @cached_property
     def max_value(self) -> float:
         """Largest representable real value."""
         return self.raw_max / self.scale
 
-    @property
+    @cached_property
     def resolution(self) -> float:
         """Real-valued gap between adjacent representable numbers."""
         return 1.0 / self.scale
 
-    @property
+    @cached_property
     def storage_dtype(self) -> np.dtype:
         """Numpy dtype used to store raw integers."""
         return np.dtype({8: np.int8, 16: np.int16, 32: np.int32}[self.total_bits])
 
-    @property
+    @cached_property
     def wide_dtype(self) -> np.dtype:
         """Numpy dtype wide enough to hold products without overflow."""
         return np.dtype({8: np.int32, 16: np.int64, 32: np.int64}[self.total_bits])
@@ -105,17 +109,19 @@ class FixedPointFormat:
 
         Non-finite inputs degrade safely: NaN quantizes to zero, +/-inf
         saturate to the format limits (hardware has no NaNs to propagate).
+        Clip, scale, round, NaN -> 0, cast, in one float64 buffer: the
+        clip comes first so huge values cannot overflow the multiply, and
+        ``min_value * scale == raw_min`` exactly (a power-of-two scale), so
+        the rounded values need no second clip.  A scalar or 0-d input
+        returns a numpy scalar.
         """
-        values = np.nan_to_num(
-            np.asarray(values, dtype=np.float64),
-            nan=0.0,
-            posinf=self.max_value,
-            neginf=self.min_value,
-        )
-        # Pre-clip so huge finite values cannot overflow the scale multiply.
-        values = np.clip(values, self.min_value, self.max_value)
-        raw = np.rint(values * self.scale)
-        return np.clip(raw, self.raw_min, self.raw_max).astype(self.storage_dtype)
+        raw = np.empty(np.shape(values))
+        np.maximum(values, self.min_value, out=raw, dtype=np.float64)  # NaN stays NaN
+        np.minimum(raw, self.max_value, out=raw)
+        raw *= self.scale
+        np.rint(raw, out=raw)
+        raw[np.isnan(raw)] = 0.0
+        return raw.astype(self.storage_dtype)[()]
 
     def dequantize(self, raw: np.ndarray) -> np.ndarray:
         """Convert raw integers back to float64 real values."""

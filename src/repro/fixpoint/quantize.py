@@ -110,24 +110,27 @@ class QuantizedLinear:
         acc_t = np.float64 if peak < min(wide.max, 1 << 52) else wide.dtype
         self._w_t = np.ascontiguousarray(self.w_raw.T, dtype=acc_t)
         self._bias = self.bias.raw.astype(acc_t)
+        self._factor = np.ldexp(1.0, -self._shifts)
 
-    def mac_raw(self, x_raw: np.ndarray) -> np.ndarray:
+    def mac_raw(self, x_raw: np.ndarray, offset: int = 0) -> np.ndarray:
         """Raw in, raw out: integer MAC, per-row shift, bias, saturate.
 
         ``x_raw`` holds ``in_fmt`` raw values, ``(B, in)``, in any numeric
-        dtype; the result holds saturated ``act_fmt`` raw values,
-        ``(B, out)``, integer-valued in the accumulator dtype.  Both
+        dtype; the result holds saturated ``act_fmt`` raw values less
+        ``offset``, ``(B, out)``, integer-valued in the accumulator dtype
+        (``offset=act_fmt.raw_min`` gives table indices: the offset folds
+        into the bias and the clip bounds, not a pass of its own).  Both
         :meth:`linear` and the compiled batch kernel of
         :func:`repro.mapreduce.frontend.dnn_graph` run this, so there is
         one MAC and one rounding shift.
         """
         acc = np.asarray(x_raw, dtype=self._w_t.dtype) @ self._w_t
-        acc = _rounding_shift(acc, self._shifts)
-        acc += self._bias
+        acc = _rounding_shift(acc, self._shifts, self._factor)
+        acc += self._bias - offset
         # Not act_fmt.saturate(): its cast to the storage dtype is the slow
         # part, and both callers want the wide values (to scale, to index).
-        np.maximum(acc, self.act_fmt.raw_min, out=acc)
-        return np.minimum(acc, self.act_fmt.raw_max, out=acc)
+        np.maximum(acc, self.act_fmt.raw_min - offset, out=acc)
+        return np.minimum(acc, self.act_fmt.raw_max - offset, out=acc)
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         """The layer's pre-activation output (integer MAC + requantize).

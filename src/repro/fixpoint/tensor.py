@@ -187,7 +187,9 @@ class FixTensor:
         return f"FixTensor({self.to_float()!r}, fmt={self.fmt.name})"
 
 
-def _rounding_shift(acc: np.ndarray, shifts: np.ndarray | int) -> np.ndarray:
+def _rounding_shift(
+    acc: np.ndarray, shifts: np.ndarray | int, factor: np.ndarray | None = None
+) -> np.ndarray:
     """``acc / 2**shifts`` (one shift, or one per column), rounded half
     away from zero — which keeps quantization symmetric around 0.
 
@@ -195,12 +197,14 @@ def _rounding_shift(acc: np.ndarray, shifts: np.ndarray | int) -> np.ndarray:
     are single-cycle barrel-shift operations per lane.  ``acc`` is either
     integer-valued float64 below 2^52 in every intermediate (scaling by a
     power of two and adding one half are then exact) or a wide integer.
+    A float ``acc`` is rounded in place, as ``trunc(acc * 2**-shifts +
+    copysign(0.5, acc))``; ``factor`` is ``2.0**-shifts`` for a caller
+    that precomputes it.
     """
     if acc.dtype.kind == "f":
-        mag = np.abs(acc)
-        mag *= np.ldexp(1.0, -shifts)
-        mag += 0.5
-        return np.copysign(np.floor(mag, out=mag), acc, out=mag)
+        acc *= np.ldexp(1.0, -shifts) if factor is None else factor
+        acc += np.copysign(0.5, acc)
+        return np.trunc(acc, out=acc)
     down = np.maximum(shifts, 0).astype(acc.dtype)
     up = np.maximum(-shifts, 0).astype(acc.dtype)
     mag = ((np.abs(acc) + ((1 << down) >> 1)) >> down) << up

@@ -163,7 +163,9 @@ class MapReduceBlock:
         the batch issues at the block's next free issue slot (or stalls
         behind earlier work, as :meth:`process` does), the first packet
         completes one design latency later, and every subsequent packet
-        one initiation interval after its predecessor.
+        one initiation interval after its predecessor.  An empty batch
+        issues nothing: the issue clock stays put and it drains in 0 ns,
+        as :func:`repro.runtime.sharded.drain_ns` models an idle block.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         values = self.graph.execute_batch(features)
@@ -171,13 +173,14 @@ class MapReduceBlock:
         ii = self.design.initiation_interval
         arrival = self._next_issue_cycle if at_cycle is None else at_cycle
         issue = max(arrival, self._next_issue_cycle)
-        self._next_issue_cycle = issue + batch * ii
+        if batch:
+            self._next_issue_cycle = issue + batch * ii
         self.packets_processed += batch
         # Same convention as process(): a stalled arrival pays the wait in
         # latency_ns, so arrival + latency_ns is time-to-first-result for
         # both APIs.
         stall_ns = (issue - arrival) / CLOCK_GHZ
-        duration_cycles = self.design.latency_cycles + (batch - 1) * ii
+        duration_cycles = self.design.latency_cycles + (batch - 1) * ii if batch else 0
         return BatchInferenceResult(
             values=values,
             batch_size=batch,

@@ -151,9 +151,7 @@ def _dnn_kernel(layers, activations):
     def kernel(features: np.ndarray, state: dict) -> np.ndarray:
         raw = quantize_input(features)
         for mac_raw, raw_min, table in steps:
-            index = mac_raw(raw)
-            index -= raw_min
-            raw = table[index.astype(np.intp)]
+            raw = table[mac_raw(raw, raw_min).astype(np.intp)]
         return raw
 
     return kernel

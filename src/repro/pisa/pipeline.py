@@ -399,21 +399,20 @@ class TaurusPipeline:
                 packets = [packets[i] for i in order]
 
         hashes = columns.flow_hashes()  # once per call, not per chunk
+        # Every packet starts forwarded, unscored and at the base latency;
+        # each chunk writes its ML rows and overrides into these in place.
         decisions = np.zeros(n, dtype=np.int64)
         scores = np.full(n, np.nan)
-        latencies = np.empty(n, dtype=np.float64)
-        bypassed = np.zeros(n, dtype=bool)
+        latencies = np.full(n, BASE_SWITCH_LATENCY_NS)
+        bypassed = np.empty(n, dtype=bool)
         aggregates: dict[str, list[np.ndarray]] = {}
 
         for start in range(0, n, chunk_size):
             sl = slice(start, min(start + chunk_size, n))
-            chunk = columns.slice(sl)
-            chunk_packets = None if packets is None else packets[sl]
-            dec, sc, lat, byp, agg = self._process_chunk(chunk, hashes[sl], chunk_packets)
-            decisions[sl] = dec
-            scores[sl] = sc
-            latencies[sl] = lat
-            bypassed[sl] = byp
+            agg = self._process_chunk(
+                columns.slice(sl), hashes[sl], None if packets is None else packets[sl],
+                decisions[sl], scores[sl], latencies[sl], bypassed[sl],
+            )
             for key, values in agg.items():
                 aggregates.setdefault(key, []).append(values)
 
@@ -429,9 +428,15 @@ class TaurusPipeline:
             },
         )
 
-    def _process_chunk(self, chunk: TraceColumns, hashes: np.ndarray, chunk_packets):
-        """One chunk through every pipeline stage, vectorized; ``hashes``
-        is the chunk's slice of the trace's flow-hash column."""
+    def _process_chunk(
+        self, chunk: TraceColumns, hashes: np.ndarray, chunk_packets,
+        decisions: np.ndarray, scores: np.ndarray, latencies: np.ndarray, bypass: np.ndarray,
+    ) -> dict[str, np.ndarray]:
+        """One chunk through every pipeline stage, vectorized; returns its
+        flow aggregates.  ``hashes`` is the chunk's slice of the trace's
+        flow-hash column; the last four are the chunk's slices of the
+        call's outputs, filled in place (``decisions``, ``scores`` and
+        ``latencies`` arrive at forward, NaN and the base latency)."""
         m = chunk.n
         batch = self.parser.parse_batch(chunk.headers, chunk.payload_len)
 
@@ -453,17 +458,11 @@ class TaurusPipeline:
         for table in self.preprocess_tables:
             table.apply_batch(batch)
 
-        if self.block is None:
-            bypass = np.ones(m, dtype=bool)
-        else:
-            bypass = self.bypass_predicate_batch(batch)
-        batch.set_column("ml_bypass", bypass.astype(np.int64))
+        bypass[:] = True if self.block is None else self.bypass_predicate_batch(batch)
+        batch.set_column("ml_bypass", bypass)
 
         ml = ~bypass
         n_ml = int(np.count_nonzero(ml))
-        chunk_scores = np.full(m, np.nan)
-        chunk_decisions = np.zeros(m, dtype=np.int64)
-        chunk_latencies = np.full(m, BASE_SWITCH_LATENCY_NS)
         self.stats["bypass"] += m - n_ml
         if n_ml:
             self.stats["ml"] += n_ml
@@ -471,30 +470,26 @@ class TaurusPipeline:
             result = self.block.run_batch(batch.feature_matrix()[ml])
             values = result.values
             ml_scores = values[:, 0]
-            chunk_scores[ml] = ml_scores
+            scores[ml] = ml_scores
             batch.set_column(
                 "ml_score",
                 (np.abs(ml_scores) * 256).astype(np.int64) & 0xFFFF,
                 where=ml,
             )
-            chunk_latencies[ml] = BASE_SWITCH_LATENCY_NS + result.latency_ns
-            chunk_decisions[ml] = self.postprocess_batch(values)
+            latencies[ml] = BASE_SWITCH_LATENCY_NS + result.latency_ns
+            decisions[ml] = self.postprocess_batch(values)
 
         batch.clear("decision")
         for table in self.postprocess_tables:
             table.apply_batch(batch)
         overridden = batch.was_written("decision")
         if overridden.any():
-            chunk_decisions[overridden] = batch.int_column("decision")[overridden]
+            decisions[overridden] = batch.int_column("decision")[overridden]
 
-        self.stats["dropped"] += int(
-            np.count_nonzero(chunk_decisions == DECISION_DROP)
-        )
-        self.stats["flagged"] += int(
-            np.count_nonzero(chunk_decisions == DECISION_FLAG)
-        )
+        self.stats["dropped"] += int(np.count_nonzero(decisions == DECISION_DROP))
+        self.stats["flagged"] += int(np.count_nonzero(decisions == DECISION_FLAG))
         self._account_queue_transit(bypass)
-        return chunk_decisions, chunk_scores, chunk_latencies, bypass, agg
+        return agg
 
     def _account_queue_transit(self, bypass: np.ndarray) -> None:
         """Replicate the scalar per-packet queue/arbiter state updates.

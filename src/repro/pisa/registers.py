@@ -28,6 +28,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: ``_FNV_PRIME ** k mod 2**64`` for k = 0..8: one multiply that stands in
 #: for ``k`` rounds over zero bytes (xor with 0 is the identity).
 _PRIME_POWERS = [np.uint64(pow(_FNV_PRIME, k, 1 << 64)) for k in range(9)]
+#: The per-packet aggregates :meth:`FlowFeatureAccumulator.update` returns.
+_AGGREGATES = ("flow_pkts", "flow_bytes", "flow_urgent", "flow_duration_ms")
 
 
 def _fnv1a(key: tuple) -> int:
@@ -208,71 +210,59 @@ class FlowFeatureAccumulator:
         sizes = np.asarray(sizes, dtype=np.int64)
         n = len(sizes)
         if n == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return {
-                "flow_pkts": empty,
-                "flow_bytes": empty.copy(),
-                "flow_urgent": empty.copy(),
-                "flow_duration_ms": empty.copy(),
-            }
-        urgent_amt = np.asarray(urgent, dtype=bool).astype(np.int64)
+            return dict(zip(_AGGREGATES, np.zeros((4, 0), dtype=np.int64)))
         now_ms = (np.asarray(times, dtype=np.float64) * 1e3).astype(np.int64)
-        # All four arrays share the slot count, hence the slot index.
-        size = np.uint64(self.packet_count.size)
-        idx = (np.asarray(hashes, dtype=np.uint64) % size).astype(np.int64)
+        # All four arrays share the slot count, hence the slot index.  A
+        # key that fits 16 bits sorts as uint16, where numpy's stable sort
+        # is a radix sort (same order, a fraction of the time).
+        size = self.packet_count.size
+        idx = np.asarray(hashes, dtype=np.uint64) % np.uint64(size)
+        idx = idx.astype(np.uint16 if size <= 1 << 16 else np.int64)
 
         # Group packets by slot, preserving arrival order within a slot.
-        order = np.argsort(idx, kind="stable")
+        order = idx.argsort(kind="stable")
         sidx = idx[order]
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = sidx[1:] != sidx[:-1]
-        seg_first = np.flatnonzero(starts)             # first position per slot
-        seg_id = np.cumsum(starts) - 1
-        first_of = seg_first[seg_id]                   # segment start, per position
-        rank = np.arange(n, dtype=np.int64) - first_of  # 0-based within slot
-
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.not_equal(sidx[1:], sidx[:-1], out=starts[1:])
+        seg_first = starts.nonzero()[0]                # first position per slot
+        seg_id = starts.cumsum()
+        seg_id -= 1                                    # slot ordinal, per position
         slots = sidx[seg_first]
-        init_pkts = self.packet_count.values[slots][seg_id]
-        init_bytes = self.byte_count.values[slots][seg_id]
-        init_urgent = self.urgent_count.values[slots][seg_id]
+        fresh = self.packet_count.values[slots] == 0   # pre-batch count, per slot
 
-        def running(amounts: np.ndarray, init: np.ndarray, reg: RegisterArray):
-            csum = np.cumsum(amounts)
-            before_segment = csum[first_of] - amounts[first_of]
-            return np.minimum(init + (csum - before_segment), reg.max_value)
+        def running(amounts: np.ndarray, reg: RegisterArray) -> np.ndarray:
+            """The pre-batch register value plus the running sum within
+            the slot, saturated."""
+            csum = amounts.cumsum()
+            csum += (reg.values[slots] + amounts[seg_first] - csum[seg_first])[seg_id]
+            return np.minimum(csum, reg.max_value, out=csum)
 
-        pkts = np.minimum(init_pkts + rank + 1, self.packet_count.max_value)
-        bytes_run = running(sizes[order], init_bytes, self.byte_count)
-        urgent_run = running(urgent_amt[order], init_urgent, self.urgent_count)
+        pkts = running(np.ones(n, dtype=np.int64), self.packet_count)
+        bytes_run = running(sizes[order], self.byte_count)
+        urgent_run = running(np.asarray(urgent, dtype=bool)[order].astype(np.int64),
+                             self.urgent_count)
 
         # First-seen: set by the first packet of a slot whose pre-batch
         # packet count is zero (saturating write, as the scalar path does).
         now_sorted = now_ms[order]
-        fresh = self.packet_count.values[slots] == 0
         fs_per_slot = np.where(
             fresh,
             np.minimum(now_sorted[seg_first], self.first_seen_ms.max_value),
             self.first_seen_ms.values[slots],
         )
-        first_seen = fs_per_slot[seg_id]
-        duration = now_sorted - first_seen
 
         # Write the per-slot final state back into the register arrays.
-        seg_last = np.append(seg_first[1:] - 1, n - 1)
+        seg_last = np.empty(len(seg_first), dtype=np.intp)
+        seg_last[:-1] = seg_first[1:] - 1
+        seg_last[-1] = n - 1
         self.packet_count.values[slots] = pkts[seg_last]
         self.byte_count.values[slots] = bytes_run[seg_last]
         self.urgent_count.values[slots] = urgent_run[seg_last]
         self.first_seen_ms.values[slots] = fs_per_slot
         self.dirty[slots] = True
 
-        def unsort(values: np.ndarray) -> np.ndarray:
-            out = np.empty(n, dtype=np.int64)
-            out[order] = values
-            return out
-
-        return {
-            "flow_pkts": unsort(pkts),
-            "flow_bytes": unsort(bytes_run),
-            "flow_urgent": unsort(urgent_run),
-            "flow_duration_ms": unsort(duration),
-        }
+        arrival = np.empty(n, dtype=np.intp)           # the inverse permutation
+        arrival[order] = np.arange(n)
+        runs = (pkts, bytes_run, urgent_run, now_sorted - fs_per_slot[seg_id])
+        return {name: run[arrival] for name, run in zip(_AGGREGATES, runs)}

@@ -134,7 +134,7 @@ ROWS = [
         'state["h"], state["cell"] = fmt.dequantize', "ir-batch-divergence", lowering="lstm"),
     row("raw-domain-table-one-short", FRONTEND, "np.arange(fmt.raw_min, fmt.raw_max + 1)",
         "np.arange(fmt.raw_min, fmt.raw_max)", "ir-probe-failure", lowering="dnn"),
-    row("dnn-kernel-index-off-by-one", FRONTEND, "index -= raw_min\n", "index -= raw_min + 1\n",
+    row("dnn-kernel-index-off-by-one", FRONTEND, "mac_raw(raw, raw_min)", "mac_raw(raw, raw_min + 1)",
         "ir-batch-divergence", lowering="dnn"),
     row("lstm-cell-tanh-table-rounded", FRONTEND, "_raw_domain_table(fmt, tanh_piecewise)\n",
         "_raw_domain_table(fmt, tanh_piecewise, fmt.roundtrip)\n",

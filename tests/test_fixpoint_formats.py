@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.fixpoint import FIX8, FIX16, FIX32, FixedPointFormat
 
@@ -100,3 +101,76 @@ class TestQuantization:
         values = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, *edges])
         clipped = fmt.roundtrip(np.clip(values, fmt.min_value, fmt.max_value))
         assert fmt.roundtrip(values).tobytes() == clipped.tobytes()
+
+
+def _quantize_oracle(fmt, values):
+    """The formula ``quantize`` had before it clipped first, kept as the
+    oracle: ``nan_to_num`` -> clip -> ``rint`` -> clip -> cast."""
+    values = np.nan_to_num(
+        np.asarray(values, dtype=np.float64),
+        nan=0.0, posinf=fmt.max_value, neginf=fmt.min_value,
+    )
+    values = np.clip(values, fmt.min_value, fmt.max_value)
+    raw = np.rint(values * fmt.scale)
+    return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(fmt.storage_dtype)
+
+
+def _edges(fmt):
+    """Non-finite, huge, signed-zero and subnormal inputs, and every
+    format limit one half-ulp either side."""
+    half = fmt.resolution / 2
+    limits = [fmt.min_value, fmt.max_value]
+    near = [lim + d for lim in limits for d in (half, -half)]
+    return [
+        np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.0,
+        5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+        *limits, *near, *(float(np.nextafter(v, 0.0)) for v in near),
+    ]
+
+
+def _edges32(fmt):
+    """The edges a float32 can hold, rounded to float32: FIX32's limits
+    round onto values outside its range."""
+    return [float(np.float32(v)) for v in _edges(fmt) if not abs(v) > 1e38]
+
+
+@st.composite
+def _format_and_input(draw):
+    fmt = draw(st.sampled_from([FIX8, FIX16, FIX32]))
+    element = st.one_of(
+        st.sampled_from(_edges(fmt)),
+        st.floats(fmt.min_value * 1.01, fmt.max_value * 1.01),
+        st.floats(),
+    )
+    shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6)
+    kind = draw(st.sampled_from(["float64", "float32", "python", "0-d"]))
+    if kind == "float64":
+        return fmt, draw(hnp.arrays(np.float64, shapes, elements=element))
+    if kind == "float32":
+        element = st.one_of(st.sampled_from(_edges32(fmt)), st.floats(width=32))
+        return fmt, draw(hnp.arrays(np.float32, shapes, elements=element))
+    value = draw(element)
+    return fmt, value if kind == "python" else np.array(value)
+
+
+class TestQuantizeEdges:
+    @given(_format_and_input())
+    def test_quantize_matches_the_nan_to_num_formula(self, case):
+        """Same bytes, dtype, shape and return type as the oracle, on any
+        shape, a Python float or a 0-d array."""
+        fmt, values = case
+        got, want = fmt.quantize(values), _quantize_oracle(fmt, values)
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fmt", [FIX8, FIX16, FIX32], ids=lambda f: f.name)
+    def test_every_edge_at_once(self, fmt):
+        for values in (np.array(_edges(fmt)), np.array(_edges32(fmt), dtype=np.float32)):
+            assert fmt.quantize(values).tobytes() == _quantize_oracle(fmt, values).tobytes()
+
+    def test_scalar_in_numpy_scalar_out(self):
+        for value in (3.3, np.float64(3.3), np.array(3.3)):
+            assert type(FIX8.quantize(value)) is np.int8
+        assert type(FIX16.quantize(np.nan)) is np.int16
+        assert type(FIX8.quantize([3.3])) is np.ndarray

@@ -109,6 +109,28 @@ class TestRoundingShift:
                 assert uniform.dtype == dtype
                 assert np.array_equal(uniform, expected[:, j])
 
+    def test_float_path_equals_integer_path_on_ties_and_zeros(self):
+        """Exact ties ``±(k + ½)·2^s`` and their neighbours, 0 and −0.0, at
+        every shift from −3 to 12: the float path (scale, add a signed half,
+        truncate) equals the integer path, and keeps the sign of zero that
+        ``copysign(floor(|acc|·2^-s + ½), acc)`` gives."""
+        k = np.arange(200, dtype=np.int64)
+        for shift in map(int, self.SHIFTS):
+            ties = (2 * k + 1) << (shift - 1) if shift > 0 else k
+            ints = np.concatenate([ties, -ties, ties + 1, -ties - 1, [0, 0]])
+            floats = ints.astype(np.float64)
+            floats[-1] = -0.0
+            sign_kept = np.copysign(np.floor(np.abs(floats) * 2.0**-shift + 0.5), floats)
+            got = _rounding_shift(floats.copy(), shift)
+            assert np.array_equal(got, _rounding_shift(ints, shift)), shift
+            assert got.tobytes() == sign_kept.tobytes(), shift
+        # A precomputed factor is the same shift.
+        acc = np.repeat(np.arange(-4096.0, 4097.0)[:, None], len(self.SHIFTS), axis=1)
+        factor = np.ldexp(1.0, -self.SHIFTS)
+        assert np.array_equal(
+            _rounding_shift(acc.copy(), self.SHIFTS, factor), _rounding_shift(acc, self.SHIFTS)
+        )
+
     def test_layer_takes_the_integer_path_when_float_is_not_exact(self):
         """A fix32 MAC exceeds 2^52: the layer must accumulate in int64."""
         fmt = format_for_range(np.array([4.0]), 32)
@@ -119,6 +141,32 @@ class TestRoundingShift:
         )
         assert layer.mac_raw(fmt.quantize([[1.0, 0.5]])).dtype == np.int64
         assert layer(np.array([1.0, 0.5]))[0, 0] == 1.0
+
+
+class TestMacRawOffset:
+    def test_offset_folds_into_the_epilogue_on_every_shipped_layer(
+        self, quantized_dnn, trained_dnn, train_test_split
+    ):
+        """``mac_raw(x, offset) == mac_raw(x) - offset`` on every layer of
+        the shipped anomaly DNNs (the analyser's catalog model and the
+        app's), and of its fix16 / fix32 quantizations (the integer path)."""
+        from repro.analysis.catalog import _trained_quantized_dnn
+
+        train, __ = train_test_split
+        x = dnn_feature_matrix(train)[:256]
+        models = [_trained_quantized_dnn(), quantized_dnn]
+        models += [quantize_model(trained_dnn, x, bits) for bits in (16, 32)]
+        rng = np.random.default_rng(0)
+        for model in models:
+            for layer in model.layers:
+                fmt, width = layer.in_fmt, layer.w_raw.shape[1]
+                x_raw = rng.integers(fmt.raw_min, fmt.raw_max, size=(64, width), endpoint=True)
+                x_raw[:2] = [[fmt.raw_min], [fmt.raw_max]]
+                plain = layer.mac_raw(x_raw)
+                for offset in (layer.act_fmt.raw_min, layer.act_fmt.raw_max, 0, 37):
+                    shifted = layer.mac_raw(x_raw, offset)
+                    assert shifted.dtype == plain.dtype
+                    assert np.array_equal(shifted, plain - offset), (layer.act_fmt, offset)
 
 
 class TestQuantizeModel:

@@ -266,6 +266,25 @@ class TestMapReduceBlock:
         # Batches issue contiguously: 1 (process) + 3 (first batch) slots.
         assert back_to_back.accepted_at_cycle == 4 * block.design.initiation_interval
 
+    def test_empty_batch_drains_in_zero_ns(self, quantized_dnn):
+        """A batch of no packets issues nothing: the issue clock stays put
+        (even for a later ``at_cycle``) and it drains in 0 ns — what
+        ``drain_ns`` reports for the same block — at throughput 0."""
+        from repro.mapreduce import dnn_graph
+        from repro.runtime.sharded import drain_ns, issue_cycles
+
+        block = MapReduceBlock(dnn_graph(quantized_dnn))
+        width = quantized_dnn.layers[0].w_raw.shape[1]
+        block.run_batch(np.ones((3, width)))
+        before = issue_cycles([block])
+        for at_cycle in (None, before[0] + 100):
+            empty = block.run_batch(np.zeros((0, width)), at_cycle=at_cycle)
+            assert issue_cycles([block]) == before
+            assert empty.duration_ns == drain_ns([block], before) == 0.0
+            assert empty.throughput_pkt_s == 0.0 and empty.values.shape[0] == 0
+        five = block.run_batch(np.ones((5, width)))
+        assert five.duration_ns == pytest.approx(drain_ns([block], before))
+
 
 class TestSwitchChipParams:
     def test_mat_area(self):

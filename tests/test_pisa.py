@@ -738,6 +738,54 @@ class TestRegisters:
                 np.concatenate([first[field_name], second[field_name]]),
             ), field_name
 
+    @pytest.mark.parametrize("slots", [1 << 16, (1 << 16) + 1], ids=["uint16-key", "int64-key"])
+    def test_update_batch_at_the_radix_key_boundary(self, slots):
+        """At 65,536 slots the slot key sorts as uint16, one slot more and
+        it sorts as int64.  Both equal sequential updates on keys that
+        collide, and cutting one call into chunks of 1, 7, 64 or N packets
+        leaves the same aggregates and registers."""
+        rng = np.random.default_rng(1)
+        candidates = rng.integers(0, 1 << 16, size=(1 << 19, 5))
+        slot = fnv1a_columns(candidates.T) % np.uint64(slots)
+        __, inverse, counts = np.unique(slot[:4096], return_inverse=True, return_counts=True)
+        pool = np.concatenate([candidates[:4096][counts[inverse] >= 2], candidates[:64]])  # collide
+        ends = candidates[(slot == 0) | (slot == slots - 1)]  # the first and last slot
+        n = 600
+        keys = np.concatenate([pool[rng.integers(0, len(pool), size=n - 2 * len(ends))], ends, ends])
+        keys = keys[rng.permutation(n)]
+        hashes = fnv1a_columns(keys.T)
+        sizes = rng.integers(64, 1500, size=n)
+        urgent = rng.random(n) < 0.3
+        times = np.sort(rng.uniform(0.0, 2.0, size=n))
+        keys_in_slot: dict[int, set] = {}
+        for key, h in zip(map(tuple, keys.tolist()), hashes):
+            keys_in_slot.setdefault(int(h) % slots, set()).add(key)
+        assert max(map(len, keys_in_slot.values())) >= 2  # collisions engage
+        assert {0, slots - 1} <= keys_in_slot.keys()
+
+        scalar = FlowFeatureAccumulator(slots=slots)
+        expected = [
+            scalar.update(tuple(keys[i].tolist()), int(sizes[i]), bool(urgent[i]), float(times[i]))
+            for i in range(n)
+        ]
+        registers = ("packet_count", "byte_count", "urgent_count", "first_seen_ms")
+        for chunk in (1, 7, 64, n):
+            acc = FlowFeatureAccumulator(slots=slots)
+            parts = [
+                acc.update_batch(hashes[s : s + chunk], sizes[s : s + chunk],
+                                 urgent[s : s + chunk], times[s : s + chunk])
+                for s in range(0, n, chunk)
+            ]
+            for field_name in expected[0]:
+                got = np.concatenate([part[field_name] for part in parts])
+                want = np.array([out[field_name] for out in expected])
+                assert np.array_equal(got, want), (chunk, field_name)
+            for reg in registers:
+                assert np.array_equal(
+                    getattr(acc, reg).values, getattr(scalar, reg).values
+                ), (chunk, reg)
+            assert np.array_equal(acc.dirty, scalar.dirty), chunk
+
 
 class TestScheduler:
     def test_queue_watermark(self):
