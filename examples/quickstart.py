@@ -126,59 +126,15 @@ def main() -> None:
         f"issues {len(two.results['congestion'])} cwnd actions — same fabric"
     )
 
-    # 7. Persistent shard pool: pool=True forks the workers once, when the
-    #    data plane is built, and close() reaps them; every run in between
-    #    reuses them, rewound per run so each result equals the in-process
-    #    path's.  Without a pool every run stays in process.
-    import time
-
-    small_traces = [
-        expand_to_packets(held_out, max_packets=500, seed=s) for s in (31, 32, 33)
-    ]
-    in_process = TaurusDataPlane(detector.quantized, shards=2)
-    print("\nreplaying 3 small traces, in process vs on the warm pool ...")
-    t0 = time.perf_counter()
-    local = [in_process.run_switch(t) for t in small_traces]
-    local_s = time.perf_counter() - t0
-    with TaurusDataPlane(detector.quantized, shards=2, pool=True) as pooled:
-        t0 = time.perf_counter()
-        warm = [pooled.run_switch(t) for t in small_traces]
-        warm_s = time.perf_counter() - t0
-    assert local == warm, "warm-pool runs must match the in-process path exactly"
-    print(
-        f"in process {local_s * 1e3:.0f} ms, warm pool {warm_s * 1e3:.0f} ms "
-        "for identical results"
-    )
-
-    # 8. Crash transparency: kill a worker mid-sequence and the pool
-    #    recovers it — re-fork from parent state, replay the unacked
-    #    chunks — with results still identical to the unfaulted runs.
-    #    FaultPlan injects the crash deterministically (worker 0 is
-    #    SIGKILLed at its first chunk of the first run).
-    from repro.runtime import FaultPlan
-
-    plan = FaultPlan().add(worker=0, ordinal=0, kind="kill")
-    with TaurusDataPlane(
-        detector.quantized, shards=2, executor="fork", pool=True,
-        pool_options={"faults": plan},
-    ) as survivor:
-        crashed = [survivor.run_switch(t) for t in small_traces]
-        health = survivor.pool_health
-    assert crashed == local, "recovery must be invisible in the results"
-    print(
-        f"worker killed mid-run: {health.crashes} crash, "
-        f"{health.restarts} restart, {health.replayed_chunks} chunk(s) "
-        "replayed — results identical"
-    )
-
-    # 9. Always-on serving: instead of handing the runtime one finished
+    # 7. Always-on serving: instead of handing the runtime one finished
     #    trace, producers submit chunk-sized requests through bounded
     #    per-tenant queues and every submit gets an explicit verdict —
     #    ACCEPTED, DEFERRED (rate-limited, retry later), or SHED (queue
     #    full — the one overload rule).  A bursty two-tenant schedule
     #    over a started service shows the envelope: admitted chunks are
-    #    scored in full by the warm shard pool while overload is shed at
-    #    the bound, not buffered and not sampled.
+    #    scored in full by a two-lane ShardedRuntime (its lanes on forked
+    #    workers, pool=True) while overload is shed at the bound, not
+    #    buffered and not sampled.
     from repro.hw import MapReduceBlock
     from repro.mapreduce import dnn_graph
     from repro.runtime import ClientSpec, InferenceService, ShardedRuntime

@@ -77,9 +77,6 @@ class PipelineShardWorker:
     * ``("chunk", (columns, want_delta))`` — one pre-sorted chunk through
       :meth:`~repro.pisa.TaurusPipeline.process_trace_batch`; returns
       ``(result, delta-or-None)``.
-    * ``("score", features)`` — a read-only pass through the block's
-      graph interpreter (no issue-clock accounting), the pool twin of
-      ``TaurusDataPlane._stream_scores``'s in-process loop.
     * ``("mark", None)`` / ``("rewind", None)`` — zero-payload per-run
       reset: ``mark`` pins the current state *inside* the worker and
       ``rewind`` restores it, so a pool owner wanting fresh-run
@@ -107,8 +104,6 @@ class PipelineShardWorker:
                 self.pipeline.state_delta(self._base) if want_delta else None
             )
             return result, delta
-        if kind == "score":  # noqa: rt-frame-unconsumed - produced by callers above the runtime package (apps submit scoring requests)
-            return self.pipeline.block.graph.execute_batch(payload)[:, 0]
         if kind == "mark":
             self._mark = self.pipeline.state_snapshot()
             return True
@@ -777,7 +772,7 @@ class ShardPool:
             else:
                 # Without a caller-provided fallback the parent context
                 # executes the request directly — exact for stateless
-                # kinds (e.g. "score"); stateful callers pass `degrade`
+                # kinds; stateful callers pass `degrade`
                 # so deltas aren't double-applied.
                 response = self.contexts[index].handle(kind, payload)
             run.collected += 1

@@ -3,7 +3,6 @@ online training, and the Table 8 harness."""
 
 from .control import BaselineResult, ControlPlaneBaseline, StageLatencies
 from .dataplane import DataPlaneResult, TaurusDataPlane
-from .events import EventQueue
 from .experiment import (
     DEFAULT_SAMPLING_RATES,
     EndToEndExperiment,
@@ -27,7 +26,6 @@ __all__ = [
     "StageLatencies",
     "DataPlaneResult",
     "TaurusDataPlane",
-    "EventQueue",
     "DEFAULT_SAMPLING_RATES",
     "EndToEndExperiment",
     "EndToEndRow",

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..baselines.accelerators import AcceleratorModel, CPU_XEON
 from ..datasets import PacketTrace
+from ..ml.metrics import detection_rate, f1_score
 
 __all__ = ["StageLatencies", "BaselineResult", "ControlPlaneBaseline"]
 
@@ -161,26 +162,13 @@ class ControlPlaneBaseline:
             lat_total.append(total)
 
         # --- score every packet against installed rules -------------------
-        tp = fp = fn = tn = 0
-        for packet in packets:
-            marked = (
+        labels = trace.columns().labels
+        marked = np.array(
+            [
                 packet.flow_id in rule_time and packet.time >= rule_time[packet.flow_id]
-            )
-            if packet.label and marked:
-                tp += 1
-            elif packet.label:
-                fn += 1
-            elif marked:
-                fp += 1
-            else:
-                tn += 1
-        detected = 100.0 * tp / max(tp + fn, 1)
-        precision = tp / max(tp + fp, 1)
-        recall = tp / max(tp + fn, 1)
-        f1 = (
-            100.0 * 2 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
+                for packet in packets
+            ],
+            dtype=np.int64,
         )
         return BaselineResult(
             sampling_rate=sampling_rate,
@@ -191,8 +179,8 @@ class ControlPlaneBaseline:
             ml_ms=float(np.mean(lat_ml)) if lat_ml else 0.0,
             install_ms=float(np.mean(lat_install)) if lat_install else 0.0,
             total_ms=float(np.mean(lat_total)) if lat_total else 0.0,
-            detected_percent=detected,
-            f1_percent=f1,
+            detected_percent=100.0 * detection_rate(labels, marked),
+            f1_percent=100.0 * f1_score(labels, marked),
             n_batches=len(batch_sizes),
             rules_installed=n_rules,
         )

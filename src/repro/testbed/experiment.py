@@ -49,10 +49,9 @@ class EndToEndExperiment:
     The Taurus data plane scores every packet regardless of the baseline's
     sampling rate, so its result is sampling-rate-independent: one streamed
     pass is computed lazily and reused for every row of the sweep (see
-    :meth:`taurus_result`).  With ``full_switch`` (the default) that pass
-    runs the **entire** batched PISA pipeline — vectorized parse, flow
-    registers, MAT stages, bypass split, batched MapReduce scoring,
-    decisions — rather than the feature-to-graph scoring shortcut.
+    :meth:`taurus_result`).  That pass runs the **entire** batched PISA
+    pipeline — vectorized parse, flow registers, MAT stages, bypass split,
+    batched MapReduce scoring, decisions (:meth:`TaurusDataPlane.run_switch`).
     """
 
     workload: Workload
@@ -60,7 +59,6 @@ class EndToEndExperiment:
     dataplane: TaurusDataPlane
     stages: StageLatencies = field(default_factory=StageLatencies)
     seed: int = 0
-    full_switch: bool = True
     _taurus: DataPlaneResult | None = field(default=None, repr=False)
 
     @classmethod
@@ -90,8 +88,7 @@ class EndToEndExperiment:
     def taurus_result(self) -> DataPlaneResult:
         """The (sampling-rate-independent) Taurus pass, computed once."""
         if self._taurus is None:
-            run = self.dataplane.run_switch if self.full_switch else self.dataplane.run
-            self._taurus = run(self.workload.trace)
+            self._taurus = self.dataplane.run_switch(self.workload.trace)
         return self._taurus
 
     def run_row(self, sampling_rate: float) -> EndToEndRow:

@@ -77,13 +77,18 @@ def bursty_schedule(
     ``counts`` maps client name to how many chunks it will offer.  Gaps
     are exponential at ``base_rate`` requests/s; every ``burst_every``
     arrivals a burst episode of ``burst_len`` arrivals runs at
-    ``burst_factor`` times the base rate.  Client order is a seeded
-    shuffle, so the same seed replays the identical schedule.
+    ``burst_factor`` times the base rate (``0`` for either turns bursts
+    off).  Client order is a seeded shuffle, so the same seed replays the
+    identical schedule.
     """
     if base_rate <= 0:
         raise ValueError("base_rate must be positive")
     if burst_factor < 1:
         raise ValueError("burst_factor must be >= 1")
+    if burst_every < 0 or burst_len < 0:
+        raise ValueError("burst_every and burst_len must be non-negative")
+    if any(count < 0 for count in counts.values()):
+        raise ValueError("chunk counts must be non-negative")
     rng = np.random.default_rng(seed)
     names = [name for name, count in counts.items() for __ in range(count)]
     order = rng.permutation(len(names))

@@ -148,7 +148,7 @@ class TestDegenerateWorkloads:
 
         ds = generate_connections(200, anomaly_fraction=1.0, seed=4)
         trace = expand_to_packets(ds, max_packets=2000, seed=4)
-        result = TaurusDataPlane(quantized_dnn).run(trace)
+        result = TaurusDataPlane(quantized_dnn).run_switch(trace)
         assert result.n_packets == len(trace.packets)
         assert 0.0 <= result.detected_percent <= 100.0
 
@@ -548,42 +548,3 @@ class TestFaultConfigValidation:
         refuses the mode itself."""
         with pytest.raises(ValueError, match="unknown pool mode 'thread'"):
             ShardPool([_Echo()], mode="thread", faults=FaultPlan())
-
-    def test_pool_options_require_pool(self, quantized_dnn):
-        from repro.testbed import TaurusDataPlane
-
-        with pytest.raises(ValueError, match="pool_options requires pool"):
-            TaurusDataPlane(quantized_dnn, pool_options={"hang_timeout": 1.0})
-
-
-@fork_only
-class TestDataPlaneCrashTransparency:
-    """End-to-end: an injected worker death inside ``run_switch`` is
-    invisible in the detection result."""
-
-    def test_run_switch_with_injected_kill(self, quantized_dnn):
-        from repro.datasets import expand_to_packets, generate_connections
-        from repro.testbed import TaurusDataPlane
-
-        ds = generate_connections(150, anomaly_fraction=0.5, seed=6)
-        trace = expand_to_packets(ds, max_packets=1200, seed=6)
-
-        plain = TaurusDataPlane(quantized_dnn, shards=2)
-        expected = plain.run_switch(trace, chunk_size=64)
-
-        plan = FaultPlan().add(0, 1, "kill")
-        with TaurusDataPlane(
-            quantized_dnn, shards=2, executor="fork", pool=True,
-            pool_options=dict(FAST_WATCHDOG, faults=plan),
-        ) as faulted:
-            got = faulted.run_switch(trace, chunk_size=64)
-            assert faulted.pool_health.crashes == 1
-            again = faulted.run_switch(trace, chunk_size=64)
-
-        for name in ("detected_percent", "false_positive_rate",
-                     "added_latency_ns", "n_packets"):
-            expect = getattr(expected, name, None)
-            if expect is None:
-                continue
-            assert getattr(got, name) == expect, name
-            assert getattr(again, name) == expect, name

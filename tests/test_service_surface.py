@@ -1,11 +1,12 @@
-"""Surface census for the lane runtime and the switch model: every public
-name has a customer.
+"""Surface census for the lane runtime, the switch model and the testbed:
+every public name has a customer.
 
 One row per name in ``repro.runtime.__all__``, ``service.__all__``,
-``repro.pisa.__all__`` and ``pisa.scheduler.__all__``, per ``__init__``
-keyword of the runtime constructors and of ``TaurusPipeline`` and per
-field of their records — keyed ``Class.name``, except the service's
-keywords and ``ClientSpec``'s fields.  A row is
+``repro.pisa.__all__``, ``pisa.scheduler.__all__`` and
+``repro.testbed.__all__``, per ``__init__`` keyword of the runtime
+constructors, of ``TaurusPipeline`` and of ``TaurusDataPlane``, and per
+field of their records and of ``EndToEndExperiment`` — keyed
+``Class.name``, except the service's keywords and ``ClientSpec``'s fields.  A row is
 ``"<file>:<function> — why"``: the first non-test caller that needs the
 name, or — where no such caller exists — the test that pins the case the
 name is needed for.  New surface adds its row here in the change that
@@ -17,13 +18,14 @@ import inspect
 import re
 from pathlib import Path
 
-from repro import pisa, runtime
+from repro import pisa, runtime, testbed
 from repro.pisa import TaurusPipeline, scheduler
 from repro.runtime import service
 from repro.runtime.fabric import FabricApp, MultiAppFabric, MultiAppResult
 from repro.runtime.service import ClientSpec, InferenceService
 from repro.runtime.sharded import ShardedRuntime
 from repro.testbed.dataplane import TaurusDataPlane
+from repro.testbed.experiment import EndToEndExperiment
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -60,7 +62,8 @@ CUSTOMERS = {
     "result_depth": "benchmarks/ledger/workloads.py:client_specs — buffers never drop",
     # the rest of repro.runtime.__all__
     "FabricApp": "benchmarks/ledger/workloads.py:build_apps — multiapp_c512's two apps",
-    "FaultPlan": "examples/quickstart.py:main — the worker kill of step 8",
+    "FaultPlan": "tests/test_failure_injection.py:test_single_crash_identity — a "
+                 "seeded worker kill or hang leaves the pooled run bit-identical",
     "MultiAppFabric": LEDGER_STACK + " for multiapp_c512",
     "MultiAppResult": "src/repro/testbed/dataplane.py:run_multi — its return type",
     "PipelineShardWorker": "benchmarks/ledger/layers.py:transport_probe — one "
@@ -71,16 +74,14 @@ CUSTOMERS = {
     # ShardedRuntime and MultiAppFabric keywords
     **{f"ShardedRuntime.{keyword}": LEDGER_STACK
        for keyword in ("pipeline_factory", "shards", "executor", "chunk_size", "pool")},
-    "ShardedRuntime.pool_options": "src/repro/testbed/dataplane.py:__init__ — "
-                                   "passes `TaurusDataPlane.pool_options` on",
+    "ShardedRuntime.pool_options": "tests/test_failure_injection.py:_pooled_runtime — "
+                                   "how a `FaultPlan` and a fast watchdog reach "
+                                   "the pool",
     **{f"MultiAppFabric.{keyword}": LEDGER_STACK
        for keyword in ("apps", "shards", "executor", "chunk_size", "pool")},
     # TaurusDataPlane keywords
     "TaurusDataPlane.quantized": "src/repro/testbed/experiment.py:build",
     "TaurusDataPlane.shards": "examples/quickstart.py:main — the 4-lane replay",
-    "TaurusDataPlane.executor": "examples/quickstart.py:main — step 8's `fork`",
-    "TaurusDataPlane.pool": "examples/quickstart.py:main — the warm pool of step 7",
-    "TaurusDataPlane.pool_options": "examples/quickstart.py:main — step 8's FaultPlan",
     # FabricApp fields
     "FabricApp.name": "benchmarks/ledger/workloads.py:oracle_pipelines — keys the oracle",
     "FabricApp.graph": "benchmarks/ledger/workloads.py:oracle_pipelines — the oracle's block",
@@ -145,6 +146,45 @@ CUSTOMERS = {
                               "shared block to the app's program",
     "TaurusPipeline.accumulator": "src/repro/runtime/fabric.py:build_pipeline — "
                                   "`FabricApp.slots`",
+    # repro.testbed.__all__
+    "BaselineResult": "src/repro/testbed/control.py:run — its return type",
+    "ControlPlaneBaseline": "src/repro/testbed/experiment.py:run_row — Table 8's left "
+                            "columns",
+    "StageLatencies": "src/repro/testbed/control.py:run — prices each server batch",
+    "DataPlaneResult": "src/repro/testbed/dataplane.py:detection_from_outcome — its "
+                       "return type",
+    "TaurusDataPlane": "src/repro/testbed/experiment.py:build — Table 8's Taurus side",
+    "DEFAULT_SAMPLING_RATES": "examples/anomaly_detection.py:main — the Table 8 sweep",
+    "EndToEndExperiment": "examples/anomaly_detection.py:main — the Table 8 testbed",
+    "EndToEndRow": "src/repro/testbed/experiment.py:run_row — its return type",
+    "MultiAppRow": "src/repro/testbed/experiment.py:run_multi_app — its return type",
+    "format_table8": "examples/anomaly_detection.py:main — prints the rows",
+    "Arrival": "src/repro/testbed/producers.py:bursty_schedule — one per submit",
+    "bursty_schedule": "benchmarks/ledger/loadgen.py:frozen_schedule — the open-loop "
+                       "arrivals",
+    "chunk_columns": "benchmarks/ledger/workloads.py:client_chunks — request-sized "
+                     "chunks per client",
+    "replay_virtual": "tests/test_serving.py:_run_schedule — only a virtual-time "
+                      "replay makes the bursty accounting exact and repeatable",
+    "replay_wall": "examples/quickstart.py:main — the bursty two-tenant serve",
+    "Workload": "src/repro/testbed/traffic.py:build_workload — its return type",
+    "build_workload": "src/repro/testbed/experiment.py:build",
+    "ConvergencePoint": "src/repro/testbed/training.py:_point — one per weight update",
+    "OnlineTrainer": "benchmarks/test_fig13_online_training.py:test_fig13 — the "
+                     "Fig. 13 convergence curves",
+    "TrainingCostModel": "src/repro/testbed/training.py:run — prices each update",
+    # EndToEndExperiment fields
+    "EndToEndExperiment.workload": "src/repro/testbed/experiment.py:build",
+    "EndToEndExperiment.model": "src/repro/testbed/experiment.py:run_row — the "
+                                "baseline's float model",
+    "EndToEndExperiment.dataplane": "src/repro/testbed/experiment.py:taurus_result — "
+                                    "the one Taurus pass",
+    "EndToEndExperiment.stages": "src/repro/testbed/experiment.py:run_row — the "
+                                 "baseline's per-stage costs",
+    "EndToEndExperiment.seed": "src/repro/testbed/experiment.py:run_row — seeds the "
+                               "baseline's telemetry sampling",
+    "EndToEndExperiment._taurus": "src/repro/testbed/experiment.py:taurus_result — "
+                                  "the pass cached across the sweep",
 }
 
 
@@ -158,10 +198,10 @@ def _fields(cls) -> set[str]:
 
 def test_the_census_names_exactly_the_service_surface():
     constructors = (ShardedRuntime, MultiAppFabric, TaurusDataPlane, TaurusPipeline)
-    records = (FabricApp, MultiAppResult)
+    records = (FabricApp, MultiAppResult, EndToEndExperiment)
     assert CUSTOMERS.keys() == (
         set(runtime.__all__) | set(service.__all__) | set(scheduler.__all__)
-        | set(pisa.__all__)
+        | set(pisa.__all__) | set(testbed.__all__)
         | _keywords(InferenceService) | _fields(ClientSpec)
         | {f"{cls.__name__}.{name}" for cls in constructors for name in _keywords(cls)}
         | {f"{cls.__name__}.{name}" for cls in records for name in _fields(cls)}

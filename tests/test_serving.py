@@ -190,6 +190,23 @@ class TestAdmission:
                 svc.submit("stranger", _chunks()[0])
 
 
+@pytest.mark.parametrize(
+    "counts, knobs, match",
+    [
+        ({"a": 5}, {"base_rate": 0.0}, "base_rate"),
+        ({"a": 5}, {"burst_factor": 0.5}, "burst_factor"),
+        ({"a": 5}, {"burst_every": -3}, "burst_every"),
+        ({"a": 5}, {"burst_len": -2}, "burst_len"),
+        ({"a": -5}, {}, "counts"),
+    ],
+)
+def test_bursty_schedule_rejects_out_of_range_arguments(counts, knobs, match):
+    """Bug: a negative burst knob silently turned bursts off and a negative
+    count silently dropped its client."""
+    with pytest.raises(ValueError, match=match):
+        bursty_schedule(counts, **knobs)
+
+
 # ----------------------------------------------------------------------
 # Satellite: exact accounting under a seeded bursty arrival schedule
 # ----------------------------------------------------------------------

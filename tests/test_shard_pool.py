@@ -15,10 +15,7 @@ chunks.  These tests pin the contract down:
 * a killed worker is detected, reported with its exit status, and
   replaced by a fresh fork;
 * pool close is deterministic — bounded, idempotent, and safe under an
-  abandoned mid-trace run;
-* the ``pool=True`` surfaces on :class:`TaurusDataPlane`
-  (``run`` / ``run_switch`` / ``verify_equivalence``) match the
-  in-process path call for call, and fork nothing once closed.
+  abandoned mid-trace run.
 """
 
 from __future__ import annotations
@@ -674,66 +671,6 @@ class TestPoolLifecycle:
         for hang_timeout in (None, 0, -1.0):
             with pytest.raises(ValueError, match="hang_timeout"):
                 ShardPool([_Sleeper()], hang_timeout=hang_timeout)
-
-
-class TestPooledDataPlane:
-    @pytest.fixture()
-    def small_trace(self, train_test_split):
-        from repro.datasets import expand_to_packets
-
-        __, test = train_test_split
-        return expand_to_packets(test, max_packets=400, seed=51)
-
-    def test_run_switch_repeated_matches_fork_per_run(
-        self, quantized_dnn, small_trace
-    ):
-        """Repeated warm-pool ``run_switch`` calls, rewound per run, equal
-        fresh in-process pipelines call for call."""
-        from repro.testbed.dataplane import TaurusDataPlane
-
-        plain = TaurusDataPlane(quantized_dnn, shards=2)
-        with TaurusDataPlane(
-            quantized_dnn, shards=2, executor="fork", pool=True
-        ) as pooled:
-            for __ in range(3):
-                expected = plain.run_switch(small_trace, chunk_size=64)
-                assert expected == pooled.run_switch(small_trace, chunk_size=64)
-                assert plain.last_modeled_drain_ns == pooled.last_modeled_drain_ns
-
-    def test_run_and_verify_through_pool(self, quantized_dnn, small_trace):
-        from repro.testbed.dataplane import TaurusDataPlane
-
-        plain = TaurusDataPlane(quantized_dnn, shards=2)
-        with TaurusDataPlane(quantized_dnn, shards=2, pool=True) as pooled:
-            assert plain.run(small_trace, chunk_size=32) == pooled.run(
-                small_trace, chunk_size=32
-            )
-            assert pooled.verify_equivalence(small_trace, chunk_size=32)
-
-    @fork_only
-    def test_a_closed_data_plane_forks_nothing(
-        self, quantized_dnn, small_trace, monkeypatch
-    ):
-        """The pool is forked by the constructor and reaped by ``close()``;
-        afterwards the pooled surfaces raise the pool's "closed" error
-        and ``run_multi`` runs in process — nothing forks again."""
-        from repro.testbed.dataplane import TaurusDataPlane
-
-        pids = _spy_on_spawns(monkeypatch)
-        dataplane = TaurusDataPlane(quantized_dnn, shards=2, pool=True)
-        dataplane.run_switch(small_trace, chunk_size=64)
-        assert len(pids) == 2
-        dataplane.close()
-        for call in (
-            lambda: dataplane.run_switch(small_trace, chunk_size=64),
-            lambda: dataplane.run(small_trace, chunk_size=64),
-            lambda: dataplane.verify_equivalence(small_trace, chunk_size=64),
-        ):
-            with pytest.raises(RuntimeError, match="closed"):
-                call()
-        dataplane.run_multi([dataplane.anomaly_app()], [small_trace], chunk_size=64)
-        assert len(pids) == 2
-        _assert_gone(pids)
 
 
 # ----------------------------------------------------------------------

@@ -380,13 +380,10 @@ class TestShardedDataPlane:
         expected = base.run_switch(trace)
         # 8: more lanes than CPUs, some nearly empty.
         for shards in (8, 3):
-            with TaurusDataPlane(quantized_dnn, shards=shards, pool=HAS_FORK) as sharded:
-                assert expected == sharded.run_switch(trace)
-                assert 0 < sharded.last_modeled_drain_ns < base.last_modeled_drain_ns
-                # The scoring shortcut agrees too, sharded (small chunks
-                # force the multi-worker row-block split on the pool).
-                assert base.run(trace, chunk_size=64) == sharded.run(trace, chunk_size=64)
-                assert sharded.verify_equivalence(trace, chunk_size=64)
+            sharded = TaurusDataPlane(quantized_dnn, shards=shards)
+            assert expected == sharded.run_switch(trace)
+            assert 0 < sharded.last_modeled_drain_ns < base.last_modeled_drain_ns
+            assert sharded.verify_equivalence(trace, chunk_size=64)
 
     def test_shards_validated(self, quantized_dnn):
         from repro.testbed.dataplane import TaurusDataPlane
@@ -605,7 +602,6 @@ class TestBackendSelection:
         """The thread executor and the thread pool mode are gone: every
         surface that takes the knobs refuses the word."""
         from repro.runtime import FabricApp
-        from repro.testbed.dataplane import TaurusDataPlane
 
         app = FabricApp.from_quantized_dnn(quantized_dnn)
         for knobs in ({"executor": "thread"}, {"pool": "thread"}):
@@ -613,8 +609,6 @@ class TestBackendSelection:
                 ShardedRuntime(self._factory(blocks), **knobs)
             with pytest.raises(ValueError, match="thread"):
                 MultiAppFabric([app], **knobs)
-            with pytest.raises(ValueError, match="thread"):
-                TaurusDataPlane(quantized_dnn, **knobs)
         with pytest.raises(ValueError, match="thread"):
             ShardPool([object()], mode="thread")
 
@@ -623,16 +617,10 @@ class TestBackendSelection:
             ShardedRuntime(self._factory(blocks), executor="serial", pool=True)
 
     def test_fork_executor_needs_a_pool(self, blocks, quantized_dnn):
-        from repro.testbed.dataplane import TaurusDataPlane
-
         app = FabricApp.from_quantized_dnn(quantized_dnn)
-        for build in (
-            lambda **knobs: ShardedRuntime(self._factory(blocks), **knobs),
-            lambda **knobs: TaurusDataPlane(quantized_dnn, shards=2, **knobs),
-        ):
-            for knobs in ({}, {"pool_options": {"hang_timeout": 1.0}}):
-                with pytest.raises(ValueError, match="pool=True"):
-                    build(executor="fork", **knobs)
+        for knobs in ({}, {"pool_options": {"hang_timeout": 1.0}}):
+            with pytest.raises(ValueError, match="pool=True"):
+                ShardedRuntime(self._factory(blocks), executor="fork", **knobs)
         with pytest.raises(ValueError, match="pool=True"):
             MultiAppFabric([app], shards=2, executor="fork")
 
@@ -649,12 +637,9 @@ class TestBackendSelection:
             assert runtime.pool.alive() == [True]  # one shard still forks
         assert runtime.pool.alive() == [False]
 
-    def test_falsy_pool_keeps_no_workers(
-        self, blocks, quantized_dnn, train_test_split, monkeypatch
-    ):
-        """With ``os.fork`` refusing, every surface still runs two shards
+    def test_falsy_pool_keeps_no_workers(self, blocks, quantized_dnn, monkeypatch):
+        """With ``os.fork`` refusing, both constructors still run two shards
         with the default ``executor`` — in process, equal to the oracle."""
-        from repro.testbed.dataplane import TaurusDataPlane
 
         def no_fork():
             raise OSError("forking is off in this test")
@@ -674,14 +659,6 @@ class TestBackendSelection:
         fabric = MultiAppFabric([app], shards=2, chunk_size=16)
         assert fabric.pool is None
         _assert_same_result(fabric.run([columns]).results[app.name], expected)
-
-        trace = expand_to_packets(train_test_split[1], max_packets=300, seed=15)
-        base = TaurusDataPlane(quantized_dnn)
-        sharded = TaurusDataPlane(quantized_dnn, shards=2)
-        assert sharded.pool_health is None
-        assert sharded.run_switch(trace) == base.run_switch(trace)
-        assert sharded.run(trace, chunk_size=64) == base.run(trace, chunk_size=64)
-        assert sharded.verify_equivalence(trace, chunk_size=64)
 
 
 class TestTwoConstructors:

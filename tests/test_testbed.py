@@ -1,57 +1,15 @@
-"""Tests for the end-to-end testbed: events, traffic, baseline, training."""
+"""Tests for the end-to-end testbed: traffic, baseline, data plane, training."""
 
 import pytest
 
 from repro.testbed import (
     ControlPlaneBaseline,
-    EventQueue,
     OnlineTrainer,
     StageLatencies,
     TaurusDataPlane,
     TrainingCostModel,
     build_workload,
 )
-
-
-class TestEventQueue:
-    def test_time_order(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(2.0, lambda: fired.append("b"))
-        q.schedule(1.0, lambda: fired.append("a"))
-        q.run()
-        assert fired == ["a", "b"]
-
-    def test_priority_breaks_ties(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(1.0, lambda: fired.append("low"), priority=5)
-        q.schedule(1.0, lambda: fired.append("high"), priority=0)
-        q.run()
-        assert fired == ["high", "low"]
-
-    def test_run_until(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(1.0, lambda: fired.append(1))
-        q.schedule(5.0, lambda: fired.append(5))
-        q.run(until=2.0)
-        assert fired == [1]
-        assert q.now == 2.0
-        assert len(q) == 1
-
-    def test_cannot_schedule_past(self):
-        q = EventQueue()
-        q.schedule(1.0, lambda: q.schedule(0.5, lambda: None))
-        with pytest.raises(ValueError):
-            q.run()
-
-    def test_schedule_in(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(1.0, lambda: q.schedule_in(0.5, lambda: fired.append(q.now)))
-        q.run()
-        assert fired == [1.5]
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +49,7 @@ class TestControlPlaneBaseline:
     def test_detection_far_below_taurus(self, small_workload, trained_dnn, quantized_dnn):
         baseline = ControlPlaneBaseline(model=trained_dnn, seed=0)
         result = baseline.run(small_workload.trace, 1e-3)
-        taurus = TaurusDataPlane(quantized_dnn).run(small_workload.trace)
+        taurus = TaurusDataPlane(quantized_dnn).run_switch(small_workload.trace)
         assert taurus.detected_percent > 10 * max(result.detected_percent, 0.1)
 
     def test_total_is_stage_sum(self, small_workload, trained_dnn):
@@ -116,13 +74,13 @@ class TestTaurusDataPlane:
     def test_full_model_accuracy(self, small_workload, quantized_dnn, train_test_split):
         """The data plane sustains the model's offline F1 (Section 5.2.2)."""
         plane = TaurusDataPlane(quantized_dnn)
-        result = plane.run(small_workload.trace)
+        result = plane.run_switch(small_workload.trace)
         assert result.f1_percent > 60.0
         assert result.detected_percent > 50.0
 
     def test_latency_is_fabric_latency(self, small_workload, quantized_dnn):
         plane = TaurusDataPlane(quantized_dnn)
-        result = plane.run(small_workload.trace)
+        result = plane.run_switch(small_workload.trace)
         assert result.added_latency_ns == pytest.approx(151, abs=25)
 
     def test_fabric_equivalence(self, small_workload, quantized_dnn):
@@ -137,31 +95,31 @@ class TestTaurusDataPlane:
 
     def test_chunk_size_does_not_change_scores(self, small_workload, quantized_dnn):
         plane = TaurusDataPlane(quantized_dnn)
-        small = plane.run(small_workload.trace, chunk_size=1000)
-        big = plane.run(small_workload.trace, chunk_size=100_000)
+        small = plane.run_switch(small_workload.trace, chunk_size=1000)
+        big = plane.run_switch(small_workload.trace, chunk_size=100_000)
         assert small == big
 
     def test_invalid_chunk_size(self, small_workload, quantized_dnn):
         plane = TaurusDataPlane(quantized_dnn)
         with pytest.raises(ValueError):
-            plane.run(small_workload.trace, chunk_size=0)
+            plane.run_switch(small_workload.trace, chunk_size=0)
 
     def test_scoring_does_not_advance_issue_clock(self, small_workload, quantized_dnn):
-        """run/verify are read-only passes: a later per-packet inference on
-        the scoring block must not see a phantom stall from them."""
+        """verify is a read-only pass: a later per-packet inference on the
+        block must not see a phantom stall from it."""
         plane = TaurusDataPlane(quantized_dnn)
-        plane.run(small_workload.trace)
         plane.verify_equivalence(small_workload.trace)
-        result = plane.exact_block.process(
+        result = plane.block.process(
             small_workload.trace.packets[0].features, at_cycle=0
         )
-        assert result.latency_ns == plane.exact_block.design.latency_ns
+        assert result.latency_ns == plane.block.design.latency_ns
 
 
 class TestExperimentReusesTaurusPass:
     def test_one_streamed_pass_per_sweep(self, monkeypatch):
         """Regression: run_row used to recompute the (sampling-rate-
         independent) Taurus result for every row of the sweep."""
+        from repro.pisa import DEFAULT_TRACE_CHUNK
         from repro.testbed import EndToEndExperiment
         from repro.testbed import dataplane as dataplane_mod
 
@@ -169,10 +127,9 @@ class TestExperimentReusesTaurusPass:
             n_connections=400, max_packets=4000, epochs=2, seed=0
         )
         calls = {"run": 0}
-        # The default Taurus pass is the full batched switch model.
         original = dataplane_mod.TaurusDataPlane.run_switch
 
-        def counting_run(self, trace, chunk_size=dataplane_mod.DEFAULT_CHUNK_SIZE):
+        def counting_run(self, trace, chunk_size=DEFAULT_TRACE_CHUNK):
             calls["run"] += 1
             return original(self, trace, chunk_size)
 
