@@ -2,7 +2,7 @@
 sketching, and eRSS — the paper's benchmark suite plus Section 3.3.2's
 broader MapReduce applications."""
 
-from .anomaly import AnomalyDetector, train_anomaly_dnn, train_anomaly_svm
+from .anomaly import AnomalyDetector, train_anomaly_dnn
 from .congestion import CongestionController, closed_loop_metrics
 from .erss import ElasticRSS
 from .iot_classify import IoTClassifier, cluster_purity
@@ -12,7 +12,6 @@ from .sketch import CountMinSketch
 __all__ = [
     "AnomalyDetector",
     "train_anomaly_dnn",
-    "train_anomaly_svm",
     "CongestionController",
     "closed_loop_metrics",
     "ElasticRSS",

@@ -1,9 +1,8 @@
 """Anomaly detection — the paper's running example (Sections 3, 5.2).
 
-Bundles the full application: train the Tang-et-al. DNN (or the SVM
-variant) on NSL-KDD-style connections, quantize it, lower it to the fabric,
-and attach it to a Taurus pipeline whose postprocessing MAT drops or flags
-anomalous packets.
+Bundles the full application: train the Tang-et-al. DNN on NSL-KDD-style
+connections, quantize it, lower it to the fabric, and attach it to a
+Taurus pipeline whose postprocessing MAT drops or flags anomalous packets.
 """
 
 from __future__ import annotations
@@ -16,17 +15,16 @@ from ..datasets import (
     ConnectionDataset,
     dnn_feature_matrix,
     generate_connections,
-    svm_feature_matrix,
 )
 from ..fixpoint import QuantizedModel, quantize_model
 from ..hw.grid import MapReduceBlock
 from ..mapreduce import dnn_graph
-from ..ml import RBFKernelSVM, anomaly_detection_dnn, f1_score, detection_rate
+from ..ml import anomaly_detection_dnn, f1_score, detection_rate
 from ..ml.dnn import DNN
 from ..pisa import TaurusPipeline, threshold_postprocess
 from ..datasets.nslkdd import DNN_FEATURES
 
-__all__ = ["AnomalyDetector", "train_anomaly_dnn", "train_anomaly_svm"]
+__all__ = ["AnomalyDetector", "train_anomaly_dnn"]
 
 
 def train_anomaly_dnn(
@@ -42,19 +40,6 @@ def train_anomaly_dnn(
         dnn_feature_matrix(dataset), dataset.labels,
         epochs=epochs, batch_size=batch_size, lr=lr,
     )
-    return model
-
-
-def train_anomaly_svm(
-    dataset: ConnectionDataset,
-    budget: int = 16,
-    epochs: int = 3,
-    gamma: float = 0.5,
-    seed: int = 0,
-) -> RBFKernelSVM:
-    """Train the 8-feature RBF SVM with a hardware-friendly SV budget."""
-    model = RBFKernelSVM(gamma=gamma, budget=budget, epochs=epochs, seed=seed)
-    model.fit(svm_feature_matrix(dataset), dataset.labels)
     return model
 
 

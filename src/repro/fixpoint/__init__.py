@@ -1,6 +1,6 @@
 """Fixed-point arithmetic substrate (Taurus's fix8/fix16/fix32 datapath)."""
 
-from .formats import FIX8, FIX16, FIX32, FORMATS_BY_NAME, FixedPointFormat
+from .formats import FIX8, FIX16, FIX32, FixedPointFormat
 from .quantize import (
     QuantizedLinear,
     QuantizedModel,
@@ -14,7 +14,6 @@ __all__ = [
     "FIX8",
     "FIX16",
     "FIX32",
-    "FORMATS_BY_NAME",
     "FixedPointFormat",
     "FixTensor",
     "QuantizedLinear",

@@ -26,7 +26,6 @@ __all__ = [
     "FIX8",
     "FIX16",
     "FIX32",
-    "FORMATS_BY_NAME",
 ]
 
 
@@ -172,5 +171,3 @@ FIX16 = FixedPointFormat(total_bits=16, frac_bits=8, name="fix16")
 
 #: 32-bit variant used in the Table 4 precision study (Q15.16).
 FIX32 = FixedPointFormat(total_bits=32, frac_bits=16, name="fix32")
-
-FORMATS_BY_NAME = {fmt.name: fmt for fmt in (FIX8, FIX16, FIX32)}

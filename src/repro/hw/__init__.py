@@ -13,7 +13,6 @@ from .params import (
     GRID_CU_TO_MU_RATIO,
     GRID_ROWS,
     HOP_CYCLES,
-    LINE_RATE_GPKT_S,
     MU_ACCESS_CYCLES,
     PHV_INTERFACE_CYCLES,
     SwitchChipParams,
@@ -42,7 +41,6 @@ __all__ = [
     "GRID_CU_TO_MU_RATIO",
     "GRID_ROWS",
     "HOP_CYCLES",
-    "LINE_RATE_GPKT_S",
     "MU_ACCESS_CYCLES",
     "PHV_INTERFACE_CYCLES",
     "SwitchChipParams",

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "CLOCK_GHZ",
-    "LINE_RATE_GPKT_S",
     "FU_CORE_AREA_UM2",
     "CU_CONTROL_AREA_UM2",
     "FU_CORE_POWER_UW",
@@ -61,7 +60,6 @@ __all__ = [
 # Clocking (Section 4: pipelining guarantees a 1 GHz clock)
 # ----------------------------------------------------------------------
 CLOCK_GHZ = 1.0
-LINE_RATE_GPKT_S = 1.0
 
 # ----------------------------------------------------------------------
 # FU datapath + CU control area model (um^2), keyed by precision name.

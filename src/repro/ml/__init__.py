@@ -35,7 +35,6 @@ from .training import (
     TrainLog,
     binary_cross_entropy,
     iterate_minibatches,
-    mse_loss,
     softmax_cross_entropy,
 )
 
@@ -73,6 +72,5 @@ __all__ = [
     "TrainLog",
     "binary_cross_entropy",
     "iterate_minibatches",
-    "mse_loss",
     "softmax_cross_entropy",
 ]

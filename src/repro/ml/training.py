@@ -17,7 +17,6 @@ __all__ = [
     "Adam",
     "softmax_cross_entropy",
     "binary_cross_entropy",
-    "mse_loss",
     "iterate_minibatches",
     "TrainLog",
 ]
@@ -105,14 +104,6 @@ def binary_cross_entropy(
     loss = -np.mean(labels * np.log(clipped) + (1 - labels) * np.log(1 - clipped))
     grad = (probs - labels).reshape(-1, 1) / probs.shape[0]
     return float(loss), grad
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error; returns (loss, dL/dpred)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    diff = pred - target
-    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
 def iterate_minibatches(

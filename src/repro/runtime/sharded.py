@@ -793,9 +793,7 @@ class ShardedRuntime(LaneRunner):
 
         ``trace`` is a :class:`~repro.datasets.packets.PacketTrace`, a
         :class:`~repro.datasets.packets.TraceColumns`, or a list of
-        pipeline packets (converted; unlike the single-pipeline path, flow
-        aggregates are *not* written back into packet ``metadata`` — fork
-        workers mutate copies).
+        pipeline packets (converted).
         """
         return self.process_traces([trace], chunk_size)[0]
 

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets import DNN_FEATURES, expand_to_packets
+from repro.datasets import DNN_FEATURES, TraceColumns, expand_to_packets
 from repro.hw import MapReduceBlock
 from repro.mapreduce import dnn_graph
 from repro.pisa import (
     Action,
     DECISION_DROP,
     DECISION_FORWARD,
+    DEFAULT_TRACE_CHUNK,
     FlowFeatureAccumulator,
     MatchActionTable,
     MatchKind,
@@ -161,6 +162,68 @@ def _random_packets(seed: int, n: int) -> list[Packet]:
     return [_packet(rng, float(t)) for t in times]
 
 
+#: The ports :func:`_random_columns` draws, and the one it bypasses.
+PORTS, BYPASS_PORT = (22, 53, 80, 3306, 9999), 22
+
+
+def _random_columns(seed: int, n: int) -> TraceColumns:
+    """A columnar trace drawn like :func:`_packet`, out of time order,
+    whose packets in the middle tenth of the time range are all TCP to
+    ``BYPASS_PORT`` — so under ``port_bypass(BYPASS_PORT)`` small chunks
+    there carry no ML row."""
+    rng = np.random.default_rng(seed)
+    times = np.round(rng.uniform(0.0, 1.0, size=n), 5)
+    middle = (times >= 0.45) & (times < 0.55)
+    protocol = np.where(middle, 0, rng.choice([0, 0, 1, 7], size=n))
+    dst_port = np.where(middle, BYPASS_PORT, rng.choice(PORTS, size=n))
+    has_features = rng.random(n) >= 0.1
+    payload_len = rng.integers(0, 1400, size=n)
+    return TraceColumns(
+        times=times,
+        sizes=54 + payload_len,
+        payload_len=payload_len,
+        headers={
+            "protocol": protocol,
+            "src_ip": rng.choice([0x0A000001, 0x0A0000FF, 0x0B000001, 3], size=n),
+            "dst_ip": rng.choice([0xC0A80A0A, 0xC0A90A0A, 17], size=n),
+            "src_port": rng.choice([1024, 2222, 40000, 55555], size=n),
+            "dst_port": dst_port,
+            "urgent_flag": (rng.random(n) < 0.3).astype(np.int64),
+            "seq": rng.integers(0, 100, size=n),
+        },
+        features=np.where(has_features[:, None], rng.uniform(-3.0, 3.0, size=(n, 6)), 0.0),
+        has_features=has_features,
+    )
+
+
+#: More than two spans, the last one partial.
+SPANNED_ROWS = 2 * DEFAULT_TRACE_CHUNK + 1234
+#: Chunk sizes below, equal to and above ``DEFAULT_TRACE_CHUNK``; 777
+#: divides no span, so each span ends in a partial chunk.
+SPANNED_CHUNKS = (64, 777, DEFAULT_TRACE_CHUNK, DEFAULT_TRACE_CHUNK + 3000)
+
+
+def _spanned_pipeline(block: MapReduceBlock) -> TaurusPipeline:
+    _reset(block)
+    scalar_bypass, batch_bypass = port_bypass(BYPASS_PORT)
+    pipe = _pipeline(
+        block, bypass_predicate=scalar_bypass, bypass_predicate_batch=batch_bypass
+    )
+    _install_all_kind_tables(pipe)
+    return pipe
+
+
+def _assert_same_state(a: dict, b: dict) -> None:
+    """Two :meth:`TaurusPipeline.state_snapshot` dicts are equal."""
+    assert a.keys() == b.keys()
+    for key in a:
+        if key == "registers":
+            for name, values in a[key].items():
+                assert np.array_equal(values, b[key][name]), name
+        else:
+            assert a[key] == b[key], key
+
+
 def _clone(packets: list[Packet]) -> list[Packet]:
     return [
         Packet(
@@ -231,13 +294,17 @@ class TestBatchEqualsScalar:
         assert len({r.decision for r in scalar}) >= 2
 
     def test_metadata_written_back(self, block_pair):
+        """The flow aggregates the scalar loop writes into each packet's
+        ``metadata`` are the batched ``aggregates`` row that ``order``
+        maps back to that packet."""
         pa, pb = _pipeline_pair(block_pair)
-        packets_a = _random_packets(seed=2, n=60)
-        packets_b = _clone(packets_a)
-        pa.process_trace(packets_a)
-        pb.process_trace_batch(packets_b, chunk_size=13)
-        for a, b in zip(packets_a, packets_b):
-            assert a.metadata == b.metadata
+        packets = _random_packets(seed=2, n=60)
+        pa.process_trace(packets)
+        out = pb.process_trace_batch(_clone(packets), chunk_size=13)
+        assert set(out.aggregates) == set(packets[0].metadata)
+        for i, k in enumerate(out.order):
+            row = {key: float(column[i]) for key, column in out.aggregates.items()}
+            assert packets[k].metadata == row
 
     def test_bypass_predicate_fallback(self, block_pair):
         """A scalar predicate is honoured row by row once it has its batch
@@ -329,25 +396,107 @@ class TestBatchEqualsScalar:
         assert batch.bypassed.all()
 
     def test_chunk_size_invariance(self, block_pair):
-        packets = _random_packets(seed=7, n=90)
+        """Every observable is the same whatever the chunk size, on a trace
+        of more than two spans whose middle holds chunks with no ML row."""
+        columns = _random_columns(seed=7, n=SPANNED_ROWS)
         reference = None
-        for chunk_size in (1, 7, 90, 4096):
-            __, pb = _pipeline_pair(block_pair)
-            out = pb.process_trace_batch(_clone(packets), chunk_size=chunk_size)
+        for chunk_size in (*SPANNED_CHUNKS, 1):
+            pipe = _spanned_pipeline(block_pair[0])
+            out = pipe.process_trace_batch(columns, chunk_size=chunk_size)
+            state = pipe.state_snapshot()
             if reference is None:
-                reference = out
-            else:
-                assert np.array_equal(reference.decisions, out.decisions)
+                reference = out, state
+                assert out.bypassed.any() and not out.bypassed.all()
+                assert out.dropped > 0
+                continue
+            expected, expected_state = reference
+            for name in ("order", "times", "decisions", "ml_scores", "latencies_ns", "bypassed"):
                 assert np.array_equal(
-                    reference.ml_scores, out.ml_scores, equal_nan=True
-                )
-                assert np.array_equal(reference.latencies_ns, out.latencies_ns)
+                    getattr(expected, name), getattr(out, name), equal_nan=name == "ml_scores"
+                ), (chunk_size, name)
+            assert expected.aggregates.keys() == out.aggregates.keys()
+            for key, values in expected.aggregates.items():
+                assert np.array_equal(values, out.aggregates[key]), (chunk_size, key)
+            _assert_same_state(expected_state, state)
 
-    def test_empty_trace(self, block_pair):
-        __, pb = _pipeline_pair(block_pair)
-        out = pb.process_trace_batch([])
-        assert len(out) == 0
-        assert pb.stats == {"ml": 0, "bypass": 0, "flagged": 0, "dropped": 0}
+    @pytest.mark.parametrize("chunk_size", SPANNED_CHUNKS)
+    def test_stages_run_once_per_span_or_chunk(self, block_pair, monkeypatch, chunk_size):
+        """Parse and every MAT run once per span of ``max(chunk_size,
+        DEFAULT_TRACE_CHUNK)`` rows; the registers once per chunk; the
+        block once per chunk with ML rows, never on more than
+        ``chunk_size`` rows."""
+        pipe = _spanned_pipeline(block_pair[0])
+        calls: dict[str, list[int]] = {}  # stage -> rows per call (0: uncounted)
+
+        def count(owner, attr, name, rows=lambda *args: 0):
+            original = getattr(owner, attr)
+
+            def counted(*args):
+                calls.setdefault(name, []).append(rows(*args))
+                return original(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(pipe.parser, "parse_batch", "parse")
+        for t, table in enumerate(pipe.preprocess_tables + pipe.postprocess_tables):
+            count(table, "apply_batch", f"mat{t}")
+        count(pipe.accumulator, "update_batch", "registers", lambda hashes, *rest: len(hashes))
+        count(pipe.block, "run_batch", "block", lambda features, *rest: len(features))
+        out = pipe.process_trace_batch(
+            _random_columns(seed=12, n=SPANNED_ROWS), chunk_size=chunk_size
+        )
+
+        span = max(chunk_size, DEFAULT_TRACE_CHUNK)
+        chunks = [
+            slice(lo, min(lo + chunk_size, start + span, SPANNED_ROWS))
+            for start in range(0, SPANNED_ROWS, span)
+            for lo in range(start, min(start + span, SPANNED_ROWS), chunk_size)
+        ]
+        ml_chunks = [sl for sl in chunks if not out.bypassed[sl].all()]
+        assert len(ml_chunks) < len(chunks) or chunk_size >= DEFAULT_TRACE_CHUNK
+        spans = -(-SPANNED_ROWS // span)
+        assert len(calls.pop("parse")) == spans
+        for t in range(5):
+            assert len(calls.pop(f"mat{t}")) == spans
+        assert calls.pop("registers") == [sl.stop - sl.start for sl in chunks]
+        block_rows = calls.pop("block")
+        assert block_rows == [int(np.count_nonzero(~out.bypassed[sl])) for sl in ml_chunks]
+        assert max(block_rows) <= chunk_size
+        assert not calls
+
+    def test_empty_trace(self, block_pair, quantized_dnn):
+        """An empty call on a ``program=``-pinned pipeline whose block holds
+        another program moves nothing: no steer, no clock, no counter."""
+        block = block_pair[0]
+        _reset(block)
+        resident = block.graph
+        pipe = _pipeline(block, program=dnn_graph(quantized_dnn))
+        before = pipe.state_snapshot()
+        out = pipe.process_trace_batch([])
+        assert len(out) == 0 and out.aggregates == {}
+        assert pipe.stats == {"ml": 0, "bypass": 0, "flagged": 0, "dropped": 0}
+        assert block.graph is resident
+        _assert_same_state(before, pipe.state_snapshot())
+
+    @pytest.mark.parametrize("chunk_size", [7, 64])
+    def test_all_bypass_call_never_steers(self, block_pair, quantized_dnn, chunk_size):
+        """A call whose every chunk bypasses, on a ``program=``-pinned
+        pipeline whose block holds another program, neither steers nor
+        moves the block's clock or counters."""
+        block = block_pair[0]
+        _reset(block)
+        resident = block.graph
+        pipe = _pipeline(
+            block, program=dnn_graph(quantized_dnn),
+            bypass_predicate=lambda phv: True,
+            bypass_predicate_batch=lambda batch: np.ones(batch.n, dtype=bool),
+        )
+        before = pipe.state_snapshot()["block"]
+        out = pipe.process_trace_batch(_random_packets(seed=13, n=90), chunk_size=chunk_size)
+        assert out.bypassed.all()
+        assert pipe.stats["ml"] == 0 and pipe.stats["bypass"] == 90
+        assert block.graph is resident
+        assert pipe.state_snapshot()["block"] == before
 
     def test_packet_trace_input_matches_from_record(self, block_pair, train_test_split):
         """A PacketTrace's cached columns == scalar over from_record()."""
