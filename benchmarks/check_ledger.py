@@ -40,11 +40,12 @@ MEDIANS = {
 #: got half again as dear relative to the layer below.
 HEADROOM = 1.5
 #: workload -> ``pisa.calls_per_chunk``: the Python calls one chunk makes
-#: through the in-process pipeline, counted when parse, MATs, bypass and
-#: decisions moved from once per chunk to once per span of up to 8,192 rows
-#: (CHANGES.md).  A count, not a time: every run on every host reads the
-#: same number for the same code and numpy.
-CALLS = {"dnn_c8192": 78.75, "dnn_c64": 42.375, "bypass_c512": 58.0, "multiapp_c512": 59.889}
+#: through the in-process pipeline, counted when the flow registers and
+#: the block joined parse, MATs, bypass and decisions in running once per
+#: span of ``max(chunk, 8192)`` rows (CHANGES.md).  A count, not a time:
+#: every run on every host reads the same number for the same code and
+#: numpy.
+CALLS = {"dnn_c8192": 78.75, "dnn_c64": 13.5, "bypass_c512": 29.125, "multiapp_c512": 34.222}
 #: A call ceiling is this much above its count: tripped by a stage that
 #: gains a handful of per-chunk calls.
 CALLS_HEADROOM = 1.1

@@ -16,11 +16,12 @@ Two execution paths share these semantics:
 * :meth:`TaurusPipeline.process` — the per-packet scalar loop, the
   semantic oracle;
 * :meth:`TaurusPipeline.process_trace_batch` — the vectorized path,
-  bit/stat-identical to running :meth:`process` per packet.  Parse, MATs,
-  bypass and decisions hold no state between packets, so they run once
-  per *span* of up to :data:`DEFAULT_TRACE_CHUNK` rows; the flow
-  registers and the MapReduce block carry state, so they run once per
-  ``chunk_size`` *chunk* of the span, in arrival order.
+  bit/stat-identical to running :meth:`process` per packet.  Every stage
+  runs once per *span* of ``max(chunk_size, DEFAULT_TRACE_CHUNK)`` rows,
+  in arrival order: the stateless ones (parse, MATs, bypass, decisions)
+  because they look at one packet at a time, and the stateful ones (flow
+  registers, MapReduce block) because a batch update of them equals the
+  same packets one by one, wherever the stream is cut.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ DECISION_DROP = 2
 BASE_SWITCH_LATENCY_NS = 1000.0
 
 #: The batched path's default chunk, and the least rows per span: a span
-#: bounds each pass of the stateless stages (parse, MATs, bypass,
-#: decisions), a chunk each register update and block pass.  A span over
-#: the whole call measured 9-20 % slower at 32,768 rows (out of cache).
+#: bounds each pass of every stage, register updates and block passes
+#: included, so a block pass is at most ``max(chunk_size, 8192)`` rows.
+#: A span over the whole call measured 9-20 % slower at 32,768 rows (out
+#: of cache).
 DEFAULT_TRACE_CHUNK = 8192
 
 
@@ -377,11 +379,12 @@ class TaurusPipeline:
         The five-tuple is hashed once per call; then packets stream
         through in arrival order, one span of ``max(chunk_size,
         DEFAULT_TRACE_CHUNK)`` rows at a time (see :meth:`_process_span`),
-        so a span bounds every pass of the stateless stages and
-        ``chunk_size`` every register update and block pass.  Every
-        observable effect — results, ``stats``, MAT counters, register
-        contents, queue watermarks, the block's issue clock — matches the
-        scalar loop exactly, whatever ``chunk_size``.
+        so a span bounds every stage's pass, the register update and the
+        block pass included, and below 8,192 rows ``chunk_size`` changes
+        no stage's work.  Every observable effect — results, ``stats``,
+        MAT counters, register contents, queue watermarks, the block's
+        issue clock — matches the scalar loop exactly, whatever
+        ``chunk_size``.
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
@@ -410,7 +413,7 @@ class TaurusPipeline:
         for start in range(0, n, span):
             sl = slice(start, start + span)
             self._process_span(
-                columns if span >= n else columns.slice(sl), hashes[sl], chunk_size,
+                columns if span >= n else columns.slice(sl), hashes[sl],
                 decisions[sl], scores[sl], latencies[sl], bypassed[sl], aggregates,
             )
 
@@ -427,20 +430,18 @@ class TaurusPipeline:
         )
 
     def _process_span(
-        self, span: TraceColumns, hashes: np.ndarray, chunk_size: int,
+        self, span: TraceColumns, hashes: np.ndarray,
         decisions: np.ndarray, scores: np.ndarray, latencies: np.ndarray, bypass: np.ndarray,
         aggregates: dict[str, list[np.ndarray]],
     ) -> None:
         """One span through every pipeline stage, vectorized.
 
-        Parse, MATs, bypass and decisions hold no state from packet to
-        packet and run once over the span; the flow registers and the
-        block run once per ``chunk_size`` slice, in order, appending each
-        slice's flow aggregates to ``aggregates``.  ``hashes`` and the
-        four outputs are the span's slices of the call's arrays, filled in
-        place (``decisions``, ``scores`` and ``latencies`` arrive at
-        forward, NaN and the base latency)."""
-        m = span.n
+        Each stage runs once over the span: the flow registers on all of
+        its rows (appending their aggregates to ``aggregates``), the block
+        on its ML rows.  ``hashes`` and the four outputs are the span's
+        slices of the call's arrays, filled in place (``decisions``,
+        ``scores`` and ``latencies`` arrive at forward, NaN and the base
+        latency)."""
         batch = self.parser.parse_batch(span.headers, span.payload_len)
         urgent = span.header("urgent_flag") != 0
 
@@ -454,28 +455,18 @@ class TaurusPipeline:
         batch.set_column("ml_bypass", bypass)
 
         ml = ~bypass
-        where = ml.nonzero()[0]  # each chunk's ML rows are one run of these
-        self.stats["bypass"] += m - len(where)
+        where = ml.nonzero()[0]
+        self.stats["bypass"] += span.n - len(where)
         self.stats["ml"] += len(where)
-        features = batch.feature_matrix()[where] if len(where) else None
-        done = 0
-        for lo in range(0, m, chunk_size):
-            hi = lo + chunk_size
-            agg = self.accumulator.update_batch(
-                hashes[lo:hi], span.sizes[lo:hi], urgent[lo:hi], span.times[lo:hi]
-            )
-            for key, values in agg.items():
-                aggregates.setdefault(key, []).append(values)
-            stop = int(where.searchsorted(hi))
-            if stop > done:
-                rows = where[done:stop]
-                self.steer()
-                result = self.block.run_batch(features[done:stop])
-                scores[rows] = result.values[:, 0]
-                latencies[rows] = BASE_SWITCH_LATENCY_NS + result.latency_ns
-                decisions[rows] = self.postprocess_batch(result.values)
-                done = stop
+        agg = self.accumulator.update_batch(hashes, span.sizes, urgent, span.times)
+        for key, values in agg.items():
+            aggregates.setdefault(key, []).append(values)
         if len(where):
+            self.steer()
+            result = self.block.run_batch(batch.feature_matrix()[where])
+            scores[where] = result.values[:, 0]
+            latencies[where] = BASE_SWITCH_LATENCY_NS + result.latency_ns
+            decisions[where] = self.postprocess_batch(result.values)
             batch.set_column(
                 "ml_score", (np.abs(scores[where]) * 256).astype(np.int64) & 0xFFFF, where=ml
             )

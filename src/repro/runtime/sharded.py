@@ -757,7 +757,10 @@ class ShardedRuntime(LaneRunner):
         the ``pool`` choice — ``serial`` refuses a pool, ``fork`` needs
         one (see :func:`~repro.runtime.executors.selects_fork`).
     chunk_size:
-        Default packets-per-chunk for each shard's vectorized loop.
+        Default packets-per-chunk: the rows a pool piece carries.  In
+        process, each lane's pipeline runs every stage once per span of
+        ``max(chunk_size, DEFAULT_TRACE_CHUNK)`` rows, so below 8,192 it
+        changes none of the switch model's work.
     pool:
         Falsy (default): every run scores in process.  Truthy (``True``,
         or the spellings ``"auto"`` / ``"fork"``): one

@@ -296,3 +296,49 @@ class TestSwitchChipParams:
         chip = SwitchChipParams()
         assert chip.pipeline_area_mm2 == 125.0
         assert chip.pipeline_power_w == 67.5
+
+
+@pytest.mark.parametrize("app", ["anomaly-dnn", "indigo-lstm"])
+def test_run_batch_split_equals_one_shot(quantized_dnn, app):
+    """``run_batch`` over B rows equals the same rows run as consecutive
+    pieces on a twin block: the values, each piece's ``latency_ns``, the
+    issue clock and ``packets_processed`` — on a fresh block and after an
+    accounted ``reconfigure`` from another program."""
+    from repro.mapreduce import dnn_graph, lstm_graph
+    from repro.ml import indigo_lstm
+
+    lstm = indigo_lstm(seed=4)
+    dnn_app = dnn_graph(quantized_dnn), quantized_dnn.layers[0].w_raw.shape[1]
+    lstm_app = lstm_graph(lstm, window_steps=8), 8 * lstm.input_size
+    (graph, width), (other, other_width) = (
+        (dnn_app, lstm_app) if app == "anomaly-dnn" else (lstm_app, dnn_app)
+    )
+    rng = np.random.default_rng(17)
+    rows = 500  # crosses the LSTM kernel's row tiles
+    feats = rng.normal(0.0, 1.5, size=(rows, width))
+    warmup = rng.normal(0.0, 1.5, size=(5, other_width))
+    cuts = (1, 64, 166, 333, 499)
+
+    def twin(swapped: bool) -> MapReduceBlock:
+        if not swapped:
+            return MapReduceBlock(graph)
+        block = MapReduceBlock(other)
+        block.run_batch(warmup)
+        block.reconfigure(graph, account=True)
+        return block
+
+    for swapped in (False, True):
+        one, split = twin(swapped), twin(swapped)
+        assert one._next_issue_cycle == split._next_issue_cycle
+        whole = one.run_batch(feats)
+        pieces = [
+            split.run_batch(feats[lo:hi]) for lo, hi in zip((0, *cuts), (*cuts, rows))
+        ]
+        assert np.array_equal(whole.values, np.concatenate([p.values for p in pieces]))
+        assert all(p.latency_ns == whole.latency_ns for p in pieces)
+        assert one._next_issue_cycle == split._next_issue_cycle
+        assert one.packets_processed == split.packets_processed
+        assert (one.reconfigurations, one.reconfig_cycles) == (
+            split.reconfigurations, split.reconfig_cycles
+        )
+        assert (one.reconfig_cycles > 0) == swapped

@@ -421,10 +421,11 @@ class TestBatchEqualsScalar:
 
     @pytest.mark.parametrize("chunk_size", SPANNED_CHUNKS)
     def test_stages_run_once_per_span_or_chunk(self, block_pair, monkeypatch, chunk_size):
-        """Parse and every MAT run once per span of ``max(chunk_size,
-        DEFAULT_TRACE_CHUNK)`` rows; the registers once per chunk; the
-        block once per chunk with ML rows, never on more than
-        ``chunk_size`` rows."""
+        """Every stage runs once per span of ``max(chunk_size,
+        DEFAULT_TRACE_CHUNK)`` rows, whatever ``chunk_size``: parse, every
+        MAT and the registers on all of the span's rows, the block on
+        exactly the span's ML rows, so no block pass is larger than a
+        span."""
         pipe = _spanned_pipeline(block_pair[0])
         calls: dict[str, list[int]] = {}  # stage -> rows per call (0: uncounted)
 
@@ -447,21 +448,17 @@ class TestBatchEqualsScalar:
         )
 
         span = max(chunk_size, DEFAULT_TRACE_CHUNK)
-        chunks = [
-            slice(lo, min(lo + chunk_size, start + span, SPANNED_ROWS))
-            for start in range(0, SPANNED_ROWS, span)
-            for lo in range(start, min(start + span, SPANNED_ROWS), chunk_size)
+        spans = [
+            slice(lo, min(lo + span, SPANNED_ROWS)) for lo in range(0, SPANNED_ROWS, span)
         ]
-        ml_chunks = [sl for sl in chunks if not out.bypassed[sl].all()]
-        assert len(ml_chunks) < len(chunks) or chunk_size >= DEFAULT_TRACE_CHUNK
-        spans = -(-SPANNED_ROWS // span)
-        assert len(calls.pop("parse")) == spans
+        assert len(calls.pop("parse")) == len(spans)
         for t in range(5):
-            assert len(calls.pop(f"mat{t}")) == spans
-        assert calls.pop("registers") == [sl.stop - sl.start for sl in chunks]
+            assert len(calls.pop(f"mat{t}")) == len(spans)
+        assert calls.pop("registers") == [sl.stop - sl.start for sl in spans]
+        ml_rows = [int(np.count_nonzero(~out.bypassed[sl])) for sl in spans]
         block_rows = calls.pop("block")
-        assert block_rows == [int(np.count_nonzero(~out.bypassed[sl])) for sl in ml_chunks]
-        assert max(block_rows) <= chunk_size
+        assert block_rows == [rows for rows in ml_rows if rows]
+        assert max(block_rows) <= span
         assert not calls
 
     def test_empty_trace(self, block_pair, quantized_dnn):

@@ -719,7 +719,9 @@ class TestRegisters:
             ), reg
 
     def test_update_batch_split_equals_one_shot(self):
-        """Chunked batches carry register state across the boundary."""
+        """Chunked batches carry register state across the boundary: the
+        aggregates, all four registers and the dirty mask equal one batch
+        over the same rows, with saturation engaging mid-run."""
         rng = np.random.default_rng(9)
         n = 100
         hashes = fnv1a_columns([rng.integers(0, 4, size=n) for __ in range(5)])
@@ -727,16 +729,35 @@ class TestRegisters:
         urgent = rng.random(n) < 0.5
         times = np.sort(rng.uniform(0.0, 1.0, size=n))
 
-        one = FlowFeatureAccumulator(slots=8)
+        def preloaded() -> FlowFeatureAccumulator:
+            """Half the slots a few counts below saturation."""
+            acc = FlowFeatureAccumulator(slots=8)
+            near = np.arange(0, 8, 2)
+            acc.packet_count.values[near] = acc.packet_count.max_value - 3
+            acc.byte_count.values[near] = acc.byte_count.max_value - 2000
+            acc.first_seen_ms.values[near] = 7
+            acc.take_dirty()
+            return acc
+
+        one = preloaded()
         whole = one.update_batch(hashes, sizes, urgent, times)
-        two = FlowFeatureAccumulator(slots=8)
-        first = two.update_batch(hashes[:60], sizes[:60], urgent[:60], times[:60])
-        second = two.update_batch(hashes[60:], sizes[60:], urgent[60:], times[60:])
-        for field_name in whole:
-            assert np.array_equal(
-                whole[field_name],
-                np.concatenate([first[field_name], second[field_name]]),
-            ), field_name
+        assert (one.packet_count.values == one.packet_count.max_value).any()
+        assert (one.byte_count.values == one.byte_count.max_value).any()
+        for cuts in ((60,), (1, 2, 50, 99), tuple(range(1, n))):
+            two = preloaded()
+            parts = [
+                two.update_batch(hashes[sl], sizes[sl], urgent[sl], times[sl])
+                for sl in map(slice, (0, *cuts), (*cuts, n))
+            ]
+            for field_name in whole:
+                assert np.array_equal(
+                    whole[field_name], np.concatenate([p[field_name] for p in parts])
+                ), (cuts, field_name)
+            for reg in ("packet_count", "byte_count", "urgent_count", "first_seen_ms"):
+                assert np.array_equal(
+                    getattr(one, reg).values, getattr(two, reg).values
+                ), (cuts, reg)
+            assert np.array_equal(one.dirty, two.dirty), cuts
 
     @pytest.mark.parametrize("slots", [1 << 16, (1 << 16) + 1], ids=["uint16-key", "int64-key"])
     def test_update_batch_at_the_radix_key_boundary(self, slots):
