@@ -12,6 +12,7 @@ from repro.compiler import compile_graph
 from repro.core import render_table, write_result
 from repro.datasets import iot_cluster_dataset, svm_feature_matrix
 from repro.hw import TaurusChip
+from repro.hw.grid import CU_BUDGET, MU_BUDGET
 from repro.mapreduce import dnn_graph, kmeans_graph, lstm_graph, svm_graph
 from repro.ml import KMeans, RBFKernelSVM, indigo_lstm
 
@@ -36,7 +37,7 @@ def designs(anomaly_q, split):
         "anomaly_dnn": compile_graph(dnn_graph(anomaly_q, name="anomaly_dnn")),
         "indigo_lstm": compile_graph(
             lstm_graph(indigo_lstm(seed=0), name="indigo_lstm"),
-            cu_budget=90, mu_budget=30,
+            cu_budget=CU_BUDGET, mu_budget=MU_BUDGET,
         ),
     }
 

@@ -16,8 +16,7 @@ Quickstart::
 """
 
 from .apps import AnomalyDetector, CongestionController, IoTClassifier
-from .core import TaurusConfig, TaurusSwitch
-from .fixpoint import FIX8, FIX16, FIX32, FixTensor, quantize_model
+from .fixpoint import FIX8, FixTensor, quantize_model
 from .hw import MapReduceBlock, TaurusChip
 from .mapreduce import (
     DataflowGraph,
@@ -30,17 +29,11 @@ from .mapreduce import (
 from .pisa import TaurusPipeline
 from .runtime import ShardedRuntime
 
-__version__ = "1.0.0"
-
 __all__ = [
     "AnomalyDetector",
     "CongestionController",
     "IoTClassifier",
-    "TaurusConfig",
-    "TaurusSwitch",
     "FIX8",
-    "FIX16",
-    "FIX32",
     "FixTensor",
     "quantize_model",
     "MapReduceBlock",
@@ -53,5 +46,4 @@ __all__ = [
     "svm_graph",
     "TaurusPipeline",
     "ShardedRuntime",
-    "__version__",
 ]

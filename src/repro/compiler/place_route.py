@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from ..hw.params import (
-    CUGeometry,
     DEFAULT_CU_GEOMETRY,
     GRID_COLS,
     GRID_CU_TO_MU_RATIO,
@@ -79,12 +78,11 @@ class Placement:
         return max((max(0, len(path) - 1) for path in self.routes), default=0)
 
 
-def place_and_route(
-    graph: DataflowGraph,
-    grid: GridSpec | None = None,
-    geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
-) -> Placement:
-    """Greedy placement + shortest-path routing.
+def place_and_route(graph: DataflowGraph) -> Placement:
+    """Greedy placement + shortest-path routing on the paper's grid.
+
+    The grid is the default :class:`GridSpec` (12x10, 3:1) and the CUs
+    are the paper's 16x4 fix8 shape.
 
     Nodes are placed in topological order; each node's CUs/MUs take the
     free tiles nearest the centroid of its predecessors' tiles (keeping
@@ -92,8 +90,8 @@ def place_and_route(
     is for).  Demand beyond the grid's capacity is folded (time-multiplexed)
     first, exactly as :func:`~repro.compiler.pipeline.compile_graph` does.
     """
-    grid = grid or GridSpec()
-    resources = graph_resources(graph, geometry)
+    grid = GridSpec()
+    resources = graph_resources(graph, DEFAULT_CU_GEOMETRY)
 
     free = {"cu": list(grid.tiles("cu")), "mu": list(grid.tiles("mu"))}
     capacity = {"cu": len(free["cu"]), "mu": len(free["mu"])}

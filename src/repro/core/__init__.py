@@ -1,12 +1,8 @@
-"""Integration layer: the TaurusSwitch device, configuration, reporting."""
+"""Reporting helpers: the paper-style tables the benchmarks write."""
 
-from .config import TaurusConfig
-from .device import TaurusSwitch
 from .report import render_table, series_to_text, write_result
 
 __all__ = [
-    "TaurusConfig",
-    "TaurusSwitch",
     "render_table",
     "series_to_text",
     "write_result",

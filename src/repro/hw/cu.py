@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fixpoint import FIX8, FixTensor
+from ..fixpoint import FixTensor
 from ..mapreduce.ops import MAP_OPS, REDUCE_OPS, reduce_tree_depth
 from .params import CUGeometry, DEFAULT_CU_GEOMETRY
 
@@ -123,7 +123,3 @@ class ComputeUnit:
         if self.invocations == 0:
             return 0.0
         return min(1.0, self.busy_cycles / max(self.invocations, 1) / self.geometry.stages)
-
-
-def _default_fmt():  # pragma: no cover - convenience for interactive use
-    return FIX8

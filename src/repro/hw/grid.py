@@ -23,7 +23,14 @@ import numpy as np
 
 from ..compiler.pipeline import CompiledDesign, compile_graph
 from ..mapreduce.ir import DataflowGraph
-from .params import CLOCK_GHZ, CUGeometry, DEFAULT_CU_GEOMETRY
+from .area import grid_composition
+from .params import (
+    CLOCK_GHZ,
+    DEFAULT_CU_GEOMETRY,
+    GRID_COLS,
+    GRID_CU_TO_MU_RATIO,
+    GRID_ROWS,
+)
 
 __all__ = [
     "MapReduceBlock",
@@ -31,7 +38,14 @@ __all__ = [
     "BatchInferenceResult",
     "RECONFIG_WORDS_PER_CYCLE",
     "RECONFIG_BASE_CYCLES",
+    "CU_BUDGET",
+    "MU_BUDGET",
 ]
+
+#: Capacity of the paper's 12x10, 3:1 checkerboard block (90 CUs, 30 MUs).
+#: Every program a block runs is compiled, and folded if need be, against
+#: it.
+CU_BUDGET, MU_BUDGET = grid_composition(GRID_ROWS, GRID_COLS, GRID_CU_TO_MU_RATIO)
 
 #: Configuration words the control path streams into the grid per cycle
 #: when swapping programs (the CGRA analogue of partial-bitstream load
@@ -86,34 +100,25 @@ class BatchInferenceResult:
         return self.batch_size / (self.duration_ns * 1e-9)
 
 
+def _compile(graph: DataflowGraph) -> CompiledDesign:
+    """``graph`` compiled for the paper's grid: 16x4 fix8 CUs, 12x10, 3:1."""
+    return compile_graph(
+        graph, DEFAULT_CU_GEOMETRY, cu_budget=CU_BUDGET, mu_budget=MU_BUDGET
+    )
+
+
 class MapReduceBlock:
     """A MapReduce block configured with one compiled program.
 
-    Parameters
-    ----------
-    graph:
-        The dataflow program (from a :mod:`repro.mapreduce.frontend`
-        lowering).
-    geometry:
-        CU shape; defaults to the paper's 16x4 fix8 configuration.
-    cu_budget / mu_budget:
-        Grid capacity; defaults to the 12x10, 3:1 block (90 CUs, 30 MUs).
+    ``graph`` is the dataflow program (from a
+    :mod:`repro.mapreduce.frontend` lowering).  It runs on the paper's
+    block: 16x4 fix8 CUs on the 12x10, 3:1 grid (:data:`CU_BUDGET` CUs,
+    :data:`MU_BUDGET` MUs); a program that needs more CUs is folded.
     """
 
-    def __init__(
-        self,
-        graph: DataflowGraph,
-        geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
-        cu_budget: int = 90,
-        mu_budget: int = 30,
-    ):
+    def __init__(self, graph: DataflowGraph):
         self.graph = graph
-        self.geometry = geometry
-        self.cu_budget = cu_budget
-        self.mu_budget = mu_budget
-        self.design: CompiledDesign = compile_graph(
-            graph, geometry, cu_budget=cu_budget, mu_budget=mu_budget
-        )
+        self.design: CompiledDesign = _compile(graph)
         # Compiled designs per program, so time-multiplexed swaps between
         # a working set of apps do not recompile on every switch.  Values
         # keep a strong reference to their graph: cache keys are object
@@ -213,18 +218,13 @@ class MapReduceBlock:
         With ``account=True`` the swap is charged to the block's issue
         clock (:meth:`reconfig_cycles_for`): this is how the multi-app
         fabric's time-multiplexed program switches show up in modeled
-        drain.  Compiled designs are cached per program object and always
-        honour the budgets the block was built with, so a block folded
-        onto the 12x10 grid stays folded after a swap.
+        drain.  Compiled designs are cached per program object, and every
+        program is compiled for the block's 12x10 grid, so a program that
+        folds onto it stays folded after a swap.
         """
         cached = self._design_cache.get(id(graph))
         if cached is None or cached[0] is not graph:
-            design = compile_graph(
-                graph,
-                self.geometry,
-                cu_budget=self.cu_budget,
-                mu_budget=self.mu_budget,
-            )
+            design = _compile(graph)
             while len(self._design_cache) >= DESIGN_CACHE_LIMIT:
                 oldest = next(
                     key

@@ -1,10 +1,11 @@
-"""Tests for the report-rendering helpers and device config."""
+"""Tests for the report-rendering helpers and the grid configuration."""
 
 import os
 
 import pytest
 
-from repro.core import TaurusConfig, render_table, series_to_text, write_result
+from repro.core import render_table, series_to_text, write_result
+from repro.hw import grid_composition
 
 
 class TestRenderTable:
@@ -39,17 +40,10 @@ class TestWriteResult:
 
 
 class TestConfig:
-    def test_defaults_match_paper(self):
-        cfg = TaurusConfig()
-        assert cfg.geometry.lanes == 16
-        assert cfg.geometry.stages == 4
-        assert cfg.geometry.precision == "fix8"
-        assert (cfg.n_cus, cfg.n_mus) == (90, 30)
-
     def test_custom_grid(self):
-        cfg = TaurusConfig(grid_rows=8, grid_cols=8)
-        assert cfg.n_cus + cfg.n_mus == 64
+        n_cus, n_mus = grid_composition(rows=8, cols=8)
+        assert n_cus + n_mus == 64
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TaurusConfig(grid_rows=0)
+            grid_composition(rows=0)

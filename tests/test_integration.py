@@ -8,11 +8,11 @@ the control-plane baseline — asserting the *shape* of the paper's results.
 import numpy as np
 import pytest
 
-from repro import TaurusConfig, TaurusSwitch
 from repro.apps import AnomalyDetector, CongestionController, IoTClassifier, cluster_purity
 from repro.compiler import compile_graph
-from repro.datasets import DNN_FEATURES, dnn_feature_matrix, generate_connections
+from repro.datasets import dnn_feature_matrix, generate_connections
 from repro.hw import TaurusChip
+from repro.hw.grid import CU_BUDGET, MU_BUDGET
 from repro.mapreduce import dnn_graph, kmeans_graph, svm_graph, lstm_graph
 from repro.pisa import from_record
 from repro.testbed import EndToEndExperiment
@@ -30,7 +30,9 @@ class TestTable5Shape:
             "svm": compile_graph(svm_graph(trained_svm)),
             "dnn": compile_graph(dnn_graph(quantized_dnn)),
             "lstm": compile_graph(
-                lstm_graph(indigo_lstm(seed=0)), cu_budget=90, mu_budget=30
+                lstm_graph(indigo_lstm(seed=0)),
+                cu_budget=CU_BUDGET,
+                mu_budget=MU_BUDGET,
             ),
         }
 
@@ -68,100 +70,8 @@ class TestTable5Shape:
 
     def test_everything_fits_the_grid(self, designs):
         for design in designs.values():
-            assert design.n_cu <= 90
-            assert design.n_mu <= 30
-
-
-class TestTaurusSwitch:
-    def test_full_device_flow(self, quantized_dnn, train_test_split):
-        __, test = train_test_split
-        switch = TaurusSwitch.with_program(
-            dnn_graph(quantized_dnn), feature_names=DNN_FEATURES
-        )
-        x = dnn_feature_matrix(test)[:16]
-        for row in x:
-            score = switch.infer(row)
-            assert 0.0 <= float(score[0]) <= 1.0
-        report = switch.overheads()
-        assert report.area_percent < 1.5
-        placement = switch.placement()
-        assert placement.n_tiles_used > 0
-
-    def test_program_swap(self, quantized_dnn, trained_kmeans):
-        switch = TaurusSwitch.with_program(
-            dnn_graph(quantized_dnn), feature_names=DNN_FEATURES
-        )
-        before = switch.design.latency_ns
-        switch.install_program(kmeans_graph(trained_kmeans))
-        assert switch.design.latency_ns != before
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TaurusConfig(decision_threshold=2.0)
-        assert TaurusConfig().n_cus == 90
-        assert TaurusConfig().n_mus == 30
-
-    def test_batched_decision_hooks_installed_by_default(
-        self, quantized_dnn, train_test_split
-    ):
-        """with_program wires the vectorized postprocess twin, so batched
-        trace replay never falls back to the per-row scalar hook."""
-        from repro.datasets import expand_to_packets
-
-        switch = TaurusSwitch.with_program(
-            dnn_graph(quantized_dnn), feature_names=DNN_FEATURES
-        )
-        assert switch.pipeline.postprocess_batch is not None
-        __, test = train_test_split
-        trace = expand_to_packets(test, max_packets=200, seed=3)
-        outcome = switch.process_trace_batch(trace)
-        threshold = switch.config.decision_threshold
-        assert np.array_equal(outcome.decisions == 1, outcome.ml_scores >= threshold)
-
-    def test_custom_batched_hooks_pass_through(self, quantized_dnn):
-        from repro.pisa import DECISION_DROP, DECISION_FORWARD
-
-        def scalar_post(value):
-            return DECISION_DROP if float(value[0]) >= 0.9 else DECISION_FORWARD
-
-        def batch_post(values):
-            return np.where(values[:, 0] >= 0.9, DECISION_DROP, DECISION_FORWARD)
-
-        def scalar_bypass(phv):
-            return phv.get("dst_port") == 22
-
-        def batch_bypass(batch):
-            return batch.column("dst_port") == 22
-
-        switch = TaurusSwitch.with_program(
-            dnn_graph(quantized_dnn),
-            feature_names=DNN_FEATURES,
-            postprocess=scalar_post,
-            postprocess_batch=batch_post,
-            bypass_predicate=scalar_bypass,
-            bypass_predicate_batch=batch_bypass,
-        )
-        assert switch.pipeline.postprocess is scalar_post
-        assert switch.pipeline.postprocess_batch is batch_post
-        assert switch.pipeline.bypass_predicate is scalar_bypass
-        assert switch.pipeline.bypass_predicate_batch is batch_bypass
-
-    def test_batch_only_hooks_rejected(self, quantized_dnn):
-        """A batched hook without its scalar oracle would let the two
-        execution paths silently diverge — refuse it."""
-        graph = dnn_graph(quantized_dnn)
-        with pytest.raises(ValueError, match="scalar postprocess"):
-            TaurusSwitch.with_program(
-                graph,
-                feature_names=DNN_FEATURES,
-                postprocess_batch=lambda values: values[:, 0] > 0,
-            )
-        with pytest.raises(ValueError, match="scalar bypass_predicate"):
-            TaurusSwitch.with_program(
-                graph,
-                feature_names=DNN_FEATURES,
-                bypass_predicate_batch=lambda batch: batch.column("dst_port") == 22,
-            )
+            assert design.n_cu <= CU_BUDGET
+            assert design.n_mu <= MU_BUDGET
 
 
 class TestAnomalyDetectorApp:

@@ -290,19 +290,16 @@ class TestReconfigurationAccounting:
         assert two.reconfig_ns == 0.0
         assert 0 < two.drain_ns < one.drain_ns
 
-    def test_reconfigure_respects_block_budgets(self, quantized_dnn):
-        """Regression: reconfigure used to drop the block's MU budget and
-        hard-code the CU budget instead of honouring the constructor's."""
-        from repro.mapreduce import dnn_graph
+    def test_reconfigure_respects_block_budgets(self, lstm):
+        """Regression: reconfigure used to compile the new program without
+        the grid's budgets.  The Indigo LSTM folds 6x onto the 12x10 grid
+        (1x with no budget), and a swapped-in lowering must stay folded."""
+        from repro.mapreduce import lstm_graph
 
-        graph = dnn_graph(quantized_dnn, name="budget_probe")
-        block = MapReduceBlock(graph, cu_budget=4, mu_budget=30)
-        folded = block.design.fold_factor
-        assert folded > 1
-        block.reconfigure(
-            dnn_graph(quantized_dnn, name="budget_probe_swap")
-        )
-        assert block.design.fold_factor == folded  # stays folded
+        block = MapReduceBlock(lstm_graph(lstm, name="budget_probe"))
+        assert block.design.fold_factor == 6
+        block.reconfigure(lstm_graph(lstm, name="budget_probe_swap"))
+        assert block.design.fold_factor == 6
 
     def test_accounted_swap_advances_issue_clock(self, quantized_dnn):
         from repro.mapreduce import dnn_graph

@@ -1,11 +1,12 @@
-"""Surface census for the lane runtime, the switch model and the testbed:
-every public name has a customer.
+"""Surface census for the top level, the lane runtime, the switch model and
+the testbed: every public name has a customer.
 
-One row per name in ``repro.runtime.__all__``, ``service.__all__``,
-``repro.pisa.__all__``, ``pisa.scheduler.__all__`` and
-``repro.testbed.__all__``, per ``__init__`` keyword of the runtime
-constructors, of ``TaurusPipeline`` and of ``TaurusDataPlane``, and per
-field of their records and of ``EndToEndExperiment`` — keyed
+One row per name in ``repro.__all__``, ``repro.core.__all__``,
+``repro.runtime.__all__``, ``service.__all__``, ``repro.pisa.__all__``,
+``pisa.scheduler.__all__`` and ``repro.testbed.__all__``, per ``__init__``
+keyword of the runtime constructors, of ``MapReduceBlock``, of
+``TaurusPipeline`` and of ``TaurusDataPlane``, and per field of their
+records and of ``EndToEndExperiment`` — keyed
 ``Class.name``, except the service's keywords and ``ClientSpec``'s fields.  A row is
 ``"<file>:<function> — why"``: the first non-test caller that needs the
 name, or — where no such caller exists — the test that pins the case the
@@ -18,7 +19,9 @@ import inspect
 import re
 from pathlib import Path
 
-from repro import pisa, runtime, testbed
+import repro
+from repro import core, pisa, runtime, testbed
+from repro.hw import MapReduceBlock
 from repro.pisa import TaurusPipeline, scheduler
 from repro.runtime import service
 from repro.runtime.fabric import FabricApp, MultiAppFabric, MultiAppResult
@@ -32,6 +35,30 @@ REPO = Path(__file__).resolve().parents[1]
 LEDGER_STACK = "benchmarks/ledger/workloads.py:__init__ — `Backend` builds every ledger stack"
 
 CUSTOMERS = {
+    # repro.__all__ (TaurusPipeline and ShardedRuntime have their rows below)
+    "AnomalyDetector": "examples/quickstart.py:main — the anomaly DNN end to end",
+    "CongestionController": "examples/congestion_control.py:main — the Indigo LSTM",
+    "IoTClassifier": "examples/iot_classification.py:main — the KMeans classifier",
+    "FIX8": "src/repro/mapreduce/frontend.py:svm_graph — the block's default format",
+    "FixTensor": "src/repro/hw/cu.py:execute — a CU's operands and results",
+    "quantize_model": "src/repro/testbed/experiment.py:build — the Table 8 model",
+    "MapReduceBlock": "src/repro/testbed/dataplane.py:__init__ — one block per lane",
+    "TaurusChip": "examples/iot_classification.py:main — the program's overheads",
+    "DataflowGraph": "src/repro/mapreduce/frontend.py:dnn_graph — its return type",
+    "MapReduceControlBlock": "tests/test_mapreduce_dsl_ir.py:test_reduce_is_tree_ordered "
+                             "— no shipped lowering is written in the DSL; a "
+                             "non-associative body shows its reduce is a tree",
+    "dnn_graph": "src/repro/testbed/dataplane.py:__init__ — the exact-activation program",
+    "kmeans_graph": "src/repro/apps/iot_classify.py:train — the IoT program",
+    "lstm_graph": "src/repro/apps/congestion.py:train — the Indigo program",
+    "svm_graph": "benchmarks/test_table5_applications.py:designs — Table 5's SVM row",
+    # MapReduceBlock keywords
+    "MapReduceBlock.graph": "src/repro/testbed/dataplane.py:__init__",
+    # repro.core.__all__
+    "render_table": "benchmarks/test_table5_applications.py:test_table5 — the table text",
+    "series_to_text": "benchmarks/test_fig9_cu_sweep.py:test_fig9 — the Fig. 9a series",
+    "write_result": "benchmarks/test_table5_applications.py:test_table5 — "
+                    "`results/table5_applications.txt`",
     # repro.runtime.service.__all__ (all re-exported by repro.runtime)
     "ACCEPTED": "benchmarks/ledger/phases.py:submit_backlog — refuses a backlog "
                 "submit whose verdict is not ACCEPTED (`Admission.accepted`)",
@@ -112,7 +139,7 @@ CUSTOMERS = {
     "MatchActionTable": "benchmarks/ledger/workloads.py:_install_tables — bypass_c512's MATs",
     "MatchKind": "benchmarks/ledger/workloads.py:_install_tables — exact tag, ternary deny",
     "TableEntry": "benchmarks/ledger/workloads.py:_install_tables — one rule per port / prefix",
-    "Packet": "src/repro/core/device.py:process — the scalar oracle's input",
+    "Packet": "src/repro/pisa/packet.py:from_record — the scalar oracle's input",
     "from_record": "benchmarks/ledger/verify.py:scalar_prefix_mismatches — one packet "
                    "per trace record for scalar `process`",
     "Parser": "src/repro/pisa/pipeline.py:__post_init__ — the pipeline's parse graph",
@@ -127,9 +154,10 @@ CUSTOMERS = {
                      "packets are the detections",
     "DECISION_FORWARD": "src/repro/pisa/pipeline.py:threshold_postprocess — below threshold",
     "DEFAULT_TRACE_CHUNK": "src/repro/runtime/sharded.py:__init__ — the default chunk",
-    "PipelineResult": "src/repro/core/device.py:process — its return type",
+    "PipelineResult": "src/repro/pisa/pipeline.py:process — the scalar oracle's return type",
     "TaurusPipeline": "benchmarks/ledger/workloads.py:build_pipeline — the one-app switch",
-    "TracePipelineResult": "src/repro/core/device.py:process_trace_batch — its return type",
+    "TracePipelineResult": "src/repro/runtime/sharded.py:concat_results — a lane's "
+                           "per-request result",
     "port_bypass": "benchmarks/ledger/workloads.py:build_pipeline — bypass_c512's ports",
     "threshold_postprocess": "benchmarks/ledger/workloads.py:build_pipeline",
     "FlowFeatureAccumulator": "src/repro/runtime/fabric.py:build_pipeline — a "
@@ -197,10 +225,13 @@ def _fields(cls) -> set[str]:
 
 
 def test_the_census_names_exactly_the_service_surface():
-    constructors = (ShardedRuntime, MultiAppFabric, TaurusDataPlane, TaurusPipeline)
+    constructors = (
+        ShardedRuntime, MultiAppFabric, MapReduceBlock, TaurusDataPlane, TaurusPipeline
+    )
     records = (FabricApp, MultiAppResult, EndToEndExperiment)
     assert CUSTOMERS.keys() == (
-        set(runtime.__all__) | set(service.__all__) | set(scheduler.__all__)
+        set(repro.__all__) | set(core.__all__)
+        | set(runtime.__all__) | set(service.__all__) | set(scheduler.__all__)
         | set(pisa.__all__) | set(testbed.__all__)
         | _keywords(InferenceService) | _fields(ClientSpec)
         | {f"{cls.__name__}.{name}" for cls in constructors for name in _keywords(cls)}
