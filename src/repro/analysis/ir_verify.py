@@ -380,8 +380,8 @@ def _probe(
     return diags
 
 
-#: Rows of the kernel-vs-nodes probe, 3 x 166 + 5: the shipped LSTM kernel's
-#: tile is 166 rows, so the batch crosses it twice and ends on a ragged tile.
+#: Rows of the kernel-vs-nodes probe, 3 x 161 + 20: the shipped LSTM kernel's
+#: tile is 161 rows, so the batch crosses it thrice and ends on a ragged tile.
 _KERNEL_PROBE_ROWS = 503
 
 

@@ -510,34 +510,49 @@ def kmeans_graph(kmeans, fmt: FixedPointFormat = FIX8, name: str = "kmeans") -> 
 _SERIAL_GEMM_WORK = 3 << 18
 #: Integer-valued float64 sums below this are exact in any order.
 _EXACT_SUM_LIMIT = 1 << 53
+#: The same for float32: below this the kernel's accumulator is float32.
+_EXACT_F32_LIMIT = 1 << 24
 
 
 def _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out):
     """Compile the recurrent lowering into one batch function, or ``None``.
 
     The window is quantized once; ``h``, ``c`` and the gates stay raw
-    ``fmt`` integers (in float64) across all steps.  A mat-vec is a float
-    matmul on raw values, ``z_raw @ w_raw.T + b_raw * scale``: the
-    reference's ``sum(zq * w) + b`` in units of ``scale**-2`` exactly, every
-    partial sum an integer below 2^53 (proved here, else ``None``); then
-    ``/ scale``, ``rint``, clip as in ``fmt.quantize``.  Nonlinearities are
-    table lookups (``tanh_pw(c)`` unrounded, like the reference).  Rows run
-    in tiles — all steps, then the head — that keep the gate mat-vec under
-    :data:`_SERIAL_GEMM_WORK`.
+    ``fmt`` integers across all steps.  A gate step is one float matmul,
+    ``[x_t, h_raw, 1] @ [w_raw / scale; b_raw + offset]``, then ``rint``,
+    a per-column clip and one table ``take``: the reference's
+    ``sum(zq * w) + b`` in raw units exactly, with ``/ scale`` folded into
+    the weights (exact: ``scale`` is a power of two) and the bias and the
+    gate table's index offset riding in the ones column.  The offset,
+    ``-raw_min`` plus the sigmoid table's ``2**bits`` for the ``g``
+    columns, is even, so half-to-even ``rint`` commutes with it, and the
+    clip bounds move with it.  Every partial sum is a multiple of
+    ``1 / scale`` whose numerator stays below ``(dim + hidden + 4) *
+    raw_min**2`` (proved here: under 2^24 the accumulator is float32,
+    under 2^53 float64, else ``None``), so the sum is exact in any order.
+    Nonlinearities are table lookups (``tanh_pw(c)`` unrounded, like the
+    reference).  Element-wise work runs on all rows at once; only the
+    matmuls run in row tiles that stay under :data:`_SERIAL_GEMM_WORK`.
     """
     scale, lo, hi, hidden = fmt.scale, fmt.raw_min, fmt.raw_max, w_out.shape[1]
-    # Raw operands are at most |lo| and scale <= |lo|: no partial sum exceeds this.
-    if fmt.total_bits > _MAX_TABLE_BITS or (dim + hidden + 1) * lo * lo >= _EXACT_SUM_LIMIT:
+    # Raw operands are at most |lo|, scale <= |lo| and the ones column's
+    # weight is at most 4 |lo|: no partial sum's numerator exceeds this.
+    bound = (dim + hidden + 4) * lo * lo
+    if fmt.total_bits > _MAX_TABLE_BITS or bound >= _EXACT_SUM_LIMIT:
         return None
-    # Parameters are already on fmt's grid: ``* scale`` recovers the raw.
-    wg, bg = np.ascontiguousarray((w_gates * scale).T), b_gates * scale * scale
-    wo, bo = np.ascontiguousarray((w_out * scale).T), b_out * scale * scale
-    tile = max(1, _SERIAL_GEMM_WORK // wg.size)
+    dtype = np.float32 if bound < _EXACT_F32_LIMIT else np.float64
     sigmoid = _raw_domain_table(fmt, sigmoid_piecewise, fmt.quantize)
     # One table for all four gates: the g columns index its tanh half.
     gate_table = np.concatenate([sigmoid, _raw_domain_table(fmt, tanh_piecewise, fmt.quantize)])
-    gate_index = np.full(4 * hidden, -lo, dtype=np.float64)
-    gate_index[2 * hidden : 3 * hidden] += sigmoid.size
+    offset = np.full(4 * hidden, -lo)
+    offset[2 * hidden : 3 * hidden] += sigmoid.size
+    assert not (offset % 2).any(), "rint commutes only with an even offset"
+    # Parameters are already on fmt's grid: ``* scale`` recovers the raw.
+    # C order: OpenBLAS threads a gemm on a transposed operand far below 10^6.
+    wg = np.ascontiguousarray(np.vstack([w_gates.T, b_gates * scale + offset]), dtype)
+    wo = np.ascontiguousarray(np.vstack([w_out.T, b_out * scale]), dtype)
+    gate_lo, gate_hi = (offset + lo).astype(dtype), (offset + hi).astype(dtype)
+    tile = max(1, _SERIAL_GEMM_WORK // wg.size)
     cell_tanh = _raw_domain_table(fmt, tanh_piecewise)
     s_i, s_f, s_g, s_o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
 
@@ -548,35 +563,32 @@ def _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out):
 
     def kernel(features: np.ndarray, state: dict) -> np.ndarray:
         x_raw = fmt.quantize(features)
-        actions = np.empty((len(x_raw), 1), dtype=np.intp)
-        h_all = np.empty((len(x_raw), hidden), dtype=fmt.storage_dtype)
-        c_all = np.empty_like(h_all)
-        for start in range(0, len(x_raw), tile):
-            rows = slice(start, start + tile)
-            x = x_raw[rows]
-            z = np.zeros((len(x), dim + hidden))  # [x_t, h]; h and c start at 0
-            h = z[:, dim:]
-            c = np.zeros((len(x), hidden))
-            acc = np.empty((len(x), 4 * hidden))
-            for t in range(window_steps):
-                z[:, :dim] = x[:, t * dim : (t + 1) * dim]
-                np.matmul(z, wg, out=acc)
-                acc += bg
-                acc /= scale
-                round_clip(acc)
-                acc += gate_index
-                gates = gate_table.take(acc.astype(np.intp))
-                c *= gates[:, s_f]
-                c += gates[:, s_i] * gates[:, s_g]
-                c /= scale
-                round_clip(c)
-                h[:] = gates[:, s_o] * cell_tanh.take((c - lo).astype(np.intp))
-                round_clip(h)
-            logits = (h @ wo + bo) / scale
-            actions[rows, 0] = round_clip(logits).argmax(axis=1)
-            h_all[rows], c_all[rows] = h, c
-        state["h"], state["c"] = fmt.dequantize(h_all), fmt.dequantize(c_all)
-        return actions
+        n = len(x_raw)
+        tiles = [slice(start, start + tile) for start in range(0, n, tile)]
+        z = np.zeros((n, dim + hidden + 1), dtype=dtype)  # [x_t, h, 1]; h and c start at 0
+        z[:, -1] = 1
+        c = np.zeros((n, hidden))
+        acc = np.empty((n, 4 * hidden), dtype=dtype)
+        for t in range(window_steps):
+            z[:, :dim] = x_raw[:, t * dim : (t + 1) * dim]
+            for rows in tiles:
+                np.matmul(z[rows], wg, out=acc[rows])
+            np.rint(acc, out=acc)  # then clip: np.clip with array bounds is ~3x slower
+            np.maximum(acc, gate_lo, out=acc)
+            np.minimum(acc, gate_hi, out=acc)
+            gates = gate_table.take(acc.astype(np.intp))
+            c *= gates[:, s_f]
+            c += gates[:, s_i] * gates[:, s_g]
+            c /= scale
+            round_clip(c)
+            h = gates[:, s_o] * cell_tanh.take((c - lo).astype(np.intp))
+            z[:, dim:-1] = round_clip(h)
+        logits = np.empty((n, wo.shape[1]), dtype=dtype)
+        for rows in tiles:
+            logits[rows] = z[rows, dim:] @ wo
+        h, c = (v.astype(fmt.storage_dtype) for v in (z[:, dim:-1], c))
+        state["h"], state["c"] = fmt.dequantize(h), fmt.dequantize(c)
+        return round_clip(logits).argmax(axis=1).reshape(-1, 1)
 
     return kernel
 

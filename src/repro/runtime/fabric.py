@@ -15,7 +15,8 @@ constructed from apps, plus the round-robin interleave of
   per pass, round-robin — with issue-clock accounting, so the modeled
   drain reflects both interleaving and the reconfiguration cost of each
   program swap (:meth:`~repro.hw.grid.MapReduceBlock.reconfigure` with
-  ``account=True``); running each app to completion instead is
+  ``account=True``); an app's back-to-back turns (once the others ran
+  dry) are one pipeline call; running each app to completion instead is
   :meth:`MultiAppFabric.process_traces` with one request per app;
 * with ``shards > 1`` lanes carry *heterogeneous* programs: lanes are
   assigned app affinities, each app's trace is partitioned
@@ -97,13 +98,12 @@ class FabricApp:
         block back to this app's program whenever another app ran last.
         """
         kwargs: dict = {}
-        if self.postprocess is not None:
-            kwargs["postprocess"] = self.postprocess
         if self.slots is not None:
             kwargs["accumulator"] = FlowFeatureAccumulator(slots=self.slots)
         return TaurusPipeline(
             block=block,
             feature_names=self.feature_names,
+            postprocess=self.postprocess,
             postprocess_batch=self.postprocess_batch,
             program=self.graph,
             **kwargs,

@@ -32,15 +32,16 @@ so a run completes in the slowest lane's drain time
 
 **Requests and pieces.**  A request is the unit of admission, deadline
 and delivery: results come back, and ``on_result`` fires, once per
-request, in order.  On the fork backend a *piece* is the unit of
-execution, ack and replay: each lane's queued slots are cut into pieces
-of ``chunk`` rows that may span the end of one request and the start of
-the next (see :meth:`LaneRunner._run_schedules`), so a lane ships full
-chunks whatever size its requests are.
+request, in order.  A *piece* is the unit of execution: a lane's
+consecutive same-app, time-ordered slots, which may span requests (see
+:meth:`LaneRunner._run_schedules`), scored in one call in process and
+cut at ``chunk`` rows on the fork backend, where a piece is also the
+unit of ack and replay.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import deque
 from dataclasses import replace
@@ -665,20 +666,22 @@ class LaneRunner:
         ``schedules[s]`` lists lane ``s``'s ``(app, columns, owner)``
         slots in issue order; ``owner < owners`` names whose result the
         slot is a part of (a request of a batch, an app of a fabric run).
-        In process, each slot is one
-        ``process_trace_batch(columns, chunk_size=chunk)`` call, lanes
-        taking turns.
 
-        On the fork backend a request is still the unit of admission,
-        deadline and delivery, but a *piece* is the unit of execution,
-        ack and replay.  Consecutive slots of one lane are one stream
+        A request is the unit of admission, deadline and delivery, but a
+        *piece* is the unit of execution (and, on the fork backend, of
+        ack and replay).  Consecutive slots of one lane are one stream
         while they are for the same app and each slot's first time is
-        at or after the previous slot's last; that stream is cut every
-        ``chunk`` rows (:func:`_fold`), so a piece may span the end of
-        one request and the start of the next.  A new app, or a time
-        that goes backwards at a slot boundary, starts a new piece, so
-        every piece is time-sorted and the worker's arrival sort is the
-        identity.  The pool slices and ships piece ``k+1`` while the
+        at or after the previous slot's last (:func:`_fold`), so a piece
+        may span the end of one request and the start of the next.  A
+        new app, or a time that goes backwards at a slot boundary,
+        starts a new piece, so every piece is time-sorted and the
+        pipeline's arrival sort is the identity.  In process a piece is
+        the whole stream, one ``process_trace_batch(columns,
+        chunk_size=chunk)`` call (lanes take turns piece by piece): as
+        register updates and block passes equal any split of their rows
+        and same-app slots swap no program, that equals one call per
+        slot.  On the fork backend the stream is cut every ``chunk``
+        rows.  The pool slices and ships piece ``k+1`` while the
         worker scores ``k``, and every lane works through its own
         schedule without waiting for the others.  A ``FaultPlan``
         ordinal, a replay and ``PoolHealth.replayed_chunks`` count
@@ -693,11 +696,13 @@ class LaneRunner:
         """
         tally = _Tally(schedules, owners, on_done)
         if self.pool is None or not any(schedules):  # an empty run sends nothing
-            for k in range(max(map(len, schedules), default=0)):
-                for s, slots in enumerate(schedules):
-                    if k < len(slots):
-                        app, columns, __ = slots[k]
-                        tally.scored(s, self._score(s, app, columns, chunk))
+            # Uncut: ``process_trace_batch`` makes its own spans.
+            pieces = [list(_fold(slots, sys.maxsize)) for slots in schedules]
+            for k in range(max(map(len, pieces), default=0)):
+                for s, lane in enumerate(pieces):
+                    if k < len(lane):
+                        app, spans = lane[k]
+                        tally.scored(s, self._score(s, app, _join(spans), chunk))
             return
         streams = [
             (self._requests(slots, chunk), sum(1 for __ in _fold(slots, chunk)))
@@ -716,7 +721,7 @@ class LaneRunner:
         self.pool.map_streams(streams, on_result=acked, degrade=self._degrade)
 
     def _score(self, lane: int, app: int, columns: TraceColumns, chunk: int):
-        """The in-process backend: this process's pipeline scores the slot."""
+        """The in-process backend: this process's pipeline scores the piece."""
         return self.lanes[lane][app].process_trace_batch(columns, chunk_size=chunk)
 
     @staticmethod
@@ -817,9 +822,10 @@ class ShardedRuntime(LaneRunner):
         admission, deadline and delivery: ``on_result(k, result)`` fires
         once per trace, as soon as trace ``k`` and every earlier one are
         merged (on the fork backend, from a pool supervisor thread, one
-        call at a time).  On the fork backend a piece of ``chunk`` rows
-        is the unit of execution, ack and replay, and it may span the
-        end of one trace's part and the start of the next (see
+        call at a time).  A piece is the unit of execution — in process
+        a shard's whole time-ordered queue, on the fork backend ``chunk``
+        rows, also the unit of ack and replay — and it may span the end
+        of one trace's part and the start of the next (see
         :meth:`_run_schedules`).  :attr:`last_drain_ns` covers the whole
         run.
         """

@@ -182,7 +182,7 @@ ROWS = [
                "::test_faults_past_ordinal_zero_are_transparent[3]"),
     # The 503-row kernel probe never saturates a cell.
     row("lstm-cell-rint-without-clip", FRONTEND,
-        "                round_clip(c)\n", "                np.rint(c, out=c)\n", lowering="lstm",
+        "            round_clip(c)\n", "            np.rint(c, out=c)\n", lowering="lstm",
         missed="tests/test_mapreduce_batch.py::TestLstmKernelProperty"
                "::test_random_lstms_and_windows"),
     row("lstm-gate-weights-x40-unclipped", FRONTEND, CLIPPED_GATES,

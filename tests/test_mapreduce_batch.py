@@ -365,8 +365,9 @@ def _lstm_rows(rng, batch, width, fmt):
 
 
 def _tile_rows(dim, hidden):
-    """The compiled recurrence's row tile, from its private work bound."""
-    return max(1, frontend._SERIAL_GEMM_WORK // ((dim + hidden) * 4 * hidden))
+    """The compiled recurrence's row tile, from its private work bound
+    (the gate matmul's left operand is ``[x_t, h, 1]``)."""
+    return max(1, frontend._SERIAL_GEMM_WORK // ((dim + hidden + 1) * 4 * hidden))
 
 
 def _boundary_rows(batch, tile):
@@ -412,8 +413,8 @@ class TestLstmKernelProperty:
         from repro.analysis.ir_verify import _KERNEL_PROBE_ROWS
 
         assert frontend._SERIAL_GEMM_WORK < 10**6  # OpenBLAS's threshold
-        assert _tile_rows(5, 32) == 166 and _tile_rows(5, 64) == 44
-        assert _KERNEL_PROBE_ROWS > 2 * 166 and _KERNEL_PROBE_ROWS % 166
+        assert _tile_rows(5, 32) == 161 and _tile_rows(5, 64) == 43
+        assert _KERNEL_PROBE_ROWS > 2 * 161 and _KERNEL_PROBE_ROWS % 161
         calls = []
         real = np.matmul
 
@@ -426,6 +427,77 @@ class TestLstmKernelProperty:
         monkeypatch.setattr(np, "matmul", spy)
         graph.execute_batch(feats)
         assert len(calls) == 2 * 4 and max(calls) <= frontend._SERIAL_GEMM_WORK
+
+
+class TestLstmKernelAccumulators:
+    """The kernel's float32 accumulator (FIX8's partial sums stay under
+    2^24) == a float64 one == the interpreter, bit for bit, including
+    gate pre-activations that sit exactly on a rounding tie."""
+
+    DIM, HIDDEN, STEPS = 5, 32, 8
+
+    @pytest.fixture(scope="class")
+    def lstm(self):
+        """Input 0's gate weights are +-0.5 and +-1.5, so with ``h = 0`` a
+        step input of ``1 / scale`` on input 0 alone puts every gate on
+        ``raw bias +- 0.5`` or ``+- 1.5``: a rounding tie."""
+        lstm = _lstm(self.DIM, self.HIDDEN, 5, seed=11)
+        lstm.w_gates[:, 0] = np.resize([0.5, -0.5, 1.5, -1.5], 4 * self.HIDDEN)
+        return lstm
+
+    def _rows(self, batch):
+        """Random rows, every tenth a window of ``1 / scale`` on input 0
+        (its first step ties every gate)."""
+        feats = _lstm_rows(np.random.default_rng(batch), batch, self.STEPS * self.DIM, FIX8)
+        tie = np.zeros((self.STEPS, self.DIM))
+        tie[:, 0] = 1 / FIX8.scale
+        feats[::10] = tie.ravel()
+        return feats
+
+    def _ties(self, lstm, feats):
+        """Step 0's gate pre-activations (``h = 0``) on a .5 tie, split by
+        the parity of the integer below them."""
+        w_raw = FIX8.quantize(np.clip(lstm.w_gates, FIX8.min_value, FIX8.max_value))
+        b_raw = FIX8.quantize(np.clip(lstm.b_gates, FIX8.min_value, FIX8.max_value))
+        x_raw = FIX8.quantize(feats[:, : self.DIM]).astype(np.int64)
+        numerator = x_raw @ w_raw[:, : self.DIM].T.astype(np.int64) + b_raw * int(FIX8.scale)
+        tied = numerator % int(FIX8.scale) == int(FIX8.scale) // 2
+        below = numerator[tied] // int(FIX8.scale)
+        return int((below % 2 == 0).sum()), int((below % 2 == 1).sum())
+
+    @pytest.mark.parametrize("tiles", [(0, 1), (1, -1), (1, 1), (3, 0)])
+    def test_float32_equals_float64(self, lstm, tiles, monkeypatch):
+        tile = _tile_rows(self.DIM, self.HIDDEN)
+        feats = self._rows(tiles[0] * tile + tiles[1])
+        even, odd = self._ties(lstm, feats)
+        assert even > 0 and odd > 0
+        narrow = lstm_graph(lstm, window_steps=self.STEPS)
+        monkeypatch.setattr(frontend, "_EXACT_F32_LIMIT", 0)
+        wide = lstm_graph(lstm, window_steps=self.STEPS)
+        accumulators = []
+        real = np.matmul
+
+        def spy(a, b, **kwargs):
+            # A Fortran-order weight makes OpenBLAS thread this small gemm.
+            assert b.flags.c_contiguous
+            accumulators.append(kwargs["out"].dtype)
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        outcomes = []
+        for graph in (narrow, wide):
+            state = {}
+            actions = graph.execute_batch(feats, state=state)
+            outcomes.append((actions, state))
+        monkeypatch.undo()
+        per_graph = len(accumulators) // 2
+        assert set(accumulators[:per_graph]) == {np.dtype(np.float32)}
+        assert set(accumulators[per_graph:]) == {np.dtype(np.float64)}
+        (actions, state), (wide_actions, wide_state) = outcomes
+        assert _same(actions, wide_actions) and actions.tobytes() == wide_actions.tobytes()
+        for key in ("h", "c"):
+            assert state[key].tobytes() == wide_state[key].tobytes(), key
+        assert_kernel_matches_reference(narrow, feats, scalar_rows=[0, len(feats) - 1])
 
 
 class TestLstmKernelFallbacks:

@@ -27,10 +27,16 @@ from repro.datasets import (
 )
 from repro.hw import MapReduceBlock
 from repro.ml import indigo_lstm
-from repro.runtime import FabricApp, MultiAppFabric
+from repro.runtime import FabricApp, MultiAppFabric, ShardedRuntime, sharded
 from repro.runtime.fabric import _round_robin
+from repro.runtime.sharded import in_arrival_order
 
-from test_shard_runtime import BACKENDS, backend_cases
+from test_shard_runtime import (
+    BACKENDS,
+    _assert_same_result,
+    _deep_equal,
+    backend_cases,
+)
 
 HAS_FORK = hasattr(os, "fork")
 CFG = CongestionTraceConfig()
@@ -313,6 +319,118 @@ class TestReconfigurationAccounting:
         assert block._next_issue_cycle == before + block.reconfig_cycles
         assert block.reconfig_cycles == block.reconfig_cycles_for(block.graph)
         assert block.graph.config_words() > 0
+
+
+def _one_call_per_slot(slots, chunk):
+    """The twin's ``_fold``: every non-empty slot is its own piece."""
+    for app, columns, __ in slots:
+        if columns.n:
+            yield app, [(columns, 0, columns.n)]
+
+
+class TestInProcessFold:
+    """In process, a lane scores each maximal run of same-app slots whose
+    times never go back in one ``process_trace_batch`` call
+    (``LaneRunner._run_schedules``), and that changes no output: a twin
+    that makes one call per slot gives the same results, state, drain
+    and swap counts."""
+
+    CHUNKS = [1, 64, 512, 777]
+
+    @staticmethod
+    def _spy(rt):
+        """Per lane, every ``process_trace_batch`` call as ``(app, times)``."""
+        calls = [[] for __ in rt.lanes]
+        for s, lane in enumerate(rt.lanes):
+            for a, pipe in lane.items():
+                def spy(columns, chunk_size, real=pipe.process_trace_batch, s=s, a=a):
+                    calls[s].append((a, columns.times.copy()))
+                    return real(columns, chunk_size=chunk_size)
+
+                pipe.process_trace_batch = spy
+        return calls
+
+    @staticmethod
+    def _runs(calls):
+        """One lane's per-slot calls as maximal runs of one app whose
+        times never go back: the calls the fold must make."""
+        runs = []
+        for app, times in calls:
+            if runs and runs[-1][0] == app and times[0] >= runs[-1][1][-1]:
+                runs[-1] = (app, np.concatenate([runs[-1][1], times]))
+            else:
+                runs.append((app, times))
+        return runs
+
+    def _fold_and_twin(self, make, drive, monkeypatch):
+        """``drive`` on a fresh ``make()`` and on a per-slot twin: both
+        outcomes, after pinning the folded calls to the twin's runs."""
+        twin = make()
+        twin_calls = self._spy(twin)
+        with monkeypatch.context() as patch:
+            patch.setattr(sharded, "_fold", _one_call_per_slot)
+            want = drive(twin)
+        rt = make()
+        calls = self._spy(rt)
+        got = drive(rt)
+        for lane, twin_lane in zip(calls, twin_calls):
+            runs = self._runs(twin_lane)
+            assert [app for app, __ in lane] == [app for app, __ in runs]
+            for (__, times), (__, expected) in zip(lane, runs):
+                assert np.array_equal(times, expected)
+        return (rt, got, calls), (twin, want, twin_calls)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_fabric_run(
+        self, quantized_dnn, lstm, anomaly_trace, congestion_trace, shards, chunk,
+        monkeypatch,
+    ):
+        apps = _apps(quantized_dnn, lstm)
+        traces = {"anomaly": anomaly_trace, "congestion": congestion_trace}
+        (fabric, got, calls), (twin, want, twin_calls) = self._fold_and_twin(
+            lambda: MultiAppFabric(apps, shards=shards),
+            lambda rt: rt.run(traces, chunk_size=chunk), monkeypatch,
+        )
+        turns = [-(-len(trace) // chunk) for trace in traces.values()]
+        if shards == 1:  # a turn each while both have one, then the rest in one call
+            assert [len(lane) for lane in twin_calls] == [sum(turns)]
+            assert [len(lane) for lane in calls] == [2 * min(turns) + (turns[0] != turns[1])]
+        else:  # each lane is one app's home: one call per lane
+            assert [len(lane) for lane in calls] == [1, 1]
+        for name in traces:
+            _assert_same_result(got.results[name], want.results[name], f"{name} ")
+            assert _deep_equal(fabric.app_state(name), twin.app_state(name)), name
+        assert (got.drain_ns, got.reconfigurations, got.reconfig_ns) == (
+            want.drain_ns, want.reconfigurations, want.reconfig_ns
+        )
+        assert fabric.last_drain_ns == twin.last_drain_ns
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_runtime_batch_with_a_backwards_request(
+        self, quantized_dnn, anomaly_trace, chunk, monkeypatch
+    ):
+        """Requests ``[0:150], [150:300], [50:200], [300:]`` of one sorted
+        trace: the third starts before the second's last time, so each
+        lane makes two calls, the first two requests and the last two."""
+        app = FabricApp.from_quantized_dnn(quantized_dnn, slots=8)
+        __, ordered = in_arrival_order(anomaly_trace.columns())
+        requests = [
+            ordered.slice(slice(a, b))
+            for a, b in ((0, 150), (150, 300), (50, 200), (300, ordered.n))
+        ]
+        assert requests[2].times[0] < requests[1].times[-1] <= requests[3].times[0]
+        (rt, got, calls), (twin, want, __) = self._fold_and_twin(
+            lambda: ShardedRuntime(
+                lambda s: app.build_pipeline(MapReduceBlock(app.graph)), shards=2
+            ),
+            lambda rt: rt.process_traces(requests, chunk_size=chunk), monkeypatch,
+        )
+        assert [len(lane) for lane in calls] == [2, 2]
+        for k, (result, expected) in enumerate(zip(got, want)):
+            _assert_same_result(result, expected, f"[{k}] ")
+        assert _deep_equal(rt.merged_state(), twin.merged_state())
+        assert rt.last_drain_ns == twin.last_drain_ns
 
 
 class TestChunkScheduler:

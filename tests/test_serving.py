@@ -1192,9 +1192,10 @@ class TestBatchDelivery:
             assert [r.status for r in results] == ["completed"] * lost + [
                 "failed"] * (5 - lost)
             assert all("mislaid" in r.error for r in results[lost:])
-            # The in-process loop stops where the callback raised; a
-            # pool's lanes run on to the end of the batch.
-            scored = 5 if backend == "pool" else lost + 1
+            # Both backends have scored the whole batch when the callback
+            # raises: in process a lane scores its time-ordered queue in
+            # one call, and a pool's lanes run on to the end of the batch.
+            scored = 5
             expected = [
                 oracle.process_trace(c, chunk_size=CHUNK)
                 for c in chunks[:scored] + chunks[5:]
