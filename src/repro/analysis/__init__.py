@@ -12,10 +12,10 @@ every catalog entry is fired by a seeded bug in
   :class:`~repro.mapreduce.ir.DataflowGraph` IR: shape/width inference in
   topo order, structural lints (missing or duplicated outputs, orphaned
   and dead nodes, state-key collisions), and an optional execution probe
-  that checks batch/scalar and kernel/node bit-identity, the 2-D value
-  contract, and fixed-point format drift.  Every lowering gates on its
-  structural half (``frontend._verified``); budgets are
-  ``compile_graph``'s (``BudgetError``).
+  that checks kernel/node bit-identity, the 2-D value contract, and
+  fixed-point format drift.  Every lowering gates on its structural half
+  (``frontend._verified``); budgets are ``compile_graph``'s
+  (``BudgetError``).
 * :func:`analyze_ranges` — an abstract interpreter proving per-node
   value intervals (in raw fixed-point units) through every graph:
   saturation and LUT domain-coverage warnings, with per-node waivers for

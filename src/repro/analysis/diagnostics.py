@@ -68,13 +68,13 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec("ir-gather-width", Severity.ERROR, "shape",
                   "a gather's declared width is not the sum of its inputs"),
         CheckSpec("ir-no-semantics", Severity.ERROR, "shape",
-                  "a compute node has neither fn/batch_fn nor a named reduce op"),
+                  "a compute node has neither fn nor a named reduce op"),
         CheckSpec("ir-non-2d", Severity.ERROR, "shape",
                   "a probed node value leaks out of the (B, width) 2-D contract"),
         CheckSpec("ir-probe-width", Severity.ERROR, "shape",
                   "a probed node value's width disagrees with the inferred width"),
         CheckSpec("ir-batch-divergence", Severity.ERROR, "shape",
-                  "execute_batch and execute disagree bit-for-bit on a probe row"),
+                  "a compiled kernel and its nodes disagree bit-for-bit on the probe"),
         CheckSpec("ir-fixpoint-drift", Severity.WARNING, "shape",
                   "graph outputs leave the fixed-point grid (raw float leakage)"),
         CheckSpec("ir-probe-failure", Severity.ERROR, "shape",

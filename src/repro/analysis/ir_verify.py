@@ -21,10 +21,10 @@ probe (optional, ``probe=True``)
     A tiny concrete execution: a 3-row batch (zeros plus two seeded
     random rows on the fixed-point grid) through ``execute_batch`` with
     an observer, checking the 2-D ``(B, width)`` value contract, inferred
-    vs. actual widths, batch/scalar bit-identity, and fixed-point grid
-    drift on the outputs; a compiled kernel is run against its nodes on
-    ~500 more rows (saturating, NaN / inf, several row tiles), values and
-    state left behind.  Seeded and O(nodes · iterations), so it is a
+    vs. actual widths, and fixed-point grid drift on the outputs; a
+    compiled kernel is run against its nodes on ~500 more rows
+    (saturating, NaN / inf, several row tiles), values and state left
+    behind.  Seeded and O(nodes · iterations), so it is a
     static check in spirit: no trace data, no model dependence.
 
 Budgets are not priced here: ``compile_graph`` raises a typed
@@ -139,11 +139,7 @@ def _check_structure(graph: DataflowGraph) -> list[Diagnostic]:
 
 def _node_state_keys(node: Node) -> set[str]:
     """State keys this node's semantics assign (bytecode scan)."""
-    keys: set[str] = set()
-    for fn in (node.fn, node.batch_fn):
-        if fn is not None and getattr(fn, "wants_state", False):
-            keys |= _written_subscript_keys(fn)
-    return keys
+    return _written_subscript_keys(node.fn) if _node_is_stateful(node) else set()
 
 
 def _written_subscript_keys(fn: Callable) -> set[str]:
@@ -175,11 +171,7 @@ def _written_subscript_keys(fn: Callable) -> set[str]:
 # Shape / width inference
 # ======================================================================
 def _node_is_stateful(node: Node) -> bool:
-    return any(
-        getattr(fn, "wants_state", False)
-        for fn in (node.fn, node.batch_fn)
-        if fn is not None
-    )
+    return getattr(node.fn, "wants_state", False)
 
 
 def _check_shapes(
@@ -217,8 +209,8 @@ def _check_shapes(
 
         if _has_no_semantics(node):
             report("ir-no-semantics",
-                   f"{node.kind} node has neither fn/batch_fn nor a "
-                   "known reduce_op; both interpreters raise on it", node)
+                   f"{node.kind} node has neither fn nor a known "
+                   "reduce_op; the interpreter raises on it", node)
 
         if _node_is_stateful(node):
             # Stateful semantics may slice/reshape (cell_update: 4H -> H).
@@ -271,7 +263,7 @@ def _check_shapes(
 def _has_no_semantics(node: Node) -> bool:
     if node.kind in ("input", "const", "gather", "output"):
         return False  # structural; the interpreter handles them inline
-    if node.fn is not None or node.batch_fn is not None:
+    if node.fn is not None:
         return False
     return not (node.kind == "reduce" and node.reduce_op in REDUCE_OPS)
 
@@ -342,27 +334,6 @@ def _probe(
             f"disagree on {', '.join(differing)}; they must be bit-identical in "
             "what they return and in the state they leave", src,
         ))
-
-    # Batch/scalar bit-identity (the execute_batch contract).
-    for b in range(_PROBE_ROWS):
-        try:
-            scalar_out = np.atleast_1d(graph.execute(features[b], state={}))
-        except Exception as exc:  # noqa: BLE001
-            diags.append(Diagnostic(
-                "ir-probe-failure", Severity.ERROR,
-                f"execute raised {type(exc).__name__}: {exc}", src,
-            ))
-            return diags
-        if scalar_out.shape != batch_out[b].shape or not np.array_equal(
-            scalar_out, batch_out[b], equal_nan=True
-        ):
-            diags.append(Diagnostic(
-                "ir-batch-divergence", Severity.ERROR,
-                f"probe row {b}: execute gives {scalar_out!r} but "
-                f"execute_batch row gives {batch_out[b]!r}; the paths "
-                "must be bit-identical", src,
-            ))
-            break
 
     # Fixed-point drift: outputs must sit on the 2**-12 grid, which
     # contains every format with frac_bits <= 12 (fix8/fix16 and all

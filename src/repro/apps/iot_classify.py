@@ -55,7 +55,9 @@ class IoTClassifier:
         return int(np.atleast_1d(result.value)[0])
 
     def classify_batch(self, features: np.ndarray) -> np.ndarray:
-        return self.block.process_batch(features).reshape(-1).astype(np.int64)
+        # Results only: run_batch would advance the block's issue clock.
+        values = self.block.graph.execute_batch(np.atleast_2d(features))
+        return values.reshape(-1).astype(np.int64)
 
     @property
     def n_features(self) -> int:

@@ -154,10 +154,6 @@ class MapReduceBlock:
             accepted_at_cycle=issue,
         )
 
-    def process_batch(self, features: np.ndarray) -> np.ndarray:
-        """Vector-of-packets convenience (results only, no timing)."""
-        return self.graph.execute_batch(np.atleast_2d(features))
-
     def run_batch(
         self, features: np.ndarray, at_cycle: int | None = None
     ) -> BatchInferenceResult:

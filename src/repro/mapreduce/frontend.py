@@ -6,18 +6,14 @@ Spatial-style compiler would produce for the paper's benchmarks
 outer loops map over parallel CUs, and recurrences become temporal
 iterations over the same hardware.
 
-Every node's semantics are written batch-first — a ``batch_fn`` over
-``(B, width)`` arrays — and the scalar ``fn`` is the same callable adapted
-through :func:`_single` (or the identical function when the operation is
-element-wise / reduces along ``axis=-1``).  That construction is what makes
-``DataflowGraph.execute_batch`` bit-identical to per-packet ``execute``:
-both paths run the very same numpy expressions, only the leading batch
-axis differs.  Batched reductions deliberately avoid BLAS matmuls
-(``sum(a * w, axis=-1)`` instead of ``a @ w``) so results do not drift
-with batch size.  The one exception is a sum of integer-valued float64
-terms that stays below 2^53: every partial sum is then exact, so the
-result does not depend on the order BLAS adds in, nor on how many threads
-it splits the sum over.
+Every node's ``fn`` is written batch-first, over ``(B, width)`` arrays, and
+one packet is a one-row batch, so ``DataflowGraph.execute`` and
+``execute_batch`` run the very same numpy expressions.  Reductions
+deliberately avoid BLAS matmuls (``sum(a * w, axis=-1)`` instead of
+``a @ w``) so results do not drift with batch size.  The one exception
+is a sum of integer-valued float64 terms that stays below 2^53: every
+partial sum is then exact, so the result does not depend on the order
+BLAS adds in, nor on how many threads it splits the sum over.
 :meth:`QuantizedLinear.mac_raw <repro.fixpoint.quantize.QuantizedLinear.mac_raw>`
 proves that bound per layer before it uses a float matmul on raw values,
 and :func:`_lstm_kernel` for the mat-vecs of the compiled recurrence — which
@@ -210,8 +206,7 @@ def dnn_graph(
             width=in_units,
             chain_ops=1,
             reduce_op="sum",
-            fn=_single(layer.linear),
-            batch_fn=layer.linear,
+            fn=layer.linear,
             transfer="dot",
             payload={
                 "weights": w_real,
@@ -234,8 +229,7 @@ def dnn_graph(
             activations.append(None)
             continue
         if exact_activations or layer.activation == "relu":
-            # Element-wise on any shape: one callable serves both paths.
-            act_fn = batch_act_fn = layer.activate
+            act_fn = layer.activate
             spec = ACTIVATIONS[HW_ACTIVATION_FOR.get(layer.activation, "relu")]
             # The exact model activations are registered transfers too.
             act_transfer = (
@@ -245,9 +239,8 @@ def dnn_graph(
             )
         else:
             act_fn, spec = _hw_activation_fn(layer.activation, layer.act_fmt)
-            batch_act_fn = act_fn
             act_transfer = spec.name
-        activations.append(batch_act_fn)
+        activations.append(act_fn)
         cursor = graph.add(
             "map",
             preds=[cursor],
@@ -255,7 +248,6 @@ def dnn_graph(
             width=out_units,
             chain_ops=spec.chain_ops,
             fn=act_fn,
-            batch_fn=batch_act_fn,
             weight_values=spec.lut_tables * 1024,
             transfer=act_transfer,
             payload={"fmt": layer.act_fmt},
@@ -267,28 +259,11 @@ def dnn_graph(
     return graph
 
 
-def _single(batch_fn):
-    """Adapt a batch (n, d) function to single-vector graph semantics.
-
-    The wrapper runs the *same* batched computation with ``B == 1`` and
-    peels the row off, so scalar and batched execution share bits.  State
-    flows through untouched (state arrays then carry a leading batch axis
-    of 1, consistently for every node in the pass).
-    """
-
-    def apply(x: np.ndarray, **kwargs) -> np.ndarray:
-        return np.asarray(batch_fn(np.atleast_2d(x), **kwargs))[0]
-
-    apply.wants_state = getattr(batch_fn, "wants_state", False)
-    return apply
-
-
 def _sq_dist_fn(bank: np.ndarray, in_fmt: FixedPointFormat, acc_fmt: FixedPointFormat):
     """Batched squared distances to each row of a resident ``bank``.
 
     Shared by the SVM (support vectors) and KMeans (centroids) lowerings —
-    the quantize/clip/square/reduce sequence must stay identical in both
-    for the batch==scalar bit-identity contract.
+    the quantize/clip/square/reduce sequence is written once for both.
     """
 
     def sq_dist(x: np.ndarray) -> np.ndarray:
@@ -359,8 +334,7 @@ def svm_graph(svm, fmt: FixedPointFormat = FIX8, name: str = "svm") -> DataflowG
         width=dim,
         chain_ops=2,  # subtract, square
         reduce_op="sum",
-        fn=_single(sq_dist),
-        batch_fn=sq_dist,
+        fn=sq_dist,
         transfer="sq_dist",
         payload={"bank": sv, "in_fmt": in_fmt, "fmt": acc_fmt},
         # acc_fmt is calibrated to the max SV-to-SV distance; a feature
@@ -378,7 +352,6 @@ def svm_graph(svm, fmt: FixedPointFormat = FIX8, name: str = "svm") -> DataflowG
         width=n_sv,
         chain_ops=1,
         fn=scale_gamma,
-        batch_fn=scale_gamma,
         transfer="affine",
         payload={"scale": -gamma, "clip": (-8.0, 0.0)},
     )
@@ -389,7 +362,6 @@ def svm_graph(svm, fmt: FixedPointFormat = FIX8, name: str = "svm") -> DataflowG
         width=n_sv,
         weight_values=1024,
         fn=exp_lut,
-        batch_fn=exp_lut,
         transfer="lut",
         payload={
             "domain": (-8.0, 0.0),
@@ -406,7 +378,6 @@ def svm_graph(svm, fmt: FixedPointFormat = FIX8, name: str = "svm") -> DataflowG
         chain_ops=1,
         reduce_op="sum",
         fn=weighted_sum,
-        batch_fn=weighted_sum,
         transfer="dot",
         payload={"weights": alphas.reshape(1, -1), "fmt": fmt},
         # Sum(alpha_i) can exceed the datapath range in the worst case
@@ -421,7 +392,6 @@ def svm_graph(svm, fmt: FixedPointFormat = FIX8, name: str = "svm") -> DataflowG
         width=1,
         chain_ops=2,  # add bias, compare
         fn=bias_threshold,
-        batch_fn=bias_threshold,
         transfer="affine",
         payload={"offset": bias},
     )
@@ -475,8 +445,7 @@ def kmeans_graph(kmeans, fmt: FixedPointFormat = FIX8, name: str = "kmeans") -> 
         width=dim,
         chain_ops=2,
         reduce_op="sum",
-        fn=_single(sq_dist),
-        batch_fn=sq_dist,
+        fn=sq_dist,
         transfer="sq_dist",
         payload={"bank": centroids, "in_fmt": in_fmt, "fmt": acc_fmt},
         # acc_fmt covers the max centroid-to-centroid distance; corner
@@ -493,7 +462,6 @@ def kmeans_graph(kmeans, fmt: FixedPointFormat = FIX8, name: str = "kmeans") -> 
         width=k,
         reduce_op="argmin",
         fn=argmin,
-        batch_fn=argmin,
     )
     graph.add("output", preds=[nearest], name="cluster", width=1)
     return _verified(graph)
@@ -625,8 +593,7 @@ def lstm_graph(
         value_range=(fmt.min_value, fmt.max_value),
     )
 
-    # State arrays ("h", "c") carry a leading batch axis — (B, hidden) —
-    # in both paths (the scalar interpreter runs the same fns with B = 1).
+    # State arrays ("h", "c") carry a leading batch axis — (B, hidden).
     def select_step(flat: np.ndarray, state: dict) -> np.ndarray:
         t = state.get("iteration", 0)
         return flat.reshape(-1, window_steps, dim)[:, t, :]
@@ -634,7 +601,7 @@ def lstm_graph(
     select_step.wants_state = True
     x_t = graph.add(
         "map", preds=[window], name="select_step", width=dim, chain_ops=1,
-        fn=_single(select_step), batch_fn=select_step,
+        fn=select_step,
         transfer="slice",
     )
 
@@ -644,7 +611,7 @@ def lstm_graph(
     read_hidden.wants_state = True
     h_prev = graph.add(
         "map", preds=[window], name="read_h", width=hidden, chain_ops=1,
-        fn=_single(read_hidden), batch_fn=read_hidden,
+        fn=read_hidden,
         transfer="state_read",
         payload={"keys": ("h",)},
     )
@@ -670,8 +637,7 @@ def lstm_graph(
         width=dim + hidden,
         chain_ops=1,
         reduce_op="sum",
-        fn=_single(gate_matvec),
-        batch_fn=gate_matvec,
+        fn=gate_matvec,
         transfer="dot",
         payload={
             "weights": w_gates,
@@ -709,8 +675,7 @@ def lstm_graph(
         name="cell_update",
         width=4 * hidden,
         chain_ops=sig_spec.chain_ops + 6,
-        fn=_single(cell_update),
-        batch_fn=cell_update,
+        fn=cell_update,
         # h = o * tanh(c) with o in [0, 1]: certified by construction,
         # independent of how far the carried cell state wanders.
         value_range=(-1.0, 1.0),
@@ -743,8 +708,7 @@ def lstm_graph(
         width=hidden,
         chain_ops=1,
         reduce_op="sum",
-        fn=_single(action_head),
-        batch_fn=action_head,
+        fn=action_head,
         epilogue=True,
         transfer="dot",
         payload={
@@ -764,7 +728,6 @@ def lstm_graph(
         width=lstm.n_actions,
         reduce_op="argmax",
         fn=argmax,
-        batch_fn=argmax,
         epilogue=True,
     )
     graph.add("output", preds=[action], name="action", width=1, epilogue=True)
@@ -806,7 +769,6 @@ def inner_product_graph(width: int = 16, fmt: FixedPointFormat = FIX8) -> Datafl
         chain_ops=1,
         reduce_op="sum",
         fn=dot_fn,
-        batch_fn=dot_fn,
         transfer="dot",
         payload={"weights": weights.reshape(1, -1), "in_fmt": fmt, "fmt": fmt},
         # Sum(|w|) over 16 unit-range lanes can exceed the Q3.4 range;
@@ -832,8 +794,7 @@ def activation_graph(
     _pad = 2 * 16.0 / 1024
     lut_range = (float(_ys.min()) - _pad, float(_ys.max()) + _pad)
 
-    # All three stages are element-wise: the same callables serve the
-    # scalar and the (B, width) batched path.
+    # All three stages are element-wise over (B, width) blocks.
     def clip_addr(x: np.ndarray) -> np.ndarray:
         return np.clip(x, -8.0, 8.0)
 
@@ -856,13 +817,13 @@ def activation_graph(
         # Address computation, MU table read, rescale.
         addr = graph.add(
             "map", preds=[cursor], name="lut_addr", width=width, chain_ops=3,
-            fn=clip_addr, batch_fn=clip_addr,
+            fn=clip_addr,
             transfer="clip",
             payload={"clip": (-8.0, 8.0)},
         )
         table = graph.add(
             "lut", preds=[addr], name="table", width=width, weight_values=1024,
-            fn=table_read, batch_fn=table_read,
+            fn=table_read,
             transfer="lut",
             payload={
                 "domain": (-8.0, 8.0),
@@ -872,7 +833,7 @@ def activation_graph(
         )
         cursor = graph.add(
             "map", preds=[table], name="rescale", width=width, chain_ops=3,
-            fn=identity, batch_fn=identity,
+            fn=identity,
             transfer="identity",
         )
     else:
@@ -883,7 +844,6 @@ def activation_graph(
             width=width,
             chain_ops=spec.chain_ops,
             fn=table_read,
-            batch_fn=table_read,
             transfer=spec.name if spec.name in _ACT_TRANSFER_NAMES else None,
             payload={"fmt": fmt},
         )
@@ -912,8 +872,7 @@ def conv1d_graph(
     taps = fmt.roundtrip(rng.uniform(-1, 1, size=kernel))
     width_in = n_outputs + kernel - 1
 
-    # Slicing the last axis and reducing along it keeps one callable valid
-    # for both the scalar (width,) and batched (B, width) layouts.
+    # Each slice and reduction works on the last axis of a (B, width) block.
     def window_fn(s: int):
         return lambda x: x[..., s : s + kernel]
 
@@ -940,12 +899,12 @@ def conv1d_graph(
         slice_fn = window_fn(s)
         window = graph.add(
             "map", preds=[features], name=f"window{s}", width=kernel, chain_ops=2,
-            fn=slice_fn, batch_fn=slice_fn,
+            fn=slice_fn,
             transfer="slice",
         )
         align = graph.add(
             "map", preds=[window], name=f"align{s}", width=kernel, chain_ops=2,
-            fn=identity, batch_fn=identity,
+            fn=identity,
             transfer="identity",
         )
         dot = graph.add(
@@ -957,13 +916,12 @@ def conv1d_graph(
             chain_ops=1,
             reduce_op="sum",
             fn=tap_dot,
-            batch_fn=tap_dot,
             transfer="dot",
             payload={"weights": taps.reshape(1, -1), "fmt": fmt},
         )
         accum = graph.add(
             "map", preds=[dot], name=f"accum{s}", width=1, chain_ops=1,
-            fn=identity, batch_fn=identity,
+            fn=identity,
             transfer="identity",
         )
         slices.append(accum)

@@ -24,28 +24,21 @@ Node kinds
 
 Execution semantics
 -------------------
-The graph is executable two ways:
+Every node has one meaning over a stream of packets: its ``fn`` takes
+``(B, width)`` arrays, one row per packet, and returns ``(B, out)`` (or
+``(B,)``) whose row ``b`` depends on row ``b`` of its inputs alone.  A
+``reduce`` node may leave ``fn`` out and name a
+:data:`~repro.mapreduce.ops.REDUCE_OPS` entry instead.
 
-* :meth:`DataflowGraph.execute` interprets one feature vector (one packet)
-  at a time — the cycle-faithful view the hardware models wrap.
-* :meth:`DataflowGraph.execute_batch` interprets a ``(B, D)`` block of
-  feature vectors in one pass, using each node's vectorized ``batch_fn``.
-  This is how multi-hundred-thousand-packet traces stream through the
-  functional CGRA path at scale; results are bit-identical to the scalar
-  interpreter.
-
-Every compute node is a pair: ``fn`` is the scalar oracle, ``batch_fn``
-its vectorized twin.  A ``reduce`` node may leave both out and name a
-:data:`~repro.mapreduce.ops.REDUCE_OPS` entry instead.  A graph built
-without twins still runs through ``execute``; ``execute_batch`` raises
-``ValueError`` naming the first node that has none.
-
-The node-at-a-time interpreter is the *reference*.  A lowering may also
-attach a compiled :attr:`DataflowGraph.kernel` — one function computing
-the whole graph on a batch, bit-identical to the interpreter in its values
-and in the ``state`` it leaves — which ``execute_batch`` runs whenever no
-``observer`` is attached and ``state`` holds no recurrent entries.  Passing
-an ``observer`` (or calling ``execute``) always runs the reference.
+The node-at-a-time interpreter is the *reference*.
+:meth:`DataflowGraph.execute_batch` runs it on a ``(B, D)`` block, and
+:meth:`DataflowGraph.execute` on one feature vector as a one-row block.
+A lowering may also attach a compiled :attr:`DataflowGraph.kernel` — one
+function computing the whole graph on a batch, bit-identical to the
+interpreter in its values and in the ``state`` it leaves — which
+``execute_batch`` runs whenever no ``observer`` is attached and ``state``
+holds no recurrent entries.  Passing an ``observer`` (or calling
+``execute``) always runs the reference.
 
 Epilogue contract
 -----------------
@@ -60,7 +53,7 @@ The compiler's latency model prices the epilogue the same way: once, after
 
 Input contract
 --------------
-Input-node values are handed to node ``fn``/``batch_fn`` callables as
+Input-node values are handed to node ``fn`` callables as
 **read-only** views (``arr.flags.writeable = False``): every ``input`` node
 shares the same features array, so a mutating callable would silently
 corrupt sibling consumers.  Node callables must treat all arguments as
@@ -116,19 +109,13 @@ class Node:
     reduce_op:
         Reduction operator name for ``dot``/``mapreduce``/``reduce`` nodes.
     fn:
-        Functional semantics: called with the (already gathered) input
-        float array, returns the node's output array.  Arguments are
-        read-only; implementations must not mutate them.  ``reduce``
-        nodes may omit ``fn`` entirely, in which case the interpreter
-        applies the named :data:`~repro.mapreduce.ops.REDUCE_OPS` entry.
-    batch_fn:
-        Vectorized twin of ``fn``: called with ``(B, width)`` arrays (one
-        row per packet), returns a ``(B, out_width)`` array whose row
-        ``b`` is what ``fn`` returns for packet ``b``.  Optional at
-        construction (scalar :meth:`DataflowGraph.execute` never reads
-        it), but :meth:`DataflowGraph.execute_batch` runs only
-        ``batch_fn`` and raises ``ValueError`` on a node without one
-        (named ``REDUCE_OPS`` reduces apart).
+        Functional semantics over a batch: called with ``(B, width)``
+        input arrays (one row per packet, plus ``state`` when the
+        callable sets ``wants_state``), returns ``(B, out_width)`` or
+        ``(B,)``.  Arguments are read-only; implementations must not
+        mutate them.  ``reduce`` nodes may omit ``fn`` entirely, in which
+        case the interpreter applies the named
+        :data:`~repro.mapreduce.ops.REDUCE_OPS` entry.
     weight_values:
         Number of constant values this node keeps in MUs (``const``/``lut``).
     value_range:
@@ -163,7 +150,6 @@ class Node:
     chain_ops: int = 0
     reduce_op: str | None = None
     fn: Callable[..., np.ndarray] | None = None
-    batch_fn: Callable[..., np.ndarray] | None = None
     weight_values: int = 0
     payload: Any = None
     value_range: tuple[float, float] | None = None
@@ -287,26 +273,27 @@ class DataflowGraph:
         )
 
     # ------------------------------------------------------------------
-    # Functional execution (one packet / one feature vector)
+    # Functional execution
     # ------------------------------------------------------------------
     def execute(self, features: np.ndarray, state: dict | None = None) -> np.ndarray:
-        """Run the graph functionally on one feature vector.
+        """Run the graph functionally on one ``(D,)`` feature vector.
 
-        ``state`` carries values across :attr:`temporal_iterations` for
-        recurrent graphs; node ``fn`` callables may read/write it via their
-        second argument when they declare one (the LSTM step does).
-
-        Nodes marked ``epilogue`` run once, after the last iteration; the
-        features array is handed to nodes as a read-only view (see the
-        module docstring for both contracts).
+        The vector runs as a one-row batch through the reference
+        interpreter (never the compiled :attr:`kernel`), and row 0 comes
+        back.  ``state`` carries values across :attr:`temporal_iterations`
+        for recurrent graphs, with a leading batch axis of 1 (the LSTM's
+        ``h`` is ``(1, hidden)``).  Input of any other rank is a
+        ``ValueError``: one answer cannot stand for several packets.
         """
         features = np.array(features, dtype=np.float64)  # private copy
+        if features.ndim != 1:
+            raise ValueError(
+                f"execute expects (D,) features, got shape {features.shape}"
+            )
+        features = features[None]
         features.flags.writeable = False
-        return self._interpret(features, state, batch=None)
+        return self._interpret(features, state)[0]
 
-    # ------------------------------------------------------------------
-    # Batched execution (a block of packets per pass)
-    # ------------------------------------------------------------------
     def execute_batch(
         self,
         features: np.ndarray,
@@ -315,16 +302,10 @@ class DataflowGraph:
     ) -> np.ndarray:
         """Run the graph on a ``(B, D)`` block of feature vectors at once.
 
-        Semantics match ``B`` independent calls to :meth:`execute`
-        bit-for-bit: every node value is a ``(B, width)`` array whose row
-        ``b`` is what the scalar interpreter would have computed for packet
+        Row ``b`` of the result is what :meth:`execute` returns for packet
         ``b``.  Recurrent state is batched the same way (``state["h"]`` is
         ``(B, hidden)`` for the LSTM), and epilogue nodes run once after
         the final temporal iteration.
-
-        Every compute node needs its ``batch_fn`` (a ``reduce`` node may
-        name a ``REDUCE_OPS`` entry instead); a node without one is a
-        ``ValueError`` naming it.
 
         ``observer(node, value, iteration)`` is called with every node's
         stored value as it is computed — the hook ``repro.analysis``'s
@@ -347,26 +328,22 @@ class DataflowGraph:
             return self.kernel(features, state)
         features = features.copy()  # private: nodes see a read-only view
         features.flags.writeable = False
-        return self._interpret(
-            features, state, batch=features.shape[0], observer=observer
-        )
+        return self._interpret(features, state, observer)
 
     def _interpret(
         self,
         features: np.ndarray,
         state: dict | None,
-        batch: int | None,
         observer: Callable[[Node, np.ndarray, int], None] | None = None,
     ) -> np.ndarray:
-        """The shared interpreter core for both execution modes.
+        """The reference interpreter over a read-only ``(B, D)`` block.
 
-        ``batch`` is ``None`` for the scalar path.  Keeping the temporal
-        loop, epilogue skipping, and structural node dispatch in one place
-        is deliberate: the epilogue bug this module once carried came from
+        Every stored value is ``(B, width)``.  Keeping the temporal loop,
+        epilogue skipping, and structural node dispatch in one place is
+        deliberate: the epilogue bug this module once carried came from
         semantics drifting between duplicated loops.
         """
-        batched = batch is not None
-        empty = np.empty((batch, 0)) if batched else np.empty(0)
+        empty = np.empty((features.shape[0], 0))
         state = state if state is not None else {}
         values: dict[int, np.ndarray] = {}
         result: np.ndarray | None = None
@@ -388,28 +365,18 @@ class DataflowGraph:
                         if self.nodes[p].kind != "const"
                     ]
                     if node.kind == "gather":
-                        value = (
-                            np.concatenate(
-                                [_as_batch_2d(a) for a in args], axis=1
-                            )
-                            if batched
-                            else np.concatenate([np.atleast_1d(a) for a in args])
-                        )
+                        value = np.concatenate(args, axis=1)
                     elif node.kind == "output":
                         value = args[0] if args else empty
                         result = value
                     else:
-                        value = (
-                            _as_batch_2d(_run_node_batched(node, args, state))
-                            if batched
-                            else _run_node_scalar(node, args, state)
-                        )
+                        value = _as_batch_2d(_run_node(node, args, state))
                 values[node.node_id] = value
                 if observer is not None:
                     observer(node, value, iteration)
         if result is None:
             raise ValueError("graph has no output node")
-        return _as_batch_2d(result) if batched else result
+        return result
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -423,22 +390,13 @@ def _as_batch_2d(value: np.ndarray) -> np.ndarray:
     return value
 
 
-def _run_node_scalar(node: Node, args: list[np.ndarray], state: dict) -> np.ndarray:
-    """One node on a single vector via its scalar semantics."""
-    if node.fn is None:
-        if node.kind == "reduce" and node.reduce_op in REDUCE_OPS:
-            return np.atleast_1d(REDUCE_OPS[node.reduce_op].fn(args[0]))
-        raise ValueError(f"node {node.name!r} has no semantics")
-    return node.fn(*args, **_state_kwarg(node.fn, state))
-
-
-def _run_node_batched(node: Node, args: list[np.ndarray], state: dict) -> np.ndarray:
-    """One node on a batch: its ``batch_fn``, or a named reduce."""
-    if node.batch_fn is not None:
-        return node.batch_fn(*args, **_state_kwarg(node.batch_fn, state))
-    if node.fn is None and node.kind == "reduce" and node.reduce_op in REDUCE_OPS:
+def _run_node(node: Node, args: list[np.ndarray], state: dict) -> np.ndarray:
+    """One node on a batch: its ``fn``, or a named reduce."""
+    if node.fn is not None:
+        return node.fn(*args, **_state_kwarg(node.fn, state))
+    if node.kind == "reduce" and node.reduce_op in REDUCE_OPS:
         return REDUCE_OPS[node.reduce_op].batched(args[0])
-    raise ValueError(f"node {node.name!r} has no batch_fn for batched execution")
+    raise ValueError(f"node {node.name!r} has no semantics")
 
 
 def _state_kwarg(fn: Callable, state: dict) -> dict:

@@ -9,9 +9,8 @@ Batch semantics: every op accepts a leading batch axis.  Map ops broadcast
 element-wise, so ``(B, width)`` in gives ``(B, width)`` out; reduce ops
 contract the **last** axis only (``axis=-1``), so ``(B, width)`` in gives
 ``(B,)`` out — one reduced value per packet.  This is the contract the
-batched dataflow interpreter (:meth:`DataflowGraph.execute_batch`) and the
-scalar one share: a row of a batched result is bit-identical to the same
-op on that row alone.
+dataflow interpreter (:meth:`DataflowGraph.execute_batch`) relies on: a
+row of a batched result is bit-identical to the same op on that row alone.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ class ReduceOp:
     def batched(self, values: np.ndarray) -> np.ndarray:
         """Reduce per packet, keeping the lane axis: ``(B, w) -> (B, 1)``.
 
-        This is the batched interpreter's default semantics for ``reduce``
-        nodes lowered without an explicit ``fn``/``batch_fn``.
+        This is the interpreter's default semantics for ``reduce`` nodes
+        lowered without an explicit ``fn``.
         """
         return np.asarray(self.fn(values))[..., None]
 

@@ -45,7 +45,7 @@ def _chain_graph(width=4, name="g"):
     g = DataflowGraph(name=name)
     inp = g.add("input", name="x", width=width)
     m = g.add("map", preds=[inp], name="m", width=width, chain_ops=1,
-              fn=_rt, batch_fn=_rt)
+              fn=_rt)
     g.add("output", preds=[m], name="y", width=width)
     return g
 
@@ -77,8 +77,7 @@ def _heavy_graph(weight_values):
     bank = g.add("const", name="w", weight_values=weight_values)
     d = g.add("dot", preds=[inp, bank], name="d", parallel=1, width=4,
               chain_ops=1, reduce_op="sum",
-              fn=lambda x: np.sum(x, axis=-1, keepdims=True),
-              batch_fn=lambda x: np.sum(x, axis=-1, keepdims=True))
+              fn=lambda x: np.sum(x, axis=-1, keepdims=True))
     g.add("output", preds=[d], name="y", width=1)
     return g
 
@@ -119,12 +118,12 @@ class TestCatalog:
     def test_worst_severity(self):
         assert worst_severity([]) is None
         g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = lambda x: np.asarray(x) + 1e-4
+        g.nodes[1].fn = lambda x: np.asarray(x) + 1e-4
         assert worst_severity(verify_graph(g)) == Severity.WARNING
 
     def test_diagnostic_format_has_provenance(self):
         g = _chain_graph(name="fmt")
-        g.nodes[1].fn = g.nodes[1].batch_fn = None
+        g.nodes[1].fn = None
         diag = next(
             d for d in verify_graph(g, probe=False)
             if d.check_id == "ir-no-semantics"
@@ -160,7 +159,7 @@ class TestStructureChecks:
     def test_dead_node_trigger(self):
         g = _chain_graph()
         g.add("map", preds=[g.nodes[0]], name="dead", width=4, chain_ops=1,
-              fn=_rt, batch_fn=_rt)
+              fn=_rt)
         assert "ir-dead-node" in _ids(verify_graph(g))
 
     def test_const_is_neither_unreachable_nor_dead(self):
@@ -171,9 +170,9 @@ class TestStructureChecks:
         inp = g.add("input", name="x", width=4)
         fa, fb = _stateful("h"), _stateful("h")
         a = g.add("map", preds=[inp], name="a", width=4, chain_ops=1,
-                  fn=fa, batch_fn=fa)
+                  fn=fa)
         b = g.add("map", preds=[a], name="b", width=4, chain_ops=1,
-                  fn=fb, batch_fn=fb)
+                  fn=fb)
         g.add("output", preds=[b], name="y", width=4)
         assert "ir-state-collision" in _ids(verify_graph(g, probe=False))
 
@@ -182,7 +181,7 @@ class TestStructureChecks:
         inp = g.add("input", name="x", width=4)
         fn = _stateful("iteration")
         a = g.add("map", preds=[inp], name="a", width=4, chain_ops=1,
-                  fn=fn, batch_fn=fn)
+                  fn=fn)
         g.add("output", preds=[a], name="y", width=4)
         assert "ir-state-collision" in _ids(verify_graph(g, probe=False))
 
@@ -191,9 +190,9 @@ class TestStructureChecks:
         inp = g.add("input", name="x", width=4)
         fa, fb = _stateful("h"), _stateful("c")
         a = g.add("map", preds=[inp], name="a", width=4, chain_ops=1,
-                  fn=fa, batch_fn=fa)
+                  fn=fa)
         b = g.add("map", preds=[a], name="b", width=4, chain_ops=1,
-                  fn=fb, batch_fn=fb)
+                  fn=fb)
         g.add("output", preds=[b], name="y", width=4)
         assert "ir-state-collision" not in _ids(verify_graph(g, probe=False))
 
@@ -212,8 +211,7 @@ class TestShapeChecks:
         inp = g.add("input", name="x", width=4)
         d = g.add("dot", preds=[inp], name="d", parallel=1, width=8,
                   chain_ops=1, reduce_op="sum",
-                  fn=lambda x: np.sum(x, axis=-1, keepdims=True),
-                  batch_fn=lambda x: np.sum(x, axis=-1, keepdims=True))
+                  fn=lambda x: np.sum(x, axis=-1, keepdims=True))
         g.add("output", preds=[d], name="y", width=1)
         assert "ir-width-mismatch" in _ids(verify_graph(g, probe=False))
 
@@ -233,9 +231,9 @@ class TestShapeChecks:
         g = DataflowGraph(name="g")
         inp = g.add("input", name="x", width=4)
         a = g.add("map", preds=[inp], name="a", width=4, chain_ops=1,
-                  fn=_rt, batch_fn=_rt)
+                  fn=_rt)
         b = g.add("map", preds=[inp], name="b", width=4, chain_ops=1,
-                  fn=_rt, batch_fn=_rt)
+                  fn=_rt)
         gt = g.add("gather", preds=[a, b], name="gt", width=5)  # != 8
         g.add("output", preds=[gt], name="y", width=5)
         assert "ir-gather-width" in _ids(verify_graph(g, probe=False))
@@ -244,9 +242,9 @@ class TestShapeChecks:
         g = DataflowGraph(name="g")
         inp = g.add("input", name="x", width=4)
         a = g.add("map", preds=[inp], name="a", width=4, chain_ops=1,
-                  fn=_rt, batch_fn=_rt)
+                  fn=_rt)
         b = g.add("map", preds=[inp], name="b", width=4, chain_ops=1,
-                  fn=_rt, batch_fn=_rt)
+                  fn=_rt)
         gt = g.add("gather", preds=[a, b], name="gt", width=8)
         g.add("output", preds=[gt], name="y", width=8)
         assert verify_graph(g) == []
@@ -256,14 +254,13 @@ class TestShapeChecks:
         g = DataflowGraph(name="g")
         inp = g.add("input", name="x", width=4)
         m = g.add("map", preds=[inp], name="w", width=2, chain_ops=1,
-                  fn=lambda x: np.asarray(x)[..., :2],
-                  batch_fn=lambda x: np.asarray(x)[..., :2])
+                  fn=lambda x: np.asarray(x)[..., :2])
         g.add("output", preds=[m], name="y", width=2)
         assert verify_graph(g) == []
 
     def test_no_semantics_trigger(self):
         g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = None
+        g.nodes[1].fn = None
         assert "ir-no-semantics" in _ids(verify_graph(g, probe=False))
 
     def test_reduce_op_counts_as_semantics(self):
@@ -285,24 +282,17 @@ class TestShapeChecks:
 class TestProbeChecks:
     def test_non_2d_trigger(self):
         g = _chain_graph()
-        g.nodes[1].fn = lambda x: np.asarray(x)
-        g.nodes[1].batch_fn = lambda x: np.asarray(x)[:, :, None]  # 3-D
+        g.nodes[1].fn = lambda x: np.asarray(x)[:, :, None]  # 3-D
         assert "ir-non-2d" in _ids(verify_graph(g))
 
     def test_probe_width_trigger(self):
         g = _chain_graph()
         g.nodes[1].fn = lambda x: np.asarray(x)[..., :2]
-        g.nodes[1].batch_fn = lambda x: np.asarray(x)[..., :2]
         assert "ir-probe-width" in _ids(verify_graph(g))  # declares 4, emits 2
-
-    def test_batch_divergence_trigger(self):
-        g = _chain_graph()
-        g.nodes[1].batch_fn = lambda x: _rt(x) + 0.0625  # one LSB off
-        assert "ir-batch-divergence" in _ids(verify_graph(g))
 
     def test_fixpoint_drift_trigger(self):
         g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = lambda x: np.asarray(x) + 1e-4
+        g.nodes[1].fn = lambda x: np.asarray(x) + 1e-4
         diags = verify_graph(g)
         assert "ir-fixpoint-drift" in _ids(diags)
         assert worst_severity(diags) == Severity.WARNING
@@ -312,7 +302,7 @@ class TestProbeChecks:
             raise RuntimeError("kaput")
 
         g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = boom
+        g.nodes[1].fn = boom
         assert "ir-probe-failure" in _ids(verify_graph(g))
 
     def test_probe_skipped_on_structural_errors(self):
@@ -320,8 +310,8 @@ class TestProbeChecks:
             raise RuntimeError("kaput")
 
         g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = boom
-        g.add("map", name="orphan", width=4, chain_ops=1, fn=_rt, batch_fn=_rt)
+        g.nodes[1].fn = boom
+        g.add("map", name="orphan", width=4, chain_ops=1, fn=_rt)
         assert "ir-probe-failure" not in _ids(verify_graph(g))  # ir-orphan gates it
 
     def test_probe_flag_disables(self):
@@ -329,7 +319,7 @@ class TestProbeChecks:
             raise RuntimeError("kaput")
 
         g = _chain_graph()
-        g.nodes[1].fn = g.nodes[1].batch_fn = boom
+        g.nodes[1].fn = boom
         assert "ir-probe-failure" not in _ids(verify_graph(g, probe=False))
 
 
@@ -615,7 +605,7 @@ def _random_graph(width, ops):
     """A random layered chain, clean by construction.
 
     Always starts with one map node so defect seeding has a guaranteed
-    victim whose kind carries fn/batch_fn semantics.
+    victim whose kind carries fn semantics.
     """
     g = DataflowGraph(name="random")
     cursor = g.add("input", name="x", width=width)
@@ -625,14 +615,14 @@ def _random_graph(width, ops):
             op = "map"
         if op == "map":
             cursor = g.add("map", preds=[cursor], name=f"m{i}",
-                           width=cur_width, chain_ops=1, fn=_rt, batch_fn=_rt)
+                           width=cur_width, chain_ops=1, fn=_rt)
         elif op == "dot":
             def dot_fn(x):
                 return _rt(np.sum(x, axis=-1, keepdims=True))
 
             cursor = g.add("dot", preds=[cursor], name=f"d{i}", parallel=1,
                            width=cur_width, chain_ops=1, reduce_op="sum",
-                           fn=dot_fn, batch_fn=dot_fn)
+                           fn=dot_fn)
             cur_width = 1
         elif op == "reduce":
             cursor = g.add("reduce", preds=[cursor], name=f"r{i}",
@@ -657,8 +647,7 @@ class TestPropertyCleanGraphsExecute:
         batch = g.execute_batch(features)
         assert batch.shape == (4, g.outputs()[0].width)
         for b in range(4):
-            scalar = np.atleast_1d(g.execute(features[b]))
-            assert np.array_equal(scalar, batch[b])
+            assert np.array_equal(g.execute(features[b]), batch[b])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -685,10 +674,10 @@ class TestPropertyCleanGraphsExecute:
                        width=victim.width + 3)
             out.preds, out.width = [gt.node_id], gt.width
         elif defect == "no-semantics":
-            victim.fn = victim.batch_fn = None
+            victim.fn = None
         elif defect == "dead-node":
             g.add("map", preds=[victim], name="deadm", width=victim.width,
-                  chain_ops=1, fn=_rt, batch_fn=_rt)
+                  chain_ops=1, fn=_rt)
         elif defect == "no-output":
             del g.nodes[out.node_id]
         elif defect == "drift":
@@ -696,7 +685,7 @@ class TestPropertyCleanGraphsExecute:
             # off-grid leakage before it reaches the output.
             bad = lambda x: np.asarray(x) * 0 + 1e-4  # noqa: E731
             m = g.add("map", preds=[g.nodes[out.preds[0]]], name="driftm",
-                      width=out.width, chain_ops=1, fn=bad, batch_fn=bad)
+                      width=out.width, chain_ops=1, fn=bad)
             out.preds = [m.node_id]
 
         assert expected in _ids(verify_graph(g)), defect
@@ -711,7 +700,7 @@ def _ranged_graph(value_range, *, transfer="roundtrip", payload=None,
     g = DataflowGraph(name="ranged")
     inp = g.add("input", name="x", width=width, value_range=value_range)
     m = g.add("map", preds=[inp], name="m", width=width, chain_ops=1,
-              fn=fn, batch_fn=fn, transfer=transfer,
+              fn=fn, transfer=transfer,
               payload=payload or {}, waivers=waivers)
     g.add("output", preds=[m], name="y", width=width)
     return g
@@ -742,7 +731,7 @@ def _accum_graph(iterations, fmt=None):
         payload["fmt"] = fmt
     fn = _accum_fn("acc", fmt)
     g.add("map", preds=[inp], name="acc_node", width=1, chain_ops=1,
-          fn=fn, batch_fn=fn, transfer="state_accum", payload=payload)
+          fn=fn, transfer="state_accum", payload=payload)
     g.add("output", preds=[g.nodes[1]], name="y", width=1)
     return g
 
@@ -868,7 +857,7 @@ class TestRangeStateful:
         g = _ranged_graph(
             (-1.0, 1.0), transfer="state_read", payload={"keys": ("h",)},
         )
-        g.nodes[1].fn = g.nodes[1].batch_fn = None
+        g.nodes[1].fn = None
         report = analyze_ranges(g)
         # No writer: zero-initialized state stays [0, 0].
         assert report.interval_of("m") == Interval(0.0, 0.0)
@@ -913,29 +902,27 @@ def _random_ranged_graph(width, ops, rng):
             op = "rt"
         if op == "rt":
             cursor = g.add("map", preds=[cursor], name=f"rt{i}",
-                           width=cur_width, chain_ops=1, fn=_rt, batch_fn=_rt,
+                           width=cur_width, chain_ops=1, fn=_rt,
                            transfer="roundtrip")
         elif op == "affine":
             scale = float(rng.choice([-1.5, -0.5, 0.5, 1.25]))
             offset = float(rng.choice([-0.25, 0.0, 0.5]))
             fn = _affine_fn(scale, offset)
             cursor = g.add("map", preds=[cursor], name=f"a{i}",
-                           width=cur_width, chain_ops=1, fn=fn, batch_fn=fn,
+                           width=cur_width, chain_ops=1, fn=fn,
                            transfer="affine",
                            payload={"scale": scale, "offset": offset})
         elif op == "clip":
             fn = _clip_fn(-1.0, 1.0)
             cursor = g.add("map", preds=[cursor], name=f"c{i}",
-                           width=cur_width, chain_ops=1, fn=fn, batch_fn=fn,
+                           width=cur_width, chain_ops=1, fn=fn,
                            transfer="clip", payload={"clip": (-1.0, 1.0)})
         elif op == "relu":
             cursor = g.add("map", preds=[cursor], name=f"re{i}",
-                           width=cur_width, chain_ops=1, fn=relu,
-                           batch_fn=relu, transfer="relu")
+                           width=cur_width, chain_ops=1, fn=relu, transfer="relu")
         elif op == "tanh":
             cursor = g.add("map", preds=[cursor], name=f"t{i}",
-                           width=cur_width, chain_ops=1, fn=tanh,
-                           batch_fn=tanh, transfer="tanh")
+                           width=cur_width, chain_ops=1, fn=tanh, transfer="tanh")
         elif op == "dot":
             w = FIX8.roundtrip(rng.uniform(-1.0, 1.0, size=cur_width))
             bank = g.add("const", name=f"w{i}", weight_values=int(w.size),
@@ -943,7 +930,7 @@ def _random_ranged_graph(width, ops, rng):
             fn = _bank_dot_fn(w)
             cursor = g.add("dot", preds=[cursor, bank], name=f"d{i}",
                            parallel=1, width=cur_width, chain_ops=1,
-                           reduce_op="sum", fn=fn, batch_fn=fn,
+                           reduce_op="sum", fn=fn,
                            transfer="dot",
                            payload={"weights": w.reshape(1, -1),
                                     "fmt": FIX8})

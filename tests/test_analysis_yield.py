@@ -162,7 +162,7 @@ ROWS = [
     # Historical: the SVM lowering shipped this bias until the verifier landed.
     row("svm-bias-raw-float", FRONTEND, "bias = float(fmt.roundtrip(svm.bias))",
         "bias = float(svm.bias)", "ir-fixpoint-drift", lowering="svm"),
-    row("svm-scale-gamma-loses-fn", FRONTEND, "        fn=scale_gamma,\n        batch_fn=scale_gamma,\n",
+    row("svm-scale-gamma-loses-fn", FRONTEND, "        fn=scale_gamma,\n",
         "", "ir-no-semantics", lowering="svm"),
     row("svm-scale-gamma-loses-preds", FRONTEND, '        preds=[gathered],\n        name="scale_gamma",',
         '        name="scale_gamma",', "ir-orphan", lowering="svm"),

@@ -151,7 +151,7 @@ class TestFolding:
         inp = g.add("input", name="x", width=16)
         bank = g.add("const", name="w", weight_values=16384 * 40)
         dot = g.add("dot", preds=[inp, bank], name="d", parallel=1, width=16,
-                    chain_ops=1, reduce_op="sum", fn=lambda x: x[:1])
+                    chain_ops=1, reduce_op="sum", fn=lambda x: x[..., :1])
         g.add("output", preds=[dot], name="y", width=1)
         with pytest.raises(ValueError):
             compile_graph(g, cu_budget=90, mu_budget=30)
@@ -166,7 +166,7 @@ class TestBudgetSymmetry:
         inp = g.add("input", name="x", width=16)
         bank = g.add("const", name="w", weight_values=16384 * 40)
         dot = g.add("dot", preds=[inp, bank], name="d", parallel=1, width=16,
-                    chain_ops=1, reduce_op="sum", fn=lambda x: x[:1])
+                    chain_ops=1, reduce_op="sum", fn=lambda x: x[..., :1])
         g.add("output", preds=[dot], name="y", width=1)
         return g
 

@@ -217,11 +217,6 @@ class TestMapReduceBlock:
         block.reconfigure(activation_graph("tanh_exp"))
         assert block.latency_ns != old_latency
 
-    def test_process_batch(self):
-        block = MapReduceBlock(inner_product_graph(16))
-        out = block.process_batch(np.ones((5, 16)))
-        assert out.shape == (5, 1)
-
     def test_run_batch_matches_scalar(self):
         block = MapReduceBlock(inner_product_graph(16))
         feats = np.linspace(-1, 1, 5 * 16).reshape(5, 16)

@@ -1,6 +1,6 @@
 """Batched dataflow execution: bit-identity, epilogue, and input contracts.
 
-The batched interpreter must be a pure widening of the scalar one:
+One packet is a one-row batch:
 ``execute_batch(stack(xs)) == stack(execute(x) for x in xs)`` bit-for-bit,
 for every app graph and fixed-point format.  Epilogue nodes run exactly
 once (after the last temporal iteration), and input features reach node
@@ -103,6 +103,17 @@ class TestBatchScalarEquivalence:
         with pytest.raises(ValueError, match="expects"):
             graph.execute_batch(np.ones(16))
 
+    def test_execute_rejects_non_1d(self):
+        """One answer cannot stand for several packets: a (3, D) block
+        used to come back as row 0's answer alone, and a 0-d value
+        broadcast across the inner product's 16 lanes."""
+        features, __ = iot_cluster_dataset(600, seed=7)
+        graph = kmeans_graph(KMeans(n_clusters=5, seed=7).fit(features))
+        with pytest.raises(ValueError, match=r"expects \(D,\) features"):
+            graph.execute(features[:3])
+        with pytest.raises(ValueError, match=r"expects \(D,\) features"):
+            inner_product_graph(16).execute(np.float64(0.5))
+
     def test_reduce_node_without_fn_uses_named_op(self):
         """Reduce nodes lowered without fn fall back to REDUCE_OPS."""
         g = DataflowGraph("opreduce")
@@ -112,36 +123,6 @@ class TestBatchScalarEquivalence:
         feats = np.array([[1.0, 7.0, 3.0, 2.0], [9.0, 0.0, 4.0, 5.0]])
         assert np.array_equal(g.execute(feats[0]), [7.0])
         assert np.array_equal(g.execute_batch(feats), [[7.0], [9.0]])
-
-    def test_fallback_loops_scalar_fn(self):
-        """A node with no ``batch_fn`` still runs through scalar ``execute``;
-        the row loop over it is the caller's, because ``execute_batch``
-        refuses the node by name instead of looping rows itself."""
-        g = DataflowGraph("fallback")
-        inp = g.add("input", name="x", width=3)
-        doubled = g.add(
-            "map", preds=[inp], name="double", width=3, chain_ops=1,
-            fn=lambda x: 2.0 * x,
-        )
-        g.add("output", preds=[doubled], name="y", width=3)
-        feats = np.arange(12, dtype=np.float64).reshape(4, 3)
-        looped = np.stack([g.execute(row) for row in feats])
-        assert np.array_equal(looped, 2.0 * feats)
-        with pytest.raises(ValueError, match="'double' has no batch_fn"):
-            g.execute_batch(feats)
-
-    def test_fallback_rejects_stateful_scalar_fn(self):
-        g = DataflowGraph("stateful", temporal_iterations=2)
-        inp = g.add("input", name="x", width=1)
-
-        def acc(x, state):
-            return x
-
-        acc.wants_state = True
-        node = g.add("map", preds=[inp], name="acc", width=1, chain_ops=1, fn=acc)
-        g.add("output", preds=[node], name="y", width=1)
-        with pytest.raises(ValueError, match="batch_fn"):
-            g.execute_batch(np.ones((2, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +295,7 @@ class TestKernelFallbacks:
         out = graph.outputs()[0]
         negate = graph.add(
             "map", preds=[graph.nodes[out.preds[0]]], name="negate",
-            width=out.width, chain_ops=1, fn=np.negative, batch_fn=np.negative,
+            width=out.width, chain_ops=1, fn=np.negative,
         )
         out.preds = [negate.node_id]
         assert graph.kernel is None
@@ -524,7 +505,7 @@ class TestLstmKernelFallbacks:
         out = graph.outputs()[0]
         negate = graph.add(
             "map", preds=[graph.nodes[out.preds[0]]], name="negate", width=1,
-            chain_ops=1, fn=np.negative, batch_fn=np.negative, epilogue=True,
+            chain_ops=1, fn=np.negative, epilogue=True,
         )
         out.preds = [negate.node_id]
         assert graph.kernel is None
@@ -687,9 +668,9 @@ def _counting_temporal_graph(iterations=5):
         return 2.0 * x
 
     b = g.add("map", preds=[inp], name="body", width=2, chain_ops=1,
-              fn=body, batch_fn=body)
+              fn=body)
     e = g.add("map", preds=[b], name="epi", width=2, chain_ops=1,
-              fn=epilogue, batch_fn=epilogue, epilogue=True)
+              fn=epilogue, epilogue=True)
     g.add("output", preds=[e], name="y", width=2, epilogue=True)
     return g, calls
 
@@ -730,7 +711,6 @@ class TestEpilogueSemantics:
                     return counted
 
                 node.fn = wrap(node.fn, node.name)
-                node.batch_fn = wrap(node.batch_fn, node.name)
         graph.execute(seqs[0].reshape(-1))
         assert counts["cell_update"] == graph.temporal_iterations
         assert counts["action_head"] == 1
@@ -776,7 +756,7 @@ class TestReadOnlyInputs:
         g = DataflowGraph("ro")
         inp = g.add("input", name="x", width=2)
         n = g.add("map", preds=[inp], name="probe", width=2, chain_ops=1,
-                  fn=probe, batch_fn=probe)
+                  fn=probe)
         g.add("output", preds=[n], name="y", width=2)
         g.execute_batch(np.ones((3, 2)))
         assert seen["writeable"] is False
@@ -789,7 +769,7 @@ class TestReadOnlyInputs:
         g = DataflowGraph("mut")
         inp = g.add("input", name="x", width=2)
         n = g.add("map", preds=[inp], name="vandal", width=2, chain_ops=1,
-                  fn=vandal, batch_fn=vandal)
+                  fn=vandal)
         g.add("output", preds=[n], name="y", width=2)
         features = np.array([3.0, 4.0])
         with pytest.raises(ValueError):
@@ -812,9 +792,9 @@ class TestReadOnlyInputs:
         g = DataflowGraph("siblings")
         inp = g.add("input", name="x", width=2)
         a = g.add("map", preds=[inp], name="a", width=2, chain_ops=1,
-                  fn=record, batch_fn=record)
+                  fn=record)
         b = g.add("map", preds=[inp], name="b", width=2, chain_ops=1,
-                  fn=record, batch_fn=record)
+                  fn=record)
         merged = g.add("gather", preds=[a, b], name="g", width=4)
         g.add("output", preds=[merged], name="y", width=4)
         out = g.execute(np.array([1.0, 2.0]))

@@ -100,7 +100,7 @@ class TestIR:
         )
         total = g.add(
             "reduce", preds=[double], name="sum", width=4, reduce_op="sum",
-            fn=lambda x: np.atleast_1d(np.sum(x)),
+            fn=lambda x: np.sum(x, axis=-1, keepdims=True),
         )
         g.add("output", preds=[total], name="y", width=1)
         return g
@@ -126,9 +126,9 @@ class TestIR:
         g = DataflowGraph(name="g")
         inp = g.add("input", name="x", width=2)
         left = g.add("map", preds=[inp], name="l", width=1, chain_ops=1,
-                     fn=lambda x: x[:1])
+                     fn=lambda x: x[..., :1])
         right = g.add("map", preds=[inp], name="r", width=1, chain_ops=1,
-                      fn=lambda x: x[1:] * 10)
+                      fn=lambda x: x[..., 1:] * 10)
         merged = g.add("gather", preds=[left, right], name="m", width=2)
         g.add("output", preds=[merged], name="y", width=2)
         out = g.execute(np.array([1.0, 2.0]))
@@ -158,8 +158,8 @@ class TestIR:
         inp = g.add("input", name="x", width=1)
 
         def accumulate(x, state):
-            state["acc"] = state.get("acc", 0.0) + x[0] + state["iteration"]
-            return np.atleast_1d(state["acc"])
+            state["acc"] = state.get("acc", 0.0) + x + state["iteration"]
+            return state["acc"]
 
         accumulate.wants_state = True
         node = g.add("map", preds=[inp], name="acc", width=1, chain_ops=1, fn=accumulate)
