@@ -1,9 +1,10 @@
 """Taurus: a data plane architecture for per-packet ML (ASPLOS 2022).
 
 A full-system Python reproduction: fixed-point datapath, from-scratch ML
-library, MapReduce DSL + compiler, CGRA (CU/MU grid) simulator, PISA switch
-pipeline, baselines (accelerators, MAT-only ML, control-plane caching), and
-the end-to-end anomaly-detection testbed.
+library, MapReduce DSL + compiler, the MapReduce block (a compiled CU/MU cost
+model driving a graph interpreter), PISA switch pipeline, baselines
+(accelerators, MAT-only ML, rules vs weights), and the end-to-end
+anomaly-detection testbed.
 
 Quickstart::
 

@@ -1,7 +1,8 @@
-"""Baselines: control-plane accelerators, MAT-only ML, inference caching."""
+"""Baselines: control-plane accelerators, MAT-only ML, and the rules-vs-weights
+memory comparison."""
 
 from .accelerators import ACCELERATORS, CPU_XEON, GPU_T4, TPU_V2, AcceleratorModel
-from .controlplane import InferenceCache, RuleInstallModel, weights_vs_rules_bytes
+from .controlplane import weights_vs_rules_bytes
 from .mat_ml import (
     BinarizedDNN,
     MatCost,
@@ -16,8 +17,6 @@ __all__ = [
     "GPU_T4",
     "TPU_V2",
     "AcceleratorModel",
-    "InferenceCache",
-    "RuleInstallModel",
     "weights_vs_rules_bytes",
     "BinarizedDNN",
     "MatCost",

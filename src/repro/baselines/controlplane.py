@@ -1,99 +1,15 @@
-"""Control-plane ML baselines: result caching and rule installation.
+"""Section 3's memory comparison: control-plane rules against model weights.
 
 Section 2.2: instead of per-packet inference, MATs "could cache inference
-results computed in the control plane", with previously-unseen feature
-combinations punted to the controller and the answers installed as flow
-rules.  This module models that scheme's two failure modes:
-
-* **cache misses** on dynamic inputs (every new flow pays a controller RTT
-  plus inference plus installation), and
-* **memory blow-up**: caching decisions for the whole input space costs
-  vastly more switch memory than the model's weights (Section 3's
-  12 MB-vs-5.6 KB, a ~2135x ratio).
-
-Rule-installation latency starts at ~3 ms and grows with occupancy
-(Section 2.2's TCAM measurements).
+results computed in the control plane" and install the answers as flow
+rules.  Covering the model's whole input space that way costs vastly more
+switch memory than the model's weights (Section 3's 12 MB-vs-5.6 KB, a
+~2135x ratio); :func:`weights_vs_rules_bytes` prices that comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .accelerators import AcceleratorModel, CPU_XEON
-
-__all__ = ["RuleInstallModel", "InferenceCache", "weights_vs_rules_bytes"]
-
-
-@dataclass(frozen=True)
-class RuleInstallModel:
-    """Flow-rule installation latency as a function of table occupancy.
-
-    ``latency_ms = base + slope * occupancy`` — "rule installation time
-    (3 ms for TCAMs) would limit caching, especially because it increases
-    with flow-table size".
-    """
-
-    base_ms: float = 3.0
-    slope_ms_per_kentry: float = 0.8
-
-    def latency_ms(self, table_occupancy: int) -> float:
-        if table_occupancy < 0:
-            raise ValueError("occupancy must be non-negative")
-        return self.base_ms + self.slope_ms_per_kentry * (table_occupancy / 1000.0)
-
-
-@dataclass
-class InferenceCache:
-    """An MAT-backed cache of control-plane inference results.
-
-    Keys are the (quantized) feature tuples; a miss simulates the full
-    controller round trip: RTT + accelerator inference + rule install.
-    """
-
-    accelerator: AcceleratorModel = CPU_XEON
-    install: RuleInstallModel = field(default_factory=RuleInstallModel)
-    controller_rtt_ms: float = 0.05  # >= 10 us each way, Section 1
-    capacity: int = 100_000
-    rules: dict[tuple, int] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def _key(self, features: np.ndarray, decimals: int = 2) -> tuple:
-        return tuple(np.round(np.asarray(features, dtype=np.float64), decimals))
-
-    def lookup(self, features: np.ndarray) -> tuple[int | None, float]:
-        """Data-plane lookup: (cached decision | None, latency_ms)."""
-        key = self._key(features)
-        if key in self.rules:
-            self.hits += 1
-            return self.rules[key], 0.0  # line-rate MAT hit
-        self.misses += 1
-        return None, 0.0
-
-    def miss_penalty_ms(self) -> float:
-        """Latency of resolving one miss through the controller."""
-        return (
-            self.controller_rtt_ms
-            + self.accelerator.latency_ms(1)
-            + self.install.latency_ms(len(self.rules))
-        )
-
-    def fill(self, features: np.ndarray, decision: int) -> float:
-        """Install the controller's answer; returns the install delay (ms)."""
-        penalty = self.miss_penalty_ms()
-        if len(self.rules) >= self.capacity:
-            self.rules.pop(next(iter(self.rules)))
-            self.evictions += 1
-        self.rules[self._key(features)] = int(decision)
-        return penalty
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+__all__ = ["weights_vs_rules_bytes"]
 
 
 def weights_vs_rules_bytes(

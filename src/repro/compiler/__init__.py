@@ -4,27 +4,23 @@ from .allocate import (
     GraphResources,
     NodeCost,
     graph_resources,
-    mu_capacity_values,
     node_cost,
 )
-from .pipeline import BudgetError, CompiledDesign, compile_graph, critical_path_cycles
+from .pipeline import BudgetError, CompiledDesign, compile_graph
 from .place_route import GridSpec, Placement, place_and_route
-from .unroll import UnrollPoint, min_unroll_for_rate, unroll_sweep
+from .unroll import UnrollPoint, unroll_sweep
 
 __all__ = [
     "BudgetError",
     "GraphResources",
     "NodeCost",
     "graph_resources",
-    "mu_capacity_values",
     "node_cost",
     "CompiledDesign",
     "compile_graph",
-    "critical_path_cycles",
     "GridSpec",
     "Placement",
     "place_and_route",
     "UnrollPoint",
-    "min_unroll_for_rate",
     "unroll_sweep",
 ]

@@ -37,7 +37,6 @@ from .allocate import GraphResources, graph_resources
 __all__ = [
     "BudgetError",
     "CompiledDesign",
-    "critical_path_cycles",
     "compile_graph",
 ]
 
@@ -94,17 +93,6 @@ def _path_lengths(
     )
     total = max(dist.values(), default=0)
     return body, total - body
-
-
-def critical_path_cycles(
-    graph: DataflowGraph, geometry: CUGeometry = DEFAULT_CU_GEOMETRY
-) -> int:
-    """Longest input->output path of one pass through the graph (cycles).
-
-    Includes the PHV ingress/egress interface and the final output hop.
-    """
-    body, epilogue = _path_lengths(graph, geometry)
-    return PHV_INTERFACE_CYCLES + body + epilogue + HOP_CYCLES + PHV_INTERFACE_CYCLES
 
 
 @dataclass(frozen=True)

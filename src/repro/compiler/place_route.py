@@ -22,6 +22,7 @@ from ..hw.params import (
 )
 from ..mapreduce.ir import DataflowGraph
 from .allocate import graph_resources
+from .pipeline import compile_graph
 
 __all__ = ["GridSpec", "Placement", "place_and_route"]
 
@@ -87,23 +88,18 @@ def place_and_route(graph: DataflowGraph) -> Placement:
     Nodes are placed in topological order; each node's CUs/MUs take the
     free tiles nearest the centroid of its predecessors' tiles (keeping
     producer-consumer pairs adjacent, which is what the checkerboard layout
-    is for).  Demand beyond the grid's capacity is folded (time-multiplexed)
-    first, exactly as :func:`~repro.compiler.pipeline.compile_graph` does.
+    is for).  The fold factor and the MU check are
+    :func:`~repro.compiler.pipeline.compile_graph`'s against this grid, so
+    weights that do not fit raise its
+    :class:`~repro.compiler.pipeline.BudgetError`.
     """
     grid = GridSpec()
     resources = graph_resources(graph, DEFAULT_CU_GEOMETRY)
 
     free = {"cu": list(grid.tiles("cu")), "mu": list(grid.tiles("mu"))}
-    capacity = {"cu": len(free["cu"]), "mu": len(free["mu"])}
-
-    fold = 1
-    demand_cu = resources.n_cu
-    if demand_cu > capacity["cu"]:
-        fold = -(-demand_cu // capacity["cu"])  # ceil division
-    if resources.n_mu > capacity["mu"]:
-        raise ValueError(
-            f"{graph.name}: {resources.n_mu} MUs exceed grid capacity {capacity['mu']}"
-        )
+    fold = compile_graph(
+        graph, DEFAULT_CU_GEOMETRY, cu_budget=len(free["cu"]), mu_budget=len(free["mu"])
+    ).fold_factor
 
     mesh = grid.mesh()
     placement = Placement(graph_name=graph.name, fold_factor=fold)

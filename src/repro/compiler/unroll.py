@@ -7,8 +7,7 @@ deterministic throughput: either line-rate performance, or some known
 fraction thereof."
 
 This module sweeps unroll factors for loop-shaped kernels and reports the
-throughput/area trade-off of Table 7, plus helpers to pick the smallest
-factor meeting a rate target.
+throughput/area trade-off of Table 7.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from ..hw.params import CUGeometry, DEFAULT_CU_GEOMETRY
 from ..mapreduce.ir import DataflowGraph
 from .pipeline import CompiledDesign, compile_graph
 
-__all__ = ["UnrollPoint", "unroll_sweep", "min_unroll_for_rate"]
+__all__ = ["UnrollPoint", "unroll_sweep"]
 
 
 @dataclass(frozen=True)
@@ -55,25 +54,3 @@ def unroll_sweep(
             )
         )
     return points
-
-
-def min_unroll_for_rate(
-    builder: Callable[[int], DataflowGraph],
-    target_fraction: float,
-    factors: Sequence[int] = (1, 2, 4, 8),
-    geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
-) -> UnrollPoint:
-    """Smallest unroll factor sustaining ``target_fraction`` of line rate.
-
-    Models the deployment decision the paper describes: static line-rate
-    reduction is acceptable (recirculation / oversubscription), so pick the
-    cheapest design that meets the SLO.
-    """
-    if not 0.0 < target_fraction <= 1.0:
-        raise ValueError("target_fraction must be in (0, 1]")
-    for point in unroll_sweep(builder, factors, geometry):
-        if point.line_rate_fraction >= target_fraction:
-            return point
-    raise ValueError(
-        f"no unroll factor in {list(factors)} reaches {target_fraction:.2f} of line rate"
-    )

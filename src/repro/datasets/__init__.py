@@ -5,20 +5,15 @@ from .congestion import (
     CongestionTraceConfig,
     congestion_packet_trace,
     generate_congestion_traces,
-    oracle_action,
 )
 from .iot import (
-    IOT_BINARY_FEATURES,
     IOT_CLUSTER_FEATURES,
     iot_binary_dataset,
     iot_cluster_dataset,
     iot_packet_trace,
 )
 from .nslkdd import (
-    ATTACK_CLASSES,
     DNN_FEATURES,
-    FEATURE_NAMES,
-    SVM_FEATURES,
     ConnectionDataset,
     dnn_feature_matrix,
     generate_connections,
@@ -37,16 +32,11 @@ __all__ = [
     "CongestionTraceConfig",
     "congestion_packet_trace",
     "generate_congestion_traces",
-    "oracle_action",
-    "IOT_BINARY_FEATURES",
     "IOT_CLUSTER_FEATURES",
     "iot_binary_dataset",
     "iot_cluster_dataset",
     "iot_packet_trace",
-    "ATTACK_CLASSES",
     "DNN_FEATURES",
-    "FEATURE_NAMES",
-    "SVM_FEATURES",
     "ConnectionDataset",
     "dnn_feature_matrix",
     "generate_connections",

@@ -4,7 +4,6 @@ from .formats import FIX8, FIX16, FIX32, FixedPointFormat
 from .quantize import (
     QuantizedLinear,
     QuantizedModel,
-    choose_frac_bits,
     format_for_range,
     quantize_model,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "FixTensor",
     "QuantizedLinear",
     "QuantizedModel",
-    "choose_frac_bits",
     "format_for_range",
     "quantize_model",
 ]

@@ -1,11 +1,11 @@
-"""Fixed-point tensors with saturating arithmetic.
+"""Fixed-point tensors and the datapath's rounding shift.
 
 A :class:`FixTensor` pairs a raw integer numpy array with its
-:class:`~repro.fixpoint.formats.FixedPointFormat`.  All arithmetic is
-performed in a wide intermediate type and saturated back to the storage
-width, mirroring what the Taurus functional units do per cycle.  This is the
-numeric substrate shared by the CGRA simulator and the quantized ML models,
-so both see bit-identical results.
+:class:`~repro.fixpoint.formats.FixedPointFormat`: the typed form in which
+:class:`~repro.fixpoint.quantize.QuantizedLinear` keeps a layer's nominal
+weights and its bias.  It carries no arithmetic of its own; the one
+fixed-point multiply-accumulate is ``QuantizedLinear.mac_raw``, which
+requantizes with :func:`_rounding_shift`.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ class FixTensor:
         """Adopt already-quantized integers (saturating them first)."""
         return cls(fmt.saturate(np.asarray(raw)), fmt)
 
-    @classmethod
-    def zeros(cls, shape: tuple[int, ...] | int, fmt: FixedPointFormat = FIX8) -> "FixTensor":
-        """All-zeros tensor of the given shape."""
-        return cls(np.zeros(shape, dtype=fmt.storage_dtype), fmt)
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -72,105 +67,6 @@ class FixTensor:
     @property
     def size(self) -> int:
         return int(self.raw.size)
-
-    def reshape(self, *shape: int) -> "FixTensor":
-        return FixTensor(self.raw.reshape(*shape), self.fmt)
-
-    def __getitem__(self, idx) -> "FixTensor":
-        item = self.raw[idx]
-        return FixTensor(np.asarray(item, dtype=self.fmt.storage_dtype), self.fmt)
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    # ------------------------------------------------------------------
-    # Saturating arithmetic (element-wise "map" semantics)
-    # ------------------------------------------------------------------
-    def _coerce(self, other: "FixTensor | float | int") -> "FixTensor":
-        if isinstance(other, FixTensor):
-            if other.fmt != self.fmt:
-                raise ValueError(
-                    f"format mismatch: {self.fmt.name} vs {other.fmt.name}"
-                )
-            return other
-        return FixTensor.from_float(float(other), self.fmt)
-
-    def __add__(self, other: "FixTensor | float | int") -> "FixTensor":
-        rhs = self._coerce(other)
-        wide = self.raw.astype(self.fmt.wide_dtype) + rhs.raw.astype(self.fmt.wide_dtype)
-        return FixTensor(self.fmt.saturate(wide), self.fmt)
-
-    def __sub__(self, other: "FixTensor | float | int") -> "FixTensor":
-        rhs = self._coerce(other)
-        wide = self.raw.astype(self.fmt.wide_dtype) - rhs.raw.astype(self.fmt.wide_dtype)
-        return FixTensor(self.fmt.saturate(wide), self.fmt)
-
-    def __mul__(self, other: "FixTensor | float | int") -> "FixTensor":
-        rhs = self._coerce(other)
-        wide = self.raw.astype(self.fmt.wide_dtype) * rhs.raw.astype(self.fmt.wide_dtype)
-        # Rescale: the product carries 2*frac_bits fractional bits.
-        wide = _rounding_shift(wide, self.fmt.frac_bits)
-        return FixTensor(self.fmt.saturate(wide), self.fmt)
-
-    def __neg__(self) -> "FixTensor":
-        wide = -self.raw.astype(self.fmt.wide_dtype)
-        return FixTensor(self.fmt.saturate(wide), self.fmt)
-
-    def maximum(self, other: "FixTensor | float | int") -> "FixTensor":
-        rhs = self._coerce(other)
-        return FixTensor(np.maximum(self.raw, rhs.raw), self.fmt)
-
-    def minimum(self, other: "FixTensor | float | int") -> "FixTensor":
-        rhs = self._coerce(other)
-        return FixTensor(np.minimum(self.raw, rhs.raw), self.fmt)
-
-    # ------------------------------------------------------------------
-    # Reductions ("reduce" semantics: associative tree reductions)
-    # ------------------------------------------------------------------
-    def sum(self, axis: int | None = None) -> "FixTensor":
-        """Saturating sum; accumulation happens in the wide type.
-
-        Taurus reduces within a CU using a 4-level adder tree over a wide
-        accumulator and saturates once at the end, so we accumulate wide and
-        saturate once rather than pairwise.
-        """
-        wide = self.raw.astype(self.fmt.wide_dtype).sum(axis=axis)
-        return FixTensor(self.fmt.saturate(np.asarray(wide)), self.fmt)
-
-    def dot(self, other: "FixTensor") -> "FixTensor":
-        """Saturating dot product: map (multiply) then reduce (add).
-
-        Products keep full precision inside the wide accumulator; a single
-        rounding shift and saturation happen at the end, matching a
-        multiply-accumulate datapath with a wide accumulator register.
-        """
-        rhs = self._coerce(other)
-        wide = (
-            self.raw.astype(self.fmt.wide_dtype) * rhs.raw.astype(self.fmt.wide_dtype)
-        ).sum(axis=-1)
-        wide = _rounding_shift(np.asarray(wide), self.fmt.frac_bits)
-        return FixTensor(self.fmt.saturate(wide), self.fmt)
-
-    def matvec(self, vector: "FixTensor") -> "FixTensor":
-        """Matrix-vector product (the core Taurus inference primitive)."""
-        if self.raw.ndim != 2 or vector.raw.ndim != 1:
-            raise ValueError("matvec expects a 2-D matrix and a 1-D vector")
-        rhs = self._coerce(vector)
-        wide = self.raw.astype(self.fmt.wide_dtype) @ rhs.raw.astype(self.fmt.wide_dtype)
-        wide = _rounding_shift(wide, self.fmt.frac_bits)
-        return FixTensor(self.fmt.saturate(wide), self.fmt)
-
-    def max(self, axis: int | None = None) -> "FixTensor":
-        return FixTensor(np.asarray(self.raw.max(axis=axis)), self.fmt)
-
-    def min(self, axis: int | None = None) -> "FixTensor":
-        return FixTensor(np.asarray(self.raw.min(axis=axis)), self.fmt)
-
-    def argmax(self, axis: int | None = None) -> np.ndarray:
-        return np.asarray(self.raw.argmax(axis=axis))
-
-    def argmin(self, axis: int | None = None) -> np.ndarray:
-        return np.asarray(self.raw.argmin(axis=axis))
 
     # ------------------------------------------------------------------
     # Misc

@@ -1,10 +1,8 @@
-"""Hardware models: CU/MU/grid simulators and the area/power/ASIC model."""
+"""Hardware models: the MapReduce block and the area/power/ASIC model."""
 
 from .area import cu_area_mm2, fu_area_um2, grid_area_mm2, grid_composition, mu_area_mm2
 from .asic import OverheadReport, TaurusChip
-from .cu import ComputeUnit, CUResult
 from .grid import BatchInferenceResult, InferenceResult, MapReduceBlock
-from .mu import BankConflictError, MemoryUnit
 from .params import (
     CLOCK_GHZ,
     CUGeometry,
@@ -27,13 +25,9 @@ __all__ = [
     "mu_area_mm2",
     "OverheadReport",
     "TaurusChip",
-    "ComputeUnit",
-    "CUResult",
     "BatchInferenceResult",
     "InferenceResult",
     "MapReduceBlock",
-    "BankConflictError",
-    "MemoryUnit",
     "CLOCK_GHZ",
     "CUGeometry",
     "DEFAULT_CU_GEOMETRY",

@@ -2,9 +2,9 @@
 
 Reproduces the Table 5 overhead columns: each of the switch's four
 reconfigurable pipelines gains one MapReduce block; overheads are reported
-against the per-pipeline share of a 500 mm^2 / 270 W die.  Also provides the
-iso-area view (how many MATs one block displaces) used by the Section 5.1.4
-comparison against MAT-only ML.
+against the per-pipeline share of a 500 mm^2 / 270 W die.  The iso-area view
+(how many MATs one block displaces) is
+:func:`~repro.baselines.mat_ml.taurus_iso_area_mats`.
 """
 
 from __future__ import annotations
@@ -67,17 +67,6 @@ class TaurusChip:
             latency_ns=design.latency_ns,
             throughput_gpkt_s=design.throughput_gpkt_s,
         )
-
-    # ------------------------------------------------------------------
-    # Iso-area trade-off (Sections 5.1.1 and 5.1.4)
-    # ------------------------------------------------------------------
-    def iso_area_mats(self, area_mm2: float | None = None) -> float:
-        """MAT stages displaced by the given area (default: one grid).
-
-        The paper: "an iso-area design would lose 3 MATs per pipeline."
-        """
-        area = grid_area_mm2() if area_mm2 is None else area_mm2
-        return area / self.switch.mat_area_mm2
 
     def added_die_area_percent(self, blocks: int | None = None) -> float:
         """Total die growth with one block per pipeline (paper: 3.8%)."""

@@ -2,7 +2,6 @@
 
 from .dsl import MapReduceControlBlock, PatternTrace
 from .frontend import (
-    HW_ACTIVATION_FOR,
     activation_graph,
     conv1d_graph,
     dnn_graph,
@@ -11,13 +10,12 @@ from .frontend import (
     lstm_graph,
     svm_graph,
 )
-from .ir import NODE_KINDS, DataflowGraph, Node
-from .ops import MAP_OPS, REDUCE_OPS, MapOp, ReduceOp, reduce_tree_depth
+from .ir import DataflowGraph, Node
+from .ops import REDUCE_OPS, ReduceOp, reduce_tree_depth
 
 __all__ = [
     "MapReduceControlBlock",
     "PatternTrace",
-    "HW_ACTIVATION_FOR",
     "activation_graph",
     "conv1d_graph",
     "dnn_graph",
@@ -25,12 +23,9 @@ __all__ = [
     "kmeans_graph",
     "lstm_graph",
     "svm_graph",
-    "NODE_KINDS",
     "DataflowGraph",
     "Node",
-    "MAP_OPS",
     "REDUCE_OPS",
-    "MapOp",
     "ReduceOp",
     "reduce_tree_depth",
 ]

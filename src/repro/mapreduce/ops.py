@@ -1,16 +1,15 @@
-"""Primitive operations of the MapReduce abstraction.
+"""Reduce operations of the MapReduce abstraction.
 
-Map operations are element-wise vector ops; reduce operations combine a
-vector to a scalar with an associative operator (Section 3.3.1).  Each op
-carries its fixed-point execution semantics so the functional CGRA
-simulator and the analytical compiler agree on exactly what a CU stage does.
+Reduce operations combine a vector to a scalar with an associative operator
+(Section 3.3.1); a map node carries its own element-wise ``fn``.
+:func:`reduce_tree_depth` is the reduction's cycle count inside one CU,
+which the compiler's cost model charges.
 
-Batch semantics: every op accepts a leading batch axis.  Map ops broadcast
-element-wise, so ``(B, width)`` in gives ``(B, width)`` out; reduce ops
-contract the **last** axis only (``axis=-1``), so ``(B, width)`` in gives
-``(B,)`` out — one reduced value per packet.  This is the contract the
-dataflow interpreter (:meth:`DataflowGraph.execute_batch`) relies on: a
-row of a batched result is bit-identical to the same op on that row alone.
+Batch semantics: reduce ops contract the **last** axis only (``axis=-1``),
+so ``(B, width)`` in gives ``(B,)`` out — one reduced value per packet.
+This is the contract the dataflow interpreter
+(:meth:`DataflowGraph.execute_batch`) relies on: a row of a batched result
+is bit-identical to the same op on that row alone.
 """
 
 from __future__ import annotations
@@ -20,16 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["MapOp", "ReduceOp", "MAP_OPS", "REDUCE_OPS", "reduce_tree_depth"]
-
-
-@dataclass(frozen=True)
-class MapOp:
-    """An element-wise operation occupying one CU stage slot."""
-
-    name: str
-    arity: int
-    fn: Callable[..., np.ndarray]
+__all__ = ["ReduceOp", "REDUCE_OPS", "reduce_tree_depth"]
 
 
 @dataclass(frozen=True)
@@ -52,18 +42,6 @@ class ReduceOp:
         """
         return np.asarray(self.fn(values))[..., None]
 
-
-MAP_OPS: dict[str, MapOp] = {
-    "add": MapOp("add", 2, lambda a, b: a + b),
-    "sub": MapOp("sub", 2, lambda a, b: a - b),
-    "mul": MapOp("mul", 2, lambda a, b: a * b),
-    "max": MapOp("max", 2, np.maximum),
-    "min": MapOp("min", 2, np.minimum),
-    "neg": MapOp("neg", 1, np.negative),
-    "abs": MapOp("abs", 1, np.abs),
-    "shift": MapOp("shift", 1, lambda a: a),  # power-of-two scaling
-    "select": MapOp("select", 2, lambda a, b: np.where(a >= 0, a, b)),
-}
 
 REDUCE_OPS: dict[str, ReduceOp] = {
     "sum": ReduceOp("sum", lambda v: np.sum(v, axis=-1), 0.0),

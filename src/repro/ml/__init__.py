@@ -4,9 +4,7 @@ from .activations import (
     ACTIVATIONS,
     ActivationSpec,
     activation,
-    build_lut,
     leaky_relu,
-    lut_activation,
     relu,
     sigmoid,
     sigmoid_piecewise,
@@ -22,11 +20,8 @@ from .layers import Dense
 from .lstm import LSTM, indigo_lstm
 from .metrics import (
     accuracy,
-    confusion_matrix,
     detection_rate,
     f1_score,
-    macro_f1,
-    precision_recall,
 )
 from .svm import RBFKernelSVM
 from .training import (
@@ -42,9 +37,7 @@ __all__ = [
     "ACTIVATIONS",
     "ActivationSpec",
     "activation",
-    "build_lut",
     "leaky_relu",
-    "lut_activation",
     "relu",
     "sigmoid",
     "sigmoid_piecewise",
@@ -61,11 +54,8 @@ __all__ = [
     "LSTM",
     "indigo_lstm",
     "accuracy",
-    "confusion_matrix",
     "detection_rate",
     "f1_score",
-    "macro_f1",
-    "precision_recall",
     "RBFKernelSVM",
     "SGD",
     "Adam",

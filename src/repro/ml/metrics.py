@@ -12,10 +12,8 @@ import numpy as np
 
 __all__ = [
     "accuracy",
-    "confusion_matrix",
     "precision_recall",
     "f1_score",
-    "macro_f1",
     "detection_rate",
 ]
 
@@ -29,19 +27,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if y_true.size == 0:
         return 0.0
     return float(np.mean(y_true == y_pred))
-
-
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: int | None = None
-) -> np.ndarray:
-    """Counts matrix ``C[i, j]`` = samples with true class i predicted as j."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(max(y_true.max(initial=0), y_pred.max(initial=0))) + 1
-    mat = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(mat, (y_true, y_pred), 1)
-    return mat
 
 
 def precision_recall(
@@ -64,12 +49,6 @@ def f1_score(y_true: np.ndarray, y_pred: np.ndarray, positive: int = 1) -> float
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    scores = [f1_score(y_true, y_pred, positive=c) for c in range(n_classes)]
-    return float(np.mean(scores))
 
 
 def detection_rate(y_true: np.ndarray, y_pred: np.ndarray, positive: int = 1) -> float:

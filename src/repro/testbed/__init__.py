@@ -7,7 +7,6 @@ from .experiment import (
     DEFAULT_SAMPLING_RATES,
     EndToEndExperiment,
     EndToEndRow,
-    MultiAppRow,
     format_table8,
 )
 from .producers import (
@@ -29,7 +28,6 @@ __all__ = [
     "DEFAULT_SAMPLING_RATES",
     "EndToEndExperiment",
     "EndToEndRow",
-    "MultiAppRow",
     "format_table8",
     "Arrival",
     "bursty_schedule",

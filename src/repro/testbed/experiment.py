@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..datasets import dnn_feature_matrix
 from ..fixpoint import quantize_model
 from ..ml.dnn import DNN
@@ -21,7 +19,6 @@ from .traffic import Workload, build_workload
 __all__ = [
     "EndToEndRow",
     "EndToEndExperiment",
-    "MultiAppRow",
     "DEFAULT_SAMPLING_RATES",
 ]
 
@@ -107,83 +104,6 @@ class EndToEndExperiment:
     def verify_dataplane(self) -> bool:
         """Full-trace fabric-vs-vectorized equivalence on this workload."""
         return self.dataplane.verify_equivalence(self.workload.trace)
-
-    # ------------------------------------------------------------------
-    # Multi-app scenario: two models sharing one switch
-    # ------------------------------------------------------------------
-    def run_multi_app(
-        self,
-        n_congestion_packets: int = 2000,
-        lstm_sequences: int = 300,
-        lstm_epochs: int = 3,
-    ) -> "MultiAppRow":
-        """Anomaly DNN + congestion LSTM time-multiplexed on one switch.
-
-        The realistic deployment shape (Homunculus / Pegasus serve several
-        models per device): the experiment's anomaly detector keeps
-        scoring its workload trace while an Indigo-style congestion
-        controller decides cwnd actions for its own packet stream, both
-        from the same MapReduce grid.  Returns per-app quality plus the
-        fabric's modeled drain and reconfiguration bill.
-        """
-        from ..datasets import CongestionTraceConfig, congestion_packet_trace
-        from ..ml import indigo_lstm
-        from ..datasets.congestion import generate_congestion_traces
-
-        cfg = CongestionTraceConfig()
-        sequences, actions = generate_congestion_traces(
-            lstm_sequences, cfg, seed=self.seed
-        )
-        lstm = indigo_lstm(input_size=sequences.shape[-1], seed=self.seed)
-        lstm.fit(sequences, actions, epochs=lstm_epochs)
-        # Distinct seed stream: the eval windows must not replay the
-        # training sequences (generate_congestion_traces is deterministic
-        # per seed), or the agreement metric scores on training data.
-        congestion_trace = congestion_packet_trace(
-            n_congestion_packets, cfg, seed=self.seed + 7919
-        )
-
-        from ..runtime import FabricApp
-
-        apps = [
-            self.dataplane.anomaly_app(),
-            FabricApp.from_lstm(
-                lstm, window_steps=cfg.window_steps, name="congestion"
-            ),
-        ]
-        outcome = self.dataplane.run_multi(
-            apps,
-            {
-                "anomaly": self.workload.trace,
-                "congestion": congestion_trace,
-            },
-        )
-        detection = self.dataplane.detection_from_outcome(
-            self.workload.trace, outcome.results["anomaly"]
-        )
-        congestion = outcome.results["congestion"]
-        oracle = congestion_trace.columns().labels[congestion.order]
-        agreement = float(np.mean(congestion.decisions == oracle))
-        return MultiAppRow(
-            anomaly=detection,
-            congestion_action_agreement=agreement,
-            drain_ns=outcome.drain_ns,
-            reconfigurations=outcome.reconfigurations,
-            reconfig_ns=outcome.reconfig_ns,
-            n_packets=outcome.n_packets,
-        )
-
-
-@dataclass(frozen=True)
-class MultiAppRow:
-    """Two apps sharing one switch: per-app quality + fabric accounting."""
-
-    anomaly: DataPlaneResult
-    congestion_action_agreement: float
-    drain_ns: float
-    reconfigurations: int
-    reconfig_ns: float
-    n_packets: int
 
 
 def format_table8(rows: list[EndToEndRow]) -> str:

@@ -1,4 +1,4 @@
-"""Tests for the baselines: accelerators (Table 2), MAT-only ML, caching."""
+"""Tests for the baselines: accelerators (Table 2), MAT-only ML, rules vs weights."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.baselines import (
     GPU_T4,
     TPU_V2,
     BinarizedDNN,
-    InferenceCache,
-    RuleInstallModel,
     iisy_mat_cost,
     n2net_mat_cost,
     taurus_iso_area_mats,
@@ -64,6 +62,10 @@ class TestMATOnlyCosts:
         with pytest.raises(ValueError):
             iisy_mat_cost("transformer")
 
+    def test_iso_area_mats(self):
+        """One block displaces ~3 MATs (Section 5.1.1)."""
+        assert taurus_iso_area_mats() == pytest.approx(2.5, abs=0.6)
+
     def test_taurus_iso_area_much_cheaper(self):
         """Taurus's block ~ 3 MATs vs N2Net's 48 for the same DNN."""
         taurus_mats = taurus_iso_area_mats()
@@ -96,57 +98,6 @@ class TestBinarizedDNN:
         bnn = BinarizedDNN(trained_dnn)
         preds = bnn.predict(np.random.default_rng(0).normal(size=(20, 6)))
         assert set(np.unique(preds)) <= {0, 1}
-
-
-class TestRuleInstall:
-    def test_base_latency(self):
-        assert RuleInstallModel().latency_ms(0) == pytest.approx(3.0)
-
-    def test_grows_with_occupancy(self):
-        model = RuleInstallModel()
-        assert model.latency_ms(10_000) > model.latency_ms(100)
-
-    def test_negative_occupancy(self):
-        with pytest.raises(ValueError):
-            RuleInstallModel().latency_ms(-1)
-
-
-class TestInferenceCache:
-    def test_miss_then_hit(self):
-        cache = InferenceCache()
-        features = np.array([1.0, 2.0])
-        decision, __ = cache.lookup(features)
-        assert decision is None
-        cache.fill(features, 1)
-        decision, __ = cache.lookup(features)
-        assert decision == 1
-        assert cache.hit_rate == 0.5
-
-    def test_miss_penalty_includes_all_stages(self):
-        cache = InferenceCache()
-        penalty = cache.miss_penalty_ms()
-        assert penalty > cache.accelerator.latency_ms(1)
-        assert penalty > cache.install.latency_ms(0)
-
-    def test_eviction_at_capacity(self):
-        cache = InferenceCache(capacity=2)
-        for i in range(3):
-            cache.fill(np.array([float(i)]), 0)
-        assert len(cache.rules) == 2
-        assert cache.evictions == 1
-
-    def test_varying_inputs_defeat_caching(self):
-        """The Section 2.2 argument: continuous features -> constant misses."""
-        rng = np.random.default_rng(0)
-        cache = InferenceCache()
-        misses = 0
-        for __ in range(200):
-            features = rng.normal(size=4)
-            decision, __lat = cache.lookup(features)
-            if decision is None:
-                misses += 1
-                cache.fill(features, 0)
-        assert misses == 200  # every distinct input misses
 
 
 class TestWeightsVsRules:

@@ -10,9 +10,7 @@ from repro.compiler import (
     BudgetError,
     GridSpec,
     compile_graph,
-    critical_path_cycles,
     graph_resources,
-    min_unroll_for_rate,
     node_cost,
     place_and_route,
     unroll_sweep,
@@ -29,6 +27,17 @@ from repro.mapreduce.ir import Node
 
 def _node(kind, **kw):
     return Node(node_id=0, kind=kind, **kw)
+
+
+def _mu_heavy(weight_values=16384 * 40):
+    """One 16-wide dot over a weight bank of ``weight_values`` values."""
+    g = DataflowGraph(name="mu-heavy")
+    inp = g.add("input", name="x", width=16)
+    bank = g.add("const", name="w", weight_values=weight_values)
+    dot = g.add("dot", preds=[inp, bank], name="d", parallel=1, width=16,
+                chain_ops=1, reduce_op="sum", fn=lambda x: x[..., :1])
+    g.add("output", preds=[dot], name="y", width=1)
+    return g
 
 
 class TestNodeCost:
@@ -120,18 +129,6 @@ class TestUnrolling:
         # The 8x unroll costs ~7x the 1x area (fixed gather amortizes).
         assert 5.0 < areas[-1] / areas[0] < 8.5
 
-    def test_min_unroll_for_rate(self):
-        point = min_unroll_for_rate(lambda u: conv1d_graph(unroll=u), 0.5)
-        assert point.unroll == 4
-
-    def test_min_unroll_unreachable(self):
-        with pytest.raises(ValueError):
-            min_unroll_for_rate(lambda u: conv1d_graph(unroll=u), 1.0, factors=(1, 2))
-
-    def test_bad_target(self):
-        with pytest.raises(ValueError):
-            min_unroll_for_rate(lambda u: conv1d_graph(unroll=u), 0.0)
-
 
 class TestFolding:
     def test_fold_reduces_cu_and_rate(self):
@@ -147,28 +144,12 @@ class TestFolding:
         assert folded.initiation_interval > unlimited.initiation_interval
 
     def test_mu_overflow_raises(self):
-        g = DataflowGraph(name="big")
-        inp = g.add("input", name="x", width=16)
-        bank = g.add("const", name="w", weight_values=16384 * 40)
-        dot = g.add("dot", preds=[inp, bank], name="d", parallel=1, width=16,
-                    chain_ops=1, reduce_op="sum", fn=lambda x: x[..., :1])
-        g.add("output", preds=[dot], name="y", width=1)
         with pytest.raises(ValueError):
-            compile_graph(g, cu_budget=90, mu_budget=30)
+            compile_graph(_mu_heavy(), cu_budget=90, mu_budget=30)
 
 
 class TestBudgetSymmetry:
     """Both overflow paths raise the same typed error with the same fields."""
-
-    @staticmethod
-    def _mu_heavy():
-        g = DataflowGraph(name="mu-heavy")
-        inp = g.add("input", name="x", width=16)
-        bank = g.add("const", name="w", weight_values=16384 * 40)
-        dot = g.add("dot", preds=[inp, bank], name="d", parallel=1, width=16,
-                    chain_ops=1, reduce_op="sum", fn=lambda x: x[..., :1])
-        g.add("output", preds=[dot], name="y", width=1)
-        return g
 
     @staticmethod
     def _cu_heavy():
@@ -181,7 +162,7 @@ class TestBudgetSymmetry:
 
     def test_mu_overflow_error_fields(self):
         with pytest.raises(BudgetError) as excinfo:
-            compile_graph(self._mu_heavy(), cu_budget=90, mu_budget=30)
+            compile_graph(_mu_heavy(), cu_budget=90, mu_budget=30)
         err = excinfo.value
         assert err.graph_name == "mu-heavy"
         assert err.resource == "MU"
@@ -213,7 +194,7 @@ class TestCriticalPath:
         inp = g.add("input", name="x", width=16)
         g.add("output", preds=[inp], name="y", width=16)
         # 4 (in) + 5 (out hop) + 4 (out) = 13 cycles minimum transit.
-        assert critical_path_cycles(g) == 13
+        assert compile_graph(g).latency_cycles == 13
 
     def test_const_serializes_with_data(self):
         g1 = DataflowGraph(name="no-mu")
@@ -228,7 +209,7 @@ class TestCriticalPath:
         d2 = g2.add("dot", preds=[inp2, bank], name="d", parallel=1, width=16,
                     chain_ops=1, reduce_op="sum", fn=None)
         g2.add("output", preds=[d2], name="y", width=1)
-        assert critical_path_cycles(g2) > critical_path_cycles(g1)
+        assert compile_graph(g2).latency_cycles > compile_graph(g1).latency_cycles
 
     def test_geometry_affects_latency(self):
         g = activation_graph("tanh_exp")
@@ -268,6 +249,14 @@ class TestPlaceRoute:
         placement = place_and_route(lstm_graph(indigo_lstm(seed=0)))
         assert placement.fold_factor > 1
         assert placement.n_tiles_used <= 120
+
+    def test_mu_overflow_is_the_compilers_budget_error(self):
+        """Weights the grid cannot hold fail with compile_graph's typed
+        error: 600,000 values need 37 MUs of 16,384, and the grid has 30."""
+        with pytest.raises(BudgetError) as excinfo:
+            place_and_route(_mu_heavy(600_000))
+        err = excinfo.value
+        assert (err.resource, err.needed, err.budget) == ("MU", 37, 30)
 
     def test_locality_heuristic(self, quantized_dnn):
         """Average route length should be far below the grid diameter."""

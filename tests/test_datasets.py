@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import (
-    ATTACK_CLASSES,
     DNN_FEATURES,
-    FEATURE_NAMES,
-    SVM_FEATURES,
     expand_to_packets,
     dnn_feature_matrix,
     generate_congestion_traces,
     generate_connections,
     iot_binary_dataset,
     iot_cluster_dataset,
-    oracle_action,
     svm_feature_matrix,
 )
+from repro.datasets.congestion import oracle_action
+from repro.datasets.nslkdd import ATTACK_CLASSES, FEATURE_NAMES, SVM_FEATURES
 
 
 class TestNSLKDD:

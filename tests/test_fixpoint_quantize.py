@@ -8,11 +8,10 @@ from repro.datasets import dnn_feature_matrix
 from repro.fixpoint import (
     FixTensor,
     QuantizedLinear,
-    choose_frac_bits,
     format_for_range,
     quantize_model,
 )
-from repro.fixpoint.quantize import _rounding_shift
+from repro.fixpoint.quantize import _rounding_shift, choose_frac_bits
 from repro.ml import accuracy, f1_score
 from repro.ml.dnn import DNN
 

@@ -1,13 +1,9 @@
-"""Unit and property tests for fixed-point tensors."""
+"""Unit tests for fixed-point tensors: construction and comparison."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.fixpoint import FIX8, FIX16, FixTensor
-
-floats8 = st.floats(min_value=-7.5, max_value=7.5, allow_nan=False)
-vectors8 = st.lists(floats8, min_size=1, max_size=16)
+from repro.fixpoint import FIX8, FixTensor
 
 
 class TestConstruction:
@@ -19,62 +15,12 @@ class TestConstruction:
         t = FixTensor.from_raw(np.array([500, -500], dtype=np.int32), FIX8)
         assert t.raw.tolist() == [127, -128]
 
-    def test_zeros(self):
-        t = FixTensor.zeros((2, 3), FIX8)
-        assert t.shape == (2, 3)
-        assert np.all(t.raw == 0)
-
     def test_dtype_mismatch_rejected(self):
         with pytest.raises(TypeError):
             FixTensor(np.array([1], dtype=np.int16), FIX8)
 
-    def test_reshape_and_indexing(self):
-        t = FixTensor.from_float(np.arange(6) / 4.0, FIX8).reshape(2, 3)
-        assert t.shape == (2, 3)
-        assert t[0].shape == (3,)
-        assert len(t) == 2
 
-
-class TestArithmetic:
-    def test_add_exact(self):
-        a = FixTensor.from_float([1.0, 2.0], FIX8)
-        b = FixTensor.from_float([0.5, -1.0], FIX8)
-        assert (a + b).to_float().tolist() == [1.5, 1.0]
-
-    def test_add_saturates(self):
-        a = FixTensor.from_float([7.0], FIX8)
-        b = FixTensor.from_float([7.0], FIX8)
-        assert (a + b).to_float()[0] == pytest.approx(FIX8.max_value)
-
-    def test_sub_saturates_negative(self):
-        a = FixTensor.from_float([-7.0], FIX8)
-        b = FixTensor.from_float([7.0], FIX8)
-        assert (a - b).to_float()[0] == FIX8.min_value
-
-    def test_mul_rescales(self):
-        a = FixTensor.from_float([2.0], FIX8)
-        b = FixTensor.from_float([1.5], FIX8)
-        assert (a * b).to_float()[0] == pytest.approx(3.0)
-
-    def test_mul_scalar_coercion(self):
-        a = FixTensor.from_float([2.0], FIX8)
-        assert (a * 2).to_float()[0] == pytest.approx(4.0)
-
-    def test_neg(self):
-        a = FixTensor.from_float([1.5, -2.0], FIX8)
-        assert (-a).to_float().tolist() == [-1.5, 2.0]
-
-    def test_format_mismatch_rejected(self):
-        a = FixTensor.from_float([1.0], FIX8)
-        b = FixTensor.from_float([1.0], FIX16)
-        with pytest.raises(ValueError):
-            __ = a + b
-
-    def test_maximum_minimum(self):
-        a = FixTensor.from_float([1.0, -1.0], FIX8)
-        assert a.maximum(0.0).to_float().tolist() == [1.0, 0.0]
-        assert a.minimum(0.0).to_float().tolist() == [0.0, -1.0]
-
+class TestComparison:
     def test_equality(self):
         a = FixTensor.from_float([1.0], FIX8)
         b = FixTensor.from_float([1.0], FIX8)
@@ -84,75 +30,3 @@ class TestArithmetic:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(FixTensor.from_float([1.0], FIX8))
-
-
-class TestReductions:
-    def test_sum(self):
-        t = FixTensor.from_float([1.0, 2.0, 3.0], FIX8)
-        assert t.sum().to_float() == pytest.approx(6.0)
-
-    def test_sum_saturates_once_at_end(self):
-        # Intermediate sums exceed the range but the wide accumulator holds.
-        t = FixTensor.from_float([7.0, 7.0, -7.0], FIX8)
-        assert t.sum().to_float() == pytest.approx(7.0)
-
-    def test_dot_matches_float_for_exact_values(self):
-        a = FixTensor.from_float([1.0, 2.0, 0.5], FIX8)
-        b = FixTensor.from_float([0.5, 0.25, 2.0], FIX8)
-        assert a.dot(b).to_float() == pytest.approx(2.0)
-
-    def test_matvec(self):
-        w = FixTensor.from_float([[1.0, 0.0], [0.0, 2.0]], FIX8)
-        x = FixTensor.from_float([1.5, 0.5], FIX8)
-        assert w.matvec(x).to_float().tolist() == [1.5, 1.0]
-
-    def test_matvec_shape_check(self):
-        w = FixTensor.from_float([1.0, 2.0], FIX8)
-        x = FixTensor.from_float([1.0, 2.0], FIX8)
-        with pytest.raises(ValueError):
-            w.matvec(x)
-
-    def test_argmax_argmin(self):
-        t = FixTensor.from_float([1.0, 3.0, -2.0], FIX8)
-        assert t.argmax() == 1
-        assert t.argmin() == 2
-
-    def test_max_min(self):
-        t = FixTensor.from_float([1.0, 3.0, -2.0], FIX8)
-        assert t.max().to_float() == pytest.approx(3.0)
-        assert t.min().to_float() == pytest.approx(-2.0)
-
-
-class TestProperties:
-    @given(vectors8, vectors8)
-    def test_add_commutes(self, xs, ys):
-        n = min(len(xs), len(ys))
-        a = FixTensor.from_float(xs[:n], FIX8)
-        b = FixTensor.from_float(ys[:n], FIX8)
-        assert (a + b) == (b + a)
-
-    @given(vectors8)
-    def test_results_always_in_range(self, xs):
-        a = FixTensor.from_float(xs, FIX8)
-        for result in (a + a, a * a, a.sum(), -a):
-            out = np.atleast_1d(result.to_float())
-            assert np.all(out <= FIX8.max_value)
-            assert np.all(out >= FIX8.min_value)
-
-    @given(vectors8)
-    def test_dot_error_vs_float_bounded(self, xs):
-        """Fixed-point dot differs from float dot by bounded rounding error."""
-        a = FixTensor.from_float(xs, FIX8)
-        exact = float(np.dot(a.to_float(), a.to_float()))
-        got = float(a.dot(a).to_float())
-        if abs(exact) < FIX8.max_value:  # ignore saturated cases
-            # Error sources: one rounding shift (1/2 ulp per product pair).
-            bound = FIX8.resolution * (len(xs) / 2 + 1)
-            assert abs(got - exact) <= bound
-
-    @given(vectors8)
-    def test_sum_matches_float_when_unsaturated(self, xs):
-        a = FixTensor.from_float(xs, FIX8)
-        exact = float(np.sum(a.to_float()))
-        if abs(exact) < FIX8.max_value:
-            assert float(a.sum().to_float()) == pytest.approx(exact)

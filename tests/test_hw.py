@@ -1,16 +1,11 @@
-"""Tests for the hardware models: area/power anchors, CU/MU, grid, ASIC."""
+"""Tests for the hardware models: area/power anchors, the block, the ASIC."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.fixpoint import FIX8, FixTensor
 from repro.hw import (
-    BankConflictError,
-    ComputeUnit,
     CUGeometry,
     MapReduceBlock,
-    MemoryUnit,
     SwitchChipParams,
     TaurusChip,
     cu_area_mm2,
@@ -81,10 +76,6 @@ class TestBlockAnchors:
         report = chip.grid_overheads()
         assert report.power_percent == pytest.approx(2.8, abs=0.2)
 
-    def test_iso_area_mats(self):
-        """One block displaces ~3 MATs (Section 5.1.1)."""
-        assert TaurusChip().iso_area_mats() == pytest.approx(2.5, abs=0.6)
-
     def test_die_growth(self):
         assert TaurusChip().added_die_area_percent() == pytest.approx(3.8, abs=0.2)
 
@@ -93,100 +84,6 @@ class TestBlockAnchors:
             CUGeometry(0, 4)
         with pytest.raises(ValueError):
             CUGeometry(16, 4, "fix64")
-
-
-class TestComputeUnit:
-    def test_dot_matches_fixtensor(self):
-        cu = ComputeUnit()
-        x = FixTensor.from_float(np.linspace(-1, 1, 16), FIX8)
-        w = FixTensor.from_float(np.linspace(1, -1, 16), FIX8)
-        result = cu.dot(x, w)
-        assert result.value.raw[0] == x.dot(w).raw
-
-    def test_dot_cycle_count(self):
-        cu = ComputeUnit()
-        x = FixTensor.from_float(np.ones(16), FIX8)
-        result = cu.dot(x, x)
-        assert result.cycles == 5  # 1 map + 4-cycle reduce tree
-
-    def test_map_chain(self):
-        cu = ComputeUnit(map_chain=[("mul", 2.0), ("add", 1.0)])
-        out = cu.execute(FixTensor.from_float([1.0, -1.0], FIX8))
-        assert out.value.to_float().tolist() == [3.0, -1.0]
-        assert out.stages_used == 2
-
-    def test_chain_too_long_rejected(self):
-        with pytest.raises(ValueError):
-            ComputeUnit(map_chain=[("add", 1.0)] * 5)  # 5 > 4 stages
-
-    def test_vector_too_wide_rejected(self):
-        cu = ComputeUnit()
-        with pytest.raises(ValueError):
-            cu.execute(FixTensor.from_float(np.ones(17), FIX8))
-
-    def test_map_reduce_combo(self):
-        cu = ComputeUnit(map_chain=[("mul", 2.0)], reduce_op="sum")
-        out = cu.execute(FixTensor.from_float([1.0, 2.0], FIX8))
-        assert out.value.to_float()[0] == pytest.approx(6.0)
-
-    def test_unknown_ops_rejected(self):
-        with pytest.raises(ValueError):
-            ComputeUnit(map_chain=[("frobnicate", None)])
-        with pytest.raises(ValueError):
-            ComputeUnit(reduce_op="median")
-
-    def test_utilization_tracking(self):
-        cu = ComputeUnit(map_chain=[("add", 0.0)])
-        assert cu.utilization == 0.0
-        cu.execute(FixTensor.from_float([1.0], FIX8))
-        assert cu.utilization > 0.0
-
-
-class TestMemoryUnit:
-    def test_capacity(self):
-        mu = MemoryUnit()
-        assert mu.capacity_values == 16384
-        assert mu.capacity_bytes == 16384
-
-    def test_load_read_roundtrip(self):
-        mu = MemoryUnit()
-        values = np.linspace(-4, 4, 32)
-        mu.load(values)
-        tensor, cycles = mu.read_vector(0, 16)
-        assert cycles == 1  # single-cycle SRAM (Section 4)
-        assert np.allclose(tensor.to_float(), FIX8.roundtrip(values[:16]))
-
-    def test_overflow_rejected(self):
-        mu = MemoryUnit()
-        with pytest.raises(ValueError):
-            mu.load(np.zeros(20000))
-
-    def test_wide_read_conflicts(self):
-        mu = MemoryUnit(banks=4)
-        mu.load(np.ones(16))
-        with pytest.raises(BankConflictError):
-            mu.read_vector(0, 5)  # 5 consecutive addrs over 4 banks collide
-
-    def test_lookup_clamps(self):
-        mu = MemoryUnit()
-        mu.load(np.linspace(0, 1, 64))
-        low, __ = mu.lookup(0, 64, -5)
-        high, __ = mu.lookup(0, 64, 999)
-        assert low.to_float()[0] == pytest.approx(0.0, abs=1 / 16)
-        assert high.to_float()[0] == pytest.approx(1.0, abs=1 / 16)
-
-    def test_read_beyond_capacity(self):
-        mu = MemoryUnit()
-        with pytest.raises(ValueError):
-            mu.read_vector(16380, 16)
-
-    @given(st.integers(1, 16), st.integers(0, 100))
-    @settings(max_examples=25, deadline=None)
-    def test_striping_conflict_free_up_to_banks(self, width, base):
-        mu = MemoryUnit(banks=16)
-        tensor, cycles = mu.read_vector(base, width)
-        assert cycles == 1
-        assert tensor.size == width
 
 
 class TestMapReduceBlock:

@@ -38,7 +38,7 @@ from repro.mapreduce import (
     svm_graph,
 )
 from repro.mapreduce.ir import DataflowGraph
-from repro.mapreduce.ops import MAP_OPS, REDUCE_OPS
+from repro.mapreduce.ops import REDUCE_OPS
 from repro.ml import KMeans, LSTM, indigo_lstm
 from repro.ml.activations import tanh_piecewise
 
@@ -803,16 +803,9 @@ class TestReadOnlyInputs:
 
 
 # ----------------------------------------------------------------------
-# Ops accept (B, width) blocks
+# Reduce ops accept (B, width) blocks
 # ----------------------------------------------------------------------
 class TestOpsBatchSemantics:
-    def test_map_ops_broadcast_over_batch(self):
-        a = np.arange(6, dtype=np.float64).reshape(2, 3)
-        b = np.ones((2, 3))
-        for name, op in MAP_OPS.items():
-            out = op.fn(a) if op.arity == 1 else op.fn(a, b)
-            assert out.shape == (2, 3), name
-
     def test_reduce_ops_contract_last_axis(self):
         v = np.array([[1.0, 5.0, 2.0], [4.0, 0.0, 3.0]])
         assert REDUCE_OPS["sum"].fn(v).shape == (2,)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mapreduce import DataflowGraph, MapReduceControlBlock
-from repro.mapreduce.ops import MAP_OPS, REDUCE_OPS, reduce_tree_depth
+from repro.mapreduce.ops import REDUCE_OPS, reduce_tree_depth
 
 
 class PerceptronBlock(MapReduceControlBlock):
@@ -69,13 +69,6 @@ class TestDSL:
 
 
 class TestOps:
-    def test_all_map_ops_execute(self):
-        a = np.array([1.0, -2.0])
-        b = np.array([0.5, 0.5])
-        for name, op in MAP_OPS.items():
-            out = op.fn(a, b) if op.arity == 2 else op.fn(a)
-            assert out.shape == a.shape, name
-
     def test_reduce_ops(self):
         v = np.array([3.0, -1.0, 2.0])
         assert REDUCE_OPS["sum"].fn(v) == pytest.approx(4.0)

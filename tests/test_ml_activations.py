@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.ml import (
     ACTIVATIONS,
-    build_lut,
     leaky_relu,
-    lut_activation,
     relu,
     sigmoid,
     sigmoid_piecewise,
@@ -17,7 +15,7 @@ from repro.ml import (
     tanh_piecewise,
     tanh_taylor,
 )
-from repro.ml.activations import activation
+from repro.ml.activations import activation, build_lut, lut_activation
 
 xs = np.linspace(-8, 8, 401)
 

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ml import (
-    accuracy,
-    confusion_matrix,
-    detection_rate,
-    f1_score,
-    macro_f1,
-    precision_recall,
-)
+from repro.ml import accuracy, detection_rate, f1_score
+from repro.ml.metrics import precision_recall
 
 labels = st.lists(st.integers(0, 1), min_size=1, max_size=200)
 
@@ -29,21 +23,6 @@ class TestAccuracy:
 
     def test_empty(self):
         assert accuracy(np.array([]), np.array([])) == 0.0
-
-
-class TestConfusion:
-    def test_counts(self):
-        mat = confusion_matrix(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]))
-        assert mat.tolist() == [[1, 1], [0, 2]]
-
-    def test_n_classes_override(self):
-        mat = confusion_matrix(np.array([0]), np.array([0]), n_classes=3)
-        assert mat.shape == (3, 3)
-
-    def test_total_preserved(self):
-        y = np.array([0, 1, 2, 1, 0])
-        p = np.array([1, 1, 2, 0, 0])
-        assert confusion_matrix(y, p).sum() == 5
 
 
 class TestF1:
@@ -67,11 +46,6 @@ class TestF1:
         y = np.array([1, 1, 1, 0])
         p = np.array([1, 0, 0, 0])
         assert detection_rate(y, p) == pytest.approx(1 / 3)
-
-    def test_macro_f1_averages(self):
-        y = np.array([0, 0, 1, 1])
-        p = np.array([0, 0, 1, 1])
-        assert macro_f1(y, p, 2) == 1.0
 
     @given(labels)
     def test_f1_bounded(self, ys):

@@ -7,8 +7,8 @@ shards ∈ {1, 2, 4} and assert each app's
 merged results and pipeline state are bit/stat-identical to running that
 app alone on its own trace — i.e. interleaving never leaks
 register/recurrent state between apps.  Reconfiguration accounting, the
-round-robin interleave, the ``run_multi`` surface, and the experiment
-scenario are covered alongside.
+round-robin interleave and the ``run_multi`` surface are covered
+alongside.
 """
 
 from __future__ import annotations
@@ -589,26 +589,6 @@ class TestFabricSurface:
         fabric = MultiAppFabric(apps, shards=4)
         assert fabric.app_lanes(0) == [0, 2]
         assert fabric.app_lanes(1) == [1, 3]
-
-
-class TestExperimentScenario:
-    def test_multi_app_row(self):
-        from repro.testbed import EndToEndExperiment
-
-        experiment = EndToEndExperiment.build(
-            n_connections=400, max_packets=3000, epochs=2, seed=0
-        )
-        row = experiment.run_multi_app(
-            n_congestion_packets=200, lstm_sequences=80, lstm_epochs=1
-        )
-        assert row.n_packets == 3000 + 200
-        assert row.drain_ns > 0
-        # shards=1 data plane: the two apps time-share one grid.
-        assert row.reconfigurations > 0
-        assert 0.0 <= row.congestion_action_agreement <= 1.0
-        # The shared fabric must not change what the anomaly app detects.
-        solo = experiment.taurus_result()
-        assert row.anomaly == solo
 
 
 class TestActionPostprocessHooks:

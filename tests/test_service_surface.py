@@ -1,5 +1,5 @@
-"""Surface census for the top level, the lane runtime, the switch model and
-the testbed: every public name has a customer.
+"""Surface census for the top level, the lane runtime, the switch model, the
+testbed and the paper-side packages: every public name has a customer.
 
 One row per name in ``repro.__all__``, ``repro.core.__all__``,
 ``repro.runtime.__all__``, ``service.__all__``, ``repro.pisa.__all__``,
@@ -12,15 +12,24 @@ records and of ``EndToEndExperiment`` — keyed
 name, or — where no such caller exists — the test that pins the case the
 name is needed for.  New surface adds its row here in the change that
 adds it; a name whose last customer goes, goes with it.
+
+The ``__all__`` of the paper-side packages (``PAPER_SIDE``) is read by an
+AST scan: a name that a module of ``src/``, ``benchmarks/`` or ``examples/``
+uses, other than its own module and any ``__init__.py``, is placed; only
+the rest have rows.  A name with neither is deleted if only tests run it,
+else it leaves its package's ``__all__``.
 """
 
+import ast
 import dataclasses
+import functools
 import inspect
 import re
 from pathlib import Path
 
 import repro
-from repro import core, pisa, runtime, testbed
+from repro import apps, baselines, compiler, core, datasets, fixpoint, hw, mapreduce, ml
+from repro import pisa, runtime, testbed
 from repro.hw import MapReduceBlock
 from repro.pisa import TaurusPipeline, scheduler
 from repro.runtime import service
@@ -40,7 +49,8 @@ CUSTOMERS = {
     "CongestionController": "examples/congestion_control.py:main — the Indigo LSTM",
     "IoTClassifier": "examples/iot_classification.py:main — the KMeans classifier",
     "FIX8": "src/repro/mapreduce/frontend.py:svm_graph — the block's default format",
-    "FixTensor": "src/repro/hw/cu.py:execute — a CU's operands and results",
+    "FixTensor": "src/repro/fixpoint/quantize.py:quantize_model — a layer's nominal "
+                 "weights and its bias",
     "quantize_model": "src/repro/testbed/experiment.py:build — the Table 8 model",
     "MapReduceBlock": "src/repro/testbed/dataplane.py:__init__ — one block per lane",
     "TaurusChip": "examples/iot_classification.py:main — the program's overheads",
@@ -126,8 +136,10 @@ CUSTOMERS = {
     "MultiAppResult.drain_ns": "examples/quickstart.py:main — shared grid vs two lanes",
     "MultiAppResult.reconfigurations": "benchmarks/ledger/workloads.py:run — "
                                        "hashed into `sim_digest`",
-    "MultiAppResult.reconfig_ns": "src/repro/testbed/experiment.py:run_multi_app",
-    "MultiAppResult.n_packets": "src/repro/testbed/experiment.py:run_multi_app",
+    "MultiAppResult.reconfig_ns": "tests/test_multi_app_fabric.py:"
+                                  "test_single_lane_pays_for_program_switches",
+    "MultiAppResult.n_packets": "tests/test_multi_app_fabric.py:"
+                                "test_identical_to_each_app_alone — both traces",
     # repro.pisa.scheduler.__all__ (both re-exported by repro.pisa)
     "PacketQueue": "src/repro/pisa/pipeline.py:__post_init__ — the ML and bypass queues",
     "RoundRobinArbiter": "src/repro/pisa/pipeline.py:__post_init__ — Fig. 6's selector",
@@ -185,7 +197,6 @@ CUSTOMERS = {
     "DEFAULT_SAMPLING_RATES": "examples/anomaly_detection.py:main — the Table 8 sweep",
     "EndToEndExperiment": "examples/anomaly_detection.py:main — the Table 8 testbed",
     "EndToEndRow": "src/repro/testbed/experiment.py:run_row — its return type",
-    "MultiAppRow": "src/repro/testbed/experiment.py:run_multi_app — its return type",
     "format_table8": "examples/anomaly_detection.py:main — prints the rows",
     "Arrival": "src/repro/testbed/producers.py:bursty_schedule — one per submit",
     "bursty_schedule": "benchmarks/ledger/loadgen.py:frozen_schedule — the open-loop "
@@ -213,7 +224,82 @@ CUSTOMERS = {
                                "baseline's telemetry sampling",
     "EndToEndExperiment._taurus": "src/repro/testbed/experiment.py:taurus_result — "
                                   "the pass cached across the sweep",
+    # paper-side names the scan cannot place (MapReduceControlBlock: above)
+    "AppRequirement": "src/repro/apps/registry.py:meets_requirement — the Table 1 "
+                      "row it checks",
+    "GPU_T4": "tests/test_baselines.py:test_batch1_latency — Table 2's T4, 1.15 ms",
+    "TPU_V2": "tests/test_baselines.py:test_batch1_latency — Table 2's TPU, 3.51 ms",
+    "MatCost": "src/repro/baselines/mat_ml.py:iisy_mat_cost — its return type",
+    "BudgetError": "src/repro/compiler/pipeline.py:compile_graph — the typed "
+                   "overflow it raises, for `place_and_route` too",
+    "NodeCost": "src/repro/compiler/allocate.py:node_cost — its return type",
+    "node_cost": "tests/test_compiler.py:test_dot_single_cu — a CU dot is one map "
+                 "cycle plus a four-cycle reduce tree (Section 5.1.3), the rule "
+                 "every Table 5-7 latency rests on",
+    "GridSpec": "src/repro/compiler/place_route.py:place_and_route — the 12x10, "
+                "3:1 grid it places on",
+    "Placement": "src/repro/compiler/place_route.py:place_and_route — its return type",
+    "UnrollPoint": "src/repro/compiler/unroll.py:unroll_sweep — one per factor",
+    "iot_packet_trace": "tests/test_multi_app_fabric.py:"
+                        "test_from_kmeans_builds_serving_app — the IoT app's packet "
+                        "stream; it and `FabricApp.from_kmeans` are decided together",
+    "FIX16": "tests/test_fixpoint_formats.py:test_resolution — Table 4's fix16 point",
+    "FIX32": "tests/test_fixpoint_formats.py:test_resolution — Table 4's fix32 point",
+    "QuantizedLinear": "src/repro/fixpoint/quantize.py:quantize_model — one per layer",
+    "OverheadReport": "src/repro/hw/asic.py:design_overheads — its return type",
+    "InferenceResult": "src/repro/hw/grid.py:process — its return type",
+    "BatchInferenceResult": "src/repro/hw/grid.py:run_batch — its return type",
+    "PatternTrace": "src/repro/mapreduce/dsl.py:__init__ — a control block's `trace`",
+    "ReduceOp": "src/repro/mapreduce/ir.py:_run_node — a named reduce runs its "
+                "`REDUCE_OPS` entry",
+    "ActivationSpec": "src/repro/mapreduce/frontend.py:_hw_activation_fn — the "
+                      "`ACTIVATIONS` entry whose `chain_ops` prices the activation",
 }
+
+PAPER_SIDE = (apps, baselines, compiler, datasets, fixpoint, hw, mapreduce, ml)
+
+
+def _names_in(path: Path) -> set[str]:
+    """Every name, attribute and imported name the module's AST holds."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def _homes(package) -> dict[str, Path]:
+    """Each name the package's ``__init__`` imports -> its defining module."""
+    init = Path(package.__file__).resolve()
+    return {
+        alias.asname or alias.name: init.parent / f"{node.module.replace('.', '/')}.py"
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+@functools.cache
+def _unplaced_paper_side_names() -> frozenset[str]:
+    """Paper-side exports that no module but their own names."""
+    uses = {
+        path: _names_in(path)
+        for top in ("src", "benchmarks", "examples")
+        for path in (REPO / top).rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    unplaced = set()
+    for package in PAPER_SIDE:
+        homes = _homes(package)
+        for name in package.__all__:
+            if not any(name in names for path, names in uses.items()
+                       if path != homes[name]):
+                unplaced.add(name)
+    return frozenset(unplaced)
 
 
 def _keywords(cls) -> set[str]:
@@ -236,7 +322,13 @@ def test_the_census_names_exactly_the_service_surface():
         | _keywords(InferenceService) | _fields(ClientSpec)
         | {f"{cls.__name__}.{name}" for cls in constructors for name in _keywords(cls)}
         | {f"{cls.__name__}.{name}" for cls in records for name in _fields(cls)}
+        | _unplaced_paper_side_names()
     )
+
+
+def test_every_paper_side_name_has_a_customer():
+    """An export no other module uses needs a row, or it goes (see above)."""
+    assert not _unplaced_paper_side_names() - CUSTOMERS.keys()
 
 
 def test_every_customer_exists():
