@@ -28,7 +28,9 @@ __all__ = [
     "FlowSpec",
     "PacketTrace",
     "TraceColumns",
+    "as_trace_columns",
     "expand_to_packets",
+    "in_arrival_order",
 ]
 
 
@@ -235,6 +237,30 @@ class TraceColumns:
             labels=labels,
             flow_ids=flow_ids,
         )
+
+
+def as_trace_columns(trace) -> TraceColumns:
+    """Coerce any accepted trace form to :class:`TraceColumns`.
+
+    A ``TraceColumns`` passes through, anything with a cached ``columns()``
+    view (:class:`PacketTrace`) uses it, and a plain packet list is
+    columnarized on the fly.
+    """
+    if isinstance(trace, TraceColumns):
+        return trace
+    if hasattr(trace, "columns"):
+        return trace.columns()
+    return TraceColumns.from_packets(list(trace))
+
+
+def in_arrival_order(columns: TraceColumns) -> tuple[np.ndarray, TraceColumns]:
+    """``(order, columns[order])`` for the stable arrival-time sort; columns
+    already in order (one monotone check, no sort) come back as they are."""
+    times = columns.times
+    if (times[1:] >= times[:-1]).all():
+        return np.arange(columns.n), columns
+    order = np.argsort(times, kind="stable")
+    return order, columns.take(order)
 
 
 @dataclass

@@ -108,9 +108,13 @@ class QuantizedLinear:
         peak <<= max(-int(self._shifts.min(initial=0)), 0)
         peak += int(np.abs(self.bias.raw.astype(np.int64)).max(initial=0))
         acc_t = np.float64 if peak < min(wide.max, 1 << 52) else wide.dtype
-        self._w_t = np.ascontiguousarray(self.w_raw.T, dtype=acc_t)
+        w_t = self.w_raw.T
+        if acc_t is np.float64:
+            # The shift's power-of-two factor rides in the weights: every
+            # product and partial sum is the integer one times 2**-shift, exactly.
+            w_t = w_t * np.ldexp(1.0, -self._shifts)
+        self._w_t = np.ascontiguousarray(w_t, dtype=acc_t)
         self._bias = self.bias.raw.astype(acc_t)
-        self._factor = np.ldexp(1.0, -self._shifts)
 
     def mac_raw(self, x_raw: np.ndarray, offset: int = 0) -> np.ndarray:
         """Raw in, raw out: integer MAC, per-row shift, bias, saturate.
@@ -125,7 +129,7 @@ class QuantizedLinear:
         one MAC and one rounding shift.
         """
         acc = np.asarray(x_raw, dtype=self._w_t.dtype) @ self._w_t
-        acc = _rounding_shift(acc, self._shifts, self._factor)
+        acc = _rounding_shift(acc, self._shifts, scaled=acc.dtype.kind == "f")
         acc += self._bias - offset
         # Not act_fmt.saturate(): its cast to the storage dtype is the slow
         # part, and both callers want the wide values (to scale, to index).

@@ -84,7 +84,7 @@ class FixTensor:
 
 
 def _rounding_shift(
-    acc: np.ndarray, shifts: np.ndarray | int, factor: np.ndarray | None = None
+    acc: np.ndarray, shifts: np.ndarray | int, scaled: bool = False
 ) -> np.ndarray:
     """``acc / 2**shifts`` (one shift, or one per column), rounded half
     away from zero — which keeps quantization symmetric around 0.
@@ -94,11 +94,13 @@ def _rounding_shift(
     integer-valued float64 below 2^52 in every intermediate (scaling by a
     power of two and adding one half are then exact) or a wide integer.
     A float ``acc`` is rounded in place, as ``trunc(acc * 2**-shifts +
-    copysign(0.5, acc))``; ``factor`` is ``2.0**-shifts`` for a caller
-    that precomputes it.
+    copysign(0.5, acc))``; ``scaled`` says it already holds ``acc *
+    2**-shifts`` (its caller folded the factor into its weights), so only
+    the rounding is left.
     """
     if acc.dtype.kind == "f":
-        acc *= np.ldexp(1.0, -shifts) if factor is None else factor
+        if not scaled:
+            acc *= np.ldexp(1.0, -shifts)
         acc += np.copysign(0.5, acc)
         return np.trunc(acc, out=acc)
     down = np.maximum(shifts, 0).astype(acc.dtype)

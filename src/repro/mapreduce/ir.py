@@ -197,6 +197,8 @@ class DataflowGraph:
     kernel: Callable[[np.ndarray, dict], np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    #: ``(wiring, order)``: the interpreter's cached sort (see :meth:`_order`).
+    _topo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -225,6 +227,7 @@ class DataflowGraph:
         self.nodes[node.node_id] = node
         self._next_id += 1
         self.kernel = None
+        self._topo = None
         return node
 
     # ------------------------------------------------------------------
@@ -250,6 +253,14 @@ class DataflowGraph:
         if len(order) != len(self.nodes):
             raise ValueError("dataflow graph contains a cycle")
         return order
+
+    def _order(self) -> list[Node]:
+        """:meth:`topo_order`, sorted once per wiring: a node added, deleted
+        or rewired in place (``node.preds = ...``) re-sorts on the next run."""
+        wiring = [(id(node), *node.preds) for node in self.nodes.values()]
+        if self._topo is None or self._topo[0] != wiring:
+            self._topo = wiring, self.topo_order()
+        return self._topo[1]
 
     def inputs(self) -> list[Node]:
         return [n for n in self.nodes.values() if n.kind == "input"]
@@ -347,7 +358,7 @@ class DataflowGraph:
         state = state if state is not None else {}
         values: dict[int, np.ndarray] = {}
         result: np.ndarray | None = None
-        order = self.topo_order()
+        order = self._order()
         for iteration in range(self.temporal_iterations):
             state["iteration"] = iteration
             last = iteration == self.temporal_iterations - 1

@@ -32,7 +32,6 @@ class ReduceOp:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    identity: float
 
     def batched(self, values: np.ndarray) -> np.ndarray:
         """Reduce per packet, keeping the lane axis: ``(B, w) -> (B, 1)``.
@@ -44,11 +43,11 @@ class ReduceOp:
 
 
 REDUCE_OPS: dict[str, ReduceOp] = {
-    "sum": ReduceOp("sum", lambda v: np.sum(v, axis=-1), 0.0),
-    "max": ReduceOp("max", lambda v: np.max(v, axis=-1), -np.inf),
-    "min": ReduceOp("min", lambda v: np.min(v, axis=-1), np.inf),
-    "argmax": ReduceOp("argmax", lambda v: np.argmax(v, axis=-1), 0.0),
-    "argmin": ReduceOp("argmin", lambda v: np.argmin(v, axis=-1), 0.0),
+    "sum": ReduceOp("sum", lambda v: np.sum(v, axis=-1)),
+    "max": ReduceOp("max", lambda v: np.max(v, axis=-1)),
+    "min": ReduceOp("min", lambda v: np.min(v, axis=-1)),
+    "argmax": ReduceOp("argmax", lambda v: np.argmax(v, axis=-1)),
+    "argmin": ReduceOp("argmin", lambda v: np.argmin(v, axis=-1)),
 }
 
 

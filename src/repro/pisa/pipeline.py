@@ -22,6 +22,10 @@ Two execution paths share these semantics:
   because they look at one packet at a time, and the stateful ones (flow
   registers, MapReduce block) because a batch update of them equals the
   same packets one by one, wherever the stream is cut.
+
+The batched path skips the work nothing in the pipeline could observe
+(:meth:`TaurusPipeline._process_span`), so a short call pays only for the
+stages this pipeline has.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..datasets.packets import TraceColumns
+from ..datasets.packets import TraceColumns, as_trace_columns, in_arrival_order
+from ..fixpoint import FIX8
 from ..hw.grid import MapReduceBlock
 from ..mapreduce.ir import DataflowGraph
 from .mat import MatchActionTable
@@ -376,30 +381,21 @@ class TaurusPipeline:
         :class:`~repro.datasets.packets.TraceColumns`, or a list of
         :class:`Packet` objects (columns are built on the fly).
 
-        The five-tuple is hashed once per call; then packets stream
-        through in arrival order, one span of ``max(chunk_size,
-        DEFAULT_TRACE_CHUNK)`` rows at a time (see :meth:`_process_span`),
-        so a span bounds every stage's pass, the register update and the
-        block pass included, and below 8,192 rows ``chunk_size`` changes
-        no stage's work.  Every observable effect — results, ``stats``,
-        MAT counters, register contents, queue watermarks, the block's
-        issue clock — matches the scalar loop exactly, whatever
-        ``chunk_size``.
+        The trace is put in arrival order (one monotone check when it is
+        already) and its five-tuple hashed, once per call; then packets
+        stream through, one span of ``max(chunk_size, DEFAULT_TRACE_CHUNK)``
+        rows at a time (see :meth:`_process_span`), so a span bounds every
+        stage's pass, the register update and the block pass included, and
+        below 8,192 rows ``chunk_size`` changes no stage's work.  Every
+        observable effect — results, ``stats``, MAT counters, register
+        contents, queue watermarks, the block's issue clock — matches the
+        scalar loop exactly, whatever ``chunk_size``, and no result array
+        is shared with a later call.
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if isinstance(trace, TraceColumns):
-            columns = trace
-        elif hasattr(trace, "columns"):
-            columns = trace.columns()
-        else:
-            columns = TraceColumns.from_packets(list(trace))
-
+        order, columns = in_arrival_order(as_trace_columns(trace))
         n = columns.n
-        order = np.argsort(columns.times, kind="stable")
-        if not np.array_equal(order, np.arange(n)):
-            columns = columns.take(order)
-
         hashes = columns.flow_hashes()  # once per call, not per chunk
         # Every packet starts forwarded, unscored and at the base latency;
         # each span writes its ML rows and overrides into these in place.
@@ -425,7 +421,8 @@ class TaurusPipeline:
             latencies_ns=latencies,
             bypassed=bypassed,
             aggregates={
-                key: np.concatenate(parts) for key, parts in aggregates.items()
+                key: parts[0] if len(parts) == 1 else np.concatenate(parts)
+                for key, parts in aggregates.items()
             },
         )
 
@@ -441,42 +438,62 @@ class TaurusPipeline:
         on its ML rows.  ``hashes`` and the four outputs are the span's
         slices of the call's arrays, filled in place (``decisions``,
         ``scores`` and ``latencies`` arrive at forward, NaN and the base
-        latency)."""
+        latency).
+
+        Checked on every call against what the pipeline holds: only a
+        postprocess table reads ``ml_bypass`` / ``ml_score`` or overrides
+        ``decision``; under the never-bypass default every row is an ML
+        row (no predicate, no gather); with no table either, a span whose
+        every row has features sends them to the block without the PHV."""
         batch = self.parser.parse_batch(span.headers, span.payload_len)
         urgent = span.header("urgent_flag") != 0
-
-        if span.features is not None and span.has_features.any():
+        post = self.postprocess_tables
+        all_ml = self.block is not None and self.bypass_predicate_batch is _never_bypass_batch
+        direct = (
+            all_ml and not self.preprocess_tables and not post
+            and span.features is not None and span.has_features.all()
+            and span.features.shape[1] == batch.features.shape[1]  # else set_features refuses
+        )
+        if not direct and span.features is not None and span.has_features.any():
             batch.set_features(span.features, where=span.has_features)
 
         for table in self.preprocess_tables:
             table.apply_batch(batch)
 
-        bypass[:] = True if self.block is None else self.bypass_predicate_batch(batch)
-        batch.set_column("ml_bypass", bypass)
-
-        ml = ~bypass
-        where = ml.nonzero()[0]
-        self.stats["bypass"] += span.n - len(where)
-        self.stats["ml"] += len(where)
+        # ``rows`` indexes the span's ML rows: all of them, or the gathered few.
+        if all_ml:
+            bypass[:] = False
+            rows, n_ml = slice(None), span.n
+        else:
+            bypass[:] = True if self.block is None else self.bypass_predicate_batch(batch)
+            rows = (~bypass).nonzero()[0]
+            n_ml = len(rows)
+        self.stats["bypass"] += span.n - n_ml
+        self.stats["ml"] += n_ml
         agg = self.accumulator.update_batch(hashes, span.sizes, urgent, span.times)
         for key, values in agg.items():
             aggregates.setdefault(key, []).append(values)
-        if len(where):
+        if n_ml:
             self.steer()
-            result = self.block.run_batch(batch.feature_matrix()[where])
-            scores[where] = result.values[:, 0]
-            latencies[where] = BASE_SWITCH_LATENCY_NS + result.latency_ns
-            decisions[where] = self.postprocess_batch(result.values)
-            batch.set_column(
-                "ml_score", (np.abs(scores[where]) * 256).astype(np.int64) & 0xFFFF, where=ml
-            )
+            features = FIX8.roundtrip(span.features) if direct else batch.feature_matrix()
+            result = self.block.run_batch(features[rows])
+            scores[rows] = result.values[:, 0]
+            latencies[rows] = BASE_SWITCH_LATENCY_NS + result.latency_ns
+            decisions[rows] = self.postprocess_batch(result.values)
 
-        batch.clear("decision")
-        for table in self.postprocess_tables:
-            table.apply_batch(batch)
-        overridden = batch.was_written("decision")
-        if overridden.any():
-            decisions[overridden] = batch.int_column("decision")[overridden]
+        if post:
+            batch.set_column("ml_bypass", bypass)
+            if n_ml:
+                batch.set_column(
+                    "ml_score", (np.abs(scores[rows]) * 256).astype(np.int64) & 0xFFFF,
+                    where=rows,
+                )
+            batch.clear("decision")
+            for table in post:
+                table.apply_batch(batch)
+            overridden = batch.was_written("decision")
+            if overridden.any():
+                decisions[overridden] = batch.int_column("decision")[overridden]
 
         self.stats["dropped"] += int(np.count_nonzero(decisions == DECISION_DROP))
         self.stats["flagged"] += int(np.count_nonzero(decisions == DECISION_FLAG))

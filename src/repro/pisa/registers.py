@@ -54,26 +54,26 @@ def fnv1a_columns(columns) -> np.ndarray:
     row's tuple with the scalar function.  uint64 arithmetic wraps mod
     2**64, matching the scalar mask.
 
-    A column is read byte by byte through a little-endian ``uint8`` view of
-    its 64-bit two's-complement values.  Bytes above the column's widest
-    value are zero in every row, so their rounds reduce to multiplies and
-    fold into one multiply by a power of the prime: a 16-bit port column
-    costs two xors and two multiplies, not eight of each.
+    The columns are read byte by byte through a little-endian ``uint8``
+    view of one ``(k, N)`` block of their 64-bit two's-complement values.
+    Bytes above a column's widest value (one ``max`` finds them all) are
+    zero in every row, so their rounds reduce to multiplies and fold into
+    one multiply by a power of the prime: a 16-bit port column costs two
+    xors and two multiplies, not eight of each.
     """
-    columns = [np.asarray(col) for col in columns]
-    n = len(columns[0]) if columns else 0
+    n = len(columns[0]) if len(columns) else 0
     acc = np.full(n, _FNV_OFFSET, dtype=np.uint64)
     if n == 0:
         return acc
-    for col in columns:
-        words = np.ascontiguousarray(col, dtype="<u8")
-        width = (int(words.max()).bit_length() + 7) // 8  # 0..8 live bytes
-        octets = words.view(np.uint8).reshape(n, 8)
+    words = np.array(columns, dtype="<u8", order="C")
+    octets = words.view(np.uint8).reshape(len(words), n, 8)
+    for column, top in zip(octets, words.max(axis=1).tolist()):
+        width = (top.bit_length() + 7) // 8  # 0..8 live bytes
         for j in range(width - 1):
-            acc ^= octets[:, j]
+            acc ^= column[:, j]
             acc *= _PRIME_POWERS[1]
         if width:
-            acc ^= octets[:, width - 1]
+            acc ^= column[:, width - 1]
         # The last live byte's multiply and one per zero byte above it.
         acc *= _PRIME_POWERS[min(8, 9 - width)]
     return acc
@@ -212,11 +212,13 @@ class FlowFeatureAccumulator:
         if n == 0:
             return dict(zip(_AGGREGATES, np.zeros((4, 0), dtype=np.int64)))
         now_ms = (np.asarray(times, dtype=np.float64) * 1e3).astype(np.int64)
-        # All four arrays share the slot count, hence the slot index.  A
+        # All four arrays share the slot count, hence the slot index (a
+        # power-of-two count masks the hash's low bits: no division).  A
         # key that fits 16 bits sorts as uint16, where numpy's stable sort
         # is a radix sort (same order, a fraction of the time).
-        size = self.packet_count.size
-        idx = np.asarray(hashes, dtype=np.uint64) % np.uint64(size)
+        size, low = self.packet_count.size, np.uint64(self.packet_count.size - 1)
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        idx = hashes % np.uint64(size) if size & low else hashes & low
         idx = idx.astype(np.uint16 if size <= 1 << 16 else np.int64)
 
         # Group packets by slot, preserving arrival order within a slot.
@@ -240,8 +242,7 @@ class FlowFeatureAccumulator:
 
         pkts = running(np.ones(n, dtype=np.int64), self.packet_count)
         bytes_run = running(sizes[order], self.byte_count)
-        urgent_run = running(np.asarray(urgent, dtype=bool)[order].astype(np.int64),
-                             self.urgent_count)
+        urgent_run = running(np.asarray(urgent, dtype=bool)[order], self.urgent_count)
 
         # First-seen: set by the first packet of a slot whose pre-batch
         # packet count is zero (saturating write, as the scalar path does).

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..datasets.packets import TraceColumns
+from ..datasets.packets import TraceColumns, as_trace_columns, in_arrival_order
 from ..hw.params import CLOCK_GHZ
 from ..pisa.pipeline import (
     DEFAULT_TRACE_CHUNK,
@@ -70,30 +70,6 @@ __all__ = [
     "scatter_merge",
     "merge_pipeline_state",
 ]
-
-
-def as_trace_columns(trace) -> TraceColumns:
-    """Coerce any accepted trace form to :class:`TraceColumns`.
-
-    A ``TraceColumns`` passes through, anything with a cached ``columns()``
-    view (:class:`~repro.datasets.packets.PacketTrace`) uses it, and a
-    plain packet list is columnarized on the fly.
-    """
-    if isinstance(trace, TraceColumns):
-        return trace
-    if hasattr(trace, "columns"):
-        return trace.columns()
-    return TraceColumns.from_packets(list(trace))
-
-
-def in_arrival_order(columns: TraceColumns) -> tuple[np.ndarray, TraceColumns]:
-    """``(order, columns[order])`` for the stable arrival-time sort —
-    the sort ``process_trace_batch`` applies.  Already-sorted columns
-    come back as the same object."""
-    order = np.argsort(columns.times, kind="stable")
-    if np.array_equal(order, np.arange(columns.n)):
-        return order, columns
-    return order, columns.take(order)
 
 
 def empty_trace_result() -> TracePipelineResult:

@@ -123,11 +123,12 @@ class TestRoundingShift:
             got = _rounding_shift(floats.copy(), shift)
             assert np.array_equal(got, _rounding_shift(ints, shift)), shift
             assert got.tobytes() == sign_kept.tobytes(), shift
-        # A precomputed factor is the same shift.
+        # An accumulator that already carries the factor is the same shift.
         acc = np.repeat(np.arange(-4096.0, 4097.0)[:, None], len(self.SHIFTS), axis=1)
         factor = np.ldexp(1.0, -self.SHIFTS)
         assert np.array_equal(
-            _rounding_shift(acc.copy(), self.SHIFTS, factor), _rounding_shift(acc, self.SHIFTS)
+            _rounding_shift(acc * factor, self.SHIFTS, scaled=True),
+            _rounding_shift(acc, self.SHIFTS)
         )
 
     def test_layer_takes_the_integer_path_when_float_is_not_exact(self):

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import DNN_FEATURES, TraceColumns, expand_to_packets
 from repro.hw import MapReduceBlock
+from repro.fixpoint import quantize_model
 from repro.mapreduce import dnn_graph
+from repro.ml import DNN
 from repro.pisa import (
     Action,
     DECISION_DROP,
@@ -35,6 +37,7 @@ from repro.pisa import (
     port_bypass,
     threshold_postprocess,
 )
+from repro.pisa.phv import PHVBatch
 
 
 @pytest.fixture(scope="module")
@@ -540,3 +543,202 @@ class TestBatchEqualsScalar:
         _install_all_kind_tables(pb)
         packets = _random_packets(seed=seed, n=n)
         _assert_equivalent(pa, pb, packets, _clone(packets), chunk_size=5)
+
+
+# ----------------------------------------------------------------------
+# The small call: stages the pipeline does not have are skipped.
+# ----------------------------------------------------------------------
+#: Rows per call: one packet, one chunk, exactly one span, one span and a row.
+COVERAGE_ROWS = (1, 64, DEFAULT_TRACE_CHUNK, DEFAULT_TRACE_CHUNK + 1)
+
+
+@pytest.fixture(scope="module")
+def small_block_pair():
+    """Two blocks of a one-layer DNN: the per-packet oracle interprets
+    five nodes a packet, so it can run 8,193 packets a case."""
+    rng = np.random.default_rng(5)
+    model = quantize_model(DNN([6, 1], output="sigmoid", seed=5), rng.uniform(-3.0, 3.0, (256, 6)))
+    return MapReduceBlock(dnn_graph(model)), MapReduceBlock(dnn_graph(model))
+
+
+def _coverage_packets(seed: int, all_features: bool, n: int = COVERAGE_ROWS[-1]) -> list[Packet]:
+    """``n`` packets at strictly increasing times (so every prefix is the
+    time-sorted first rows of a longer trace); about a tenth carry no
+    features unless ``all_features``."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(1e-6, 1e-4, size=n))
+    packets = [_packet(rng, float(t)) for t in times]
+    if all_features:
+        for packet in packets:
+            if packet.features is None:
+                packet.features = rng.uniform(-3.0, 3.0, size=6)
+    return packets
+
+
+def _score_table() -> MatchActionTable:
+    """A postprocess table keyed on the ``ml_score`` PHV field."""
+    table = MatchActionTable(name="low_score", key_fields=("ml_score",), kind=MatchKind.RANGE)
+    table.install(
+        TableEntry({"ml_score": (1, 127)}, Action.set_const("drop_low", "decision", DECISION_DROP))
+    )
+    return table
+
+
+def _block_shuffled(rows: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A permutation of ``range(rows[-1])`` that shuffles only between
+    consecutive sizes of ``rows``, so every prefix holds the same packets."""
+    edges = (0, *rows)
+    return np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in zip(edges, edges[1:])])
+
+
+def _coverage_case(blocks, rows, *, tables="none", bypass=False, all_features=True,
+                   unsorted=False, score_table=False, seed=21):
+    """Per-packet ``process`` over ``rows[-1]`` packets is the oracle for
+    every size in ``rows`` (results, aggregates and the state snapshot
+    taken after that many packets); ``process_trace_batch`` runs each
+    prefix on a fresh twin pipeline.  Returns the oracle's results."""
+    def build(block):
+        kwargs = {}
+        if bypass:
+            scalar_bypass, batch_bypass = port_bypass((22, 53))
+            kwargs = {"bypass_predicate": scalar_bypass, "bypass_predicate_batch": batch_bypass}
+        if block is not None:
+            _reset(block)
+        pipe = _pipeline(block, **kwargs)
+        if tables != "none":
+            _install_all_kind_tables(pipe)
+            if tables == "post":
+                pipe.preprocess_tables.clear()
+            elif tables == "pre":
+                pipe.postprocess_tables.clear()
+        if score_table:
+            pipe.install_postprocess(_score_table())
+        return pipe
+
+    packets = _coverage_packets(seed, all_features, rows[-1])
+    columns = TraceColumns.from_packets(_clone(packets))
+    perm = np.arange(len(packets))
+    if unsorted:
+        perm = _block_shuffled(rows, np.random.default_rng(seed))
+        columns = columns.take(perm)
+
+    scalar_pipe = build(blocks[0])
+    scalar, snapshots = [], {}
+    for k, packet in enumerate(packets, 1):
+        scalar.append(scalar_pipe.process(packet))
+        if k in rows:
+            snapshots[k] = scalar_pipe.state_snapshot()
+
+    for k in rows:
+        pipe = build(blocks[1])
+        out = pipe.process_trace_batch(columns.slice(slice(0, k)))
+        expected = scalar[:k]
+        assert np.array_equal(perm[:k][out.order], np.arange(k)), k
+        assert np.array_equal(out.decisions, [r.decision for r in expected]), k
+        assert np.array_equal(
+            out.ml_scores,
+            [np.nan if r.ml_score is None else r.ml_score for r in expected],
+            equal_nan=True,
+        ), k
+        assert np.array_equal(out.latencies_ns, [r.latency_ns for r in expected]), k
+        assert np.array_equal(out.bypassed, [r.bypassed for r in expected]), k
+        for key, column in out.aggregates.items():
+            assert np.array_equal(column, [p.metadata[key] for p in packets[:k]]), (k, key)
+        _assert_same_state(snapshots[k], pipe.state_snapshot())
+    return scalar
+
+
+#: Four shapes at every size of ``COVERAGE_ROWS``: the bare pipeline (its
+#: features go straight to the block), every stage at once, a table that
+#: reads the block's ``ml_score`` behind an out-of-order trace, no block.
+SPAN_SHAPES = {
+    "bare": {},
+    "every-stage": {"tables": "both", "bypass": True, "all_features": False},
+    "score-table-unsorted": {"score_table": True, "bypass": True, "unsorted": True},
+    "no-block": {"tables": "both", "all_features": False},
+}
+
+
+class TestSmallCall:
+    @pytest.mark.parametrize("all_features", [True, False], ids=["all-features", "some-features"])
+    @pytest.mark.parametrize("bypass", [False, True], ids=["never-bypass", "port-bypass"])
+    @pytest.mark.parametrize("tables", ["none", "pre", "post", "both"])
+    def test_every_shape_equals_per_packet_process(self, small_block_pair, tables, bypass,
+                                                   all_features):
+        """Whichever stages the pipeline has — MATs before and after the
+        block, a bypass hook, features on every row or on some — a call of
+        1 or 64 rows equals ``process`` per packet."""
+        scalar = _coverage_case(small_block_pair, COVERAGE_ROWS[:2], tables=tables,
+                                bypass=bypass, all_features=all_features)
+        assert any(r.bypassed for r in scalar) == bypass
+
+    @pytest.mark.parametrize("shape", SPAN_SHAPES)
+    def test_span_sizes_equal_per_packet_process(self, small_block_pair, shape):
+        """At 1, 64, 8,192 (one whole span) and 8,193 rows (a second span
+        of one row)."""
+        blocks = (None, None) if shape == "no-block" else small_block_pair
+        scalar = _coverage_case(blocks, COVERAGE_ROWS, **SPAN_SHAPES[shape])
+        if shape == "score-table-unsorted":
+            assert any(r.decision == DECISION_DROP for r in scalar)
+
+    @pytest.mark.parametrize("all_features", [True, False], ids=["direct-features", "phv-features"])
+    @pytest.mark.parametrize("rows", [64, DEFAULT_TRACE_CHUNK + 1], ids=["one-span", "two-spans"])
+    def test_a_kept_result_survives_the_next_call(self, block_pair, all_features, rows):
+        """A result kept from one call, aggregates included, is not touched
+        by the next call on the same pipeline — whether one span's
+        aggregates went out without a concatenate and the features reached
+        the block straight from the trace, or not."""
+        def columns(seed):
+            cols = _random_columns(seed, rows)
+            return dataclasses.replace(cols, has_features=np.ones(rows, dtype=bool)) if all_features else cols
+
+        block = block_pair[0]
+        _reset(block)
+        pipe = _pipeline(block)
+        first = pipe.process_trace_batch(columns(31))
+        kept = dataclasses.replace(
+            first,
+            **{
+                f.name: np.copy(getattr(first, f.name))
+                for f in dataclasses.fields(first) if f.name != "aggregates"
+            },
+            aggregates={key: column.copy() for key, column in first.aggregates.items()},
+        )
+        pipe.process_trace_batch(columns(32))
+        for f in dataclasses.fields(first):
+            if f.name != "aggregates":
+                assert np.array_equal(
+                    getattr(first, f.name), getattr(kept, f.name), equal_nan=True
+                ), f.name
+        assert first.aggregates.keys() == kept.aggregates.keys()
+        for key, column in kept.aggregates.items():
+            assert np.array_equal(first.aggregates[key], column), key
+
+    @pytest.mark.parametrize("tables", ["none", "post"])
+    def test_only_a_reader_gets_the_phv_writes(self, block_pair, monkeypatch, tables):
+        """With no table and the never-bypass default, a call writes no
+        ``ml_bypass`` / ``ml_score``, clears no ``decision`` and copies no
+        features into the PHV: nothing there could read them.  A
+        postprocess table brings all three writes back."""
+        writes = []
+
+        def record(name, original):
+            def recorded(batch, field, *args, **kwargs):
+                writes.append((name, field if isinstance(field, str) else None))
+                return original(batch, field, *args, **kwargs)
+            return recorded
+
+        for method in ("set_column", "clear", "set_features"):
+            monkeypatch.setattr(PHVBatch, method, record(method, getattr(PHVBatch, method)))
+        _reset(block_pair[0])
+        pipe = _pipeline(block_pair[0])
+        if tables == "post":
+            pipe.install_postprocess(_score_table())
+        pipe.process_trace_batch(TraceColumns.from_packets(_coverage_packets(41, True, 100)))
+        phv_writes = set(writes) - {("set_column", "payload_len")}  # the parser's own
+        if tables == "none":
+            assert phv_writes == set()
+        else:
+            assert {("set_column", "ml_bypass"), ("set_column", "ml_score"),
+                    ("clear", "decision")} <= phv_writes
+            assert ("set_features", None) in phv_writes

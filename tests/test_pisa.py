@@ -233,6 +233,17 @@ class TestParserLoopDetection:
                 np.zeros(4, dtype=np.int64),
             )
 
+    def test_batch_parse_of_no_packets_through_a_cycle(self):
+        """Zero rows through a cyclic graph parse to an empty batch, as they
+        do through an acyclic one; the loop guard once took the max of an
+        empty visit count and raised ``ValueError``."""
+        parser = self._looping_parser()
+        out = parser.parse_batch(
+            {"protocol": np.zeros(0, dtype=np.int64)}, np.zeros(0, dtype=np.int64)
+        )
+        assert out.n == 0 and out.headers.shape[1] == 0
+        assert parser.packets_parsed == 0
+
     def test_select_loop_detected(self):
         """A loop reached through a select branch also trips the guard."""
         from repro.pisa import ParseState, Parser
