@@ -23,8 +23,8 @@ probe (optional, ``probe=True``)
     an observer, checking the 2-D ``(B, width)`` value contract, inferred
     vs. actual widths, and fixed-point grid drift on the outputs; a
     compiled kernel is run against its nodes on ~500 more rows
-    (saturating, NaN / inf, several row tiles), values and state left
-    behind.  Seeded and O(nodes · iterations), so it is a
+    (saturating, NaN / inf, several tiles; the kernel under
+    ``np.errstate(invalid="raise")``), values and state left behind.  Seeded and O(nodes · iterations), so it is a
     static check in spirit: no trace data, no model dependence.
 
 Budgets are not priced here: ``compile_graph`` raises a typed
@@ -323,7 +323,7 @@ def _probe(
     except Exception as exc:  # noqa: BLE001 - any failure is the finding
         diags.append(Diagnostic(
             "ir-probe-failure", Severity.ERROR,
-            f"execute_batch raised {type(exc).__name__}: {exc}", src,
+            f"the probe raised {type(exc).__name__}: {exc}", src,
         ))
         return diags
 
@@ -369,10 +369,21 @@ def _kernel_divergence(graph: DataflowGraph, dim: int, fmt: FixedPointFormat) ->
     features[: edges.size] = edges[:, None]
     scattered = rng.random(features.shape) < 0.05
     features[scattered] = rng.choice(edges, size=int(scattered.sum()))
+    # A kernel's lookups saturate their index, so one into a table short of
+    # its format's raw domain reads a neighbour's entry instead of raising.
+    for fmt_, table in getattr(graph.kernel, "tables", ()):
+        domain = fmt_.raw_max - fmt_.raw_min + 1
+        if table.size != domain:
+            raise ValueError(f"a kernel table has {table.size} entries for "
+                             f"{fmt_.name}'s {domain} raw values")
     fused_state, node_state = {}, {}
+    # A kernel's lookups saturate any index, so a NaN reaching its index
+    # cast (an input that skipped its clip) would read entry 0 in silence:
+    # on the probe rows that cast raises instead.
+    with np.errstate(invalid="raise"):
+        fused = graph.execute_batch(features, state=fused_state)
     pairs = {"the output": (
-        graph.execute_batch(features, state=fused_state),
-        graph.execute_batch(features, state=node_state, observer=lambda *args: None),
+        fused, graph.execute_batch(features, state=node_state, observer=lambda *args: None),
     )}
     for key in sorted(fused_state.keys() | node_state.keys()):
         pairs[f"state[{key!r}]"] = (fused_state.get(key), node_state.get(key))

@@ -108,11 +108,19 @@ class FixedPointFormat:
 
         Non-finite inputs degrade safely: NaN quantizes to zero, +/-inf
         saturate to the format limits (hardware has no NaNs to propagate).
-        Clip, scale, round, NaN -> 0, cast, in one float64 buffer: the
-        clip comes first so huge values cannot overflow the multiply, and
+        :meth:`quantize_float`, then the cast to the storage dtype.  A
+        scalar or 0-d input returns a numpy scalar.
+        """
+        return self.quantize_float(values).astype(self.storage_dtype)[()]
+
+    def quantize_float(self, values: np.ndarray | float) -> np.ndarray:
+        """:meth:`quantize`'s raw values, still float64 (integer-valued).
+
+        Clip, scale, round, NaN -> 0, in one float64 buffer laid out in C
+        order (a transposed view comes back as its C-order copy): the clip
+        comes first so huge values cannot overflow the multiply, and
         ``min_value * scale == raw_min`` exactly (a power-of-two scale), so
-        the rounded values need no second clip.  A scalar or 0-d input
-        returns a numpy scalar.
+        the rounded values need no second clip.
         """
         raw = np.empty(np.shape(values))
         np.maximum(values, self.min_value, out=raw, dtype=np.float64)  # NaN stays NaN
@@ -120,7 +128,7 @@ class FixedPointFormat:
         raw *= self.scale
         np.rint(raw, out=raw)
         raw[np.isnan(raw)] = 0.0
-        return raw.astype(self.storage_dtype)[()]
+        return raw
 
     def dequantize(self, raw: np.ndarray) -> np.ndarray:
         """Convert raw integers back to float64 real values."""

@@ -92,9 +92,19 @@ class QuantizedLinear:
             self.w_frac = np.full(
                 self.weights.raw.shape[0], self.weights.fmt.frac_bits, dtype=np.int64
             )
-        # Operands of :meth:`mac_raw`, prepared once: a layer is immutable
-        # after construction (weight updates re-quantize into new layers).
-        self._shifts = self.w_frac + self.in_fmt.frac_bits - self.act_fmt.frac_bits
+        self._prepare_mac()
+
+    def _prepare_mac(self) -> None:
+        """Derive the operands of :meth:`mac_raw` from the stored fields.
+
+        A layer is immutable after construction (weight updates
+        re-quantize into new layers), so this runs once per build — and
+        once per unpickling: the operands are never pickled (see
+        :meth:`__getstate__`), so a layer loaded under another version of
+        this code runs that version's operands, not stale ones.
+        """
+        # One shift per output unit, a column: the MAC runs feature-major.
+        self._shifts = (self.w_frac + self.in_fmt.frac_bits - self.act_fmt.frac_bits)[:, None]
         # Largest magnitude any step of the MAC can reach.  Integer-valued
         # float64 sums below 2^52 are exact whatever order BLAS adds them
         # in (and so is adding the rounding half), so the float matmul is
@@ -108,33 +118,45 @@ class QuantizedLinear:
         peak <<= max(-int(self._shifts.min(initial=0)), 0)
         peak += int(np.abs(self.bias.raw.astype(np.int64)).max(initial=0))
         acc_t = np.float64 if peak < min(wide.max, 1 << 52) else wide.dtype
-        w_t = self.w_raw.T
+        w = self.w_raw
         if acc_t is np.float64:
             # The shift's power-of-two factor rides in the weights: every
             # product and partial sum is the integer one times 2**-shift, exactly.
-            w_t = w_t * np.ldexp(1.0, -self._shifts)
-        self._w_t = np.ascontiguousarray(w_t, dtype=acc_t)
-        self._bias = self.bias.raw.astype(acc_t)
+            w = w * np.ldexp(1.0, -self._shifts)
+        # The left operand of ``W @ X``, C order: OpenBLAS threads small
+        # gemms on a Fortran-order (transposed) operand.
+        self._w = np.ascontiguousarray(w, dtype=acc_t)
+        self._bias = self.bias.raw.astype(np.intp)[:, None]
+
+    def __getstate__(self) -> dict:
+        """The stored fields only: :meth:`__setstate__` re-derives the MAC
+        operands with this code's :meth:`_prepare_mac`."""
+        derived = ("_w", "_bias", "_shifts")
+        return {k: v for k, v in self.__dict__.items() if k not in derived}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._prepare_mac()
 
     def mac_raw(self, x_raw: np.ndarray, offset: int = 0) -> np.ndarray:
-        """Raw in, raw out: integer MAC, per-row shift, bias, saturate.
+        """Raw in, raw out, feature-major: integer MAC, per-unit rounding
+        shift, bias — not saturated.
 
-        ``x_raw`` holds ``in_fmt`` raw values, ``(B, in)``, in any numeric
-        dtype; the result holds saturated ``act_fmt`` raw values less
-        ``offset``, ``(B, out)``, integer-valued in the accumulator dtype
-        (``offset=act_fmt.raw_min`` gives table indices: the offset folds
-        into the bias and the clip bounds, not a pass of its own).  Both
-        :meth:`linear` and the compiled batch kernel of
-        :func:`repro.mapreduce.frontend.dnn_graph` run this, so there is
-        one MAC and one rounding shift.
+        ``x_raw`` holds ``in_fmt`` raw values, ``(in, B)``, in any numeric
+        dtype; the result holds the unsaturated ``act_fmt`` raw values less
+        ``offset``, ``(out, B)`` intp (``offset=act_fmt.raw_min`` gives table
+        indices: the offset folds into the bias, not a pass of its own).
+        Saturation is the caller's: :meth:`linear` clips, and the compiled
+        batch kernel of :func:`repro.mapreduce.frontend.dnn_graph` looks
+        the index up with ``take(..., mode="clip")``, which saturates it —
+        one MAC and one rounding shift for both.
         """
-        acc = np.asarray(x_raw, dtype=self._w_t.dtype) @ self._w_t
-        acc = _rounding_shift(acc, self._shifts, scaled=acc.dtype.kind == "f")
-        acc += self._bias - offset
-        # Not act_fmt.saturate(): its cast to the storage dtype is the slow
-        # part, and both callers want the wide values (to scale, to index).
-        np.maximum(acc, self.act_fmt.raw_min - offset, out=acc)
-        return np.minimum(acc, self.act_fmt.raw_max - offset, out=acc)
+        acc = self._w @ np.asarray(x_raw, dtype=self._w.dtype)
+        scaled = acc.dtype.kind == "f"  # the factor rides in the float weights
+        # intp already for a float acc; an int32 one (fix8 weights) widens.
+        raw = _rounding_shift(acc, self._shifts, scaled=scaled).astype(np.intp, copy=False)
+        raw += self._bias - offset
+        return raw
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         """The layer's pre-activation output (integer MAC + requantize).
@@ -145,7 +167,9 @@ class QuantizedLinear:
         so the dataflow-graph execution can share it bit for bit.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.act_fmt.dequantize(self.mac_raw(self.in_fmt.quantize(x)))
+        raw = self.mac_raw(self.in_fmt.quantize(x.T))
+        np.clip(raw, self.act_fmt.raw_min, self.act_fmt.raw_max, out=raw)
+        return self.act_fmt.dequantize(raw.T)
 
     def activate(self, pre_activation: np.ndarray) -> np.ndarray:
         """Apply the layer's activation in fixed point (a ``map`` node)."""

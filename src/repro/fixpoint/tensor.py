@@ -92,17 +92,18 @@ def _rounding_shift(
     Positive shift moves right (divide), negative left (multiply) — both
     are single-cycle barrel-shift operations per lane.  ``acc`` is either
     integer-valued float64 below 2^52 in every intermediate (scaling by a
-    power of two and adding one half are then exact) or a wide integer.
-    A float ``acc`` is rounded in place, as ``trunc(acc * 2**-shifts +
-    copysign(0.5, acc))``; ``scaled`` says it already holds ``acc *
-    2**-shifts`` (its caller folded the factor into its weights), so only
-    the rounding is left.
+    power of two and adding one half are then exact) or a wide integer,
+    which comes back in its own dtype.  A float ``acc`` comes back as
+    intp, ``trunc(acc * 2**-shifts + copysign(0.5, acc))`` with the
+    truncation done by the cast (one pass, not a ``trunc`` and a cast);
+    ``scaled`` says it already holds ``acc * 2**-shifts`` (its caller
+    folded the factor into its weights), so only the rounding is left.
     """
     if acc.dtype.kind == "f":
         if not scaled:
             acc *= np.ldexp(1.0, -shifts)
         acc += np.copysign(0.5, acc)
-        return np.trunc(acc, out=acc)
+        return acc.astype(np.intp)
     down = np.maximum(shifts, 0).astype(acc.dtype)
     up = np.maximum(-shifts, 0).astype(acc.dtype)
     mag = ((np.abs(acc) + ((1 << down) >> 1)) >> down) << up

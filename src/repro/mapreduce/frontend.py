@@ -120,16 +120,24 @@ def _raw_domain_table(fmt: FixedPointFormat, *hop) -> np.ndarray:
 def _dnn_kernel(layers, activations):
     """Compile a quantized layer stack into one batch function, or ``None``.
 
-    The kernel quantizes the features once at the PHV boundary and then
-    stays on raw fixed-point values: per layer the shared
-    :meth:`~repro.fixpoint.quantize.QuantizedLinear.mac_raw`, then one
-    lookup in a table over the layer's whole ``act_fmt`` raw domain.  The
+    The kernel runs feature-major, like the block's SIMD lanes: a layer's
+    values are ``(units, B)``, one contiguous row per unit.  It quantizes
+    the features once at the PHV boundary, straight to float raw values
+    (``in_fmt.quantize_float``, no int8 round trip), and then stays on raw
+    fixed-point values: per layer the shared
+    :meth:`~repro.fixpoint.quantize.QuantizedLinear.mac_raw` (``W @ X``,
+    unsaturated table indices), then one ``take(..., mode="clip")`` in a
+    table over the layer's whole ``act_fmt`` raw domain — the clipped
+    index is the saturated value's, so the lookup is the saturation.  The
     table is filled here by running the reference hop — ``dequantize``,
     the layer's ``activations`` entry (the very callable its ``map`` node
     runs; ``None`` for a linear layer), the next layer's
     ``in_fmt.quantize`` — on every representable value; the last table
     holds the float scores.  Returns ``None`` (the interpreter runs) when
-    a hop is not element-wise or a domain is too large to tabulate.
+    a hop is not element-wise or a domain is too large to tabulate.  The
+    kernel's ``tables`` lists ``(fmt, table)`` per lookup: a clipped lookup
+    cannot tell a table short of its domain, so the analyser's probe
+    checks their sizes.
     """
     if any(
         layer.activation not in _ELEMENTWISE_ACTIVATIONS
@@ -142,14 +150,15 @@ def _dnn_kernel(layers, activations):
         (layer.mac_raw, layer.act_fmt.raw_min, _raw_domain_table(layer.act_fmt, act, quantize))
         for layer, act, quantize in zip(layers, activations, requantize)
     ]
-    quantize_input = layers[0].in_fmt.quantize
+    quantize_input = layers[0].in_fmt.quantize_float
 
     def kernel(features: np.ndarray, state: dict) -> np.ndarray:
-        raw = quantize_input(features)
+        raw = quantize_input(features.T)
         for mac_raw, raw_min, table in steps:
-            raw = table[mac_raw(raw, raw_min).astype(np.intp)]
-        return raw
+            raw = table.take(mac_raw(raw, raw_min), mode="clip")
+        return raw.T
 
+    kernel.tables = [(layer.act_fmt, table) for layer, (__, __, table) in zip(layers, steps)]
     return kernel
 
 
@@ -485,79 +494,91 @@ _EXACT_F32_LIMIT = 1 << 24
 def _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out):
     """Compile the recurrent lowering into one batch function, or ``None``.
 
-    The window is quantized once; ``h``, ``c`` and the gates stay raw
-    ``fmt`` integers across all steps.  A gate step is one float matmul,
-    ``[x_t, h_raw, 1] @ [w_raw / scale; b_raw + offset]``, then ``rint``,
-    a per-column clip and one table ``take``: the reference's
-    ``sum(zq * w) + b`` in raw units exactly, with ``/ scale`` folded into
-    the weights (exact: ``scale`` is a power of two) and the bias and the
-    gate table's index offset riding in the ones column.  The offset,
-    ``-raw_min`` plus the sigmoid table's ``2**bits`` for the ``g``
-    columns, is even, so half-to-even ``rint`` commutes with it, and the
-    clip bounds move with it.  Every partial sum is a multiple of
-    ``1 / scale`` whose numerator stays below ``(dim + hidden + 4) *
-    raw_min**2`` (proved here: under 2^24 the accumulator is float32,
-    under 2^53 float64, else ``None``), so the sum is exact in any order.
+    Feature-major, like the block's lanes: ``h``, ``c`` and the gates are
+    ``(units, B)`` rows of raw ``fmt`` integers across all steps, and the
+    window is quantized once.  A gate step is one float matmul, ``[w /
+    scale, b_raw + offset] @ [x_t; h_raw; 1]``, then ``rint`` and one
+    ``take(..., mode="clip")`` per gate block: the reference's ``sum(zq *
+    w) + b`` in raw units exactly, with ``/ scale`` folded into the weights
+    (exact: ``scale`` is a power of two) and the bias and the table index
+    offset ``-raw_min`` riding in the ones row.  The offset is even, so
+    half-to-even ``rint`` commutes with it, and the clipped index is the
+    saturated value's, so the lookup is the saturation.  Gates run in the
+    order i, f, o, g; the f and g tables hold their values ``/ scale``, so
+    ``c * f + i * g`` is already the new cell in raw units (exact: every
+    product stays under 2^24).  Every partial sum is a multiple of ``1 /
+    scale`` whose numerator stays below ``(dim + hidden + 4) * raw_min**2``
+    (proved here: under 2^24 the arithmetic is float32, under 2^53
+    float64, else ``None``), so the sum is exact in any order.
     Nonlinearities are table lookups (``tanh_pw(c)`` unrounded, like the
-    reference).  Element-wise work runs on all rows at once; only the
-    matmuls run in row tiles that stay under :data:`_SERIAL_GEMM_WORK`.
+    reference).  ``h = rint(o * tanh_pw(c))`` needs no clip: the tables
+    bound it by ``max|sigmoid| * max|tanh_pw|``, which is checked here to
+    lie inside the format (else ``None``).  Element-wise work runs on all
+    rows at once, in buffers allocated once per call; only the matmuls run
+    in column tiles that stay under :data:`_SERIAL_GEMM_WORK`.  Like
+    :func:`_dnn_kernel`'s, the kernel lists its lookups as ``tables``.
     """
     scale, lo, hi, hidden = fmt.scale, fmt.raw_min, fmt.raw_max, w_out.shape[1]
-    # Raw operands are at most |lo|, scale <= |lo| and the ones column's
+    # Raw operands are at most |lo|, scale <= |lo| and the ones row's
     # weight is at most 4 |lo|: no partial sum's numerator exceeds this.
     bound = (dim + hidden + 4) * lo * lo
     if fmt.total_bits > _MAX_TABLE_BITS or bound >= _EXACT_SUM_LIMIT:
         return None
     dtype = np.float32 if bound < _EXACT_F32_LIMIT else np.float64
     sigmoid = _raw_domain_table(fmt, sigmoid_piecewise, fmt.quantize)
-    # One table for all four gates: the g columns index its tanh half.
-    gate_table = np.concatenate([sigmoid, _raw_domain_table(fmt, tanh_piecewise, fmt.quantize)])
-    offset = np.full(4 * hidden, -lo)
-    offset[2 * hidden : 3 * hidden] += sigmoid.size
-    assert not (offset % 2).any(), "rint commutes only with an even offset"
+    cell_tanh = _raw_domain_table(fmt, tanh_piecewise)
+    if np.abs(sigmoid).max() * np.abs(cell_tanh).max() > hi:
+        return None  # h could saturate: the kernel has no h clip
+    gate_tanh = _raw_domain_table(fmt, tanh_piecewise, fmt.quantize)
+    tables = [t.astype(dtype) for t in (sigmoid, sigmoid / scale, sigmoid, gate_tanh / scale)]
+    # The lowering's gate blocks are i, f, g, o; the kernel's i, f, o, g.
+    order = np.concatenate([np.arange(k * hidden, (k + 1) * hidden) for k in (0, 1, 3, 2)])
+    assert lo % 2 == 0, "rint commutes only with an even offset"
     # Parameters are already on fmt's grid: ``* scale`` recovers the raw.
     # C order: OpenBLAS threads a gemm on a transposed operand far below 10^6.
-    wg = np.ascontiguousarray(np.vstack([w_gates.T, b_gates * scale + offset]), dtype)
-    wo = np.ascontiguousarray(np.vstack([w_out.T, b_out * scale]), dtype)
-    gate_lo, gate_hi = (offset + lo).astype(dtype), (offset + hi).astype(dtype)
+    wg = np.ascontiguousarray(
+        np.column_stack([w_gates[order], b_gates[order] * scale - lo]), dtype)
+    wo = np.ascontiguousarray(np.column_stack([w_out, b_out * scale]), dtype)
     tile = max(1, _SERIAL_GEMM_WORK // wg.size)
-    cell_tanh = _raw_domain_table(fmt, tanh_piecewise)
-    s_i, s_f, s_g, s_o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-
-    def round_clip(acc: np.ndarray) -> np.ndarray:  # fmt.quantize, in place, still float
-        np.rint(acc, out=acc)
-        np.maximum(acc, lo, out=acc)
-        return np.minimum(acc, hi, out=acc)
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+    s_i, s_f, s_o, s_g = blocks
 
     def kernel(features: np.ndarray, state: dict) -> np.ndarray:
-        x_raw = fmt.quantize(features)
-        n = len(x_raw)
+        x_raw = fmt.quantize_float(features.T)  # (steps * dim, B)
+        n = x_raw.shape[1]
         tiles = [slice(start, start + tile) for start in range(0, n, tile)]
-        z = np.zeros((n, dim + hidden + 1), dtype=dtype)  # [x_t, h, 1]; h and c start at 0
-        z[:, -1] = 1
-        c = np.zeros((n, hidden))
-        acc = np.empty((n, 4 * hidden), dtype=dtype)
+        z = np.zeros((dim + hidden + 1, n), dtype=dtype)  # [x_t; h; 1]; h and c start at 0
+        z[-1] = 1
+        h = z[dim:-1]
+        c = np.zeros((hidden, n), dtype=dtype)
+        gates = np.empty((4 * hidden, n), dtype=dtype)  # pre-activations, then values
+        index = np.empty((4 * hidden, n), dtype=np.intp)
+        cell = np.empty((hidden, n))  # float64: tanh_pw(c) is unrounded
         for t in range(window_steps):
-            z[:, :dim] = x_raw[:, t * dim : (t + 1) * dim]
-            for rows in tiles:
-                np.matmul(z[rows], wg, out=acc[rows])
-            np.rint(acc, out=acc)  # then clip: np.clip with array bounds is ~3x slower
-            np.maximum(acc, gate_lo, out=acc)
-            np.minimum(acc, gate_hi, out=acc)
-            gates = gate_table.take(acc.astype(np.intp))
-            c *= gates[:, s_f]
-            c += gates[:, s_i] * gates[:, s_g]
-            c /= scale
-            round_clip(c)
-            h = gates[:, s_o] * cell_tanh.take((c - lo).astype(np.intp))
-            z[:, dim:-1] = round_clip(h)
-        logits = np.empty((n, wo.shape[1]), dtype=dtype)
-        for rows in tiles:
-            logits[rows] = z[rows, dim:] @ wo
-        h, c = (v.astype(fmt.storage_dtype) for v in (z[:, dim:-1], c))
-        state["h"], state["c"] = fmt.dequantize(h), fmt.dequantize(c)
-        return round_clip(logits).argmax(axis=1).reshape(-1, 1)
+            z[:dim] = x_raw[t * dim : (t + 1) * dim]
+            for cols in tiles:
+                np.matmul(wg, z[:, cols], out=gates[:, cols])
+            np.rint(gates, out=gates)
+            np.copyto(index, gates, casting="unsafe")
+            for table, rows in zip(tables, blocks):
+                table.take(index[rows], mode="clip", out=gates[rows])
+            c *= gates[s_f]
+            c += np.multiply(gates[s_i], gates[s_g], out=gates[s_i])
+            np.rint(c, out=c)
+            np.clip(c, lo, hi, out=c)
+            np.subtract(c, lo, out=index[s_i], casting="unsafe")
+            cell_tanh.take(index[s_i], mode="clip", out=cell)  # c is in range; clip is faster
+            cell *= gates[s_o]
+            np.rint(cell, out=h)
+        logits = np.empty((wo.shape[0], n), dtype=dtype)
+        for cols in tiles:
+            logits[:, cols] = wo @ z[dim:, cols]
+        np.rint(logits, out=logits)  # then clip: argmax sees the saturated ties
+        np.clip(logits, lo, hi, out=logits)
+        state["h"], state["c"] = (fmt.dequantize(np.ascontiguousarray(v.T)) for v in (h, c))
+        return logits.argmax(axis=0).reshape(-1, 1)
 
+    kernel.tables = [(fmt, table) for table in (*tables, cell_tanh)]
     return kernel
 
 

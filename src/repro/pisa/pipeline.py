@@ -397,11 +397,17 @@ class TaurusPipeline:
         order, columns = in_arrival_order(as_trace_columns(trace))
         n = columns.n
         hashes = columns.flow_hashes()  # once per call, not per chunk
+        # Under the never-bypass default every row is an ML row.
+        all_ml = self.block is not None and self.bypass_predicate_batch is _never_bypass_batch
         # Every packet starts forwarded, unscored and at the base latency;
-        # each span writes its ML rows and overrides into these in place.
+        # each span writes its ML rows and overrides into these in place
+        # (every row, when all are ML rows: nothing reads a fill).
         decisions = np.zeros(n, dtype=np.int64)
-        scores = np.full(n, np.nan)
-        latencies = np.full(n, BASE_SWITCH_LATENCY_NS)
+        if all_ml:
+            scores, latencies = np.empty(n), np.empty(n)
+        else:
+            scores = np.full(n, np.nan)
+            latencies = np.full(n, BASE_SWITCH_LATENCY_NS)
         bypassed = np.empty(n, dtype=bool)
         aggregates: dict[str, list[np.ndarray]] = {}
 
@@ -409,7 +415,7 @@ class TaurusPipeline:
         for start in range(0, n, span):
             sl = slice(start, start + span)
             self._process_span(
-                columns if span >= n else columns.slice(sl), hashes[sl],
+                columns if span >= n else columns.slice(sl), hashes[sl], all_ml,
                 decisions[sl], scores[sl], latencies[sl], bypassed[sl], aggregates,
             )
 
@@ -427,7 +433,7 @@ class TaurusPipeline:
         )
 
     def _process_span(
-        self, span: TraceColumns, hashes: np.ndarray,
+        self, span: TraceColumns, hashes: np.ndarray, all_ml: bool,
         decisions: np.ndarray, scores: np.ndarray, latencies: np.ndarray, bypass: np.ndarray,
         aggregates: dict[str, list[np.ndarray]],
     ) -> None:
@@ -436,9 +442,10 @@ class TaurusPipeline:
         Each stage runs once over the span: the flow registers on all of
         its rows (appending their aggregates to ``aggregates``), the block
         on its ML rows.  ``hashes`` and the four outputs are the span's
-        slices of the call's arrays, filled in place (``decisions``,
-        ``scores`` and ``latencies`` arrive at forward, NaN and the base
-        latency).
+        slices of the call's arrays, filled in place (``decisions`` arrives
+        at forward; ``scores`` and ``latencies`` at NaN and the base
+        latency, or unfilled when ``all_ml`` says every row is an ML row,
+        as the call found it: then the block writes every row of both).
 
         Checked on every call against what the pipeline holds: only a
         postprocess table reads ``ml_bypass`` / ``ml_score`` or overrides
@@ -448,7 +455,6 @@ class TaurusPipeline:
         batch = self.parser.parse_batch(span.headers, span.payload_len)
         urgent = span.header("urgent_flag") != 0
         post = self.postprocess_tables
-        all_ml = self.block is not None and self.bypass_predicate_batch is _never_bypass_batch
         direct = (
             all_ml and not self.preprocess_tables and not post
             and span.features is not None and span.has_features.all()

@@ -102,19 +102,16 @@ class RegisterArray:
     def index_of(self, key: tuple) -> int:
         return _fnv1a(key) % self.size
 
-    def read(self, key: tuple) -> int:
-        return int(self.values[self.index_of(key)])
-
-    def add(self, key: tuple, amount: int = 1) -> int:
-        """Saturating add; returns the new value."""
-        idx = self.index_of(key)
+    def add_at(self, idx: int, amount: int = 1) -> int:
+        """Saturating add at slot ``idx`` (a key's :meth:`index_of`);
+        returns the new value."""
         self.values[idx] = min(self.values[idx] + amount, self.max_value)
         if self._dirty is not None:
             self._dirty[idx] = True
         return int(self.values[idx])
 
-    def write(self, key: tuple, value: int) -> None:
-        idx = self.index_of(key)
+    def write_at(self, idx: int, value: int) -> None:
+        """Saturating write at slot ``idx`` (a key's :meth:`index_of`)."""
         self.values[idx] = min(int(value), self.max_value)
         if self._dirty is not None:
             self._dirty[idx] = True
@@ -164,12 +161,14 @@ class FlowFeatureAccumulator:
     def update(self, five_tuple: tuple, size_bytes: int, urgent: bool, now_s: float) -> dict:
         """Apply one packet; returns the flow's current aggregates."""
         now_ms = int(now_s * 1e3)
-        if self.packet_count.read(five_tuple) == 0:
-            self.first_seen_ms.write(five_tuple, now_ms)
-        pkts = self.packet_count.add(five_tuple)
-        size = self.byte_count.add(five_tuple, size_bytes)
-        urg = self.urgent_count.add(five_tuple, 1 if urgent else 0)
-        duration_ms = now_ms - self.first_seen_ms.read(five_tuple)
+        # All four arrays share the slot count, hence the slot: hash once.
+        slot = self.packet_count.index_of(five_tuple)
+        if self.packet_count.values[slot] == 0:
+            self.first_seen_ms.write_at(slot, now_ms)
+        pkts = self.packet_count.add_at(slot)
+        size = self.byte_count.add_at(slot, size_bytes)
+        urg = self.urgent_count.add_at(slot, 1 if urgent else 0)
+        duration_ms = now_ms - int(self.first_seen_ms.values[slot])
         return {
             "flow_pkts": pkts,
             "flow_bytes": size,

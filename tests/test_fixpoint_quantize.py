@@ -1,5 +1,8 @@
 """Tests for post-training quantization (the Table 3 machinery)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -94,35 +97,42 @@ class TestRoundingShift:
         positive, zero and negative shifts side by side in one call —
         on the float accumulator the kernel uses and the integer one —
         and against each shift alone, the uniform form ``FixTensor``
-        arithmetic passes (``frac_bits``)."""
+        arithmetic passes (``frac_bits``).  A float accumulator comes back
+        as intp (the cast is the truncation), an integer one in its dtype."""
         peak = 64 * 128 * 128
         values = np.arange(-peak, peak + 1, dtype=np.int32)
+        domain = np.arange(-128, 128)  # a fix8 table that returns its raw value
+        out_dtype = np.intp if dtype is np.float64 else dtype
         for block in np.array_split(values, 8):
             acc = np.repeat(block[:, None], len(self.SHIFTS), axis=1)
             expected = _rounding_shift_per_column(acc, self.SHIFTS)
             got = _rounding_shift(acc.astype(dtype), self.SHIFTS)
-            assert got.dtype == dtype
+            assert got.dtype == out_dtype
             assert np.array_equal(got, expected)
+            # The kernels never saturate an index: ``take(..., mode="clip")``
+            # of the unsaturated one is the saturated value's entry.
+            index = got + 128
+            assert np.array_equal(domain.take(index, mode="clip"), np.clip(expected, -128, 127))
             for j, shift in enumerate(self.SHIFTS):
                 uniform = _rounding_shift(block.astype(dtype), int(shift))
-                assert uniform.dtype == dtype
+                assert uniform.dtype == out_dtype
                 assert np.array_equal(uniform, expected[:, j])
 
     def test_float_path_equals_integer_path_on_ties_and_zeros(self):
         """Exact ties ``±(k + ½)·2^s`` and their neighbours, 0 and −0.0, at
         every shift from −3 to 12: the float path (scale, add a signed half,
-        truncate) equals the integer path, and keeps the sign of zero that
-        ``copysign(floor(|acc|·2^-s + ½), acc)`` gives."""
+        truncate in the cast) equals the integer path and
+        ``copysign(floor(|acc|·2^-s + ½), acc)``."""
         k = np.arange(200, dtype=np.int64)
         for shift in map(int, self.SHIFTS):
             ties = (2 * k + 1) << (shift - 1) if shift > 0 else k
             ints = np.concatenate([ties, -ties, ties + 1, -ties - 1, [0, 0]])
             floats = ints.astype(np.float64)
             floats[-1] = -0.0
-            sign_kept = np.copysign(np.floor(np.abs(floats) * 2.0**-shift + 0.5), floats)
+            half_away = np.copysign(np.floor(np.abs(floats) * 2.0**-shift + 0.5), floats)
             got = _rounding_shift(floats.copy(), shift)
             assert np.array_equal(got, _rounding_shift(ints, shift)), shift
-            assert got.tobytes() == sign_kept.tobytes(), shift
+            assert np.array_equal(got, half_away), shift
         # An accumulator that already carries the factor is the same shift.
         acc = np.repeat(np.arange(-4096.0, 4097.0)[:, None], len(self.SHIFTS), axis=1)
         factor = np.ldexp(1.0, -self.SHIFTS)
@@ -139,8 +149,28 @@ class TestRoundingShift:
             bias=FixTensor.from_float([0.5], fmt),
             activation="linear", in_fmt=fmt, act_fmt=fmt,
         )
-        assert layer.mac_raw(fmt.quantize([[1.0, 0.5]])).dtype == np.int64
+        assert layer._w.dtype == np.int64
+        assert layer.mac_raw(fmt.quantize([[1.0, 0.5]]).T).tolist() == [[1 << 28]]
         assert layer(np.array([1.0, 0.5]))[0, 0] == 1.0
+
+
+class TestPickle:
+    def test_mac_operands_are_rebuilt_on_load(self, quantized_dnn):
+        """A pickle carries a layer's stored fields, not the operands its
+        class derives from them: a layer loaded under other code runs that
+        code's operands.  Every derived array is corrupted before the
+        round trip; the loaded layer must still equal a fresh build."""
+        layer = copy.deepcopy(quantized_dnn.layers[0])
+        x = np.random.default_rng(0).uniform(-2, 2, size=(64, layer.w_raw.shape[1]))
+        fresh = layer(x)
+        derived = [value for name, value in vars(layer).items()
+                   if name.startswith("_") and isinstance(value, np.ndarray)]
+        assert derived
+        for value in derived:
+            value[...] = 0
+        loaded = pickle.loads(pickle.dumps(layer))
+        assert np.array_equal(loaded(x), fresh)
+        assert np.array_equal(pickle.loads(pickle.dumps(quantized_dnn))(x), quantized_dnn(x))
 
 
 class TestMacRawOffset:
@@ -160,8 +190,8 @@ class TestMacRawOffset:
         for model in models:
             for layer in model.layers:
                 fmt, width = layer.in_fmt, layer.w_raw.shape[1]
-                x_raw = rng.integers(fmt.raw_min, fmt.raw_max, size=(64, width), endpoint=True)
-                x_raw[:2] = [[fmt.raw_min], [fmt.raw_max]]
+                x_raw = rng.integers(fmt.raw_min, fmt.raw_max, size=(width, 64), endpoint=True)
+                x_raw[:, :2] = [fmt.raw_min, fmt.raw_max]
                 plain = layer.mac_raw(x_raw)
                 for offset in (layer.act_fmt.raw_min, layer.act_fmt.raw_max, 0, 37):
                     shifted = layer.mac_raw(x_raw, offset)

@@ -206,7 +206,7 @@ def test_run_batch_split_equals_one_shot(quantized_dnn, app):
         (dnn_app, lstm_app) if app == "anomaly-dnn" else (lstm_app, dnn_app)
     )
     rng = np.random.default_rng(17)
-    rows = 500  # crosses the LSTM kernel's row tiles
+    rows = 500  # crosses the LSTM kernel's tiles
     feats = rng.normal(0.0, 1.5, size=(rows, width))
     warmup = rng.normal(0.0, 1.5, size=(5, other_width))
     cuts = (1, 64, 166, 333, 499)

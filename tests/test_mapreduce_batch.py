@@ -7,6 +7,9 @@ once (after the last temporal iteration), and input features reach node
 callables as read-only views.
 """
 
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,19 +237,39 @@ def quantized_models(draw):
     return QuantizedModel(layers)
 
 
-def feature_rows(width, fmt):
+def feature_rows(width, fmt, units):
     """Rows mixing ordinary values, non-finite / huge ones, and the
-    half-ulp points where ``in_fmt.quantize`` rounds to even."""
-    special = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0])
+    half-ulp points where ``in_fmt.quantize`` rounds to even.
+
+    Batches of 0-6 drawn rows, or of ``u - 1``, ``u`` or ``u + 1`` rows for
+    each width ``u`` in ``units`` and a few hundred rows (the drawn rows
+    spread over seeded random ones): a feature-major kernel that mixes up
+    ``(B, units)`` and ``(units, B)``, or broadcasts a bias along the wrong
+    axis, cannot hide behind a batch that is tiny or square."""
+    special = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]
     half_ulp = st.integers(fmt.raw_min - 2, fmt.raw_max + 2).map(
         lambda k: (k + 0.5) / fmt.scale
     )
-    value = st.one_of(
-        st.floats(-2 * fmt.max_value - 1, 2 * fmt.max_value + 1), special, half_ulp
-    )
+    bound = 2 * fmt.max_value + 1
+    value = st.one_of(st.floats(-bound, bound), st.sampled_from(special), half_ulp)
     row = st.lists(value, min_size=width, max_size=width)
-    return st.lists(row, min_size=0, max_size=6).map(
+    drawn = st.lists(row, min_size=0, max_size=6).map(
         lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    )
+
+    def spread(rows, n, seed):
+        rng = np.random.default_rng(seed)
+        out = rng.uniform(-bound, bound, size=(n, width))
+        on_grid = rng.random(n) < 0.5
+        out[on_grid] = fmt.roundtrip(out[on_grid])
+        odd = rng.random(out.shape) < 0.02
+        out[odd] = rng.choice(special, size=int(odd.sum()))
+        out[rng.choice(n, size=min(n, len(rows)), replace=False)] = rows[:n]
+        return out
+
+    sizes = sorted({u + d for u in units for d in (-1, 0, 1) if u + d > 0} | {200, 333})
+    return st.one_of(
+        drawn, st.builds(spread, drawn, st.sampled_from(sizes), st.integers(0, 2**32 - 1))
     )
 
 
@@ -261,8 +284,10 @@ class TestKernelProperty:
         exact = data.draw(st.booleans())
         graph = dnn_graph(model, exact_activations=exact)
         first = model.layers[0]
-        feats = data.draw(feature_rows(first.w_raw.shape[1], first.in_fmt))
-        assert_kernel_matches_reference(graph, feats)
+        units = [layer.w_raw.shape[0] for layer in model.layers]
+        feats = data.draw(feature_rows(first.w_raw.shape[1], first.in_fmt, units))
+        # Every row is checked against the interpreter; a sample one by one.
+        assert_kernel_matches_reference(graph, feats, range(0, len(feats), 1 + len(feats) // 8))
         if exact and len(feats):  # and with the model it was lowered from
             assert np.array_equal(graph.execute_batch(feats), model(feats))
 
@@ -346,8 +371,8 @@ def _lstm_rows(rng, batch, width, fmt):
 
 
 def _tile_rows(dim, hidden):
-    """The compiled recurrence's row tile, from its private work bound
-    (the gate matmul's left operand is ``[x_t, h, 1]``)."""
+    """The compiled recurrence's tile (packets per gate matmul), from its
+    private work bound (the matmul is ``(4H, D+H+1) @ (D+H+1, tile)``)."""
     return max(1, frontend._SERIAL_GEMM_WORK // ((dim + hidden + 1) * 4 * hidden))
 
 
@@ -459,8 +484,9 @@ class TestLstmKernelAccumulators:
         real = np.matmul
 
         def spy(a, b, **kwargs):
-            # A Fortran-order weight makes OpenBLAS thread this small gemm.
-            assert b.flags.c_contiguous
+            # A Fortran-order weight makes OpenBLAS thread this small gemm;
+            # the weight is the left operand, the right a column tile.
+            assert a.flags.c_contiguous
             accumulators.append(kwargs["out"].dtype)
             return real(a, b, **kwargs)
 
@@ -822,3 +848,57 @@ class TestOpsBatchSemantics:
         for name, op in REDUCE_OPS.items():
             rows = np.stack([np.asarray(op.fn(row)) for row in v])
             assert np.array_equal(np.asarray(op.fn(v)), rows), name
+
+
+# ----------------------------------------------------------------------
+# The shipped kernels stay on the calling thread
+# ----------------------------------------------------------------------
+TASKS = Path("/proc/self/task")
+
+
+def _native_thread_ticks() -> int:
+    """CPU ticks (user + system) of this process's threads that Python did
+    not start: OpenBLAS's helper threads (they share the process's name, so
+    ``comm`` cannot pick them out), busy when a gemm is big enough to wake
+    them (or its weight operand is in Fortran order).  Python threads —
+    the caller, and any pool or service thread an earlier test left
+    running — are not counted."""
+    python_threads, ticks = {t.native_id for t in threading.enumerate()}, 0
+    for stat in TASKS.glob("*/stat"):
+        if int(stat.parent.name) not in python_threads:
+            try:
+                fields = stat.read_text().rpartition(")")[2].split()
+            except FileNotFoundError:  # the thread exited meanwhile
+                continue
+            ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks
+
+
+@pytest.mark.skipif(not TASKS.is_dir(), reason="needs /proc/self/task")
+class TestKernelsStayOnTheCallingThread:
+    """A kernel call at its largest shipped block pass — the anomaly DNN at
+    one whole span, 8,192 rows, and the Indigo LSTM at 512 — leaves no
+    CPU time on any other thread: no BLAS call of it is threaded."""
+
+    @staticmethod
+    def _assert_serial(graph, feats, calls=10):
+        graph.execute_batch(feats)  # warm: first-call allocations
+        before = _native_thread_ticks()
+        for __ in range(calls):
+            graph.execute_batch(feats)
+        assert _native_thread_ticks() == before
+
+    def test_dnn_at_one_span(self, quantized_dnn, train_test_split):
+        from repro.pisa.pipeline import DEFAULT_TRACE_CHUNK
+
+        train, __ = train_test_split
+        feats = np.resize(dnn_feature_matrix(train), (DEFAULT_TRACE_CHUNK, 6))
+        graph = dnn_graph(quantized_dnn, exact_activations=True)
+        assert graph.kernel is not None
+        self._assert_serial(graph, feats)
+
+    def test_lstm_at_512_rows(self):
+        seqs, __ = generate_congestion_traces(512, seed=4)
+        graph = lstm_graph(indigo_lstm(seed=0), window_steps=seqs.shape[1])
+        assert graph.kernel is not None and len(seqs) == 512
+        self._assert_serial(graph, seqs.reshape(len(seqs), -1))

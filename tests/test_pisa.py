@@ -615,25 +615,25 @@ class TestMAT:
 class TestRegisters:
     def test_saturating_add(self):
         reg = RegisterArray(size=8, width_bits=4)
-        key = (1, 2, 3, 4, 5)
+        slot = reg.index_of((1, 2, 3, 4, 5))
         for __ in range(100):
-            reg.add(key)
-        assert reg.read(key) == 15  # saturates at 2^4 - 1
+            reg.add_at(slot)
+        assert reg.values[slot] == 15  # saturates at 2^4 - 1
 
     def test_add_saturates_exactly_at_width(self):
         """One big add clips to 2^width_bits - 1, not a wrapped value."""
         reg = RegisterArray(size=4, width_bits=8)
-        key = (9, 9, 9, 9, 9)
-        assert reg.add(key, amount=1_000_000) == 255
-        assert reg.add(key, amount=1) == 255  # stays pinned at the ceiling
+        slot = reg.index_of((9, 9, 9, 9, 9))
+        assert reg.add_at(slot, amount=1_000_000) == 255
+        assert reg.add_at(slot, amount=1) == 255  # stays pinned at the ceiling
 
     def test_write_saturates_at_width(self):
         reg = RegisterArray(size=4, width_bits=16)
-        key = (1, 1, 1, 1, 1)
-        reg.write(key, 1 << 40)
-        assert reg.read(key) == (1 << 16) - 1
-        reg.write(key, 123)
-        assert reg.read(key) == 123
+        slot = reg.index_of((1, 1, 1, 1, 1))
+        reg.write_at(slot, 1 << 40)
+        assert reg.values[slot] == (1 << 16) - 1
+        reg.write_at(slot, 123)
+        assert reg.values[slot] == 123
 
     def test_deterministic_indexing(self):
         reg = RegisterArray(size=1024)
@@ -650,6 +650,29 @@ class TestRegisters:
         assert second["flow_bytes"] == 300
         assert second["flow_urgent"] == 1
         assert second["flow_duration_ms"] == 500
+
+    def test_update_hashes_each_packet_once(self, monkeypatch):
+        """The per-packet oracle finds the flow's slot once, not once per
+        register read, add or write; saturation and dirty marking hold."""
+        from repro.pisa import registers
+
+        calls = []
+
+        def counting(key):
+            calls.append(key)
+            return real(key)
+
+        real = registers._fnv1a
+        monkeypatch.setattr(registers, "_fnv1a", counting)
+        acc = FlowFeatureAccumulator(slots=64)
+        acc.urgent_count.width_bits = 1
+        key = (1, 2, 3, 4, 6)
+        for step in range(3):
+            out = acc.update(key, size_bytes=100, urgent=True, now_s=1.0 + step)
+        assert len(calls) == 3
+        assert out == {"flow_pkts": 3, "flow_bytes": 300, "flow_urgent": 1,
+                       "flow_duration_ms": 2000}
+        assert acc.take_dirty().tolist() == [real(key) % 64]
 
     def test_collisions_possible_with_small_array(self):
         reg = RegisterArray(size=2)
