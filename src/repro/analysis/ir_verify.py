@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..fixpoint import FIX8, FixedPointFormat
+from ..fixpoint import FIX8
 from ..mapreduce.ir import RESERVED_STATE_KEYS, DataflowGraph, Node
 from ..mapreduce.ops import REDUCE_OPS
 from .diagnostics import Diagnostic, Severity
@@ -58,22 +58,18 @@ _DRIFT_GRID_BITS = 12
 # ======================================================================
 # Public API
 # ======================================================================
-def verify_graph(
-    graph: DataflowGraph,
-    fmt: FixedPointFormat = FIX8,
-    probe: bool = True,
-) -> list[Diagnostic]:
+def verify_graph(graph: DataflowGraph, probe: bool = True) -> list[Diagnostic]:
     """Statically verify one dataflow graph; returns all findings.
 
-    ``probe`` enables the concrete 3-row execution probe (skipped
-    automatically while structural or shape errors make execution
-    meaningless).
+    ``probe`` enables the concrete 3-row execution probe on fix8 inputs
+    (skipped automatically while structural or shape errors make
+    execution meaningless).
     """
     diags = _check_structure(graph)
     widths: dict[int, int | None] = {}
     diags += _check_shapes(graph, widths)
     if probe and not any(d.severity >= Severity.ERROR for d in diags):
-        diags += _probe(graph, widths, fmt)
+        diags += _probe(graph, widths)
     return diags
 
 
@@ -274,11 +270,7 @@ def _has_no_semantics(node: Node) -> bool:
 _PROBE_ROWS = 3
 
 
-def _probe(
-    graph: DataflowGraph,
-    widths: dict[int, int | None],
-    fmt: FixedPointFormat,
-) -> list[Diagnostic]:
+def _probe(graph: DataflowGraph, widths: dict[int, int | None]) -> list[Diagnostic]:
     """Execute a seeded 3-row batch under an observer and cross-check."""
     diags: list[Diagnostic] = []
     src = graph.name
@@ -289,7 +281,7 @@ def _probe(
 
     rng = np.random.default_rng(0)
     features = np.zeros((_PROBE_ROWS, dim))
-    features[1:] = fmt.roundtrip(rng.uniform(-2.0, 2.0, size=(2, dim)))
+    features[1:] = FIX8.roundtrip(rng.uniform(-2.0, 2.0, size=(2, dim)))
 
     seen: set[tuple[str, int]] = set()
 
@@ -319,7 +311,7 @@ def _probe(
 
     try:
         batch_out = graph.execute_batch(features, state={}, observer=observer)
-        differing = _kernel_divergence(graph, dim, fmt) if graph.kernel is not None else []
+        differing = _kernel_divergence(graph, dim) if graph.kernel is not None else []
     except Exception as exc:  # noqa: BLE001 - any failure is the finding
         diags.append(Diagnostic(
             "ir-probe-failure", Severity.ERROR,
@@ -356,16 +348,16 @@ def _probe(
 _KERNEL_PROBE_ROWS = 503
 
 
-def _kernel_divergence(graph: DataflowGraph, dim: int, fmt: FixedPointFormat) -> list[str]:
+def _kernel_divergence(graph: DataflowGraph, dim: int) -> list[str]:
     """Where a compiled kernel and its nodes differ: the output, state keys
     (an output can hide a wrong intermediate: one raw unit of error in the
     LSTM's ``h`` rarely moves its argmax).  Seeded rows: on / off grid, at
-    and beyond ``fmt``'s limits, NaN, +/-inf."""
+    and beyond fix8's limits, NaN, +/-inf."""
     rng = np.random.default_rng(1)
-    edges = np.array([fmt.min_value, fmt.max_value, np.nan, np.inf, -np.inf, 0.0])
+    edges = np.array([FIX8.min_value, FIX8.max_value, np.nan, np.inf, -np.inf, 0.0])
     edges = np.append(edges, 4 * edges[:2])
     features = rng.uniform(-2.0, 2.0, size=(_KERNEL_PROBE_ROWS, dim))
-    features[::2] = fmt.roundtrip(features[::2])
+    features[::2] = FIX8.roundtrip(features[::2])
     features[: edges.size] = edges[:, None]
     scattered = rng.random(features.shape) < 0.05
     features[scattered] = rng.choice(edges, size=int(scattered.sum()))

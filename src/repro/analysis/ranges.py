@@ -82,9 +82,6 @@ class Interval:
         """Smallest interval containing both (the lattice join)."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= value <= self.hi + slack
-
     @property
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
@@ -113,17 +110,6 @@ class RangeReport:
     state: dict[str, Interval]
     diagnostics: list[Diagnostic]
     passes: int
-    #: Node id -> node name, for every node of the graph.
-    names: dict[int, str]
-
-    def interval_of(self, name: str) -> Interval:
-        """Proven interval of the (unique) node with this name."""
-        matches = [
-            iv for nid, iv in self.intervals.items() if self.names.get(nid) == name
-        ]
-        if len(matches) != 1:
-            raise KeyError(f"{len(matches)} nodes named {name!r}")
-        return matches[0]
 
 
 # ======================================================================
@@ -132,15 +118,8 @@ class RangeReport:
 class _Ctx:
     """Per-pass analysis state handed to transfer functions."""
 
-    def __init__(
-        self,
-        graph: DataflowGraph,
-        fmt: FixedPointFormat,
-        state: dict[str, Interval],
-        emit: bool,
-    ) -> None:
+    def __init__(self, graph: DataflowGraph, state: dict[str, Interval], emit: bool) -> None:
         self.graph = graph
-        self.fmt = fmt
         self.state = state
         self._emit = emit
         self.diagnostics: list[Diagnostic] = []
@@ -213,7 +192,7 @@ def _t_identity(ctx: _Ctx, node: Node, args: list[Interval]) -> Interval:
 
 @_transfer("roundtrip")
 def _t_roundtrip(ctx: _Ctx, node: Node, args: list[Interval]) -> Interval:
-    fmt = _payload(node).get("fmt", ctx.fmt)
+    fmt = _payload(node).get("fmt", FIX8)
     iv = _arg(args)
     _saturation_check(ctx, node, iv, fmt)
     return _rt_interval(iv, fmt)
@@ -520,12 +499,11 @@ def _write_interval(
 def _propagate(
     graph: DataflowGraph,
     order: list[Node],
-    fmt: FixedPointFormat,
     state: dict[str, Interval],
     emit: bool,
 ) -> tuple[dict[int, Interval], dict[str, Interval], _Ctx]:
     """One abstract pass; returns node intervals + per-key write bounds."""
-    ctx = _Ctx(graph, fmt, state, emit)
+    ctx = _Ctx(graph, state, emit)
     intervals: dict[int, Interval] = {}
     writes: dict[str, Interval] = {}
     for node in order:
@@ -542,11 +520,11 @@ def _propagate(
     return intervals, writes, ctx
 
 
-def analyze_ranges(graph: DataflowGraph, fmt: FixedPointFormat = FIX8) -> RangeReport:
+def analyze_ranges(graph: DataflowGraph) -> RangeReport:
     """Run the abstract interpreter over one graph.
 
-    ``fmt`` is the datapath format assumed at roundtrip points that do
-    not name their own (``payload["fmt"]``).
+    A roundtrip point that names no format of its own (``payload["fmt"]``)
+    assumes the fix8 datapath.
     """
     order = graph.topo_order()
     state_keys = set()
@@ -558,7 +536,7 @@ def analyze_ranges(graph: DataflowGraph, fmt: FixedPointFormat = FIX8) -> RangeR
     limit = max(graph.temporal_iterations, 1)
     while True:
         passes += 1
-        _, writes, _ = _propagate(graph, order, fmt, state, emit=False)
+        _, writes, _ = _propagate(graph, order, state, emit=False)
         merged = {
             key: state[key].join(writes.get(key, state[key]))
             for key in state
@@ -579,13 +557,12 @@ def analyze_ranges(graph: DataflowGraph, fmt: FixedPointFormat = FIX8) -> RangeR
     # The fixed-point state over-approximates every iteration's state and
     # all transfers are inclusion-monotone, so one final emitting pass
     # yields intervals sound for the whole temporal execution.
-    intervals, __, ctx = _propagate(graph, order, fmt, state, emit=True)
+    intervals, __, ctx = _propagate(graph, order, state, emit=True)
     return RangeReport(
         graph=graph.name,
         intervals=intervals,
         state=state,
         diagnostics=ctx.diagnostics,
         passes=passes,
-        names={n.node_id: n.name for n in order},
     )
 

@@ -27,19 +27,10 @@ from ..datasets.nslkdd import DNN_FEATURES
 __all__ = ["AnomalyDetector", "train_anomaly_dnn"]
 
 
-def train_anomaly_dnn(
-    dataset: ConnectionDataset,
-    epochs: int = 25,
-    batch_size: int = 64,
-    lr: float = 0.05,
-    seed: int = 0,
-) -> DNN:
+def train_anomaly_dnn(dataset: ConnectionDataset, epochs: int = 25, seed: int = 0) -> DNN:
     """Train the 6-feature, 12/6/3-hidden anomaly DNN."""
     model = anomaly_detection_dnn(seed=seed)
-    model.fit(
-        dnn_feature_matrix(dataset), dataset.labels,
-        epochs=epochs, batch_size=batch_size, lr=lr,
-    )
+    model.fit(dnn_feature_matrix(dataset), dataset.labels, epochs=epochs, batch_size=64, lr=0.05)
     return model
 
 
@@ -59,32 +50,24 @@ class AnomalyDetector:
 
     @classmethod
     def from_dataset(
-        cls,
-        dataset: ConnectionDataset | None = None,
-        n_connections: int = 8000,
-        threshold: float = 0.5,
-        epochs: int = 25,
-        seed: int = 0,
+        cls, n_connections: int = 8000, epochs: int = 25, seed: int = 0
     ) -> "AnomalyDetector":
         """Train, quantize, lower, and deploy in one step."""
-        dataset = dataset or generate_connections(n_connections, seed=seed)
+        dataset = generate_connections(n_connections, seed=seed)
         dnn = train_anomaly_dnn(dataset, epochs=epochs, seed=seed)
         features = dnn_feature_matrix(dataset)
         quantized = quantize_model(dnn, features[: min(512, len(features))])
         block = MapReduceBlock(dnn_graph(quantized, name="anomaly_dnn"))
         # Matched scalar + vectorized hooks keep batched trace runs on the
         # fast path without risking decision drift between the two.
-        scalar_post, batch_post = threshold_postprocess(threshold)
+        scalar_post, batch_post = threshold_postprocess(cls.threshold)
         pipeline = TaurusPipeline(
             block=block,
             feature_names=DNN_FEATURES,
             postprocess=scalar_post,
             postprocess_batch=batch_post,
         )
-        return cls(
-            dnn=dnn, quantized=quantized, block=block,
-            pipeline=pipeline, threshold=threshold,
-        )
+        return cls(dnn=dnn, quantized=quantized, block=block, pipeline=pipeline)
 
     # ------------------------------------------------------------------
     # Offline scoring
@@ -102,15 +85,6 @@ class AnomalyDetector:
             "detection_float": detection_rate(dataset.labels, float_pred),
             "detection_fix8": detection_rate(dataset.labels, quant_pred),
         }
-
-    # ------------------------------------------------------------------
-    # Weight updates (control plane -> data plane, Section 5.2.3)
-    # ------------------------------------------------------------------
-    def install_weights(self, dnn: DNN, calibration: np.ndarray) -> None:
-        """Re-quantize a newly trained model and swap it into the fabric."""
-        self.dnn = dnn
-        self.quantized = quantize_model(dnn, calibration)
-        self.block.reconfigure(dnn_graph(self.quantized, name="anomaly_dnn"))
 
     @property
     def added_latency_ns(self) -> float:

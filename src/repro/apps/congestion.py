@@ -35,14 +35,10 @@ class CongestionController:
 
     @classmethod
     def train(
-        cls,
-        n_sequences: int = 1500,
-        epochs: int = 12,
-        seed: int = 0,
-        config: CongestionTraceConfig | None = None,
+        cls, n_sequences: int = 1500, epochs: int = 12, seed: int = 0
     ) -> tuple["CongestionController", float]:
         """Imitation-train on oracle-labeled traces; returns (app, accuracy)."""
-        config = config or CongestionTraceConfig()
+        config = CongestionTraceConfig()
         sequences, actions = generate_congestion_traces(n_sequences, config, seed=seed)
         cut = int(0.8 * len(sequences))
         model = indigo_lstm(input_size=sequences.shape[-1], n_actions=len(ACTIONS), seed=seed)
@@ -60,11 +56,6 @@ class CongestionController:
         flat = np.asarray(window, dtype=np.float64).reshape(-1)
         result = self.block.process(flat)
         return ACTIONS[int(np.atleast_1d(result.value)[0])]
-
-    @property
-    def decision_interval_ns(self) -> float:
-        """Time between decisions on the fabric (latency-bound)."""
-        return self.block.latency_ns
 
 
 def closed_loop_metrics(

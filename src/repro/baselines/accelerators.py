@@ -54,11 +54,6 @@ class AcceleratorModel:
         """Amortized per-sample latency (the batching win)."""
         return self.latency_ms(batch_size) / batch_size
 
-    def first_item_latency_ms(self, batch_size: int) -> float:
-        """Latency seen by the batch's first element — it "must wait for
-        the entire batch to finish" (Section 5.2.2)."""
-        return self.latency_ms(batch_size)
-
 
 #: Calibrated so latency_ms(1) matches Table 2.
 CPU_XEON = AcceleratorModel(

@@ -40,16 +40,15 @@ class MatCost:
     model: str
     n_mats: int
 
-    def area_mm2(self, chip: SwitchChipParams | None = None) -> float:
-        chip = chip or SwitchChipParams()
-        return self.n_mats * chip.mat_area_mm2
+    def area_mm2(self) -> float:
+        return self.n_mats * SwitchChipParams().mat_area_mm2
 
 
-def n2net_mat_cost(n_layers: int, mats_per_layer: int = 12) -> MatCost:
+def n2net_mat_cost(n_layers: int) -> MatCost:
     """N2Net: "requires at least 12 MATs per layer"."""
     if n_layers <= 0:
         raise ValueError("n_layers must be positive")
-    return MatCost("N2Net", f"BNN-{n_layers}L", n_layers * mats_per_layer)
+    return MatCost("N2Net", f"BNN-{n_layers}L", n_layers * 12)
 
 
 def iisy_mat_cost(model: str) -> MatCost:
@@ -60,10 +59,9 @@ def iisy_mat_cost(model: str) -> MatCost:
     return MatCost("IIsy", model, budgets[model])
 
 
-def taurus_iso_area_mats(chip: SwitchChipParams | None = None) -> float:
+def taurus_iso_area_mats() -> float:
     """MAT-equivalents of one MapReduce block ("3 MATs per pipeline")."""
-    chip = chip or SwitchChipParams()
-    return grid_area_mm2() / chip.mat_area_mm2
+    return grid_area_mm2() / SwitchChipParams().mat_area_mm2
 
 
 class BinarizedDNN:
@@ -102,13 +100,6 @@ class BinarizedDNN:
                 best_f1, best_thr = f1, float(thr)
         self.decision_threshold = best_thr
         return best_f1
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.signs)
-
-    def mat_cost(self) -> MatCost:
-        return n2net_mat_cost(self.n_layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Binary forward pass: inputs binarized by sign at each layer."""

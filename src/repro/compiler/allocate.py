@@ -27,14 +27,11 @@ from ..hw.params import (
 from ..mapreduce.ir import DataflowGraph, Node
 from ..mapreduce.ops import reduce_tree_depth
 
-__all__ = ["NodeCost", "node_cost", "graph_resources", "GraphResources", "mu_capacity_values"]
+__all__ = ["NodeCost", "node_cost", "graph_resources", "GraphResources"]
 
 
-def mu_capacity_values(
-    banks: int = DEFAULT_MU_BANKS, entries: int = DEFAULT_MU_ENTRIES
-) -> int:
-    """Weight values one MU can hold at datapath width."""
-    return banks * entries
+#: Weight values one MU can hold at datapath width.
+_MU_CAPACITY_VALUES = DEFAULT_MU_BANKS * DEFAULT_MU_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,11 @@ def node_cost(node: Node, geometry: CUGeometry = DEFAULT_CU_GEOMETRY) -> NodeCos
         # larger weight sets occupy MUs and pay the access + hop cost.
         if node.weight_values <= geometry.n_fus:
             return NodeCost(0, 0, 0, 0)
-        n_mu = math.ceil(node.weight_values / mu_capacity_values())
+        n_mu = math.ceil(node.weight_values / _MU_CAPACITY_VALUES)
         return NodeCost(0, max(n_mu, 1), MU_ACCESS_CYCLES, 1)
 
     if node.kind == "lut":
-        n_mu = max(1, math.ceil(node.weight_values / mu_capacity_values()))
+        n_mu = max(1, math.ceil(node.weight_values / _MU_CAPACITY_VALUES))
         return NodeCost(0, n_mu, MU_ACCESS_CYCLES, 1)
 
     if node.kind in ("dot", "mapreduce"):
@@ -133,9 +130,6 @@ class GraphResources:
     n_cu: int
     n_mu: int
     per_node: dict
-
-    def fits(self, cu_budget: int, mu_budget: int) -> bool:
-        return self.n_cu <= cu_budget and self.n_mu <= mu_budget
 
 
 def graph_resources(

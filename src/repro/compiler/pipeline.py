@@ -42,28 +42,26 @@ __all__ = [
 
 
 class BudgetError(ValueError):
-    """A graph's resource demand exceeds the grid budget.
+    """A graph's weights need more MUs than the grid has.
 
-    Raised by :func:`compile_graph` symmetrically for both resources —
-    always for MU overflow, and for CU overflow when folding is disabled.
-    The asymmetry in *default* behavior is physical, not accidental: CUs
-    are time-multiplexable (the compiler folds the graph, trading
-    initiation interval for area), while MU-resident weights must stay
-    loaded for every pass, so MU overflow has no fold to fall back on.
+    Raised by :func:`compile_graph`.  CU overflow never raises: CUs are
+    time-multiplexable (the compiler folds the graph, trading initiation
+    interval for area), while MU-resident weights must stay loaded for
+    every pass, so MU overflow has no fold to fall back on.
 
     Attributes mirror the message so callers can reason about the
     overflow without string parsing.  This is the repo's one budget
     check; ``repro.analysis`` does not price designs.
     """
 
-    def __init__(self, graph_name: str, resource: str, needed: int, budget: int, hint: str):
+    def __init__(self, graph_name: str, needed: int, budget: int):
         self.graph_name = graph_name
-        self.resource = resource
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"{graph_name}: needs {needed} {resource}s but the grid has "
-            f"{budget}; {hint}"
+            f"{graph_name}: needs {needed} MUs but the grid has {budget}; model "
+            "weights exceed on-chip memory and cannot be time-multiplexed "
+            "(Section 6: larger models need compression)"
         )
 
 
@@ -138,7 +136,6 @@ def compile_graph(
     geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
     cu_budget: int | None = None,
     mu_budget: int | None = None,
-    fold: bool = True,
 ) -> CompiledDesign:
     """Allocate, fold to fit, and time a dataflow graph.
 
@@ -146,34 +143,21 @@ def compile_graph(
     the grid *after* compilation); pass the grid's capacity to model
     mapping onto a fixed 12x10 block.
 
-    Overflow handling is uniform: both budgets raise :class:`BudgetError`
-    when the graph cannot be mapped.  CU overflow *can* be absorbed by
-    time-multiplexing — with ``fold=True`` (the default) the compiler
-    folds the graph by ``ceil(n_cu / cu_budget)``, multiplying the
-    initiation interval; ``fold=False`` demands a spatial fit and raises
-    instead.  MU overflow always raises: weights must stay resident
-    across every folded pass, so there is no time/area trade to make
-    (Section 6: larger models need compression).
+    CU overflow is absorbed by time-multiplexing: the compiler folds the
+    graph by ``ceil(n_cu / cu_budget)``, multiplying the initiation
+    interval.  MU overflow raises :class:`BudgetError`: weights must stay
+    resident across every folded pass, so there is no time/area trade to
+    make (Section 6: larger models need compression).
     """
     resources: GraphResources = graph_resources(graph, geometry)
     n_cu, n_mu = resources.n_cu, resources.n_mu
 
     fold_factor = 1
     if cu_budget is not None and n_cu > cu_budget:
-        if not fold:
-            raise BudgetError(
-                graph.name, "CU", n_cu, cu_budget,
-                "folding is disabled (fold=False), so the graph must fit "
-                "spatially",
-            )
         fold_factor = math.ceil(n_cu / cu_budget)
         n_cu = math.ceil(n_cu / fold_factor)
     if mu_budget is not None and n_mu > mu_budget:
-        raise BudgetError(
-            graph.name, "MU", n_mu, mu_budget,
-            "model weights exceed on-chip memory and cannot be "
-            "time-multiplexed (Section 6: larger models need compression)",
-        )
+        raise BudgetError(graph.name, n_mu, mu_budget)
 
     body, epilogue = _path_lengths(graph, geometry)
     boundary = 2 * PHV_INTERFACE_CYCLES + HOP_CYCLES

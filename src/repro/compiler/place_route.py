@@ -61,7 +61,6 @@ class GridSpec:
 class Placement:
     """Result of placing a dataflow graph on a grid."""
 
-    graph_name: str
     assignments: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     routes: list[list[tuple[int, int]]] = field(default_factory=list)
     fold_factor: int = 1
@@ -69,10 +68,6 @@ class Placement:
     @property
     def n_tiles_used(self) -> int:
         return sum(len(tiles) for tiles in self.assignments.values())
-
-    @property
-    def total_route_hops(self) -> int:
-        return sum(max(0, len(path) - 1) for path in self.routes)
 
     @property
     def max_route_hops(self) -> int:
@@ -102,7 +97,7 @@ def place_and_route(graph: DataflowGraph) -> Placement:
     ).fold_factor
 
     mesh = grid.mesh()
-    placement = Placement(graph_name=graph.name, fold_factor=fold)
+    placement = Placement(fold_factor=fold)
 
     def centroid(tiles: list[tuple[int, int]]) -> tuple[float, float]:
         if not tiles:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..hw.params import CUGeometry, DEFAULT_CU_GEOMETRY
 from ..mapreduce.ir import DataflowGraph
 from .pipeline import CompiledDesign, compile_graph
 
@@ -35,7 +34,6 @@ class UnrollPoint:
 def unroll_sweep(
     builder: Callable[[int], DataflowGraph],
     factors: Sequence[int] = (1, 2, 4, 8),
-    geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
 ) -> list[UnrollPoint]:
     """Compile ``builder(factor)`` for each factor.
 
@@ -44,7 +42,7 @@ def unroll_sweep(
     """
     points = []
     for factor in factors:
-        design = compile_graph(builder(factor), geometry)
+        design = compile_graph(builder(factor))
         points.append(
             UnrollPoint(
                 unroll=factor,

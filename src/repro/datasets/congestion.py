@@ -116,8 +116,6 @@ def congestion_packet_trace(
     n_packets: int,
     config: CongestionTraceConfig | None = None,
     seed: int = 0,
-    n_flows: int = 64,
-    offered_gbps: float = 1.0,
 ):
     """Observation windows as a packet trace for the multi-app fabric.
 
@@ -126,20 +124,19 @@ def congestion_packet_trace(
     :func:`~repro.mapreduce.frontend.lstm_graph` consumes) and its label
     is the oracle's action index — so replaying the trace through a
     congestion app scores per-packet cwnd decisions the way the anomaly
-    trace scores detections.  Packets spread over ``n_flows`` synthetic
-    five-tuples with jittered arrivals, giving the flow-consistent
-    sharder real work.
+    trace scores detections.  Packets spread over 64 synthetic five-tuples
+    with jittered arrivals at 1 Gbps, giving the flow-consistent sharder
+    real work.
     """
     from .packets import FlowSpec, PacketRecord, PacketTrace
 
     if n_packets <= 0:
         raise ValueError("n_packets must be positive")
-    if n_flows <= 0:
-        raise ValueError("n_flows must be positive")
     cfg = config or CongestionTraceConfig()
     sequences, actions = generate_congestion_traces(n_packets, cfg, seed=seed)
     features = sequences.reshape(n_packets, -1)
 
+    n_flows = 64
     rng = np.random.default_rng(seed + 0x5EED)
     five_tuples = [
         (
@@ -154,11 +151,8 @@ def congestion_packet_trace(
     flow_of = rng.integers(0, n_flows, size=n_packets)
     sizes = rng.integers(200, 1500, size=n_packets)
     # Arrivals: each packet's exponential gap is scaled by its own wire
-    # size, so the stream's realized bytes/second matches ``offered_gbps``
-    # in expectation (the recorded rate stays honest).
-    gaps = rng.exponential(1.0, size=n_packets) * (
-        sizes * 8.0 / (offered_gbps * 1e9)
-    )
+    # size, so the stream's realized rate is 1 Gbps in expectation.
+    gaps = rng.exponential(1.0, size=n_packets) * (sizes * 8.0 / 1e9)
     times = np.cumsum(gaps)
 
     seq_in_flow = np.zeros(n_flows, dtype=np.int64)
@@ -191,9 +185,4 @@ def congestion_packet_trace(
         )
         for fid in range(n_flows)
     ]
-    return PacketTrace(
-        packets=packets,
-        flows=flows,
-        duration=float(times[-1]),
-        offered_gbps=offered_gbps,
-    )
+    return PacketTrace(packets=packets, flows=flows, duration=float(times[-1]))

@@ -203,20 +203,16 @@ def _sample_class(rng: np.random.Generator, cls: str, n: int) -> np.ndarray:
     return feats
 
 
-def generate_connections(
-    n: int, anomaly_fraction: float = 0.45, seed: int = 0
-) -> ConnectionDataset:
+def generate_connections(n: int, seed: int = 0) -> ConnectionDataset:
     """Generate ``n`` connection records.
 
-    ``anomaly_fraction`` matches NSL-KDD's roughly balanced train split
+    45 % are attacks, matching NSL-KDD's roughly balanced train split
     (~46% attacks); the attack mix follows :data:`_CLASS_MIX`.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if not 0.0 <= anomaly_fraction <= 1.0:
-        raise ValueError("anomaly_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    n_attack = int(round(n * anomaly_fraction))
+    n_attack = int(round(n * 0.45))
     n_benign = n - n_attack
     blocks = [_sample_class(rng, "benign", n_benign)]
     attack_types = [np.zeros(n_benign, dtype=np.int64)]

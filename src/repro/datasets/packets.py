@@ -268,7 +268,7 @@ class PacketTrace:
     """A time-ordered packet stream plus its flow table.
 
     ``time_dilation`` > 1 means the materialized packets are a thinned
-    representative sample of the real ``offered_gbps`` stream, with
+    representative sample of the real offered stream, with
     timestamps stretched accordingly: each materialized packet stands for
     ``time_dilation`` real packets.  This lets second-scale control-plane
     dynamics run against a tractable packet count while keeping the *real*
@@ -279,7 +279,6 @@ class PacketTrace:
     packets: list[PacketRecord]
     flows: list[FlowSpec]
     duration: float
-    offered_gbps: float
     time_dilation: float = 1.0
     _columns: TraceColumns | None = field(default=None, repr=False, compare=False)
 
@@ -328,15 +327,6 @@ class PacketTrace:
             )
         return self._columns
 
-    @property
-    def anomalous_fraction(self) -> float:
-        if not self.packets:
-            return 0.0
-        return sum(p.label for p in self.packets) / len(self.packets)
-
-    def total_bytes(self) -> int:
-        return sum(p.size_bytes for p in self.packets)
-
 
 def _five_tuple(rng: np.random.Generator, protocol: int) -> tuple:
     return (
@@ -351,14 +341,18 @@ def _five_tuple(rng: np.random.Generator, protocol: int) -> tuple:
 def expand_to_packets(
     dataset: ConnectionDataset,
     feature_matrix: np.ndarray | None = None,
-    offered_gbps: float = 5.0,
-    mean_flow_packets: float = 24.0,
     seed: int = 0,
     max_packets: int | None = None,
     time_dilation: float = 1.0,
-    flow_span_fraction: float = 0.15,
 ) -> PacketTrace:
     """Expand connection records into an interleaved packet trace.
+
+    The aggregate load is 5 Gbps (the testbed sends "traffic at a fixed
+    5 Gbps"); flow sizes are geometric with a mean of 24 packets (the
+    heavy-tailed shape observed in datacenter traces); a flow's median
+    lifetime is 15 % of the trace, lognormal-spread per flow — short-lived
+    flows are what make slow control planes miss packets: a rule installed
+    after the flow ends detects nothing.
 
     Parameters
     ----------
@@ -367,27 +361,13 @@ def expand_to_packets(
     feature_matrix:
         Model-ready features aligned with ``dataset``; defaults to the
         DNN 6-feature matrix.
-    offered_gbps:
-        Aggregate load; the testbed sends "traffic at a fixed 5 Gbps".
-    mean_flow_packets:
-        Mean packets per flow (geometric flow-size distribution — the
-        heavy-tailed shape observed in datacenter traces).
     max_packets:
         Optional hard cap on emitted packets (truncates the tail).
     time_dilation:
         Stretch factor for timestamps (see :class:`PacketTrace`).
-    flow_span_fraction:
-        Median flow lifetime as a fraction of the trace duration
-        (lognormal-spread per flow).  Short-lived flows are what make slow
-        control planes miss packets: a rule installed after the flow ends
-        detects nothing.
     """
     if time_dilation < 1.0:
         raise ValueError("time_dilation must be >= 1")
-    if not 0.0 < flow_span_fraction <= 1.0:
-        raise ValueError("flow_span_fraction must be in (0, 1]")
-    if offered_gbps <= 0:
-        raise ValueError("offered_gbps must be positive")
     from .nslkdd import dnn_feature_matrix  # local import avoids cycle at import time
 
     rng = np.random.default_rng(seed)
@@ -397,7 +377,7 @@ def expand_to_packets(
 
     n_flows = len(dataset)
     # Geometric flow sizes: many mice, few elephants.
-    sizes = rng.geometric(p=1.0 / mean_flow_packets, size=n_flows)
+    sizes = rng.geometric(p=1.0 / 24.0, size=n_flows)
     src_bytes = dataset.column("src_bytes")
     protocols = dataset.column("protocol").astype(int)
 
@@ -417,7 +397,7 @@ def expand_to_packets(
         64,
         1500,
     )
-    aggregate_pps = offered_gbps * 1e9 / 8.0 / float(np.mean(mean_sizes))
+    aggregate_pps = 5.0 * 1e9 / 8.0 / float(np.mean(mean_sizes))
     duration = total_packets / aggregate_pps
 
     # Flows start uniformly over the trace (mixing); packets within a flow
@@ -441,7 +421,7 @@ def expand_to_packets(
     # Merge per-flow packet streams by arrival time with a heap.  Each
     # flow's packets spread over its own (lognormal) lifetime.
     heap: list[tuple[float, int, int]] = []  # (time, flow_id, seq)
-    spans = duration * flow_span_fraction * rng.lognormal(0.0, 0.8, size=n_flows)
+    spans = duration * 0.15 * rng.lognormal(0.0, 0.8, size=n_flows)
     gaps = {}
     for flow in flows:
         gaps[flow.flow_id] = spans[flow.flow_id] / max(flow.n_packets, 1)
@@ -490,6 +470,5 @@ def expand_to_packets(
         packets=packets,
         flows=flows,
         duration=actual_duration,
-        offered_gbps=offered_gbps,
         time_dilation=time_dilation,
     )

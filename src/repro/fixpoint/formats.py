@@ -134,10 +134,6 @@ class FixedPointFormat:
         """Convert raw integers back to float64 real values."""
         return np.asarray(raw, dtype=np.float64) / self.scale
 
-    def saturate(self, raw: np.ndarray) -> np.ndarray:
-        """Clip wide intermediate integers into the representable range."""
-        return np.clip(raw, self.raw_min, self.raw_max).astype(self.storage_dtype)
-
     def roundtrip(self, values: np.ndarray | float) -> np.ndarray:
         """Quantize then dequantize; the fixed-point view of ``values``."""
         return self.dequantize(self.quantize(values))

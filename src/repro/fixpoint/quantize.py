@@ -51,13 +51,10 @@ def choose_frac_bits(values: np.ndarray, total_bits: int) -> int:
     return max(0, frac_bits)
 
 
-def format_for_range(
-    values: np.ndarray, total_bits: int = 8, name: str | None = None
-) -> FixedPointFormat:
+def format_for_range(values: np.ndarray, total_bits: int = 8) -> FixedPointFormat:
     """Build a :class:`FixedPointFormat` calibrated to an observed range."""
     frac = choose_frac_bits(values, total_bits)
-    label = name or f"fix{total_bits}"
-    return FixedPointFormat(total_bits=total_bits, frac_bits=frac, name=label)
+    return FixedPointFormat(total_bits=total_bits, frac_bits=frac, name=f"fix{total_bits}")
 
 
 @dataclass

@@ -22,8 +22,8 @@ __all__ = ["FixTensor"]
 class FixTensor:
     """An n-dimensional fixed-point array.
 
-    Construct via :meth:`from_float` (quantizing real values) or
-    :meth:`from_raw` (adopting pre-quantized integers).
+    Construct via :meth:`from_float` (quantizing real values), or from raw
+    integers already in the format's storage dtype.
     """
 
     __slots__ = ("raw", "fmt")
@@ -47,11 +47,6 @@ class FixTensor:
     ) -> "FixTensor":
         """Quantize real values into a fixed-point tensor."""
         return cls(fmt.quantize(np.asarray(values, dtype=np.float64)), fmt)
-
-    @classmethod
-    def from_raw(cls, raw: np.ndarray, fmt: FixedPointFormat = FIX8) -> "FixTensor":
-        """Adopt already-quantized integers (saturating them first)."""
-        return cls(fmt.saturate(np.asarray(raw)), fmt)
 
     # ------------------------------------------------------------------
     # Views

@@ -53,17 +53,11 @@ def cu_area_mm2(geometry: CUGeometry = DEFAULT_CU_GEOMETRY) -> float:
     return (datapath + routing) / _UM2_PER_MM2
 
 
-def mu_area_mm2(
-    banks: int = DEFAULT_MU_BANKS,
-    entries: int = DEFAULT_MU_ENTRIES,
-    width_bits: int = 8,
-) -> float:
-    """Banked-SRAM MU area (mm^2) including its interconnect share."""
-    if banks <= 0 or entries <= 0 or width_bits <= 0:
-        raise ValueError("MU dimensions must be positive")
-    bits = banks * entries * width_bits
-    cells = bits * SRAM_BIT_CELL_UM2
-    periphery = banks * SRAM_BANK_PERIPHERY_UM2
+def mu_area_mm2() -> float:
+    """Banked-SRAM MU area (mm^2, 16 banks x 1024 x 8 bit) including its
+    interconnect share."""
+    cells = DEFAULT_MU_BANKS * DEFAULT_MU_ENTRIES * 8 * SRAM_BIT_CELL_UM2
+    periphery = DEFAULT_MU_BANKS * SRAM_BANK_PERIPHERY_UM2
     return (cells + periphery + MU_ROUTING_AREA_UM2) / _UM2_PER_MM2
 
 
@@ -80,12 +74,7 @@ def grid_composition(
     return total - n_mus, n_mus
 
 
-def grid_area_mm2(
-    rows: int = GRID_ROWS,
-    cols: int = GRID_COLS,
-    cu_to_mu_ratio: int = GRID_CU_TO_MU_RATIO,
-    geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
-) -> float:
+def grid_area_mm2() -> float:
     """Area of a full MapReduce block (paper: 4.8 mm^2 for 12x10, 3:1)."""
-    n_cus, n_mus = grid_composition(rows, cols, cu_to_mu_ratio)
-    return n_cus * cu_area_mm2(geometry) + n_mus * mu_area_mm2()
+    n_cus, n_mus = grid_composition()
+    return n_cus * cu_area_mm2() + n_mus * mu_area_mm2()

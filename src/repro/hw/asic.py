@@ -68,14 +68,11 @@ class TaurusChip:
             throughput_gpkt_s=design.throughput_gpkt_s,
         )
 
-    def added_die_area_percent(self, blocks: int | None = None) -> float:
+    def added_die_area_percent(self) -> float:
         """Total die growth with one block per pipeline (paper: 3.8%)."""
-        blocks = self.switch.n_pipelines if blocks is None else blocks
-        return 100.0 * blocks * grid_area_mm2() / self.switch.die_area_mm2
+        return 100.0 * self.switch.n_pipelines * grid_area_mm2() / self.switch.die_area_mm2
 
-    def switch_latency_overhead_percent(
-        self, design: CompiledDesign, switch_latency_ns: float = 1000.0
-    ) -> float:
+    def switch_latency_overhead_percent(self, design: CompiledDesign) -> float:
         """Added latency vs a typical 1 us datacenter switch (Section 5.1.2:
         KMeans/SVM/DNN add 6.1% / 8.3% / 22.1%)."""
-        return 100.0 * design.latency_ns / switch_latency_ns
+        return 100.0 * design.latency_ns / 1000.0

@@ -6,7 +6,8 @@ once with a compiled dataflow graph (the CGRA analogy of loading a bitstream)
 and then processes one feature vector per packet, returning both the
 numeric result and the cycle-accounted latency.  Throughput honours the
 design's initiation interval: a partially-unrolled or folded program accepts
-a packet only every ``II`` cycles.
+a packet only every ``II`` cycles, and the block's issue clock
+(``_next_issue_cycle``) advances by ``II`` per packet.
 
 For trace-scale runs, :meth:`MapReduceBlock.run_batch` pushes a ``(B, D)``
 block of packets through the graph's vectorized interpreter in one pass and
@@ -25,7 +26,6 @@ from ..compiler.pipeline import CompiledDesign, compile_graph
 from ..mapreduce.ir import DataflowGraph
 from .area import grid_composition
 from .params import (
-    CLOCK_GHZ,
     DEFAULT_CU_GEOMETRY,
     GRID_COLS,
     GRID_CU_TO_MU_RATIO,
@@ -69,35 +69,15 @@ class InferenceResult:
 
     value: np.ndarray
     latency_ns: float
-    accepted_at_cycle: int
 
 
 @dataclass(frozen=True)
 class BatchInferenceResult:
-    """A batch of packets drained through the pipelined fabric.
-
-    ``duration_ns`` covers first-packet issue to last-packet completion
-    (``latency + (B - 1) * II`` cycles), so ``throughput_pkt_s`` converges
-    to the design's II-limited steady-state rate as the batch grows.
-    ``accepted_at_cycle`` anchors the batch on the block's issue clock
-    (a fabric still draining earlier work accepts the batch later), so
-    callers can recover absolute completion times across interleaved
-    :meth:`MapReduceBlock.process`/:meth:`MapReduceBlock.run_batch` calls.
-    """
+    """A batch of packets drained through the pipelined fabric."""
 
     values: np.ndarray          # (B, out_width)
-    batch_size: int
-    latency_ns: float           # first result (design latency + any stall)
-    duration_ns: float          # first issue -> last completion
+    latency_ns: float           # first result: the design latency
     initiation_interval: int
-    accepted_at_cycle: int      # issue cycle of the batch's first packet
-
-    @property
-    def throughput_pkt_s(self) -> float:
-        """II-accounted modelled drain rate for this batch."""
-        if self.duration_ns <= 0:
-            return 0.0
-        return self.batch_size / (self.duration_ns * 1e-9)
 
 
 def _compile(graph: DataflowGraph) -> CompiledDesign:
@@ -136,59 +116,32 @@ class MapReduceBlock:
     # ------------------------------------------------------------------
     # Per-packet execution
     # ------------------------------------------------------------------
-    def process(self, features: np.ndarray, at_cycle: int | None = None) -> InferenceResult:
-        """Run one packet through the fabric.
-
-        ``at_cycle`` is the arrival cycle; issue honours the initiation
-        interval (arrivals during a busy interval stall in the PHV FIFO).
-        """
-        arrival = self._next_issue_cycle if at_cycle is None else at_cycle
-        issue = max(arrival, self._next_issue_cycle)
-        self._next_issue_cycle = issue + self.design.initiation_interval
+    def process(self, features: np.ndarray) -> InferenceResult:
+        """Run one packet through the fabric at its next issue slot."""
+        self._next_issue_cycle += self.design.initiation_interval
         self.packets_processed += 1
         value = self.graph.execute(np.asarray(features, dtype=np.float64))
-        stall_ns = (issue - arrival) / CLOCK_GHZ
-        return InferenceResult(
-            value=value,
-            latency_ns=self.design.latency_ns + stall_ns,
-            accepted_at_cycle=issue,
-        )
+        return InferenceResult(value=value, latency_ns=self.design.latency_ns)
 
-    def run_batch(
-        self, features: np.ndarray, at_cycle: int | None = None
-    ) -> BatchInferenceResult:
+    def run_batch(self, features: np.ndarray) -> BatchInferenceResult:
         """Stream a ``(B, D)`` block of packets through the fabric.
 
         Results come from the vectorized graph interpreter (bit-identical
         to per-packet :meth:`process`); timing models the pipelined drain:
-        the batch issues at the block's next free issue slot (or stalls
-        behind earlier work, as :meth:`process` does), the first packet
-        completes one design latency later, and every subsequent packet
-        one initiation interval after its predecessor.  An empty batch
-        issues nothing: the issue clock stays put and it drains in 0 ns,
-        as :func:`repro.runtime.sharded.drain_ns` models an idle block.
+        the batch issues at the block's next free issue slot, the first
+        packet completes one design latency later, and every subsequent
+        packet one initiation interval after its predecessor (the drain
+        :func:`repro.runtime.sharded.drain_ns` models).  An empty batch
+        issues nothing: the issue clock stays put.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         values = self.graph.execute_batch(features)
         batch = features.shape[0]
         ii = self.design.initiation_interval
-        arrival = self._next_issue_cycle if at_cycle is None else at_cycle
-        issue = max(arrival, self._next_issue_cycle)
-        if batch:
-            self._next_issue_cycle = issue + batch * ii
+        self._next_issue_cycle += batch * ii
         self.packets_processed += batch
-        # Same convention as process(): a stalled arrival pays the wait in
-        # latency_ns, so arrival + latency_ns is time-to-first-result for
-        # both APIs.
-        stall_ns = (issue - arrival) / CLOCK_GHZ
-        duration_cycles = self.design.latency_cycles + (batch - 1) * ii if batch else 0
         return BatchInferenceResult(
-            values=values,
-            batch_size=batch,
-            latency_ns=self.design.latency_ns + stall_ns,
-            duration_ns=duration_cycles / CLOCK_GHZ,
-            initiation_interval=ii,
-            accepted_at_cycle=issue,
+            values=values, latency_ns=self.design.latency_ns, initiation_interval=ii
         )
 
     # ------------------------------------------------------------------

@@ -150,7 +150,6 @@ class SwitchChipParams:
     mats_per_pipeline: int = 32
     mat_area_fraction: float = 0.50  # "50% of the chip area is ... MATs"
     chip_power_w: float = 270.0
-    line_rate_gpkt_s: float = 1.0
 
     @property
     def pipeline_area_mm2(self) -> float:

@@ -12,9 +12,6 @@ from .params import (
     DEFAULT_CU_GEOMETRY,
     FU_CORE_POWER_UW,
     GRID_AVG_ACTIVITY,
-    GRID_COLS,
-    GRID_CU_TO_MU_RATIO,
-    GRID_ROWS,
     MU_ACCESS_POWER_UW,
 )
 from .area import grid_composition
@@ -41,23 +38,17 @@ def cu_power_mw(geometry: CUGeometry = DEFAULT_CU_GEOMETRY, activity: float = 1.
     return fu_power_uw(geometry) * geometry.n_fus * activity / 1e3
 
 
-def mu_power_mw(active: bool = True) -> float:
-    """Power of one MU (mW); idle banks are clock-gated to ~0."""
-    return MU_ACCESS_POWER_UW / 1e3 if active else 0.0
+def mu_power_mw() -> float:
+    """Power of one active MU (mW)."""
+    return MU_ACCESS_POWER_UW / 1e3
 
 
-def grid_power_mw(
-    rows: int = GRID_ROWS,
-    cols: int = GRID_COLS,
-    cu_to_mu_ratio: int = GRID_CU_TO_MU_RATIO,
-    geometry: CUGeometry = DEFAULT_CU_GEOMETRY,
-    activity: float = GRID_AVG_ACTIVITY,
-) -> float:
+def grid_power_mw() -> float:
     """Whole-block power (mW) at the fabric's average activity factor.
 
     The paper's 2.8% chip-power overhead corresponds to ~1.9 W per block,
     i.e. the fabric's FUs average ~72% of their fully-mapped activity
     across the benchmark suite (unused CUs are disabled).
     """
-    n_cus, n_mus = grid_composition(rows, cols, cu_to_mu_ratio)
-    return n_cus * cu_power_mw(geometry, activity) + n_mus * mu_power_mw()
+    n_cus, n_mus = grid_composition()
+    return n_cus * cu_power_mw(DEFAULT_CU_GEOMETRY, GRID_AVG_ACTIVITY) + n_mus * mu_power_mw()

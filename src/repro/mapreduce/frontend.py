@@ -760,8 +760,9 @@ def lstm_graph(
 # ----------------------------------------------------------------------
 # Microbenchmarks (Table 6 / Table 7)
 # ----------------------------------------------------------------------
-def inner_product_graph(width: int = 16, fmt: FixedPointFormat = FIX8) -> DataflowGraph:
+def inner_product_graph(width: int = 16) -> DataflowGraph:
     """A 16-element inner product — the perceptron core (Table 6)."""
+    fmt = FIX8
     rng = np.random.default_rng(width)
     weights = fmt.roundtrip(rng.uniform(-1, 1, size=width))
 
@@ -801,11 +802,10 @@ def inner_product_graph(width: int = 16, fmt: FixedPointFormat = FIX8) -> Datafl
     return _verified(graph)
 
 
-def activation_graph(
-    spec_name: str, width: int = 16, fmt: FixedPointFormat = FIX8
-) -> DataflowGraph:
-    """A standalone line-rate activation (Table 6 / Fig. 10)."""
+def activation_graph(spec_name: str) -> DataflowGraph:
+    """A standalone 16-wide fix8 line-rate activation (Table 6 / Fig. 10)."""
     spec = ACTIVATIONS[spec_name]
+    width, fmt = 16, FIX8
 
     # Sound output range for the table contents: sample the reference
     # implementation over the clipped domain and pad by a Lipschitz step
@@ -872,21 +872,18 @@ def activation_graph(
     return _verified(graph)
 
 
-def conv1d_graph(
-    n_outputs: int = 8,
-    kernel: int = 2,
-    unroll: int = 8,
-    fmt: FixedPointFormat = FIX8,
-) -> DataflowGraph:
-    """A 1-D convolution, unrolled ``unroll``-way (Tables 6-7).
+def conv1d_graph(unroll: int = 8) -> DataflowGraph:
+    """A fix8 1-D convolution, 8 outputs of 2 taps, unrolled ``unroll``-way
+    (Tables 6-7).
 
     Convolution "does not map well to vectorized MapReduce (there are
     multiple small inner reductions)": each output needs window extraction
-    (lane shifts), a tiny ``kernel``-wide dot, and an accumulate/realign
-    step.  ``unroll`` output slices execute in space; the remaining
-    ``n_outputs / unroll`` iterations share them in time, dividing line
-    rate accordingly.
+    (lane shifts), a tiny 2-wide dot, and an accumulate/realign step.
+    ``unroll`` output slices execute in space; the remaining
+    ``8 / unroll`` iterations share them in time, dividing line rate
+    accordingly.
     """
+    n_outputs, kernel, fmt = 8, 2, FIX8
     if n_outputs % unroll:
         raise ValueError("unroll must divide n_outputs")
     rng = np.random.default_rng(kernel)

@@ -27,7 +27,6 @@ from .svm import RBFKernelSVM
 from .training import (
     SGD,
     Adam,
-    TrainLog,
     binary_cross_entropy,
     iterate_minibatches,
     softmax_cross_entropy,
@@ -59,7 +58,6 @@ __all__ = [
     "RBFKernelSVM",
     "SGD",
     "Adam",
-    "TrainLog",
     "binary_cross_entropy",
     "iterate_minibatches",
     "softmax_cross_entropy",

@@ -6,7 +6,6 @@ Fig. 10): exact-by-construction ReLU/LeakyReLU, Taylor-series tanh/sigmoid
 "SigmoidPW"), and a 1024-entry lookup table ("ActLUT").  Each variant is an
 :class:`ActivationSpec` carrying
 
-* a float reference implementation (for training),
 * the hardware approximation (what the fabric actually computes),
 * its *op-chain length* — the number of dependent element-wise map
   operations in the longest basic block, which determines how many CU stages
@@ -47,9 +46,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.125) -> np.ndarray:
-    """x for x >= 0, slope*x otherwise (slope is a power of two for HW)."""
-    return np.where(x >= 0, x, slope * x)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """x for x >= 0, x/8 otherwise (the slope is a power of two for HW)."""
+    return np.where(x >= 0, x, 0.125 * x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -78,8 +77,8 @@ def softmax(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Taylor-series variants ("Exp" in the paper): range-reduced exponential
 # ----------------------------------------------------------------------
-def _exp_taylor(x: np.ndarray, terms: int = 6) -> np.ndarray:
-    """exp(x) via range reduction (x = k*ln2 + r) and a Taylor polynomial.
+def _exp_taylor(x: np.ndarray) -> np.ndarray:
+    """exp(x) via range reduction (x = k*ln2 + r) and a 6-term Taylor polynomial.
 
     This is the scheme a fixed-function pipeline uses: the polynomial is a
     straight-line chain of multiply-adds (Horner form) plus a shift by k.
@@ -89,7 +88,7 @@ def _exp_taylor(x: np.ndarray, terms: int = 6) -> np.ndarray:
     r = x - k * np.log(2.0)
     # Horner evaluation of sum r^i / i!
     poly = np.ones_like(r)
-    for i in range(terms, 0, -1):
+    for i in range(6, 0, -1):
         poly = poly * r / i + 1.0
     return poly * np.exp2(k)
 
@@ -141,36 +140,29 @@ def tanh_piecewise(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # LUT variant (ActLUT): 1024 x 8-bit entries in an MU
 # ----------------------------------------------------------------------
-def build_lut(
-    fn: Callable[[np.ndarray], np.ndarray],
-    x_min: float = -8.0,
-    x_max: float = 8.0,
-    entries: int = 1024,
-    value_bits: int = 8,
-) -> np.ndarray:
+#: The ActLUT table: 1024 entries over [-8, 8].
+_LUT_X_MIN, _LUT_X_MAX, _LUT_ENTRIES = -8.0, 8.0, 1024
+
+
+def build_lut(fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Precompute a lookup table for ``fn`` (paper: 1024 8-bit entries)."""
-    xs = np.linspace(x_min, x_max, entries)
+    xs = np.linspace(_LUT_X_MIN, _LUT_X_MAX, _LUT_ENTRIES)
     ys = fn(xs)
-    levels = (1 << value_bits) - 1
+    levels = (1 << 8) - 1
     lo, hi = float(ys.min()), float(ys.max())
     span = (hi - lo) or 1.0
     codes = np.rint((ys - lo) / span * levels)
     return lo + codes / levels * span
 
 
-def lut_activation(
-    fn: Callable[[np.ndarray], np.ndarray],
-    x_min: float = -8.0,
-    x_max: float = 8.0,
-    entries: int = 1024,
-) -> Callable[[np.ndarray], np.ndarray]:
+def lut_activation(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Return a callable that evaluates ``fn`` through a quantized LUT."""
-    table = build_lut(fn, x_min, x_max, entries)
+    table = build_lut(fn)
 
     def apply(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        idx = np.rint((x - x_min) / (x_max - x_min) * (entries - 1))
-        idx = np.clip(idx, 0, entries - 1).astype(np.int64)
+        idx = np.rint((x - _LUT_X_MIN) / (_LUT_X_MAX - _LUT_X_MIN) * (_LUT_ENTRIES - 1))
+        idx = np.clip(idx, 0, _LUT_ENTRIES - 1).astype(np.int64)
         return table[idx]
 
     return apply
@@ -191,36 +183,27 @@ class ActivationSpec:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    reference: Callable[[np.ndarray], np.ndarray]
     chain_ops: int
     lut_tables: int = 0
-
-    def error_vs_reference(self, xs: np.ndarray) -> float:
-        """Max absolute approximation error over a probe grid."""
-        return float(np.max(np.abs(self.fn(xs) - self.reference(xs))))
 
 
 ACTIVATIONS: dict[str, ActivationSpec] = {
     # max(x,0): a single select op.
-    "relu": ActivationSpec("relu", relu, relu, chain_ops=1),
+    "relu": ActivationSpec("relu", relu, chain_ops=1),
     # mul by power-of-two slope + select.
-    "leaky_relu": ActivationSpec("leaky_relu", leaky_relu, leaky_relu, chain_ops=2),
+    "leaky_relu": ActivationSpec("leaky_relu", leaky_relu, chain_ops=2),
     # Range reduction (3 ops) + 6-term Horner (12 ops) + reconstruction +
     # tanh algebra (divide via iteration): longest basic block ~22 ops.
-    "tanh_exp": ActivationSpec("tanh_exp", tanh_taylor, tanh, chain_ops=22),
+    "tanh_exp": ActivationSpec("tanh_exp", tanh_taylor, chain_ops=22),
     # Sigmoid needs an extra negate/offset + reciprocal refinement: ~26 ops.
-    "sigmoid_exp": ActivationSpec("sigmoid_exp", sigmoid_taylor, sigmoid, chain_ops=26),
+    "sigmoid_exp": ActivationSpec("sigmoid_exp", sigmoid_taylor, chain_ops=26),
     # Segment compare/select ladder (7 segments -> ~11 dependent ops after
     # the 2x input/output scaling of the tanh identity).
-    "tanh_pw": ActivationSpec("tanh_pw", tanh_piecewise, tanh, chain_ops=11),
-    "sigmoid_pw": ActivationSpec(
-        "sigmoid_pw", sigmoid_piecewise, sigmoid, chain_ops=14
-    ),
+    "tanh_pw": ActivationSpec("tanh_pw", tanh_piecewise, chain_ops=11),
+    "sigmoid_pw": ActivationSpec("sigmoid_pw", sigmoid_piecewise, chain_ops=14),
     # Address computation (scale, clamp, round) + table read + rescale: ~6
     # ops across two CUs plus one MU table.
-    "act_lut": ActivationSpec(
-        "act_lut", lut_activation(tanh), tanh, chain_ops=6, lut_tables=1
-    ),
+    "act_lut": ActivationSpec("act_lut", lut_activation(tanh), chain_ops=6, lut_tables=1),
 }
 
 

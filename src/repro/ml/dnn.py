@@ -14,7 +14,6 @@ from .activations import softmax
 from .layers import Dense
 from .training import (
     SGD,
-    TrainLog,
     binary_cross_entropy,
     iterate_minibatches,
     softmax_cross_entropy,
@@ -31,9 +30,8 @@ class DNN:
     layer_sizes:
         Unit counts including input and output, e.g. ``[6, 12, 6, 3, 1]``.
     output:
-        ``"sigmoid"`` for binary heads, ``"softmax"`` for multiclass.
-    hidden_activation:
-        Activation for all hidden layers (default ``"relu"``).
+        ``"sigmoid"`` for binary heads, ``"softmax"`` for multiclass; every
+        hidden layer is ReLU.
     seed:
         Seed for weight initialization and batching.
     """
@@ -42,7 +40,6 @@ class DNN:
         self,
         layer_sizes: list[int],
         output: str = "softmax",
-        hidden_activation: str = "relu",
         seed: int = 0,
     ):
         if len(layer_sizes) < 2:
@@ -57,7 +54,7 @@ class DNN:
         self.layers: list[Dense] = []
         for i in range(len(layer_sizes) - 1):
             last = i == len(layer_sizes) - 2
-            act = output if last else hidden_activation
+            act = output if last else "relu"
             # Softmax is applied by the loss; the layer emits raw logits.
             layer_act = "linear" if (last and output == "softmax") else act
             self.layers.append(
@@ -83,13 +80,6 @@ class DNN:
             out = layer.forward(out)
         return out
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        """Pre-head outputs of the final layer."""
-        out = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        for layer in self.layers:
-            out = layer.forward(out)
-        return out
-
     def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard labels: thresholded for sigmoid heads, argmax for softmax."""
         probs = self.forward(x)
@@ -100,9 +90,7 @@ class DNN:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def train_batch(
-        self, x: np.ndarray, y: np.ndarray, optimizer: SGD, sample_weight: np.ndarray | None = None
-    ) -> float:
+    def train_batch(self, x: np.ndarray, y: np.ndarray, optimizer: SGD) -> float:
         """One gradient step on a batch; returns the batch loss."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = x
@@ -115,9 +103,6 @@ class DNN:
         else:
             probs = head.forward(out, train=True)
             loss, grad_z = binary_cross_entropy(probs, y)
-        if sample_weight is not None:
-            weights = np.asarray(sample_weight, dtype=np.float64).reshape(-1, 1)
-            grad_z = grad_z * weights * (len(weights) / max(weights.sum(), 1e-9))
         grad = grad_z
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
@@ -136,54 +121,24 @@ class DNN:
         epochs: int = 30,
         batch_size: int = 64,
         lr: float = 0.05,
-        momentum: float = 0.9,
-        class_weight: dict[int, float] | None = None,
-        verbose: bool = False,
-    ) -> TrainLog:
-        """Minibatch SGD over the dataset; returns the training log."""
+    ) -> list[float]:
+        """Minibatch SGD (momentum 0.9) over the dataset; returns the mean
+        loss of each epoch."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y)
-        optimizer = SGD(lr=lr, momentum=momentum)
-        log = TrainLog()
-        weights_lut = None
-        if class_weight is not None:
-            weights_lut = np.ones(int(y.max()) + 1)
-            for cls, w in class_weight.items():
-                weights_lut[cls] = w
-        for epoch in range(epochs):
-            epoch_losses = []
-            for xb, yb in iterate_minibatches(x, y, batch_size, self.rng):
-                sw = weights_lut[yb.astype(np.int64)] if weights_lut is not None else None
-                epoch_losses.append(self.train_batch(xb, yb, optimizer, sw))
-            log.record(float(np.mean(epoch_losses)))
-            if verbose:  # pragma: no cover - debugging aid
-                print(f"epoch {epoch}: loss={log.final_loss:.4f}")
-        return log
-
-    # ------------------------------------------------------------------
-    # Weight transport (control plane -> data plane updates, Fig. 1)
-    # ------------------------------------------------------------------
-    def get_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Copy out (weights, bias) per layer — the update payload."""
-        return [(layer.weights.copy(), layer.bias.copy()) for layer in self.layers]
-
-    def set_weights(self, weights: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Install weights (as the switch does on a control-plane push)."""
-        if len(weights) != len(self.layers):
-            raise ValueError("layer count mismatch")
-        for layer, (w, b) in zip(self.layers, weights):
-            if layer.weights.shape != w.shape or layer.bias.shape != b.shape:
-                raise ValueError("weight shape mismatch")
-            layer.weights = w.copy()
-            layer.bias = b.copy()
+        optimizer = SGD(lr=lr, momentum=0.9)
+        losses = []
+        for __ in range(epochs):
+            epoch_losses = [
+                self.train_batch(xb, yb, optimizer)
+                for xb, yb in iterate_minibatches(x, y, batch_size, self.rng)
+            ]
+            losses.append(float(np.mean(epoch_losses)))
+        return losses
 
     @property
     def n_params(self) -> int:
         return sum(layer.n_params for layer in self.layers)
-
-    def weight_bytes(self, bits: int = 8) -> int:
-        """Model size when shipped at the given precision."""
-        return self.n_params * bits // 8
 
 
 def anomaly_detection_dnn(seed: int = 0) -> DNN:

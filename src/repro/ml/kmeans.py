@@ -18,26 +18,16 @@ __all__ = ["KMeans"]
 class KMeans:
     """Lloyd's k-means with k-means++ initialization and restarts.
 
-    ``n_init`` independent runs are performed and the one with the lowest
-    inertia kept (Lloyd's algorithm is sensitive to initialization).
+    Five independent runs of at most 100 iterations each are performed
+    and the one with the lowest inertia kept (Lloyd's algorithm is
+    sensitive to initialization); a run stops once no centroid moves by
+    1e-6 or more.
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        max_iter: int = 100,
-        tol: float = 1e-6,
-        n_init: int = 5,
-        seed: int = 0,
-    ):
+    def __init__(self, n_clusters: int, seed: int = 0):
         if n_clusters <= 0:
             raise ValueError("n_clusters must be positive")
-        if n_init <= 0:
-            raise ValueError("n_init must be positive")
         self.n_clusters = n_clusters
-        self.max_iter = max_iter
-        self.tol = tol
-        self.n_init = n_init
         self.rng = np.random.default_rng(seed)
         self.centroids: np.ndarray | None = None
         self.n_iter_: int = 0
@@ -60,14 +50,14 @@ class KMeans:
         return np.array(centroids)
 
     def fit(self, x: np.ndarray) -> "KMeans":
-        """Cluster ``x`` of shape (n, d); keeps the best of ``n_init`` runs."""
+        """Cluster ``x`` of shape (n, d); keeps the best of five runs."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if len(x) < self.n_clusters:
             raise ValueError("fewer samples than clusters")
         best_inertia = np.inf
         best_centroids: np.ndarray | None = None
         best_iters = 0
-        for __ in range(self.n_init):
+        for __ in range(5):
             centroids, iters = self._lloyd(x)
             labels = self._nearest(x, centroids)
             inertia = float(np.sum((x - centroids[labels]) ** 2))
@@ -82,7 +72,7 @@ class KMeans:
     def _lloyd(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         centroids = self._init_centroids(x)
         iters = 0
-        for iteration in range(self.max_iter):
+        for iteration in range(100):
             labels = self._nearest(x, centroids)
             new_centroids = centroids.copy()
             for k in range(self.n_clusters):
@@ -92,7 +82,7 @@ class KMeans:
             shift = float(np.max(np.abs(new_centroids - centroids)))
             centroids = new_centroids
             iters = iteration + 1
-            if shift < self.tol:
+            if shift < 1e-6:
                 break
         return centroids, iters
 
@@ -110,17 +100,3 @@ class KMeans:
         if self.centroids is None:
             raise RuntimeError("model is not fitted")
         return self._nearest(np.atleast_2d(np.asarray(x, dtype=np.float64)), self.centroids)
-
-    def inertia(self, x: np.ndarray) -> float:
-        """Sum of squared distances to assigned centroids."""
-        if self.centroids is None:
-            raise RuntimeError("model is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        labels = self.predict(x)
-        return float(np.sum((x - self.centroids[labels]) ** 2))
-
-    def weight_bytes(self, bits: int = 8) -> int:
-        """Centroid table size at the given precision."""
-        if self.centroids is None:
-            return 0
-        return self.centroids.size * bits // 8

@@ -43,14 +43,6 @@ class Dense:
         self._z: np.ndarray | None = None
 
     @property
-    def in_features(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_features(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def n_params(self) -> int:
         return self.weights.size + self.bias.size
 

@@ -175,10 +175,6 @@ class LSTM:
             self.w_gates.size + self.b_gates.size + self.w_out.size + self.b_out.size
         )
 
-    def weight_bytes(self, bits: int = 8) -> int:
-        """Model size at the given precision."""
-        return self.n_params * bits // 8
-
 
 def indigo_lstm(input_size: int = 5, n_actions: int = 5, seed: int = 0) -> LSTM:
     """The paper's Indigo configuration: 32 LSTM units + softmax head."""

@@ -29,30 +29,28 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def precision_recall(
-    y_true: np.ndarray, y_pred: np.ndarray, positive: int = 1
-) -> tuple[float, float]:
-    """Binary precision and recall for the ``positive`` class."""
+def precision_recall(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
+    """Binary precision and recall for the positive class (label 1)."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    tp = int(np.sum((y_pred == positive) & (y_true == positive)))
-    fp = int(np.sum((y_pred == positive) & (y_true != positive)))
-    fn = int(np.sum((y_pred != positive) & (y_true == positive)))
+    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
+    fp = int(np.sum((y_pred == 1) & (y_true != 1)))
+    fn = int(np.sum((y_pred != 1) & (y_true == 1)))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
 
 
-def f1_score(y_true: np.ndarray, y_pred: np.ndarray, positive: int = 1) -> float:
+def f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Binary F1 (harmonic mean of precision and recall), in [0, 1]."""
-    precision, recall = precision_recall(y_true, y_pred, positive)
+    precision, recall = precision_recall(y_true, y_pred)
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
 
 
-def detection_rate(y_true: np.ndarray, y_pred: np.ndarray, positive: int = 1) -> float:
+def detection_rate(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Fraction of true positives that were flagged (recall, as a percent
     this is the paper's "Detected (%)" column)."""
-    _, recall = precision_recall(y_true, y_pred, positive)
+    _, recall = precision_recall(y_true, y_pred)
     return recall

@@ -35,20 +35,13 @@ class RBFKernelSVM:
     are ``f(x) >= 0``.
     """
 
-    def __init__(
-        self,
-        gamma: float = 0.5,
-        reg: float = 1e-4,
-        epochs: int = 5,
-        budget: int = 64,
-        seed: int = 0,
-    ):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+    #: RBF kernel width and the Pegasos regularization constant.
+    gamma = 0.5
+    reg = 1e-4
+
+    def __init__(self, epochs: int = 5, budget: int = 64, seed: int = 0):
         if budget <= 0:
             raise ValueError("budget must be positive")
-        self.gamma = gamma
-        self.reg = reg
         self.epochs = epochs
         self.budget = budget
         self.rng = np.random.default_rng(seed)
@@ -140,13 +133,8 @@ class RBFKernelSVM:
         """Hard {0, 1} labels."""
         return (self.decision_function(x) >= 0.0).astype(np.int64)
 
-    @property
-    def n_support(self) -> int:
-        return 0 if self.support_vectors is None else len(self.support_vectors)
-
-    def weight_bytes(self, bits: int = 8) -> int:
-        """Size of the SV set + coefficients at the given precision."""
+    def weight_bytes(self) -> int:
+        """Size of the SV set + coefficients at 8 bits."""
         if self.support_vectors is None:
             return 0
-        values = self.support_vectors.size + self.alphas.size + 1
-        return values * bits // 8
+        return self.support_vectors.size + self.alphas.size + 1

@@ -8,8 +8,6 @@ machinery both paths share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
@@ -18,7 +16,6 @@ __all__ = [
     "softmax_cross_entropy",
     "binary_cross_entropy",
     "iterate_minibatches",
-    "TrainLog",
 ]
 
 
@@ -49,13 +46,10 @@ class Adam:
     """Adam optimizer (Kingma & Ba) — used for the LSTM, which SGD trains
     poorly at small batch sizes."""
 
-    def __init__(
-        self, lr: float = 0.01, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = 0.01):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
         self._t = 0
@@ -111,28 +105,10 @@ def iterate_minibatches(
     y: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
-    shuffle: bool = True,
 ):
-    """Yield (x_batch, y_batch) pairs covering the dataset once."""
+    """Yield shuffled (x_batch, y_batch) pairs covering the dataset once."""
     n = len(x)
-    order = rng.permutation(n) if shuffle else np.arange(n)
+    order = rng.permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
         yield x[idx], y[idx]
-
-
-@dataclass
-class TrainLog:
-    """Per-epoch training history."""
-
-    losses: list[float] = field(default_factory=list)
-    metrics: list[float] = field(default_factory=list)
-
-    def record(self, loss: float, metric: float | None = None) -> None:
-        self.losses.append(loss)
-        if metric is not None:
-            self.metrics.append(metric)
-
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")

@@ -237,7 +237,7 @@ class TaurusPipeline:
     bypass_predicate_batch: Callable[[PHVBatch], np.ndarray] | None = None
     postprocess_batch: Callable[[np.ndarray], np.ndarray] | None = None
     program: DataflowGraph | None = None
-    accumulator: FlowFeatureAccumulator = field(default_factory=FlowFeatureAccumulator)
+    accumulator: FlowFeatureAccumulator = field(init=False, default_factory=FlowFeatureAccumulator)
     parser: Parser = field(init=False)
     preprocess_tables: list[MatchActionTable] = field(init=False, default_factory=list)
     postprocess_tables: list[MatchActionTable] = field(init=False, default_factory=list)

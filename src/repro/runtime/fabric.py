@@ -51,7 +51,6 @@ from ..pisa.pipeline import (
     TaurusPipeline,
     TracePipelineResult,
 )
-from ..pisa.registers import FlowFeatureAccumulator
 from .sharded import LaneRunner
 from .sharded import scatter_merge  # noqa: F401 - the ledger's tracer patches it here by attribute
 
@@ -74,15 +73,13 @@ class FabricApp:
     """One compiled application deployable on a shared grid.
 
     The program plus everything the switch needs to serve it: the PHV
-    feature layout, decision hooks (scalar + vectorized twins, so both
-    execution paths stay fast and identical), and an optional
-    flow-register file size.
+    feature layout and decision hooks (scalar + vectorized twins, so both
+    execution paths stay fast and identical).
     """
 
     name: str
     graph: DataflowGraph
     feature_names: tuple[str, ...]
-    slots: int | None = None
     postprocess: Callable | None = None
     postprocess_batch: Callable | None = None
 
@@ -97,16 +94,12 @@ class FabricApp:
         :attr:`~repro.pisa.TaurusPipeline.program`, so chunks steer the
         block back to this app's program whenever another app ran last.
         """
-        kwargs: dict = {}
-        if self.slots is not None:
-            kwargs["accumulator"] = FlowFeatureAccumulator(slots=self.slots)
         return TaurusPipeline(
             block=block,
             feature_names=self.feature_names,
             postprocess=self.postprocess,
             postprocess_batch=self.postprocess_batch,
             program=self.graph,
-            **kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -119,7 +112,6 @@ class FabricApp:
         name: str = "anomaly",
         feature_names: tuple[str, ...] | None = None,
         threshold: float = 0.5,
-        slots: int | None = None,
     ) -> "FabricApp":
         """A score-thresholding DNN app (the anomaly-detection shape).
 
@@ -140,7 +132,6 @@ class FabricApp:
             feature_names=(
                 DNN_FEATURES if feature_names is None else feature_names
             ),
-            slots=slots,
             postprocess=scalar_post,
             postprocess_batch=batch_post,
         )
@@ -151,7 +142,6 @@ class FabricApp:
         lstm,
         window_steps: int = 8,
         name: str = "congestion",
-        slots: int | None = None,
     ) -> "FabricApp":
         """A recurrent action-head app (the Indigo congestion shape).
 
@@ -174,7 +164,6 @@ class FabricApp:
                 for t in range(window_steps)
                 for d in range(lstm.input_size)
             ),
-            slots=slots,
             postprocess=action_scalar,
             postprocess_batch=action_batch,
         )
@@ -185,7 +174,6 @@ class FabricApp:
         kmeans,
         feature_names: tuple[str, ...] | None = None,
         name: str = "iot",
-        slots: int | None = None,
     ) -> "FabricApp":
         """A nearest-centroid classifier app (the IoT-classification shape).
 
@@ -213,7 +201,6 @@ class FabricApp:
             name=name,
             graph=kmeans_graph(kmeans, name=f"{name}_kmeans"),
             feature_names=tuple(feature_names),
-            slots=slots,
             postprocess=scalar_post,
             postprocess_batch=batch_post,
         )

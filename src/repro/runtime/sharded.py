@@ -27,8 +27,8 @@ Besides wall-clock throughput, the runtime models the *hardware* drain
 rate of ``N`` parallel MapReduce blocks: each lane's block drains its
 packets at the design's initiation-interval-limited rate concurrently,
 so a run completes in the slowest lane's drain time
-(:attr:`LaneRunner.last_drain_ns`) — the scale-out twin of
-:attr:`~repro.hw.grid.BatchInferenceResult.duration_ns`.
+(:attr:`LaneRunner.last_drain_ns`) — the scale-out twin of one block's
+drain (:func:`drain_ns`).
 
 **Requests and pieces.**  A request is the unit of admission, deadline
 and delivery: results come back, and ``on_result`` fires, once per
@@ -236,10 +236,10 @@ def issue_cycles(blocks) -> list[int]:
 def drain_ns(blocks, before: list[int]) -> float:
     """Modeled drain of what ``blocks`` issued since ``before``.
 
-    Mirrors :attr:`BatchInferenceResult.duration_ns`: a block that
-    issued ``B`` packets drains in ``latency + (B - 1) * II`` cycles —
-    its last packet completes one tail latency after its final issue
-    slot; blocks run concurrently, so the run drains with the slowest.
+    A block that issued ``B`` packets drains in ``latency + (B - 1) * II``
+    cycles — its last packet completes one tail latency after its final
+    issue slot; blocks run concurrently, so the run drains with the
+    slowest.
     """
     drains = [0.0]
     for block, start, now in zip(blocks, before, issue_cycles(blocks)):

@@ -70,8 +70,6 @@ class BaselineResult:
     total_ms: float
     detected_percent: float
     f1_percent: float
-    n_batches: int
-    rules_installed: int
 
 
 @dataclass
@@ -181,6 +179,4 @@ class ControlPlaneBaseline:
             total_ms=float(np.mean(lat_total)) if lat_total else 0.0,
             detected_percent=100.0 * detection_rate(labels, marked),
             f1_percent=100.0 * f1_score(labels, marked),
-            n_batches=len(batch_sizes),
-            rules_installed=n_rules,
         )

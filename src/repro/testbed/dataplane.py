@@ -48,7 +48,6 @@ class DataPlaneResult:
     f1_percent: float
     added_latency_ns: float
     n_packets: int
-    flagged_packets: int
 
 
 class TaurusDataPlane:
@@ -102,9 +101,7 @@ class TaurusDataPlane:
             postprocess_batch=batch_post,
         )
 
-    def run_switch(
-        self, trace: PacketTrace, chunk_size: int = DEFAULT_TRACE_CHUNK
-    ) -> DataPlaneResult:
+    def run_switch(self, trace: PacketTrace) -> DataPlaneResult:
         """The trace through the *entire* switch model, batched.
 
         Every packet transits parse -> flow registers -> preprocessing ->
@@ -119,7 +116,7 @@ class TaurusDataPlane:
             lambda shard: self.build_pipeline(self._lane_blocks[shard]),
             shards=self.shards,
         )
-        outcome = runtime.process_trace(trace, chunk_size=chunk_size)
+        outcome = runtime.process_trace(trace)
         self.last_modeled_drain_ns = runtime.last_drain_ns
         return self.detection_from_outcome(trace, outcome)
 
@@ -137,21 +134,19 @@ class TaurusDataPlane:
             f1_percent=100.0 * f1_score(labels, preds),
             added_latency_ns=self.block.latency_ns,
             n_packets=len(preds),
-            flagged_packets=int(preds.sum()),
         )
 
     # ------------------------------------------------------------------
     # Multi-app fabric
     # ------------------------------------------------------------------
-    def anomaly_app(self, name: str = "anomaly") -> FabricApp:
-        """This data plane's anomaly detector as a registrable fabric app."""
+    def anomaly_app(self) -> FabricApp:
+        """This data plane's anomaly detector as a registrable fabric app,
+        named ``"anomaly"``."""
         return FabricApp.from_quantized_dnn(
-            self.quantized, name=name, threshold=self.threshold
+            self.quantized, name="anomaly", threshold=self.threshold
         )
 
-    def run_multi(
-        self, apps, traces, chunk_size: int = DEFAULT_TRACE_CHUNK
-    ) -> MultiAppResult:
+    def run_multi(self, apps, traces) -> MultiAppResult:
         """Several compiled apps time-multiplexed over this switch's grid.
 
         ``apps`` is a sequence of :class:`~repro.runtime.FabricApp` and
@@ -165,29 +160,26 @@ class TaurusDataPlane:
         drain (including reconfiguration + interleave costs) lands in
         :attr:`last_modeled_drain_ns`.
         """
-        fabric = MultiAppFabric(apps, shards=self.shards, chunk_size=chunk_size)
+        fabric = MultiAppFabric(apps, shards=self.shards)
         outcome = fabric.run(traces)
         self.last_modeled_drain_ns = outcome.drain_ns
         return outcome
 
-    def verify_equivalence(
-        self, trace: PacketTrace, chunk_size: int = DEFAULT_TRACE_CHUNK
-    ) -> bool:
+    def verify_equivalence(self, trace: PacketTrace) -> bool:
         """Check fabric execution matches the quantized model bit-for-bit.
 
         The **entire trace** streams through :attr:`block`'s graph in
-        chunks and is compared against the quantized model.  Values only:
+        ``DEFAULT_TRACE_CHUNK``-row chunks and is compared against the
+        quantized model.  Values only:
         the graph interpreter, not ``MapReduceBlock.run_batch``, whose
         timing accounting would advance the block's issue clock for what
         is a read-only pass.
         """
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         feats = trace.columns().features
         graph = self.block.graph
         via_graph = np.empty(len(feats), dtype=np.float64)
-        for start in range(0, len(feats), chunk_size):
-            chunk = feats[start : start + chunk_size]
+        for start in range(0, len(feats), DEFAULT_TRACE_CHUNK):
+            chunk = feats[start : start + DEFAULT_TRACE_CHUNK]
             via_graph[start : start + len(chunk)] = graph.execute_batch(chunk)[:, 0]
         via_model = self.quantized(feats).reshape(-1)
         return bool(np.array_equal(via_graph, via_model))

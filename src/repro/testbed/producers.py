@@ -6,7 +6,7 @@ slice a packet trace into chunks and submit them to an
 packet generation overlaps scoring end-to-end.  Two drive modes:
 
 * :func:`replay_virtual` — arrivals advance a
-  :class:`~repro.runtime.VirtualClock`; combined with manual
+  :class:`~repro.runtime.VirtualClock`; combined with the caller's
   :meth:`~repro.runtime.InferenceService.pump` cadence this is fully
   deterministic, which is what the exact-accounting property tests need.
 * :func:`replay_wall` — arrivals sleep on the wall clock against a
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datasets.packets import TraceColumns
+from ..datasets.packets import TraceColumns, as_trace_columns, in_arrival_order
 from ..runtime import Admission, InferenceService
-from ..runtime.sharded import as_trace_columns
 
 __all__ = [
     "Arrival",
@@ -53,10 +52,7 @@ def chunk_columns(trace, chunk_size: int) -> list[TraceColumns]:
     """A trace as a list of request-sized columnar chunks (arrival order)."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    columns = as_trace_columns(trace)
-    order = np.argsort(columns.times, kind="stable")
-    if not np.array_equal(order, np.arange(columns.n)):
-        columns = columns.take(order)
+    __, columns = in_arrival_order(as_trace_columns(trace))
     return [
         columns.slice(slice(start, min(start + chunk_size, columns.n)))
         for start in range(0, columns.n, chunk_size)
@@ -112,29 +108,19 @@ def replay_virtual(
     schedule: list[Arrival],
     chunks: dict[str, list[TraceColumns]],
     clock,
-    *,
-    pump_every: int | None = None,
-    deadline_s: float | None = None,
 ) -> list[Admission]:
     """Replay ``schedule`` in virtual time; returns one verdict per arrival.
 
     ``clock`` is the service's :class:`~repro.runtime.VirtualClock`; it is
-    advanced to each arrival's timestamp before submitting.  With
-    ``pump_every=k`` the service pumps one request after every ``k``-th
-    arrival (else the caller pumps); either way the run is deterministic.
+    advanced to each arrival's timestamp before submitting.  Nothing is
+    pumped (the caller pumps), so the run is deterministic.
     """
     admissions: list[Admission] = []
-    for i, arrival in enumerate(schedule):
+    for arrival in schedule:
         clock.advance_to(arrival.time_s)
         admissions.append(
-            service.submit(
-                arrival.client,
-                chunks[arrival.client][arrival.chunk],
-                deadline_s=deadline_s,
-            )
+            service.submit(arrival.client, chunks[arrival.client][arrival.chunk])
         )
-        if pump_every and (i + 1) % pump_every == 0:
-            service.pump(max_requests=1)
     return admissions
 
 
@@ -142,8 +128,6 @@ def replay_wall(
     service: InferenceService,
     schedule: list[Arrival],
     chunks: dict[str, list[TraceColumns]],
-    *,
-    deadline_s: float | None = None,
 ) -> list[Admission]:
     """Replay ``schedule`` against the wall clock (service must be started).
 
@@ -158,10 +142,6 @@ def replay_wall(
         if delay > 0:
             time.sleep(delay)
         admissions.append(
-            service.submit(
-                arrival.client,
-                chunks[arrival.client][arrival.chunk],
-                deadline_s=deadline_s,
-            )
+            service.submit(arrival.client, chunks[arrival.client][arrival.chunk])
         )
     return admissions

@@ -28,9 +28,7 @@ class Workload:
     """Everything one end-to-end run needs."""
 
     train: ConnectionDataset
-    live: ConnectionDataset
     trace: PacketTrace
-    offered_gbps: float
 
     @property
     def n_packets(self) -> int:
@@ -48,31 +46,24 @@ class Workload:
 
 
 def build_workload(
-    n_connections: int = 6000,
-    offered_gbps: float = 5.0,
-    train_fraction: float = 0.5,
-    mean_flow_packets: float = 24.0,
-    max_packets: int | None = 150_000,
-    time_dilation: float = 35.0,
-    seed: int = 0,
+    n_connections: int = 6000, max_packets: int | None = 150_000, seed: int = 0
 ) -> Workload:
-    """Generate connections, split, and expand the live half into packets.
+    """Generate connections, split them in half, and expand the live half
+    into packets.
 
-    ``time_dilation`` stretches the materialized trace over seconds so that
-    millisecond-scale control-plane dynamics are observable (each
-    materialized packet represents ``time_dilation`` real packets of the
-    5 Gbps stream; see :class:`~repro.datasets.packets.PacketTrace`).
+    The trace is stretched 35x over seconds so that millisecond-scale
+    control-plane dynamics are observable (each materialized packet
+    represents 35 real packets of the 5 Gbps stream; see
+    :class:`~repro.datasets.packets.PacketTrace`).
     """
     rng = np.random.default_rng(seed)
     dataset = generate_connections(n_connections, seed=seed)
-    train, live = dataset.split(train_fraction, rng)
+    train, live = dataset.split(0.5, rng)
     trace = expand_to_packets(
         live,
         feature_matrix=dnn_feature_matrix(live),
-        offered_gbps=offered_gbps,
-        mean_flow_packets=mean_flow_packets,
         seed=seed + 1,
         max_packets=max_packets,
-        time_dilation=time_dilation,
+        time_dilation=35.0,
     )
-    return Workload(train=train, live=live, trace=trace, offered_gbps=offered_gbps)
+    return Workload(train=train, trace=trace)

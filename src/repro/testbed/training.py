@@ -50,7 +50,6 @@ class ConvergencePoint:
 
     time_s: float
     f1_percent: float
-    samples_seen: int
     updates: int
 
 
@@ -100,8 +99,7 @@ class OnlineTrainer:
         model: DNN = anomaly_detection_dnn(seed=self.seed)
         optimizer = SGD(lr=self.lr, momentum=0.9)
         now = 0.0
-        seen = 0
-        curve = [self._point(model, x_test, y_test, now, seen, 0)]
+        curve = [self._point(model, x_test, y_test, now, 0)]
         for update in range(1, max_updates + 1):
             # Collect a batch of telemetry.
             collect_s = batch_size / telemetry_rate
@@ -111,21 +109,17 @@ class OnlineTrainer:
             idx = rng.integers(0, len(x_train), size=batch_size)
             for __ in range(epochs):
                 model.train_batch(x_train[idx], y_train[idx], optimizer)
-            seen += batch_size
             now += self.cost.update_ms(batch_size, epochs) / 1e3
-            curve.append(self._point(model, x_test, y_test, now, seen, update))
+            curve.append(self._point(model, x_test, y_test, now, update))
         return curve
 
     @staticmethod
     def _point(
-        model: DNN, x_test: np.ndarray, y_test: np.ndarray, now: float, seen: int, updates: int
+        model: DNN, x_test: np.ndarray, y_test: np.ndarray, now: float, updates: int
     ) -> ConvergencePoint:
         preds = model.predict(x_test)
         return ConvergencePoint(
-            time_s=now,
-            f1_percent=100.0 * f1_score(y_test, preds),
-            samples_seen=seen,
-            updates=updates,
+            time_s=now, f1_percent=100.0 * f1_score(y_test, preds), updates=updates
         )
 
     @staticmethod

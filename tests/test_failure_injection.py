@@ -131,22 +131,31 @@ class TestWeightSwapUnderTraffic:
 
 
 class TestDegenerateWorkloads:
+    @staticmethod
+    def _only(label, seed):
+        """The connections of one label out of a generated 400."""
+        from repro.datasets import ConnectionDataset, generate_connections
+
+        full = generate_connections(400, seed=seed)
+        keep = full.labels == label
+        return ConnectionDataset(full.features[keep], full.labels[keep], full.attack_types[keep])
+
     def test_all_benign_trace(self):
-        from repro.datasets import expand_to_packets, generate_connections
+        from repro.datasets import expand_to_packets
         from repro.testbed import ControlPlaneBaseline
         from repro.ml import anomaly_detection_dnn
 
-        ds = generate_connections(200, anomaly_fraction=0.0, seed=3)
+        ds = self._only(0, seed=3)
         trace = expand_to_packets(ds, max_packets=2000, seed=3)
         model = anomaly_detection_dnn(seed=0)  # untrained
         result = ControlPlaneBaseline(model=model, seed=0).run(trace, 1e-2)
         assert result.detected_percent == 0.0  # nothing to detect
 
     def test_all_anomalous_trace(self, quantized_dnn):
-        from repro.datasets import expand_to_packets, generate_connections
+        from repro.datasets import expand_to_packets
         from repro.testbed import TaurusDataPlane
 
-        ds = generate_connections(200, anomaly_fraction=1.0, seed=4)
+        ds = self._only(1, seed=4)
         trace = expand_to_packets(ds, max_packets=2000, seed=4)
         result = TaurusDataPlane(quantized_dnn).run_switch(trace)
         assert result.n_packets == len(trace.packets)

@@ -66,8 +66,7 @@ class TestQuantization:
         assert FIX8.roundtrip(0.05) == pytest.approx(0.0625)
 
     def test_saturate_wide_values(self):
-        wide = np.array([300, -300, 5], dtype=np.int32)
-        out = FIX8.saturate(wide)
+        out = FIX8.quantize(np.array([300.0, -300.0, 5 * FIX8.resolution]))
         assert out.tolist() == [127, -128, 5]
         assert out.dtype == np.int8
 

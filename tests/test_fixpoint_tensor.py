@@ -11,10 +11,6 @@ class TestConstruction:
         t = FixTensor.from_float([1.0, -2.5], FIX8)
         assert t.to_float().tolist() == [1.0, -2.5]
 
-    def test_from_raw_saturates(self):
-        t = FixTensor.from_raw(np.array([500, -500], dtype=np.int32), FIX8)
-        assert t.raw.tolist() == [127, -128]
-
     def test_dtype_mismatch_rejected(self):
         with pytest.raises(TypeError):
             FixTensor(np.array([1], dtype=np.int16), FIX8)

@@ -94,17 +94,25 @@ class TestMapReduceBlock:
 
     def test_line_rate_no_stall(self):
         block = MapReduceBlock(inner_product_graph(16))
-        first = block.process(np.ones(16), at_cycle=0)
-        second = block.process(np.ones(16), at_cycle=1)
-        assert first.latency_ns == second.latency_ns  # II = 1: no stall
+        first = block.process(np.ones(16))
+        second = block.process(np.ones(16))
+        assert first.latency_ns == second.latency_ns == block.design.latency_ns
+        assert block._next_issue_cycle == 2  # II = 1: one issue slot each
 
     def test_folded_block_stalls(self):
+        """II = 8: each packet holds the issue slot for 8 cycles, so the next
+        one waits behind it and the pair drains 8 cycles later."""
+        from repro.hw.params import CLOCK_GHZ
         from repro.mapreduce import conv1d_graph
+        from repro.runtime.sharded import drain_ns
 
-        block = MapReduceBlock(conv1d_graph(unroll=1))  # II = 8
-        block.process(np.ones(9), at_cycle=0)
-        result = block.process(np.ones(9), at_cycle=1)
-        assert result.latency_ns > block.design.latency_ns  # queued 7 cycles
+        block = MapReduceBlock(conv1d_graph(unroll=1))
+        block.process(np.ones(9))
+        block.process(np.ones(9))
+        assert block._next_issue_cycle == 16
+        assert drain_ns([block], [0]) == pytest.approx(
+            (block.design.latency_cycles + 8) / CLOCK_GHZ
+        )
 
     def test_reconfigure_swaps_program(self):
         block = MapReduceBlock(inner_product_graph(16))
@@ -124,44 +132,39 @@ class TestMapReduceBlock:
     def test_run_batch_ii_accounting(self):
         from repro.mapreduce import conv1d_graph
         from repro.hw.params import CLOCK_GHZ
+        from repro.runtime.sharded import drain_ns
 
         block = MapReduceBlock(conv1d_graph(unroll=1))  # II = 8
         result = block.run_batch(np.ones((10, 9)))
         ii = block.design.initiation_interval
         assert result.initiation_interval == ii
+        assert block._next_issue_cycle == 10 * ii
         expected_cycles = block.design.latency_cycles + 9 * ii
-        assert result.duration_ns == pytest.approx(expected_cycles / CLOCK_GHZ)
-        assert result.throughput_pkt_s == pytest.approx(
-            10 / (result.duration_ns * 1e-9)
-        )
-        # Long batches converge to the II-limited line-rate fraction.
-        big = block.run_batch(np.ones((5000, 9)))
-        steady = block.throughput_gpkt_s * 1e9
-        assert big.throughput_pkt_s == pytest.approx(steady, rel=0.05)
+        assert drain_ns([block], [0]) == pytest.approx(expected_cycles / CLOCK_GHZ)
 
     def test_run_batch_advances_issue_clock(self):
         block = MapReduceBlock(inner_product_graph(16))
-        first = block.run_batch(np.ones((7, 16)))
-        assert first.accepted_at_cycle == 0
+        block.run_batch(np.ones((7, 16)))
         assert block.packets_processed == 7
-        stalled = block.process(np.ones(16), at_cycle=0)  # queued behind batch
-        assert stalled.latency_ns > block.design.latency_ns
+        assert block._next_issue_cycle == 7
+        block.process(np.ones(16))  # issues behind the batch
+        assert block._next_issue_cycle == 8
 
     def test_run_batch_stalls_behind_earlier_work(self):
+        """Work issues contiguously: a batch takes the slots after what the
+        block already issued."""
         block = MapReduceBlock(inner_product_graph(16))
-        block.process(np.ones(16), at_cycle=0)
-        queued = block.run_batch(np.ones((3, 16)), at_cycle=0)
-        assert queued.accepted_at_cycle == block.design.initiation_interval
-        # Stalled arrivals pay the wait in latency_ns, as process() does.
-        assert queued.latency_ns > block.design.latency_ns
-        back_to_back = block.run_batch(np.ones((2, 16)))
-        # Batches issue contiguously: 1 (process) + 3 (first batch) slots.
-        assert back_to_back.accepted_at_cycle == 4 * block.design.initiation_interval
+        block.process(np.ones(16))
+        queued = block.run_batch(np.ones((3, 16)))
+        assert queued.latency_ns == block.design.latency_ns
+        block.run_batch(np.ones((2, 16)))
+        # 1 (process) + 3 (first batch) + 2 slots.
+        assert block._next_issue_cycle == 6 * block.design.initiation_interval
 
     def test_empty_batch_drains_in_zero_ns(self, quantized_dnn):
         """A batch of no packets issues nothing: the issue clock stays put
-        (even for a later ``at_cycle``) and it drains in 0 ns — what
-        ``drain_ns`` reports for the same block — at throughput 0."""
+        and ``drain_ns`` reports 0 ns for it."""
+        from repro.hw.params import CLOCK_GHZ
         from repro.mapreduce import dnn_graph
         from repro.runtime.sharded import drain_ns, issue_cycles
 
@@ -169,13 +172,14 @@ class TestMapReduceBlock:
         width = quantized_dnn.layers[0].w_raw.shape[1]
         block.run_batch(np.ones((3, width)))
         before = issue_cycles([block])
-        for at_cycle in (None, before[0] + 100):
-            empty = block.run_batch(np.zeros((0, width)), at_cycle=at_cycle)
-            assert issue_cycles([block]) == before
-            assert empty.duration_ns == drain_ns([block], before) == 0.0
-            assert empty.throughput_pkt_s == 0.0 and empty.values.shape[0] == 0
-        five = block.run_batch(np.ones((5, width)))
-        assert five.duration_ns == pytest.approx(drain_ns([block], before))
+        empty = block.run_batch(np.zeros((0, width)))
+        assert issue_cycles([block]) == before
+        assert drain_ns([block], before) == 0.0 and empty.values.shape[0] == 0
+        block.run_batch(np.ones((5, width)))
+        ii = block.design.initiation_interval
+        assert drain_ns([block], before) == pytest.approx(
+            (block.design.latency_cycles + 4 * ii) / CLOCK_GHZ
+        )
 
 
 class TestSwitchChipParams:

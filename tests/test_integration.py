@@ -10,7 +10,7 @@ import pytest
 
 from repro.apps import AnomalyDetector, CongestionController, IoTClassifier, cluster_purity
 from repro.compiler import compile_graph
-from repro.datasets import dnn_feature_matrix, generate_connections
+from repro.datasets import generate_connections
 from repro.hw import TaurusChip
 from repro.hw.grid import CU_BUDGET, MU_BUDGET
 from repro.mapreduce import dnn_graph, kmeans_graph, svm_graph, lstm_graph
@@ -95,13 +95,19 @@ class TestAnomalyDetectorApp:
         assert 0 < flagged < 100
 
     def test_weight_update_swaps_model(self, detector):
+        """A control-plane weight update (Section 5.2.3): a newly trained
+        model, re-quantized, swaps into the deployed block."""
         from repro.apps import train_anomaly_dnn
+        from repro.datasets import dnn_feature_matrix
+        from repro.fixpoint import quantize_model
 
         ds = generate_connections(1500, seed=42)
-        new_model = train_anomaly_dnn(ds, epochs=3, seed=42)
-        old_weights = detector.dnn.get_weights()
-        detector.install_weights(new_model, dnn_feature_matrix(ds)[:128])
-        assert not np.allclose(old_weights[0][0], detector.dnn.layers[0].weights)
+        x = dnn_feature_matrix(ds)[:128]
+        before = detector.block.graph.execute_batch(x)
+        new_model = quantize_model(train_anomaly_dnn(ds, epochs=3, seed=42), x)
+        detector.block.reconfigure(dnn_graph(new_model, name="anomaly_dnn"))
+        assert not np.array_equal(detector.block.graph.execute_batch(x), before)
+
 
 
 class TestIoTClassifierApp:
@@ -112,7 +118,7 @@ class TestIoTClassifierApp:
 
     def test_single_classify(self):
         app, features, __ = IoTClassifier.train(n_samples=800, seed=1)
-        cluster = app.classify(features[0])
+        cluster = int(app.block.process(features[0]).value[0])
         assert 0 <= cluster < 5
 
     def test_latency_near_paper(self):
@@ -132,7 +138,7 @@ class TestCongestionApp:
 
     def test_decision_interval_near_paper(self, controller):
         app, __ = controller
-        assert app.decision_interval_ns == pytest.approx(805, abs=120)
+        assert app.block.latency_ns == pytest.approx(805, abs=120)
 
     def test_faster_decisions_improve_control(self, controller):
         """Sub-us decisions hold the queue lower than 10 ms decisions —

@@ -94,8 +94,8 @@ class TestBatchScalarEquivalence:
             (inner_product_graph(16), 16),
             (activation_graph("relu"), 16),
             (activation_graph("act_lut"), 16),
-            (conv1d_graph(n_outputs=8, kernel=2, unroll=8), 9),
-            (conv1d_graph(n_outputs=8, kernel=2, unroll=2), 9),
+            (conv1d_graph(unroll=8), 9),
+            (conv1d_graph(unroll=2), 9),
         ]
         for graph, dim in cases:
             feats = rng.uniform(-2, 2, size=(48, dim))
@@ -135,13 +135,18 @@ def _noop(node, value, iteration):
     """An observer: its presence forces the reference interpreter."""
 
 
+def _saturate(raw, fmt):
+    """Wide integers clipped into ``fmt``'s raw range, in its storage dtype."""
+    return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(fmt.storage_dtype)
+
+
 def _layer(w_raw, w_frac, bias_raw, activation, in_fmt, act_fmt):
     """A hand-built per-channel layer (what ``quantize_model`` emits)."""
     w_raw = np.asarray(w_raw, dtype=np.int64)
     w_fmt = FixedPointFormat(in_fmt.total_bits, 0, in_fmt.name)
     return QuantizedLinear(
-        weights=FixTensor.from_raw(w_raw, w_fmt),
-        bias=FixTensor.from_raw(np.asarray(bias_raw), act_fmt),
+        weights=FixTensor(_saturate(w_raw, w_fmt), w_fmt),
+        bias=FixTensor(_saturate(bias_raw, act_fmt), act_fmt),
         activation=activation,
         in_fmt=in_fmt,
         act_fmt=act_fmt,

@@ -150,14 +150,14 @@ class TestMicrobenchGraphs:
         assert np.all(out[8:] > 0.0)
 
     def test_conv1d_full_unroll_matches_numpy(self):
-        graph = conv1d_graph(n_outputs=8, kernel=2, unroll=8)
+        graph = conv1d_graph(unroll=8)
         x = np.linspace(-1, 1, 9)
         out = graph.execute(x)
         assert out.shape == (8,)
 
     def test_conv1d_unroll_divides(self):
         with pytest.raises(ValueError):
-            conv1d_graph(n_outputs=8, unroll=3)
+            conv1d_graph(unroll=3)
 
     def test_conv1d_initiation_interval(self):
         assert conv1d_graph(unroll=1).initiation_interval == 8

@@ -82,21 +82,8 @@ class TestDNN:
     def test_loss_decreases(self):
         x, y = _blobs()
         model = DNN([2, 6, 1], output="sigmoid", seed=0)
-        log = model.fit(x, y, epochs=15, lr=0.05)
-        assert log.losses[-1] < log.losses[0]
-
-    def test_get_set_weights_roundtrip(self):
-        model = DNN([3, 4, 2], seed=0)
-        weights = model.get_weights()
-        other = DNN([3, 4, 2], seed=99)
-        other.set_weights(weights)
-        x = np.random.default_rng(0).normal(size=(5, 3))
-        assert np.allclose(model.forward(x), other.forward(x))
-
-    def test_set_weights_shape_check(self):
-        model = DNN([3, 4, 2], seed=0)
-        with pytest.raises(ValueError):
-            model.set_weights([(np.zeros((2, 2)), np.zeros(2))] * 2)
+        losses = model.fit(x, y, epochs=15, lr=0.05)
+        assert losses[-1] < losses[0]
 
     def test_sigmoid_head_needs_one_unit(self):
         with pytest.raises(ValueError):
@@ -106,21 +93,6 @@ class TestDNN:
         assert anomaly_detection_dnn().layer_sizes == [6, 12, 6, 3, 1]
         assert iot_classifier_dnn((4, 10, 2)).layer_sizes == [4, 10, 2]
         assert anomaly_detection_dnn().n_params == 187
-
-    def test_class_weighting_raises_recall(self):
-        rng = np.random.default_rng(3)
-        # 10:1 imbalanced blobs.
-        x0 = rng.normal(-1, 1.2, size=(900, 2))
-        x1 = rng.normal(1, 1.2, size=(90, 2))
-        x = np.vstack([x0, x1])
-        y = np.concatenate([np.zeros(900, dtype=int), np.ones(90, dtype=int)])
-        plain = DNN([2, 8, 1], output="sigmoid", seed=0)
-        plain.fit(x, y, epochs=10, lr=0.05)
-        weighted = DNN([2, 8, 1], output="sigmoid", seed=0)
-        weighted.fit(x, y, epochs=10, lr=0.05, class_weight={0: 1.0, 1: 8.0})
-        recall_plain = np.mean(plain.predict(x)[y == 1])
-        recall_weighted = np.mean(weighted.predict(x)[y == 1])
-        assert recall_weighted >= recall_plain
 
 
 class TestSVM:
@@ -132,7 +104,7 @@ class TestSVM:
     def test_budget_respected(self):
         x, y = _blobs(300)
         svm = RBFKernelSVM(budget=10, epochs=2, seed=0).fit(x, y)
-        assert svm.n_support <= 10
+        assert len(svm.support_vectors) <= 10
 
     def test_nonlinear_boundary(self):
         """RBF kernel separates concentric rings (linear cannot)."""
@@ -143,7 +115,9 @@ class TestSVM:
         r = np.concatenate([r_inner, r_outer])
         x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         y = np.concatenate([np.zeros(200, dtype=int), np.ones(200, dtype=int)])
-        svm = RBFKernelSVM(gamma=1.0, budget=64, epochs=4, seed=0).fit(x, y)
+        # Scaled by 1 / sqrt(gamma): the kernel of gamma = 1 on the rings.
+        x /= np.sqrt(RBFKernelSVM.gamma)
+        svm = RBFKernelSVM(budget=64, epochs=4, seed=0).fit(x, y)
         assert accuracy(y, svm.predict(x)) > 0.85
 
     def test_unfitted_raises(self):
@@ -187,12 +161,16 @@ class TestKMeans:
         random_centroids = x[:5]
         km_random = KMeans(5, seed=2)
         km_random.centroids = random_centroids
-        assert km.inertia(x) <= km_random.inertia(x)
+
+        def inertia(model):
+            return np.sum((x - model.centroids[model.predict(x)]) ** 2)
+
+        assert inertia(km) <= inertia(km_random)
 
     def test_converges(self):
         x, __ = iot_cluster_dataset(400, seed=3)
-        km = KMeans(5, max_iter=200, seed=3).fit(x)
-        assert km.n_iter_ < 200
+        km = KMeans(5, seed=3).fit(x)
+        assert km.n_iter_ < 100  # the iteration cap
 
 
 class TestLSTM:

@@ -13,6 +13,7 @@ alongside.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.runtime.sharded import in_arrival_order
 
 from test_shard_runtime import (
     BACKENDS,
+    FIVE_TUPLE,
     _assert_same_result,
     _deep_equal,
     backend_cases,
@@ -241,9 +243,7 @@ class TestMultiAppIdentity:
         """Randomized traces: the fabric never diverges from the oracles."""
         dataset = generate_connections(max(n // 2, 10), seed=seed)
         trace_a = expand_to_packets(dataset, max_packets=n, seed=seed)
-        trace_c = congestion_packet_trace(
-            max(n // 3, 5), CFG, seed=seed, n_flows=7
-        )
+        trace_c = congestion_packet_trace(max(n // 3, 5), CFG, seed=seed)
         apps = _apps(quantized_dnn, lstm)
         oracle_a, __ = _oracle(apps[0], trace_a, chunk_size=17)
         oracle_c, __ = _oracle(apps[1], trace_c, chunk_size=17)
@@ -408,13 +408,18 @@ class TestInProcessFold:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_runtime_batch_with_a_backwards_request(
-        self, quantized_dnn, anomaly_trace, chunk, monkeypatch
+        self, quantized_dnn, anomaly_trace, colliding_tuples, chunk, monkeypatch
     ):
         """Requests ``[0:150], [150:300], [50:200], [300:]`` of one sorted
         trace: the third starts before the second's last time, so each
-        lane makes two calls, the first two requests and the last two."""
-        app = FabricApp.from_quantized_dnn(quantized_dnn, slots=8)
+        lane makes two calls, the first two requests and the last two.
+        Its five-tuples are hash-collision neighbours."""
+        app = FabricApp.from_quantized_dnn(quantized_dnn)
         __, ordered = in_arrival_order(anomaly_trace.columns())
+        picks = np.random.default_rng(4).integers(len(colliding_tuples), size=ordered.n)
+        ordered = dataclasses.replace(ordered, headers={
+            **ordered.headers, **dict(zip(FIVE_TUPLE, colliding_tuples[picks].T)),
+        })
         requests = [
             ordered.slice(slice(a, b))
             for a, b in ((0, 150), (150, 300), (50, 200), (300, ordered.n))
@@ -553,7 +558,6 @@ class TestFabricSurface:
             packets=list(reversed(sorted_trace.packets)),
             flows=sorted_trace.flows,
             duration=sorted_trace.duration,
-            offered_gbps=sorted_trace.offered_gbps,
         )
         app = FabricApp.from_quantized_dnn(quantized_dnn, name="anomaly")
         oracle, __ = _oracle(app, scrambled, chunk_size=32)

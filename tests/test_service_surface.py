@@ -1,69 +1,53 @@
 """Surface census for the top level, the lane runtime, the switch model, the
 testbed and the paper-side packages: every public name has a customer.
 
-One row per name in ``repro.__all__``, ``repro.core.__all__``,
-``repro.runtime.__all__``, ``service.__all__``, ``repro.pisa.__all__``,
-``pisa.scheduler.__all__`` and ``repro.testbed.__all__``, per ``__init__``
-keyword of the runtime constructors, of ``MapReduceBlock``, of
-``TaurusPipeline`` and of ``TaurusDataPlane``, and per field of their
-records and of ``EndToEndExperiment`` — keyed
-``Class.name``, except the service's keywords and ``ClientSpec``'s fields.  A row is
+One row per name in ``repro.__all__`` (but the scanned packages' exports
+it re-exports), ``repro.core.__all__``, ``repro.runtime.__all__``,
+``service.__all__``, ``repro.pisa.__all__`` and ``pisa.scheduler.__all__``,
+per ``__init__`` keyword of the runtime constructors and of
+``TaurusPipeline``, and per field of their records — keyed ``Class.name``,
+except the service's keywords and ``ClientSpec``'s fields.  A row is
 ``"<file>:<function> — why"``: the first non-test caller that needs the
 name, or — where no such caller exists — the test that pins the case the
-name is needed for.  New surface adds its row here in the change that
-adds it; a name whose last customer goes, goes with it.
+name is needed for.  New surface adds its row here in the change that adds
+it; a name whose last customer goes, goes with it.
 
-The ``__all__`` of the paper-side packages (``PAPER_SIDE``) is read by an
-AST scan: a name that a module of ``src/``, ``benchmarks/`` or ``examples/``
-uses, other than its own module and any ``__init__.py``, is placed; only
-the rest have rows.  A name with neither is deleted if only tests run it,
-else it leaves its package's ``__all__``.
+The paper-side packages and ``repro.testbed`` (``SCANNED``) are read by AST
+scans of ``src/``, ``benchmarks/`` and ``examples/``; only what they cannot
+place has a row.  An ``__all__`` name is placed when a module other than its
+own and any ``__init__.py`` uses it; one that is not is deleted if only
+tests run it, else it leaves its package's ``__all__``.  A public method,
+property or dataclass field is placed when it is read as an attribute or
+named in a string; a keyword with a default, when some call of that
+callable's name passes it by name, reaches its position or unpacks a
+``**`` mapping.  An unplaced member is deleted and an unplaced keyword
+becomes a constant, unless a row keyed ``Class.member`` or
+``function(keyword)`` names the test that needs it — and that test must
+mention it.
 """
 
 import ast
 import dataclasses
 import functools
 import inspect
+import math
 import re
 from pathlib import Path
 
 import repro
 from repro import apps, baselines, compiler, core, datasets, fixpoint, hw, mapreduce, ml
 from repro import pisa, runtime, testbed
-from repro.hw import MapReduceBlock
 from repro.pisa import TaurusPipeline, scheduler
 from repro.runtime import service
 from repro.runtime.fabric import FabricApp, MultiAppFabric, MultiAppResult
 from repro.runtime.service import ClientSpec, InferenceService
 from repro.runtime.sharded import ShardedRuntime
-from repro.testbed.dataplane import TaurusDataPlane
-from repro.testbed.experiment import EndToEndExperiment
 
 REPO = Path(__file__).resolve().parents[1]
 
 LEDGER_STACK = "benchmarks/ledger/workloads.py:__init__ — `Backend` builds every ledger stack"
 
 CUSTOMERS = {
-    # repro.__all__ (TaurusPipeline and ShardedRuntime have their rows below)
-    "AnomalyDetector": "examples/quickstart.py:main — the anomaly DNN end to end",
-    "CongestionController": "examples/congestion_control.py:main — the Indigo LSTM",
-    "IoTClassifier": "examples/iot_classification.py:main — the KMeans classifier",
-    "FIX8": "src/repro/mapreduce/frontend.py:svm_graph — the block's default format",
-    "FixTensor": "src/repro/fixpoint/quantize.py:quantize_model — a layer's nominal "
-                 "weights and its bias",
-    "quantize_model": "src/repro/testbed/experiment.py:build — the Table 8 model",
-    "MapReduceBlock": "src/repro/testbed/dataplane.py:__init__ — one block per lane",
-    "TaurusChip": "examples/iot_classification.py:main — the program's overheads",
-    "DataflowGraph": "src/repro/mapreduce/frontend.py:dnn_graph — its return type",
-    "MapReduceControlBlock": "tests/test_mapreduce_dsl_ir.py:test_reduce_is_tree_ordered "
-                             "— no shipped lowering is written in the DSL; a "
-                             "non-associative body shows its reduce is a tree",
-    "dnn_graph": "src/repro/testbed/dataplane.py:__init__ — the exact-activation program",
-    "kmeans_graph": "src/repro/apps/iot_classify.py:train — the IoT program",
-    "lstm_graph": "src/repro/apps/congestion.py:train — the Indigo program",
-    "svm_graph": "benchmarks/test_table5_applications.py:designs — Table 5's SVM row",
-    # MapReduceBlock keywords
-    "MapReduceBlock.graph": "src/repro/testbed/dataplane.py:__init__",
     # repro.core.__all__
     "render_table": "benchmarks/test_table5_applications.py:test_table5 — the table text",
     "series_to_text": "benchmarks/test_fig9_cu_sweep.py:test_fig9 — the Fig. 9a series",
@@ -116,17 +100,11 @@ CUSTOMERS = {
                                    "the pool",
     **{f"MultiAppFabric.{keyword}": LEDGER_STACK
        for keyword in ("apps", "shards", "executor", "chunk_size", "pool")},
-    # TaurusDataPlane keywords
-    "TaurusDataPlane.quantized": "src/repro/testbed/experiment.py:build",
-    "TaurusDataPlane.shards": "examples/quickstart.py:main — the 4-lane replay",
     # FabricApp fields
     "FabricApp.name": "benchmarks/ledger/workloads.py:oracle_pipelines — keys the oracle",
     "FabricApp.graph": "benchmarks/ledger/workloads.py:oracle_pipelines — the oracle's block",
     "FabricApp.feature_names": "src/repro/runtime/fabric.py:from_lstm — the "
                                "flattened window layout the pipeline parses",
-    "FabricApp.slots": "tests/test_shard_runtime.py:app — an 8-slot register file "
-                       "forces the hash-collision neighbours the slot-keyed "
-                       "partition must keep on one lane",
     "FabricApp.postprocess": "benchmarks/ledger/verify.py:scalar_prefix_mismatches — "
                              "scalar `process` on the oracle's app pipelines",
     "FabricApp.postprocess_batch": "src/repro/runtime/fabric.py:from_lstm — the "
@@ -172,8 +150,8 @@ CUSTOMERS = {
                            "per-request result",
     "port_bypass": "benchmarks/ledger/workloads.py:build_pipeline — bypass_c512's ports",
     "threshold_postprocess": "benchmarks/ledger/workloads.py:build_pipeline",
-    "FlowFeatureAccumulator": "src/repro/runtime/fabric.py:build_pipeline — a "
-                              "`FabricApp.slots`-sized register file",
+    "FlowFeatureAccumulator": "src/repro/pisa/pipeline.py:_process_span — the "
+                              "flow registers every span updates",
     "RegisterArray": "src/repro/pisa/registers.py:__post_init__ — the four flow registers",
     "fnv1a_columns": "src/repro/datasets/packets.py:flow_hashes — one hash per packet",
     # TaurusPipeline keywords
@@ -184,47 +162,17 @@ CUSTOMERS = {
                                                         "bypass_predicate_batch")},
     "TaurusPipeline.program": "src/repro/runtime/fabric.py:build_pipeline — steers the "
                               "shared block to the app's program",
-    "TaurusPipeline.accumulator": "src/repro/runtime/fabric.py:build_pipeline — "
-                                  "`FabricApp.slots`",
-    # repro.testbed.__all__
-    "BaselineResult": "src/repro/testbed/control.py:run — its return type",
-    "ControlPlaneBaseline": "src/repro/testbed/experiment.py:run_row — Table 8's left "
-                            "columns",
-    "StageLatencies": "src/repro/testbed/control.py:run — prices each server batch",
-    "DataPlaneResult": "src/repro/testbed/dataplane.py:detection_from_outcome — its "
-                       "return type",
-    "TaurusDataPlane": "src/repro/testbed/experiment.py:build — Table 8's Taurus side",
-    "DEFAULT_SAMPLING_RATES": "examples/anomaly_detection.py:main — the Table 8 sweep",
-    "EndToEndExperiment": "examples/anomaly_detection.py:main — the Table 8 testbed",
+    # repro.testbed names the scan cannot place
     "EndToEndRow": "src/repro/testbed/experiment.py:run_row — its return type",
-    "format_table8": "examples/anomaly_detection.py:main — prints the rows",
     "Arrival": "src/repro/testbed/producers.py:bursty_schedule — one per submit",
-    "bursty_schedule": "benchmarks/ledger/loadgen.py:frozen_schedule — the open-loop "
-                       "arrivals",
-    "chunk_columns": "benchmarks/ledger/workloads.py:client_chunks — request-sized "
-                     "chunks per client",
     "replay_virtual": "tests/test_serving.py:_run_schedule — only a virtual-time "
                       "replay makes the bursty accounting exact and repeatable",
-    "replay_wall": "examples/quickstart.py:main — the bursty two-tenant serve",
-    "Workload": "src/repro/testbed/traffic.py:build_workload — its return type",
-    "build_workload": "src/repro/testbed/experiment.py:build",
     "ConvergencePoint": "src/repro/testbed/training.py:_point — one per weight update",
-    "OnlineTrainer": "benchmarks/test_fig13_online_training.py:test_fig13 — the "
-                     "Fig. 13 convergence curves",
     "TrainingCostModel": "src/repro/testbed/training.py:run — prices each update",
-    # EndToEndExperiment fields
-    "EndToEndExperiment.workload": "src/repro/testbed/experiment.py:build",
-    "EndToEndExperiment.model": "src/repro/testbed/experiment.py:run_row — the "
-                                "baseline's float model",
-    "EndToEndExperiment.dataplane": "src/repro/testbed/experiment.py:taurus_result — "
-                                    "the one Taurus pass",
-    "EndToEndExperiment.stages": "src/repro/testbed/experiment.py:run_row — the "
-                                 "baseline's per-stage costs",
-    "EndToEndExperiment.seed": "src/repro/testbed/experiment.py:run_row — seeds the "
-                               "baseline's telemetry sampling",
-    "EndToEndExperiment._taurus": "src/repro/testbed/experiment.py:taurus_result — "
-                                  "the pass cached across the sweep",
-    # paper-side names the scan cannot place (MapReduceControlBlock: above)
+    # paper-side names the scan cannot place
+    "MapReduceControlBlock": "tests/test_mapreduce_dsl_ir.py:test_reduce_is_tree_ordered "
+                             "— no shipped lowering is written in the DSL; a "
+                             "non-associative body shows its reduce is a tree",
     "AppRequirement": "src/repro/apps/registry.py:meets_requirement — the Table 1 "
                       "row it checks",
     "GPU_T4": "tests/test_baselines.py:test_batch1_latency — Table 2's T4, 1.15 ms",
@@ -254,15 +202,35 @@ CUSTOMERS = {
                 "`REDUCE_OPS` entry",
     "ActivationSpec": "src/repro/mapreduce/frontend.py:_hw_activation_fn — the "
                       "`ACTIVATIONS` entry whose `chain_ops` prices the activation",
+    # members and keywords the member scan cannot place
+    "quantize_model(total_bits)": "tests/test_mapreduce_batch.py:test_dnn — fix16 "
+                                  "through the DNN lowering; item 4(c) keeps the "
+                                  "precision axis",
+    "svm_graph(fmt)": "tests/test_mapreduce_batch.py:test_svm — the fix16 SVM",
+    "kmeans_graph(fmt)": "tests/test_mapreduce_batch.py:test_kmeans — the fix16 KMeans",
+    "lstm_graph(fmt)": "tests/test_mapreduce_batch.py:test_lstm_temporal — the fix16 LSTM",
+    "TaurusChip.added_die_area_percent": "tests/test_hw.py:test_die_growth — the "
+                                         "abstract's 3.8 % die growth, which no "
+                                         "table prints yet",
 }
 
-PAPER_SIDE = (apps, baselines, compiler, datasets, fixpoint, hw, mapreduce, ml)
+SCANNED = (apps, baselines, compiler, datasets, fixpoint, hw, mapreduce, ml, testbed)
+# ``MapReduceControlBlock.trace``'s type, which nothing else builds: covered
+# by that class's row, as every name whose row names a test covers its own.
+COVERED = {"PatternTrace"}
 
 
-def _names_in(path: Path) -> set[str]:
+@functools.cache
+def _trees() -> dict[Path, ast.Module]:
+    """Every module of ``src/``, ``benchmarks/`` and ``examples/``, parsed."""
+    return {path: ast.parse(path.read_text())
+            for top in ("src", "benchmarks", "examples") for path in (REPO / top).rglob("*.py")}
+
+
+def _names_in(tree: ast.Module) -> set[str]:
     """Every name, attribute and imported name the module's AST holds."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -285,21 +253,107 @@ def _homes(package) -> dict[str, Path]:
 
 @functools.cache
 def _unplaced_paper_side_names() -> frozenset[str]:
-    """Paper-side exports that no module but their own names."""
-    uses = {
-        path: _names_in(path)
-        for top in ("src", "benchmarks", "examples")
-        for path in (REPO / top).rglob("*.py")
-        if path.name != "__init__.py"
-    }
+    """``SCANNED`` exports that no module but their own names."""
+    uses = {path: _names_in(tree) for path, tree in _trees().items()
+            if path.name != "__init__.py"}
     unplaced = set()
-    for package in PAPER_SIDE:
+    for package in SCANNED:
         homes = _homes(package)
         for name in package.__all__:
             if not any(name in names for path, names in uses.items()
                        if path != homes[name]):
                 unplaced.add(name)
     return frozenset(unplaced)
+
+
+def _defaults(function: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """``(keyword, position)`` per parameter with a default (keyword-only
+    ones have none); ``skip`` drops ``self`` / ``cls`` from the count."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first] + [
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+    ]
+
+
+@functools.cache
+def _scanned_surface() -> tuple[dict, dict]:
+    """``SCANNED``'s public members (``Class.member`` -> name) and keywords
+    with a default (``function(keyword)``, ``Class.method(keyword)`` or
+    ``Class(keyword)`` -> ``(callee, keyword, position)``)."""
+    members, keywords = {}, {}
+    for package in SCANNED:
+        for path in Path(package.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.FunctionDef):
+                    keywords |= {f"{node.name}({kw})": (node.name, kw, at)
+                                 for kw, at in _defaults(node, 0)}
+                if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                    continue
+                dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        init, name = item.name == "__init__", item.name
+                        callee = node.name if init else name
+                        key = node.name if init else f"{node.name}.{name}"
+                        static = "staticmethod" in map(ast.unparse, item.decorator_list)
+                        keywords |= {f"{key}({kw})": (callee, kw, at)
+                                     for kw, at in _defaults(item, not static)}
+                    elif (dataclass and isinstance(item, ast.AnnAssign)
+                          and "ClassVar" not in ast.unparse(item.annotation)):
+                        name = item.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        members[f"{node.name}.{name}"] = name
+    return members, keywords
+
+
+@functools.cache
+def _readers() -> tuple[set[str], dict[str, list]]:
+    """The names ``_trees()`` read — loaded as an attribute or spelled as a
+    (non-docstring) string; setting a field, by assignment or by keyword,
+    does not read it — and, per callee name, each call's ``(positions,
+    keyword names)``: ``*args`` reaches every position, a ``**`` mapping
+    shows as the keyword ``None``, and ``cls(...)`` calls its class."""
+    reads, calls = set(), {}
+    for tree in _trees().values():
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        owners = {id(child): node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for child in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                reads.add(node.value)
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                callee = owners.get(id(node), callee) if callee == "cls" else callee
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                calls.setdefault(callee, []).append((
+                    math.inf if starred else len(node.args),
+                    {keyword.arg for keyword in node.keywords},
+                ))
+    return reads, calls
+
+
+@functools.cache
+def _unplaced_members_and_keywords() -> frozenset[str]:
+    """Members nothing reads and keywords no call sets, in ``SCANNED``."""
+    members, keywords = _scanned_surface()
+    reads, calls = _readers()
+    covered = COVERED | {name for name in _unplaced_paper_side_names()
+                         if CUSTOMERS.get(name, "").startswith("tests/")}
+    unplaced = {key for key, name in members.items() if name not in reads} | {
+        key for key, (callee, keyword, at) in keywords.items()
+        if not any(keyword in names or None in names or (at is not None and n > at)
+                   for n, names in calls.get(callee, ()))
+    }
+    return frozenset(key for key in unplaced if re.match(r"\w+", key)[0] not in covered)
 
 
 def _keywords(cls) -> set[str]:
@@ -311,27 +365,57 @@ def _fields(cls) -> set[str]:
 
 
 def test_the_census_names_exactly_the_service_surface():
-    constructors = (
-        ShardedRuntime, MultiAppFabric, MapReduceBlock, TaurusDataPlane, TaurusPipeline
-    )
-    records = (FabricApp, MultiAppResult, EndToEndExperiment)
+    constructors = (ShardedRuntime, MultiAppFabric, TaurusPipeline)
+    records = (FabricApp, MultiAppResult)
+    scanned = set().union(*(package.__all__ for package in SCANNED))
     assert CUSTOMERS.keys() == (
-        set(repro.__all__) | set(core.__all__)
+        set(repro.__all__) - scanned | set(core.__all__)
         | set(runtime.__all__) | set(service.__all__) | set(scheduler.__all__)
-        | set(pisa.__all__) | set(testbed.__all__)
+        | set(pisa.__all__)
         | _keywords(InferenceService) | _fields(ClientSpec)
         | {f"{cls.__name__}.{name}" for cls in constructors for name in _keywords(cls)}
         | {f"{cls.__name__}.{name}" for cls in records for name in _fields(cls)}
         | _unplaced_paper_side_names()
+        | _unplaced_members_and_keywords()
     )
 
 
 def test_every_paper_side_name_has_a_customer():
-    """An export no other module uses needs a row, or it goes (see above)."""
+    """An export of ``SCANNED`` no other module uses needs a row, or it goes
+    (see above)."""
     assert not _unplaced_paper_side_names() - CUSTOMERS.keys()
 
 
+def test_every_member_and_keyword_has_a_customer():
+    """A member nothing reads, or a keyword no call sets, needs a row or goes."""
+    assert not _unplaced_members_and_keywords() - CUSTOMERS.keys()
+
+
+def _row(name: str) -> tuple[str, str]:
+    return re.match(r"([\w/.]+\.py):(\w+)", CUSTOMERS[name]).groups()
+
+
 def test_every_customer_exists():
-    for name, customer in CUSTOMERS.items():
-        path, function = re.match(r"([\w/.]+\.py):(\w+)", customer).groups()
+    for name in CUSTOMERS:
+        path, function = _row(name)
         assert f"def {function}(" in (REPO / path).read_text(), name
+
+
+def _mentions(path: str, function: str, word: str) -> bool:
+    """Whether a ``def function`` of ``path``, decorators included, says ``word``."""
+    source = (REPO / path).read_text()
+    return any(
+        re.search(rf"\b{word}\b", ast.get_source_segment(source, part))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+        for part in (*node.decorator_list, node)
+    )
+
+
+def test_every_member_and_keyword_row_names_a_test_that_uses_it():
+    """A member or keyword row names a test that sets or reads it, so the row
+    fails here, not silently, once that test stops needing it."""
+    for key in _unplaced_members_and_keywords():
+        path, function = _row(key)
+        assert path.startswith("tests/"), key
+        assert _mentions(path, function, re.search(r"(\w+)\)?$", key)[1]), key

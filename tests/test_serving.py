@@ -50,6 +50,7 @@ from repro.testbed import bursty_schedule, chunk_columns, replay_virtual, replay
 
 from test_shard_runtime import (
     BACKENDS,
+    FIVE_TUPLE,
     backend_cases,
     _deep_equal,
     _oracle,
@@ -231,7 +232,12 @@ def _run_schedule(blocks, seed):
         seed=seed, base_rate=400.0, burst_factor=20.0,
         burst_every=6, burst_len=4,
     )
-    admissions = replay_virtual(svc, schedule, chunks, clock, pump_every=3)
+    admissions = []
+    for start in range(0, len(schedule), 3):  # one pump after every third arrival
+        group = schedule[start : start + 3]
+        admissions += replay_virtual(svc, group, chunks, clock)
+        if len(group) == 3:
+            svc.pump(max_requests=1)
     depths = svc.stats().queue_depths
     svc.drain()
     stats = svc.stats()
@@ -835,8 +841,6 @@ class TestLifecycle:
 # ----------------------------------------------------------------------
 # Batched dispatch: pump() on a backlog is one run, and changes nothing
 # ----------------------------------------------------------------------
-FIVE_TUPLE = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
-
 
 def _cut(columns, plan):
     """Consecutive pieces of ``columns``, one per ``(size, one_flow)``; a

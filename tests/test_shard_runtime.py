@@ -13,6 +13,7 @@ in-process loop, and the fork pool under both of its spellings).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -171,6 +172,9 @@ def _runtime(
     )
 
 
+FIVE_TUPLE = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+
+
 def _packet(rng: np.random.Generator, t: float) -> Packet:
     protocol = int(rng.choice([0, 0, 1, 7]))
     features = None if rng.random() < 0.1 else rng.uniform(-3.0, 3.0, size=6)
@@ -188,6 +192,13 @@ def _packet(rng: np.random.Generator, t: float) -> Packet:
         arrival_time=t,
         features=features,
     )
+
+
+def _colliding(rng: np.random.Generator, tuples: np.ndarray, n: int) -> list[tuple]:
+    """``n`` five-tuples drawn from ``tuples`` (the ``colliding_tuples``
+    fixture), so the flow registers and the slot-keyed lane partition
+    meet hash-collision neighbours at the default slot count."""
+    return [tuple(map(int, row)) for row in tuples[rng.integers(len(tuples), size=n)]]
 
 
 def _random_columns(seed: int, n: int) -> TraceColumns:
@@ -349,6 +360,8 @@ class TestShardMergeDeterminism:
     def test_validation(self, blocks):
         with pytest.raises(ValueError):
             _runtime(blocks, 0, slots=16, tables=False)
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            _runtime(blocks, 1, slots=16, tables=False).process_trace([], chunk_size=0)
         with pytest.raises(ValueError):
             ShardedRuntime(
                 lambda i: _pipeline(blocks[i + 1], slots=16 + i, tables=False),
@@ -383,7 +396,7 @@ class TestShardedDataPlane:
             sharded = TaurusDataPlane(quantized_dnn, shards=shards)
             assert expected == sharded.run_switch(trace)
             assert 0 < sharded.last_modeled_drain_ns < base.last_modeled_drain_ns
-            assert sharded.verify_equivalence(trace, chunk_size=64)
+            assert sharded.verify_equivalence(trace)
 
     def test_shards_validated(self, quantized_dnn):
         from repro.testbed.dataplane import TaurusDataPlane
@@ -670,7 +683,7 @@ class TestTwoConstructors:
 
     @pytest.fixture(scope="class")
     def app(self, quantized_dnn):
-        return FabricApp.from_quantized_dnn(quantized_dnn, slots=8)  # collisions
+        return FabricApp.from_quantized_dnn(quantized_dnn)
 
     @pytest.fixture(scope="class")
     def records(self, train_test_split):
@@ -681,19 +694,25 @@ class TestTwoConstructors:
         return app.build_pipeline(MapReduceBlock(app.graph))
 
     @staticmethod
-    def _trace(kind, seed, n, records):
+    def _trace(kind, seed, n, records, colliding_tuples):
+        """Every kind's five-tuples come from ``colliding_tuples``, so the
+        slot-keyed partition meets hash-collision neighbours."""
         rng = np.random.default_rng(seed)
         if kind == "empty":
             return []
+        tuples = _colliding(rng, colliding_tuples, n)
         if kind == "packet_trace":  # an unsorted PacketTrace
             picks = rng.permutation(len(records.packets))[:n]
             return PacketTrace(
-                [records.packets[i] for i in picks], records.flows,
-                records.duration, records.offered_gbps,
+                [dataclasses.replace(records.packets[i], five_tuple=five_tuple)
+                 for i, five_tuple in zip(picks, tuples)],
+                records.flows, records.duration,
             )
         # "ties": two distinct timestamps, so long unsorted equal-time runs.
         times = np.round(rng.uniform(0.0, 0.01, size=n), 2 if kind == "ties" else 4)
         packets = [_packet(rng, float(t)) for t in times]
+        for packet, five_tuple in zip(packets, tuples):
+            packet.headers.update(zip(FIVE_TUPLE, five_tuple))
         if kind == "packets":
             return packets
         columns = TraceColumns.from_packets(packets)
@@ -712,9 +731,9 @@ class TestTwoConstructors:
     )
     @settings(max_examples=12, deadline=None)
     def test_property_same_workload_same_everything(
-        self, app, records, seed, n, shards, backend, kind, batch
+        self, app, records, colliding_tuples, seed, n, shards, backend, kind, batch
     ):
-        trace = self._trace(kind, seed, n, records)
+        trace = self._trace(kind, seed, n, records, colliding_tuples)
         requests = [trace, [], trace] if batch else [trace]
         oracle = self._pipeline(app)
         expected = [oracle.process_trace_batch(t, chunk_size=5) for t in requests]
@@ -811,8 +830,8 @@ class TestFoldedPieces:
     @pytest.fixture(scope="class")
     def apps(self, quantized_dnn):
         return [
-            FabricApp.from_quantized_dnn(quantized_dnn, name="a", slots=8),
-            FabricApp.from_quantized_dnn(quantized_dnn, name="b", threshold=0.3, slots=8),
+            FabricApp.from_quantized_dnn(quantized_dnn, name="a"),
+            FabricApp.from_quantized_dnn(quantized_dnn, name="b", threshold=0.3),
         ]
 
     @staticmethod
@@ -820,12 +839,13 @@ class TestFoldedPieces:
         return app.build_pipeline(MapReduceBlock(app.graph))
 
     @staticmethod
-    def _traces(plan, seed):
+    def _traces(plan, seed, colliding_tuples):
         """One trace per ``(app, n, boundary, bare)`` of ``plan``.  Each
         request's own rows are shuffled; its earliest time relative to
         the request before it is ``boundary``: after its last, equal to
         it, inside its span, or before its first.  A ``bare`` request
-        has no ``urgent_flag`` column."""
+        has no ``urgent_flag`` column.  Five-tuples are hash-collision
+        neighbours."""
         rng = np.random.default_rng(seed)
         traces, first, last = [], 1.0, 1.0
         for __, n, boundary, bare in plan:
@@ -841,9 +861,10 @@ class TestFoldedPieces:
             times = start + np.round(rng.uniform(0.0, 0.01, size=n), 3)
             times[0] = start
             first, last = start, float(times.max())
-            columns = TraceColumns.from_packets(
-                [_packet(rng, float(t)) for t in rng.permutation(times)]
-            )
+            packets = [_packet(rng, float(t)) for t in rng.permutation(times)]
+            for packet, five_tuple in zip(packets, _colliding(rng, colliding_tuples, n)):
+                packet.headers.update(zip(FIVE_TUPLE, five_tuple))
+            columns = TraceColumns.from_packets(packets)
             if bare:
                 del columns.headers["urgent_flag"]
             traces.append(columns)
@@ -892,12 +913,12 @@ class TestFoldedPieces:
         chunk=st.sampled_from([3, 5, 8]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_property_folding_changes_nothing(self, apps, plan, seed, chunk):
+    def test_property_folding_changes_nothing(self, apps, colliding_tuples, plan, seed, chunk):
         """A batch on a 2-lane fork runtime and on a 1-lane two-app fork
         fabric equals the in-process batch and back-to-back one-request
         runs: results with their dtypes, state, ``last_drain_ns`` and
         the ``on_result`` order."""
-        traces = self._traces(plan, seed)
+        traces = self._traces(plan, seed, colliding_tuples)
         self._assert_folding_changes_nothing(
             lambda **knobs: ShardedRuntime(
                 lambda s: self._pipeline(apps[0]), shards=2, **knobs
