@@ -63,7 +63,6 @@ class Placement:
 
     assignments: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     routes: list[list[tuple[int, int]]] = field(default_factory=list)
-    fold_factor: int = 1
 
     @property
     def n_tiles_used(self) -> int:
@@ -97,7 +96,7 @@ def place_and_route(graph: DataflowGraph) -> Placement:
     ).fold_factor
 
     mesh = grid.mesh()
-    placement = Placement(fold_factor=fold)
+    placement = Placement()
 
     def centroid(tiles: list[tuple[int, int]]) -> tuple[float, float]:
         if not tiles:

@@ -122,7 +122,12 @@ class FixedPointFormat:
         ``min_value * scale == raw_min`` exactly (a power-of-two scale), so
         the rounded values need no second clip.
         """
-        raw = np.empty(np.shape(values))
+        return self._quantize_float_into(values, np.empty(np.shape(values)))
+
+    def _quantize_float_into(self, values: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """:meth:`quantize_float` into ``raw``, a float64 array of the
+        shape of ``values`` that the caller owns (a compiled kernel's
+        working buffer); returns ``raw``."""
         np.maximum(values, self.min_value, out=raw, dtype=np.float64)  # NaN stays NaN
         np.minimum(raw, self.max_value, out=raw)
         raw *= self.scale

@@ -148,10 +148,21 @@ class QuantizedLinear:
         the index up with ``take(..., mode="clip")``, which saturates it —
         one MAC and one rounding shift for both.
         """
-        acc = self._w @ np.asarray(x_raw, dtype=self._w.dtype)
+        x = np.asarray(x_raw, dtype=self._w.dtype)
+        shape = (len(self._w), x.shape[1])
+        return self._mac_into(x, offset, np.empty(shape, self._w.dtype), np.empty(shape, np.intp))
+
+    def _mac_into(
+        self, x: np.ndarray, offset: int, acc: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`mac_raw` on memory its caller owns: ``x`` already in the
+        accumulator's dtype (``_w.dtype``), ``acc`` an ``(out, B)`` array
+        of that dtype the MAC clobbers, ``out`` the ``(out, B)`` intp
+        result, disjoint from both.  A compiled kernel passes views of its
+        working buffers, so a call allocates nothing of the batch's size."""
+        np.matmul(self._w, x, out=acc)
         scaled = acc.dtype.kind == "f"  # the factor rides in the float weights
-        # intp already for a float acc; an int32 one (fix8 weights) widens.
-        raw = _rounding_shift(acc, self._shifts, scaled=scaled).astype(np.intp, copy=False)
+        raw = _rounding_shift(acc, self._shifts, scaled=scaled, out=out)
         raw += self._bias - offset
         return raw
 

@@ -79,27 +79,46 @@ class FixTensor:
 
 
 def _rounding_shift(
-    acc: np.ndarray, shifts: np.ndarray | int, scaled: bool = False
+    acc: np.ndarray, shifts: np.ndarray | int, scaled: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``acc / 2**shifts`` (one shift, or one per column), rounded half
-    away from zero — which keeps quantization symmetric around 0.
+    away from zero — which keeps quantization symmetric around 0 — as
+    intp, written into ``out`` (a fresh array when ``None``) and returned.
 
     Positive shift moves right (divide), negative left (multiply) — both
     are single-cycle barrel-shift operations per lane.  ``acc`` is either
     integer-valued float64 below 2^52 in every intermediate (scaling by a
     power of two and adding one half are then exact) or a wide integer,
-    which comes back in its own dtype.  A float ``acc`` comes back as
-    intp, ``trunc(acc * 2**-shifts + copysign(0.5, acc))`` with the
-    truncation done by the cast (one pass, not a ``trunc`` and a cast);
-    ``scaled`` says it already holds ``acc * 2**-shifts`` (its caller
-    folded the factor into its weights), so only the rounding is left.
+    and is worked on in place: its values are clobbered.  A float ``acc``
+    becomes ``trunc(acc * 2**-shifts + copysign(0.5, acc))``, the
+    truncation done by the cast into ``out`` (one pass, not a ``trunc``
+    and a cast); ``scaled`` says it already holds ``acc * 2**-shifts``
+    (its caller folded the factor into its weights), so only the rounding
+    is left.  A wide integer is shifted in its own dtype (so it wraps as
+    that dtype does) and widened by the copy into ``out``.  Either way
+    ``out``'s memory is the scratch until that last copy, so the shift
+    allocates nothing of the batch's size.
     """
+    if out is None:
+        out = np.empty(acc.shape, dtype=np.intp)
     if acc.dtype.kind == "f":
         if not scaled:
             acc *= np.ldexp(1.0, -shifts)
-        acc += np.copysign(0.5, acc)
-        return acc.astype(np.intp)
+        half = out.view(np.float64)
+        np.copysign(0.5, acc, out=half)
+        acc += half
+        np.copyto(out, acc, casting="unsafe")
+        return out
+    # -1 where acc is negative, else 0: (mag ^ sign) - sign is copysign.
+    sign = out.reshape(-1).view(acc.dtype)[: acc.size].reshape(acc.shape)
+    np.right_shift(acc, 8 * acc.dtype.itemsize - 1, out=sign)
     down = np.maximum(shifts, 0).astype(acc.dtype)
-    up = np.maximum(-shifts, 0).astype(acc.dtype)
-    mag = ((np.abs(acc) + ((1 << down) >> 1)) >> down) << up
-    return np.where(acc < 0, -mag, mag)
+    np.abs(acc, out=acc)
+    acc += (1 << down) >> 1
+    acc >>= down
+    acc <<= np.maximum(-shifts, 0).astype(acc.dtype)
+    acc ^= sign
+    acc -= sign
+    np.copyto(out, acc)
+    return out

@@ -77,7 +77,6 @@ class BatchInferenceResult:
 
     values: np.ndarray          # (B, out_width)
     latency_ns: float           # first result: the design latency
-    initiation_interval: int
 
 
 def _compile(graph: DataflowGraph) -> CompiledDesign:
@@ -137,12 +136,9 @@ class MapReduceBlock:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         values = self.graph.execute_batch(features)
         batch = features.shape[0]
-        ii = self.design.initiation_interval
-        self._next_issue_cycle += batch * ii
+        self._next_issue_cycle += batch * self.design.initiation_interval
         self.packets_processed += batch
-        return BatchInferenceResult(
-            values=values, latency_ns=self.design.latency_ns, initiation_interval=ii
-        )
+        return BatchInferenceResult(values=values, latency_ns=self.design.latency_ns)
 
     # ------------------------------------------------------------------
     # Reconfiguration (program swaps without a new bitstream)

@@ -22,6 +22,9 @@ it also keeps small enough (:data:`_SERIAL_GEMM_WORK`) to stay off BLAS threads.
 
 from __future__ import annotations
 
+import threading
+from typing import Callable
+
 import numpy as np
 
 from ..fixpoint import FIX8, FixedPointFormat, QuantizedModel
@@ -117,6 +120,69 @@ def _raw_domain_table(fmt: FixedPointFormat, *hop) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).ravel()
 
 
+_F64, _INTP = np.dtype(np.float64), np.dtype(np.intp)
+
+
+class _Workspace:
+    """The working memory a compiled kernel owns, and its one caller.
+
+    ``words`` gives each buffer's size per packet in 8-byte words.  Each
+    buffer is one flat array for ``rows`` packets, allocated at lowering;
+    the first call's writes make the pages it uses resident, and they stay
+    so.  A call that allocated its temporaries instead would fault them in
+    afresh whenever glibc had returned the last call's to the system
+    (every call, in a process that has not yet raised its trim
+    threshold).  Writing the buffers at lowering instead measured +35 %
+    on the ledger's ``setup_s`` and +5 MB peak RSS on ``dnn_c64``: its
+    pool parent lowers two kernels it never calls.  :meth:`view` is a
+    C-contiguous ``(units, n)`` array over a buffer's head, so ``W @ X``
+    on it stays on BLAS.  :meth:`run` drives one call in pieces of at most
+    ``rows`` packets, and refuses a second call while one runs, re-entrant
+    or from another thread, with ``RuntimeError`` rather than waiting for
+    it: the two would share the buffers.
+    """
+
+    def __init__(self, rows: int, *words: int):
+        self.rows = rows
+        self._buffers = [np.empty(w * rows) for w in words]
+        self._lock = threading.Lock()
+        self._views: tuple[int, object] | None = None
+
+    def view(self, k: int, units: int, n: int, dtype: np.dtype = _F64) -> np.ndarray:
+        # A dtype object, not a scalar type: the conversion would cost as
+        # much as the view (~0.4 µs), and a call can build a dozen.
+        return np.ndarray((units, n), dtype, self._buffers[k])
+
+    def views(self, n: int, build: Callable[[int], object]) -> object:
+        """``build(n)``'s views, kept while calls stay at ``n`` packets."""
+        if self._views is None or self._views[0] != n:
+            self._views = n, build(n)
+        return self._views[1]
+
+    def run(self, n: int, piece: Callable[[slice], None]) -> None:
+        """``piece(rows)`` over an ``n``-packet call, ``rows`` at a time."""
+        if not self._lock.acquire(blocking=False):
+            raise RuntimeError(
+                "compiled kernel called while a call into it is running: "
+                "its working buffers serve one call at a time"
+            )
+        try:
+            for lo in range(0, n, self.rows):
+                piece(slice(lo, lo + self.rows))
+        finally:
+            self._lock.release()
+
+
+def _words(units: int, dtype) -> int:
+    """8-byte words per packet that ``units`` values of ``dtype`` take."""
+    return -(-units * np.dtype(dtype).itemsize // 8)
+
+
+#: Packets a compiled DNN kernel's buffers hold: one pipeline span
+#: (``pisa.pipeline.DEFAULT_TRACE_CHUNK``), so a span is one piece.
+_DNN_ROWS = 8192
+
+
 def _dnn_kernel(layers, activations):
     """Compile a quantized layer stack into one batch function, or ``None``.
 
@@ -124,7 +190,7 @@ def _dnn_kernel(layers, activations):
     values are ``(units, B)``, one contiguous row per unit.  It quantizes
     the features once at the PHV boundary, straight to float raw values
     (``in_fmt.quantize_float``, no int8 round trip), and then stays on raw
-    fixed-point values: per layer the shared
+    fixed-point values: per layer the shared MAC of
     :meth:`~repro.fixpoint.quantize.QuantizedLinear.mac_raw` (``W @ X``,
     unsaturated table indices), then one ``take(..., mode="clip")`` in a
     table over the layer's whole ``act_fmt`` raw domain — the clipped
@@ -138,6 +204,13 @@ def _dnn_kernel(layers, activations):
     kernel's ``tables`` lists ``(fmt, table)`` per lookup: a clipped lookup
     cannot tell a table short of its domain, so the analyser's probe
     checks their sizes.
+
+    Every step runs in the kernel's :class:`_Workspace`: buffer 0 holds a
+    layer's input and then its output (the MAC has consumed the input by
+    the time the lookup writes), 1 the accumulator, 2 the indices (and the
+    rounding's scratch before them), and 3, only when some layer
+    accumulates in wide integers, that layer's input cast to them.  The
+    last lookup writes into a fresh array, which the call returns.
     """
     if any(
         layer.activation not in _ELEMENTWISE_ACTIVATIONS
@@ -146,19 +219,52 @@ def _dnn_kernel(layers, activations):
     ):
         return None
     requantize = [layer.in_fmt.quantize for layer in layers[1:]] + [None]
-    steps = [
-        (layer.mac_raw, layer.act_fmt.raw_min, _raw_domain_table(layer.act_fmt, act, quantize))
+    tables = [
+        _raw_domain_table(layer.act_fmt, act, quantize)
         for layer, act, quantize in zip(layers, activations, requantize)
     ]
-    quantize_input = layers[0].in_fmt.quantize_float
+    quantize_input = layers[0].in_fmt._quantize_float_into
+    fan_in = [layer.w_raw.shape[1] for layer in layers]
+    units = [layer.w_raw.shape[0] for layer in layers]
+    widest = max(fan_in + units)
+    cast = any(layer._w.dtype.kind != "f" for layer in layers)
+    work = _Workspace(_DNN_ROWS, *[widest] * (4 if cast else 3))
+
+    steps = [
+        (layer._mac_into, layer.act_fmt.raw_min, table) for layer, table in zip(layers, tables)
+    ]
+
+    def views(n):
+        """Per layer: its input cast (wide-integer MACs only), accumulator,
+        indices and output (``None`` for the last: the caller's array)."""
+        per_layer = []
+        for layer, rows_in, rows_out in zip(layers, fan_in, units):
+            acc_t = layer._w.dtype
+            per_layer.append((
+                work.view(3, rows_in, n, acc_t) if acc_t.kind != "f" else None,
+                work.view(1, rows_out, n, acc_t),
+                work.view(2, rows_out, n, _INTP),
+                work.view(0, rows_out, n),
+            ))
+        per_layer[-1] = (*per_layer[-1][:3], None)
+        return work.view(0, fan_in[0], n), per_layer
+
+    def piece(features, out):
+        raw, buffers = work.views(len(features), views)
+        quantize_input(features.T, raw)
+        for (mac_raw, raw_min, table), (cast_in, acc, index, values) in zip(steps, buffers):
+            if cast_in is not None:
+                np.copyto(cast_in, raw, casting="unsafe")
+                raw = cast_in
+            index = mac_raw(raw, raw_min, acc, index)
+            raw = table.take(index, mode="clip", out=out if values is None else values)
 
     def kernel(features: np.ndarray, state: dict) -> np.ndarray:
-        raw = quantize_input(features.T)
-        for mac_raw, raw_min, table in steps:
-            raw = table.take(mac_raw(raw, raw_min), mode="clip")
-        return raw.T
+        scores = np.empty((units[-1], len(features)))
+        work.run(len(features), lambda rows: piece(features[rows], scores[:, rows]))
+        return scores.T
 
-    kernel.tables = [(layer.act_fmt, table) for layer, (__, __, table) in zip(layers, steps)]
+    kernel.tables = [(layer.act_fmt, table) for layer, table in zip(layers, tables)]
     return kernel
 
 
@@ -485,6 +591,10 @@ def kmeans_graph(kmeans, fmt: FixedPointFormat = FIX8, name: str = "kmeans") -> 
 #: wake-up stalls such a call for milliseconds: ``(208, 37) @ (37, 128)``
 #: 0.035 ms, ``(224, 37) @ (37, 128)`` 8.0 ms median.  3/4 of the threshold.
 _SERIAL_GEMM_WORK = 3 << 18
+#: Packets a compiled LSTM kernel's buffers hold: about 2.4 KB a packet
+#: for Indigo, so 8,192 would keep 20 MB resident per lowering.  Measured
+#: no slower per packet than one 2,048-row piece.
+_LSTM_ROWS = 1024
 #: Integer-valued float64 sums below this are exact in any order.
 _EXACT_SUM_LIMIT = 1 << 53
 #: The same for float32: below this the kernel's accumulator is float32.
@@ -524,7 +634,7 @@ def _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out):
     bound = (dim + hidden + 4) * lo * lo
     if fmt.total_bits > _MAX_TABLE_BITS or bound >= _EXACT_SUM_LIMIT:
         return None
-    dtype = np.float32 if bound < _EXACT_F32_LIMIT else np.float64
+    dtype = np.dtype(np.float32 if bound < _EXACT_F32_LIMIT else np.float64)
     sigmoid = _raw_domain_table(fmt, sigmoid_piecewise, fmt.quantize)
     cell_tanh = _raw_domain_table(fmt, tanh_piecewise)
     if np.abs(sigmoid).max() * np.abs(cell_tanh).max() > hi:
@@ -543,17 +653,31 @@ def _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out):
     blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
     s_i, s_f, s_o, s_g = blocks
 
-    def kernel(features: np.ndarray, state: dict) -> np.ndarray:
-        x_raw = fmt.quantize_float(features.T)  # (steps * dim, B)
-        n = x_raw.shape[1]
-        tiles = [slice(start, start + tile) for start in range(0, n, tile)]
-        z = np.zeros((dim + hidden + 1, n), dtype=dtype)  # [x_t; h; 1]; h and c start at 0
-        z[-1] = 1
+    n_out = wo.shape[0]
+    work = _Workspace(
+        _LSTM_ROWS, window_steps * dim, _words(dim + hidden + 1, dtype), _words(hidden, dtype),
+        _words(4 * hidden, dtype), 4 * hidden, hidden, _words(n_out, dtype),
+    )
+
+    def views(n):
+        return (
+            work.view(0, window_steps * dim, n),
+            work.view(1, dim + hidden + 1, n, dtype),  # [x_t; h; 1]
+            work.view(2, hidden, n, dtype),
+            work.view(3, 4 * hidden, n, dtype),  # pre-activations, then values
+            work.view(4, 4 * hidden, n, _INTP),
+            work.view(5, hidden, n),  # float64: tanh_pw(c) is unrounded
+            work.view(6, n_out, n, dtype),
+            [slice(start, start + tile) for start in range(0, n, tile)],
+        )
+
+    def piece(features, actions, h_out, c_out):
+        x_raw, z, c, gates, index, cell, logits, tiles = work.views(len(features), views)
+        fmt._quantize_float_into(features.T, x_raw)  # (steps * dim, B)
         h = z[dim:-1]
-        c = np.zeros((hidden, n), dtype=dtype)
-        gates = np.empty((4 * hidden, n), dtype=dtype)  # pre-activations, then values
-        index = np.empty((4 * hidden, n), dtype=np.intp)
-        cell = np.empty((hidden, n))  # float64: tanh_pw(c) is unrounded
+        h[:] = 0  # h and c start at 0
+        c[:] = 0
+        z[-1] = 1
         for t in range(window_steps):
             z[:dim] = x_raw[t * dim : (t + 1) * dim]
             for cols in tiles:
@@ -570,13 +694,21 @@ def _lstm_kernel(fmt, window_steps, dim, w_gates, b_gates, w_out, b_out):
             cell_tanh.take(index[s_i], mode="clip", out=cell)  # c is in range; clip is faster
             cell *= gates[s_o]
             np.rint(cell, out=h)
-        logits = np.empty((wo.shape[0], n), dtype=dtype)
         for cols in tiles:
             logits[:, cols] = wo @ z[dim:, cols]
         np.rint(logits, out=logits)  # then clip: argmax sees the saturated ties
         np.clip(logits, lo, hi, out=logits)
-        state["h"], state["c"] = (fmt.dequantize(np.ascontiguousarray(v.T)) for v in (h, c))
-        return logits.argmax(axis=0).reshape(-1, 1)
+        logits.argmax(axis=0, out=actions)
+        for raw, out in ((h, h_out), (c, c_out)):  # fmt.dequantize, into the result
+            np.divide(raw.T, fmt.scale, out=out, dtype=np.float64)
+
+    def kernel(features: np.ndarray, state: dict) -> np.ndarray:
+        n = len(features)
+        actions = np.empty((n, 1), dtype=np.intp)
+        h, c = np.empty((n, hidden)), np.empty((n, hidden))
+        work.run(n, lambda rows: piece(features[rows], actions[rows, 0], h[rows], c[rows]))
+        state["h"], state["c"] = h, c
+        return actions
 
     kernel.tables = [(fmt, table) for table in (*tables, cell_tanh)]
     return kernel

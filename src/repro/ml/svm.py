@@ -133,8 +133,3 @@ class RBFKernelSVM:
         """Hard {0, 1} labels."""
         return (self.decision_function(x) >= 0.0).astype(np.int64)
 
-    def weight_bytes(self) -> int:
-        """Size of the SV set + coefficients at 8 bits."""
-        if self.support_vectors is None:
-            return 0
-        return self.support_vectors.size + self.alphas.size + 1

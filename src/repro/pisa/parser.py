@@ -94,19 +94,40 @@ class Parser:
     ) -> PHVBatch:
         """Parse ``N`` packets at once from columnar header fields.
 
+        Counts the packets here, but returns a deferred batch: the walk
+        (:meth:`_walk`) runs when something first reads or writes it, so a
+        span whose PHV nothing reads is never parsed; the columns must not
+        change until then.  A cyclic graph walks here, so its loop guard
+        raises at the call, as :meth:`parse` does.  Results are
+        bit-identical to :meth:`parse` per packet.
+        """
+        n = len(payload_len)
+        if self._loops:
+            batch = PHVBatch(self.layout, n)
+            self._walk(batch, headers, payload_len)
+        else:
+            batch = PHVBatch._deferred(
+                self.layout, n, lambda fresh: self._walk(fresh, headers, payload_len)
+            )
+        self.packets_parsed += n
+        return batch
+
+    def _walk(
+        self, batch: PHVBatch, headers: dict[str, np.ndarray], payload_len: np.ndarray
+    ) -> None:
+        """Write the parse of the columns into ``batch``'s zeroed blocks.
+
         The graph is evaluated once per reachable (state, packet mask)
         pair; the start state runs unmasked and a select fans the mask out
         per transition value.  Each extract is one write into the batch's
         header block — whole rows in an unmasked state, else through
         ``np.putmask`` (twice as fast as a ``where=`` ufunc at 2,048
         rows) — or its feature block, and a state's written rows are set
-        in one step.  Results are bit-identical to
-        :meth:`parse` per packet.  The per-packet loop guard runs only when
-        the graph has a cycle (in a DAG no packet can visit more states
-        than there are) and there are rows: zero rows walk no state.
+        in one step.  The per-packet loop guard runs only when the graph
+        has a cycle (in a DAG no packet can visit more states than there
+        are) and there are rows: zero rows walk no state.
         """
-        n = len(payload_len)
-        batch = PHVBatch(self.layout, n)
+        n = batch.n
         block, features, written = batch.headers, batch.features, batch.written
         zeros = np.zeros(n, dtype=np.int64)
         # Non-int64 columns convert with int() truncation semantics.
@@ -145,8 +166,6 @@ class Parser:
             elif state.default_next is not None:
                 work.append((state.default_next, mask))
         batch.set_column("payload_len", payload_len)
-        self.packets_parsed += n
-        return batch
 
 
 def default_layout(feature_names: tuple[str, ...]) -> PHVLayout:

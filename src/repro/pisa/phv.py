@@ -9,6 +9,7 @@ block as a dense PHV (to minimize sparse data occurrences)" (Section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -102,17 +103,42 @@ class PHVBatch:
     dict-key presence (so "was ``decision`` explicitly set?" works the same
     way).  A batch is allocated zeroed, so a never-written field reads as
     zeros, matching ``PHV.get``'s default.
+
+    A batch :meth:`Parser.parse_batch <repro.pisa.parser.Parser.parse_batch>`
+    returns is *deferred*: its blocks are allocated and the parse walk fills
+    them on the first touch of any of the three, which every method here
+    makes, so a span nothing reads is never parsed.
     """
 
-    __slots__ = ("layout", "n", "headers", "features", "written")
+    __slots__ = ("layout", "n", "headers", "features", "written", "_fill")
 
     def __init__(self, layout: PHVLayout, n: int):
         self.layout = layout
         self.n = n
-        h, f = layout.n_headers, len(layout.feature_fields)
-        self.headers = np.zeros((h, n), dtype=np.int64)
-        self.features = np.zeros((n, f), dtype=np.float64)
-        self.written = np.zeros((h + f, n), dtype=bool)
+        self._fill = None
+        self._allocate()
+
+    @classmethod
+    def _deferred(cls, layout: PHVLayout, n: int, fill: Callable[["PHVBatch"], None]) -> "PHVBatch":
+        """A batch whose blocks ``fill(batch)`` writes, zeroed, on first touch."""
+        batch = cls.__new__(cls)
+        batch.layout, batch.n, batch._fill = layout, n, fill
+        return batch
+
+    def _allocate(self) -> None:
+        h, f = self.layout.n_headers, len(self.layout.feature_fields)
+        self.headers = np.zeros((h, self.n), dtype=np.int64)
+        self.features = np.zeros((self.n, f), dtype=np.float64)
+        self.written = np.zeros((h + f, self.n), dtype=bool)
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a deferred batch's blocks.
+        if name not in ("headers", "features", "written") or self._fill is None:
+            raise AttributeError(name)
+        fill, self._fill = self._fill, None
+        self._allocate()
+        fill(self)
+        return getattr(self, name)
 
     # ------------------------------------------------------------------
     # Column access

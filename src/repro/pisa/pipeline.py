@@ -451,14 +451,18 @@ class TaurusPipeline:
         postprocess table reads ``ml_bypass`` / ``ml_score`` or overrides
         ``decision``; under the never-bypass default every row is an ML
         row (no predicate, no gather); with no table either, a span whose
-        every row has features sends them to the block without the PHV."""
+        every row has features sends them to the block without the PHV,
+        whose parse then never runs (``parse_batch`` defers it to the
+        first read, and still counts the packets)."""
         batch = self.parser.parse_batch(span.headers, span.payload_len)
         urgent = span.header("urgent_flag") != 0
         post = self.postprocess_tables
         direct = (
             all_ml and not self.preprocess_tables and not post
             and span.features is not None and span.has_features.all()
-            and span.features.shape[1] == batch.features.shape[1]  # else set_features refuses
+            # else set_features refuses; the layout, not the batch: reading
+            # the batch would run its parse
+            and span.features.shape[1] == len(self.parser.layout.feature_fields)
         )
         if not direct and span.features is not None and span.has_features.any():
             batch.set_features(span.features, where=span.has_features)

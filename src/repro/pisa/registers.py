@@ -93,7 +93,9 @@ class RegisterArray:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError("size must be positive")
-        self.values = np.zeros(self.size, dtype=np.int64)
+        # Written here, not calloc'd (``np.zeros``): the pages are resident
+        # before the first packet, so no update pays to fault them in.
+        self.values = np.full(self.size, 0, dtype=np.int64)
 
     @property
     def max_value(self) -> int:
@@ -146,7 +148,7 @@ class FlowFeatureAccumulator:
         self.byte_count = RegisterArray(self.slots, width_bits=48)
         self.urgent_count = RegisterArray(self.slots)
         self.first_seen_ms = RegisterArray(self.slots, width_bits=48)
-        self.dirty = np.zeros(self.slots, dtype=bool)
+        self.dirty = np.full(self.slots, False)  # written, like the arrays
         for array in (self.packet_count, self.byte_count,
                       self.urgent_count, self.first_seen_ms):
             array._dirty = self.dirty

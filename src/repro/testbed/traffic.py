@@ -35,12 +35,6 @@ class Workload:
         return len(self.trace)
 
     @property
-    def packet_rate_pps(self) -> float:
-        if self.trace.duration <= 0:
-            return 0.0
-        return len(self.trace) / self.trace.duration
-
-    @property
     def anomalous_packets(self) -> int:
         return sum(p.label for p in self.trace.packets)
 

@@ -130,17 +130,19 @@ ROWS = [
         "if True:\n            event = self._events.get(key)",
         "rt-racy-field"),
     # ---- caught, mapreduce/frontend.py -----------------------------------
-    row("lstm-kernel-state-key", FRONTEND, 'state["h"], state["c"] = (fmt.dequantize',
-        'state["h"], state["cell"] = (fmt.dequantize', "ir-batch-divergence", lowering="lstm"),
+    row("lstm-kernel-state-key", FRONTEND, 'state["h"], state["c"] = h, c',
+        'state["h"], state["cell"] = h, c', "ir-batch-divergence", lowering="lstm"),
     row("raw-domain-table-one-short", FRONTEND, "np.arange(fmt.raw_min, fmt.raw_max + 1)",
         "np.arange(fmt.raw_min, fmt.raw_max)", "ir-probe-failure", lowering="dnn"),
-    row("dnn-kernel-index-off-by-one", FRONTEND, "mac_raw(raw, raw_min)", "mac_raw(raw, raw_min + 1)",
+    row("dnn-kernel-index-off-by-one", FRONTEND, "mac_raw(raw, raw_min, acc, index)",
+        "mac_raw(raw, raw_min + 1, acc, index)",
         "ir-batch-divergence", lowering="dnn"),
     row("lstm-cell-tanh-table-rounded", FRONTEND, "_raw_domain_table(fmt, tanh_piecewise)\n",
         "_raw_domain_table(fmt, tanh_piecewise, fmt.roundtrip)\n",
         "ir-batch-divergence", lowering="lstm"),
-    row("dnn-kernel-input-unclipped", FRONTEND, "quantize_input = layers[0].in_fmt.quantize_float\n",
-        "quantize_input = lambda x: np.rint(x * layers[0].in_fmt.scale)\n",
+    row("dnn-kernel-input-unclipped", FRONTEND,
+        "quantize_input = layers[0].in_fmt._quantize_float_into\n",
+        "quantize_input = lambda x, raw: np.rint(x * layers[0].in_fmt.scale, out=raw)\n",
         "ir-probe-failure", lowering="dnn"),
     row("dnn-gather-one-too-wide", FRONTEND, 'name=f"gather{i}", width=out_units\n',
         'name=f"gather{i}", width=out_units + 1\n', "ir-gather-width", lowering="dnn"),

@@ -218,10 +218,11 @@ class TestPlaceRoute:
     def test_placement_fits_anomaly_dnn(self, quantized_dnn):
         from repro.mapreduce import dnn_graph
 
-        placement = place_and_route(dnn_graph(quantized_dnn))
-        resources = graph_resources(dnn_graph(quantized_dnn))
+        graph = dnn_graph(quantized_dnn)
+        placement = place_and_route(graph)
+        resources = graph_resources(graph)
         assert placement.n_tiles_used == resources.n_cu + resources.n_mu
-        assert placement.fold_factor == 1
+        assert compile_graph(graph).fold_factor == 1  # unfolded: one CU tile per CU
 
     def test_routes_exist_and_are_paths(self, quantized_dnn):
         from repro.mapreduce import dnn_graph
@@ -236,8 +237,9 @@ class TestPlaceRoute:
         from repro.mapreduce import lstm_graph
         from repro.ml import indigo_lstm
 
-        placement = place_and_route(lstm_graph(indigo_lstm(seed=0)))
-        assert placement.fold_factor > 1
+        graph = lstm_graph(indigo_lstm(seed=0))
+        placement = place_and_route(graph)
+        assert graph_resources(graph).n_cu > len(GridSpec().tiles("cu"))  # folded to fit
         assert placement.n_tiles_used <= 120
 
     def test_mu_overflow_is_the_compilers_budget_error(self):

@@ -97,17 +97,17 @@ class TestRoundingShift:
         positive, zero and negative shifts side by side in one call —
         on the float accumulator the kernel uses and the integer one —
         and against each shift alone, the uniform form ``FixTensor``
-        arithmetic passes (``frac_bits``).  A float accumulator comes back
-        as intp (the cast is the truncation), an integer one in its dtype."""
+        arithmetic passes (``frac_bits``).  Both come back as intp (for a
+        float accumulator the cast is the truncation, an integer one is
+        shifted in its own dtype and widened)."""
         peak = 64 * 128 * 128
         values = np.arange(-peak, peak + 1, dtype=np.int32)
         domain = np.arange(-128, 128)  # a fix8 table that returns its raw value
-        out_dtype = np.intp if dtype is np.float64 else dtype
         for block in np.array_split(values, 8):
             acc = np.repeat(block[:, None], len(self.SHIFTS), axis=1)
             expected = _rounding_shift_per_column(acc, self.SHIFTS)
             got = _rounding_shift(acc.astype(dtype), self.SHIFTS)
-            assert got.dtype == out_dtype
+            assert got.dtype == np.intp
             assert np.array_equal(got, expected)
             # The kernels never saturate an index: ``take(..., mode="clip")``
             # of the unsaturated one is the saturated value's entry.
@@ -115,7 +115,7 @@ class TestRoundingShift:
             assert np.array_equal(domain.take(index, mode="clip"), np.clip(expected, -128, 127))
             for j, shift in enumerate(self.SHIFTS):
                 uniform = _rounding_shift(block.astype(dtype), int(shift))
-                assert uniform.dtype == out_dtype
+                assert uniform.dtype == np.intp
                 assert np.array_equal(uniform, expected[:, j])
 
     def test_float_path_equals_integer_path_on_ties_and_zeros(self):

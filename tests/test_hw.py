@@ -137,7 +137,7 @@ class TestMapReduceBlock:
         block = MapReduceBlock(conv1d_graph(unroll=1))  # II = 8
         result = block.run_batch(np.ones((10, 9)))
         ii = block.design.initiation_interval
-        assert result.initiation_interval == ii
+        assert len(result.values) == 10
         assert block._next_issue_cycle == 10 * ii
         expected_cycles = block.design.latency_cycles + 9 * ii
         assert drain_ns([block], [0]) == pytest.approx(expected_cycles / CLOCK_GHZ)

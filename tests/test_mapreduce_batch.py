@@ -7,6 +7,10 @@ once (after the last temporal iteration), and input features reach node
 callables as read-only views.
 """
 
+import copy
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -907,3 +911,194 @@ class TestKernelsStayOnTheCallingThread:
         graph = lstm_graph(indigo_lstm(seed=0), window_steps=seqs.shape[1])
         assert graph.kernel is not None and len(seqs) == 512
         self._assert_serial(graph, seqs.reshape(len(seqs), -1))
+
+
+# ----------------------------------------------------------------------
+# The compiled kernels run in working memory they own
+# ----------------------------------------------------------------------
+def _dnn_rows(quantized_dnn, train_test_split, rows):
+    train, __ = train_test_split
+    return np.resize(dnn_feature_matrix(train), (rows, quantized_dnn.layers[0].w_raw.shape[1]))
+
+
+class TestKernelWorkspace:
+    """The kernels' buffers are allocated at lowering, so a returned array
+    must never be a view of them: a result (and an LSTM's ``state``) kept
+    from one call keeps its values through the next, at the kernel and at
+    the block; a call longer than the buffers runs in pieces; and a second
+    call into a busy kernel is refused, not run on shared buffers."""
+
+    @staticmethod
+    def _assert_kept(call, first, second):
+        kept = call(first)
+        copies = [np.copy(value) for value in kept]
+        call(second)
+        for value, copy in zip(kept, copies):
+            assert _same(value, copy)
+
+    @pytest.mark.parametrize("rows", [64, frontend._DNN_ROWS])
+    def test_dnn_result_survives_the_next_call(self, quantized_dnn, train_test_split, rows):
+        from repro.hw import MapReduceBlock
+
+        feats = _dnn_rows(quantized_dnn, train_test_split, rows)
+        graph = dnn_graph(quantized_dnn, exact_activations=True)
+        assert graph.kernel is not None
+        other = feats[::-1].copy()
+        self._assert_kept(lambda x: [graph.execute_batch(x)], feats, other)
+        block = MapReduceBlock(graph)
+        self._assert_kept(lambda x: [block.run_batch(x).values], feats, other)
+
+    def test_lstm_result_and_state_survive_the_next_call(self):
+        from repro.hw import MapReduceBlock
+
+        graph = lstm_graph(indigo_lstm(seed=0), window_steps=8)
+        rng = np.random.default_rng(5)
+        first, second = (_lstm_rows(rng, 300, 40, FIX8) for __ in range(2))
+
+        def call(x):
+            state = {}
+            return [graph.execute_batch(x, state=state), state["h"], state["c"]]
+
+        self._assert_kept(call, first, second)
+        block = MapReduceBlock(graph)
+        self._assert_kept(lambda x: [block.run_batch(x).values], first, second)
+
+    def test_calls_longer_than_the_buffers_run_in_pieces(self, quantized_dnn, train_test_split):
+        rows = 2 * frontend._DNN_ROWS + 5
+        feats = _dnn_rows(quantized_dnn, train_test_split, rows)
+        feats[frontend._DNN_ROWS] = np.nan  # the first row of the second piece
+        graph = dnn_graph(quantized_dnn, exact_activations=True)
+        assert_kernel_matches_reference(
+            graph, feats, scalar_rows=_boundary_rows(rows, frontend._DNN_ROWS)
+        )
+        lstm_rows = 2 * frontend._LSTM_ROWS + 5
+        graph = lstm_graph(indigo_lstm(seed=0), window_steps=8)
+        feats = _lstm_rows(np.random.default_rng(6), lstm_rows, 40, FIX8)
+        assert_kernel_matches_reference(
+            graph, feats, scalar_rows=_boundary_rows(lstm_rows, frontend._LSTM_ROWS)
+        )
+
+    def test_a_reentrant_call_is_refused(self, quantized_dnn, train_test_split):
+        """A MAC that calls back into its own kernel finds it busy; the
+        outer call then completes untouched, and so do later calls."""
+        feats = _dnn_rows(quantized_dnn, train_test_split, 64)
+        expected = dnn_graph(quantized_dnn, exact_activations=True).execute_batch(feats)
+        layers = [copy.copy(layer) for layer in quantized_dnn.layers]
+        mac, calls, refused = layers[1]._mac_into, [], []
+
+        def reentrant(*args):
+            if not calls:  # once, from inside the outer call
+                calls.append(args)
+                try:
+                    graph.execute_batch(feats)
+                except RuntimeError as exc:
+                    refused.append(str(exc))
+            return mac(*args)
+
+        layers[1]._mac_into = reentrant  # the lowering binds the instance's
+        graph = dnn_graph(QuantizedModel(layers), exact_activations=True)
+        assert _same(graph.execute_batch(feats), expected)
+        assert len(refused) == 1 and "one call at a time" in refused[0]
+        assert _same(graph.execute_batch(feats), expected)
+
+    def test_fresh_process_faults_no_pages_per_call(self):
+        """In a process that has made no large allocation (glibc's trim
+        threshold still at its default), an 8,192-row anomaly-DNN call
+        takes at most 10 minor faults: its buffers were written at
+        lowering.  Temporaries of the same size fault ~350 a call."""
+        code = (
+            "import resource, numpy as np\n"
+            "from repro.fixpoint import quantize_model\n"
+            "from repro.mapreduce import dnn_graph\n"
+            "from repro.ml import anomaly_detection_dnn\n"
+            "rng = np.random.default_rng(0)\n"
+            "model = quantize_model(anomaly_detection_dnn(seed=0), rng.normal(size=(256, 6)))\n"
+            "graph = dnn_graph(model, exact_activations=True)\n"
+            "feats = rng.normal(size=(8192, 6))\n"
+            "graph.execute_batch(feats)\n"
+            "faults = []\n"
+            "for _ in range(5):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    graph.execute_batch(feats)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(max(faults))\n"
+        )
+        src = Path(frontend.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert int(out.stdout) <= 10, out.stdout
+
+
+class TestFix16WideAccumulator:
+    """A fix16 layer whose MAC cannot be exact in float64 accumulates in
+    int64 (``QuantizedLinear.mac_raw``'s wide-integer path), in the
+    kernel's buffers too.  Inputs put its outputs on both raw limits, one
+    unit past them and on rounding ties of both signs; the compiled
+    kernel and the reference ``dot`` node must both equal a Python-int
+    oracle that shifts, rounds half away from zero and saturates."""
+
+    IN = FixedPointFormat(16, 1, "fix16")     # x_raw / 2
+    ACT = FixedPointFormat(16, 15, "fix16")  # raw / 2**15
+    FAN_IN = 256
+
+    def _layer(self):
+        """Row 0 sums the inputs and row 1 negates the sum, both shifted
+        right by one (``w_frac + in.frac - act.frac = 15 + 1 - 15``); row 2
+        scales input 0 by ``-2**15`` and shifts left by 14, which takes
+        the MAC's peak past 2^52; row 3 is row 0 with a bias."""
+        w = np.zeros((4, self.FAN_IN), dtype=np.int64)
+        w[0], w[1], w[2, 0], w[3] = 1, -1, -(1 << 15), 1
+        layer = _layer(w, [15, 15, 0, 15], [0, 0, 0, -3], "linear", self.IN, self.ACT)
+        assert layer._w.dtype == np.int64  # the integer path
+        return layer
+
+    def _oracle(self, layer, x_raw):
+        """Python ints: MAC, rounding shift, bias, saturation."""
+        lo, hi = self.ACT.raw_min, self.ACT.raw_max
+        out = []
+        for row in x_raw.tolist():
+            values = []
+            for w, shift, b in zip(layer.w_raw.tolist(), layer._shifts[:, 0].tolist(),
+                                   layer.bias.raw.tolist()):
+                acc = sum(wi * xi for wi, xi in zip(w, row))
+                if shift > 0:
+                    mag = (abs(acc) + (1 << (shift - 1))) >> shift
+                    acc = mag if acc >= 0 else -mag
+                else:
+                    acc <<= -shift
+                values.append(min(max(acc + b, lo), hi))
+            out.append(values)
+        return np.array(out)
+
+    def _inputs(self):
+        """Rows whose input sum is ``s``: the sum's half lands on and one
+        past each raw limit, on ties of both signs near 0 and at the
+        limits; and every input at its raw limit."""
+        lo, hi = self.IN.raw_min, self.IN.raw_max
+        sums = [0, 1, -1, 3, -3, 5, -5, 65533, 65534, 65535, 65536, 65539,
+                -65533, -65535, -65536, -65537, -65541]
+        rows = []
+        for s in sums:
+            row = np.zeros(self.FAN_IN, dtype=np.int64)
+            row[0] = s % 3 - 1  # unit 2: -1, 0 or +1 times -2**15 << 14
+            left = s - row[0]
+            for k in range(1, 4):  # the rest of the sum, in range
+                row[k] = min(max(left, lo), hi)
+                left -= row[k]
+            rows.append(row)
+        rows += [np.full(self.FAN_IN, lo), np.full(self.FAN_IN, hi)]
+        return np.array(rows)
+
+    def test_kernel_and_dot_node_equal_the_saturated_oracle(self):
+        layer = self._layer()
+        x_raw = self._inputs()
+        oracle = self._oracle(layer, x_raw)
+        assert np.array_equal(np.clip(layer.mac_raw(x_raw.T), -32768, 32767).T, oracle)
+        # Both limits are reached exactly and passed, in rows 0, 1 and 3.
+        for unit in (0, 1, 3):
+            assert {self.ACT.raw_min, self.ACT.raw_max} <= set(oracle[:, unit].tolist())
+        graph = dnn_graph(QuantizedModel([layer]))
+        feats = self.IN.dequantize(x_raw)
+        fused, __ = assert_kernel_matches_reference(graph, feats)
+        assert np.array_equal(fused, self.ACT.dequantize(oracle))

@@ -129,9 +129,13 @@ class TestSVM:
             RBFKernelSVM().fit(np.zeros((0, 2)), np.zeros(0))
 
     def test_weight_bytes(self, trained_svm):
-        assert trained_svm.weight_bytes() == (
-            trained_svm.support_vectors.size + trained_svm.alphas.size + 1
-        )
+        """The lowering's weight bank holds the SV set and one coefficient
+        per support vector, a byte each at fix8."""
+        from repro.mapreduce import svm_graph
+
+        bank = next(node for node in svm_graph(trained_svm).nodes.values()
+                    if node.name == "sv_bank")
+        assert bank.weight_values == trained_svm.support_vectors.size + trained_svm.alphas.size
 
 
 class TestKMeans:

@@ -37,6 +37,7 @@ from repro.pisa import (
     port_bypass,
     threshold_postprocess,
 )
+from repro.pisa.parser import Parser
 from repro.pisa.phv import PHVBatch
 
 
@@ -713,6 +714,23 @@ class TestSmallCall:
         assert first.aggregates.keys() == kept.aggregates.keys()
         for key, column in kept.aggregates.items():
             assert np.array_equal(first.aggregates[key], column), key
+
+    def test_a_direct_span_is_never_parsed(self, block_pair, monkeypatch):
+        """The bare pipeline with features on every row sends them to the
+        block without the PHV: ``parse_batch`` still counts the span's
+        packets, but its walk never runs.  A table that reads the PHV
+        brings the walk back, once per span."""
+        walks = []
+        walk = Parser._walk
+        monkeypatch.setattr(Parser, "_walk", lambda parser, *args: walks.append(walk(parser, *args)))
+        _reset(block_pair[0])
+        pipe = _pipeline(block_pair[0])
+        columns = TraceColumns.from_packets(_coverage_packets(43, True, 100))
+        pipe.process_trace_batch(columns)
+        assert walks == [] and pipe.parser.packets_parsed == 100
+        pipe.install_postprocess(_score_table())
+        pipe.process_trace_batch(columns)
+        assert len(walks) == 1 and pipe.parser.packets_parsed == 200
 
     @pytest.mark.parametrize("tables", ["none", "post"])
     def test_only_a_reader_gets_the_phv_writes(self, block_pair, monkeypatch, tables):

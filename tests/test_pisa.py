@@ -19,6 +19,7 @@ from repro.pisa import (
     default_layout,
     default_parser,
     fnv1a_columns,
+    port_bypass,
 )
 from repro.pisa.phv import PHV, PHVBatch, PHVLayout
 
@@ -391,6 +392,57 @@ class TestBatchParser:
             materialized = out.to_phv(i)
             assert materialized.values == expected.values, f"packet {i}"
         assert batch_parser.packets_parsed == n
+
+
+class TestDeferredParse:
+    """``parse_batch`` counts the packets at the call and walks the graph on
+    the batch's first read; whatever reads first — a table, a hook,
+    ``to_phv`` — sees the batch an eager walk writes, and the walk runs
+    once."""
+
+    PACKETS = [
+        Packet(headers={"protocol": proto, "src_ip": 10 << 24 | i, "dst_ip": i,
+                        "src_port": 1000 + i, "dst_port": port, "urgent_flag": i % 2,
+                        "seq": -i}, payload_len=40 * i)
+        for i, (proto, port) in enumerate([(0, 80), (1, 53), (7, 22), (0, 443), (1, 80)])
+    ]
+
+    @staticmethod
+    def _tag_table():
+        table = MatchActionTable(name="tag", key_fields=("protocol", "dst_port"),
+                                 kind=MatchKind.EXACT)
+        table.install(TableEntry({"protocol": 0, "dst_port": 80},
+                                 Action.set_const("web", "seq", 1)))
+        return table
+
+    READERS = {
+        "table": lambda batch: TestDeferredParse._tag_table().apply_batch(batch),
+        "hook": lambda batch: port_bypass((22, 53))[1](batch).tolist(),
+        "to_phv": lambda batch: [_typed(batch.to_phv(i)) for i in range(batch.n)],
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_first_reader_sees_the_eager_batch(self, reader, monkeypatch):
+        from repro.pisa.parser import Parser
+
+        parser = default_parser(_LAYOUT)
+        headers, payload = _columns(self.PACKETS)
+        eager = PHVBatch(_LAYOUT, len(payload))
+        parser._walk(eager, headers, payload)
+        for i, packet in enumerate(self.PACKETS):  # the scalar parse
+            assert _typed(eager.to_phv(i)) == _typed(parser.parse(packet))
+        parser.packets_parsed = 0
+        walks = []
+        walk = Parser._walk
+        monkeypatch.setattr(Parser, "_walk", lambda p, *args: walks.append(walk(p, *args)))
+        batch = parser.parse_batch(headers, payload)
+        assert walks == [] and parser.packets_parsed == len(payload)
+        read = self.READERS[reader]
+        assert read(batch) == read(eager)
+        for block in ("headers", "features", "written"):
+            assert np.array_equal(getattr(batch, block), getattr(eager, block)), block
+        read(batch)
+        assert len(walks) == 1
 
 
 class TestActions:

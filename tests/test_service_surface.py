@@ -343,7 +343,10 @@ def _readers() -> tuple[set[str], dict[str, list]]:
 
 @functools.cache
 def _unplaced_members_and_keywords() -> frozenset[str]:
-    """Members nothing reads and keywords no call sets, in ``SCANNED``."""
+    """Members nothing reads and keywords no call sets, in ``SCANNED``.
+
+    The scan is by name: a member shares its placement with every scanned
+    class that defines the same name, so a read of one places them all."""
     members, keywords = _scanned_surface()
     reads, calls = _readers()
     covered = COVERED | {name for name in _unplaced_paper_side_names()
